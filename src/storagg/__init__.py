@@ -30,8 +30,7 @@ from .milp import (MilpModel, Variable, Constraint, Solution, ModelError,
 from .formulations import (FormulationOutput, build_hm, build_ss, build_rp,
                            build_ss_rfm, build_rp_tmci, BUILDER_KINDS)
 from .evaluation import (HourlyExpansion, ViolationRecord, CaseResult,
-                         EvaluationReport, expand_solution, expand_hm,
-                         expand_ss, expand_rp, detect_violations,
+                         EvaluationReport, expand_solution, detect_violations,
                          compute_prices, attach_prices, count_startups,
                          investment_values, build_case_result, compare)
 from .pipeline import (ScenarioConfig, RunResult, PipelineError, ConfigError,

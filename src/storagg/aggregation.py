@@ -191,29 +191,11 @@ class RepPeriodClustering:
     def horizon_hours(self) -> int:
         return self.num_days * self.hours_per_day
 
-    def first_hours(self) -> np.ndarray:
-        """First (0-based) hour index of each representative day."""
-        return self.medoid_days * self.hours_per_day
-
-    def rep_hours(self) -> np.ndarray:
-        """Sorted hour indices belonging to any representative day."""
-        return np.concatenate([
-            np.arange(f, f + self.hours_per_day) for f in sorted(self.first_hours())
-        ]) if self.num_rp else np.array([], dtype=int)
-
-    def hour_to_rp(self) -> np.ndarray:
-        """Cluster index of every hour of the horizon."""
-        return np.repeat(self.day_assignment, self.hours_per_day)
-
     def hour_map(self) -> np.ndarray:
         """Map every hour to the same hour-of-day inside its representative day."""
         days = np.arange(self.horizon_hours) // self.hours_per_day
         offset = np.arange(self.horizon_hours) % self.hours_per_day
         return self.medoid_days[self.day_assignment[days]] * self.hours_per_day + offset
-
-    def hour_weights(self) -> np.ndarray:
-        """Days represented by the cluster owning each hour."""
-        return self.weights[self.hour_to_rp()]
 
 
 def cluster_states(features: NormalizedFeatures, num_states: int, seed: int) -> StateClustering:

@@ -6,6 +6,14 @@ its governing period), rebuilds storage levels, and exposes the series needed
 for error metrics: production, commitment, renewable use and curtailment,
 non-served power, storage levels, and prices.
 
+Values are read by the names the formulation builders compose,
+``<symbol>_<label>_<id>`` (e.g. ``q_p17_gas``, ``dw_s3_s5_bess``), with the
+model's time labels taken from ``fo.meta["time_labels"]``; each real hour
+points at one label index.  A solution that is not usable, or lacks a value
+the expansion reads, is refused with ValueError rather than read as zeros.
+Expansion and pricing never decode the variable registry; only the startup
+counts and investment values still read it.
+
 Two storage-level series are kept.  ``storage_level`` accumulates the real
 hourly inflows with the expanded charge/discharge decisions, so it shows what
 the physical system would experience and is the series screened for bound
@@ -24,8 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .milp import (MilpModel, Solution, ScipySolver, fix_and_relax,
-                   STATUS_OPTIMAL)
+from .milp import Solution, ScipySolver, fix_and_relax, STATUS_OPTIMAL
 from .system import PowerSystem
 from .timeseries import TimeHorizonData
 from .aggregation import StateClustering, RepPeriodClustering, TransitionMatrices
@@ -64,168 +71,98 @@ class HourlyExpansion:
         return worst
 
 
-def _symbol_values(registry: dict, values: dict[str, float]) -> dict[str, dict]:
-    """Index solution values as {symbol: {index-key: value}}."""
-    out: dict[str, dict] = {}
-    for name, entry in registry.items():
-        sym = entry.get("symbol")
-        bucket = out.setdefault(sym, {})
-        if sym in ("v", "pns"):
-            key = (entry.get("p", entry.get("s")), entry["node"])
-        elif sym == "dw":
-            key = (entry["s_from"], entry["s_to"], entry["unit"])
-        elif sym == "y" and "s_from" in entry:
-            key = (entry["s_from"], entry["s_to"], entry["unit"])
-        elif sym == "x":
-            key = entry["unit"]
-        elif sym == "wchk":
-            key = (entry["k"], entry["unit"])
-        elif sym == "pf":
-            key = (entry.get("p", entry.get("s")), entry["circuit"])
-        else:
-            key = (entry.get("p", entry.get("s")), entry.get("unit"))
-        bucket[key] = values.get(name, 0.0)
-    return out
+def _grid(values: dict[str, float], symbol: str, labels, ids) -> np.ndarray:
+    """(len(labels), len(ids)) array of ``values[f"{symbol}_{label}_{id}"]``.
 
-
-def _real_level_series(system: PowerSystem, data: TimeHorizonData,
-                       discharge: dict, charge: dict, spill: dict) -> dict[str, np.ndarray]:
-    levels: dict[str, np.ndarray] = {}
-    for k, s in enumerate(system.storage):
-        net = (data.inflows[:, k] + s.efficiency * charge[s.id]
-               - discharge[s.id] - spill[s.id])
-        levels[s.id] = s.w0 + np.cumsum(net)
-    return levels
-
-
-def _expand_by_source(system: PowerSystem, data: TimeHorizonData, sym: dict,
-                      source: np.ndarray, avail_rows: np.ndarray,
-                      labels_of_source) -> HourlyExpansion:
-    """Copy per-period values onto hours through a source index array."""
-    p = data.horizon_hours
-    thermal_production = {}
-    commitment = {}
-    for g in system.thermal:
-        q = np.array([sym["q"][(labels_of_source(s), g.id)] for s in source])
-        u = np.array([sym["u"][(labels_of_source(s), g.id)] for s in source])
-        thermal_production[g.id] = q
-        commitment[g.id] = np.round(u)
-    discharge, charge, spill = {}, {}, {}
-    for s_u in system.storage:
-        discharge[s_u.id] = np.array([sym["q"][(labels_of_source(s), s_u.id)] for s in source])
-        charge[s_u.id] = np.array([sym["b"][(labels_of_source(s), s_u.id)] for s in source])
-        spill[s_u.id] = np.array([sym["sp"][(labels_of_source(s), s_u.id)] for s in source])
-    renewable_use, available, pns = {}, {}, {}
-    for j, n in enumerate(system.nodes):
-        renewable_use[n] = np.array([sym["v"][(labels_of_source(s), n)] for s in source])
-        available[n] = avail_rows[source, j]
-        pns[n] = np.array([sym["pns"][(labels_of_source(s), n)] for s in source])
-    return HourlyExpansion(
-        hours=p, source_labels=[""] * p,
-        thermal_production=thermal_production, commitment=commitment,
-        storage_discharge=discharge, storage_charge=charge, storage_spill=spill,
-        storage_level={}, storage_level_model={},
-        renewable_use=renewable_use, renewable_available=available, pns=pns,
-        demand_total=data.demand.sum(axis=1))
-
-
-def expand_hm(solution: Solution, fo: FormulationOutput, system: PowerSystem,
-              data: TimeHorizonData) -> HourlyExpansion:
-    """The benchmark expands onto itself; levels are read straight off."""
-    sym = _symbol_values(fo.registry, solution.values)
-    source = np.arange(data.horizon_hours)
-    exp = _expand_by_source(system, data, sym, source, data.renewable_avail, lambda s: int(s))
-    exp.source_labels = [f"p{t}" for t in range(data.horizon_hours)]
-    exp.storage_level = _real_level_series(system, data, exp.storage_discharge,
-                                           exp.storage_charge, exp.storage_spill)
-    exp.storage_level_model = {
-        s.id: np.array([sym["w"][(t, s.id)] for t in range(data.horizon_hours)])
-        for s in system.storage}
-    return exp
-
-
-def expand_ss(solution: Solution, fo: FormulationOutput, system: PowerSystem,
-              data: TimeHorizonData, states: StateClustering) -> HourlyExpansion:
-    """Expand a states solution along the chronological state chain."""
-    sym = _symbol_values(fo.registry, solution.values)
-    assignment = states.assignment
-    exp = _expand_by_source(system, data, sym, assignment, states.renewable_avail,
-                            lambda s: int(s))
-    exp.source_labels = [f"s{s}" for s in assignment]
-    exp.storage_level = _real_level_series(system, data, exp.storage_discharge,
-                                           exp.storage_charge, exp.storage_spill)
-    # method-consistent series: initial level plus the per-transition shifts
-    dw = sym.get("dw", {})
-    for s_u in system.storage:
-        steps = np.zeros(data.horizon_hours)
-        for t in range(1, data.horizon_hours):
-            steps[t] = dw[(int(assignment[t - 1]), int(assignment[t]), s_u.id)]
-        exp.storage_level_model[s_u.id] = s_u.w0 + np.cumsum(steps)
-    return exp
-
-
-def expand_rp(solution: Solution, fo: FormulationOutput, system: PowerSystem,
-              data: TimeHorizonData, rp: RepPeriodClustering,
-              checkpoints: list[int] | None = None) -> HourlyExpansion:
-    """Expand a representative-days solution through the day-cluster map.
-
-    With ``checkpoints`` given (the enhanced variant), the method-consistent
-    level series anchors each window at its checkpoint variable and
-    accumulates the mapped net injections inside the window; without them it
-    concatenates the per-day profiles as solved.
+    These are the names the formulation builders compose; a name the
+    solution does not carry is an error, never a zero.
     """
-    sym = _symbol_values(fo.registry, solution.values)
-    hour_map = rp.hour_map()
-    exp = _expand_by_source(system, data, sym, hour_map, data.renewable_avail,
-                            lambda s: int(s))
-    exp.source_labels = [f"p{h}" for h in hour_map]
-    exp.storage_level = _real_level_series(system, data, exp.storage_discharge,
-                                           exp.storage_charge, exp.storage_spill)
-    p = data.horizon_hours
-    if checkpoints is None:
-        for s_u in system.storage:
-            exp.storage_level_model[s_u.id] = np.array(
-                [sym["w"][(int(h), s_u.id)] for h in hour_map])
-    else:
-        wchk = sym.get("wchk", {})
-        for k_s, s_u in enumerate(system.storage):
-            mapped_net = (data.inflows[hour_map, k_s]
-                          + s_u.efficiency * exp.storage_charge[s_u.id]
-                          - exp.storage_discharge[s_u.id]
-                          - exp.storage_spill[s_u.id])
-            level = np.empty(p)
-            prev_value, prev_hour = s_u.w0, 0
-            for k in checkpoints:
-                seg = mapped_net[prev_hour:k]
-                level[prev_hour:k] = prev_value + np.cumsum(seg)
-                prev_value = wchk[(int(k), s_u.id)]
-                # the chained checkpoint equals the accumulated value by construction
-                prev_hour = k
-            exp.storage_level_model[s_u.id] = level
-    return exp
+    out = np.empty((len(labels), len(ids)))
+    for i, label in enumerate(labels):
+        for j, uid in enumerate(ids):
+            name = f"{symbol}_{label}_{uid}"
+            if name not in values:
+                raise ValueError(f"solution has no value for {name!r}")
+            out[i, j] = values[name]
+    return out
 
 
 def expand_solution(fo: FormulationOutput, solution: Solution, system: PowerSystem,
                     data: TimeHorizonData, states: StateClustering | None = None,
                     rp: RepPeriodClustering | None = None) -> HourlyExpansion:
-    """Dispatch to the right expansion for a formulation kind."""
+    """Copy each model period's values onto the real hours it governs.
+
+    Every kind yields one array ``pos`` mapping each real hour to its index
+    in ``fo.meta["time_labels"]``: the hour itself for ``hm``, the state
+    assignment for the states family, and the representative hour of the
+    day-cluster map for representative days.  Each hourly series is then a
+    per-label grid indexed by ``pos``.
+    """
     kind = fo.kind
+    labels = fo.meta["time_labels"]
+    p = data.horizon_hours
     if kind == "hm":
-        return expand_hm(solution, fo, system, data)
-    if kind in ("ss", "ss_rfm"):
+        pos = np.arange(p)
+    elif kind in ("ss", "ss_rfm"):
         if states is None:
             raise ValueError(f"expanding {kind!r} needs the state clustering")
-        return expand_ss(solution, fo, system, data, states)
-    if kind == "rp":
+        pos = states.assignment
+    elif kind in ("rp", "rp_tmci"):
         if rp is None:
-            raise ValueError("expanding 'rp' needs the day clustering")
-        return expand_rp(solution, fo, system, data, rp)
+            raise ValueError(f"expanding {kind!r} needs the day clustering")
+        label_of_hour = np.full(p, -1)
+        label_of_hour[fo.meta["hours"]] = np.arange(len(labels))
+        pos = label_of_hour[rp.hour_map()]
+    else:
+        raise ValueError(f"unknown formulation kind {kind!r}")
+    # states stand for composite hours; every other period is a real hour
+    avail = (states.renewable_avail if kind in ("ss", "ss_rfm")
+             else data.renewable_avail[fo.meta["hours"]])
+
+    def hourly(symbol: str, ids: list[str]) -> dict[str, np.ndarray]:
+        grid = _grid(solution.values, symbol, labels, ids)[pos]
+        return {uid: grid[:, j] for j, uid in enumerate(ids)}
+
+    thermal = [g.id for g in system.thermal]
+    storage = system.storage_ids
+    exp = HourlyExpansion(
+        hours=p, source_labels=[labels[i] for i in pos],
+        thermal_production=hourly("q", thermal),
+        commitment={g: np.round(u) for g, u in hourly("u", thermal).items()},
+        storage_discharge=hourly("q", storage), storage_charge=hourly("b", storage),
+        storage_spill=hourly("sp", storage), storage_level={}, storage_level_model={},
+        renewable_use=hourly("v", system.nodes),
+        renewable_available={n: avail[pos, j] for j, n in enumerate(system.nodes)},
+        pns=hourly("pns", system.nodes), demand_total=data.demand.sum(axis=1))
+
+    for k, s in enumerate(system.storage):
+        exp.storage_level[s.id] = s.w0 + np.cumsum(
+            data.inflows[:, k] + s.efficiency * exp.storage_charge[s.id]
+            - exp.storage_discharge[s.id] - exp.storage_spill[s.id])
+    # method-consistent levels: solved hourly levels, the shift chain of the
+    # states family, or mapped injections anchored at each checkpoint
     if kind == "rp_tmci":
-        if rp is None:
-            raise ValueError("expanding 'rp_tmci' needs the day clustering")
-        return expand_rp(solution, fo, system, data, rp,
-                         checkpoints=fo.meta.get("checkpoints"))
-    raise ValueError(f"unknown formulation kind {kind!r}")
+        checkpoints = fo.meta["checkpoints"]
+        wchk = _grid(solution.values, "wchk", [f"k{k}" for k in checkpoints], storage)
+        mapped_inflows = data.inflows[fo.meta["hours"]][pos]
+        for j, s in enumerate(system.storage):
+            net = (mapped_inflows[:, j] + s.efficiency * exp.storage_charge[s.id]
+                   - exp.storage_discharge[s.id] - exp.storage_spill[s.id])
+            level = np.empty(p)
+            prev_value, prev_hour = s.w0, 0
+            for i, k in enumerate(checkpoints):
+                level[prev_hour:k] = prev_value + np.cumsum(net[prev_hour:k])
+                prev_value, prev_hour = wchk[i, j], k
+            exp.storage_level_model[s.id] = level
+    elif kind in ("ss", "ss_rfm"):
+        moves = [f"s{a}_s{b}" for a, b in zip(pos[:-1], pos[1:])]
+        steps = np.vstack([np.zeros((1, len(storage))),
+                           _grid(solution.values, "dw", moves, storage)])
+        for j, s in enumerate(system.storage):
+            exp.storage_level_model[s.id] = s.w0 + np.cumsum(steps[:, j])
+    else:
+        exp.storage_level_model = hourly("w", storage)
+    return exp
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +224,14 @@ def compute_prices(fo: FormulationOutput, solution: Solution,
     info = {"status": lp.status, "degenerate": False}
     if lp.status != STATUS_OPTIMAL or lp.duals is None:
         return {}, info
-    labels = fo.meta["time_labels"]
-    weight_of = {lab: float(w) for lab, w in zip(labels, fo.meta["time_weights"])}
-    nodes = _nodes_from_registry(fo.registry)
+    weight_of = {lab: float(w) for lab, w in
+                 zip(fo.meta["time_labels"], fo.meta["time_weights"])}
     nodes_prices: dict = {}
-    for label in labels:
-        for n in nodes:
-            row = f"bal_{label}_{n}"
-            if row in lp.duals:
-                nodes_prices[(label, n)] = lp.duals[row] / weight_of[label]
+    for row, dual in lp.duals.items():
+        if row.startswith("bal_"):
+            # balance rows are named bal_<label>_<node>; labels hold no "_"
+            _, label, n = row.split("_", 2)
+            nodes_prices[(label, n)] = dual / weight_of[label]
     if check_degeneracy:
         alt = adapter.solve_lp(relaxed, method="highs-ipm")
         if alt.status == STATUS_OPTIMAL and alt.duals:
@@ -307,14 +243,6 @@ def compute_prices(fo: FormulationOutput, solution: Solution,
                     info["degenerate"] = True
                     break
     return nodes_prices, info
-
-
-def _nodes_from_registry(registry: dict) -> list[str]:
-    nodes = []
-    for entry in registry.values():
-        if entry.get("symbol") == "pns" and entry["node"] not in nodes:
-            nodes.append(entry["node"])
-    return nodes
 
 
 def attach_prices(expansion: HourlyExpansion, system: PowerSystem,
@@ -410,6 +338,14 @@ def build_case_result(fo: FormulationOutput, solution: Solution, system: PowerSy
                       matrices: TransitionMatrices | None = None,
                       with_prices: bool = True,
                       check_degeneracy: bool = False) -> CaseResult:
+    """Expand, price, and screen one solved formulation.
+
+    Raises ValueError for a solution without a usable point (any status but
+    optimal or gap-limited) or one missing a value the expansion reads.
+    """
+    if not solution.ok:
+        raise ValueError(f"{fo.kind!r} solution has status {solution.status!r}, "
+                         "no usable point to evaluate")
     expansion = expand_solution(fo, solution, system, data, states=states, rp=rp)
     investment = investment_values(fo, solution)
     price_info: dict = {}

@@ -71,15 +71,17 @@ def _state_family(system: PowerSystem, states: StateClustering,
             rhs = 0.5 * float(states.inflows[a, k] + states.inflows[b, k])
             m.add_con(f"dwdef_s{a}_s{b}_{s.id}", terms, EQ, rhs)
 
-    def bound_rows(tag: str, s: StorageUnit, matrix: np.ndarray, lo_rhs: float, hi_rhs: float):
-        """One >= and one <= row over the dw variables weighted by a count matrix."""
+    def bound_rows(tag: str, s: StorageUnit, matrix: np.ndarray, lo_rhs: float, hi_rhs: float,
+                   suffix: str = ""):
+        """One >= and one <= row over the dw variables weighted by a count matrix,
+        named ``<tag>lo<suffix>_<unit>`` and ``<tag>hi<suffix>_<unit>``."""
         terms_lo = [(dw[a, b, s.id], float(matrix[a, b])) for a, b in pairs if matrix[a, b] > 0]
         terms_hi = list(terms_lo)
         if s.id in x:
             terms_lo.append((x[s.id], -s.epr_min))
             terms_hi.append((x[s.id], -s.epr_max))
-        m.add_con(f"{tag}lo_{s.id}", terms_lo, GE, lo_rhs)
-        m.add_con(f"{tag}hi_{s.id}", terms_hi, LE, hi_rhs)
+        m.add_con(f"{tag}lo{suffix}_{s.id}", terms_lo, GE, lo_rhs)
+        m.add_con(f"{tag}hi{suffix}_{s.id}", terms_hi, LE, hi_rhs)
 
     # end-of-horizon level: W0 plus every transition shift, counted
     for s in system.storage:
@@ -91,14 +93,8 @@ def _state_family(system: PowerSystem, states: StateClustering,
         for s in system.storage:
             use_window = kind == "ss_rfm" and s.kind == "short_term"
             matrix = matrices.reduced_frequency[ki] if use_window else matrices.frequency[ki]
-            tag = "win" if use_window else "chk"
-            terms_lo = [(dw[a, b, s.id], float(matrix[a, b])) for a, b in pairs if matrix[a, b] > 0]
-            terms_hi = list(terms_lo)
-            if s.id in x:
-                terms_lo.append((x[s.id], -s.epr_min))
-                terms_hi.append((x[s.id], -s.epr_max))
-            m.add_con(f"{tag}lo_k{k}_{s.id}", terms_lo, GE, s.w_min - s.w0)
-            m.add_con(f"{tag}hi_k{k}_{s.id}", terms_hi, LE, s.w_max - s.w0)
+            bound_rows("win" if use_window else "chk", s, matrix,
+                       s.w_min - s.w0, s.w_max - s.w0, suffix=f"_k{k}")
 
     meta = {
         "kind": kind,

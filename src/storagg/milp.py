@@ -8,8 +8,8 @@ interface, or handed to an external solver executable that communicates via
 an MPS file and a plain-text solution file.
 
 Every variable owns a registry entry mapping its flat name back to a symbol
-plus structured indices (hour, state, unit, ...), which is what the
-evaluation layer uses to interpret solutions.
+plus structured indices (hour, state, unit, ...), exported next to the MPS
+file for external tools.
 """
 
 from __future__ import annotations
@@ -132,9 +132,6 @@ class MilpModel:
 
     def has_var(self, name: str) -> bool:
         return name in self._var_index
-
-    def objective_value(self, values: dict[str, float]) -> float:
-        return float(sum(v.obj * values.get(v.name, 0.0) for v in self.variables if v.obj))
 
     def constraint_residual(self, con: Constraint, values: dict[str, float]) -> float:
         """Violation magnitude of one constraint under a candidate point."""
@@ -399,8 +396,7 @@ class ScipySolver:
     name = "scipy"
 
     def solve(self, model: MilpModel, gap: float = 0.0,
-              time_limit: float | None = None, threads: int | None = None) -> Solution:
-        # threads is accepted for interface parity; the backend picks its own.
+              time_limit: float | None = None) -> Solution:
         c, integrality, lb, ub, a, cl, cu = model.to_arrays()
         options = {"mip_rel_gap": float(gap)}
         if time_limit is not None:
@@ -438,37 +434,20 @@ class ScipySolver:
                  method: str = "highs") -> Solution:
         """Solve ignoring integrality and return duals as dObjective/dRHS
         of each constraint in its declared orientation."""
-        n = model.num_vars
-        c = np.array([v.obj for v in model.variables])
-        bounds = [(v.lb if v.lb != -INF else None, v.ub if v.ub != INF else None)
-                  for v in model.variables]
-        eq_rows, ub_rows = [], []       # (constraint position, sign)
-        for i, con in enumerate(model.constraints):
-            if con.sense == EQ:
-                eq_rows.append(i)
-            else:
-                ub_rows.append((i, 1.0 if con.sense == LE else -1.0))
-
-        def build(rows_signs):
-            rows, cols, vals, rhs = [], [], [], []
-            for r, (i, s) in enumerate(rows_signs):
-                con = model.constraints[i]
-                rows.extend([r] * len(con.idx))
-                cols.extend(con.idx)
-                vals.extend([s * v for v in con.coef])
-                rhs.append(s * con.rhs)
-            if not rows_signs:
-                return None, None
-            return sp.csc_array((vals, (rows, cols)), shape=(len(rows_signs), n)), np.array(rhs)
-
-        a_eq, b_eq = build([(i, 1.0) for i in eq_rows])
-        a_ub, b_ub = build(ub_rows)
+        c, _, lb, ub, a, cl, cu = model.to_arrays()
+        eq = cl == cu
+        # HiGHS takes inequalities as <=: negate each >= row in place so the
+        # inequality rows keep their declared order
+        sign = np.where(np.isinf(cu), -1.0, 1.0)
+        a = a.tocsr()
+        a.data *= np.repeat(sign, np.diff(a.indptr))
+        rhs = sign * np.where(np.isinf(cu), cl, cu)
         options = {}
         if time_limit is not None:
             options["time_limit"] = float(time_limit)
         start = time.perf_counter()
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=bounds, method=method, options=options)
+        res = linprog(c, A_ub=a[~eq], b_ub=rhs[~eq], A_eq=a[eq], b_eq=rhs[eq],
+                      bounds=np.column_stack((lb, ub)), method=method, options=options)
         wall = time.perf_counter() - start
         status_map = {0: STATUS_OPTIMAL, 2: STATUS_INFEASIBLE, 3: STATUS_UNBOUNDED}
         status = status_map.get(res.status, STATUS_ERROR)
@@ -476,13 +455,10 @@ class ScipySolver:
         if res.x is not None and status == STATUS_OPTIMAL:
             values = {v.name: float(x) for v, x in zip(model.variables, res.x)}
             objective = float(res.fun)
-            duals = {}
-            if eq_rows:
-                for i, m in zip(eq_rows, res.eqlin.marginals):
-                    duals[model.constraints[i].name] = float(m)
-            if ub_rows:
-                for (i, s), m in zip(ub_rows, res.ineqlin.marginals):
-                    duals[model.constraints[i].name] = float(s * m)
+            marginals = np.empty(model.num_cons)
+            marginals[eq] = res.eqlin.marginals
+            marginals[~eq] = sign[~eq] * res.ineqlin.marginals
+            duals = {con.name: float(m) for con, m in zip(model.constraints, marginals)}
         return Solution(status=status, objective=objective, values=values,
                         gap=0.0, wall_seconds=wall, duals=duals, message=str(res.message))
 
@@ -506,7 +482,7 @@ class ExternalSolver:
         self.exe = exe
 
     def solve(self, model: MilpModel, gap: float = 0.0,
-              time_limit: float | None = None, threads: int | None = None) -> Solution:
+              time_limit: float | None = None) -> Solution:
         with tempfile.TemporaryDirectory(prefix="storagg_solve_") as tmp:
             mps = Path(tmp) / "model.mps"
             out = Path(tmp) / "solution.txt"
@@ -524,15 +500,6 @@ class ExternalSolver:
             sol.wall_seconds = wall
             return sol
 
-    def solve_lp(self, model: MilpModel, **kwargs) -> Solution:
-        relaxed = MilpModel(model.name + "_lp")
-        for v in model.variables:
-            relaxed.add_var(v.name, v.lb, v.ub, v.obj, integer=False)
-        for con in model.constraints:
-            relaxed.constraints.append(con)
-            relaxed._con_names.add(con.name)
-        return self.solve(relaxed)
-
 
 def get_solver(spec: str | None = None):
     """Map a solver spec to an adapter: None/"scipy" in-process, "external"
@@ -547,9 +514,9 @@ def get_solver(spec: str | None = None):
 
 
 def solve(model: MilpModel, gap: float = 0.0, time_limit: float | None = None,
-          threads: int | None = None, solver=None) -> Solution:
+          solver=None) -> Solution:
     adapter = solver if solver is not None and not isinstance(solver, str) else get_solver(solver)
-    return adapter.solve(model, gap=gap, time_limit=time_limit, threads=threads)
+    return adapter.solve(model, gap=gap, time_limit=time_limit)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from storagg import (build_hm, build_ss, build_rp, build_rp_tmci, solve,
                      expand_solution, detect_violations, compute_prices,
                      attach_prices, count_startups, build_case_result,
-                     compare, aggregate)
+                     compare, aggregate, Solution)
 from storagg.evaluation import HourlyExpansion
 
 from conftest import (make_thermal, make_battery, make_system, make_data,
@@ -263,6 +263,17 @@ def test_build_case_result_bundles(battery_system, sin_data):
     assert case.expansion.hours == 48
     assert case.violation_count == len(case.violations)
     assert case.expansion.prices is not None
+
+
+def test_case_result_refuses_unusable_solution(battery_system, sin_data):
+    fo = build_hm(battery_system, sin_data)
+    # a stopped solve without an incumbent must not evaluate as all zeros
+    with pytest.raises(ValueError, match="'error'"):
+        build_case_result(fo, Solution(status="error"), battery_system, sin_data)
+    sol = solved(fo)
+    del sol.values["q_p7_gen"]
+    with pytest.raises(ValueError, match="q_p7_gen"):
+        build_case_result(fo, sol, battery_system, sin_data)
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,23 @@ def test_lp_duals_ge_row_sign():
     sol = ScipySolver().solve_lp(m)
     assert sol.duals["floor"] == pytest.approx(5.0)
 
+    # <=, >= and = rows interleaved: each dual keeps its row's sign and name.
+    # Optimum x=4, y=2, z=w=1 is nondegenerate, so the duals are unique.
+    m = MilpModel()
+    for name, cost in (("x", 1.0), ("y", 2.0), ("z", 3.0), ("w", 1.0)):
+        m.add_var(name, obj=cost)
+    m.add_con("cap", {"x": 1.0}, LE, 4.0)
+    m.add_con("need", {"x": 1.0, "y": 1.0}, GE, 6.0)
+    m.add_con("fix", {"z": 1.0}, EQ, 1.0)
+    m.add_con("ycap", {"y": 1.0}, LE, 10.0)
+    m.add_con("floor", {"y": 1.0, "z": 1.0}, GE, 2.0)
+    m.add_con("link", {"w": 1.0, "z": -1.0}, EQ, 0.0)
+    sol = ScipySolver().solve_lp(m)
+    assert sol.objective == pytest.approx(12.0)
+    assert list(sol.duals) == ["cap", "need", "fix", "ycap", "floor", "link"]
+    expected = [-1.0, 2.0, 4.0, 0.0, 0.0, 1.0]
+    assert list(sol.duals.values()) == pytest.approx(expected)
+
 
 def test_fix_and_relax_reprices():
     # commitment forced on, dual of the balance equals the dispatch cost
