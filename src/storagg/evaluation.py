@@ -10,7 +10,8 @@ Values are read by the names the formulation builders compose,
 ``<symbol>_<label>_<id>`` (e.g. ``q_p17_gas``, ``dw_s3_s5_bess``), with the
 model's time labels taken from ``fo.meta["time_labels"]``; each real hour
 points at one label index.  A solution that is not usable, or lacks a value
-the expansion reads, is refused with ValueError rather than read as zeros.
+the expansion, the startup counts or the investment values read, is refused
+with ValueError rather than read as zeros.
 Expansion and pricing never decode the variable registry; only the startup
 counts and investment values still read it.
 
@@ -71,19 +72,21 @@ class HourlyExpansion:
         return worst
 
 
-def _grid(values: dict[str, float], symbol: str, labels, ids) -> np.ndarray:
-    """(len(labels), len(ids)) array of ``values[f"{symbol}_{label}_{id}"]``.
+def _value(values: dict[str, float], name: str) -> float:
+    """``values[name]``; a name the solution does not carry is an error,
+    never a zero."""
+    if name not in values:
+        raise ValueError(f"solution has no value for {name!r}")
+    return values[name]
 
-    These are the names the formulation builders compose; a name the
-    solution does not carry is an error, never a zero.
-    """
+
+def _grid(values: dict[str, float], symbol: str, labels, ids) -> np.ndarray:
+    """(len(labels), len(ids)) array of ``values[f"{symbol}_{label}_{id}"]``,
+    the names the formulation builders compose."""
     out = np.empty((len(labels), len(ids)))
     for i, label in enumerate(labels):
         for j, uid in enumerate(ids):
-            name = f"{symbol}_{label}_{uid}"
-            if name not in values:
-                raise ValueError(f"solution has no value for {name!r}")
-            out[i, j] = values[name]
+            out[i, j] = _value(values, f"{symbol}_{label}_{uid}")
     return out
 
 
@@ -290,14 +293,14 @@ def count_startups(fo: FormulationOutput, solution: Solution,
             if entry.get("symbol") == "y":
                 count = float(n[entry["s_from"], entry["s_to"]])
                 totals[entry["unit"]] = totals.get(entry["unit"], 0.0) + \
-                    count * round(solution.values.get(name, 0.0))
+                    count * round(_value(solution.values, name))
         return totals
     weight_of = dict(zip(fo.meta["time_labels"], fo.meta["time_weights"]))
     for name, entry in fo.registry.items():
         if entry.get("symbol") == "y":
             label = f"p{entry['p']}"
             totals[entry["unit"]] = totals.get(entry["unit"], 0.0) + \
-                float(weight_of[label]) * round(solution.values.get(name, 0.0))
+                float(weight_of[label]) * round(_value(solution.values, name))
     return totals
 
 
@@ -305,7 +308,7 @@ def investment_values(fo: FormulationOutput, solution: Solution) -> dict[str, fl
     out = {}
     for name, entry in fo.registry.items():
         if entry.get("symbol") == "x":
-            out[entry["unit"]] = solution.values.get(name, 0.0)
+            out[entry["unit"]] = _value(solution.values, name)
     return out
 
 

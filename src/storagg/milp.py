@@ -7,20 +7,31 @@ standard MPS interchange format, solved in-process through scipy's HiGHS
 interface, or handed to an external solver executable that communicates via
 an MPS file and a plain-text solution file.
 
-Every variable owns a registry entry mapping its flat name back to a symbol
-plus structured indices (hour, state, unit, ...), exported next to the MPS
-file for external tools.
+Variables are stored as columns (names, ``array('d')`` bounds and objective,
+a ``bytearray`` of integer flags) and constraints as CSR rows (names,
+``indptr``, column indices, coefficients, sense codes, rhs).  ``variables``
+and ``constraints`` are read-only views that build a ``Variable`` or
+``Constraint`` tuple on access; ``to_arrays`` copies the buffers out.
+
+A built model's ``registry`` maps each variable's flat name back to a symbol
+plus structured indices (hour, state, unit, ...) and is exported next to the
+MPS file; ``parse_mps`` leaves it empty, so a re-read model takes its registry
+from that sidecar.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import subprocess
 import tempfile
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +40,8 @@ from scipy.optimize import linprog, milp, Bounds, LinearConstraint
 INF = float("inf")
 
 LE, GE, EQ = "<=", ">=", "="
-_SENSES = (LE, GE, EQ)
+_SENSES = (LE, GE, EQ)      # a row's sense code is its position here
+_SENSE_CODE = {s: k for k, s in enumerate(_SENSES)}
 
 STATUS_OPTIMAL = "optimal"
 STATUS_GAP_LIMIT = "gap_limit"
@@ -48,8 +60,7 @@ class SolverError(RuntimeError):
     pass
 
 
-@dataclass
-class Variable:
+class Variable(NamedTuple):
     name: str
     lb: float = 0.0
     ub: float = INF
@@ -57,8 +68,7 @@ class Variable:
     integer: bool = False
 
 
-@dataclass
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     idx: list          # variable positions
     coef: list         # matching coefficients
@@ -66,16 +76,39 @@ class Constraint:
     rhs: float
 
 
+class _Records(Sequence):
+    """Read-only sequence view that builds record ``i`` on access."""
+
+    def __init__(self, size, record):
+        self._size, self._record = size, record
+
+    def __len__(self) -> int:
+        return self._size()
+
+    def __getitem__(self, i: int):
+        return self._record(range(self._size())[i])
+
+    def __iter__(self):
+        return map(self._record, range(self._size()))
+
+
 class MilpModel:
     """Sparse minimize-objective MILP with a variable registry."""
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
         self.registry: dict[str, dict] = {}
+        # columns
+        self._names: list[str] = []
         self._var_index: dict[str, int] = {}
-        self._con_names: set[str] = set()
+        self._lb, self._ub, self._obj = array("d"), array("d"), array("d")
+        self._int = bytearray()
+        # CSR rows
+        self._con_names: list[str] = []
+        self._con_index: dict[str, int] = {}
+        self._indptr, self._cols = array("q", [0]), array("i")
+        self._coefs, self._rhs = array("d"), array("d")
+        self._sense = bytearray()
 
     # -- construction -------------------------------------------------------
 
@@ -86,20 +119,28 @@ class MilpModel:
             raise ModelError(f"duplicate variable {name!r}")
         if lb > ub:
             raise ModelError(f"variable {name!r}: lb {lb} > ub {ub}")
-        self._var_index[name] = len(self.variables)
-        self.variables.append(Variable(name, float(lb), float(ub), float(obj), integer))
-        entry = {"symbol": symbol or name}
-        entry.update(indices)
-        self.registry[name] = entry
+        self._append_var(name, lb, ub, obj, integer)
+        self.registry[name] = {"symbol": symbol or name, **indices}
         return name
 
+    def _append_var(self, name: str, lb: float, ub: float, obj: float,
+                    integer: bool) -> int:
+        """Add a column without a registry entry; returns its position."""
+        j = self._var_index[name] = len(self._names)
+        self._names.append(name)
+        self._lb.append(lb)
+        self._ub.append(ub)
+        self._obj.append(obj)
+        self._int.append(1 if integer else 0)
+        return j
+
     def add_obj(self, name: str, coef: float) -> None:
-        self.variables[self._var_index[name]].obj += float(coef)
+        self._obj[self._var_index[name]] += float(coef)
 
     def add_con(self, name: str, terms, sense: str, rhs: float) -> str:
-        if sense not in _SENSES:
+        if sense not in _SENSE_CODE:
             raise ModelError(f"unknown sense {sense!r}")
-        if name in self._con_names:
+        if name in self._con_index:
             raise ModelError(f"duplicate constraint {name!r}")
         merged: dict[int, float] = {}
         items = terms.items() if isinstance(terms, dict) else terms
@@ -111,60 +152,83 @@ class MilpModel:
             except KeyError:
                 raise ModelError(f"constraint {name!r} references unknown variable {var!r}") from None
             merged[j] = merged.get(j, 0.0) + float(coef)
-        idx = [j for j, c in merged.items() if c != 0.0]
-        coefs = [merged[j] for j in idx]
-        self._con_names.add(name)
-        self.constraints.append(Constraint(name, idx, coefs, sense, float(rhs)))
+        kept = [j for j, c in merged.items() if c != 0.0]
+        self._cols.extend(kept)
+        self._coefs.extend(merged[j] for j in kept)
+        self._con_index[name] = len(self._con_names)
+        self._con_names.append(name)
+        self._indptr.append(len(self._cols))
+        self._sense.append(_SENSE_CODE[sense])
+        self._rhs.append(rhs)
         return name
 
     # -- introspection ------------------------------------------------------
 
     @property
     def num_vars(self) -> int:
-        return len(self.variables)
+        return len(self._names)
 
     @property
     def num_cons(self) -> int:
-        return len(self.constraints)
+        return len(self._con_names)
+
+    @property
+    def variables(self) -> Sequence[Variable]:
+        return _Records(self._names.__len__, self._variable)
+
+    @property
+    def constraints(self) -> Sequence[Constraint]:
+        return _Records(self._con_names.__len__, self._constraint)
+
+    def _variable(self, j: int) -> Variable:
+        return Variable(self._names[j], self._lb[j], self._ub[j], self._obj[j],
+                        bool(self._int[j]))
+
+    def _constraint(self, i: int) -> Constraint:
+        a, b = self._indptr[i], self._indptr[i + 1]
+        return Constraint(self._con_names[i], self._cols[a:b].tolist(),
+                          self._coefs[a:b].tolist(), _SENSES[self._sense[i]],
+                          self._rhs[i])
 
     def var(self, name: str) -> Variable:
-        return self.variables[self._var_index[name]]
+        return self._variable(self._var_index[name])
 
     def has_var(self, name: str) -> bool:
         return name in self._var_index
 
     def constraint_residual(self, con: Constraint, values: dict[str, float]) -> float:
-        """Violation magnitude of one constraint under a candidate point."""
-        lhs = sum(c * values.get(self.variables[j].name, 0.0)
-                  for j, c in zip(con.idx, con.coef))
+        """Violation magnitude of one constraint under a candidate point.
+
+        Raises ModelError if ``values`` lacks a variable of the constraint.
+        """
+        try:
+            lhs = sum(c * values[self._names[j]] for j, c in zip(con.idx, con.coef))
+        except KeyError as exc:
+            raise ModelError(f"constraint {con.name!r}: no value for variable "
+                             f"{exc.args[0]!r}") from None
         if con.sense == LE:
             return max(0.0, lhs - con.rhs)
         if con.sense == GE:
             return max(0.0, con.rhs - lhs)
         return abs(lhs - con.rhs)
 
+    def _csr(self) -> sp.csr_array:
+        return sp.csr_array((np.array(self._coefs), np.array(self._cols),
+                             np.array(self._indptr)),
+                            shape=(self.num_cons, self.num_vars))
+
     def to_arrays(self):
-        """(c, integrality, lb, ub, A, con_lb, con_ub) as scipy-ready arrays."""
-        n = self.num_vars
-        c = np.array([v.obj for v in self.variables])
-        integrality = np.array([1 if v.integer else 0 for v in self.variables])
-        lb = np.array([v.lb for v in self.variables])
-        ub = np.array([v.ub for v in self.variables])
-        rows, cols, vals = [], [], []
-        cl = np.empty(self.num_cons)
-        cu = np.empty(self.num_cons)
-        for i, con in enumerate(self.constraints):
-            rows.extend([i] * len(con.idx))
-            cols.extend(con.idx)
-            vals.extend(con.coef)
-            if con.sense == LE:
-                cl[i], cu[i] = -INF, con.rhs
-            elif con.sense == GE:
-                cl[i], cu[i] = con.rhs, INF
-            else:
-                cl[i], cu[i] = con.rhs, con.rhs
-        a = sp.csc_array((vals, (rows, cols)), shape=(self.num_cons, n))
-        return c, integrality, lb, ub, a, cl, cu
+        """(c, integrality, lb, ub, A, con_lb, con_ub) as scipy-ready arrays.
+
+        Every array is a fresh copy: the caller may change it in place.
+        """
+        sense = np.frombuffer(self._sense, dtype=np.uint8)
+        rhs = np.array(self._rhs)
+        cl = np.where(sense == _SENSE_CODE[LE], -INF, rhs)
+        cu = np.where(sense == _SENSE_CODE[GE], INF, rhs)
+        integrality = np.frombuffer(self._int, dtype=np.uint8).astype(np.int64)
+        return (np.array(self._obj), integrality, np.array(self._lb),
+                np.array(self._ub), self._csr().tocsc(), cl, cu)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +238,7 @@ class MilpModel:
 _OBJ_ROW = "OBJ"
 _MARKER_ON = "    MARKER                 'MARKER'                 'INTORG'\n"
 _MARKER_OFF = "    MARKER                 'MARKER'                 'INTEND'\n"
+_MPS_TAGS = "LGE"           # indexed by sense code
 
 
 def _num(x: float) -> str:
@@ -185,52 +250,52 @@ def write_mps(model: MilpModel, path) -> None:
 
     Variables and rows appear in insertion order; every variable gets an
     explicit objective entry and explicit bounds, so a round trip through
-    ``parse_mps`` reproduces the model exactly.  Emission is a single linear
-    pass over the coefficient lists.
+    ``parse_mps`` reproduces the model exactly.  Each column's entries come
+    from a CSC transpose of the rows, in row order.
     """
-    per_var_entries: list[list] = [[] for _ in model.variables]
-    for con in model.constraints:
-        for j, c in zip(con.idx, con.coef):
-            per_var_entries[j].append((con.name, c))
+    csc = model._csr().tocsc()
+    colptr, rows, coefs = csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()
+    con_names = model._con_names
     with open(path, "w") as fh:
         fh.write(f"NAME {model.name}\n")
         fh.write("ROWS\n")
         fh.write(f" N  {_OBJ_ROW}\n")
-        for con in model.constraints:
-            tag = {LE: "L", GE: "G", EQ: "E"}[con.sense]
-            fh.write(f" {tag}  {con.name}\n")
+        for name, code in zip(con_names, model._sense):
+            fh.write(f" {_MPS_TAGS[code]}  {name}\n")
         fh.write("COLUMNS\n")
         in_int = False
-        for v, entries in zip(model.variables, per_var_entries):
-            if v.integer != in_int:
-                fh.write(_MARKER_ON if v.integer else _MARKER_OFF)
-                in_int = v.integer
-            pairs = [(_OBJ_ROW, v.obj)] + entries
+        for j, (name, obj, flag) in enumerate(zip(model._names, model._obj, model._int)):
+            integer = bool(flag)
+            if integer != in_int:
+                fh.write(_MARKER_ON if integer else _MARKER_OFF)
+                in_int = integer
+            pairs = [(_OBJ_ROW, obj)] + [(con_names[rows[k]], coefs[k])
+                                         for k in range(colptr[j], colptr[j + 1])]
             for k in range(0, len(pairs), 2):
                 chunk = pairs[k:k + 2]
                 cells = "   ".join(f"{row}  {_num(c)}" for row, c in chunk)
-                fh.write(f"    {v.name}  {cells}\n")
+                fh.write(f"    {name}  {cells}\n")
         if in_int:
             fh.write(_MARKER_OFF)
         fh.write("RHS\n")
-        for con in model.constraints:
-            fh.write(f"    RHS  {con.name}  {_num(con.rhs)}\n")
+        for name, rhs in zip(con_names, model._rhs):
+            fh.write(f"    RHS  {name}  {_num(rhs)}\n")
         fh.write("BOUNDS\n")
-        for v in model.variables:
-            if v.integer and v.lb == 0.0 and v.ub == 1.0:
-                fh.write(f" BV BND  {v.name}\n")
+        for name, lb, ub, flag in zip(model._names, model._lb, model._ub, model._int):
+            if flag and lb == 0.0 and ub == 1.0:
+                fh.write(f" BV BND  {name}\n")
                 continue
-            if v.lb == v.ub:
-                fh.write(f" FX BND  {v.name}  {_num(v.lb)}\n")
+            if lb == ub:
+                fh.write(f" FX BND  {name}  {_num(lb)}\n")
                 continue
-            if v.lb == -INF:
-                fh.write(f" MI BND  {v.name}\n")
-            elif v.lb != 0.0:
-                fh.write(f" LO BND  {v.name}  {_num(v.lb)}\n")
-            if v.ub == INF:
-                fh.write(f" PL BND  {v.name}\n")
+            if lb == -INF:
+                fh.write(f" MI BND  {name}\n")
+            elif lb != 0.0:
+                fh.write(f" LO BND  {name}  {_num(lb)}\n")
+            if ub == INF:
+                fh.write(f" PL BND  {name}\n")
             else:
-                fh.write(f" UP BND  {v.name}  {_num(v.ub)}\n")
+                fh.write(f" UP BND  {name}  {_num(ub)}\n")
         fh.write("ENDATA\n")
 
 
@@ -239,23 +304,21 @@ def parse_mps(path) -> MilpModel:
 
     Accepts any whitespace-separated layout with ROWS / COLUMNS / RHS /
     BOUNDS sections and integer marker lines, which covers files from the
-    usual solver toolchains as long as they avoid RANGES.
+    usual solver toolchains as long as they avoid RANGES.  Coefficients are
+    collected as (row, column, value) buffers and become CSR rows at the end;
+    repeated entries are summed and zeros dropped.  The registry stays empty.
     """
     model = MilpModel()
-    senses = {"L": LE, "G": GE, "E": EQ}
-    row_sense: dict[str, str] = {}
-    row_order: list[str] = []
-    row_terms: dict[str, list] = {}
-    row_rhs: dict[str, float] = {}
+    row_of = model._con_index
+    rows, cols, vals = array("i"), array("i"), array("d")
     obj_row = None
     section = None
     in_int = False
     with open(path) as fh:
         for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("*"):
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("*"):
                 continue
-            tokens = stripped.split()
             # section names start in column 1; data lines are indented, which
             # disambiguates e.g. an RHS vector itself named "RHS"
             if not line[0].isspace() and tokens[0] in (
@@ -272,48 +335,54 @@ def parse_mps(path) -> MilpModel:
                     if obj_row is None:
                         obj_row = row
                     continue
-                row_sense[row] = senses[tag]
-                row_order.append(row)
-                row_terms[row] = []
+                model.add_con(row, (), _SENSES[_MPS_TAGS.index(tag)], 0.0)
             elif section == "COLUMNS":
                 if len(tokens) >= 3 and tokens[1] == "'MARKER'":
                     in_int = tokens[2] == "'INTORG'"
                     continue
-                var = tokens[0]
-                if not model.has_var(var):
-                    model.add_var(var, integer=in_int)
+                j = model._var_index.get(tokens[0])
+                if j is None:
+                    j = model._append_var(tokens[0], 0.0, INF, 0.0, in_int)
                 elif in_int:
-                    model.var(var).integer = True
+                    model._int[j] = 1
                 for k in range(1, len(tokens) - 1, 2):
                     row, val = tokens[k], float(tokens[k + 1])
                     if row == obj_row:
-                        model.var(var).obj += val
+                        # assigned while still zero, so an objective of -0.0 keeps its sign
+                        model._obj[j] = model._obj[j] + val if model._obj[j] else val
                     else:
-                        row_terms[row].append((var, val))
+                        rows.append(row_of[row])
+                        cols.append(j)
+                        vals.append(val)
             elif section == "RHS":
                 for k in range(1, len(tokens) - 1, 2):
-                    row_rhs[tokens[k]] = float(tokens[k + 1])
+                    i = row_of.get(tokens[k])
+                    if i is not None:
+                        model._rhs[i] = float(tokens[k + 1])
             elif section == "BOUNDS":
                 kind, var = tokens[0], tokens[2]
-                if not model.has_var(var):
-                    model.add_var(var)
-                v = model.var(var)
+                j = model._var_index.get(var)
+                if j is None:
+                    j = model._append_var(var, 0.0, INF, 0.0, False)
                 if kind == "BV":
-                    v.integer, v.lb, v.ub = True, 0.0, 1.0
+                    model._int[j], model._lb[j], model._ub[j] = 1, 0.0, 1.0
                 elif kind == "FX":
-                    v.lb = v.ub = float(tokens[3])
+                    model._lb[j] = model._ub[j] = float(tokens[3])
                 elif kind == "LO":
-                    v.lb = float(tokens[3])
+                    model._lb[j] = float(tokens[3])
                 elif kind == "UP":
-                    v.ub = float(tokens[3])
+                    model._ub[j] = float(tokens[3])
                 elif kind == "MI":
-                    v.lb = -INF
+                    model._lb[j] = -INF
                 elif kind == "PL":
-                    v.ub = INF
+                    model._ub[j] = INF
                 else:
                     raise ModelError(f"{path}: unsupported bound type {kind!r}")
-    for row in row_order:
-        model.add_con(row, row_terms[row], row_sense[row], row_rhs.get(row, 0.0))
+    a = sp.coo_array((vals, (rows, cols)), shape=(model.num_cons, model.num_vars)).tocsr()
+    a.eliminate_zeros()
+    model._indptr = array("q", a.indptr.astype(np.int64).tobytes())
+    model._cols = array("i", a.indices.astype(np.intc).tobytes())
+    model._coefs = array("d", a.data.tobytes())
     return model
 
 
@@ -424,7 +493,7 @@ class ScipySolver:
         values = {}
         objective = None
         if res.x is not None:
-            values = {v.name: float(x) for v, x in zip(model.variables, res.x)}
+            values = dict(zip(model._names, res.x.tolist()))
             objective = float(res.fun)
         return Solution(status=status, objective=objective, values=values,
                         gap=float(mip_gap) if mip_gap not in (None,) and np.isfinite(mip_gap) else 0.0,
@@ -453,12 +522,12 @@ class ScipySolver:
         status = status_map.get(res.status, STATUS_ERROR)
         values, objective, duals = {}, None, None
         if res.x is not None and status == STATUS_OPTIMAL:
-            values = {v.name: float(x) for v, x in zip(model.variables, res.x)}
+            values = dict(zip(model._names, res.x.tolist()))
             objective = float(res.fun)
             marginals = np.empty(model.num_cons)
             marginals[eq] = res.eqlin.marginals
             marginals[~eq] = sign[~eq] * res.ineqlin.marginals
-            duals = {con.name: float(m) for con, m in zip(model.constraints, marginals)}
+            duals = dict(zip(model._con_names, marginals.tolist()))
         return Solution(status=status, objective=objective, values=values,
                         gap=0.0, wall_seconds=wall, duals=duals, message=str(res.message))
 
@@ -528,29 +597,27 @@ def fix_and_relax(model: MilpModel, solution: Solution) -> MilpModel:
 
     The resulting LP has well-defined duals; solving it reprices the
     continuous quantities around the chosen commitment.  Raises ModelError if
-    the solution lacks a value for some integer variable.
+    the solution lacks a value for some integer variable.  The relaxed model
+    copies the column arrays and shares names, registry and rows with
+    ``model``: it is for solving, not for extending.
     """
-    relaxed = MilpModel(model.name + "_fixrelax")
-    for v in model.variables:
-        if v.integer:
-            if v.name not in solution.values:
-                raise ModelError(f"solution provides no value for integer variable {v.name!r}")
-            fixed = float(round(solution.values[v.name]))
-            relaxed.add_var(v.name, fixed, fixed, v.obj, integer=False)
-        else:
-            relaxed.add_var(v.name, v.lb, v.ub, v.obj, integer=False)
-    for con in model.constraints:
-        relaxed.constraints.append(con)
-        relaxed._con_names.add(con.name)
-    relaxed.registry = dict(model.registry)
+    relaxed = copy.copy(model)
+    relaxed.name = model.name + "_fixrelax"
+    relaxed._lb, relaxed._ub = array("d", model._lb), array("d", model._ub)
+    relaxed._obj, relaxed._int = array("d", model._obj), bytearray(len(model._int))
+    for j in np.flatnonzero(model._int).tolist():
+        name = model._names[j]
+        if name not in solution.values:
+            raise ModelError(f"solution provides no value for integer variable {name!r}")
+        relaxed._lb[j] = relaxed._ub[j] = float(round(solution.values[name]))
     return relaxed
 
 
 def constraint_families(model: MilpModel) -> dict[str, list[int]]:
     """Group constraint positions by the name prefix before the first '_'."""
     fams: dict[str, list[int]] = {}
-    for i, con in enumerate(model.constraints):
-        fams.setdefault(con.name.split("_", 1)[0], []).append(i)
+    for i, name in enumerate(model._con_names):
+        fams.setdefault(name.split("_", 1)[0], []).append(i)
     return fams
 
 

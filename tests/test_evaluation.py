@@ -5,7 +5,7 @@ from storagg import (build_hm, build_ss, build_rp, build_rp_tmci, solve,
                      expand_solution, detect_violations, compute_prices,
                      attach_prices, count_startups, build_case_result,
                      compare, aggregate, Solution)
-from storagg.evaluation import HourlyExpansion
+from storagg.evaluation import HourlyExpansion, investment_values
 
 from conftest import (make_thermal, make_battery, make_system, make_data,
                       manual_states, manual_matrices, manual_rp)
@@ -274,6 +274,30 @@ def test_case_result_refuses_unusable_solution(battery_system, sin_data):
     del sol.values["q_p7_gen"]
     with pytest.raises(ValueError, match="q_p7_gen"):
         build_case_result(fo, sol, battery_system, sin_data)
+
+
+def test_case_result_refuses_missing_startups_and_investment(battery_system, sin_data):
+    # g1 must be off in each zero-demand block, so it starts three times
+    system = make_system([make_thermal("g1")])
+    data = make_data(np.tile(np.concatenate([np.zeros(8), np.ones(8)]), 3))
+    fo = build_hm(system, data)
+    sol = solved(fo)
+    started = [name for name, entry in fo.registry.items()
+               if entry["symbol"] == "y" and round(sol.values[name]) == 1]
+    assert len(started) == 3
+    assert count_startups(fo, sol) == {"g1": pytest.approx(3.0)}
+    for name in started:
+        del sol.values[name]
+    with pytest.raises(ValueError, match=started[0]):
+        build_case_result(fo, sol, system, data, with_prices=False)
+
+    batt = make_battery(investable=True, inv_cost=100.0, epr_max=4.0)
+    system = make_system(battery_system.thermal, [batt])
+    fo = build_hm(system, sin_data, invest=True)
+    sol = solved(fo)
+    del sol.values["x_batt"]
+    with pytest.raises(ValueError, match="x_batt"):
+        investment_values(fo, sol)
 
 
 # ---------------------------------------------------------------------------

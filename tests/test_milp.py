@@ -1,7 +1,9 @@
+import gc
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +12,19 @@ from storagg import (MilpModel, ModelError, SolverError, Solution,
                      ScipySolver, ExternalSolver, get_solver, solve,
                      fix_and_relax, write_mps, parse_mps, write_registry,
                      load_registry, write_solution_file, parse_solution_file,
-                     audit_constraints, constraint_families, SOLVER_ENV_VAR)
+                     audit_constraints, constraint_families, SOLVER_ENV_VAR,
+                     build_hm)
 from storagg.milp import INF, LE, GE, EQ
+from storagg.pipeline import emit_scenario_template, load_scenario, stage_ingest
+
+
+def assert_same_arrays(a, b):
+    """Two ``to_arrays`` results hold the same numbers."""
+    for x, y in zip(a, b, strict=True):
+        if hasattr(x, "toarray"):
+            assert x.shape == y.shape and (x != y).nnz == 0
+        else:
+            assert x.shape == y.shape and np.array_equal(x, y)
 
 
 def toy_model():
@@ -96,6 +109,29 @@ def test_constraint_residuals():
     values["y"] = 0.5                  # c1 lhs = 3 < 4, c2 lhs = 1.5 != 1
     assert m.constraint_residual(m.constraints[0], values) == pytest.approx(1.0)
     assert m.constraint_residual(m.constraints[1], values) == pytest.approx(0.5)
+    del values["w"]                    # a missing value is an error, not 0.0
+    with pytest.raises(ModelError, match="'w'"):
+        m.constraint_residual(m.constraints[2], values)
+
+
+def test_built_model_memory_per_element(tmp_path):
+    """The 28-day template hm holds under 160 bytes per variable, row and
+    nonzero, its registry included; one object per variable and per row
+    took about 200."""
+    config = load_scenario(emit_scenario_template(tmp_path, days=28, seed=4))
+    system, data = stage_ingest(config)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fo = build_hm(system, data)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    m = fo.model
+    elements = m.num_vars + m.num_cons + m.to_arrays()[4].nnz
+    assert live / elements < 160
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +149,7 @@ def test_mps_round_trip_exact(tmp_path):
     path = tmp_path / "toy.mps"
     write_mps(m, path)
     back = parse_mps(path)
-    a, b = m.to_arrays(), back.to_arrays()
-    for x, y in zip(a, b):
-        if hasattr(x, "toarray"):
-            assert (x != y).nnz == 0
-        else:
-            assert np.array_equal(x, y)
+    assert_same_arrays(m.to_arrays(), back.to_arrays())
     # and the re-emission is byte-identical
     path2 = tmp_path / "again.mps"
     write_mps(back, path2)
@@ -271,6 +302,21 @@ def test_fix_and_relax_reprices():
     assert not relaxed.var("u").integer
     lp = ScipySolver().solve_lp(relaxed)
     assert lp.duals["bal"] == pytest.approx(20.0)
+
+
+def test_to_arrays_belong_to_the_caller(tmp_path):
+    m = toy_model()
+    before = m.to_arrays()
+    write_mps(m, tmp_path / "before.mps")
+    c, integrality, lb, ub, a, cl, cu = m.to_arrays()
+    for x in (c, integrality, lb, ub, a.data, cl, cu):
+        x[:] = 7
+    sol = solve(m)
+    ScipySolver().solve_lp(m)          # negates the >= row of its arrays
+    ScipySolver().solve_lp(fix_and_relax(m, sol))
+    assert_same_arrays(before, m.to_arrays())
+    write_mps(m, tmp_path / "after.mps")
+    assert (tmp_path / "after.mps").read_bytes() == (tmp_path / "before.mps").read_bytes()
 
 
 def test_fix_and_relax_needs_values():

@@ -1,0 +1,69 @@
+"""Round-trip properties of the model container on random small models."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from storagg import MilpModel, write_mps, parse_mps
+from storagg.milp import INF, LE, GE, EQ
+
+from test_milp import assert_same_arrays
+
+finite = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5, 1e-300, 1.5e300]) | \
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def models(draw):
+    """Mixed senses, integer and continuous columns, free, fixed and
+    infinite bounds, and duplicate and zero terms."""
+    m = MilpModel("prop")
+    n = draw(st.integers(1, 6))
+    for j in range(n):
+        lb = draw(st.sampled_from([0.0, -INF]) | finite)
+        ub = draw(st.sampled_from([1.0, INF, lb]) | finite)
+        if ub < lb:
+            lb, ub = ub, lb
+        m.add_var(f"x{j}", lb=lb, ub=ub, obj=draw(finite), integer=draw(st.booleans()))
+    for i in range(draw(st.integers(0, 6))):
+        terms = draw(st.lists(st.tuples(st.integers(0, n - 1), finite), max_size=6))
+        m.add_con(f"r{i}", [(f"x{j}", c) for j, c in terms],
+                  draw(st.sampled_from([LE, GE, EQ])), draw(finite))
+    return m
+
+
+def loop_arrays(m):
+    """``to_arrays`` by a plain loop over the record views."""
+    variables, constraints = list(m.variables), list(m.constraints)
+    rows, cols, vals, cl, cu = [], [], [], [], []
+    for i, con in enumerate(constraints):
+        rows += [i] * len(con.idx)
+        cols += con.idx
+        vals += con.coef
+        cl.append(-INF if con.sense == LE else con.rhs)
+        cu.append(INF if con.sense == GE else con.rhs)
+    a = sp.csc_array((np.array(vals, dtype=float), (rows, cols)),
+                     shape=(len(constraints), len(variables)))
+    return (np.array([v.obj for v in variables]),
+            np.array([int(v.integer) for v in variables]),
+            np.array([v.lb for v in variables]), np.array([v.ub for v in variables]),
+            a, np.array(cl, dtype=float), np.array(cu, dtype=float))
+
+
+@settings(max_examples=200, deadline=None)
+@given(models())
+def test_write_parse_round_trip(m):
+    assert_same_arrays(loop_arrays(m), m.to_arrays())
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.mps", Path(tmp) / "second.mps"
+        write_mps(m, first)
+        back = parse_mps(first)
+        assert_same_arrays(m.to_arrays(), back.to_arrays())
+        write_mps(back, second)
+        assert second.read_bytes() == first.read_bytes()
