@@ -53,6 +53,6 @@ for frac in np.arange(0.75, 1.30, 0.05):
     system = system_with(frac * THRESHOLD)
     fo = build_hm(system, data, invest=True)
     sol = solve(fo.model)
-    x = investment_values(fo, sol)["cand"]
+    x = investment_values(fo, sol, system)["cand"]
     marker = "<-- crossing" if abs(frac - 1.0) < 0.026 else ""
     print(f"{frac:13.2f} {x:12.4f}   {'#' * int(round(x * 10))} {marker}")

@@ -237,14 +237,9 @@ def build_transition_matrix(assignment: np.ndarray, num_states: int | None = Non
     return counts
 
 
-def default_checkpoints(horizon_hours: int, window: int | None = None,
-                        kind: str = "long") -> np.ndarray:
-    """Checkpoint hours {M, 2M, ...} with the horizon end always included.
-
-    ``window`` defaults to 24 hours for kind="short" and 168 for kind="long".
-    """
-    if window is None:
-        window = 24 if kind == "short" else 168
+def default_checkpoints(horizon_hours: int, window: int) -> np.ndarray:
+    """Checkpoint hours {M, 2M, ...} for window M, with the horizon end
+    always included."""
     if window <= 0:
         raise AggregationError("checkpoint window must be positive")
     marks = list(range(window, horizon_hours + 1, window))
@@ -351,7 +346,8 @@ def aggregate(data, num_states: int, num_rp: int,
 
 
 # ---------------------------------------------------------------------------
-# artifact (de)serialization -- byte-stable for a fixed input and seed
+# artifact (de)serialization -- byte-stable for a fixed input and seed; the
+# matrices are derived, so only the clusterings and the window are stored
 # ---------------------------------------------------------------------------
 
 def save_artifacts(art: AggregationArtifacts, path) -> None:
@@ -373,14 +369,7 @@ def save_artifacts(art: AggregationArtifacts, path) -> None:
             "weights": art.rp.weights.tolist(),
             "hours_per_day": art.rp.hours_per_day,
         },
-        "matrices": {
-            "transitions": art.matrices.transitions.tolist(),
-            "checkpoints": art.matrices.checkpoints.tolist(),
-            "frequency": art.matrices.frequency.tolist(),
-            "reduced_frequency": art.matrices.reduced_frequency.tolist(),
-            "rp_transitions": art.matrices.rp_transitions.tolist(),
-            "window_hours": art.matrices.window_hours,
-        },
+        "window_hours": art.matrices.window_hours,
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -390,6 +379,7 @@ def save_artifacts(art: AggregationArtifacts, path) -> None:
 
 
 def load_artifacts(path) -> AggregationArtifacts:
+    """Read the clusterings back and rebuild the matrices from them."""
     with open(path) as fh:
         doc = json.load(fh)
     st = doc["states"]
@@ -408,12 +398,5 @@ def load_artifacts(path) -> AggregationArtifacts:
         medoid_days=np.array(rp_doc["medoid_days"], dtype=int),
         weights=np.array(rp_doc["weights"], dtype=int),
         hours_per_day=rp_doc["hours_per_day"])
-    mm = doc["matrices"]
-    matrices = TransitionMatrices(
-        transitions=np.array(mm["transitions"], dtype=int),
-        checkpoints=np.array(mm["checkpoints"], dtype=int),
-        frequency=np.array(mm["frequency"], dtype=int),
-        reduced_frequency=np.array(mm["reduced_frequency"], dtype=int),
-        rp_transitions=np.array(mm["rp_transitions"], dtype=int),
-        window_hours=mm["window_hours"])
-    return AggregationArtifacts(seed=doc["seed"], states=states, rp=rp, matrices=matrices)
+    return AggregationArtifacts(seed=doc["seed"], states=states, rp=rp,
+                                matrices=build_matrices(states, rp, doc["window_hours"]))

@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="cluster hours and days, save artifacts")
     _add_common(p)
 
-    p = sub.add_parser("build", help="write model MPS + registry files")
+    p = sub.add_parser("build", help="write model MPS + metadata files")
     _add_common(p)
     _add_only(p)
 

@@ -6,14 +6,14 @@ its governing period), rebuilds storage levels, and exposes the series needed
 for error metrics: production, commitment, renewable use and curtailment,
 non-served power, storage levels, and prices.
 
-Values are read by the names the formulation builders compose,
-``<symbol>_<label>_<id>`` (e.g. ``q_p17_gas``, ``dw_s3_s5_bess``), with the
-model's time labels taken from ``fo.meta["time_labels"]``; each real hour
-points at one label index.  A solution that is not usable, or lacks a value
-the expansion, the startup counts or the investment values read, is refused
-with ValueError rather than read as zeros.
-Expansion and pricing never decode the variable registry; only the startup
-counts and investment values still read it.
+Values are read by the names the formulation builders compose with
+``var_name``, ``<symbol>_<label>_<id>`` (e.g. ``q_p17_gas``,
+``dw_s3_s5_bess``), with the model's time labels taken from
+``fo.meta["time_labels"]``; each real hour points at one label index.  The
+startup counts read ``y`` over the same labels (or over the observed state
+transitions) and the investment values read ``x_<id>``.  A solution that is
+not usable, or lacks a value any of them reads, is refused with ValueError
+rather than read as zeros.
 
 Two storage-level series are kept.  ``storage_level`` accumulates the real
 hourly inflows with the expanded charge/discharge decisions, so it shows what
@@ -37,7 +37,7 @@ from .milp import Solution, ScipySolver, fix_and_relax, STATUS_OPTIMAL
 from .system import PowerSystem
 from .timeseries import TimeHorizonData
 from .aggregation import StateClustering, RepPeriodClustering, TransitionMatrices
-from .formulations.common import FormulationOutput
+from .formulations.common import FormulationOutput, var_name
 
 VIOLATION_TOL = 1e-6  # GWh beyond a bound before it counts as a violation
 
@@ -81,12 +81,11 @@ def _value(values: dict[str, float], name: str) -> float:
 
 
 def _grid(values: dict[str, float], symbol: str, labels, ids) -> np.ndarray:
-    """(len(labels), len(ids)) array of ``values[f"{symbol}_{label}_{id}"]``,
-    the names the formulation builders compose."""
+    """(len(labels), len(ids)) array of ``values[var_name(symbol, label, id)]``."""
     out = np.empty((len(labels), len(ids)))
     for i, label in enumerate(labels):
         for j, uid in enumerate(ids):
-            out[i, j] = _value(values, f"{symbol}_{label}_{uid}")
+            out[i, j] = _value(values, var_name(symbol, label, uid))
     return out
 
 
@@ -219,8 +218,6 @@ def compute_prices(fo: FormulationOutput, solution: Solution,
     ``check_degeneracy`` the LP is re-solved by an interior-point method and
     disagreeing duals flag a degenerate (non-unique) price vector.
     """
-    if fo.model is None:
-        raise ValueError("pricing needs the built model, not just a registry")
     relaxed = fix_and_relax(fo.model, solution)
     adapter = ScipySolver()
     lp = adapter.solve_lp(relaxed)
@@ -276,40 +273,39 @@ def attach_prices(expansion: HourlyExpansion, system: PowerSystem,
 # startups and case assembly
 # ---------------------------------------------------------------------------
 
-def count_startups(fo: FormulationOutput, solution: Solution,
+def count_startups(fo: FormulationOutput, solution: Solution, system: PowerSystem,
                    matrices: TransitionMatrices | None = None) -> dict[str, float]:
     """Horizon startup totals per thermal unit.
 
-    Hour-based models sum the startup indicators weighted by the hours each
-    modeled period stands for; the states family weights each transition's
-    indicator by the number of times that transition occurs.
+    Hour-based models sum the indicators ``y_<label>_<unit>`` weighted by the
+    hours each modeled period stands for; the states family weights each
+    ``y_s{a}_s{b}_<unit>`` of an observed move a != b by the number of times
+    that move occurs.  Every term is an integer, so the totals are exact.
     """
-    totals: dict[str, float] = {}
     if fo.kind in ("ss", "ss_rfm"):
         if matrices is None:
             raise ValueError("counting states-family startups needs the transition matrix")
         n = matrices.transitions
-        for name, entry in fo.registry.items():
-            if entry.get("symbol") == "y":
-                count = float(n[entry["s_from"], entry["s_to"]])
-                totals[entry["unit"]] = totals.get(entry["unit"], 0.0) + \
-                    count * round(_value(solution.values, name))
-        return totals
-    weight_of = dict(zip(fo.meta["time_labels"], fo.meta["time_weights"]))
-    for name, entry in fo.registry.items():
-        if entry.get("symbol") == "y":
-            label = f"p{entry['p']}"
-            totals[entry["unit"]] = totals.get(entry["unit"], 0.0) + \
-                float(weight_of[label]) * round(_value(solution.values, name))
-    return totals
+        moves = [(a, b) for a, b in zip(*np.nonzero(n)) if a != b]
+        labels = [f"s{a}_s{b}" for a, b in moves]
+        weights = [float(n[a, b]) for a, b in moves]
+    else:
+        labels, weights = fo.meta["time_labels"], fo.meta["time_weights"]
+    if not labels or not system.thermal:
+        return {}
+    units = [g.id for g in system.thermal]
+    totals = np.asarray(weights) @ np.round(_grid(solution.values, "y", labels, units))
+    # + 0.0 turns the -0.0 that rounding a tiny negative indicator gives into 0.0
+    return {uid: float(total) + 0.0 for uid, total in zip(units, totals)}
 
 
-def investment_values(fo: FormulationOutput, solution: Solution) -> dict[str, float]:
-    out = {}
-    for name, entry in fo.registry.items():
-        if entry.get("symbol") == "x":
-            out[entry["unit"]] = _value(solution.values, name)
-    return out
+def investment_values(fo: FormulationOutput, solution: Solution,
+                      system: PowerSystem) -> dict[str, float]:
+    """Built capacity ``x_<id>`` per investable storage unit of an invest model."""
+    if not fo.meta["invest"]:
+        return {}
+    return {s.id: _value(solution.values, f"x_{s.id}")
+            for s in system.storage if s.investable}
 
 
 @dataclass
@@ -350,9 +346,9 @@ def build_case_result(fo: FormulationOutput, solution: Solution, system: PowerSy
         raise ValueError(f"{fo.kind!r} solution has status {solution.status!r}, "
                          "no usable point to evaluate")
     expansion = expand_solution(fo, solution, system, data, states=states, rp=rp)
-    investment = investment_values(fo, solution)
+    investment = investment_values(fo, solution, system)
     price_info: dict = {}
-    if with_prices and fo.model is not None:
+    if with_prices:
         period_prices, price_info = compute_prices(fo, solution,
                                                    check_degeneracy=check_degeneracy)
         if period_prices:
@@ -362,7 +358,7 @@ def build_case_result(fo: FormulationOutput, solution: Solution, system: PowerSy
         objective=float(solution.objective),
         wall_seconds=solution.wall_seconds,
         expansion=expansion,
-        startups=count_startups(fo, solution, matrices=matrices),
+        startups=count_startups(fo, solution, system, matrices=matrices),
         investment=investment,
         violations=detect_violations(expansion, system, investment),
         price_info=price_info,

@@ -7,6 +7,10 @@ They differ only in what a "period" is (an hour, a composite hour, or an hour
 of a representative day), in how startups are linked, and in how storage
 levels are carried through time, which each family adds on top.
 
+Every variable is named ``var_name(symbol, label, id)``, e.g. ``u_p5_gas``;
+that name is the only index a built model keeps, and evaluation reads
+solution values back by it.
+
 Constraint name prefixes (the family tag used by the audit tooling):
 
 ==========  =========================================================
@@ -38,38 +42,22 @@ from ..system import PowerSystem
 
 @dataclass
 class FormulationOutput:
-    """A built model plus the metadata evaluation needs to interpret it.
+    """A built model plus the metadata evaluation needs to interpret it."""
 
-    ``registry`` defaults to the model's own variable registry; it is stored
-    separately so an output can also be reassembled from an interchange file
-    plus its registry sidecar without rebuilding the model.
-    """
-
-    model: MilpModel | None
+    model: MilpModel
     kind: str
     meta: dict = field(default_factory=dict)
-    registry: dict | None = None
 
-    def __post_init__(self):
-        if self.registry is None and self.model is not None:
-            self.registry = self.model.registry
+    @property
+    def registry(self) -> tuple[str, ...]:
+        """The model's variable names in declaration order."""
+        return self.model.var_names
 
 
-@dataclass
-class CoreNames:
-    """Variable-name grids produced by the shared operating core."""
-
-    labels: list[str]
-    q: dict = field(default_factory=dict)      # (label, unit) -> name, thermal and storage
-    qhat: dict = field(default_factory=dict)   # (label, thermal) -> name
-    u: dict = field(default_factory=dict)      # (label, thermal) -> name
-    r: dict = field(default_factory=dict)      # (label, thermal) -> name
-    b: dict = field(default_factory=dict)      # (label, storage) -> name
-    sp: dict = field(default_factory=dict)     # (label, storage) -> name
-    v: dict = field(default_factory=dict)      # (label, node) -> name
-    pns: dict = field(default_factory=dict)    # (label, node) -> name
-    pf: dict = field(default_factory=dict)     # (label, circuit) -> name
-    x: dict = field(default_factory=dict)      # storage -> name (investment, GW)
+def var_name(symbol: str, label: str, uid: str) -> str:
+    """The name of variable ``symbol`` for period ``label`` and unit, node or
+    circuit ``uid``, e.g. ``q_p17_gas`` or ``dw_s3_s5_bess``."""
+    return f"{symbol}_{label}_{uid}"
 
 
 def add_investment(m: MilpModel, system: PowerSystem, invest: bool) -> dict:
@@ -77,31 +65,30 @@ def add_investment(m: MilpModel, system: PowerSystem, invest: bool) -> dict:
 
     With ``invest`` false no variable is declared, which pins every candidate
     at zero and turns the capacity couplings below into plain bounds.
+    Returns the storage id -> ``x_<id>`` map of declared variables.
     """
     x: dict = {}
     if not invest:
         return x
     for s in system.storage:
         if s.investable:
-            x[s.id] = m.add_var(f"x_{s.id}", lb=0.0, ub=INF, obj=s.inv_cost,
-                                symbol="x", unit=s.id)
+            x[s.id] = m.add_var(f"x_{s.id}", lb=0.0, ub=INF, obj=s.inv_cost)
     return x
 
 
 def add_operating_core(m: MilpModel, system: PowerSystem, labels: list[str],
                        demand: np.ndarray, vmax: np.ndarray,
-                       weights: np.ndarray, x: dict,
-                       index_key: str, index_values: list) -> CoreNames:
+                       weights: np.ndarray, x: dict) -> None:
     """Add the per-period dispatch block for every label.
 
     ``demand`` and ``vmax`` are (T, n_nodes) in period order; ``weights`` is
     the number of real hours each period stands for and scales every running
-    cost.  ``index_key``/``index_values`` feed the variable registry (e.g.
-    hour numbers or state numbers).
+    cost.  Variables are named ``var_name(symbol, label, id)`` with symbols
+    ``q``, ``qhat``, ``u``, ``r`` (thermal), ``q``, ``b``, ``sp`` (storage),
+    ``v``, ``pns`` (node) and ``pf`` (circuit).
     """
     cfg = system.config
     net = system.network
-    names = CoreNames(labels=labels, x=x)
     buses = net.buses
     nonslack = net.nonslack
     thermal_at = {n: [g for g in system.thermal if g.bus == n] for n in buses}
@@ -109,66 +96,56 @@ def add_operating_core(m: MilpModel, system: PowerSystem, labels: list[str],
 
     for t, label in enumerate(labels):
         wt = float(weights[t])
-        ikw = {index_key: index_values[t]}
+        # this label's variable names, keyed by unit, node or circuit id
+        q, qhat, u, r, b, sp, v, pns, pf = ({} for _ in range(9))
         for g in system.thermal:
-            names.q[label, g.id] = m.add_var(
-                f"q_{label}_{g.id}", obj=wt * g.marginal_cost, symbol="q", unit=g.id, **ikw)
-            names.qhat[label, g.id] = m.add_var(
-                f"qhat_{label}_{g.id}", symbol="qhat", unit=g.id, **ikw)
-            names.u[label, g.id] = m.add_var(
-                f"u_{label}_{g.id}", ub=1.0, integer=True,
-                obj=wt * g.commitment_cost, symbol="u", unit=g.id, **ikw)
-            names.r[label, g.id] = m.add_var(
-                f"r_{label}_{g.id}", ub=g.ramp_10min, symbol="r", unit=g.id, **ikw)
+            q[g.id] = m.add_var(var_name("q", label, g.id), obj=wt * g.marginal_cost)
+            qhat[g.id] = m.add_var(var_name("qhat", label, g.id))
+            u[g.id] = m.add_var(var_name("u", label, g.id), ub=1.0, integer=True,
+                                obj=wt * g.commitment_cost)
+            r[g.id] = m.add_var(var_name("r", label, g.id), ub=g.ramp_10min)
         for s in system.storage:
             has_x = s.id in x
-            names.q[label, s.id] = m.add_var(
-                f"q_{label}_{s.id}", ub=INF if has_x else s.q_max,
-                symbol="q", unit=s.id, **ikw)
-            names.b[label, s.id] = m.add_var(
-                f"b_{label}_{s.id}", ub=INF if has_x else s.b_max,
-                symbol="b", unit=s.id, **ikw)
-            names.sp[label, s.id] = m.add_var(
-                f"sp_{label}_{s.id}", obj=wt * cfg.spill_penalty,
-                symbol="sp", unit=s.id, **ikw)
+            q[s.id] = m.add_var(var_name("q", label, s.id),
+                                ub=INF if has_x else s.q_max)
+            b[s.id] = m.add_var(var_name("b", label, s.id),
+                                ub=INF if has_x else s.b_max)
+            sp[s.id] = m.add_var(var_name("sp", label, s.id), obj=wt * cfg.spill_penalty)
         for j, n in enumerate(buses):
-            names.v[label, n] = m.add_var(
-                f"v_{label}_{n}", ub=max(0.0, float(vmax[t, j])), symbol="v", node=n, **ikw)
-            names.pns[label, n] = m.add_var(
-                f"pns_{label}_{n}", obj=wt * cfg.pns_penalty, symbol="pns", node=n, **ikw)
+            v[n] = m.add_var(var_name("v", label, n), ub=max(0.0, float(vmax[t, j])))
+            pns[n] = m.add_var(var_name("pns", label, n), obj=wt * cfg.pns_penalty)
         for c in net.circuits:
-            names.pf[label, c.id] = m.add_var(
-                f"pf_{label}_{c.id}", lb=-c.capacity, ub=c.capacity,
-                symbol="pf", circuit=c.id, **ikw)
+            pf[c.id] = m.add_var(var_name("pf", label, c.id),
+                                 lb=-c.capacity, ub=c.capacity)
 
         # nodal balance: generation - charging + flows in - flows out + pns = demand
         for j, n in enumerate(buses):
-            terms: list = [(names.q[label, g.id], 1.0) for g in thermal_at[n]]
+            terms: list = [(q[g.id], 1.0) for g in thermal_at[n]]
             for s in storage_at[n]:
-                terms.append((names.q[label, s.id], 1.0))
-                terms.append((names.b[label, s.id], -1.0))
-            terms.append((names.v[label, n], 1.0))
-            terms.append((names.pns[label, n], 1.0))
+                terms.append((q[s.id], 1.0))
+                terms.append((b[s.id], -1.0))
+            terms.append((v[n], 1.0))
+            terms.append((pns[n], 1.0))
             for c in net.circuits:
                 if c.to_bus == n:
-                    terms.append((names.pf[label, c.id], 1.0))
+                    terms.append((pf[c.id], 1.0))
                 if c.from_bus == n:
-                    terms.append((names.pf[label, c.id], -1.0))
+                    terms.append((pf[c.id], -1.0))
             m.add_con(f"bal_{label}_{n}", terms, EQ, float(demand[t, j]))
 
         # circuit flows follow injections through the shift-factor matrix
         if net.circuits:
             inj_vars: dict[str, list] = {}
             for n in nonslack:
-                inj: list = [(names.q[label, g.id], 1.0) for g in thermal_at[n]]
+                inj: list = [(q[g.id], 1.0) for g in thermal_at[n]]
                 for s in storage_at[n]:
-                    inj.append((names.q[label, s.id], 1.0))
-                    inj.append((names.b[label, s.id], -1.0))
-                inj.append((names.v[label, n], 1.0))
-                inj.append((names.pns[label, n], 1.0))
+                    inj.append((q[s.id], 1.0))
+                    inj.append((b[s.id], -1.0))
+                inj.append((v[n], 1.0))
+                inj.append((pns[n], 1.0))
                 inj_vars[n] = inj
             for ci, c in enumerate(net.circuits):
-                terms = [(names.pf[label, c.id], 1.0)]
+                terms = [(pf[c.id], 1.0)]
                 rhs = 0.0
                 for jj, n in enumerate(nonslack):
                     factor = float(net.isf[ci, jj])
@@ -181,99 +158,79 @@ def add_operating_core(m: MilpModel, system: PowerSystem, labels: list[str],
 
         for g in system.thermal:
             m.add_con(f"psplit_{label}_{g.id}",
-                      [(names.q[label, g.id], 1.0), (names.u[label, g.id], -g.q_min),
-                       (names.qhat[label, g.id], -1.0)], EQ, 0.0)
+                      [(q[g.id], 1.0), (u[g.id], -g.q_min), (qhat[g.id], -1.0)], EQ, 0.0)
             m.add_con(f"pcap_{label}_{g.id}",
-                      [(names.qhat[label, g.id], 1.0),
-                       (names.u[label, g.id], -(g.q_max - g.q_min))], LE, 0.0)
+                      [(qhat[g.id], 1.0), (u[g.id], -(g.q_max - g.q_min))], LE, 0.0)
             m.add_con(f"rcap_{label}_{g.id}",
-                      [(names.r[label, g.id], 1.0), (names.q[label, g.id], 1.0),
-                       (names.u[label, g.id], -g.q_max)], LE, 0.0)
+                      [(r[g.id], 1.0), (q[g.id], 1.0), (u[g.id], -g.q_max)], LE, 0.0)
         if cfg.reserve_fraction > 0.0:
             m.add_con(f"rreq_{label}",
-                      [(names.r[label, g.id], 1.0) for g in system.thermal], GE,
+                      [(r[g.id], 1.0) for g in system.thermal], GE,
                       cfg.reserve_fraction * float(demand[t].sum()))
 
         for s in system.storage:
             if s.id in x:
                 m.add_con(f"dcap_{label}_{s.id}",
-                          [(names.q[label, s.id], 1.0), (x[s.id], -1.0)], LE, s.q_max)
+                          [(q[s.id], 1.0), (x[s.id], -1.0)], LE, s.q_max)
                 m.add_con(f"ccap_{label}_{s.id}",
-                          [(names.b[label, s.id], 1.0), (x[s.id], -s.efficiency)],
-                          LE, s.b_max)
-    return names
+                          [(b[s.id], 1.0), (x[s.id], -s.efficiency)], LE, s.b_max)
 
 
-def add_hourly_levels(m: MilpModel, system: PowerSystem, names: CoreNames,
-                      labels: list[str], inflows: np.ndarray, x: dict,
-                      day_starts: set[int] | None = None,
-                      index_key: str = "p", index_values: list | None = None) -> dict:
-    """Chained hourly storage levels over consecutive labels.
+def add_hourly_levels(m: MilpModel, system: PowerSystem, labels: list[str],
+                      inflows: np.ndarray, x: dict,
+                      day_starts: set[int] | None = None) -> None:
+    """Chained hourly storage levels ``w_<label>_<unit>`` over consecutive
+    labels.
 
     Position 0 (and every position in ``day_starts``) anchors at the unit's
     initial level instead of the previous period, which is how representative
-    days restart their own chronology.  Returns the (label, unit) -> name map
-    of level variables.
+    days restart their own chronology.
     """
-    w: dict = {}
-    idx = index_values if index_values is not None else list(range(len(labels)))
-    for t, label in enumerate(labels):
+    for label in labels:
         for s in system.storage:
             has_x = s.id in x
-            w[label, s.id] = m.add_var(
-                f"w_{label}_{s.id}",
-                lb=0.0 if has_x else s.w_min,
-                ub=INF if has_x else s.w_max,
-                symbol="w", unit=s.id, **{index_key: idx[t]})
+            w = m.add_var(var_name("w", label, s.id),
+                          lb=0.0 if has_x else s.w_min, ub=INF if has_x else s.w_max)
             if has_x:
-                m.add_con(f"lvlo_{label}_{s.id}",
-                          [(w[label, s.id], 1.0), (x[s.id], -s.epr_min)], GE, s.w_min)
-                m.add_con(f"lvhi_{label}_{s.id}",
-                          [(w[label, s.id], 1.0), (x[s.id], -s.epr_max)], LE, s.w_max)
+                m.add_con(f"lvlo_{label}_{s.id}", [(w, 1.0), (x[s.id], -s.epr_min)],
+                          GE, s.w_min)
+                m.add_con(f"lvhi_{label}_{s.id}", [(w, 1.0), (x[s.id], -s.epr_max)],
+                          LE, s.w_max)
     for t, label in enumerate(labels):
         fresh = t == 0 or (day_starts is not None and t in day_starts)
         for k, s in enumerate(system.storage):
-            inflow = float(inflows[t, k])
-            terms = [(w[label, s.id], 1.0),
-                     (names.q[label, s.id], 1.0),
-                     (names.sp[label, s.id], 1.0),
-                     (names.b[label, s.id], -s.efficiency)]
-            rhs = inflow
+            terms = [(var_name("w", label, s.id), 1.0),
+                     (var_name("q", label, s.id), 1.0),
+                     (var_name("sp", label, s.id), 1.0),
+                     (var_name("b", label, s.id), -s.efficiency)]
+            rhs = float(inflows[t, k])
             if fresh:
                 rhs += s.w0
             else:
-                terms.append((w[labels[t - 1], s.id], -1.0))
+                terms.append((var_name("w", labels[t - 1], s.id), -1.0))
             m.add_con(f"level_{label}_{s.id}", terms, EQ, rhs)
-    return w
 
 
-def add_hourly_startups(m: MilpModel, system: PowerSystem, names: CoreNames,
-                        labels: list[str], weights: np.ndarray,
-                        day_starts: set[int] | None = None,
-                        index_key: str = "p", index_values: list | None = None) -> dict:
-    """Startup indicators chained over consecutive labels.
+def add_hourly_startups(m: MilpModel, system: PowerSystem, labels: list[str],
+                        weights: np.ndarray, day_starts: set[int] | None = None) -> None:
+    """Startup indicators ``y_<label>_<unit>`` chained over consecutive labels.
 
     At position 0 (and at each ``day_starts`` position) the previous
     commitment is the unit's configured initial state.  The startup cost is
     weighted like the other running costs of its period.
     """
-    y: dict = {}
-    idx = index_values if index_values is not None else list(range(len(labels)))
     for t, label in enumerate(labels):
         wt = float(weights[t])
         for g in system.thermal:
-            y[label, g.id] = m.add_var(
-                f"y_{label}_{g.id}", ub=1.0, integer=True,
-                obj=wt * g.startup_cost, symbol="y", unit=g.id,
-                **{index_key: idx[t]})
+            m.add_var(var_name("y", label, g.id), ub=1.0, integer=True,
+                      obj=wt * g.startup_cost)
     for t, label in enumerate(labels):
         fresh = t == 0 or (day_starts is not None and t in day_starts)
         for g in system.thermal:
-            terms = [(names.u[label, g.id], 1.0), (y[label, g.id], -1.0)]
+            terms = [(var_name("u", label, g.id), 1.0), (var_name("y", label, g.id), -1.0)]
             if fresh:
                 rhs = float(system.initial_commitment(g.id))
             else:
-                terms.append((names.u[labels[t - 1], g.id], -1.0))
+                terms.append((var_name("u", labels[t - 1], g.id), -1.0))
                 rhs = 0.0
             m.add_con(f"start_{label}_{g.id}", terms, LE, rhs)
-    return y

@@ -14,8 +14,8 @@ import numpy as np
 from ..milp import MilpModel, GE
 from ..system import PowerSystem
 from ..timeseries import TimeHorizonData
-from .common import (FormulationOutput, add_investment, add_operating_core,
-                     add_hourly_levels, add_hourly_startups)
+from .common import (FormulationOutput, var_name, add_investment,
+                     add_operating_core, add_hourly_levels, add_hourly_startups)
 
 
 def build_hm(system: PowerSystem, data: TimeHorizonData,
@@ -23,21 +23,19 @@ def build_hm(system: PowerSystem, data: TimeHorizonData,
     p = data.horizon_hours
     m = MilpModel("hm")
     labels = [f"p{t}" for t in range(p)]
-    hours = list(range(p))
     weights = np.ones(p)
     x = add_investment(m, system, invest)
-    names = add_operating_core(m, system, labels, data.demand, data.renewable_avail,
-                               weights, x, "p", hours)
-    add_hourly_startups(m, system, names, labels, weights, index_values=hours)
-    w = add_hourly_levels(m, system, names, labels, data.inflows, x, index_values=hours)
+    add_operating_core(m, system, labels, data.demand, data.renewable_avail, weights, x)
+    add_hourly_startups(m, system, labels, weights)
+    add_hourly_levels(m, system, labels, data.inflows, x)
     for s in system.storage:
-        m.add_con(f"fin_{s.id}", [(w[labels[-1], s.id], 1.0)], GE, s.w_fin)
+        m.add_con(f"fin_{s.id}", [(var_name("w", labels[-1], s.id), 1.0)], GE, s.w_fin)
     meta = {
         "kind": "hm",
         "invest": invest,
         "time_labels": labels,
         "time_weights": [1.0] * p,
-        "hours": hours,
+        "hours": list(range(p)),
         "terminal": "hard",
     }
     return FormulationOutput(model=m, kind="hm", meta=meta)

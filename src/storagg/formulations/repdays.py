@@ -24,8 +24,8 @@ from ..system import PowerSystem
 from ..timeseries import TimeHorizonData
 from ..aggregation import (RepPeriodClustering, TransitionMatrices,
                            default_checkpoints)
-from .common import (FormulationOutput, add_investment, add_operating_core,
-                     add_hourly_levels, add_hourly_startups)
+from .common import (FormulationOutput, var_name, add_investment,
+                     add_operating_core, add_hourly_levels, add_hourly_startups)
 
 
 def _rep_day_core(system: PowerSystem, data: TimeHorizonData,
@@ -48,14 +48,11 @@ def _rep_day_core(system: PowerSystem, data: TimeHorizonData,
 
     m = MilpModel(kind)
     x = add_investment(m, system, invest)
-    names = add_operating_core(m, system, labels,
-                               data.demand[rep_hours], data.renewable_avail[rep_hours],
-                               weights, x, "p", rep_hours)
-    add_hourly_startups(m, system, names, labels, weights,
-                        day_starts=day_starts, index_values=rep_hours)
-    w = add_hourly_levels(m, system, names, labels, data.inflows[rep_hours], x,
-                          day_starts=day_starts, index_values=rep_hours)
-    return m, x, names, w, labels, rep_hours, weights
+    add_operating_core(m, system, labels, data.demand[rep_hours],
+                       data.renewable_avail[rep_hours], weights, x)
+    add_hourly_startups(m, system, labels, weights, day_starts=day_starts)
+    add_hourly_levels(m, system, labels, data.inflows[rep_hours], x, day_starts=day_starts)
+    return m, x, labels, rep_hours, weights
 
 
 def _day_edge_labels(rp: RepPeriodClustering, cluster: int) -> tuple[str, str]:
@@ -65,11 +62,11 @@ def _day_edge_labels(rp: RepPeriodClustering, cluster: int) -> tuple[str, str]:
 
 def build_rp(system: PowerSystem, data: TimeHorizonData,
              rp: RepPeriodClustering, invest: bool = False) -> FormulationOutput:
-    m, x, names, w, labels, rep_hours, weights = _rep_day_core(system, data, rp, invest, "rp")
+    m, x, labels, rep_hours, weights = _rep_day_core(system, data, rp, invest, "rp")
     for r in range(rp.num_rp):
         _, last = _day_edge_labels(rp, r)
         for s in system.storage:
-            m.add_con(f"cyc_r{r}_{s.id}", [(w[last, s.id], 1.0)], GE, s.w0)
+            m.add_con(f"cyc_r{r}_{s.id}", [(var_name("w", last, s.id), 1.0)], GE, s.w0)
     meta = {
         "kind": "rp",
         "invest": invest,
@@ -94,8 +91,7 @@ def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
     """
     if window % rp.hours_per_day != 0:
         raise ValueError(f"checkpoint window {window} must be a multiple of {rp.hours_per_day}")
-    m, x, names, w, labels, rep_hours, weights = _rep_day_core(
-        system, data, rp, invest, "rp_tmci")
+    m, x, labels, rep_hours, weights = _rep_day_core(system, data, rp, invest, "rp_tmci")
 
     # commitment continuity across observed day-cluster transitions
     nrpp = matrices.rp_transitions
@@ -112,48 +108,43 @@ def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
         first_b, _ = _day_edge_labels(rp, bb)
         for g in system.thermal:
             m.add_con(f"ulink_r{a}_r{bb}_{g.id}",
-                      [(names.u[last_a, g.id], 1.0), (names.u[first_b, g.id], -1.0)],
+                      [(var_name("u", last_a, g.id), 1.0), (var_name("u", first_b, g.id), -1.0)],
                       EQ, 0.0)
 
     # checkpoint storage levels chained across the real calendar
     p_total = rp.horizon_hours
     checkpoints = default_checkpoints(p_total, window)
     hour_map = rp.hour_map()
-    rep_pos = {h: i for i, h in enumerate(rep_hours)}
-    wchk: dict = {}
     for k in checkpoints:
         for s in system.storage:
             has_x = s.id in x
-            wchk[int(k), s.id] = m.add_var(
-                f"wchk_k{int(k)}_{s.id}",
-                lb=0.0 if has_x else s.w_min,
-                ub=INF if has_x else s.w_max,
-                symbol="wchk", k=int(k), unit=s.id)
+            wchk = m.add_var(var_name("wchk", f"k{k}", s.id),
+                             lb=0.0 if has_x else s.w_min, ub=INF if has_x else s.w_max)
             if has_x:
-                m.add_con(f"clo_k{int(k)}_{s.id}",
-                          [(wchk[int(k), s.id], 1.0), (x[s.id], -s.epr_min)], GE, s.w_min)
-                m.add_con(f"chi_k{int(k)}_{s.id}",
-                          [(wchk[int(k), s.id], 1.0), (x[s.id], -s.epr_max)], LE, s.w_max)
+                m.add_con(f"clo_k{k}_{s.id}", [(wchk, 1.0), (x[s.id], -s.epr_min)],
+                          GE, s.w_min)
+                m.add_con(f"chi_k{k}_{s.id}", [(wchk, 1.0), (x[s.id], -s.epr_max)],
+                          LE, s.w_max)
     prev = 0
     for k in checkpoints:
         k = int(k)
         for s in system.storage:
-            coeffs: dict[str, float] = {wchk[k, s.id]: 1.0}
+            coeffs: dict[str, float] = {var_name("wchk", f"k{k}", s.id): 1.0}
             if prev:
-                coeffs[wchk[prev, s.id]] = -1.0
+                coeffs[var_name("wchk", f"k{prev}", s.id)] = -1.0
             rhs = 0.0 if prev else s.w0
             for p in range(prev, k):
                 rep_h = int(hour_map[p])
-                lbl = labels[rep_pos[rep_h]]
-                coeffs[names.b[lbl, s.id]] = coeffs.get(names.b[lbl, s.id], 0.0) - s.efficiency
-                coeffs[names.q[lbl, s.id]] = coeffs.get(names.q[lbl, s.id], 0.0) + 1.0
-                coeffs[names.sp[lbl, s.id]] = coeffs.get(names.sp[lbl, s.id], 0.0) + 1.0
+                lbl = f"p{rep_h}"
+                for sym, c in (("b", -s.efficiency), ("q", 1.0), ("sp", 1.0)):
+                    name = var_name(sym, lbl, s.id)
+                    coeffs[name] = coeffs.get(name, 0.0) + c
                 rhs += float(data.inflows[rep_h, system.storage_ids.index(s.id)])
             m.add_con(f"cbal_k{k}_{s.id}", coeffs, EQ, rhs)
         prev = k
-    last_k = int(checkpoints[-1])
     for s in system.storage:
-        m.add_con(f"cfin_{s.id}", [(wchk[last_k, s.id], 1.0)], GE, s.w_fin)
+        m.add_con(f"cfin_{s.id}", [(var_name("wchk", f"k{checkpoints[-1]}", s.id), 1.0)],
+                  GE, s.w_fin)
 
     meta = {
         "kind": "rp_tmci",

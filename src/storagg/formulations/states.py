@@ -23,7 +23,7 @@ import numpy as np
 from ..milp import MilpModel, LE, GE, EQ
 from ..system import PowerSystem, StorageUnit
 from ..aggregation import StateClustering, TransitionMatrices
-from .common import FormulationOutput, add_investment, add_operating_core
+from .common import FormulationOutput, var_name, add_investment, add_operating_core
 
 
 def _state_family(system: PowerSystem, states: StateClustering,
@@ -34,48 +34,42 @@ def _state_family(system: PowerSystem, states: StateClustering,
     labels = [f"s{s}" for s in range(s_count)]
     weights = states.durations.astype(float)
     x = add_investment(m, system, invest)
-    names = add_operating_core(m, system, labels, states.demand,
-                               states.renewable_avail, weights, x,
-                               "s", list(range(s_count)))
+    add_operating_core(m, system, labels, states.demand, states.renewable_avail,
+                       weights, x)
 
     pairs = [(a, b) for a in range(s_count) for b in range(s_count) if trans[a, b] > 0]
+    move = {(a, b): f"s{a}_s{b}" for a, b in pairs}   # label of a transition
 
     # startups are decided per observed transition and paid per occurrence
-    y: dict = {}
     for a, b in pairs:
         if a == b:
             continue
         for g in system.thermal:
-            y[a, b, g.id] = m.add_var(
-                f"y_s{a}_s{b}_{g.id}", ub=1.0, integer=True,
-                obj=float(trans[a, b]) * g.startup_cost,
-                symbol="y", s_from=a, s_to=b, unit=g.id)
-            m.add_con(f"start_s{a}_s{b}_{g.id}",
-                      [(names.u[labels[b], g.id], 1.0),
-                       (names.u[labels[a], g.id], -1.0),
-                       (y[a, b, g.id], -1.0)], LE, 0.0)
+            y = m.add_var(var_name("y", move[a, b], g.id), ub=1.0, integer=True,
+                          obj=float(trans[a, b]) * g.startup_cost)
+            m.add_con(f"start_{move[a, b]}_{g.id}",
+                      [(var_name("u", labels[b], g.id), 1.0),
+                       (var_name("u", labels[a], g.id), -1.0),
+                       (y, -1.0)], LE, 0.0)
 
     # storage level shift per transition: mean net injection of both states
-    dw: dict = {}
     for k, s in enumerate(system.storage):
         for a, b in pairs:
-            dw[a, b, s.id] = m.add_var(
-                f"dw_s{a}_s{b}_{s.id}", lb=-np.inf, ub=np.inf,
-                symbol="dw", s_from=a, s_to=b, unit=s.id)
-            terms = [(dw[a, b, s.id], 1.0)]
+            dw = m.add_var(var_name("dw", move[a, b], s.id), lb=-np.inf, ub=np.inf)
+            terms = [(dw, 1.0)]
             for st in (a, b):
-                lbl = labels[st]
-                terms.append((names.b[lbl, s.id], -0.5 * s.efficiency))
-                terms.append((names.q[lbl, s.id], 0.5))
-                terms.append((names.sp[lbl, s.id], 0.5))
+                terms.append((var_name("b", labels[st], s.id), -0.5 * s.efficiency))
+                terms.append((var_name("q", labels[st], s.id), 0.5))
+                terms.append((var_name("sp", labels[st], s.id), 0.5))
             rhs = 0.5 * float(states.inflows[a, k] + states.inflows[b, k])
-            m.add_con(f"dwdef_s{a}_s{b}_{s.id}", terms, EQ, rhs)
+            m.add_con(f"dwdef_{move[a, b]}_{s.id}", terms, EQ, rhs)
 
     def bound_rows(tag: str, s: StorageUnit, matrix: np.ndarray, lo_rhs: float, hi_rhs: float,
                    suffix: str = ""):
         """One >= and one <= row over the dw variables weighted by a count matrix,
         named ``<tag>lo<suffix>_<unit>`` and ``<tag>hi<suffix>_<unit>``."""
-        terms_lo = [(dw[a, b, s.id], float(matrix[a, b])) for a, b in pairs if matrix[a, b] > 0]
+        terms_lo = [(var_name("dw", move[a, b], s.id), float(matrix[a, b]))
+                    for a, b in pairs if matrix[a, b] > 0]
         terms_hi = list(terms_lo)
         if s.id in x:
             terms_lo.append((x[s.id], -s.epr_min))

@@ -13,10 +13,10 @@ a ``bytearray`` of integer flags) and constraints as CSR rows (names,
 and ``constraints`` are read-only views that build a ``Variable`` or
 ``Constraint`` tuple on access; ``to_arrays`` copies the buffers out.
 
-A built model's ``registry`` maps each variable's flat name back to a symbol
-plus structured indices (hour, state, unit, ...) and is exported next to the
-MPS file; ``parse_mps`` leaves it empty, so a re-read model takes its registry
-from that sidecar.
+A variable's name is its only index: builders compose it from a symbol, a
+period label and a unit id, and evaluation reads values back by that name.
+The sidecar written next to an MPS file (``write_registry``) carries the
+model's name and its metadata only.
 """
 
 from __future__ import annotations
@@ -93,11 +93,10 @@ class _Records(Sequence):
 
 
 class MilpModel:
-    """Sparse minimize-objective MILP with a variable registry."""
+    """Sparse minimize-objective MILP over named variables."""
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.registry: dict[str, dict] = {}
         # columns
         self._names: list[str] = []
         self._var_index: dict[str, int] = {}
@@ -113,26 +112,18 @@ class MilpModel:
     # -- construction -------------------------------------------------------
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
-                obj: float = 0.0, integer: bool = False,
-                symbol: str | None = None, **indices) -> str:
+                obj: float = 0.0, integer: bool = False) -> str:
         if name in self._var_index:
             raise ModelError(f"duplicate variable {name!r}")
         if lb > ub:
             raise ModelError(f"variable {name!r}: lb {lb} > ub {ub}")
-        self._append_var(name, lb, ub, obj, integer)
-        self.registry[name] = {"symbol": symbol or name, **indices}
-        return name
-
-    def _append_var(self, name: str, lb: float, ub: float, obj: float,
-                    integer: bool) -> int:
-        """Add a column without a registry entry; returns its position."""
-        j = self._var_index[name] = len(self._names)
+        self._var_index[name] = len(self._names)
         self._names.append(name)
         self._lb.append(lb)
         self._ub.append(ub)
         self._obj.append(obj)
         self._int.append(1 if integer else 0)
-        return j
+        return name
 
     def add_obj(self, name: str, coef: float) -> None:
         self._obj[self._var_index[name]] += float(coef)
@@ -171,6 +162,11 @@ class MilpModel:
     @property
     def num_cons(self) -> int:
         return len(self._con_names)
+
+    @property
+    def var_names(self) -> tuple[str, ...]:
+        """Variable names in declaration order."""
+        return tuple(self._names)
 
     @property
     def variables(self) -> Sequence[Variable]:
@@ -251,10 +247,11 @@ def write_mps(model: MilpModel, path) -> None:
     Variables and rows appear in insertion order; every variable gets an
     explicit objective entry and explicit bounds, so a round trip through
     ``parse_mps`` reproduces the model exactly.  Each column's entries come
-    from a CSC transpose of the rows, in row order.
+    from a CSC transpose of the rows, in row order, read in place through
+    memoryviews rather than copied into whole-matrix Python lists.
     """
     csc = model._csr().tocsc()
-    colptr, rows, coefs = csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()
+    colptr, rows, coefs = map(memoryview, (csc.indptr, csc.indices, csc.data))
     con_names = model._con_names
     with open(path, "w") as fh:
         fh.write(f"NAME {model.name}\n")
@@ -306,7 +303,7 @@ def parse_mps(path) -> MilpModel:
     BOUNDS sections and integer marker lines, which covers files from the
     usual solver toolchains as long as they avoid RANGES.  Coefficients are
     collected as (row, column, value) buffers and become CSR rows at the end;
-    repeated entries are summed and zeros dropped.  The registry stays empty.
+    repeated entries are summed and zeros dropped.
     """
     model = MilpModel()
     row_of = model._con_index
@@ -342,7 +339,8 @@ def parse_mps(path) -> MilpModel:
                     continue
                 j = model._var_index.get(tokens[0])
                 if j is None:
-                    j = model._append_var(tokens[0], 0.0, INF, 0.0, in_int)
+                    j = model.num_vars
+                    model.add_var(tokens[0], integer=in_int)
                 elif in_int:
                     model._int[j] = 1
                 for k in range(1, len(tokens) - 1, 2):
@@ -363,7 +361,8 @@ def parse_mps(path) -> MilpModel:
                 kind, var = tokens[0], tokens[2]
                 j = model._var_index.get(var)
                 if j is None:
-                    j = model._append_var(var, 0.0, INF, 0.0, False)
+                    j = model.num_vars
+                    model.add_var(var)
                 if kind == "BV":
                     model._int[j], model._lb[j], model._ub[j] = 1, 0.0, 1.0
                 elif kind == "FX":
@@ -387,16 +386,17 @@ def parse_mps(path) -> MilpModel:
 
 
 def write_registry(model: MilpModel, path, meta: dict | None = None) -> None:
-    doc = {"model": model.name, "meta": meta or {}, "variables": model.registry}
+    """Write the sidecar of an MPS file: the model name and its metadata."""
+    doc = {"model": model.name, "meta": meta or {}}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_registry(path) -> tuple[dict, dict]:
+def load_registry(path) -> dict:
+    """The metadata stored by ``write_registry``."""
     with open(path) as fh:
-        doc = json.load(fh)
-    return doc["variables"], doc.get("meta", {})
+        return json.load(fh).get("meta", {})
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +598,7 @@ def fix_and_relax(model: MilpModel, solution: Solution) -> MilpModel:
     The resulting LP has well-defined duals; solving it reprices the
     continuous quantities around the chosen commitment.  Raises ModelError if
     the solution lacks a value for some integer variable.  The relaxed model
-    copies the column arrays and shares names, registry and rows with
+    copies the column arrays and shares names and rows with
     ``model``: it is for solving, not for extending.
     """
     relaxed = copy.copy(model)

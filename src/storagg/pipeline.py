@@ -7,15 +7,17 @@ walks the stages::
 
 writing everything under one output directory::
 
-    agg/artifacts.json            clustering + matrices
+    agg/artifacts.json            clusterings + checkpoint window
     models/<kind>.mps             interchange file per formulation
-    models/<kind>.registry.json   variable registry + model metadata
+    models/<kind>.registry.json   model name + metadata (time labels, weights, ...)
     solutions/<kind>.json         status, objective, values
     report/summary.json|csv       benchmark comparison table
     report/hourly_<kind>.csv      expanded hourly series
 
-The solve stage deliberately re-reads the MPS and registry files instead of
+The solve stage deliberately re-reads the MPS and metadata files instead of
 reusing the in-memory models, so every run exercises the interchange path.
+Variables are found by name alone, so the MPS file plus the metadata are the
+whole model.
 """
 
 from __future__ import annotations
@@ -188,10 +190,8 @@ def load_built_model(outdir: Path, kind: str) -> FormulationOutput:
     side = models_dir / f"{kind}.registry.json"
     if not mps.exists() or not side.exists():
         raise ConfigError(f"model files for {kind!r} not found under {models_dir}")
-    model = parse_mps(mps)
-    registry, meta = load_registry(side)
-    return FormulationOutput(model=model, kind=meta.get("kind", kind),
-                             meta=meta, registry=registry)
+    meta = load_registry(side)
+    return FormulationOutput(model=parse_mps(mps), kind=meta.get("kind", kind), meta=meta)
 
 
 def _solution_to_doc(sol: Solution) -> dict:

@@ -309,7 +309,7 @@ def test_investment_stops_at_analytic_threshold():
         fo = build_hm(system, data, invest=True)
         sol = solve(fo.model)
         assert sol.ok
-        invested[round(frac, 2)] = investment_values(fo, sol)["cand"]
+        invested[round(frac, 2)] = investment_values(fo, sol, system)["cand"]
 
     # investing must pay below the threshold and not above it; the flip
     # happens within one 5% grid step of the analytic value

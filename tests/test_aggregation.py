@@ -147,8 +147,6 @@ def test_default_checkpoints():
     assert default_checkpoints(120, 24).tolist() == [24, 48, 72, 96, 120]
     assert default_checkpoints(100, 24).tolist() == [24, 48, 72, 96, 100]
     assert default_checkpoints(10, 24).tolist() == [10]
-    assert default_checkpoints(336, kind="long").tolist() == [168, 336]
-    assert default_checkpoints(48, kind="short").tolist() == [24, 48]
     with pytest.raises(AggregationError):
         default_checkpoints(48, 0)
 

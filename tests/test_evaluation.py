@@ -220,7 +220,7 @@ def test_count_startups_hm(two_unit_system):
     demand = np.concatenate([np.full(8, 0.5), np.full(8, 2.0), np.full(8, 0.5)])
     fo = build_hm(two_unit_system, make_data(demand))
     sol = solved(fo)
-    totals = count_startups(fo, sol)
+    totals = count_startups(fo, sol, two_unit_system)
     assert totals["cheap"] == pytest.approx(1.0)
     assert totals["dear"] == pytest.approx(1.0)
 
@@ -233,7 +233,7 @@ def test_count_startups_rp_weighted(two_unit_system):
     rp = manual_rp([0, 0, 0], [0])
     fo = build_rp(two_unit_system, data, rp)
     sol = solved(fo)
-    totals = count_startups(fo, sol)
+    totals = count_startups(fo, sol, two_unit_system)
     assert totals["dear"] == pytest.approx(3.0)
 
 
@@ -248,7 +248,7 @@ def test_count_startups_ss_transition_weighted():
     matrices = manual_matrices(chain, window=24)
     fo = build_ss(system, states, matrices)
     sol = solved(fo)
-    totals = count_startups(fo, sol, matrices=matrices)
+    totals = count_startups(fo, sol, system, matrices=matrices)
     assert totals["peak"] == pytest.approx(3.0)    # N[0,1] = 3
 
 
@@ -282,10 +282,10 @@ def test_case_result_refuses_missing_startups_and_investment(battery_system, sin
     data = make_data(np.tile(np.concatenate([np.zeros(8), np.ones(8)]), 3))
     fo = build_hm(system, data)
     sol = solved(fo)
-    started = [name for name, entry in fo.registry.items()
-               if entry["symbol"] == "y" and round(sol.values[name]) == 1]
+    started = [f"y_{label}_g1" for label in fo.meta["time_labels"]
+               if round(sol.values[f"y_{label}_g1"]) == 1]
     assert len(started) == 3
-    assert count_startups(fo, sol) == {"g1": pytest.approx(3.0)}
+    assert count_startups(fo, sol, system) == {"g1": pytest.approx(3.0)}
     for name in started:
         del sol.values[name]
     with pytest.raises(ValueError, match=started[0]):
@@ -297,7 +297,7 @@ def test_case_result_refuses_missing_startups_and_investment(battery_system, sin
     sol = solved(fo)
     del sol.values["x_batt"]
     with pytest.raises(ValueError, match="x_batt"):
-        investment_values(fo, sol)
+        investment_values(fo, sol, system)
 
 
 # ---------------------------------------------------------------------------

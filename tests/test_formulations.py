@@ -119,10 +119,11 @@ def ss_fixture(battery_system):
 def test_ss_startup_pairs_off_diagonal_only(battery_system):
     states, matrices = ss_fixture(battery_system)
     fo = build_ss(battery_system, states, matrices)
-    y_pairs = {(e["s_from"], e["s_to"]) for e in fo.registry.values()
-               if e.get("symbol") == "y"}
-    dw_pairs = {(e["s_from"], e["s_to"]) for e in fo.registry.values()
-                if e.get("symbol") == "dw"}
+    g = battery_system.thermal[0].id
+    s = battery_system.storage[0].id
+    pairs = [(a, b) for a in range(states.num_states) for b in range(states.num_states)]
+    y_pairs = {(a, b) for a, b in pairs if fo.model.has_var(f"y_s{a}_s{b}_{g}")}
+    dw_pairs = {(a, b) for a, b in pairs if fo.model.has_var(f"dw_s{a}_s{b}_{s}")}
     assert y_pairs == {(0, 1), (1, 0)}                     # no self pairs
     assert dw_pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}    # all observed pairs
 

@@ -1,10 +1,13 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import storagg
 from storagg import (emit_scenario_template, load_scenario, save_scenario,
                      run_pipeline, load_system, load_horizon, validate_system,
                      ConfigError, ScenarioConfig)
@@ -132,6 +135,8 @@ def test_built_model_reloads_from_disk(run_result):
     _, outdir, result = run_result
     fo = load_built_model(outdir, "ss")
     assert fo.kind == "ss"
+    assert fo.meta == result.outputs["ss"].meta
+    assert fo.registry == result.outputs["ss"].registry
     sol = load_solutions(outdir, ["ss"])["ss"]
     assert sol.objective == pytest.approx(result.cases["ss"].objective,
                                           rel=1e-6)
@@ -233,3 +238,28 @@ def test_cli_stagewise_matches_run(tmp_path):
         proc = run_cli(*cmd)
         assert proc.returncode == 0, (cmd, proc.stderr)
     assert (tmp_path / "out" / "solutions" / "ss.json").exists()
+
+
+def test_bench_tracer_installs_and_unwinds(tmp_path, monkeypatch):
+    """bench/tracing.py wraps storagg functions by attribute name: every name
+    must exist, a wrapped call must record its span, and ``unwrap_all`` must
+    restore the originals."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    owners = (storagg.pipeline, storagg.evaluation, storagg.milp.MilpModel,
+              storagg.milp.ScipySolver)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer("test")
+    tracing.install(tracer, storagg)
+    try:
+        assert storagg.pipeline.write_registry is not before[0]["write_registry"]
+        side = tmp_path / "m.registry.json"
+        storagg.pipeline.write_registry(storagg.MilpModel("m"), side, meta={"kind": "m"})
+        assert storagg.pipeline.load_registry(side) == {"kind": "m"}
+    finally:
+        tracer.unwrap_all()
+    assert [s.name for s in tracer.spans] == ["milp.write_registry", "milp.load_registry"]
+    assert [dict(vars(owner)) for owner in owners] == before
