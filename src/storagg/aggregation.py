@@ -64,6 +64,17 @@ def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(p2 + c2 - 2.0 * points @ centers.T, 0.0)
 
 
+def _check_k(points: np.ndarray, k: int) -> None:
+    """Refuse a k outside 1..n or above the number of distinct points."""
+    n = len(points)
+    if not 1 <= k <= n:
+        raise AggregationError(f"cannot form {k} clusters from {n} points")
+    distinct = len(np.unique(points, axis=0))
+    if distinct < k:
+        raise AggregationError(
+            f"cannot form {k} clusters: only {distinct} distinct points")
+
+
 def kmeans(points: np.ndarray, k: int, seed: int,
            max_iter: int = MAX_ITER, reseeds: int = MAX_RESEEDS):
     """Plain Lloyd iterations with farthest-point seeding.
@@ -74,13 +85,8 @@ def kmeans(points: np.ndarray, k: int, seed: int,
     the allowed number of re-initializations.
     """
     points = np.asarray(points, dtype=float)
+    _check_k(points, k)
     n = len(points)
-    if not 1 <= k <= n:
-        raise AggregationError(f"cannot form {k} clusters from {n} points")
-    distinct = len(np.unique(points, axis=0))
-    if distinct < k:
-        raise AggregationError(
-            f"cannot form {k} clusters: only {distinct} distinct points")
     rng = np.random.default_rng(seed)
     for _attempt in range(reseeds + 1):
         centers = points[_farthest_point_seed(points, k, rng)].copy()
@@ -117,13 +123,8 @@ def kmedoids(points: np.ndarray, k: int, seed: int,
     into ``points``, so every representative is an actual observation.
     """
     points = np.asarray(points, dtype=float)
+    _check_k(points, k)
     n = len(points)
-    if not 1 <= k <= n:
-        raise AggregationError(f"cannot form {k} clusters from {n} points")
-    distinct = len(np.unique(points, axis=0))
-    if distinct < k:
-        raise AggregationError(
-            f"cannot form {k} clusters: only {distinct} distinct points")
     dist = _pairwise_sq_dists(points, points)
     rng = np.random.default_rng(seed)
     for _attempt in range(reseeds + 1):

@@ -224,25 +224,22 @@ def compute_prices(fo: FormulationOutput, solution: Solution,
     info = {"status": lp.status, "degenerate": False}
     if lp.status != STATUS_OPTIMAL or lp.duals is None:
         return {}, info
-    weight_of = {lab: float(w) for lab, w in
-                 zip(fo.meta["time_labels"], fo.meta["time_weights"])}
-    nodes_prices: dict = {}
-    for row, dual in lp.duals.items():
-        if row.startswith("bal_"):
-            # balance rows are named bal_<label>_<node>; labels hold no "_"
-            _, label, n = row.split("_", 2)
-            nodes_prices[(label, n)] = dual / weight_of[label]
+    weight_of = dict(zip(fo.meta["time_labels"], fo.meta["time_weights"]))
+    # balance rows are named bal_<label>_<node>; labels hold no "_"
+    rows = [row for row in lp.duals if row.startswith("bal_")]
+    keys = [tuple(row.split("_", 2)[1:]) for row in rows]
+    weights = np.array([weight_of[label] for label, _ in keys], dtype=float)
+
+    def per_hour(duals: dict) -> np.ndarray:
+        return np.array([duals[row] for row in rows]) / weights
+
+    prices = per_hour(lp.duals)
     if check_degeneracy:
         alt = adapter.solve_lp(relaxed, method="highs-ipm")
         if alt.status == STATUS_OPTIMAL and alt.duals:
-            for (label, n), price in nodes_prices.items():
-                other = alt.duals.get(f"bal_{label}_{n}")
-                if other is None:
-                    continue
-                if abs(other / weight_of[label] - price) > 1e-4 * max(1.0, abs(price)):
-                    info["degenerate"] = True
-                    break
-    return nodes_prices, info
+            info["degenerate"] = bool((np.abs(per_hour(alt.duals) - prices)
+                                       > 1e-4 * np.maximum(1.0, np.abs(prices))).any())
+    return dict(zip(keys, prices.tolist())), info
 
 
 def attach_prices(expansion: HourlyExpansion, system: PowerSystem,
@@ -250,22 +247,16 @@ def attach_prices(expansion: HourlyExpansion, system: PowerSystem,
     """Map per-period nodal prices onto hours through the source labels.
 
     The system price per hour weights nodes by their real demand (equal
-    weights when the hour has no demand at all).
+    weights when the hour has no demand at all).  Raises KeyError if
+    ``period_prices`` lacks a (label, node) pair some hour needs.
     """
-    p = expansion.hours
-    nodal = {n: np.zeros(p) for n in system.nodes}
-    for t, label in enumerate(expansion.source_labels):
-        for n in system.nodes:
-            nodal[n][t] = period_prices.get((label, n), 0.0)
-    system_price = np.zeros(p)
-    for t in range(p):
-        d = data.demand[t]
-        total = d.sum()
-        if total > 0:
-            system_price[t] = sum(nodal[n][t] * d[j] for j, n in enumerate(system.nodes)) / total
-        else:
-            system_price[t] = np.mean([nodal[n][t] for n in system.nodes])
-    expansion.nodal_prices = nodal
+    labels, pos = np.unique(expansion.source_labels, return_inverse=True)
+    grid = np.array([[period_prices[label, n] for n in system.nodes]
+                     for label in labels.tolist()])[pos]
+    system_price = grid.mean(axis=1)
+    total = data.demand.sum(axis=1)
+    np.divide((grid * data.demand).sum(axis=1), total, out=system_price, where=total > 0)
+    expansion.nodal_prices = {n: grid[:, j] for j, n in enumerate(system.nodes)}
     expansion.prices = system_price
 
 

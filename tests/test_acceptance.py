@@ -2,12 +2,14 @@
 
 Covered here: counting identities of the chronology matrices on random
 inputs, hourly-model optimality against a brute-force commitment benchmark,
-exactness of the state and representative-day models on degenerate inputs,
+exactness of the state and representative-day models on degenerate inputs
+(identical days, or one representative per day without storage),
 reproduction of the windowed-bound failure mode, an analytically computed
 investment threshold, error ordering and speed of the enhanced
 representative-day model on a quarter-long two-storage scenario, bit-level
-reproducibility of the pipeline artifacts, and a random residual audit of
-every model solved for the quarter-long scenario.
+reproducibility of the pipeline artifacts, and an exhaustive residual audit
+of every constraint row of every model solved for the quarter-long
+scenario.
 """
 
 import itertools
@@ -26,7 +28,7 @@ from storagg import (ThermalUnit, StorageUnit, Network, OperatingConfig,
                      build_reduced_frequency_matrices,
                      build_rp_transition_matrix, default_checkpoints,
                      aggregate, build_hm, build_ss, build_ss_rfm, build_rp,
-                     build_rp_tmci, solve, audit_constraints,
+                     build_rp_tmci, solve, audit_constraints, constraint_families,
                      expand_solution, detect_violations, investment_values,
                      build_case_result, compare,
                      load_scenario, emit_scenario_template,
@@ -226,6 +228,40 @@ def test_rep_day_model_exact_on_identical_days():
     rel = abs(sol_rp.objective - sol_hm.objective) / abs(sol_hm.objective)
     assert rel <= 1e-4
     assert time.perf_counter() - t0 < 30.0
+
+
+def test_rep_day_model_exact_with_every_day_representative():
+    """Limit case: with one representative per day, no storage and free
+    startups, the plain day model is the hourly model cut at midnight, and
+    the cut costs nothing."""
+    h = np.arange(24)
+    demand = np.concatenate([(1.0 + 0.3 * d) * (1.5 + np.sin(2 * np.pi * (h - 9) / 24))
+                             for d in range(4)])
+    thermal = [
+        ThermalUnit(id="base", bus="hub", fuel_cost=1.0, alpha=10.0,
+                    beta=1.0, gamma=0.0, om_cost=0.0, q_max=2.0, q_min=0.5,
+                    ramp_10min=2.0, technology="coal"),
+        ThermalUnit(id="peak", bus="hub", fuel_cost=1.0, alpha=40.0,
+                    beta=3.0, gamma=0.0, om_cost=0.0, q_max=3.0, q_min=0.3,
+                    ramp_10min=3.0, technology="gas"),
+    ]
+    system = one_bus(thermal, [])
+    data = hub_data(demand)
+
+    art = aggregate(data, num_states=4, num_rp=4, seed=0)
+    assert sorted(art.rp.medoid_days.tolist()) == [0, 1, 2, 3]
+    assert (art.rp.weights == 1).all()
+
+    fo_hm = build_hm(system, data)
+    sol_hm = solve(fo_hm.model)
+    fo_rp = build_rp(system, data, art.rp)
+    sol_rp = solve(fo_rp.model)
+    assert sol_hm.ok and sol_rp.ok
+    # the base unit runs through midnight, so every cut day restarts it from
+    # the initial (off) state: only a free startup makes that harmless
+    base = expand_solution(fo_hm, sol_hm, system, data).commitment["base"]
+    assert base[23] == base[24] == 1
+    assert sol_rp.objective == pytest.approx(sol_hm.objective, rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +526,14 @@ def test_pipeline_artifacts_bit_reproducible(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# every solved model stands up to a random constraint audit
+# every solved model satisfies every constraint row
 # ---------------------------------------------------------------------------
 
 def test_solved_models_pass_constraint_audit(trend):
     for name, (fo, sol) in trend.solved.items():
-        families = audit_constraints(fo.model, sol.values,
-                                     sample_per_family=100, seed=0)
+        families = audit_constraints(fo.model, sol.values)
         assert "bal" in families, name
-        for family, info in families.items():
-            assert info["checked"] >= 1
+        for family, positions in constraint_families(fo.model).items():
+            info = families[family]
+            assert info["checked"] == len(positions), (name, family)
             assert info["max_residual"] <= 1e-6, (name, family, info)

@@ -203,6 +203,19 @@ def test_attach_prices_maps_to_hours(two_unit_system):
     assert exp.nodal_prices["b1"][0] == pytest.approx(10.0)
 
 
+def test_attach_prices_refuses_missing_label(two_unit_system):
+    demand = np.concatenate([np.full(12, 0.8), np.full(12, 1.8)])
+    data = make_data(demand)
+    fo = build_hm(two_unit_system, data)
+    sol = solved(fo)
+    exp = expand_solution(fo, sol, two_unit_system, data)
+    prices, _ = compute_prices(fo, sol)
+    del prices[("p5", "b1")]           # a missing price is an error, not 0.0
+    with pytest.raises(KeyError, match="p5"):
+        attach_prices(exp, two_unit_system, data, prices)
+    assert exp.prices is None
+
+
 def test_degeneracy_probe_runs(two_unit_system):
     data = make_data(np.full(24, 0.5))
     fo = build_hm(two_unit_system, data)

@@ -96,18 +96,6 @@ def test_terms_merge_and_drop_zeros():
     assert con.coef[0] == pytest.approx(3.0)
 
 
-def test_constraint_residuals():
-    m = toy_model()
-    values = {"x": 2.0, "y": 1.0, "z": 0.0, "w": 2.0}
-    assert m.constraint_residual(m.constraints[0], values) == pytest.approx(0.0)
-    values["y"] = 0.5                  # c1 lhs = 3 < 4, c2 lhs = 1.5 != 1
-    assert m.constraint_residual(m.constraints[0], values) == pytest.approx(1.0)
-    assert m.constraint_residual(m.constraints[1], values) == pytest.approx(0.5)
-    del values["w"]                    # a missing value is an error, not 0.0
-    with pytest.raises(ModelError, match="'w'"):
-        m.constraint_residual(m.constraints[2], values)
-
-
 def test_built_model_memory_per_element(tmp_path):
     """The 28-day template hm holds under 95 bytes per variable, row and
     nonzero; a registry of index dicts per variable took it to about 122,
@@ -240,6 +228,32 @@ def test_solve_unbounded_status():
     m.add_var("x", lb=-INF, ub=INF, obj=1.0)
     status = solve(m).status
     assert status in ("unbounded", "error")   # HiGHS may report either
+
+
+def test_highs_calls_run_on_a_thread_of_their_own(monkeypatch):
+    """Both adapter calls reach HiGHS from a short-lived thread, which has
+    exited when the call returns; an error raised there reaches the caller."""
+    import threading
+    import storagg.milp as milp_module
+
+    callers = []
+
+    def recording(real):
+        def call(*args, **kwargs):
+            callers.append(threading.get_ident())
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(milp_module, "milp", recording(milp_module.milp))
+    monkeypatch.setattr(milp_module, "linprog", recording(milp_module.linprog))
+    threads = threading.active_count()
+    m = toy_model()
+    assert solve(m).ok
+    assert ScipySolver().solve_lp(m).ok
+    assert len(callers) == 2 and threading.get_ident() not in callers
+    assert threading.active_count() == threads
+    with pytest.raises(ZeroDivisionError):
+        milp_module._highs_call(divmod, 1, 0)
 
 
 def test_lp_duals_merit_order():
@@ -410,11 +424,28 @@ def test_constraint_families_grouping():
 def test_audit_constraints_on_solved_model():
     m = toy_model()
     sol = solve(m)
-    report = audit_constraints(m, sol.values, sample_per_family=50)
+    report = audit_constraints(m, sol.values)
     assert set(report) == {"c1", "c2", "c3"}
-    for fam in report.values():
-        assert fam["checked"] >= 1
-        assert fam["max_residual"] <= 1e-6
+    for fam, positions in constraint_families(m).items():
+        assert report[fam]["checked"] == len(positions)
+        assert report[fam]["max_residual"] <= 1e-6
+
+
+def test_audit_residuals_by_sense():
+    m = toy_model()
+    values = {"x": 2.0, "y": 1.0, "z": 0.0, "w": 2.0}
+    report = audit_constraints(m, values)
+    assert all(r["max_residual"] == 0.0 and r["worst"] == "" for r in report.values())
+    # c1 (>=) lhs 3 < 4, c2 (=) lhs 1.5 != 1, c3 (<=) lhs 4.25 > 3
+    values.update(y=0.5, w=8.5)
+    report = audit_constraints(m, values)
+    assert report["c1"]["max_residual"] == pytest.approx(1.0)
+    assert report["c2"]["max_residual"] == pytest.approx(0.5)
+    assert report["c3"]["max_residual"] == pytest.approx(1.25)
+    assert [report[f]["worst"] for f in ("c1", "c2", "c3")] == ["c1", "c2", "c3"]
+    del values["w"]                    # a missing value is an error, not 0.0
+    with pytest.raises(ModelError, match="'w'"):
+        audit_constraints(m, values)
 
 
 def test_audit_flags_violations():
@@ -424,3 +455,16 @@ def test_audit_flags_violations():
     report = audit_constraints(m, {"x": 3.0})
     assert report["cap"]["max_residual"] == pytest.approx(2.0)
     assert report["cap"]["worst"] == "cap_0"
+
+
+def test_audit_checks_every_row():
+    """One violated row among 300 is found wherever it sits; a sample of 100
+    rows per family drawn with seed 0 skips row 4."""
+    m = MilpModel()
+    for i in range(300):
+        m.add_var(f"x{i}")
+        m.add_con(f"cap_{i}", {f"x{i}": 1.0}, LE, 1.0)
+    values = {f"x{i}": 1.0 for i in range(300)}
+    values["x4"] = 1.5
+    report = audit_constraints(m, values)
+    assert report["cap"] == {"checked": 300, "max_residual": 0.5, "worst": "cap_4"}

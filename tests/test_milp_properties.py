@@ -1,4 +1,5 @@
-"""Round-trip properties of the model container on random small models."""
+"""Round-trip and audit properties of the model container on random small
+models."""
 
 import tempfile
 from pathlib import Path
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from storagg import MilpModel, write_mps, parse_mps
+from storagg import MilpModel, write_mps, parse_mps, audit_constraints
 from storagg.milp import INF, LE, GE, EQ
 
 from test_milp import assert_same_arrays
@@ -67,3 +68,28 @@ def test_write_parse_round_trip(m):
         assert_same_arrays(m.to_arrays(), back.to_arrays())
         write_mps(back, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+def loop_residual(con, values):
+    """One row's violation by a plain loop over its record."""
+    lhs = sum(c * values[f"x{j}"] for j, c in zip(con.idx, con.coef))
+    if con.sense == LE:
+        return max(0.0, lhs - con.rhs)
+    if con.sense == GE:
+        return max(0.0, con.rhs - lhs)
+    return abs(lhs - con.rhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_audit_matches_row_loop(data):
+    """Every row is its own family here (names hold no "_"), so the audit's
+    maximum is that row's residual; both sum the row's terms in order."""
+    m = data.draw(models())
+    values = {name: data.draw(st.floats(-10.0, 10.0)) for name in m.var_names}
+    report = audit_constraints(m, values)
+    assert set(report) == {con.name for con in m.constraints}
+    for con in m.constraints:
+        expected = loop_residual(con, values)
+        assert report[con.name] == {"checked": 1, "max_residual": expected,
+                                    "worst": con.name if expected > 0 else ""}

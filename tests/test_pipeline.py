@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -263,3 +264,39 @@ def test_bench_tracer_installs_and_unwinds(tmp_path, monkeypatch):
         tracer.unwrap_all()
     assert [s.name for s in tracer.spans] == ["milp.write_registry", "milp.load_registry"]
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_bench_call_shapes_bind():
+    """bench/run.py and bench/checks.py call these functions and read these
+    fields directly; dropping one must fail here, not as a failed kind."""
+    pipeline = storagg.pipeline
+    a = object()
+    calls = [
+        (pipeline.emit_scenario_template, (a,), dict(vision=1, days=a, seed=a)),
+        (pipeline.load_scenario, (a,), {}),
+        (pipeline.stage_ingest, (a,), {}),
+        (pipeline.stage_cluster, (a, a, a, a), {}),
+        (pipeline.stage_build, (a, a, a, a, a), dict(only=[a])),
+        (pipeline.stage_solve, (a, a), dict(only=[a], workers=1)),
+        (pipeline.build_case_result, (a, a, a, a),
+         dict(states=a, rp=a, matrices=a, with_prices=True, check_degeneracy=a)),
+        (pipeline.load_built_model, (a, a), {}),
+        (pipeline.compare, (a, a, a), {}),
+        (pipeline.stage_report, (a, a, a, a), {}),
+    ]
+    for fn, args, kwargs in calls:
+        inspect.signature(fn).bind(*args, **kwargs)
+    config = ScenarioConfig(demand="d", renewables="r", inflows="i", system="s")
+    assert (config.gap, config.check_degeneracy, set(config.kinds)) == \
+        (0.0, False, {"hm", "ss", "ss_rfm", "rp", "rp_tmci"})
+
+    m = storagg.MilpModel("m")
+    m.add_var("x", integer=True)
+    m.add_con("c_0", {"x": 2.0}, "<=", 1.0)
+    fo = storagg.FormulationOutput(model=m, kind="m", meta={})
+    assert [(v.name, v.integer) for v in fo.model.variables] == [("x", True)]
+    assert [(con.name, con.idx) for con in fo.model.constraints] == [("c_0", [0])]
+    assert (m.num_vars, m.num_cons, len(m.to_arrays()), fo.registry) == (1, 1, 7, ("x",))
+    sol = storagg.Solution(status="optimal")
+    assert (sol.status, sol.gap, sol.objective, sol.message, sol.values) == \
+        ("optimal", 0.0, None, "", {})
