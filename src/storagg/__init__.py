@@ -23,7 +23,8 @@ from .aggregation import (StateClustering, RepPeriodClustering,
                           save_artifacts, load_artifacts)
 from .milp import (MilpModel, Variable, Constraint, Solution, ModelError,
                    SolverError, ScipySolver, ExternalSolver, get_solver,
-                   solve, fix_and_relax, write_mps, parse_mps,
+                   solve, fix_and_relax, save_model, load_model,
+                   write_mps, parse_mps,
                    write_registry, load_registry, write_solution_file,
                    parse_solution_file, audit_constraints,
                    constraint_families, SOLVER_ENV_VAR)

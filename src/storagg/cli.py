@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="cluster hours and days, save artifacts")
     _add_common(p)
 
-    p = sub.add_parser("build", help="write model MPS + metadata files")
+    p = sub.add_parser("build", help="write model array + metadata files")
     _add_common(p)
     _add_only(p)
 
@@ -142,7 +142,7 @@ def cmd_build(args) -> int:
                           only=args.only)
     for kind, fo in outputs.items():
         print(f"{kind}: {fo.model.num_vars} variables, {fo.model.num_cons} constraints "
-              f"-> models/{kind}.mps")
+              f"-> models/{kind}.npz")
     return 0
 
 

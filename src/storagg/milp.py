@@ -2,10 +2,11 @@
 
 A model is a list of named variables (bounds, objective coefficient,
 integrality) and named sparse constraints with a sense in {<=, =, >=}; the
-objective is always minimized.  Models can be written to and read from the
-standard MPS interchange format, solved in-process through scipy's HiGHS
-interface, or handed to an external solver executable that communicates via
-an MPS file and a plain-text solution file.
+objective is always minimized.  Models are stored between pipeline stages as
+compressed array files (``save_model``/``load_model``), solved in-process
+through scipy's HiGHS interface, or handed to an external solver executable
+that communicates via an MPS file (``write_mps``; ``parse_mps`` reads it back)
+and a plain-text solution file.
 
 Variables are stored as columns (names, ``array('d')`` bounds and objective,
 a ``bytearray`` of integer flags) and constraints as CSR rows (names,
@@ -15,8 +16,10 @@ and ``constraints`` are read-only views that build a ``Variable`` or
 
 A variable's name is its only index: builders compose it from a symbol, a
 period label and a unit id, and evaluation reads values back by that name.
-The sidecar written next to an MPS file (``write_registry``) carries the
-model's name and its metadata only.
+The name-to-position dicts are built on first use (``add_var``, ``add_con``,
+``has_var``, ``var``), so a model loaded only to be solved and audited never
+holds them.  The sidecar written next to a model file (``write_registry``)
+carries the model's name and its metadata only.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import os
 import subprocess
 import tempfile
 import time
+import zipfile
 from array import array
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -47,9 +51,11 @@ _SENSE_CODE = {s: k for k, s in enumerate(_SENSES)}
 
 STATUS_OPTIMAL = "optimal"
 STATUS_GAP_LIMIT = "gap_limit"
+STATUS_TIME_LIMIT = "time_limit"      # stopped by the time limit with an incumbent
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_ERROR = "error"
+OK_STATUSES = (STATUS_OPTIMAL, STATUS_GAP_LIMIT, STATUS_TIME_LIMIT)
 
 SOLVER_ENV_VAR = "STORAGG_SOLVER_EXE"
 
@@ -101,25 +107,38 @@ class MilpModel:
         self.name = name
         # columns
         self._names: list[str] = []
-        self._var_index: dict[str, int] = {}
+        self._var_index: dict[str, int] | None = None      # see _vindex
         self._lb, self._ub, self._obj = array("d"), array("d"), array("d")
         self._int = bytearray()
         # CSR rows
         self._con_names: list[str] = []
-        self._con_index: dict[str, int] = {}
+        self._con_index: dict[str, int] | None = None      # see _cindex
         self._indptr, self._cols = array("q", [0]), array("i")
         self._coefs, self._rhs = array("d"), array("d")
         self._sense = bytearray()
 
     # -- construction -------------------------------------------------------
 
+    def _vindex(self) -> dict[str, int]:
+        """Variable name -> column, built on first use."""
+        if self._var_index is None:
+            self._var_index = _index(self._names, "variable")
+        return self._var_index
+
+    def _cindex(self) -> dict[str, int]:
+        """Constraint name -> row, built on first use."""
+        if self._con_index is None:
+            self._con_index = _index(self._con_names, "constraint")
+        return self._con_index
+
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
                 obj: float = 0.0, integer: bool = False) -> str:
-        if name in self._var_index:
+        index = self._vindex()
+        if name in index:
             raise ModelError(f"duplicate variable {name!r}")
         if lb > ub:
             raise ModelError(f"variable {name!r}: lb {lb} > ub {ub}")
-        self._var_index[name] = len(self._names)
+        index[name] = len(self._names)
         self._names.append(name)
         self._lb.append(lb)
         self._ub.append(ub)
@@ -130,7 +149,8 @@ class MilpModel:
     def add_con(self, name: str, terms, sense: str, rhs: float) -> str:
         if sense not in _SENSE_CODE:
             raise ModelError(f"unknown sense {sense!r}")
-        if name in self._con_index:
+        con_index, var_index = self._cindex(), self._vindex()
+        if name in con_index:
             raise ModelError(f"duplicate constraint {name!r}")
         merged: dict[int, float] = {}
         items = terms.items() if isinstance(terms, dict) else terms
@@ -138,14 +158,14 @@ class MilpModel:
             if coef == 0.0:
                 continue
             try:
-                j = self._var_index[var]
+                j = var_index[var]
             except KeyError:
                 raise ModelError(f"constraint {name!r} references unknown variable {var!r}") from None
             merged[j] = merged.get(j, 0.0) + float(coef)
         kept = [j for j, c in merged.items() if c != 0.0]
         self._cols.extend(kept)
         self._coefs.extend(merged[j] for j in kept)
-        self._con_index[name] = len(self._con_names)
+        con_index[name] = len(self._con_names)
         self._con_names.append(name)
         self._indptr.append(len(self._cols))
         self._sense.append(_SENSE_CODE[sense])
@@ -186,10 +206,10 @@ class MilpModel:
                           self._rhs[i])
 
     def var(self, name: str) -> Variable:
-        return self._variable(self._var_index[name])
+        return self._variable(self._vindex()[name])
 
     def has_var(self, name: str) -> bool:
-        return name in self._var_index
+        return name in self._vindex()
 
     def _csr(self) -> sp.csr_array:
         return sp.csr_array((np.array(self._coefs), np.array(self._cols),
@@ -213,6 +233,116 @@ class MilpModel:
         integrality = np.frombuffer(self._int, dtype=np.uint8).astype(np.int64)
         return (np.array(self._obj), integrality, np.array(self._lb),
                 np.array(self._ub), self._csr().tocsc(), cl, cu)
+
+
+def _index(names: list[str], what: str) -> dict[str, int]:
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):      # a repeated name keeps its last position
+        dup = next(name for i, name in enumerate(names) if index[name] != i)
+        raise ModelError(f"duplicate {what} {dup!r}")
+    return index
+
+
+# ---------------------------------------------------------------------------
+# array files
+# ---------------------------------------------------------------------------
+
+# every stored array and its dtype; the texts are UTF-8 bytes
+_STORED = {"name": np.uint8, "var_names": np.uint8, "con_names": np.uint8,
+           "lb": np.float64, "ub": np.float64, "obj": np.float64,
+           "integer": np.uint8, "indptr": np.int64, "cols": np.intc,
+           "coefs": np.float64, "sense": np.uint8, "rhs": np.float64}
+# the column and CSR buffers, stored as the model holds them
+_BUFFERS = {"lb": "_lb", "ub": "_ub", "obj": "_obj", "integer": "_int",
+            "indptr": "_indptr", "cols": "_cols", "coefs": "_coefs",
+            "sense": "_sense", "rhs": "_rhs"}
+
+
+def _joined(names: list[str], what: str) -> bytes:
+    text = "\n".join(names)
+    if text.count("\n") != max(len(names) - 1, 0):
+        bad = next(name for name in names if "\n" in name)
+        raise ModelError(f"{what} name {bad!r} contains a newline")
+    return text.encode("utf-8")
+
+
+def save_model(model: MilpModel, path) -> None:
+    """Write the model to a compressed ``.npz`` file.
+
+    The file holds the column and CSR buffers as the model stores them, the
+    variable and constraint names as two newline-joined UTF-8 blobs, and the
+    model name.  Equal models give equal bytes.  Raises ModelError if a name
+    contains a newline.
+    """
+    buffers = {"name": model.name.encode("utf-8"),
+               "var_names": _joined(model._names, "variable"),
+               "con_names": _joined(model._con_names, "constraint"),
+               **{key: getattr(model, attr) for key, attr in _BUFFERS.items()}}
+    arrays = {key: np.frombuffer(buffers[key], dtype=dtype) for key, dtype in _STORED.items()}
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **arrays)
+
+
+def _decode(path, blob: np.ndarray, what: str) -> str:
+    try:
+        return blob.tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"{path}: {what} names are not UTF-8: {exc}") from None
+
+
+def _split(path, blob: np.ndarray, count: int, what: str) -> list[str]:
+    text = _decode(path, blob, what)
+    names = text.split("\n") if text or count else []
+    if len(names) != count:
+        raise ModelError(f"{path}: {len(names)} {what} names for {count} {what}s")
+    return names
+
+
+def _buffer(like, values: np.ndarray):
+    """A fresh buffer of the same type as ``like`` holding ``values``."""
+    if isinstance(like, bytearray):
+        return bytearray(values)
+    out = array(like.typecode)
+    out.frombytes(memoryview(values).cast("B"))
+    return out
+
+
+def load_model(path) -> MilpModel:
+    """Read a model written by ``save_model``; nothing is unpickled.
+
+    Raises ModelError if an array is missing, is not a 1-D array of its
+    dtype (an object array among them), the lengths disagree, ``indptr``
+    does not rise from 0 to the number of nonzeros, a column index is out of
+    range, or a sense code or integer flag is unknown.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            stored = {key: npz[key] for key in _STORED}
+    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ModelError(f"{path}: not a model file: {exc}") from None
+    for key, dtype in _STORED.items():
+        a = stored[key]
+        if a.dtype != dtype or a.ndim != 1:
+            raise ModelError(f"{path}: {key} is {a.dtype} of shape {a.shape}, "
+                             f"expected 1-D {np.dtype(dtype)}")
+    n, m, nnz = len(stored["lb"]), len(stored["sense"]), len(stored["cols"])
+    for key, size in (("ub", n), ("obj", n), ("integer", n), ("rhs", m),
+                      ("indptr", m + 1), ("coefs", nnz)):
+        if len(stored[key]) != size:
+            raise ModelError(f"{path}: {key} holds {len(stored[key])} entries, expected {size}")
+    indptr, cols = stored["indptr"], stored["cols"]
+    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+        raise ModelError(f"{path}: indptr does not rise from 0 to {nnz}")
+    if nnz and (cols.min() < 0 or cols.max() >= n):
+        raise ModelError(f"{path}: a column index lies outside 0..{n - 1}")
+    if np.any(stored["sense"] >= len(_SENSES)) or np.any(stored["integer"] > 1):
+        raise ModelError(f"{path}: unknown sense code or integer flag")
+    model = MilpModel(_decode(path, stored["name"], "model"))
+    model._names = _split(path, stored["var_names"], n, "variable")
+    model._con_names = _split(path, stored["con_names"], m, "constraint")
+    for key, attr in _BUFFERS.items():
+        setattr(model, attr, _buffer(getattr(model, attr), stored[key]))
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +424,7 @@ def parse_mps(path) -> MilpModel:
     repeated entries are summed and zeros dropped.
     """
     model = MilpModel()
-    row_of = model._con_index
+    row_of, col_of = model._cindex(), model._vindex()
     rows, cols, vals = array("i"), array("i"), array("d")
     obj_row = None
     section = None
@@ -325,7 +455,7 @@ def parse_mps(path) -> MilpModel:
                 if len(tokens) >= 3 and tokens[1] == "'MARKER'":
                     in_int = tokens[2] == "'INTORG'"
                     continue
-                j = model._var_index.get(tokens[0])
+                j = col_of.get(tokens[0])
                 if j is None:
                     j = model.num_vars
                     model.add_var(tokens[0], integer=in_int)
@@ -347,7 +477,7 @@ def parse_mps(path) -> MilpModel:
                         model._rhs[i] = float(tokens[k + 1])
             elif section == "BOUNDS":
                 kind, var = tokens[0], tokens[2]
-                j = model._var_index.get(var)
+                j = col_of.get(var)
                 if j is None:
                     j = model.num_vars
                     model.add_var(var)
@@ -403,7 +533,7 @@ class Solution:
 
     @property
     def ok(self) -> bool:
-        return self.status in (STATUS_OPTIMAL, STATUS_GAP_LIMIT)
+        return self.status in OK_STATUSES
 
 
 def write_solution_file(sol: Solution, path) -> None:
@@ -500,7 +630,7 @@ class ScipySolver:
         if res.status == 0:
             status = STATUS_OPTIMAL if not mip_gap or mip_gap <= 1e-9 else STATUS_GAP_LIMIT
         elif res.status == 1:
-            status = STATUS_GAP_LIMIT if res.x is not None else STATUS_ERROR
+            status = STATUS_TIME_LIMIT if res.x is not None else STATUS_ERROR
         elif res.status == 2:
             status = STATUS_INFEASIBLE
         elif res.status == 3:
@@ -641,7 +771,9 @@ def constraint_families(model: MilpModel) -> dict[str, list[int]]:
 def audit_constraints(model: MilpModel, values: dict[str, float]) -> dict[str, dict]:
     """Evaluate every constraint row at a solution with one sparse product
     and report, per family, the rows checked and the worst residual (with
-    the name of its row, or "" when every row holds exactly).
+    the name of its row, or "" when every row holds exactly).  Each row is
+    summed in column order, so a model gives the same residuals however its
+    rows were stored: as built, loaded from ``.npz`` or parsed from MPS.
 
     Raises ModelError if ``values`` lacks a variable of the model.
     """
@@ -649,7 +781,9 @@ def audit_constraints(model: MilpModel, values: dict[str, float]) -> dict[str, d
         x = np.array([values[name] for name in model._names], dtype=float)
     except KeyError as exc:
         raise ModelError(f"no value for variable {exc.args[0]!r}") from None
-    lhs = model._csr() @ x
+    a = model._csr()
+    a.sort_indices()
+    lhs = a @ x
     cl, cu = model._row_bounds()
     residual = np.maximum(np.maximum(cl - lhs, lhs - cu), 0.0)
     report: dict[str, dict] = {}

@@ -8,16 +8,18 @@ walks the stages::
 writing everything under one output directory::
 
     agg/artifacts.json            clusterings + checkpoint window
-    models/<kind>.mps             interchange file per formulation
+    models/<kind>.npz             model arrays + names (milp.save_model)
     models/<kind>.registry.json   model name + metadata (time labels, weights, ...)
     solutions/<kind>.json         status, objective, values
     report/summary.json|csv       benchmark comparison table
     report/hourly_<kind>.csv      expanded hourly series
 
-The solve stage deliberately re-reads the MPS and metadata files instead of
+The solve stage deliberately re-reads each model through ``load_built_model``
+(``milp.load_model`` on the ``.npz`` plus the metadata sidecar) instead of
 reusing the in-memory models, so every run exercises the interchange path.
-Variables are found by name alone, so the MPS file plus the metadata are the
-whole model.
+Variables are found by name alone, so the ``.npz`` file plus the metadata are
+the whole model.  MPS is written only by the external-solver adapter, into a
+temporary file of its own.
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ from .system import (PowerSystem, ThermalUnit, StorageUnit, Network,
                      OperatingConfig, load_system, save_system,
                      validate_system, SystemFormatError, SHORT_TERM, LONG_TERM)
 from .aggregation import aggregate, save_artifacts, load_artifacts, AggregationArtifacts
-from .milp import (write_mps, parse_mps, write_registry, load_registry,
-                   Solution, get_solver, SolverError, audit_constraints,
-                   STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_GAP_LIMIT)
+from .milp import (save_model, load_model, write_registry, load_registry,
+                   Solution, get_solver, SolverError, ModelError,
+                   audit_constraints, STATUS_INFEASIBLE)
+# not called here: bench/tracing.py wraps these two by name on this module
+from .milp import write_mps, parse_mps  # noqa: F401
 from .formulations import (FormulationOutput, build_hm, build_ss, build_rp,
                            build_ss_rfm, build_rp_tmci, BUILDER_KINDS)
 from .evaluation import CaseResult, EvaluationReport, build_case_result, compare
@@ -176,21 +180,26 @@ def stage_build(system: PowerSystem, data: TimeHorizonData,
     outputs: dict[str, FormulationOutput] = {}
     for kind in kinds:
         fo = build_formulation(kind, system, data, artifacts, config)
-        write_mps(fo.model, models_dir / f"{kind}.mps")
+        save_model(fo.model, models_dir / f"{kind}.npz")
         write_registry(fo.model, models_dir / f"{kind}.registry.json", meta=fo.meta)
         outputs[kind] = fo
     return outputs
 
 
 def load_built_model(outdir: Path, kind: str) -> FormulationOutput:
-    """Reassemble a formulation from its interchange pair on disk."""
+    """Reassemble a formulation from its ``.npz`` file and metadata sidecar."""
     models_dir = Path(outdir) / "models"
-    mps = models_dir / f"{kind}.mps"
+    path = models_dir / f"{kind}.npz"
     side = models_dir / f"{kind}.registry.json"
-    if not mps.exists() or not side.exists():
-        raise ConfigError(f"model files for {kind!r} not found under {models_dir}")
+    missing = [p.name for p in (path, side) if not p.exists()]
+    if missing:
+        raise ConfigError(f"model files for {kind!r} not found under {models_dir}: {missing}")
+    try:
+        model = load_model(path)
+    except ModelError as exc:
+        raise ConfigError(f"model file: {exc}") from None
     meta = load_registry(side)
-    return FormulationOutput(model=parse_mps(mps), kind=meta.get("kind", kind), meta=meta)
+    return FormulationOutput(model=model, kind=meta.get("kind", kind), meta=meta)
 
 
 def _solution_to_doc(sol: Solution) -> dict:
@@ -242,8 +251,7 @@ def stage_solve(config: ScenarioConfig, outdir: Path,
     infeasible = [k for k, s in solutions.items() if s.status == STATUS_INFEASIBLE]
     if infeasible:
         raise InfeasibleError(f"infeasible models: {infeasible}")
-    failed = [k for k, s in solutions.items()
-              if s.status not in (STATUS_OPTIMAL, STATUS_GAP_LIMIT)]
+    failed = [k for k, s in solutions.items() if not s.ok]
     if failed:
         details = "; ".join(f"{k}: {solutions[k].status} {solutions[k].message}"
                             for k in failed)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ import pytest
 from storagg import (MilpModel, ModelError, SolverError, Solution,
                      ScipySolver, ExternalSolver, get_solver, solve,
                      fix_and_relax, write_mps, parse_mps, write_registry,
+                     save_model, load_model,
                      load_registry, write_solution_file, parse_solution_file,
                      audit_constraints, constraint_families, SOLVER_ENV_VAR,
                      build_hm)
 from storagg.milp import INF, LE, GE, EQ
-from storagg.pipeline import emit_scenario_template, load_scenario, stage_ingest
+from storagg.pipeline import (emit_scenario_template, load_scenario, stage_ingest,
+                              stage_cluster, stage_build, load_built_model)
 
 
 def assert_same_arrays(a, b):
@@ -189,6 +192,99 @@ def test_registry_sidecar_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# array model files
+# ---------------------------------------------------------------------------
+
+def test_model_file_round_trip_builds_no_name_index(tmp_path):
+    path = tmp_path / "toy.npz"
+    save_model(toy_model(), path)
+    back = load_model(path)
+    assert (back.name, back.var_names, [c.name for c in back.constraints]) == \
+        ("toy", ("x", "y", "z", "w"), ["c1", "c2", "c3"])
+    assert_same_arrays(toy_model().to_arrays(), back.to_arrays())
+    sol = solve(back)
+    audit_constraints(back, sol.values)
+    assert back._var_index is None and back._con_index is None
+    assert back.has_var("z") and back.var("z").integer
+    back.add_con("c4", {"x": 1.0}, LE, 9.0)
+    assert back.num_cons == 4
+
+
+def test_reloaded_duplicate_name_raises_on_first_lookup(tmp_path):
+    path = tmp_path / "dup.npz"
+    save_model(toy_model(), path)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    arrays["var_names"] = np.frombuffer(b"x\ny\nx\nw", dtype=np.uint8)
+    np.savez(path, **arrays)
+    back = load_model(path)
+    assert back.to_arrays()[0].tolist() == [5.0, 3.0, 7.0, 0.0]
+    with pytest.raises(ModelError, match="duplicate variable 'x'"):
+        back.has_var("w")
+
+
+def _tampered(arrays):
+    yield "truncated indptr", dict(arrays, indptr=arrays["indptr"][:-1])
+    yield "falling indptr", dict(arrays, indptr=arrays["indptr"][[0, 2, 1, 3]])
+    yield "out-of-range column", dict(arrays, cols=np.where(
+        arrays["cols"] == 3, 4, arrays["cols"]).astype(np.intc))
+    yield "object array", dict(arrays, lb=arrays["lb"].astype(object))
+    yield "missing array", {k: v for k, v in arrays.items() if k != "rhs"}
+    yield "one name short", dict(arrays, con_names=np.frombuffer(b"c1\nc2", dtype=np.uint8))
+    yield "unknown sense", dict(arrays, sense=np.array([0, 1, 7], dtype=np.uint8))
+
+
+def test_model_file_refusals(tmp_path):
+    path = tmp_path / "toy.npz"
+    save_model(toy_model(), path)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    for case, bad in _tampered(arrays):
+        np.savez(tmp_path / "bad.npz", **bad)
+        with pytest.raises(ModelError):
+            load_model(tmp_path / "bad.npz")
+            pytest.fail(f"{case} was accepted")
+
+
+def test_model_file_refuses_newline_in_name(tmp_path):
+    m = MilpModel()
+    m.add_var("x")
+    m.add_var("bad\nname")
+    with pytest.raises(ModelError, match="newline"):
+        save_model(m, tmp_path / "m.npz")
+    m = toy_model()
+    m.add_con("row\n2", {"x": 1.0}, LE, 1.0)
+    with pytest.raises(ModelError, match="newline"):
+        save_model(m, tmp_path / "m.npz")
+
+
+def test_reloaded_model_memory_per_element(tmp_path):
+    """Re-reading the 28-day template hm, converting it to arrays and
+    auditing it peaks under 97 bytes per variable, row and nonzero
+    (tracemalloc, Python 3.11: 86).  Re-read through parse_mps, which
+    builds the name index dicts, the same path peaked at 108."""
+    config = load_scenario(emit_scenario_template(tmp_path / "scen", days=28, seed=4))
+    config.kinds = ["hm"]
+    system, data = stage_ingest(config)
+    art = stage_cluster(system, data, config, tmp_path / "out")
+    m = stage_build(system, data, art, config, tmp_path / "out")["hm"].model
+    values = dict.fromkeys(m.var_names, 0.0)
+    elements = m.num_vars + m.num_cons + m.to_arrays()[4].nnz
+    del m
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reloaded = load_built_model(tmp_path / "out", "hm").model
+        reloaded.to_arrays()
+        audit_constraints(reloaded, values)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / elements < 97
+
+
+# ---------------------------------------------------------------------------
 # solving
 # ---------------------------------------------------------------------------
 
@@ -228,6 +324,26 @@ def test_solve_unbounded_status():
     m.add_var("x", lb=-INF, ub=INF, obj=1.0)
     status = solve(m).status
     assert status in ("unbounded", "error")   # HiGHS may report either
+
+
+def test_wrap_maps_highs_statuses():
+    """HiGHS status 1 (time limit) is ``time_limit`` with an incumbent and
+    ``error`` without one; status 0 above the optimality tolerance is
+    ``gap_limit``."""
+    m = toy_model()
+    x = np.array([1.0, 0.0, 1.0, 2.0])
+
+    def wrap(status, x, gap):
+        res = SimpleNamespace(status=status, x=x, fun=12.0, mip_gap=gap, message="")
+        return ScipySolver._wrap(m, res, 1e-3, 0.5)
+
+    timed_out = wrap(1, x, 0.02)
+    assert (timed_out.status, timed_out.ok, timed_out.gap) == ("time_limit", True, 0.02)
+    assert timed_out.values == {"x": 1.0, "y": 0.0, "z": 1.0, "w": 2.0}
+    empty = wrap(1, None, float("inf"))
+    assert (empty.status, empty.ok, empty.values, empty.gap) == ("error", False, {}, 0.0)
+    near = wrap(0, x, 5e-4)
+    assert (near.status, near.ok, near.objective) == ("gap_limit", True, 12.0)
 
 
 def test_highs_calls_run_on_a_thread_of_their_own(monkeypatch):
@@ -468,3 +584,20 @@ def test_audit_checks_every_row():
     values["x4"] = 1.5
     report = audit_constraints(m, values)
     assert report["cap"] == {"checked": 300, "max_residual": 0.5, "worst": "cap_4"}
+
+
+def test_audit_sums_rows_in_column_order(tmp_path):
+    """A row stored as c, a, b sums to 0 in that order (1e16 absorbs the 1)
+    and to 1 in column order; the audit gives the column-order residual for
+    the model as built, as loaded from .npz and as parsed from MPS."""
+    m = MilpModel()
+    for name in ("a", "b", "c"):
+        m.add_var(name, lb=-INF)
+    m.add_con("row_0", {"c": 1.0, "a": 1e16, "b": -1e16}, EQ, 1.0)
+    assert m.constraints[0].idx == [2, 0, 1]
+    save_model(m, tmp_path / "m.npz")
+    write_mps(m, tmp_path / "m.mps")
+    values = {"a": 1.0, "b": 1.0, "c": 1.0}
+    exact = {"row": {"checked": 1, "max_residual": 0.0, "worst": ""}}
+    for model in (m, load_model(tmp_path / "m.npz"), parse_mps(tmp_path / "m.mps")):
+        assert audit_constraints(model, values) == exact

@@ -9,9 +9,10 @@ import pytest
 import scipy.sparse as sp
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from storagg import MilpModel, write_mps, parse_mps, audit_constraints
+from storagg import (MilpModel, write_mps, parse_mps, save_model, load_model,
+                     audit_constraints)
 from storagg.milp import INF, LE, GE, EQ
 
 from test_milp import assert_same_arrays
@@ -21,20 +22,28 @@ finite = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5, 1e-300, 1.5e300]) | \
 
 
 @st.composite
-def models(draw):
+def models(draw, unicode_names=False):
     """Mixed senses, integer and continuous columns, free, fixed and
-    infinite bounds, and duplicate and zero terms."""
-    m = MilpModel("prop")
-    n = draw(st.integers(1, 6))
-    for j in range(n):
+    infinite bounds, and duplicate and zero terms.  Names are ``x<j>`` and
+    ``r<i>``, or with ``unicode_names`` any distinct text without a newline."""
+    n, rows = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    var_names, con_names = [f"x{j}" for j in range(n)], [f"r{i}" for i in range(rows)]
+    name = "prop"
+    if unicode_names:
+        text = st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=8)
+        var_names = draw(st.lists(text, min_size=n, max_size=n, unique=True))
+        con_names = draw(st.lists(text, min_size=rows, max_size=rows, unique=True))
+        name = draw(st.text(st.characters(codec="utf-8"), max_size=8))
+    m = MilpModel(name)
+    for var in var_names:
         lb = draw(st.sampled_from([0.0, -INF]) | finite)
         ub = draw(st.sampled_from([1.0, INF, lb]) | finite)
         if ub < lb:
             lb, ub = ub, lb
-        m.add_var(f"x{j}", lb=lb, ub=ub, obj=draw(finite), integer=draw(st.booleans()))
-    for i in range(draw(st.integers(0, 6))):
+        m.add_var(var, lb=lb, ub=ub, obj=draw(finite), integer=draw(st.booleans()))
+    for con in con_names:
         terms = draw(st.lists(st.tuples(st.integers(0, n - 1), finite), max_size=6))
-        m.add_con(f"r{i}", [(f"x{j}", c) for j, c in terms],
+        m.add_con(con, [(var_names[j], c) for j, c in terms],
                   draw(st.sampled_from([LE, GE, EQ])), draw(finite))
     return m
 
@@ -70,9 +79,45 @@ def test_write_parse_round_trip(m):
         assert second.read_bytes() == first.read_bytes()
 
 
+def assert_identical_arrays(a, b):
+    """Two ``to_arrays`` results agree bit for bit, dtypes included, so a
+    -0.0 that reads back as 0.0 fails."""
+    for x, y in zip(a, b, strict=True):
+        parts = (x.indptr, x.indices, x.data) if hasattr(x, "toarray") else (x,)
+        other = (y.indptr, y.indices, y.data) if hasattr(y, "toarray") else (y,)
+        assert x.shape == y.shape
+        for p, q in zip(parts, other, strict=True):
+            assert p.dtype == q.dtype and p.tobytes() == q.tobytes()
+
+
+def _negative_zero_objective():
+    m = MilpModel("negzero")
+    m.add_var("x", obj=-0.0)
+    m.add_var("y", lb=-0.0, ub=-0.0, obj=1.0)
+    m.add_con("c", {"x": 1.0, "y": -2.0}, GE, -0.0)
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans().flatmap(lambda wide: models(unicode_names=wide)))
+@example(MilpModel("empty"))
+@example(_negative_zero_objective())
+def test_save_load_round_trip(m):
+    """save -> load -> ``to_arrays`` gives identical arrays, names and
+    model name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.npz"
+        save_model(m, path)
+        back = load_model(path)
+    assert_identical_arrays(m.to_arrays(), back.to_arrays())
+    assert back.var_names == m.var_names
+    assert [c.name for c in back.constraints] == [c.name for c in m.constraints]
+    assert back.name == m.name
+
+
 def loop_residual(con, values):
-    """One row's violation by a plain loop over its record."""
-    lhs = sum(c * values[f"x{j}"] for j, c in zip(con.idx, con.coef))
+    """One row's violation by a plain loop over its record, in column order."""
+    lhs = sum(c * values[f"x{j}"] for j, c in sorted(zip(con.idx, con.coef)))
     if con.sense == LE:
         return max(0.0, lhs - con.rhs)
     if con.sense == GE:
@@ -84,7 +129,8 @@ def loop_residual(con, values):
 @given(st.data())
 def test_audit_matches_row_loop(data):
     """Every row is its own family here (names hold no "_"), so the audit's
-    maximum is that row's residual; both sum the row's terms in order."""
+    maximum is that row's residual; both sum the row's terms in column
+    order."""
     m = data.draw(models())
     values = {name: data.draw(st.floats(-10.0, 10.0)) for name in m.var_names}
     report = audit_constraints(m, values)

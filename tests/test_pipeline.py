@@ -11,7 +11,7 @@ import pytest
 import storagg
 from storagg import (emit_scenario_template, load_scenario, save_scenario,
                      run_pipeline, load_system, load_horizon, validate_system,
-                     ConfigError, ScenarioConfig)
+                     ConfigError, ScenarioConfig, write_mps, write_registry)
 from storagg.pipeline import stage_ingest, stage_cluster, stage_build, \
     stage_solve, load_built_model, load_solutions
 
@@ -93,7 +93,8 @@ def test_run_produces_artifact_tree(run_result):
     _, outdir, result = run_result
     assert (outdir / "agg" / "artifacts.json").exists()
     for kind in result.cases:
-        assert (outdir / "models" / f"{kind}.mps").exists()
+        assert (outdir / "models" / f"{kind}.npz").exists()
+        assert not (outdir / "models" / f"{kind}.mps").exists()
         assert (outdir / "models" / f"{kind}.registry.json").exists()
         assert (outdir / "solutions" / f"{kind}.json").exists()
         assert (outdir / "report" / f"hourly_{kind}.csv").exists()
@@ -163,8 +164,39 @@ def test_pipeline_deterministic(template_dir, tmp_path):
     assert (out1 / "agg" / "artifacts.json").read_bytes() == \
         (out2 / "agg" / "artifacts.json").read_bytes()
     for kind in config.kinds:
-        assert (out1 / "models" / f"{kind}.mps").read_bytes() == \
-            (out2 / "models" / f"{kind}.mps").read_bytes()
+        assert (out1 / "models" / f"{kind}.npz").read_bytes() == \
+            (out2 / "models" / f"{kind}.npz").read_bytes()
+
+
+def test_mps_export_of_reloaded_model_is_unchanged(tmp_path):
+    """The .npz round trip keeps every kind's MPS export byte for byte."""
+    config = load_scenario(emit_scenario_template(tmp_path / "scen", days=3, seed=4))
+    system, data = stage_ingest(config)
+    art = stage_cluster(system, data, config, tmp_path / "out")
+    outputs = stage_build(system, data, art, config, tmp_path / "out")
+    assert set(outputs) == {"hm", "ss", "ss_rfm", "rp", "rp_tmci"}
+    for kind, fo in outputs.items():
+        built, reloaded = tmp_path / f"{kind}_built.mps", tmp_path / f"{kind}_reloaded.mps"
+        write_mps(fo.model, built)
+        write_mps(load_built_model(tmp_path / "out", kind).model, reloaded)
+        assert reloaded.read_bytes() == built.read_bytes(), kind
+
+
+def test_old_mps_directory_is_refused(tmp_path):
+    """A model directory from before the .npz format holds an .mps file and
+    the sidecar; there is no fallback reader.  A damaged .npz is an input
+    error too."""
+    models = tmp_path / "models"
+    models.mkdir()
+    m = storagg.MilpModel("ss")
+    m.add_var("x")
+    write_mps(m, models / "ss.mps")
+    write_registry(m, models / "ss.registry.json", meta={"kind": "ss"})
+    with pytest.raises(ConfigError, match=r"ss\.npz"):
+        load_built_model(tmp_path, "ss")
+    (models / "ss.npz").write_bytes((models / "ss.mps").read_bytes())
+    with pytest.raises(ConfigError, match="not a model file"):
+        load_built_model(tmp_path, "ss")
 
 
 def test_solve_stage_reads_from_disk(template_dir, tmp_path):
