@@ -10,10 +10,10 @@ Values are read by the names the formulation builders compose with
 ``var_name``, ``<symbol>_<label>_<id>`` (e.g. ``q_p17_gas``,
 ``dw_s3_s5_bess``), with the model's time labels taken from
 ``fo.meta["time_labels"]``; each real hour points at one label index.  The
-startup counts read ``y`` over the same labels (or over the observed state
-transitions) and the investment values read ``x_<id>``.  A solution that is
-not usable, or lacks a value any of them reads, is refused with ValueError
-rather than read as zeros.
+startup counts are the positive steps of the expanded hourly commitment and
+the investment values read ``x_<id>``.  A solution that is not usable, or
+lacks a value any of them reads, is refused with ValueError rather than read
+as zeros.
 
 Two storage-level series are kept.  ``storage_level`` accumulates the real
 hourly inflows with the expanded charge/discharge decisions, so it shows what
@@ -264,30 +264,24 @@ def attach_prices(expansion: HourlyExpansion, system: PowerSystem,
 # startups and case assembly
 # ---------------------------------------------------------------------------
 
-def count_startups(fo: FormulationOutput, solution: Solution, system: PowerSystem,
-                   matrices: TransitionMatrices | None = None) -> dict[str, float]:
-    """Horizon startup totals per thermal unit.
+def count_startups(expansion: HourlyExpansion, system: PowerSystem) -> dict[str, float]:
+    """Horizon startup totals per thermal unit: the positive steps of the
+    expanded hourly commitment, the step into hour 0 taken from the unit's
+    initial commitment.
 
-    Hour-based models sum the indicators ``y_<label>_<unit>`` weighted by the
-    hours each modeled period stands for; the states family weights each
-    ``y_s{a}_s{b}_<unit>`` of an observed move a != b by the number of times
-    that move occurs.  Every term is an integer, so the totals are exact.
+    One definition serves every kind.  The startup indicators ``y`` are not
+    read: they are free wherever a unit's startup cost is 0, so a solver may
+    leave them at 1 with no start behind them.  For the states family the
+    total is the sum over moves a -> b of N[a, b] * max(0, u_b - u_a), plus
+    the step into hour 0.  The commitment is rounded, so the totals are exact.
     """
-    if fo.kind in ("ss", "ss_rfm"):
-        if matrices is None:
-            raise ValueError("counting states-family startups needs the transition matrix")
-        n = matrices.transitions
-        moves = [(a, b) for a, b in zip(*np.nonzero(n)) if a != b]
-        labels = [f"s{a}_s{b}" for a, b in moves]
-        weights = [float(n[a, b]) for a, b in moves]
-    else:
-        labels, weights = fo.meta["time_labels"], fo.meta["time_weights"]
-    if not labels or not system.thermal:
-        return {}
-    units = [g.id for g in system.thermal]
-    totals = np.asarray(weights) @ np.round(_grid(solution.values, "y", labels, units))
-    # + 0.0 turns the -0.0 that rounding a tiny negative indicator gives into 0.0
-    return {uid: float(total) + 0.0 for uid, total in zip(units, totals)}
+    totals = {}
+    for g in system.thermal:
+        steps = np.diff(expansion.commitment[g.id],
+                        prepend=system.initial_commitment(g.id))
+        # + 0.0 turns the -0.0 a rounded tiny negative commitment gives into 0.0
+        totals[g.id] = float(np.maximum(steps, 0.0).sum()) + 0.0
+    return totals
 
 
 def investment_values(fo: FormulationOutput, solution: Solution,
@@ -331,7 +325,9 @@ def build_case_result(fo: FormulationOutput, solution: Solution, system: PowerSy
     """Expand, price, and screen one solved formulation.
 
     Raises ValueError for a solution without a usable point (any status but
-    optimal or gap-limited) or one missing a value the expansion reads.
+    optimal, gap- or time-limited) or one missing a value the expansion
+    reads.  ``matrices`` is accepted for the callers that still pass it; no
+    step reads it since the startups are counted from the expansion.
     """
     if not solution.ok:
         raise ValueError(f"{fo.kind!r} solution has status {solution.status!r}, "
@@ -349,7 +345,7 @@ def build_case_result(fo: FormulationOutput, solution: Solution, system: PowerSy
         objective=float(solution.objective),
         wall_seconds=solution.wall_seconds,
         expansion=expansion,
-        startups=count_startups(fo, solution, system, matrices=matrices),
+        startups=count_startups(expansion, system),
         investment=investment,
         violations=detect_violations(expansion, system, investment),
         price_info=price_info,

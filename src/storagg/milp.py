@@ -20,6 +20,10 @@ The name-to-position dicts are built on first use (``add_var``, ``add_con``,
 ``has_var``, ``var``), so a model loaded only to be solved and audited never
 holds them.  The sidecar written next to a model file (``write_registry``)
 carries the model's name and its metadata only.
+
+scipy loads at a process's first matrix build (``to_arrays``, the audit,
+``parse_mps``) or solve, not at import, so the stages that never solve do
+not pay for it.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog, milp, Bounds, LinearConstraint
 
 INF = float("inf")
 
@@ -211,7 +213,9 @@ class MilpModel:
     def has_var(self, name: str) -> bool:
         return name in self._vindex()
 
-    def _csr(self) -> sp.csr_array:
+    def _csr(self):
+        """The constraint rows as a ``scipy.sparse.csr_array``."""
+        import scipy.sparse as sp
         return sp.csr_array((np.array(self._coefs), np.array(self._cols),
                              np.array(self._indptr)),
                             shape=(self.num_cons, self.num_vars))
@@ -495,6 +499,7 @@ def parse_mps(path) -> MilpModel:
                     model._ub[j] = INF
                 else:
                     raise ModelError(f"{path}: unsupported bound type {kind!r}")
+    import scipy.sparse as sp
     a = sp.coo_array((vals, (rows, cols)), shape=(model.num_cons, model.num_vars)).tocsr()
     a.eliminate_zeros()
     model._indptr = array("q", a.indptr.astype(np.int64).tobytes())
@@ -504,7 +509,8 @@ def parse_mps(path) -> MilpModel:
 
 
 def write_registry(model: MilpModel, path, meta: dict | None = None) -> None:
-    """Write the sidecar of an MPS file: the model name and its metadata."""
+    """Write the sidecar of a ``.npz`` model file: the model name and its
+    metadata."""
     doc = {"model": model.name, "meta": meta or {}}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -613,6 +619,7 @@ class ScipySolver:
 
     def solve(self, model: MilpModel, gap: float = 0.0,
               time_limit: float | None = None) -> Solution:
+        from scipy.optimize import milp, Bounds, LinearConstraint
         c, integrality, lb, ub, a, cl, cu = model.to_arrays()
         options = {"mip_rel_gap": float(gap)}
         if time_limit is not None:
@@ -650,6 +657,7 @@ class ScipySolver:
                  method: str = "highs") -> Solution:
         """Solve ignoring integrality and return duals as dObjective/dRHS
         of each constraint in its declared orientation."""
+        from scipy.optimize import linprog
         c, _, lb, ub, a, cl, cu = model.to_arrays()
         eq = cl == cu
         # HiGHS takes inequalities as <=: negate each >= row in place so the

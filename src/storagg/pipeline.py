@@ -280,7 +280,7 @@ def stage_evaluate(system: PowerSystem, data: TimeHorizonData,
     for kind, fo in outputs.items():
         cases[kind] = build_case_result(
             fo, solutions[kind], system, data,
-            states=artifacts.states, rp=artifacts.rp, matrices=artifacts.matrices,
+            states=artifacts.states, rp=artifacts.rp,
             with_prices=with_prices, check_degeneracy=config.check_degeneracy)
     reports: dict[str, EvaluationReport] = {}
     if "hm" in cases:

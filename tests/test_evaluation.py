@@ -231,9 +231,10 @@ def test_degeneracy_probe_runs(two_unit_system):
 
 def test_count_startups_hm(two_unit_system):
     demand = np.concatenate([np.full(8, 0.5), np.full(8, 2.0), np.full(8, 0.5)])
-    fo = build_hm(two_unit_system, make_data(demand))
-    sol = solved(fo)
-    totals = count_startups(fo, sol, two_unit_system)
+    data = make_data(demand)
+    fo = build_hm(two_unit_system, data)
+    exp = expand_solution(fo, solved(fo), two_unit_system, data)
+    totals = count_startups(exp, two_unit_system)
     assert totals["cheap"] == pytest.approx(1.0)
     assert totals["dear"] == pytest.approx(1.0)
 
@@ -245,8 +246,8 @@ def test_count_startups_rp_weighted(two_unit_system):
     data = make_data(np.tile(day, 3))
     rp = manual_rp([0, 0, 0], [0])
     fo = build_rp(two_unit_system, data, rp)
-    sol = solved(fo)
-    totals = count_startups(fo, sol, two_unit_system)
+    exp = expand_solution(fo, solved(fo), two_unit_system, data, rp=rp)
+    totals = count_startups(exp, two_unit_system)
     assert totals["dear"] == pytest.approx(3.0)
 
 
@@ -259,10 +260,29 @@ def test_count_startups_ss_transition_weighted():
     chain = [0, 1, 0, 1, 0, 1, 0]
     states = manual_states(chain, [0.5, 1.5], num_storage=0)
     matrices = manual_matrices(chain, window=24)
+    data = make_data([0.5, 1.5] * 3 + [0.5])
     fo = build_ss(system, states, matrices)
-    sol = solved(fo)
-    totals = count_startups(fo, sol, system, matrices=matrices)
+    exp = expand_solution(fo, solved(fo), system, data, states=states)
+    totals = count_startups(exp, system)
     assert totals["peak"] == pytest.approx(3.0)    # N[0,1] = 3
+
+
+def test_count_startups_ignores_free_indicators():
+    """A zero-cost startup indicator left at 1 under a constant commitment
+    is no start: the count reads the commitment, not ``y``."""
+    system = make_system([make_thermal("g1", start=0.0)], initial_commitment={"g1": 1})
+    data = make_data(np.full(6, 0.5))
+    fo = build_hm(system, data)
+    values = dict.fromkeys(fo.model.var_names, 0.0)
+    for label in fo.meta["time_labels"]:
+        values[f"u_{label}_g1"] = values[f"y_{label}_g1"] = 1.0
+        values[f"q_{label}_g1"] = 0.5
+    sol = Solution(status="optimal", objective=0.0, values=values)
+    case = build_case_result(fo, sol, system, data, with_prices=False)
+    assert case.startups == {"g1": 0.0}
+    # off at the start, the same constant commitment is one start at hour 0
+    system.config.initial_commitment["g1"] = 0
+    assert count_startups(case.expansion, system) == {"g1": 1.0}
 
 
 def test_build_case_result_bundles(battery_system, sin_data):
@@ -295,13 +315,14 @@ def test_case_result_refuses_missing_startups_and_investment(battery_system, sin
     data = make_data(np.tile(np.concatenate([np.zeros(8), np.ones(8)]), 3))
     fo = build_hm(system, data)
     sol = solved(fo)
-    started = [f"y_{label}_g1" for label in fo.meta["time_labels"]
-               if round(sol.values[f"y_{label}_g1"]) == 1]
-    assert len(started) == 3
-    assert count_startups(fo, sol, system) == {"g1": pytest.approx(3.0)}
-    for name in started:
+    on = [f"u_{label}_g1" for label in fo.meta["time_labels"]
+          if round(sol.values[f"u_{label}_g1"]) == 1]
+    assert len(on) == 24
+    case = build_case_result(fo, sol, system, data, with_prices=False)
+    assert case.startups == {"g1": pytest.approx(3.0)}
+    for name in on:
         del sol.values[name]
-    with pytest.raises(ValueError, match=started[0]):
+    with pytest.raises(ValueError, match=on[0]):
         build_case_result(fo, sol, system, data, with_prices=False)
 
     batt = make_battery(investable=True, inv_cost=100.0, epr_max=4.0)

@@ -350,6 +350,7 @@ def test_highs_calls_run_on_a_thread_of_their_own(monkeypatch):
     """Both adapter calls reach HiGHS from a short-lived thread, which has
     exited when the call returns; an error raised there reaches the caller."""
     import threading
+    import scipy.optimize
     import storagg.milp as milp_module
 
     callers = []
@@ -360,8 +361,9 @@ def test_highs_calls_run_on_a_thread_of_their_own(monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(milp_module, "milp", recording(milp_module.milp))
-    monkeypatch.setattr(milp_module, "linprog", recording(milp_module.linprog))
+    # the adapter imports both at call time, so the patch goes on scipy.optimize
+    monkeypatch.setattr(scipy.optimize, "milp", recording(scipy.optimize.milp))
+    monkeypatch.setattr(scipy.optimize, "linprog", recording(scipy.optimize.linprog))
     threads = threading.active_count()
     m = toy_model()
     assert solve(m).ok

@@ -273,6 +273,39 @@ def test_cli_stagewise_matches_run(tmp_path):
     assert (tmp_path / "out" / "solutions" / "ss.json").exists()
 
 
+def scipy_loaded_after(code: str) -> list[str]:
+    """The ``scipy`` modules a fresh interpreter holds after running ``code``."""
+    probe = (f"import json, sys\n{code}\nprint(json.dumps(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_stages_that_never_solve_leave_scipy_unloaded(tmp_path):
+    """scipy is a solve-time dependency: the package, the CLI and every
+    stage that does not solve, each in a fresh interpreter, load none of it,
+    and the solve stage still finds it when it needs it."""
+    def cli(*argv):
+        return scipy_loaded_after("from storagg.cli import main\n"
+                                  f"if main({list(argv)!r}):\n    sys.exit('stage failed')")
+
+    scen, out = tmp_path / "scen", str(tmp_path / "out")
+    cfg = str(scen / "scenario.json")
+    assert scipy_loaded_after("import storagg") == []
+    assert scipy_loaded_after("import storagg.cli") == []
+    for argv in (("template", "-o", str(scen), "--days", "2"),
+                 ("ingest", cfg),
+                 ("cluster", cfg, "-o", out),
+                 ("build", cfg, "-o", out, "--only", "ss")):
+        assert cli(*argv) == [], argv
+    assert "scipy.optimize" in cli("solve", cfg, "-o", out, "--only", "ss")
+    assert load_solutions(Path(out), ["ss"])["ss"].ok
+    proc = run_cli("evaluate", cfg, "-o", out, "--only", "ss", "--no-prices")
+    assert proc.returncode == 0, proc.stderr
+    assert cli("report", out) == []
+
+
 def test_bench_tracer_installs_and_unwinds(tmp_path, monkeypatch):
     """bench/tracing.py wraps storagg functions by attribute name: every name
     must exist, a wrapped call must record its span, and ``unwrap_all`` must
