@@ -24,6 +24,7 @@ from .aggregation import (StateClustering, RepPeriodClustering,
 from .milp import (MilpModel, Variable, Constraint, Solution, ModelError,
                    SolverError, ScipySolver, ExternalSolver, get_solver,
                    solve, fix_and_relax, save_model, load_model,
+                   save_solution, load_solution,
                    write_mps, parse_mps,
                    write_registry, load_registry, write_solution_file,
                    parse_solution_file, audit_constraints,

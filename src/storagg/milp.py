@@ -3,10 +3,11 @@
 A model is a list of named variables (bounds, objective coefficient,
 integrality) and named sparse constraints with a sense in {<=, =, >=}; the
 objective is always minimized.  Models are stored between pipeline stages as
-compressed array files (``save_model``/``load_model``), solved in-process
-through scipy's HiGHS interface, or handed to an external solver executable
-that communicates via an MPS file (``write_mps``; ``parse_mps`` reads it back)
-and a plain-text solution file.
+compressed array files (``save_model``/``load_model``), and so are the values
+of their solutions (``save_solution``/``load_solution``).  Models are solved
+in-process through scipy's HiGHS interface, or handed to an external solver
+executable that communicates via an MPS file (``write_mps``; ``parse_mps``
+reads it back) and a plain-text solution file.
 
 Variables are stored as columns (names, ``array('d')`` bounds and objective,
 a ``bytearray`` of integer flags) and constraints as CSR rows (names,
@@ -311,6 +312,22 @@ def _buffer(like, values: np.ndarray):
     return out
 
 
+def _load_arrays(path, spec: dict, what: str) -> dict[str, np.ndarray]:
+    """The arrays ``spec`` names, read from an ``.npz`` file without
+    unpickling, each checked to be 1-D of its dtype."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            stored = {key: npz[key] for key in spec}
+    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ModelError(f"{path}: not a {what} file: {exc}") from None
+    for key, dtype in spec.items():
+        a = stored[key]
+        if a.dtype != dtype or a.ndim != 1:
+            raise ModelError(f"{path}: {key} is {a.dtype} of shape {a.shape}, "
+                             f"expected 1-D {np.dtype(dtype)}")
+    return stored
+
+
 def load_model(path) -> MilpModel:
     """Read a model written by ``save_model``; nothing is unpickled.
 
@@ -319,16 +336,7 @@ def load_model(path) -> MilpModel:
     does not rise from 0 to the number of nonzeros, a column index is out of
     range, or a sense code or integer flag is unknown.
     """
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            stored = {key: npz[key] for key in _STORED}
-    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise ModelError(f"{path}: not a model file: {exc}") from None
-    for key, dtype in _STORED.items():
-        a = stored[key]
-        if a.dtype != dtype or a.ndim != 1:
-            raise ModelError(f"{path}: {key} is {a.dtype} of shape {a.shape}, "
-                             f"expected 1-D {np.dtype(dtype)}")
+    stored = _load_arrays(path, _STORED, "model")
     n, m, nnz = len(stored["lb"]), len(stored["sense"]), len(stored["cols"])
     for key, size in (("ub", n), ("obj", n), ("integer", n), ("rhs", m),
                       ("indptr", m + 1), ("coefs", nnz)):
@@ -347,6 +355,41 @@ def load_model(path) -> MilpModel:
     for key, attr in _BUFFERS.items():
         setattr(model, attr, _buffer(getattr(model, attr), stored[key]))
     return model
+
+
+# the arrays of a solution's values file and their dtypes
+_SOLUTION = {"names": np.uint8, "values": np.float64}
+
+
+def save_solution(sol: Solution, path) -> None:
+    """Write a solution's values to a compressed ``.npz`` file.
+
+    The file holds the variable names as one newline-joined UTF-8 blob and
+    the values as a float64 array in the same order.  Equal values give
+    equal bytes.  Raises ModelError if a name contains a newline.
+    """
+    names = list(sol.values)
+    arrays = {"names": np.frombuffer(_joined(names, "variable"), dtype=np.uint8),
+              "values": np.fromiter(sol.values.values(), dtype=np.float64,
+                                    count=len(names))}
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **arrays)
+
+
+def load_solution(path) -> dict[str, float]:
+    """The values written by ``save_solution``, in their stored order;
+    nothing is unpickled.
+
+    Raises ModelError if an array is missing or is not a 1-D array of its
+    dtype, the name and value counts disagree, or a name repeats.
+    """
+    stored = _load_arrays(path, _SOLUTION, "solution")
+    values = stored["values"]
+    names = _split(path, stored["names"], len(values), "variable")
+    out = dict(zip(names, values.tolist()))
+    if len(out) != len(names):
+        raise ModelError(f"{path}: a variable name repeats")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +687,15 @@ class ScipySolver:
             status = STATUS_UNBOUNDED
         else:
             status = STATUS_ERROR
-        values = {}
-        objective = None
+        values, objective, gap = {}, None, 0.0
         if res.x is not None:
             values = dict(zip(model._names, res.x.tolist()))
             objective = float(res.fun)
+            # an incumbent without a proven bound is not optimal: keep inf
+            if mip_gap is not None:
+                gap = float(mip_gap) if np.isfinite(mip_gap) else INF
         return Solution(status=status, objective=objective, values=values,
-                        gap=float(mip_gap) if mip_gap not in (None,) and np.isfinite(mip_gap) else 0.0,
-                        wall_seconds=wall, message=str(res.message))
+                        gap=gap, wall_seconds=wall, message=str(res.message))
 
     def solve_lp(self, model: MilpModel, time_limit: float | None = None,
                  method: str = "highs") -> Solution:

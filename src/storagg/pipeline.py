@@ -10,7 +10,8 @@ writing everything under one output directory::
     agg/artifacts.json            clusterings + checkpoint window
     models/<kind>.npz             model arrays + names (milp.save_model)
     models/<kind>.registry.json   model name + metadata (time labels, weights, ...)
-    solutions/<kind>.json         status, objective, values
+    solutions/<kind>.json         status, objective, gap, wall time, message, audit
+    solutions/<kind>.npz          variable names + values (milp.save_solution)
     report/summary.json|csv       benchmark comparison table
     report/hourly_<kind>.csv      expanded hourly series
 
@@ -19,7 +20,9 @@ The solve stage deliberately re-reads each model through ``load_built_model``
 reusing the in-memory models, so every run exercises the interchange path.
 Variables are found by name alone, so the ``.npz`` file plus the metadata are
 the whole model.  MPS is written only by the external-solver adapter, into a
-temporary file of its own.
+temporary file of its own.  A solution is stored the same way: a small JSON
+header, which the audit rides along in, beside its values as arrays, and
+``load_solutions`` rebuilds it from the two.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from .system import (PowerSystem, ThermalUnit, StorageUnit, Network,
                      validate_system, SystemFormatError, SHORT_TERM, LONG_TERM)
 from .aggregation import aggregate, save_artifacts, load_artifacts, AggregationArtifacts
 from .milp import (save_model, load_model, write_registry, load_registry,
-                   Solution, get_solver, SolverError, ModelError,
-                   audit_constraints, STATUS_INFEASIBLE)
+                   save_solution, load_solution, Solution, get_solver,
+                   SolverError, ModelError, audit_constraints, STATUS_INFEASIBLE)
 # not called here: bench/tracing.py wraps these two by name on this module
 from .milp import write_mps, parse_mps  # noqa: F401
 from .formulations import (FormulationOutput, build_hm, build_ss, build_rp,
@@ -202,17 +205,32 @@ def load_built_model(outdir: Path, kind: str) -> FormulationOutput:
     return FormulationOutput(model=model, kind=meta.get("kind", kind), meta=meta)
 
 
-def _solution_to_doc(sol: Solution) -> dict:
-    return {"status": sol.status, "objective": sol.objective, "gap": sol.gap,
-            "wall_seconds": sol.wall_seconds, "message": sol.message,
-            "values": sol.values}
+# the keys of solutions/<kind>.json that rebuild a Solution; the file also
+# carries the constraint audit
+_HEADER = ("status", "objective", "gap", "wall_seconds", "message")
 
 
-def _solution_from_doc(doc: dict) -> Solution:
-    return Solution(status=doc["status"], objective=doc.get("objective"),
-                    values=doc.get("values", {}), gap=doc.get("gap", 0.0),
-                    wall_seconds=doc.get("wall_seconds", 0.0),
-                    message=doc.get("message", ""))
+def save_solutions(outdir: Path, solutions: dict[str, Solution],
+                   audits: dict[str, dict]) -> None:
+    """Write each solution as ``solutions/<kind>.json``, the header plus its
+    audit, and ``solutions/<kind>.npz``, the values (``milp.save_solution``).
+
+    The values file is written for a solution that has values or is ok; any
+    other solution leaves none, so no earlier solve's values stay behind.
+    """
+    sol_dir = Path(outdir) / "solutions"
+    sol_dir.mkdir(parents=True, exist_ok=True)
+    for kind, sol in solutions.items():
+        doc = {key: getattr(sol, key) for key in _HEADER}
+        doc["audit"] = audits[kind]
+        with open(sol_dir / f"{kind}.json", "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        values = sol_dir / f"{kind}.npz"
+        if sol.values or sol.ok:
+            save_solution(sol, values)
+        else:
+            values.unlink(missing_ok=True)
 
 
 def stage_solve(config: ScenarioConfig, outdir: Path,
@@ -221,8 +239,6 @@ def stage_solve(config: ScenarioConfig, outdir: Path,
     """Solve every built model, re-reading it from the interchange files."""
     kinds = [k for k in config.kinds if only is None or k in only]
     adapter = get_solver(solver)
-    sol_dir = outdir / "solutions"
-    sol_dir.mkdir(parents=True, exist_ok=True)
 
     def run(kind: str) -> tuple[str, Solution, dict]:
         fo = load_built_model(outdir, kind)
@@ -242,12 +258,7 @@ def stage_solve(config: ScenarioConfig, outdir: Path,
             kind, sol, audit = run(kind)
             solutions[kind] = sol
             audits[kind] = audit
-    for kind, sol in solutions.items():
-        doc = _solution_to_doc(sol)
-        doc["audit"] = audits[kind]
-        with open(sol_dir / f"{kind}.json", "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    save_solutions(outdir, solutions, audits)
     infeasible = [k for k, s in solutions.items() if s.status == STATUS_INFEASIBLE]
     if infeasible:
         raise InfeasibleError(f"infeasible models: {infeasible}")
@@ -260,13 +271,41 @@ def stage_solve(config: ScenarioConfig, outdir: Path,
 
 
 def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
+    """Rebuild each kind's Solution from the files ``save_solutions`` wrote.
+
+    Raises ConfigError, naming the file, if a header is missing, is not
+    JSON, lacks a key or still holds its values inline (the format before
+    the ``.npz`` values file; there is no reader for it), or if the values
+    file of an ok solution is missing or damaged.
+    """
     out = {}
+    sol_dir = Path(outdir) / "solutions"
     for kind in kinds:
-        path = Path(outdir) / "solutions" / f"{kind}.json"
-        if not path.exists():
-            raise ConfigError(f"no solution on disk for {kind!r} (expected {path})")
-        with open(path) as fh:
-            out[kind] = _solution_from_doc(json.load(fh))
+        path = sol_dir / f"{kind}.json"
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except FileNotFoundError:
+            raise ConfigError(f"no solution on disk for {kind!r} (expected {path})") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"solution header {path} is not valid JSON: {exc}") from None
+        if "values" in doc:
+            raise ConfigError(f"{path} holds its values inline, an old solution "
+                              f"format; solve {kind!r} again")
+        missing = [key for key in _HEADER if key not in doc]
+        if missing:
+            raise ConfigError(f"solution header {path} lacks {missing}")
+        sol = Solution(**{key: doc[key] for key in _HEADER})
+        values = sol_dir / f"{kind}.npz"
+        if values.exists():
+            try:
+                sol.values = load_solution(values)
+            except ModelError as exc:
+                raise ConfigError(f"solution values: {exc}") from None
+        elif sol.ok:
+            raise ConfigError(f"{sol.status} solution for {kind!r} has no values "
+                              f"file (expected {values})")
+        out[kind] = sol
     return out
 
 

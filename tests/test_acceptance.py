@@ -30,7 +30,7 @@ from storagg import (ThermalUnit, StorageUnit, Network, OperatingConfig,
                      aggregate, build_hm, build_ss, build_ss_rfm, build_rp,
                      build_rp_tmci, solve, audit_constraints, constraint_families,
                      expand_solution, detect_violations, investment_values,
-                     build_case_result, compare,
+                     count_startups, build_case_result, compare,
                      load_scenario, emit_scenario_template,
                      stage_ingest, stage_cluster, stage_build)
 
@@ -102,10 +102,13 @@ PNS = 1000.0
 
 
 def brute_force_commitment(demand):
-    """Try all on/off patterns; dispatch each hour by merit order."""
+    """Try all on/off patterns; dispatch each hour by merit order.
+
+    Returns the least cost and its pattern (hours x units, 0/1); every unit
+    starts off."""
     units = [(a, b, g, qmin, qmax) for _, a, b, g, qmin, qmax in UNITS]
     order = sorted(range(len(units)), key=lambda i: units[i][0])
-    best = np.inf
+    best, best_u = np.inf, None
     t_hours = len(demand)
     for pattern in itertools.product((0, 1), repeat=len(units) * t_hours):
         u = np.array(pattern).reshape(t_hours, len(units))
@@ -128,8 +131,8 @@ def brute_force_commitment(demand):
             cost += PNS * need
             prev = u[t]
         if ok and cost < best:
-            best = cost
-    return best
+            best, best_u = cost, u
+    return best, best_u
 
 
 def test_hourly_model_matches_brute_force_commitment():
@@ -141,11 +144,26 @@ def test_hourly_model_matches_brute_force_commitment():
     system = one_bus(thermal, [])
     data = hub_data(UC_DEMAND)
 
-    expected = brute_force_commitment(UC_DEMAND)
+    expected, pattern = brute_force_commitment(UC_DEMAND)
     fo = build_hm(system, data)
     sol = solve(fo.model, gap=1e-9)
     assert sol.ok
     assert sol.objective == pytest.approx(expected, rel=1e-6)
+    # startups counted by hand from the optimal pattern: an off -> on step,
+    # hour 0 measured from the initial commitment (every unit off)
+    by_hand = {}
+    for i, (name, *_) in enumerate(UNITS):
+        prev, starts = 0, 0
+        for on in pattern[:, i]:
+            starts += int(on > prev)
+            prev = on
+        by_hand[name] = float(starts)
+    assert by_hand == {"slow": 1.0, "fast": 1.0}
+    # the optimum is unique (the next pattern costs 706), so hm finds it
+    exp = expand_solution(fo, sol, system, data)
+    assert np.array_equal(np.column_stack([exp.commitment[name] for name, *_ in UNITS]),
+                          pattern)
+    assert count_startups(exp, system) == by_hand
     assert time.perf_counter() - t0 < 10.0
 
 

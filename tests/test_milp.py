@@ -329,7 +329,7 @@ def test_solve_unbounded_status():
 def test_wrap_maps_highs_statuses():
     """HiGHS status 1 (time limit) is ``time_limit`` with an incumbent and
     ``error`` without one; status 0 above the optimality tolerance is
-    ``gap_limit``."""
+    ``gap_limit``.  A solution with values keeps a non-finite gap as inf."""
     m = toy_model()
     x = np.array([1.0, 0.0, 1.0, 2.0])
 
@@ -340,6 +340,12 @@ def test_wrap_maps_highs_statuses():
     timed_out = wrap(1, x, 0.02)
     assert (timed_out.status, timed_out.ok, timed_out.gap) == ("time_limit", True, 0.02)
     assert timed_out.values == {"x": 1.0, "y": 0.0, "z": 1.0, "w": 2.0}
+    unbounded_gap = wrap(1, x, float("inf"))     # an incumbent, no proven bound
+    assert (unbounded_gap.status, unbounded_gap.ok, unbounded_gap.gap) == \
+        ("time_limit", True, float("inf"))
+    assert wrap(0, x, float("nan")).gap == float("inf")
+    lp = wrap(0, x, None)                         # scipy reports no gap for an LP
+    assert (lp.status, lp.gap) == ("optimal", 0.0)
     empty = wrap(1, None, float("inf"))
     assert (empty.status, empty.ok, empty.values, empty.gap) == ("error", False, {}, 0.0)
     near = wrap(0, x, 5e-4)

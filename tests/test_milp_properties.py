@@ -1,6 +1,7 @@
 """Round-trip and audit properties of the model container on random small
-models."""
+models, and round trips of solution files."""
 
+import struct
 import tempfile
 from pathlib import Path
 
@@ -11,9 +12,11 @@ import scipy.sparse as sp
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from storagg import (MilpModel, write_mps, parse_mps, save_model, load_model,
+from storagg import (MilpModel, ModelError, Solution, write_mps, parse_mps,
+                     save_model, load_model, save_solution, load_solution,
                      audit_constraints)
-from storagg.milp import INF, LE, GE, EQ
+from storagg.milp import INF, LE, GE, EQ, OK_STATUSES
+from storagg.pipeline import save_solutions, load_solutions
 
 from test_milp import assert_same_arrays
 
@@ -139,3 +142,88 @@ def test_audit_matches_row_loop(data):
         expected = loop_residual(con, values)
         assert report[con.name] == {"checked": 1, "max_residual": expected,
                                     "worst": con.name if expected > 0 else ""}
+
+
+# ---------------------------------------------------------------------------
+# solution files
+# ---------------------------------------------------------------------------
+
+names = st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=8)
+values = finite | st.sampled_from([INF, -INF])
+STATUSES = OK_STATUSES + ("infeasible", "unbounded", "error")
+
+
+def bits(values: dict) -> list[tuple[str, bytes]]:
+    """Names in order with each value's exact float64 bytes."""
+    return [(name, struct.pack("<d", v)) for name, v in values.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(names, values, max_size=8))
+@example({})
+@example({"x": -0.0, "y": INF, "z": -INF})
+def test_solution_values_round_trip(vals):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.npz"
+        save_solution(Solution("optimal", values=vals), path)
+        assert bits(load_solution(path)) == bits(vals)
+
+
+@st.composite
+def solutions(draw):
+    """Any status; an ok one always has values (possibly none), another may."""
+    status = draw(st.sampled_from(STATUSES))
+    vals = draw(st.dictionaries(names, values, max_size=6))
+    if status not in OK_STATUSES and draw(st.booleans()):
+        vals = {}
+    return Solution(status=status, values=vals,
+                    objective=draw(st.none() | values),
+                    gap=draw(st.sampled_from([0.0, 1e-4, INF]) | finite),
+                    wall_seconds=draw(st.floats(0.0, 1e4)),
+                    message=draw(st.text(max_size=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(solutions())
+@example(Solution("time_limit", objective=3.0, values={"x": 1.0}, gap=INF))
+@example(Solution("infeasible", message="no point"))
+def test_solution_header_and_values_round_trip(sol):
+    """``save_solutions`` -> ``load_solutions`` rebuilds the same Solution:
+    header fields exact (-0.0 and an inf gap included), values bit for bit
+    and in order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save_solutions(Path(tmp), {"k": sol}, {"k": {}})
+        back = load_solutions(Path(tmp), ["k"])["k"]
+    header = ("status", "objective", "gap", "wall_seconds", "message")
+    assert [repr(getattr(back, key)) for key in header] == \
+        [repr(getattr(sol, key)) for key in header]
+    assert bits(back.values) == bits(sol.values)
+
+
+def _tampered_solution(arrays):
+    yield "one value short", dict(arrays, values=arrays["values"][:-1])
+    yield "one name short", dict(arrays, names=np.frombuffer(b"a", dtype=np.uint8))
+    yield "object array", dict(arrays, values=arrays["values"].astype(object))
+    yield "integer values", dict(arrays, values=arrays["values"].astype(np.int64))
+    yield "2-D values", dict(arrays, values=arrays["values"].reshape(1, -1))
+    yield "missing values", {"names": arrays["names"]}
+    yield "missing names", {"values": arrays["values"]}
+    yield "repeated name", dict(arrays, names=np.frombuffer(b"a\na", dtype=np.uint8))
+    yield "names not UTF-8", dict(arrays, names=np.frombuffer(b"a\n\xff", dtype=np.uint8))
+
+
+def test_solution_file_refusals(tmp_path):
+    path = tmp_path / "s.npz"
+    save_solution(Solution("optimal", values={"a": 1.0, "b": -0.0}), path)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    for case, bad in _tampered_solution(arrays):
+        np.savez(tmp_path / "bad.npz", **bad)
+        with pytest.raises(ModelError, match="bad.npz"):
+            load_solution(tmp_path / "bad.npz")
+            pytest.fail(f"{case} was accepted")
+    (tmp_path / "bad.npz").write_bytes(b"not a zip")
+    with pytest.raises(ModelError, match="not a solution file"):
+        load_solution(tmp_path / "bad.npz")
+    with pytest.raises(ModelError, match="newline"):
+        save_solution(Solution("optimal", values={"a": 1.0, "b\nc": 2.0}), path)

@@ -11,9 +11,9 @@ import pytest
 import storagg
 from storagg import (emit_scenario_template, load_scenario, save_scenario,
                      run_pipeline, load_system, load_horizon, validate_system,
-                     ConfigError, ScenarioConfig, write_mps, write_registry)
+                     ConfigError, ScenarioConfig, Solution, write_mps, write_registry)
 from storagg.pipeline import stage_ingest, stage_cluster, stage_build, \
-    stage_solve, load_built_model, load_solutions
+    stage_solve, load_built_model, save_solutions, load_solutions
 
 
 @pytest.fixture(scope="module")
@@ -89,17 +89,40 @@ def run_result(template_dir, tmp_path_factory):
     return config, outdir, result
 
 
+def documented_layout(kinds) -> set[str]:
+    """The files the ``storagg.pipeline`` docstring lists for a run, with
+    ``<kind>`` and ``a|b`` extensions spelled out."""
+    doc = storagg.pipeline.__doc__
+    block = doc.split("under one output directory::\n\n")[1].split("\n\n")[0]
+    files = set()
+    for line in block.splitlines():
+        stem, _, exts = line.split()[0].rpartition(".")
+        for ext in exts.split("|"):
+            name = f"{stem}.{ext}"
+            files |= {name.replace("<kind>", k) for k in kinds} if "<kind>" in name else {name}
+    return files
+
+
 def test_run_produces_artifact_tree(run_result):
+    """A run writes exactly the files the pipeline docstring lists."""
     _, outdir, result = run_result
-    assert (outdir / "agg" / "artifacts.json").exists()
-    for kind in result.cases:
-        assert (outdir / "models" / f"{kind}.npz").exists()
-        assert not (outdir / "models" / f"{kind}.mps").exists()
-        assert (outdir / "models" / f"{kind}.registry.json").exists()
-        assert (outdir / "solutions" / f"{kind}.json").exists()
-        assert (outdir / "report" / f"hourly_{kind}.csv").exists()
-    assert (outdir / "report" / "summary.json").exists()
-    assert (outdir / "report" / "summary.csv").exists()
+    written = {p.relative_to(outdir).as_posix() for p in outdir.rglob("*") if p.is_file()}
+    assert written == documented_layout(result.cases)
+    assert "solutions/hm.npz" in written and "models/hm.npz" in written
+
+
+def test_loaded_solutions_equal_solved_ones(run_result):
+    """Values re-read from disk equal the in-memory ones: same keys in the
+    same order, bit-identical floats; the header fields equal too."""
+    _, outdir, result = run_result
+    loaded = load_solutions(outdir, list(result.solutions))
+    for kind, sol in result.solutions.items():
+        back = loaded[kind]
+        assert list(back.values) == list(sol.values)
+        assert np.array(list(back.values.values())).tobytes() == \
+            np.array(list(sol.values.values())).tobytes()
+        assert (back.status, back.objective, back.gap, back.wall_seconds, back.message) == \
+            (sol.status, sol.objective, sol.gap, sol.wall_seconds, sol.message)
 
 
 def test_run_solves_all_five_kinds(run_result):
@@ -148,7 +171,44 @@ def test_solutions_describe_status(run_result):
     _, outdir, _ = run_result
     doc = json.loads((outdir / "solutions" / "hm.json").read_text())
     assert doc["status"] in ("optimal", "gap_limit")
-    assert "wall_seconds" in doc
+    assert set(doc) == {"status", "objective", "gap", "wall_seconds", "message", "audit"}
+
+
+def test_failed_solve_leaves_no_values_file(tmp_path):
+    """A solution without values writes no values file and removes one an
+    earlier solve left, so the header's status is never paired with stale
+    values."""
+    save_solutions(tmp_path, {"ss": Solution("optimal", values={"x": 1.0})}, {"ss": {}})
+    save_solutions(tmp_path, {"ss": Solution("infeasible")}, {"ss": {}})
+    assert not (tmp_path / "solutions" / "ss.npz").exists()
+    assert load_solutions(tmp_path, ["ss"])["ss"].values == {}
+
+
+def test_load_solutions_refusals(tmp_path):
+    """A missing header key, a header that is not JSON or still holds its
+    values inline, and a missing or damaged values file of an ok solution
+    are input errors naming the file; there is no fallback reader."""
+    sol_dir = tmp_path / "solutions"
+    save_solutions(tmp_path, {"ss": Solution("optimal", objective=1.0, values={"x": 1.0})},
+                   {"ss": {}})
+    header = json.loads((sol_dir / "ss.json").read_text())
+    for key in ("status", "objective", "gap", "wall_seconds", "message"):
+        (sol_dir / "ss.json").write_text(json.dumps({k: v for k, v in header.items() if k != key}))
+        with pytest.raises(ConfigError, match=rf"ss\.json.*'{key}'"):
+            load_solutions(tmp_path, ["ss"])
+    (sol_dir / "ss.json").write_text("{")
+    with pytest.raises(ConfigError, match=r"ss\.json is not valid JSON"):
+        load_solutions(tmp_path, ["ss"])
+    (sol_dir / "ss.json").write_text(json.dumps(dict(header, values={"x": 1.0})))
+    with pytest.raises(ConfigError, match=r"ss\.json holds its values inline"):
+        load_solutions(tmp_path, ["ss"])
+    (sol_dir / "ss.json").write_text(json.dumps(header))
+    (sol_dir / "ss.npz").write_bytes(b"damaged")
+    with pytest.raises(ConfigError, match=r"ss\.npz: not a solution file"):
+        load_solutions(tmp_path, ["ss"])
+    (sol_dir / "ss.npz").unlink()
+    with pytest.raises(ConfigError, match=r"ss\.npz"):
+        load_solutions(tmp_path, ["ss"])
 
 
 def test_pipeline_deterministic(template_dir, tmp_path):
