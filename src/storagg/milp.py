@@ -9,18 +9,25 @@ in-process through scipy's HiGHS interface, or handed to an external solver
 executable that communicates via an MPS file (``write_mps``; ``parse_mps``
 reads it back) and a plain-text solution file.
 
-Variables are stored as columns (names, ``array('d')`` bounds and objective,
-a ``bytearray`` of integer flags) and constraints as CSR rows (names,
-``indptr``, column indices, coefficients, sense codes, rhs).  ``variables``
-and ``constraints`` are read-only views that build a ``Variable`` or
-``Constraint`` tuple on access; ``to_arrays`` copies the buffers out.
+Variables are stored as columns (packed names, ``array('d')`` bounds and
+objective, a ``bytearray`` of integer flags) and constraints as CSR rows
+(packed names, ``indptr``, column indices, coefficients, sense codes,
+rhs).  ``variables`` and ``constraints`` are read-only views that build a
+``Variable`` or ``Constraint`` tuple on access; ``to_arrays`` copies the
+buffers out.
 
 A variable's name is its only index: builders compose it from a symbol, a
 period label and a unit id, and evaluation reads values back by that name.
-The name-to-position dicts are built on first use (``add_var``, ``add_con``,
-``has_var``, ``var``), so a model loaded only to be solved and audited never
-holds them.  The sidecar written next to a model file (``write_registry``)
-carries the model's name and its metadata only.
+The variable names and the row names are each kept packed: one
+newline-joined UTF-8 blob, the form ``save_model`` writes, so a name costs
+its bytes and a separator, not a Python string.  One name is read through
+an offsets array built on first positional access; bulk readers (solution
+values, duals, the audit, MPS export) decode the whole blob once per call.
+The name-to-position dicts are a cache built on first use (``add_var``,
+``add_con``, ``has_var``, ``var``) and dropped by ``release_index``, which
+the pipeline calls once a model is built; a model loaded only to be solved
+and audited never holds them.  The sidecar written next to a model file
+(``write_registry``) carries the model's name and its metadata only.
 
 scipy loads at a process's first matrix build (``to_arrays``, the audit,
 ``parse_mps``) or solve, not at import, so the stages that never solve do
@@ -103,46 +110,88 @@ class _Records(Sequence):
         return map(self._record, range(self._size()))
 
 
+class _Names:
+    """Distinct names packed as one newline-joined UTF-8 blob.
+
+    ``names[j]`` decodes one name through an offsets array, built on first
+    positional access and extended by ``append``; ``tolist`` decodes the
+    whole blob at once.  The name -> position dict is a cache built by
+    ``index`` and dropped by ``release``.
+    """
+
+    def __init__(self, what: str, blob: bytearray | None = None, count: int = 0):
+        self.what = what
+        self.blob = bytearray() if blob is None else blob
+        self._count = count
+        self._starts: array | None = None    # name j is blob[starts[j]:starts[j + 1] - 1]
+        self._index: dict[str, int] | None = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _offsets(self) -> array:
+        if self._starts is None:
+            seps = np.flatnonzero(np.frombuffer(self.blob, dtype=np.uint8) == 10)
+            ends = np.append(seps, len(self.blob)) if self._count else seps
+            self._starts = array("q", [0])
+            self._starts.frombytes((ends + 1).astype(np.int64).tobytes())
+        return self._starts
+
+    def __getitem__(self, j: int) -> str:
+        starts = self._offsets()
+        return self.blob[starts[j]:starts[j + 1] - 1].decode("utf-8")
+
+    def tolist(self) -> list[str]:
+        return self.blob.decode("utf-8").split("\n") if self._count else []
+
+    def index(self) -> dict[str, int]:
+        if self._index is None:
+            self._index = _index(self.tolist(), self.what)
+        return self._index
+
+    def release(self) -> None:
+        self._index = None
+
+    def append(self, name: str) -> None:
+        """Add ``name`` last.  Raises ModelError if it is taken or holds a
+        newline, the separator of the blob."""
+        index = self.index()
+        if name in index:
+            raise ModelError(f"duplicate {self.what} {name!r}")
+        if "\n" in name:
+            raise ModelError(f"{self.what} name {name!r} contains a newline")
+        data = name.encode("utf-8")
+        if self._count:
+            self.blob += b"\n"
+        self.blob += data
+        index[name] = self._count
+        self._count += 1
+        if self._starts is not None:
+            self._starts.append(len(self.blob) + 1)
+
+
 class MilpModel:
     """Sparse minimize-objective MILP over named variables."""
 
     def __init__(self, name: str = "model"):
         self.name = name
         # columns
-        self._names: list[str] = []
-        self._var_index: dict[str, int] | None = None      # see _vindex
+        self._var_names = _Names("variable")
         self._lb, self._ub, self._obj = array("d"), array("d"), array("d")
         self._int = bytearray()
         # CSR rows
-        self._con_names: list[str] = []
-        self._con_index: dict[str, int] | None = None      # see _cindex
+        self._con_names = _Names("constraint")
         self._indptr, self._cols = array("q", [0]), array("i")
         self._coefs, self._rhs = array("d"), array("d")
         self._sense = bytearray()
 
     # -- construction -------------------------------------------------------
 
-    def _vindex(self) -> dict[str, int]:
-        """Variable name -> column, built on first use."""
-        if self._var_index is None:
-            self._var_index = _index(self._names, "variable")
-        return self._var_index
-
-    def _cindex(self) -> dict[str, int]:
-        """Constraint name -> row, built on first use."""
-        if self._con_index is None:
-            self._con_index = _index(self._con_names, "constraint")
-        return self._con_index
-
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
                 obj: float = 0.0, integer: bool = False) -> str:
-        index = self._vindex()
-        if name in index:
-            raise ModelError(f"duplicate variable {name!r}")
         if lb > ub:
             raise ModelError(f"variable {name!r}: lb {lb} > ub {ub}")
-        index[name] = len(self._names)
-        self._names.append(name)
+        self._var_names.append(name)
         self._lb.append(lb)
         self._ub.append(ub)
         self._obj.append(obj)
@@ -152,9 +201,7 @@ class MilpModel:
     def add_con(self, name: str, terms, sense: str, rhs: float) -> str:
         if sense not in _SENSE_CODE:
             raise ModelError(f"unknown sense {sense!r}")
-        con_index, var_index = self._cindex(), self._vindex()
-        if name in con_index:
-            raise ModelError(f"duplicate constraint {name!r}")
+        var_index = self._var_names.index()
         merged: dict[int, float] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for var, coef in items:
@@ -165,21 +212,26 @@ class MilpModel:
             except KeyError:
                 raise ModelError(f"constraint {name!r} references unknown variable {var!r}") from None
             merged[j] = merged.get(j, 0.0) + float(coef)
+        self._con_names.append(name)
         kept = [j for j, c in merged.items() if c != 0.0]
         self._cols.extend(kept)
         self._coefs.extend(merged[j] for j in kept)
-        con_index[name] = len(self._con_names)
-        self._con_names.append(name)
         self._indptr.append(len(self._cols))
         self._sense.append(_SENSE_CODE[sense])
         self._rhs.append(rhs)
         return name
 
+    def release_index(self) -> None:
+        """Drop the name -> position dicts.  ``add_var``, ``add_con``,
+        ``has_var`` and ``var`` build them again when next called."""
+        self._var_names.release()
+        self._con_names.release()
+
     # -- introspection ------------------------------------------------------
 
     @property
     def num_vars(self) -> int:
-        return len(self._names)
+        return len(self._var_names)
 
     @property
     def num_cons(self) -> int:
@@ -188,18 +240,18 @@ class MilpModel:
     @property
     def var_names(self) -> tuple[str, ...]:
         """Variable names in declaration order."""
-        return tuple(self._names)
+        return tuple(self._var_names.tolist())
 
     @property
     def variables(self) -> Sequence[Variable]:
-        return _Records(self._names.__len__, self._variable)
+        return _Records(self._var_names.__len__, self._variable)
 
     @property
     def constraints(self) -> Sequence[Constraint]:
         return _Records(self._con_names.__len__, self._constraint)
 
     def _variable(self, j: int) -> Variable:
-        return Variable(self._names[j], self._lb[j], self._ub[j], self._obj[j],
+        return Variable(self._var_names[j], self._lb[j], self._ub[j], self._obj[j],
                         bool(self._int[j]))
 
     def _constraint(self, i: int) -> Constraint:
@@ -209,10 +261,10 @@ class MilpModel:
                           self._rhs[i])
 
     def var(self, name: str) -> Variable:
-        return self._variable(self._vindex()[name])
+        return self._variable(self._var_names.index()[name])
 
     def has_var(self, name: str) -> bool:
-        return name in self._vindex()
+        return name in self._var_names.index()
 
     def _csr(self):
         """The constraint rows as a ``scipy.sparse.csr_array``."""
@@ -274,14 +326,12 @@ def _joined(names: list[str], what: str) -> bytes:
 def save_model(model: MilpModel, path) -> None:
     """Write the model to a compressed ``.npz`` file.
 
-    The file holds the column and CSR buffers as the model stores them, the
-    variable and constraint names as two newline-joined UTF-8 blobs, and the
-    model name.  Equal models give equal bytes.  Raises ModelError if a name
-    contains a newline.
+    The file holds the column and CSR buffers and the two name blobs as the
+    model stores them, and the model name.  Equal models give equal bytes.
     """
     buffers = {"name": model.name.encode("utf-8"),
-               "var_names": _joined(model._names, "variable"),
-               "con_names": _joined(model._con_names, "constraint"),
+               "var_names": model._var_names.blob,
+               "con_names": model._con_names.blob,
                **{key: getattr(model, attr) for key, attr in _BUFFERS.items()}}
     arrays = {key: np.frombuffer(buffers[key], dtype=dtype) for key, dtype in _STORED.items()}
     with open(path, "wb") as fh:
@@ -295,12 +345,13 @@ def _decode(path, blob: np.ndarray, what: str) -> str:
         raise ModelError(f"{path}: {what} names are not UTF-8: {exc}") from None
 
 
-def _split(path, blob: np.ndarray, count: int, what: str) -> list[str]:
-    text = _decode(path, blob, what)
-    names = text.split("\n") if text or count else []
-    if len(names) != count:
-        raise ModelError(f"{path}: {len(names)} {what} names for {count} {what}s")
-    return names
+def _stored_names(path, blob: np.ndarray, count: int, what: str) -> _Names:
+    """A stored name blob, checked to be UTF-8 holding ``count`` names."""
+    _decode(path, blob, what)
+    found = int(np.count_nonzero(blob == 10)) + 1 if len(blob) or count else 0
+    if found != count:
+        raise ModelError(f"{path}: {found} {what} names for {count} {what}s")
+    return _Names(what, bytearray(blob), count)
 
 
 def _buffer(like, values: np.ndarray):
@@ -350,8 +401,8 @@ def load_model(path) -> MilpModel:
     if np.any(stored["sense"] >= len(_SENSES)) or np.any(stored["integer"] > 1):
         raise ModelError(f"{path}: unknown sense code or integer flag")
     model = MilpModel(_decode(path, stored["name"], "model"))
-    model._names = _split(path, stored["var_names"], n, "variable")
-    model._con_names = _split(path, stored["con_names"], m, "constraint")
+    model._var_names = _stored_names(path, stored["var_names"], n, "variable")
+    model._con_names = _stored_names(path, stored["con_names"], m, "constraint")
     for key, attr in _BUFFERS.items():
         setattr(model, attr, _buffer(getattr(model, attr), stored[key]))
     return model
@@ -385,7 +436,7 @@ def load_solution(path) -> dict[str, float]:
     """
     stored = _load_arrays(path, _SOLUTION, "solution")
     values = stored["values"]
-    names = _split(path, stored["names"], len(values), "variable")
+    names = _stored_names(path, stored["names"], len(values), "variable").tolist()
     out = dict(zip(names, values.tolist()))
     if len(out) != len(names):
         raise ModelError(f"{path}: a variable name repeats")
@@ -417,7 +468,7 @@ def write_mps(model: MilpModel, path) -> None:
     """
     csc = model._csr().tocsc()
     colptr, rows, coefs = map(memoryview, (csc.indptr, csc.indices, csc.data))
-    con_names = model._con_names
+    var_names, con_names = model._var_names.tolist(), model._con_names.tolist()
     with open(path, "w") as fh:
         fh.write(f"NAME {model.name}\n")
         fh.write("ROWS\n")
@@ -426,7 +477,7 @@ def write_mps(model: MilpModel, path) -> None:
             fh.write(f" {_MPS_TAGS[code]}  {name}\n")
         fh.write("COLUMNS\n")
         in_int = False
-        for j, (name, obj, flag) in enumerate(zip(model._names, model._obj, model._int)):
+        for j, (name, obj, flag) in enumerate(zip(var_names, model._obj, model._int)):
             integer = bool(flag)
             if integer != in_int:
                 fh.write(_MARKER_ON if integer else _MARKER_OFF)
@@ -443,7 +494,7 @@ def write_mps(model: MilpModel, path) -> None:
         for name, rhs in zip(con_names, model._rhs):
             fh.write(f"    RHS  {name}  {_num(rhs)}\n")
         fh.write("BOUNDS\n")
-        for name, lb, ub, flag in zip(model._names, model._lb, model._ub, model._int):
+        for name, lb, ub, flag in zip(var_names, model._lb, model._ub, model._int):
             if flag and lb == 0.0 and ub == 1.0:
                 fh.write(f" BV BND  {name}\n")
                 continue
@@ -471,7 +522,7 @@ def parse_mps(path) -> MilpModel:
     repeated entries are summed and zeros dropped.
     """
     model = MilpModel()
-    row_of, col_of = model._cindex(), model._vindex()
+    row_of, col_of = model._con_names.index(), model._var_names.index()
     rows, cols, vals = array("i"), array("i"), array("d")
     obj_row = None
     section = None
@@ -600,13 +651,20 @@ def write_solution_file(sol: Solution, path) -> None:
 
 
 def parse_solution_file(path) -> Solution:
+    """Read a file in the ``write_solution_file`` format.
+
+    Raises SolverError, naming the file and the line, if a solution with an
+    ok status lacks its ``objective`` or ``gap`` line.
+    """
     sol = Solution(status=STATUS_ERROR)
+    seen = set()
     with open(path) as fh:
         for line in fh:
             tokens = line.split()
             if not tokens:
                 continue
             key = tokens[0]
+            seen.add(key)
             if key == "status":
                 sol.status = tokens[1]
             elif key == "objective":
@@ -619,6 +677,9 @@ def parse_solution_file(path) -> Solution:
                 if sol.duals is None:
                     sol.duals = {}
                 sol.duals[tokens[1]] = float(tokens[2])
+    missing = [key for key in ("objective", "gap") if key not in seen]
+    if sol.ok and missing:
+        raise SolverError(f"{path}: {sol.status} solution lacks its {' and '.join(missing)} line")
     return sol
 
 
@@ -689,7 +750,7 @@ class ScipySolver:
             status = STATUS_ERROR
         values, objective, gap = {}, None, 0.0
         if res.x is not None:
-            values = dict(zip(model._names, res.x.tolist()))
+            values = dict(zip(model._var_names.tolist(), res.x.tolist()))
             objective = float(res.fun)
             # an incumbent without a proven bound is not optimal: keep inf
             if mip_gap is not None:
@@ -721,12 +782,12 @@ class ScipySolver:
         status = status_map.get(res.status, STATUS_ERROR)
         values, objective, duals = {}, None, None
         if res.x is not None and status == STATUS_OPTIMAL:
-            values = dict(zip(model._names, res.x.tolist()))
+            values = dict(zip(model._var_names.tolist(), res.x.tolist()))
             objective = float(res.fun)
             marginals = np.empty(model.num_cons)
             marginals[eq] = res.eqlin.marginals
             marginals[~eq] = sign[~eq] * res.ineqlin.marginals
-            duals = dict(zip(model._con_names, marginals.tolist()))
+            duals = dict(zip(model._con_names.tolist(), marginals.tolist()))
         return Solution(status=status, objective=objective, values=values,
                         gap=0.0, wall_seconds=wall, duals=duals, message=str(res.message))
 
@@ -804,8 +865,9 @@ def fix_and_relax(model: MilpModel, solution: Solution) -> MilpModel:
     relaxed.name = model.name + "_fixrelax"
     relaxed._lb, relaxed._ub = array("d", model._lb), array("d", model._ub)
     relaxed._obj, relaxed._int = array("d", model._obj), bytearray(len(model._int))
+    names = model._var_names.tolist()
     for j in np.flatnonzero(model._int).tolist():
-        name = model._names[j]
+        name = names[j]
         if name not in solution.values:
             raise ModelError(f"solution provides no value for integer variable {name!r}")
         relaxed._lb[j] = relaxed._ub[j] = float(round(solution.values[name]))
@@ -815,7 +877,7 @@ def fix_and_relax(model: MilpModel, solution: Solution) -> MilpModel:
 def constraint_families(model: MilpModel) -> dict[str, list[int]]:
     """Group constraint positions by the name prefix before the first '_'."""
     fams: dict[str, list[int]] = {}
-    for i, name in enumerate(model._con_names):
+    for i, name in enumerate(model._con_names.tolist()):
         fams.setdefault(name.split("_", 1)[0], []).append(i)
     return fams
 
@@ -830,7 +892,7 @@ def audit_constraints(model: MilpModel, values: dict[str, float]) -> dict[str, d
     Raises ModelError if ``values`` lacks a variable of the model.
     """
     try:
-        x = np.array([values[name] for name in model._names], dtype=float)
+        x = np.array([values[name] for name in model._var_names.tolist()], dtype=float)
     except KeyError as exc:
         raise ModelError(f"no value for variable {exc.args[0]!r}") from None
     a = model._csr()

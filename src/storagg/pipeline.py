@@ -159,19 +159,25 @@ def stage_cluster(system: PowerSystem, data: TimeHorizonData,
 
 def build_formulation(kind: str, system: PowerSystem, data: TimeHorizonData,
                       artifacts: AggregationArtifacts, config: ScenarioConfig) -> FormulationOutput:
+    """Build one kind's model.  The model comes back without its name index
+    (``MilpModel.release_index``): from here on it is saved, solved and read
+    by position or in bulk, and a name lookup builds the index again."""
     if kind == "hm":
-        return build_hm(system, data, invest=config.invest)
-    if kind == "ss":
-        return build_ss(system, artifacts.states, artifacts.matrices, invest=config.invest)
-    if kind == "ss_rfm":
-        return build_ss_rfm(system, artifacts.states, artifacts.matrices, invest=config.invest)
-    if kind == "rp":
-        return build_rp(system, data, artifacts.rp, invest=config.invest)
-    if kind == "rp_tmci":
-        return build_rp_tmci(system, data, artifacts.rp, artifacts.matrices,
-                             window=config.window_hours or 168,
-                             theta=config.theta, invest=config.invest)
-    raise ConfigError(f"unknown model kind {kind!r}")
+        fo = build_hm(system, data, invest=config.invest)
+    elif kind == "ss":
+        fo = build_ss(system, artifacts.states, artifacts.matrices, invest=config.invest)
+    elif kind == "ss_rfm":
+        fo = build_ss_rfm(system, artifacts.states, artifacts.matrices, invest=config.invest)
+    elif kind == "rp":
+        fo = build_rp(system, data, artifacts.rp, invest=config.invest)
+    elif kind == "rp_tmci":
+        fo = build_rp_tmci(system, data, artifacts.rp, artifacts.matrices,
+                           window=config.window_hours or 168,
+                           theta=config.theta, invest=config.invest)
+    else:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    fo.model.release_index()
+    return fo
 
 
 def stage_build(system: PowerSystem, data: TimeHorizonData,

@@ -181,6 +181,16 @@ def test_mps_large_model_writes_in_one_pass(tmp_path):
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     assert parse_mps(path).num_vars == n
+    # the record views of a re-read model read each name in constant time
+    start = time.perf_counter()
+    save_model(m, tmp_path / "big.npz")
+    back = load_model(tmp_path / "big.npz")
+    var_names = [v.name for v in back.variables]
+    con_names = [c.name for c in back.constraints]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30.0
+    assert var_names == [f"v{i}" for i in range(n)]
+    assert con_names == [f"c{i}" for i in range(0, n - 1, 2)]
 
 
 def test_registry_sidecar_round_trip(tmp_path):
@@ -204,7 +214,7 @@ def test_model_file_round_trip_builds_no_name_index(tmp_path):
     assert_same_arrays(toy_model().to_arrays(), back.to_arrays())
     sol = solve(back)
     audit_constraints(back, sol.values)
-    assert back._var_index is None and back._con_index is None
+    assert back._var_names._index is None and back._con_names._index is None
     assert back.has_var("z") and back.var("z").integer
     back.add_con("c4", {"x": 1.0}, LE, 9.0)
     assert back.num_cons == 4
@@ -247,22 +257,49 @@ def test_model_file_refusals(tmp_path):
 
 
 def test_model_file_refuses_newline_in_name(tmp_path):
+    """A newline separates the names of a model file, so the model refuses
+    it when the name is added and stays as it was."""
     m = MilpModel()
     m.add_var("x")
-    m.add_var("bad\nname")
     with pytest.raises(ModelError, match="newline"):
-        save_model(m, tmp_path / "m.npz")
+        m.add_var("bad\nname")
     m = toy_model()
-    m.add_con("row\n2", {"x": 1.0}, LE, 1.0)
     with pytest.raises(ModelError, match="newline"):
-        save_model(m, tmp_path / "m.npz")
+        m.add_con("row\n2", {"x": 1.0}, LE, 1.0)
+    save_model(m, tmp_path / "m.npz")
+    back = load_model(tmp_path / "m.npz")
+    assert back.var_names == ("x", "y", "z", "w") and back.num_cons == 3
+    assert [c.name for c in back.constraints] == ["c1", "c2", "c3"]
+
+
+def test_stage_build_model_memory_per_element(tmp_path):
+    """The 28-day template hm that stage_build returns holds under 40 bytes
+    per variable, row and nonzero (tracemalloc: 24): its names stay packed
+    and its name index is released.  With a str per name and the index
+    dicts kept, the same model held 70."""
+    config = load_scenario(emit_scenario_template(tmp_path / "scen", days=28, seed=4))
+    config.kinds = ["hm"]
+    system, data = stage_ingest(config)
+    art = stage_cluster(system, data, config, tmp_path / "out")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        m = stage_build(system, data, art, config, tmp_path / "out")["hm"].model
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    elements = m.num_vars + m.num_cons + m.to_arrays()[4].nnz
+    assert live / elements < 40
+    assert m._var_names._index is None and m._con_names._index is None
 
 
 def test_reloaded_model_memory_per_element(tmp_path):
     """Re-reading the 28-day template hm, converting it to arrays and
-    auditing it peaks under 97 bytes per variable, row and nonzero
-    (tracemalloc, Python 3.11: 86).  Re-read through parse_mps, which
-    builds the name index dicts, the same path peaked at 108."""
+    auditing it peaks under 72 bytes per variable, row and nonzero
+    (tracemalloc: 61).  With a str per name the same path peaked at 81, and
+    re-read through parse_mps, which builds the name index dicts, at 108."""
     config = load_scenario(emit_scenario_template(tmp_path / "scen", days=28, seed=4))
     config.kinds = ["hm"]
     system, data = stage_ingest(config)
@@ -281,7 +318,7 @@ def test_reloaded_model_memory_per_element(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak / elements < 97
+    assert peak / elements < 72
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +517,18 @@ def test_solution_file_round_trip(tmp_path):
     assert back.objective == pytest.approx(12.5)
     assert back.values == {"x": 1.0, "y": -2.25}
     assert back.duals == {"bal": 7.0}
+
+
+def test_solution_file_refuses_ok_status_without_objective_or_gap(tmp_path):
+    path = tmp_path / "sol.txt"
+    path.write_text("status time_limit\nvar x 1.0\n")
+    with pytest.raises(SolverError, match="sol.txt: time_limit solution lacks its objective and gap"):
+        parse_solution_file(path)
+    path.write_text("status optimal\nobjective 2.0\nvar x 1.0\n")
+    with pytest.raises(SolverError, match="lacks its gap line"):
+        parse_solution_file(path)
+    path.write_text("status infeasible\ngap 0.0\n")
+    assert parse_solution_file(path).status == "infeasible"
 
 
 STUB = """#!{python}

@@ -25,10 +25,11 @@ finite = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5, 1e-300, 1.5e300]) | \
 
 
 @st.composite
-def models(draw, unicode_names=False):
-    """Mixed senses, integer and continuous columns, free, fixed and
-    infinite bounds, and duplicate and zero terms.  Names are ``x<j>`` and
-    ``r<i>``, or with ``unicode_names`` any distinct text without a newline."""
+def named_models(draw, unicode_names=False):
+    """(model, variable names, row names): mixed senses, integer and
+    continuous columns, free, fixed and infinite bounds, and duplicate and
+    zero terms.  Names are ``x<j>`` and ``r<i>``, or with ``unicode_names``
+    any distinct text without a newline, the empty text among them."""
     n, rows = draw(st.integers(1, 6)), draw(st.integers(0, 6))
     var_names, con_names = [f"x{j}" for j in range(n)], [f"r{i}" for i in range(rows)]
     name = "prop"
@@ -48,7 +49,12 @@ def models(draw, unicode_names=False):
         terms = draw(st.lists(st.tuples(st.integers(0, n - 1), finite), max_size=6))
         m.add_con(con, [(var_names[j], c) for j, c in terms],
                   draw(st.sampled_from([LE, GE, EQ])), draw(finite))
-    return m
+    return m, var_names, con_names
+
+
+def models(unicode_names=False):
+    """The models of ``named_models``."""
+    return named_models(unicode_names).map(lambda drawn: drawn[0])
 
 
 def loop_arrays(m):
@@ -116,6 +122,57 @@ def test_save_load_round_trip(m):
     assert back.var_names == m.var_names
     assert [c.name for c in back.constraints] == [c.name for c in m.constraints]
     assert back.name == m.name
+
+
+def assert_names(m, var_names, con_names):
+    """Every name reader of ``m`` agrees with the plain lists."""
+    assert (m.num_vars, m.num_cons) == (len(var_names), len(con_names))
+    assert m.var_names == tuple(var_names)
+    assert [c.name for c in m.constraints] == con_names
+    assert [m._variable(j).name for j in range(len(var_names))] == var_names
+    for j, name in enumerate(var_names):
+        assert m.has_var(name) and m.var(name) == m._variable(j)
+
+
+def _empty_names():
+    m = MilpModel("")
+    for name in ("", "\r", "é"):
+        m.add_var(name)
+    m.add_con("", {"": 1.0}, LE, 1.0)
+    return m, ["", "\r", "é"], [""]
+
+
+@settings(max_examples=200, deadline=None)
+@given(named_models(unicode_names=True))
+@example((MilpModel("empty"), [], []))
+@example(_empty_names())
+def test_packed_names_read_back(drawn):
+    """As built, after ``release_index`` and after a save -> load round trip,
+    the names read back as the lists they were added from, and the model can
+    still be extended and still refuses a name it holds."""
+    m, var_names, con_names = drawn
+    assert_names(m, var_names, con_names)
+    m.release_index()
+    assert_names(m, var_names, con_names)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.npz"
+        save_model(m, path)
+        back = load_model(path)
+    assert_names(back, var_names, con_names)
+    fresh = "+" * (max(map(len, var_names + con_names), default=0) + 1)
+    for model in (m, back):
+        model.release_index()
+        for name in var_names[:1]:
+            with pytest.raises(ModelError, match="duplicate variable"):
+                model.add_var(name)
+        model.release_index()
+        for name in con_names[:1]:
+            with pytest.raises(ModelError, match="duplicate constraint"):
+                model.add_con(name, {}, LE, 0.0)
+        model.release_index()
+        model.add_var(fresh)
+        model.add_con(fresh, {fresh: 1.0}, LE, 1.0)
+        assert_names(model, var_names + [fresh], con_names + [fresh])
 
 
 def loop_residual(con, values):
