@@ -45,7 +45,6 @@ assignment = np.array([0] * 48 + [1] * 24)
 states = StateClustering(
     num_states=2, assignment=assignment,
     durations=np.bincount(assignment),
-    centroids=np.zeros((2, 1)),
     demand=np.array([[1.0], [3.0]]),
     renewable_avail=np.array([[2.0], [0.0]]),
     inflows=np.zeros((2, 1)))

@@ -17,8 +17,7 @@ from .aggregation import (StateClustering, RepPeriodClustering,
                           AggregationError, kmeans, kmedoids,
                           cluster_states, cluster_days,
                           build_transition_matrix, build_frequency_matrices,
-                          build_reduced_frequency_matrices,
-                          build_rp_transition_matrix, build_matrices,
+                          build_reduced_frequency_matrices, build_matrices,
                           default_checkpoints, aggregate,
                           save_artifacts, load_artifacts)
 from .milp import (MilpModel, Variable, Constraint, Solution, ModelError,

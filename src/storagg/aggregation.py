@@ -5,15 +5,15 @@ Two reductions are supported:
 
 * system states: k-means over normalized hourly feature vectors; each state
   is a composite hour (the cluster centroid de-normalized back to physical
-  units) weighted by the number of hours assigned to it.
+  units; only these are kept) weighted by the number of hours it stands for.
 * representative days: k-medoids over per-day concatenations of the hourly
-  features (24 x F values per day); each representative is an actual day of
-  the horizon, weighted by the number of days assigned to its cluster.
+  features (``HOURS_PER_DAY`` x F values per day); each representative is an
+  actual day of the horizon, weighted by the number of days in its cluster.
 
 Chronology is retained in counting matrices built from the assignments:
 state-to-state transition counts, cumulative transition counts up to a set of
 checkpoint hours, per-window transition counts between checkpoints, and
-day-cluster-to-day-cluster transition counts.
+day-cluster transition counts (``build_transition_matrix`` on the days).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .timeseries import HOURS_PER_DAY, NormalizedFeatures, normalize_series
+from .timeseries import HOURS_PER_DAY, NormalizedFeatures, TimeHorizonData, normalize_series
 
 MAX_ITER = 300       # clustering iteration cap
 MAX_RESEEDS = 5      # re-initializations allowed when a cluster empties
@@ -75,8 +75,7 @@ def _check_k(points: np.ndarray, k: int) -> None:
             f"cannot form {k} clusters: only {distinct} distinct points")
 
 
-def kmeans(points: np.ndarray, k: int, seed: int,
-           max_iter: int = MAX_ITER, reseeds: int = MAX_RESEEDS):
+def kmeans(points: np.ndarray, k: int, seed: int):
     """Plain Lloyd iterations with farthest-point seeding.
 
     Returns (labels, centers, objective_trace).  The trace holds the within-
@@ -88,12 +87,12 @@ def kmeans(points: np.ndarray, k: int, seed: int,
     _check_k(points, k)
     n = len(points)
     rng = np.random.default_rng(seed)
-    for _attempt in range(reseeds + 1):
+    for _attempt in range(MAX_RESEEDS + 1):
         centers = points[_farthest_point_seed(points, k, rng)].copy()
         labels = None
         trace: list[float] = []
         empty = False
-        for _it in range(max_iter):
+        for _it in range(MAX_ITER):
             d2 = _pairwise_sq_dists(points, centers)
             new_labels = d2.argmin(axis=1)
             trace.append(float(d2[np.arange(n), new_labels].sum()))
@@ -110,12 +109,11 @@ def kmeans(points: np.ndarray, k: int, seed: int,
         if not empty:
             return labels, centers, np.array(trace)
     raise AggregationError(
-        f"k-means kept producing empty clusters after {reseeds} re-seeds "
+        f"k-means kept producing empty clusters after {MAX_RESEEDS} re-seeds "
         f"(k={k} may exceed the number of distinct points)")
 
 
-def kmedoids(points: np.ndarray, k: int, seed: int,
-             max_iter: int = MAX_ITER, reseeds: int = MAX_RESEEDS):
+def kmedoids(points: np.ndarray, k: int, seed: int):
     """Alternating k-medoids (assign to nearest medoid, then recenter each
     cluster on its in-cluster cost minimizer) under squared euclidean cost.
 
@@ -127,12 +125,12 @@ def kmedoids(points: np.ndarray, k: int, seed: int,
     n = len(points)
     dist = _pairwise_sq_dists(points, points)
     rng = np.random.default_rng(seed)
-    for _attempt in range(reseeds + 1):
+    for _attempt in range(MAX_RESEEDS + 1):
         medoids = np.array(_farthest_point_seed(points, k, rng))
         labels = None
         trace: list[float] = []
         empty = False
-        for _it in range(max_iter):
+        for _it in range(MAX_ITER):
             new_labels = dist[:, medoids].argmin(axis=1)
             trace.append(float(dist[np.arange(n), medoids[new_labels]].sum()))
             counts = np.bincount(new_labels, minlength=k)
@@ -150,7 +148,7 @@ def kmedoids(points: np.ndarray, k: int, seed: int,
         if not empty:
             return labels, medoids, np.array(trace)
     raise AggregationError(
-        f"k-medoids kept producing empty clusters after {reseeds} re-seeds")
+        f"k-medoids kept producing empty clusters after {MAX_RESEEDS} re-seeds")
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +162,6 @@ class StateClustering:
     num_states: int
     assignment: np.ndarray     # (P,) state index per hour
     durations: np.ndarray      # (S,) hours represented by each state
-    centroids: np.ndarray      # (S, F) normalized feature space
     demand: np.ndarray         # (S, n_nodes) GW, de-normalized composite hour
     renewable_avail: np.ndarray  # (S, n_nodes) GW
     inflows: np.ndarray        # (S, n_storage) GWh
@@ -182,7 +179,6 @@ class RepPeriodClustering:
     day_assignment: np.ndarray   # (D,) cluster index per day
     medoid_days: np.ndarray      # (R,) day index of each representative
     weights: np.ndarray          # (R,) days represented by each cluster
-    hours_per_day: int = HOURS_PER_DAY
 
     @property
     def num_days(self) -> int:
@@ -190,13 +186,13 @@ class RepPeriodClustering:
 
     @property
     def horizon_hours(self) -> int:
-        return self.num_days * self.hours_per_day
+        return self.num_days * HOURS_PER_DAY
 
     def hour_map(self) -> np.ndarray:
         """Map every hour to the same hour-of-day inside its representative day."""
-        days = np.arange(self.horizon_hours) // self.hours_per_day
-        offset = np.arange(self.horizon_hours) % self.hours_per_day
-        return self.medoid_days[self.day_assignment[days]] * self.hours_per_day + offset
+        days = np.arange(self.horizon_hours) // HOURS_PER_DAY
+        offset = np.arange(self.horizon_hours) % HOURS_PER_DAY
+        return self.medoid_days[self.day_assignment[days]] * HOURS_PER_DAY + offset
 
 
 def cluster_states(features: NormalizedFeatures, num_states: int, seed: int) -> StateClustering:
@@ -206,7 +202,6 @@ def cluster_states(features: NormalizedFeatures, num_states: int, seed: int) -> 
         num_states=num_states,
         assignment=labels.astype(int),
         durations=np.bincount(labels, minlength=num_states),
-        centroids=centers,
         demand=demand, renewable_avail=renew, inflows=inflows)
 
 
@@ -287,20 +282,13 @@ def build_reduced_frequency_matrices(frequency: np.ndarray) -> np.ndarray:
     return reduced
 
 
-def build_rp_transition_matrix(day_assignment: np.ndarray,
-                               num_rp: int | None = None) -> np.ndarray:
-    """Day-cluster transition counts; entry (r, r') is the number of day
-    pairs (d, d+1) with cluster r followed by cluster r'.  Total = D - 1."""
-    return build_transition_matrix(day_assignment, num_rp)
-
-
 @dataclass(frozen=True)
 class TransitionMatrices:
     transitions: np.ndarray          # (S, S) int
     checkpoints: np.ndarray          # (K,) hour marks, last == P
     frequency: np.ndarray            # (K, S, S) cumulative counts
     reduced_frequency: np.ndarray    # (K, S, S) per-window counts
-    rp_transitions: np.ndarray       # (R, R) day-cluster counts
+    rp_transitions: np.ndarray       # (R, R) day-cluster counts, total D - 1
     window_hours: int
 
 
@@ -313,7 +301,7 @@ def build_matrices(states: StateClustering, rp: RepPeriodClustering,
         checkpoints=checkpoints,
         frequency=frequency,
         reduced_frequency=build_reduced_frequency_matrices(frequency),
-        rp_transitions=build_rp_transition_matrix(rp.day_assignment, rp.num_rp),
+        rp_transitions=build_transition_matrix(rp.day_assignment, rp.num_rp),
         window_hours=window_hours)
 
 
@@ -327,18 +315,18 @@ class AggregationArtifacts:
     matrices: TransitionMatrices
 
 
-def aggregate(data, num_states: int, num_rp: int,
+def aggregate(data: TimeHorizonData, num_states: int, num_rp: int,
               seed: int, window_hours: int | None = None,
               has_short_term_storage: bool = True) -> AggregationArtifacts:
-    """Run both clusterings and derive every chronology matrix.
+    """Normalize the hourly series, run both clusterings and derive every
+    chronology matrix.
 
-    ``data`` is either raw hourly series or an already normalized feature
-    matrix.  The checkpoint window defaults to 24 h when the system has
-    short-term storage (daily cycling must be resolved) and 168 h otherwise.
+    The checkpoint window defaults to 24 h when the system has short-term
+    storage (daily cycling must be resolved) and 168 h otherwise.
     """
     if window_hours is None:
-        window_hours = 24 if has_short_term_storage else 168
-    features = data if isinstance(data, NormalizedFeatures) else normalize_series(data)
+        window_hours = HOURS_PER_DAY if has_short_term_storage else 168
+    features = normalize_series(data)
     states = cluster_states(features, num_states, seed)
     rp = cluster_days(features, num_rp, seed)
     return AggregationArtifacts(
@@ -358,7 +346,6 @@ def save_artifacts(art: AggregationArtifacts, path) -> None:
             "num_states": art.states.num_states,
             "assignment": art.states.assignment.tolist(),
             "durations": art.states.durations.tolist(),
-            "centroids": art.states.centroids.tolist(),
             "demand": art.states.demand.tolist(),
             "renewable_avail": art.states.renewable_avail.tolist(),
             "inflows": art.states.inflows.tolist(),
@@ -368,7 +355,6 @@ def save_artifacts(art: AggregationArtifacts, path) -> None:
             "day_assignment": art.rp.day_assignment.tolist(),
             "medoid_days": art.rp.medoid_days.tolist(),
             "weights": art.rp.weights.tolist(),
-            "hours_per_day": art.rp.hours_per_day,
         },
         "window_hours": art.matrices.window_hours,
     }
@@ -388,7 +374,6 @@ def load_artifacts(path) -> AggregationArtifacts:
         num_states=st["num_states"],
         assignment=np.array(st["assignment"], dtype=int),
         durations=np.array(st["durations"], dtype=int),
-        centroids=np.array(st["centroids"], dtype=float),
         demand=np.array(st["demand"], dtype=float),
         renewable_avail=np.array(st["renewable_avail"], dtype=float),
         inflows=np.array(st["inflows"], dtype=float))
@@ -397,7 +382,6 @@ def load_artifacts(path) -> AggregationArtifacts:
         num_rp=rp_doc["num_rp"],
         day_assignment=np.array(rp_doc["day_assignment"], dtype=int),
         medoid_days=np.array(rp_doc["medoid_days"], dtype=int),
-        weights=np.array(rp_doc["weights"], dtype=int),
-        hours_per_day=rp_doc["hours_per_day"])
+        weights=np.array(rp_doc["weights"], dtype=int))
     return AggregationArtifacts(seed=doc["seed"], states=states, rp=rp,
                                 matrices=build_matrices(states, rp, doc["window_hours"]))

@@ -24,7 +24,10 @@ profiles for representative days); the gap between the two is reported.
 
 Prices come from a fix-and-relax pass: integers are pinned at their solved
 values, the relaxation is solved as an LP, and the balance-row duals are
-divided by each period's hour weight to yield per-hour values.
+divided by each period's hour weight to yield per-hour values.  A pricing LP
+without an optimum is a ValueError, never a report without prices.
+``compare`` turns the ``hm`` case and one aggregated case into an
+``EvaluationReport``; callers key the reports by the aggregated kind.
 """
 
 from __future__ import annotations
@@ -209,37 +212,37 @@ def detect_violations(expansion: HourlyExpansion, system: PowerSystem,
 # ---------------------------------------------------------------------------
 
 def compute_prices(fo: FormulationOutput, solution: Solution,
-                   check_degeneracy: bool = False) -> tuple[dict, dict]:
+                   check_degeneracy: bool = False) -> tuple[dict, bool | None]:
     """Fix integers, relax, and read balance duals as per-hour prices.
 
-    Returns ({(period label, node): price}, info).  The dual of a period's
-    balance row is divided by the period's hour weight, so a composite period
-    standing for many hours still yields a per-hour price.  With
-    ``check_degeneracy`` the LP is re-solved by an interior-point method and
-    disagreeing duals flag a degenerate (non-unique) price vector.
+    Returns ({(period label, node): price}, degenerate).  The dual of a
+    period's balance row is divided by the period's hour weight, so a
+    composite period standing for many hours still yields a per-hour price.
+    ``degenerate`` is None unless ``check_degeneracy`` is set; then the LP is
+    re-solved by an interior-point method and ``degenerate`` says whether
+    the two price vectors disagree (the prices are not unique).  Raises
+    ValueError, naming the kind and the status, if an LP has no optimum.
     """
     relaxed = fix_and_relax(fo.model, solution)
-    adapter = ScipySolver()
-    lp = adapter.solve_lp(relaxed)
-    info = {"status": lp.status, "degenerate": False}
-    if lp.status != STATUS_OPTIMAL or lp.duals is None:
-        return {}, info
+    all_duals = []
+    for method in ("highs", "highs-ipm") if check_degeneracy else ("highs",):
+        lp = ScipySolver().solve_lp(relaxed, method=method)
+        if lp.status != STATUS_OPTIMAL or lp.duals is None:
+            raise ValueError(f"pricing LP of {fo.kind!r} ({method}) ended with status "
+                             f"{lp.status!r}: {lp.message}")
+        all_duals.append(lp.duals)
     weight_of = dict(zip(fo.meta["time_labels"], fo.meta["time_weights"]))
     # balance rows are named bal_<label>_<node>; labels hold no "_"
-    rows = [row for row in lp.duals if row.startswith("bal_")]
+    rows = [row for row in all_duals[0] if row.startswith("bal_")]
     keys = [tuple(row.split("_", 2)[1:]) for row in rows]
     weights = np.array([weight_of[label] for label, _ in keys], dtype=float)
-
-    def per_hour(duals: dict) -> np.ndarray:
-        return np.array([duals[row] for row in rows]) / weights
-
-    prices = per_hour(lp.duals)
-    if check_degeneracy:
-        alt = adapter.solve_lp(relaxed, method="highs-ipm")
-        if alt.status == STATUS_OPTIMAL and alt.duals:
-            info["degenerate"] = bool((np.abs(per_hour(alt.duals) - prices)
-                                       > 1e-4 * np.maximum(1.0, np.abs(prices))).any())
-    return dict(zip(keys, prices.tolist())), info
+    prices, *alt = [np.array([duals[row] for row in rows]) / weights
+                    for duals in all_duals]
+    degenerate = None
+    if alt:
+        degenerate = bool((np.abs(alt[0] - prices)
+                           > 1e-4 * np.maximum(1.0, np.abs(prices))).any())
+    return dict(zip(keys, prices.tolist())), degenerate
 
 
 def attach_prices(expansion: HourlyExpansion, system: PowerSystem,
@@ -304,8 +307,7 @@ class CaseResult:
     startups: dict[str, float]
     investment: dict[str, float]
     violations: list[ViolationRecord] = field(default_factory=list)
-    price_info: dict = field(default_factory=dict)
-    terminal: str = "hard"
+    prices_degenerate: bool | None = None    # None unless checked
 
     @property
     def violation_count(self) -> int:
@@ -325,21 +327,21 @@ def build_case_result(fo: FormulationOutput, solution: Solution, system: PowerSy
     """Expand, price, and screen one solved formulation.
 
     Raises ValueError for a solution without a usable point (any status but
-    optimal, gap- or time-limited) or one missing a value the expansion
-    reads.  ``matrices`` is accepted for the callers that still pass it; no
-    step reads it since the startups are counted from the expansion.
+    optimal, gap- or time-limited), one missing a value the expansion reads,
+    or a pricing LP without an optimum.  ``matrices`` is accepted for the
+    callers that still pass it; no step reads it since the startups are
+    counted from the expansion.
     """
     if not solution.ok:
         raise ValueError(f"{fo.kind!r} solution has status {solution.status!r}, "
                          "no usable point to evaluate")
     expansion = expand_solution(fo, solution, system, data, states=states, rp=rp)
     investment = investment_values(fo, solution, system)
-    price_info: dict = {}
+    degenerate = None
     if with_prices:
-        period_prices, price_info = compute_prices(fo, solution,
+        period_prices, degenerate = compute_prices(fo, solution,
                                                    check_degeneracy=check_degeneracy)
-        if period_prices:
-            attach_prices(expansion, system, data, period_prices)
+        attach_prices(expansion, system, data, period_prices)
     return CaseResult(
         kind=fo.kind,
         objective=float(solution.objective),
@@ -348,8 +350,7 @@ def build_case_result(fo: FormulationOutput, solution: Solution, system: PowerSy
         startups=count_startups(expansion, system),
         investment=investment,
         violations=detect_violations(expansion, system, investment),
-        price_info=price_info,
-        terminal=fo.meta.get("terminal", "hard"))
+        prices_degenerate=degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +359,8 @@ def build_case_result(fo: FormulationOutput, solution: Solution, system: PowerSy
 
 @dataclass
 class EvaluationReport:
-    benchmark_kind: str
-    candidate_kind: str
+    """One aggregated case against the benchmark case, metric by metric."""
+
     objective_error_pct: float
     production_error_pct: dict[str, float]
     startup_error_pct: dict[str, float]
@@ -374,7 +375,6 @@ class EvaluationReport:
     time_ratio: float
     level_discrepancy_gwh: float
     absolute_metrics: list[str]
-    terminal: str
 
     def rows(self) -> list[tuple[str, float]]:
         """Flat (metric, value) pairs for tabular output."""
@@ -461,8 +461,6 @@ def compare(benchmark: CaseResult, candidate: CaseResult,
                                      candidate.investment.get(uid, 0.0),
                                      f"investment[{uid}]", absolute)
     return EvaluationReport(
-        benchmark_kind=benchmark.kind,
-        candidate_kind=candidate.kind,
         objective_error_pct=_error_pct(benchmark.objective, candidate.objective,
                                        "objective", absolute),
         production_error_pct=production,
@@ -478,5 +476,4 @@ def compare(benchmark: CaseResult, candidate: CaseResult,
         time_ratio=(candidate.wall_seconds / benchmark.wall_seconds
                     if benchmark.wall_seconds > 0 else 0.0),
         level_discrepancy_gwh=candidate.expansion.level_discrepancy(),
-        absolute_metrics=absolute,
-        terminal=candidate.terminal)
+        absolute_metrics=absolute)

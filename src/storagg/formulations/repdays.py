@@ -21,7 +21,7 @@ import numpy as np
 
 from ..milp import MilpModel, INF, LE, GE, EQ
 from ..system import PowerSystem
-from ..timeseries import TimeHorizonData
+from ..timeseries import HOURS_PER_DAY, TimeHorizonData
 from ..aggregation import (RepPeriodClustering, TransitionMatrices,
                            default_checkpoints)
 from .common import (FormulationOutput, var_name, add_investment,
@@ -30,21 +30,20 @@ from .common import (FormulationOutput, var_name, add_investment,
 
 def _rep_day_core(system: PowerSystem, data: TimeHorizonData,
                   rp: RepPeriodClustering, invest: bool, kind: str):
-    hpd = rp.hours_per_day
     day_order = np.argsort(rp.medoid_days)          # model days in calendar order
     rep_hours: list[int] = []
     hour_weight: list[float] = []
     for r in day_order:
-        f = int(rp.medoid_days[r]) * hpd
-        rep_hours.extend(range(f, f + hpd))
-        hour_weight.extend([float(rp.weights[r])] * hpd)
+        f = int(rp.medoid_days[r]) * HOURS_PER_DAY
+        rep_hours.extend(range(f, f + HOURS_PER_DAY))
+        hour_weight.extend([float(rp.weights[r])] * HOURS_PER_DAY)
     labels = [f"p{h}" for h in rep_hours]
     weights = np.array(hour_weight)
     # the plain model treats every day as its own fresh chronology; the
     # enhanced one concatenates the days so commitments and levels carry
     # over, with checkpoints and commitment links tying the chain back to
     # the real calendar
-    day_starts = set(range(0, len(labels), hpd)) if kind == "rp" else None
+    day_starts = set(range(0, len(labels), HOURS_PER_DAY)) if kind == "rp" else None
 
     m = MilpModel(kind)
     x = add_investment(m, system, invest)
@@ -56,8 +55,8 @@ def _rep_day_core(system: PowerSystem, data: TimeHorizonData,
 
 
 def _day_edge_labels(rp: RepPeriodClustering, cluster: int) -> tuple[str, str]:
-    first = int(rp.medoid_days[cluster]) * rp.hours_per_day
-    return f"p{first}", f"p{first + rp.hours_per_day - 1}"
+    first = int(rp.medoid_days[cluster]) * HOURS_PER_DAY
+    return f"p{first}", f"p{first + HOURS_PER_DAY - 1}"
 
 
 def build_rp(system: PowerSystem, data: TimeHorizonData,
@@ -89,8 +88,8 @@ def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
     linking kicks in; a value in (0, 1) is read as a fraction of all day
     transitions, and ``inf`` disables linking entirely.
     """
-    if window % rp.hours_per_day != 0:
-        raise ValueError(f"checkpoint window {window} must be a multiple of {rp.hours_per_day}")
+    if window % HOURS_PER_DAY != 0:
+        raise ValueError(f"checkpoint window {window} must be a multiple of {HOURS_PER_DAY}")
     m, x, labels, rep_hours, weights = _rep_day_core(system, data, rp, invest, "rp_tmci")
 
     # commitment continuity across observed day-cluster transitions

@@ -719,8 +719,6 @@ class ScipySolver:
     process keep a steady footprint.
     """
 
-    name = "scipy"
-
     def solve(self, model: MilpModel, gap: float = 0.0,
               time_limit: float | None = None) -> Solution:
         from scipy.optimize import milp, Bounds, LinearConstraint
@@ -733,10 +731,10 @@ class ScipySolver:
                           constraints=LinearConstraint(a, cl, cu) if model.num_cons else None,
                           options=options)
         wall = time.perf_counter() - start
-        return self._wrap(model, res, gap, wall)
+        return self._wrap(model, res, wall)
 
     @staticmethod
-    def _wrap(model: MilpModel, res, requested_gap: float, wall: float) -> Solution:
+    def _wrap(model: MilpModel, res, wall: float) -> Solution:
         mip_gap = getattr(res, "mip_gap", None)
         if res.status == 0:
             status = STATUS_OPTIMAL if not mip_gap or mip_gap <= 1e-9 else STATUS_GAP_LIMIT
@@ -800,8 +798,6 @@ class ExternalSolver:
     comes from the STORAGG_SOLVER_EXE environment variable unless given
     explicitly.
     """
-
-    name = "external"
 
     def __init__(self, exe: str | None = None):
         exe = exe or os.environ.get(SOLVER_ENV_VAR)

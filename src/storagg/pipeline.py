@@ -36,11 +36,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .timeseries import TimeHorizonData, load_horizon, save_horizon, DataFormatError
+from .timeseries import (TimeHorizonData, HOURS_PER_DAY, load_horizon, save_horizon,
+                         DataFormatError)
 from .system import (PowerSystem, ThermalUnit, StorageUnit, Network,
                      OperatingConfig, load_system, save_system,
                      validate_system, SystemFormatError, SHORT_TERM, LONG_TERM)
-from .aggregation import aggregate, save_artifacts, load_artifacts, AggregationArtifacts
+from .aggregation import (aggregate, save_artifacts, load_artifacts, AggregationArtifacts,
+                          AggregationError)
 from .milp import (save_model, load_model, write_registry, load_registry,
                    save_solution, load_solution, Solution, get_solver,
                    SolverError, ModelError, audit_constraints, STATUS_INFEASIBLE)
@@ -109,9 +111,20 @@ def load_scenario(path) -> ScenarioConfig:
     for key in ("demand", "renewables", "inflows", "system"):
         if key not in raw:
             raise ConfigError(f"scenario is missing required key {key!r}")
-    bad = [k for k in raw.get("kinds", []) if k not in BUILDER_KINDS]
+    kinds = raw.get("kinds", BUILDER_KINDS)
+    bad = [k for k in kinds if k not in BUILDER_KINDS]
     if bad:
         raise ConfigError(f"unknown model kinds {bad}; pick from {list(BUILDER_KINDS)}")
+    window = raw.get("window_hours")
+    counts = {key: raw[key] for key in ("states", "rep_days") if key in raw}
+    if window is not None:
+        counts["window_hours"] = window
+    for key, value in counts.items():
+        if not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+    if window is not None and "rp_tmci" in kinds and window % HOURS_PER_DAY != 0:
+        raise ConfigError(f"window_hours {window} must be a multiple of "
+                          f"{HOURS_PER_DAY} for rp_tmci")
     raw.setdefault("base_dir", str(path.parent))
     return ScenarioConfig(**raw)
 
@@ -147,10 +160,15 @@ def stage_ingest(config: ScenarioConfig) -> tuple[PowerSystem, TimeHorizonData]:
 
 def stage_cluster(system: PowerSystem, data: TimeHorizonData,
                   config: ScenarioConfig, outdir: Path) -> AggregationArtifacts:
-    artifacts = aggregate(
-        data, num_states=config.states, num_rp=config.rep_days, seed=config.seed,
-        window_hours=config.window_hours,
-        has_short_term_storage=bool(system.short_term_storage))
+    """Cluster and save ``agg/artifacts.json``; counts the series cannot
+    support (e.g. more representative days than days) are a ConfigError."""
+    try:
+        artifacts = aggregate(
+            data, num_states=config.states, num_rp=config.rep_days, seed=config.seed,
+            window_hours=config.window_hours,
+            has_short_term_storage=bool(system.short_term_storage))
+    except AggregationError as exc:
+        raise ConfigError(f"clustering: {exc}") from None
     agg_dir = outdir / "agg"
     agg_dir.mkdir(parents=True, exist_ok=True)
     save_artifacts(artifacts, agg_dir / "artifacts.json")
@@ -349,6 +367,7 @@ def stage_report(system: PowerSystem, cases: dict[str, CaseResult],
             "violation_max_gwh": case.violation_max,
             "investment": case.investment,
             "startups": case.startups,
+            "prices_degenerate": case.prices_degenerate,
         } for kind, case in cases.items()
     }
     summary["comparisons"] = {
@@ -473,10 +492,10 @@ _THERMAL_PARAMS = {
 def _template_profiles(days: int, caps: dict[str, float], seed: int):
     """Deterministic synthetic demand and renewable availability (GWh/h)."""
     rng = np.random.default_rng(seed)
-    p = days * 24
+    p = days * HOURS_PER_DAY
     t = np.arange(p)
-    hour = t % 24
-    day = t // 24
+    hour = t % HOURS_PER_DAY
+    day = t // HOURS_PER_DAY
     year_angle = 2 * np.pi * day / 364.0
 
     thermal_cap = sum(caps[k] for k in _THERMAL_PARAMS) + caps["hydro"]

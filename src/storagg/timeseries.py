@@ -183,7 +183,6 @@ class NormalizedFeatures:
     and its scale is stored as 0, so de-normalization recovers it exactly.
     """
 
-    names: list[str]       # "d:<node>", "r:<node>", "i:<unit>"
     matrix: np.ndarray     # (P, F) in [0, 1]
     mins: np.ndarray       # (F,)
     scales: np.ndarray     # (F,) == max - min, 0 for constant columns
@@ -205,13 +204,10 @@ class NormalizedFeatures:
 def normalize_series(data: TimeHorizonData) -> NormalizedFeatures:
     """Stack the hourly series into one min-max normalized feature matrix."""
     raw = np.hstack([data.demand, data.renewable_avail, data.inflows])
-    names = ([f"d:{n}" for n in data.nodes]
-             + [f"r:{n}" for n in data.nodes]
-             + [f"i:{s}" for s in data.storage_ids])
     mins = raw.min(axis=0)
     scales = raw.max(axis=0) - mins
     matrix = np.zeros_like(raw)
     nonconst = scales > 0
     matrix[:, nonconst] = (raw[:, nonconst] - mins[nonconst]) / scales[nonconst]
-    return NormalizedFeatures(names=names, matrix=matrix, mins=mins, scales=scales,
+    return NormalizedFeatures(matrix=matrix, mins=mins, scales=scales,
                               num_nodes=len(data.nodes), num_storage=len(data.storage_ids))

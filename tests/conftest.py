@@ -68,7 +68,7 @@ def manual_states(assignment, demand_per_state, renew_per_state=None,
     return StateClustering(
         num_states=s, assignment=assignment,
         durations=np.bincount(assignment, minlength=s),
-        centroids=np.zeros((s, 1)), demand=demand,
+        demand=demand,
         renewable_avail=renew, inflows=inflow)
 
 
@@ -88,14 +88,13 @@ def manual_matrices(assignment, window, day_assignment=(0,)):
         window_hours=window)
 
 
-def manual_rp(day_assignment, medoid_days, hours_per_day=24):
+def manual_rp(day_assignment, medoid_days):
     day_assignment = np.asarray(day_assignment, dtype=int)
     medoid_days = np.asarray(medoid_days, dtype=int)
     weights = np.bincount(day_assignment, minlength=len(medoid_days))
     return RepPeriodClustering(num_rp=len(medoid_days),
                                day_assignment=day_assignment,
-                               medoid_days=medoid_days, weights=weights,
-                               hours_per_day=hours_per_day)
+                               medoid_days=medoid_days, weights=weights)
 
 
 @pytest.fixture

@@ -25,8 +25,7 @@ from storagg import (ThermalUnit, StorageUnit, Network, OperatingConfig,
                      PowerSystem, TimeHorizonData, SHORT_TERM, LONG_TERM,
                      StateClustering, TransitionMatrices,
                      build_transition_matrix, build_frequency_matrices,
-                     build_reduced_frequency_matrices,
-                     build_rp_transition_matrix, default_checkpoints,
+                     build_reduced_frequency_matrices, default_checkpoints,
                      aggregate, build_hm, build_ss, build_ss_rfm, build_rp,
                      build_rp_tmci, solve, audit_constraints, constraint_families,
                      expand_solution, detect_violations, investment_values,
@@ -84,7 +83,7 @@ def test_transition_matrix_counting_identities():
 
         r = int(rng.integers(1, min(days, 8) + 1))
         day_assignment = rng.integers(0, r, size=days)
-        nrpp = build_rp_transition_matrix(day_assignment, r)
+        nrpp = build_transition_matrix(day_assignment, r)
         assert nrpp.sum() == days - 1
     assert time.perf_counter() - t0 < 5.0
 
@@ -304,7 +303,6 @@ def test_windowed_bounds_miss_real_level_excursion():
     states = StateClustering(
         num_states=2, assignment=assignment,
         durations=np.bincount(assignment),
-        centroids=np.zeros((2, 1)),
         demand=np.array([[1.0], [3.0]]),
         renewable_avail=np.array([[2.0], [0.0]]),
         inflows=np.zeros((2, 1)))

@@ -4,9 +4,8 @@ import pytest
 from storagg import (AggregationError, kmeans, kmedoids, cluster_states,
                      cluster_days, build_transition_matrix,
                      build_frequency_matrices, build_reduced_frequency_matrices,
-                     build_rp_transition_matrix, default_checkpoints,
-                     aggregate, save_artifacts, load_artifacts,
-                     normalize_series)
+                     default_checkpoints, aggregate, save_artifacts,
+                     load_artifacts, normalize_series)
 
 from conftest import make_data
 
@@ -108,7 +107,7 @@ def test_cluster_days_medoids_are_real_days():
 def test_cluster_days_needs_whole_days():
     data = make_data(np.ones(24), storage_ids=[])
     feats = normalize_series(data)
-    trimmed = type(feats)(names=feats.names, matrix=feats.matrix[:20],
+    trimmed = type(feats)(matrix=feats.matrix[:20],
                           mins=feats.mins, scales=feats.scales,
                           num_nodes=feats.num_nodes, num_storage=feats.num_storage)
     with pytest.raises(AggregationError, match="whole days"):
@@ -182,7 +181,7 @@ def test_frequency_checkpoint_validation():
 
 
 def test_rp_transition_oracle():
-    nrpp = build_rp_transition_matrix([0, 1, 0, 1])
+    nrpp = build_transition_matrix([0, 1, 0, 1])
     assert np.array_equal(nrpp, [[0, 2], [1, 0]])
     assert nrpp.sum() == 3   # D - 1
 

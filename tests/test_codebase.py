@@ -1,0 +1,72 @@
+"""Checks over the package sources and the demo scripts as a whole."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
+
+# Parameters allowed to go unread, each with the reason it must stay.
+UNREAD_ALLOWED = {
+    # bench/run.py passes it, and test_bench_call_shapes_bind pins that call;
+    # the startups are counted from the expansion, so nothing reads it
+    ("evaluation.py", "build_case_result", "matrices"),
+    # bench/run.py passes it positionally; the report needs no system data
+    ("pipeline.py", "stage_report", "system"),
+}
+
+
+def unread_parameters(root: Path) -> set[tuple[str, str, str]]:
+    """(file, function, parameter) for every parameter of a function or
+    lambda under ``root`` that its body never reads (``self``/``cls``
+    aside)."""
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            found |= {(path.relative_to(root).as_posix(), name, p) for p in params
+                      if p not in read and p not in ("self", "cls")}
+    return found
+
+
+def test_every_parameter_is_read():
+    """No parameter is accepted and then ignored."""
+    assert unread_parameters(SRC / "storagg") == UNREAD_ALLOWED
+
+
+def test_unread_parameter_scan_sees_what_it_should(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(a, b, *rest, c, **kw):\n"
+        "    b = 1\n"
+        "    def g(d=a):\n"
+        "        return d\n"
+        "    return g, kw\n"
+        "class K:\n"
+        "    def m(self, e):\n"
+        "        return lambda f: e\n")
+    assert unread_parameters(tmp_path) == {
+        ("m.py", "f", "b"), ("m.py", "f", "rest"), ("m.py", "f", "c"),
+        ("m.py", "<lambda>", "f")}
+
+
+@pytest.mark.parametrize("demo", sorted((REPO / "demos").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -4,7 +4,7 @@ import pytest
 from storagg import (build_hm, build_ss, build_rp, build_rp_tmci, solve,
                      expand_solution, detect_violations, compute_prices,
                      attach_prices, count_startups, build_case_result,
-                     compare, aggregate, Solution)
+                     compare, aggregate, Solution, ScipySolver)
 from storagg.evaluation import HourlyExpansion, investment_values
 
 from conftest import (make_thermal, make_battery, make_system, make_data,
@@ -169,8 +169,8 @@ def test_hm_prices_follow_marginal_unit(two_unit_system):
     data = make_data(demand)
     fo = build_hm(two_unit_system, data)
     sol = solved(fo)
-    prices, info = compute_prices(fo, sol)
-    assert not info["degenerate"]
+    prices, degenerate = compute_prices(fo, sol)
+    assert degenerate is None          # not checked unless asked
     # cheap unit marginal in low hours, dear unit in high hours
     assert prices[("p0", "b1")] == pytest.approx(10.0)
     assert prices[("p12", "b1")] == pytest.approx(40.0)
@@ -220,8 +220,8 @@ def test_degeneracy_probe_runs(two_unit_system):
     data = make_data(np.full(24, 0.5))
     fo = build_hm(two_unit_system, data)
     sol = solved(fo)
-    prices, info = compute_prices(fo, sol, check_degeneracy=True)
-    assert "degenerate" in info
+    prices, degenerate = compute_prices(fo, sol, check_degeneracy=True)
+    assert degenerate in (True, False)
     assert prices[("p0", "b1")] == pytest.approx(10.0)
 
 
@@ -296,6 +296,10 @@ def test_build_case_result_bundles(battery_system, sin_data):
     assert case.expansion.hours == 48
     assert case.violation_count == len(case.violations)
     assert case.expansion.prices is not None
+    assert case.prices_degenerate is None
+    checked = build_case_result(fo, sol, battery_system, sin_data,
+                                states=art.states, check_degeneracy=True)
+    assert checked.prices_degenerate in (True, False)
 
 
 def test_case_result_refuses_unusable_solution(battery_system, sin_data):
@@ -307,6 +311,30 @@ def test_case_result_refuses_unusable_solution(battery_system, sin_data):
     del sol.values["q_p7_gen"]
     with pytest.raises(ValueError, match="q_p7_gen"):
         build_case_result(fo, sol, battery_system, sin_data)
+
+
+def test_case_result_refuses_unsolved_pricing_lp(battery_system, sin_data, monkeypatch):
+    """A pricing LP that ends without an optimum is an error naming the kind
+    and the status, not a report that silently lacks the price metrics."""
+    fo = build_hm(battery_system, sin_data)
+    sol = solved(fo)
+    real = ScipySolver.solve_lp
+
+    def simplex_only(self, model, method="highs"):
+        if method == "highs":
+            return real(self, model)
+        return Solution(status="error", message="stub")
+
+    monkeypatch.setattr(ScipySolver, "solve_lp", simplex_only)
+    assert compute_prices(fo, sol)[1] is None
+    with pytest.raises(ValueError, match="'hm' \\(highs-ipm\\).*'error'"):
+        compute_prices(fo, sol, check_degeneracy=True)
+    monkeypatch.setattr(ScipySolver, "solve_lp", lambda self, model, method="highs":
+                        Solution(status="infeasible", message="stub"))
+    with pytest.raises(ValueError, match="'hm' \\(highs\\).*'infeasible'"):
+        build_case_result(fo, sol, battery_system, sin_data)
+    case = build_case_result(fo, sol, battery_system, sin_data, with_prices=False)
+    assert case.expansion.prices is None and case.prices_degenerate is None
 
 
 def test_case_result_refuses_missing_startups_and_investment(battery_system, sin_data):

@@ -372,7 +372,7 @@ def test_wrap_maps_highs_statuses():
 
     def wrap(status, x, gap):
         res = SimpleNamespace(status=status, x=x, fun=12.0, mip_gap=gap, message="")
-        return ScipySolver._wrap(m, res, 1e-3, 0.5)
+        return ScipySolver._wrap(m, res, 0.5)
 
     timed_out = wrap(1, x, 0.02)
     assert (timed_out.status, timed_out.ok, timed_out.gap) == ("time_limit", True, 0.02)

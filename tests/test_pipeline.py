@@ -68,6 +68,26 @@ def test_load_scenario_bad_kind(template_dir, tmp_path):
         load_scenario(tmp_path / "scenario.json")
 
 
+@pytest.mark.parametrize("change, message", [
+    (dict(states=0), "states must be a positive integer"),
+    (dict(rep_days=-1), "rep_days must be a positive integer"),
+    (dict(rep_days=2.5), "rep_days must be a positive integer"),
+    (dict(window_hours=0), "window_hours must be a positive integer"),
+    (dict(window_hours=36), "multiple of 24 for rp_tmci"),
+    (dict(window_hours=36, kinds=["hm", "ss"]), None),
+    (dict(window_hours=None), None),
+])
+def test_load_scenario_checks_counts_and_window(template_dir, tmp_path, change, message):
+    doc = json.loads((template_dir / "scenario.json").read_text())
+    (tmp_path / "scenario.json").write_text(json.dumps(dict(doc, **change)))
+    if message is None:
+        config = load_scenario(tmp_path / "scenario.json")
+        assert config.window_hours == change["window_hours"]
+    else:
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(tmp_path / "scenario.json")
+
+
 def test_scenario_round_trip(template_dir, tmp_path):
     config = load_scenario(template_dir / "scenario.json")
     save_scenario(config, tmp_path / "copy.json")
@@ -137,6 +157,23 @@ def test_reports_keyed_by_aggregated_kind(run_result):
     assert set(result.reports) == {"ss", "rp", "ss_rfm", "rp_tmci"}
     for rep in result.reports.values():
         assert rep.objective_error_pct is not None
+
+
+def test_summary_records_price_degeneracy(run_result, template_dir, tmp_path):
+    """``prices_degenerate`` is null per kind unless the check ran; with
+    ``check_degeneracy`` on it holds the check's answer for every kind."""
+    _, outdir, _ = run_result
+    summary = json.loads((outdir / "report" / "summary.json").read_text())
+    assert {summary[k]["prices_degenerate"] for k in storagg.BUILDER_KINDS} == {None}
+
+    config = load_scenario(template_dir / "scenario.json")
+    config.states, config.rep_days, config.gap = 8, 2, 1e-3
+    config.kinds, config.check_degeneracy = ["hm", "ss"], True
+    result = run_pipeline(config, tmp_path)
+    summary = json.loads((tmp_path / "report" / "summary.json").read_text())
+    for kind in ("hm", "ss"):
+        assert summary[kind]["prices_degenerate"] in (True, False)
+        assert summary[kind]["prices_degenerate"] == result.cases[kind].prices_degenerate
 
 
 def test_summary_csv_has_metric_matrix(run_result):
@@ -315,6 +352,24 @@ def test_cli_bad_scenario_exits_2(tmp_path):
     proc = run_cli("ingest", str(bad))
     assert proc.returncode == 2
     assert proc.stderr.strip()
+
+
+def test_cli_config_errors_exit_2(tmp_path):
+    """Counts the series cannot support and a checkpoint window rp_tmci
+    cannot use are configuration errors: exit 2, a message, no traceback,
+    and no model file written."""
+    scen = tmp_path / "scen"
+    run_cli("template", "-o", str(scen), "--days", "2")
+    doc = json.loads((scen / "scenario.json").read_text())
+    out = tmp_path / "out"
+    for change, command, message in ((dict(rep_days=5), "cluster", "cannot form 5 clusters"),
+                                     (dict(window_hours=36), "build", "multiple of 24")):
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(dict(doc, base_dir=str(scen), **change)))
+        proc = run_cli(command, str(cfg), "-o", str(out))
+        assert proc.returncode == 2, (command, proc.stderr)
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert not (out / "models").exists()
 
 
 def test_cli_stagewise_matches_run(tmp_path):
