@@ -26,8 +26,11 @@ values, duals, the audit, MPS export) decode the whole blob once per call.
 The name-to-position dicts are a cache built on first use (``add_var``,
 ``add_con``, ``has_var``, ``var``) and dropped by ``release_index``, which
 the pipeline calls once a model is built; a model loaded only to be solved
-and audited never holds them.  The sidecar written next to a model file
-(``write_registry``) carries the model's name and its metadata only.
+and audited never holds them.  A model file stores each name blob split
+into a template and its digit runs, and the CSR index arrays as first
+differences (see "array files" below); loading rebuilds the same blobs and
+buffers.  The sidecar written next to a model file (``write_registry``)
+carries the model's name and its metadata only, as compact JSON.
 
 scipy loads at a process's first matrix build (``to_arrays``, the audit,
 ``parse_mps``) or solve, not at import, so the stages that never solve do
@@ -47,6 +50,7 @@ import zipfile
 from array import array
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -304,15 +308,131 @@ def _index(names: list[str], what: str) -> dict[str, int]:
 # array files
 # ---------------------------------------------------------------------------
 
-# every stored array and its dtype; the texts are UTF-8 bytes
-_STORED = {"name": np.uint8, "var_names": np.uint8, "con_names": np.uint8,
-           "lb": np.float64, "ub": np.float64, "obj": np.float64,
-           "integer": np.uint8, "indptr": np.int64, "cols": np.intc,
-           "coefs": np.float64, "sense": np.uint8, "rhs": np.float64}
-# the column and CSR buffers, stored as the model holds them
-_BUFFERS = {"lb": "_lb", "ub": "_ub", "obj": "_obj", "integer": "_int",
-            "indptr": "_indptr", "cols": "_cols", "coefs": "_coefs",
-            "sense": "_sense", "rhs": "_rhs"}
+# Names and the sparse structure repeat period after period, which deflate
+# alone barely exploits: ``q_p8735_nuclear`` differs from ``q_p8734_nuclear``
+# only in its number, and each period's rows repeat the previous period's
+# column pattern shifted by a constant.  So a file stores
+#
+# - each name blob as three arrays, under ``<side>_template``,
+#   ``<side>_numbers`` and ``<side>_widths``: the blob with every run of
+#   ASCII digits (split every ``_DIGIT_RUN`` digits) replaced by one ``0``
+#   byte, the runs' values as int64 and their widths as uint8, so leading
+#   zeros survive.  An ASCII digit byte never occurs inside a multi-byte
+#   UTF-8 sequence, so any name round-trips exactly;
+# - the integer arrays (``indptr``, ``cols`` and the run values) as their
+#   first differences, little-endian, byte plane by byte plane: all lowest
+#   bytes, then all second bytes, and so on;
+# - the float and flag arrays as the model holds them.
+
+_DIGIT_RUN = 18                       # 10**18 - 1 still fits an int64
+_POW10 = 10 ** np.arange(_DIGIT_RUN + 1, dtype=np.int64)
+_MARKER = ord("0")                    # a digit run in a template
+# the arrays stored as the model holds them, with their attribute and dtype
+_PLAIN = {"lb": ("_lb", np.float64), "ub": ("_ub", np.float64),
+          "obj": ("_obj", np.float64), "integer": ("_int", np.uint8),
+          "coefs": ("_coefs", np.float64), "sense": ("_sense", np.uint8),
+          "rhs": ("_rhs", np.float64)}
+# the CSR index arrays, stored as byte planes of first differences
+_DELTA = {"indptr": ("_indptr", "<i8"), "cols": ("_cols", "<i4")}
+
+
+def _name_spec(*sides: str) -> dict:
+    """The arrays (all uint8) that store the name blobs of ``sides``."""
+    return {f"{side}_{part}": np.uint8 for side in sides
+            for part in ("template", "numbers", "widths")}
+
+
+# every stored array and its dtype
+_STORED = {"name": np.uint8, **_name_spec("var", "con"),
+           **{key: dtype for key, (_, dtype) in _PLAIN.items()},
+           **{f"{key}_delta": np.uint8 for key in _DELTA}}
+
+
+def _delta_planes(values, dtype: str) -> np.ndarray:
+    """First differences of an integer sequence, laid out byte plane by byte
+    plane as uint8."""
+    a = np.asarray(values).astype(dtype)
+    a[1:] -= a[:-1]
+    return a.view(np.uint8).reshape(-1, a.itemsize).T.ravel()
+
+
+def _undelta(path, planes: np.ndarray, count: int, dtype: str, what: str) -> np.ndarray:
+    """The ``count`` integers ``_delta_planes`` stored, as a native array."""
+    size = np.dtype(dtype).itemsize
+    if len(planes) != count * size:
+        raise ModelError(f"{path}: {what} holds {len(planes)} bytes, "
+                         f"expected {count} values of {size} bytes")
+    deltas = planes.reshape(size, count).T.copy().view(dtype).ravel()
+    return np.cumsum(deltas, dtype=np.dtype(dtype).newbyteorder("="))
+
+
+def _split_runs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Digit runs cut into pieces of at most ``_DIGIT_RUN`` digits."""
+    pieces = (ends - starts + _DIGIT_RUN - 1) // _DIGIT_RUN
+    first = np.repeat(np.cumsum(pieces) - pieces, pieces)
+    cut = np.repeat(starts, pieces) + _DIGIT_RUN * (np.arange(len(first)) - first)
+    return cut, np.minimum(cut + _DIGIT_RUN, np.repeat(ends, pieces))
+
+
+def _pack_names(blob, side: str) -> dict[str, np.ndarray]:
+    """The template, numbers and widths arrays of a name blob."""
+    text = np.frombuffer(blob, dtype=np.uint8)
+    digit = (text >= ord("0")) & (text <= ord("9"))
+    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    widths = ends - starts
+    if widths.max(initial=0) > _DIGIT_RUN:
+        starts, ends = _split_runs(starts, ends)
+        widths = ends - starts
+    numbers = np.zeros(len(starts), dtype=np.int64)
+    for e in range(int(widths.max(initial=0))):
+        live = widths > e
+        numbers[live] += (text[ends[live] - 1 - e] - ord("0")).astype(np.int64) * _POW10[e]
+    keep = np.logical_not(digit, out=digit)
+    keep[starts] = True
+    template = text[keep]
+    dropped = np.cumsum(widths - 1)            # digits dropped up to each run's end
+    template[starts - dropped + widths - 1] = _MARKER
+    return {f"{side}_template": template,
+            f"{side}_numbers": _delta_planes(numbers, "<i8"),
+            f"{side}_widths": widths.astype(np.uint8)}
+
+
+def _unpack_names(path, read, side: str, count: int, what: str) -> _Names:
+    """The name blob ``_pack_names`` stored, read through ``read`` (see
+    ``_reading``) and checked to be UTF-8 holding ``count`` names."""
+    template, widths = read(f"{side}_template"), read(f"{side}_widths")
+    marks = np.flatnonzero(template == _MARKER)
+    planes = read(f"{side}_numbers")
+    if len(planes) != 8 * len(marks) or len(widths) != len(marks):
+        raise ModelError(f"{path}: {len(marks)} digit-run markers in the {what} names "
+                         f"for {len(planes) / 8:g} numbers and {len(widths)} widths")
+    numbers = _undelta(path, planes, len(marks), "<i8", f"{what} name numbers")
+    if len(marks) and (widths.min() < 1 or widths.max() > _DIGIT_RUN):
+        raise ModelError(f"{path}: a {what} name digit run is not 1..{_DIGIT_RUN} wide")
+    if np.any(numbers < 0) or np.any(numbers >= _POW10[widths]):
+        raise ModelError(f"{path}: a {what} name number does not fit its width")
+    # filled in place through a view, so the text is never copied
+    blob = bytearray(len(template) + int(widths.sum(dtype=np.int64)) - len(widths))
+    text = np.frombuffer(blob, dtype=np.uint8)
+    last = np.cumsum(widths.astype(np.int64) - 1)
+    last += marks                              # each run's last digit in the text
+    del marks
+    rest = np.ones(len(text), dtype=bool)      # where the template's other bytes go
+    for e in range(int(widths.max(initial=0))):
+        live = widths > e
+        text[last[live] - e] = numbers[live] % 10 + ord("0")
+        rest[last[live] - e] = False
+        numbers //= 10
+    del numbers, last
+    text[rest] = template[template != _MARKER]
+    del rest
+    found = int(np.count_nonzero(text == 10)) + 1 if len(text) or count else 0
+    del text                      # a bytearray cannot grow while a view of it lives
+    _decode(path, blob, what)
+    if found != count:
+        raise ModelError(f"{path}: {found} {what} names for {count} {what}s")
+    return _Names(what, blob, count)
 
 
 def _joined(names: list[str], what: str) -> bytes:
@@ -324,34 +444,24 @@ def _joined(names: list[str], what: str) -> bytes:
 
 
 def save_model(model: MilpModel, path) -> None:
-    """Write the model to a compressed ``.npz`` file.
-
-    The file holds the column and CSR buffers and the two name blobs as the
-    model stores them, and the model name.  Equal models give equal bytes.
-    """
-    buffers = {"name": model.name.encode("utf-8"),
-               "var_names": model._var_names.blob,
-               "con_names": model._con_names.blob,
-               **{key: getattr(model, attr) for key, attr in _BUFFERS.items()}}
-    arrays = {key: np.frombuffer(buffers[key], dtype=dtype) for key, dtype in _STORED.items()}
+    """Write the model to a compressed ``.npz`` file in the layout described
+    above.  Equal models give equal bytes."""
+    arrays = {"name": np.frombuffer(model.name.encode("utf-8"), dtype=np.uint8),
+              **_pack_names(model._var_names.blob, "var"),
+              **_pack_names(model._con_names.blob, "con"),
+              **{key: np.frombuffer(getattr(model, attr), dtype=dtype)
+                 for key, (attr, dtype) in _PLAIN.items()},
+              **{f"{key}_delta": _delta_planes(getattr(model, attr), dtype)
+                 for key, (attr, dtype) in _DELTA.items()}}
     with open(path, "wb") as fh:
         np.savez_compressed(fh, **arrays)
 
 
-def _decode(path, blob: np.ndarray, what: str) -> str:
+def _decode(path, blob, what: str) -> str:
     try:
-        return blob.tobytes().decode("utf-8")
+        return str(memoryview(blob), "utf-8")
     except UnicodeDecodeError as exc:
         raise ModelError(f"{path}: {what} names are not UTF-8: {exc}") from None
-
-
-def _stored_names(path, blob: np.ndarray, count: int, what: str) -> _Names:
-    """A stored name blob, checked to be UTF-8 holding ``count`` names."""
-    _decode(path, blob, what)
-    found = int(np.count_nonzero(blob == 10)) + 1 if len(blob) or count else 0
-    if found != count:
-        raise ModelError(f"{path}: {found} {what} names for {count} {what}s")
-    return _Names(what, bytearray(blob), count)
 
 
 def _buffer(like, values: np.ndarray):
@@ -363,64 +473,86 @@ def _buffer(like, values: np.ndarray):
     return out
 
 
-def _load_arrays(path, spec: dict, what: str) -> dict[str, np.ndarray]:
-    """The arrays ``spec`` names, read from an ``.npz`` file without
-    unpickling, each checked to be 1-D of its dtype."""
+@contextmanager
+def _reading(path, spec: dict, what: str):
+    """Open an ``.npz`` file and yield ``read(key)``, which reads one of the
+    arrays ``spec`` names without unpickling and checks it is 1-D of its
+    dtype.  Members are read one at a time, so a loader holds only what it
+    has decoded so far.  A file that lacks a member is not a ``what`` file."""
     try:
-        with np.load(path, allow_pickle=False) as npz:
-            stored = {key: npz[key] for key in spec}
-    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+        npz = np.load(path, allow_pickle=False)
+        missing = [key for key in spec if key not in npz.files]
+    except (AttributeError, ValueError, zipfile.BadZipFile) as exc:
         raise ModelError(f"{path}: not a {what} file: {exc}") from None
-    for key, dtype in spec.items():
-        a = stored[key]
-        if a.dtype != dtype or a.ndim != 1:
-            raise ModelError(f"{path}: {key} is {a.dtype} of shape {a.shape}, "
-                             f"expected 1-D {np.dtype(dtype)}")
-    return stored
+    with npz:
+        if missing:
+            raise ModelError(f"{path}: not a {what} file: it lacks {', '.join(missing)}")
+
+        def read(key: str) -> np.ndarray:
+            try:
+                a = npz[key]
+            except ValueError as exc:          # an object array
+                raise ModelError(f"{path}: not a {what} file: {exc}") from None
+            if a.dtype != spec[key] or a.ndim != 1:
+                raise ModelError(f"{path}: {key} is {a.dtype} of shape {a.shape}, "
+                                 f"expected 1-D {np.dtype(spec[key])}")
+            return a
+
+        yield read
 
 
 def load_model(path) -> MilpModel:
     """Read a model written by ``save_model``; nothing is unpickled.
 
-    Raises ModelError if an array is missing, is not a 1-D array of its
-    dtype (an object array among them), the lengths disagree, ``indptr``
-    does not rise from 0 to the number of nonzeros, a column index is out of
-    range, or a sense code or integer flag is unknown.
+    Raises ModelError if an array is missing (a file in an earlier layout
+    among them), is not a 1-D array of its dtype (an object array among
+    them), the lengths disagree, ``indptr`` does not rise from 0 to the
+    number of nonzeros, a column index is out of range, a sense code or
+    integer flag is unknown, or the names are damaged: digit-run markers and
+    numbers that do not pair up, a width outside 1..18, a number that does
+    not fit its width, text that is not UTF-8 or a name count that differs
+    from the columns or rows.
     """
-    stored = _load_arrays(path, _STORED, "model")
-    n, m, nnz = len(stored["lb"]), len(stored["sense"]), len(stored["cols"])
-    for key, size in (("ub", n), ("obj", n), ("integer", n), ("rhs", m),
-                      ("indptr", m + 1), ("coefs", nnz)):
-        if len(stored[key]) != size:
-            raise ModelError(f"{path}: {key} holds {len(stored[key])} entries, expected {size}")
-    indptr, cols = stored["indptr"], stored["cols"]
-    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
-        raise ModelError(f"{path}: indptr does not rise from 0 to {nnz}")
-    if nnz and (cols.min() < 0 or cols.max() >= n):
-        raise ModelError(f"{path}: a column index lies outside 0..{n - 1}")
-    if np.any(stored["sense"] >= len(_SENSES)) or np.any(stored["integer"] > 1):
-        raise ModelError(f"{path}: unknown sense code or integer flag")
-    model = MilpModel(_decode(path, stored["name"], "model"))
-    model._var_names = _stored_names(path, stored["var_names"], n, "variable")
-    model._con_names = _stored_names(path, stored["con_names"], m, "constraint")
-    for key, attr in _BUFFERS.items():
-        setattr(model, attr, _buffer(getattr(model, attr), stored[key]))
+    model = MilpModel()
+    with _reading(path, _STORED, "model") as read:
+        model.name = _decode(path, read("name"), "model")
+        for key, (attr, _) in _PLAIN.items():
+            setattr(model, attr, _buffer(getattr(model, attr), read(key)))
+        n, m, nnz = len(model._lb), len(model._sense), len(model._coefs)
+        for key, size in (("ub", n), ("obj", n), ("integer", n), ("rhs", m)):
+            found = len(getattr(model, _PLAIN[key][0]))
+            if found != size:
+                raise ModelError(f"{path}: {key} holds {found} entries, expected {size}")
+        if (np.frombuffer(model._sense, dtype=np.uint8).max(initial=0) >= len(_SENSES)
+                or np.frombuffer(model._int, dtype=np.uint8).max(initial=0) > 1):
+            raise ModelError(f"{path}: unknown sense code or integer flag")
+        indptr = _undelta(path, read("indptr_delta"), m + 1, _DELTA["indptr"][1], "indptr")
+        if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+            raise ModelError(f"{path}: indptr does not rise from 0 to {nnz}")
+        model._indptr = _buffer(model._indptr, indptr)
+        cols = _undelta(path, read("cols_delta"), nnz, _DELTA["cols"][1], "cols")
+        if nnz and (cols.min() < 0 or cols.max() >= n):
+            raise ModelError(f"{path}: a column index lies outside 0..{n - 1}")
+        model._cols = _buffer(model._cols, cols)
+        del indptr, cols
+        model._var_names = _unpack_names(path, read, "var", n, "variable")
+        model._con_names = _unpack_names(path, read, "con", m, "constraint")
     return model
 
 
 # the arrays of a solution's values file and their dtypes
-_SOLUTION = {"names": np.uint8, "values": np.float64}
+_SOLUTION = {**_name_spec("names"), "values": np.float64}
 
 
 def save_solution(sol: Solution, path) -> None:
     """Write a solution's values to a compressed ``.npz`` file.
 
-    The file holds the variable names as one newline-joined UTF-8 blob and
-    the values as a float64 array in the same order.  Equal values give
+    The file holds the variable names, packed as a model file packs them,
+    and the values as a float64 array in the same order.  Equal values give
     equal bytes.  Raises ModelError if a name contains a newline.
     """
     names = list(sol.values)
-    arrays = {"names": np.frombuffer(_joined(names, "variable"), dtype=np.uint8),
+    arrays = {**_pack_names(_joined(names, "variable"), "names"),
               "values": np.fromiter(sol.values.values(), dtype=np.float64,
                                     count=len(names))}
     with open(path, "wb") as fh:
@@ -431,12 +563,14 @@ def load_solution(path) -> dict[str, float]:
     """The values written by ``save_solution``, in their stored order;
     nothing is unpickled.
 
-    Raises ModelError if an array is missing or is not a 1-D array of its
-    dtype, the name and value counts disagree, or a name repeats.
+    Raises ModelError if an array is missing (a file in an earlier layout
+    among them) or is not a 1-D array of its dtype, the names are damaged
+    (as ``load_model`` checks them), the name and value counts disagree, or
+    a name repeats.
     """
-    stored = _load_arrays(path, _SOLUTION, "solution")
-    values = stored["values"]
-    names = _stored_names(path, stored["names"], len(values), "variable").tolist()
+    with _reading(path, _SOLUTION, "solution") as read:
+        values = read("values")
+        names = _unpack_names(path, read, "names", len(values), "variable").tolist()
     out = dict(zip(names, values.tolist()))
     if len(out) != len(names):
         raise ModelError(f"{path}: a variable name repeats")
@@ -604,10 +738,10 @@ def parse_mps(path) -> MilpModel:
 
 def write_registry(model: MilpModel, path, meta: dict | None = None) -> None:
     """Write the sidecar of a ``.npz`` model file: the model name and its
-    metadata."""
+    metadata, as compact JSON with sorted keys."""
     doc = {"model": model.name, "meta": meta or {}}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 

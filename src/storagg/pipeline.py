@@ -15,6 +15,15 @@ writing everything under one output directory::
     report/summary.json|csv       benchmark comparison table
     report/hourly_<kind>.csv      expanded hourly series
 
+Both ``.npz`` files store each name list as a template with its ASCII digit
+runs pulled out into numbers and widths, and a model file stores its CSR
+index arrays as first differences, byte plane by byte plane: a name such as
+``q_p8735_nuclear`` differs from its neighbours only in its number, and each
+period's rows repeat the last period's column pattern.  The 364-day ``hm``
+file takes 0.37 MB this way against 2.50 MB with whole names and plain index
+arrays.  A file in that earlier layout is refused as an input error
+(ConfigError), not read.
+
 The solve stage deliberately re-reads each model through ``load_built_model``
 (``milp.load_model`` on the ``.npz`` plus the metadata sidecar) instead of
 reusing the in-memory models, so every run exercises the interchange path.
@@ -339,12 +348,20 @@ def stage_evaluate(system: PowerSystem, data: TimeHorizonData,
                    solutions: dict[str, Solution],
                    with_prices: bool = True) -> tuple[dict[str, CaseResult],
                                                       dict[str, EvaluationReport]]:
+    """Expand, price and compare every kind against ``hm``.
+
+    Raises SolveError if a kind's solution is not ok or its pricing LP has
+    no optimum (``build_case_result`` refuses both with a ValueError).
+    """
     cases: dict[str, CaseResult] = {}
     for kind, fo in outputs.items():
-        cases[kind] = build_case_result(
-            fo, solutions[kind], system, data,
-            states=artifacts.states, rp=artifacts.rp,
-            with_prices=with_prices, check_degeneracy=config.check_degeneracy)
+        try:
+            cases[kind] = build_case_result(
+                fo, solutions[kind], system, data,
+                states=artifacts.states, rp=artifacts.rp,
+                with_prices=with_prices, check_degeneracy=config.check_degeneracy)
+        except ValueError as exc:
+            raise SolveError(f"cannot evaluate {kind!r}: {exc}") from None
     reports: dict[str, EvaluationReport] = {}
     if "hm" in cases:
         bench = cases["hm"]

@@ -15,26 +15,39 @@ from hypothesis import example, given, settings, strategies as st
 from storagg import (MilpModel, ModelError, Solution, write_mps, parse_mps,
                      save_model, load_model, save_solution, load_solution,
                      audit_constraints)
-from storagg.milp import INF, LE, GE, EQ, OK_STATUSES
+from storagg.milp import INF, LE, GE, EQ, OK_STATUSES, _delta_planes, _pack_names
 from storagg.pipeline import save_solutions, load_solutions
 
 from test_milp import assert_same_arrays
 
 finite = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5, 1e-300, 1.5e300]) | \
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+values = finite | st.sampled_from([INF, -INF])
+
+
+# names made of pieces that stress the digit-run split of the model files:
+# ASCII digit runs with leading zeros and longer than 18 digits, digits of
+# other scripts (not split), and any other text
+digit_text = st.lists(st.text("0123456789", min_size=1, max_size=40)
+                      | st.sampled_from(["0", "007", "\u0663", "\uff17", "\U0001d7d8"])
+                      | st.text(st.characters(codec="utf-8", exclude_characters="\n"),
+                                max_size=4),
+                      max_size=4).map("".join)
 
 
 @st.composite
-def named_models(draw, unicode_names=False):
+def named_models(draw, unicode_names=False, text=None):
     """(model, variable names, row names): mixed senses, integer and
     continuous columns, free, fixed and infinite bounds, and duplicate and
-    zero terms.  Names are ``x<j>`` and ``r<i>``, or with ``unicode_names``
-    any distinct text without a newline, the empty text among them."""
+    zero terms.  Names are ``x<j>`` and ``r<i>``; with ``unicode_names``
+    they are distinct draws of ``text`` (default: any text without a
+    newline, the empty text among them)."""
     n, rows = draw(st.integers(1, 6)), draw(st.integers(0, 6))
     var_names, con_names = [f"x{j}" for j in range(n)], [f"r{i}" for i in range(rows)]
     name = "prop"
     if unicode_names:
-        text = st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=8)
+        if text is None:
+            text = st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=8)
         var_names = draw(st.lists(text, min_size=n, max_size=n, unique=True))
         con_names = draw(st.lists(text, min_size=rows, max_size=rows, unique=True))
         name = draw(st.text(st.characters(codec="utf-8"), max_size=8))
@@ -175,6 +188,48 @@ def test_packed_names_read_back(drawn):
         assert_names(model, var_names + [fresh], con_names + [fresh])
 
 
+def _digit_names():
+    names = ["", "0", "007", "1" * 30, "9" * 18, "9" * 19, "\u0663\u0664", "q_p0_0x",
+             "a\u0663007b00\U0001d7d8", "12\u00e934"]
+    m = MilpModel("m0")
+    for name in names:
+        m.add_var(name)
+    for name in names[:3]:
+        m.add_con(name, {name: 1.0}, LE, 1.0)
+    return m, names, names[:3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(named_models(unicode_names=True, text=digit_text), st.data())
+@example(_digit_names(), None)
+@example((MilpModel("empty"), [], []), None)
+def test_digit_run_names_round_trip(drawn, data):
+    """Model and solution files split every name into a template and its
+    ASCII digit runs; whatever the names, a model file gives back the name
+    blobs byte for byte and the arrays bit for bit, and a values file the
+    names and values in order."""
+    m, var_names, con_names = drawn
+    for blob in (m._var_names.blob, m._con_names.blob):
+        packed = _pack_names(blob, "s")
+        template = bytes(packed["s_template"])
+        assert not any(c in template for c in b"123456789")
+        assert template.count(b"0") == len(packed["s_widths"])
+        assert all(1 <= w <= 18 for w in packed["s_widths"])
+    vals = {name: data.draw(values) if data else float(j)
+            for j, name in enumerate(var_names)}
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(m, Path(tmp) / "m.npz")
+        back = load_model(Path(tmp) / "m.npz")
+        save_solution(Solution("optimal", values=vals), Path(tmp) / "s.npz")
+        stored = load_solution(Path(tmp) / "s.npz")
+    assert back._var_names.blob == m._var_names.blob
+    assert back._con_names.blob == m._con_names.blob
+    assert back.var_names == tuple(var_names) and back.name == m.name
+    assert [c.name for c in back.constraints] == con_names
+    assert_identical_arrays(m.to_arrays(), back.to_arrays())
+    assert bits(stored) == bits(vals)
+
+
 def loop_residual(con, values):
     """One row's violation by a plain loop over its record, in column order."""
     lhs = sum(c * values[f"x{j}"] for j, c in sorted(zip(con.idx, con.coef)))
@@ -206,7 +261,6 @@ def test_audit_matches_row_loop(data):
 # ---------------------------------------------------------------------------
 
 names = st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=8)
-values = finite | st.sampled_from([INF, -INF])
 STATUSES = OK_STATUSES + ("infeasible", "unbounded", "error")
 
 
@@ -258,20 +312,30 @@ def test_solution_header_and_values_round_trip(sol):
 
 
 def _tampered_solution(arrays):
+    """(case, arrays) for damaged copies of the values file of ``a1``, ``b2``."""
+    names = {k: v for k, v in arrays.items() if k.startswith("names_")}
     yield "one value short", dict(arrays, values=arrays["values"][:-1])
-    yield "one name short", dict(arrays, names=np.frombuffer(b"a", dtype=np.uint8))
+    yield "one name short", dict(arrays, **_pack_names(b"a1", "names"))
     yield "object array", dict(arrays, values=arrays["values"].astype(object))
     yield "integer values", dict(arrays, values=arrays["values"].astype(np.int64))
     yield "2-D values", dict(arrays, values=arrays["values"].reshape(1, -1))
-    yield "missing values", {"names": arrays["names"]}
+    yield "missing values", names
     yield "missing names", {"values": arrays["values"]}
-    yield "repeated name", dict(arrays, names=np.frombuffer(b"a\na", dtype=np.uint8))
-    yield "names not UTF-8", dict(arrays, names=np.frombuffer(b"a\n\xff", dtype=np.uint8))
+    yield "missing widths", {k: v for k, v in arrays.items() if k != "names_widths"}
+    yield "repeated name", dict(arrays, **_pack_names(b"a1\na1", "names"))
+    yield "names not UTF-8", dict(arrays, **_pack_names(b"a1\n\xff", "names"))
+    yield "marker without a number", dict(arrays, names_template=np.frombuffer(
+        b"a0\nb00", dtype=np.uint8))
+    yield "width 0", dict(arrays, names_widths=np.array([1, 0], np.uint8))
+    yield "width 19", dict(arrays, names_widths=np.array([19, 1], np.uint8))
+    yield "number too wide", dict(arrays, names_numbers=_delta_planes([1, 12], "<i8"))
+    yield "parent layout", {"names": np.frombuffer(b"a1\nb2", dtype=np.uint8),
+                            "values": arrays["values"]}
 
 
 def test_solution_file_refusals(tmp_path):
     path = tmp_path / "s.npz"
-    save_solution(Solution("optimal", values={"a": 1.0, "b": -0.0}), path)
+    save_solution(Solution("optimal", values={"a1": 1.0, "b2": -0.0}), path)
     with np.load(path) as npz:
         arrays = dict(npz)
     for case, bad in _tampered_solution(arrays):

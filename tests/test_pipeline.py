@@ -15,6 +15,8 @@ from storagg import (emit_scenario_template, load_scenario, save_scenario,
 from storagg.pipeline import stage_ingest, stage_cluster, stage_build, \
     stage_solve, load_built_model, save_solutions, load_solutions
 
+from test_milp import _parent_layout
+
 
 @pytest.fixture(scope="module")
 def template_dir(tmp_path_factory):
@@ -386,6 +388,45 @@ def test_cli_stagewise_matches_run(tmp_path):
         proc = run_cli(*cmd)
         assert proc.returncode == 0, (cmd, proc.stderr)
     assert (tmp_path / "out" / "solutions" / "ss.json").exists()
+
+
+def test_cli_evaluate_of_failed_solution_exits_3(tmp_path):
+    """A solution header whose status is not ok is a solver error at
+    ``evaluate`` (exit 3), not a traceback (exit 1)."""
+    scen = tmp_path / "scen"
+    run_cli("template", "-o", str(scen), "--days", "2")
+    out, cfg = tmp_path / "out", str(scen / "scenario.json")
+    for cmd in (("cluster", cfg, "-o", str(out)),
+                ("build", cfg, "-o", str(out), "--only", "ss")):
+        assert run_cli(*cmd).returncode == 0, cmd
+    save_solutions(out, {"ss": Solution("error", message="Time limit reached")}, {"ss": {}})
+    proc = run_cli("evaluate", cfg, "-o", str(out), "--only", "ss", "--no-prices")
+    assert proc.returncode == 3, proc.stderr
+    assert "status 'error'" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_cli_refuses_files_in_the_parent_layout(tmp_path):
+    """A model or solution file written before names were split into digit
+    runs is refused as an input error (exit 2): there is no reader for it."""
+    scen = tmp_path / "scen"
+    run_cli("template", "-o", str(scen), "--days", "2")
+    out, cfg = tmp_path / "out", str(scen / "scenario.json")
+    for cmd in (("cluster", cfg, "-o", str(out)),
+                ("build", cfg, "-o", str(out), "--only", "ss"),
+                ("solve", cfg, "-o", str(out), "--only", "ss", "--gap", "1e-3")):
+        assert run_cli(*cmd).returncode == 0, cmd
+    values = out / "solutions" / "ss.npz"
+    names = "\n".join(load_solutions(out, ["ss"])["ss"].values).encode()
+    np.savez_compressed(values, names=np.frombuffer(names, dtype=np.uint8),
+                        values=np.zeros(names.count(b"\n") + 1))
+    proc = run_cli("evaluate", cfg, "-o", str(out), "--only", "ss", "--no-prices")
+    assert proc.returncode == 2, proc.stderr
+    assert "ss.npz: not a solution file" in proc.stderr
+    model = out / "models" / "ss.npz"
+    np.savez_compressed(model, **_parent_layout(load_built_model(out, "ss").model))
+    proc = run_cli("solve", cfg, "-o", str(out), "--only", "ss")
+    assert proc.returncode == 2, proc.stderr
+    assert "ss.npz: not a model file" in proc.stderr
 
 
 def scipy_loaded_after(code: str) -> list[str]:
