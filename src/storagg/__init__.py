@@ -28,8 +28,9 @@ from .milp import (MilpModel, Variable, Constraint, Solution, ModelError,
                    write_registry, load_registry, write_solution_file,
                    parse_solution_file, audit_constraints,
                    constraint_families, SOLVER_ENV_VAR)
-from .formulations import (FormulationOutput, build_hm, build_ss, build_rp,
-                           build_ss_rfm, build_rp_tmci, BUILDER_KINDS)
+from .formulations import (FormulationOutput, Periods, periods, build_hm,
+                           build_ss, build_rp, build_ss_rfm, build_rp_tmci,
+                           BUILDER_KINDS)
 from .evaluation import (HourlyExpansion, ViolationRecord, CaseResult,
                          EvaluationReport, expand_solution, detect_violations,
                          compute_prices, attach_prices, count_startups,

@@ -188,12 +188,6 @@ class RepPeriodClustering:
     def horizon_hours(self) -> int:
         return self.num_days * HOURS_PER_DAY
 
-    def hour_map(self) -> np.ndarray:
-        """Map every hour to the same hour-of-day inside its representative day."""
-        days = np.arange(self.horizon_hours) // HOURS_PER_DAY
-        offset = np.arange(self.horizon_hours) % HOURS_PER_DAY
-        return self.medoid_days[self.day_assignment[days]] * HOURS_PER_DAY + offset
-
 
 def cluster_states(features: NormalizedFeatures, num_states: int, seed: int) -> StateClustering:
     labels, centers, _ = kmeans(features.matrix, num_states, seed)
@@ -366,22 +360,30 @@ def save_artifacts(art: AggregationArtifacts, path) -> None:
 
 
 def load_artifacts(path) -> AggregationArtifacts:
-    """Read the clusterings back and rebuild the matrices from them."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    st = doc["states"]
-    states = StateClustering(
-        num_states=st["num_states"],
-        assignment=np.array(st["assignment"], dtype=int),
-        durations=np.array(st["durations"], dtype=int),
-        demand=np.array(st["demand"], dtype=float),
-        renewable_avail=np.array(st["renewable_avail"], dtype=float),
-        inflows=np.array(st["inflows"], dtype=float))
-    rp_doc = doc["rp"]
-    rp = RepPeriodClustering(
-        num_rp=rp_doc["num_rp"],
-        day_assignment=np.array(rp_doc["day_assignment"], dtype=int),
-        medoid_days=np.array(rp_doc["medoid_days"], dtype=int),
-        weights=np.array(rp_doc["weights"], dtype=int))
-    return AggregationArtifacts(seed=doc["seed"], states=states, rp=rp,
-                                matrices=build_matrices(states, rp, doc["window_hours"]))
+    """Read the clusterings back and rebuild the matrices from them.
+
+    Raises AggregationError, naming the file, if it is not JSON or lacks a
+    key.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        st, rp_doc = doc["states"], doc["rp"]
+        states = StateClustering(
+            num_states=st["num_states"],
+            assignment=np.array(st["assignment"], dtype=int),
+            durations=np.array(st["durations"], dtype=int),
+            demand=np.array(st["demand"], dtype=float),
+            renewable_avail=np.array(st["renewable_avail"], dtype=float),
+            inflows=np.array(st["inflows"], dtype=float))
+        rp = RepPeriodClustering(
+            num_rp=rp_doc["num_rp"],
+            day_assignment=np.array(rp_doc["day_assignment"], dtype=int),
+            medoid_days=np.array(rp_doc["medoid_days"], dtype=int),
+            weights=np.array(rp_doc["weights"], dtype=int))
+        seed, window = doc["seed"], doc["window_hours"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise AggregationError(f"{path} is not a clustering artifacts file "
+                               f"({type(exc).__name__}: {exc})") from None
+    return AggregationArtifacts(seed=seed, states=states, rp=rp,
+                                matrices=build_matrices(states, rp, window))

@@ -15,11 +15,11 @@ from pathlib import Path
 
 from .milp import SolverError
 from .pipeline import (PipelineError, ConfigError, ScenarioConfig,
-                       load_scenario, load_built_model, load_solutions,
-                       stage_ingest, stage_cluster, stage_build, stage_solve,
-                       stage_evaluate, stage_report, run_pipeline,
+                       load_scenario, check_knobs, load_built_model,
+                       load_solutions, stage_ingest, stage_cluster, stage_build,
+                       stage_solve, stage_evaluate, stage_report, run_pipeline,
                        emit_scenario_template)
-from .aggregation import load_artifacts
+from .aggregation import load_artifacts, AggregationError
 from .formulations import BUILDER_KINDS
 
 
@@ -97,15 +97,26 @@ def _load(args) -> ScenarioConfig:
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
     if getattr(args, "gap", None) is not None:
+        check_knobs({"gap": args.gap})
         config.gap = args.gap
     return config
 
 
-def _artifacts(outdir: Path):
+def _artifacts(outdir: Path, hours: int):
+    """The clusterings saved under ``outdir``, checked against the ``hours``
+    of the series they are used with."""
     path = Path(outdir) / "agg" / "artifacts.json"
     if not path.exists():
         raise ConfigError(f"no clustering artifacts at {path}; run 'cluster' first")
-    return load_artifacts(path)
+    try:
+        artifacts = load_artifacts(path)
+    except AggregationError as exc:
+        raise ConfigError(f"clustering artifacts: {exc}") from None
+    covered = {artifacts.states.horizon_hours, artifacts.rp.horizon_hours}
+    if covered != {hours}:
+        raise ConfigError(f"{path} clusters {sorted(covered)} hours, the series has "
+                          f"{hours}; run 'cluster' again")
+    return artifacts
 
 
 def _kinds(config: ScenarioConfig, args) -> list[str]:
@@ -137,7 +148,7 @@ def cmd_cluster(args) -> int:
 def cmd_build(args) -> int:
     config = _load(args)
     system, data = stage_ingest(config)
-    artifacts = _artifacts(args.outdir)
+    artifacts = _artifacts(args.outdir, data.horizon_hours)
     outputs = stage_build(system, data, artifacts, config, Path(args.outdir),
                           only=args.only)
     for kind, fo in outputs.items():
@@ -159,7 +170,7 @@ def cmd_solve(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _load(args)
     system, data = stage_ingest(config)
-    artifacts = _artifacts(args.outdir)
+    artifacts = _artifacts(args.outdir, data.horizon_hours)
     kinds = _kinds(config, args)
     outputs = {k: load_built_model(Path(args.outdir), k) for k in kinds}
     solutions = load_solutions(Path(args.outdir), kinds)

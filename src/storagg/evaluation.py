@@ -8,8 +8,9 @@ non-served power, storage levels, and prices.
 
 Values are read by the names the formulation builders compose with
 ``var_name``, ``<symbol>_<label>_<id>`` (e.g. ``q_p17_gas``,
-``dw_s3_s5_bess``), with the model's time labels taken from
-``fo.meta["time_labels"]``; each real hour points at one label index.  The
+``dw_s3_s5_bess``), over the period labels that
+``formulations.common.periods`` derives from the kind and its clustering,
+the layout the builder used; each real hour points at one label index.  The
 startup counts are the positive steps of the expanded hourly commitment and
 the investment values read ``x_<id>``.  A solution that is not usable, or
 lacks a value any of them reads, is refused with ValueError rather than read
@@ -24,8 +25,9 @@ profiles for representative days); the gap between the two is reported.
 
 Prices come from a fix-and-relax pass: integers are pinned at their solved
 values, the relaxation is solved as an LP, and the balance-row duals are
-divided by each period's hour weight to yield per-hour values.  A pricing LP
-without an optimum is a ValueError, never a report without prices.
+divided by each period's hour weight to yield per-hour values, which map
+back onto the hours through the same period index.  A pricing LP without an
+optimum is a ValueError, never a report without prices.
 ``compare`` turns the ``hm`` case and one aggregated case into an
 ``EvaluationReport``; callers key the reports by the aggregated kind.
 """
@@ -40,7 +42,7 @@ from .milp import Solution, ScipySolver, fix_and_relax, STATUS_OPTIMAL
 from .system import PowerSystem
 from .timeseries import TimeHorizonData
 from .aggregation import StateClustering, RepPeriodClustering, TransitionMatrices
-from .formulations.common import FormulationOutput, var_name
+from .formulations.common import FormulationOutput, Periods, periods, var_name
 
 VIOLATION_TOL = 1e-6  # GWh beyond a bound before it counts as a violation
 
@@ -48,7 +50,7 @@ VIOLATION_TOL = 1e-6  # GWh beyond a bound before it counts as a violation
 @dataclass
 class HourlyExpansion:
     hours: int
-    source_labels: list[str]                     # governing model period per hour
+    periods: Periods                             # the model's hour -> period map
     thermal_production: dict[str, np.ndarray]
     commitment: dict[str, np.ndarray]
     storage_discharge: dict[str, np.ndarray]
@@ -62,6 +64,11 @@ class HourlyExpansion:
     demand_total: np.ndarray | None = None       # real system demand per hour
     prices: np.ndarray | None = None             # demand-weighted system price
     nodal_prices: dict[str, np.ndarray] | None = None
+
+    @property
+    def source_labels(self) -> list[str]:
+        """The governing model period of every hour."""
+        return [self.periods.labels[i] for i in self.periods.pos.tolist()]
 
     def curtailment(self) -> dict[str, np.ndarray]:
         return {n: self.renewable_available[n] - self.renewable_use[n]
@@ -97,32 +104,18 @@ def expand_solution(fo: FormulationOutput, solution: Solution, system: PowerSyst
                     rp: RepPeriodClustering | None = None) -> HourlyExpansion:
     """Copy each model period's values onto the real hours it governs.
 
-    Every kind yields one array ``pos`` mapping each real hour to its index
-    in ``fo.meta["time_labels"]``: the hour itself for ``hm``, the state
-    assignment for the states family, and the representative hour of the
-    day-cluster map for representative days.  Each hourly series is then a
-    per-label grid indexed by ``pos``.
+    ``periods`` gives the hour -> period index ``pos`` of the kind: the hour
+    itself for ``hm``, the state assignment for the states family, and the
+    same hour of the medoid day for representative days.  Each hourly series
+    is then a per-label grid indexed by ``pos``.
     """
     kind = fo.kind
-    labels = fo.meta["time_labels"]
     p = data.horizon_hours
-    if kind == "hm":
-        pos = np.arange(p)
-    elif kind in ("ss", "ss_rfm"):
-        if states is None:
-            raise ValueError(f"expanding {kind!r} needs the state clustering")
-        pos = states.assignment
-    elif kind in ("rp", "rp_tmci"):
-        if rp is None:
-            raise ValueError(f"expanding {kind!r} needs the day clustering")
-        label_of_hour = np.full(p, -1)
-        label_of_hour[fo.meta["hours"]] = np.arange(len(labels))
-        pos = label_of_hour[rp.hour_map()]
-    else:
-        raise ValueError(f"unknown formulation kind {kind!r}")
+    per = periods(kind, p, states=states, rp=rp)
+    labels, pos = per.labels, per.pos
     # states stand for composite hours; every other period is a real hour
-    avail = (states.renewable_avail if kind in ("ss", "ss_rfm")
-             else data.renewable_avail[fo.meta["hours"]])
+    avail = (states.renewable_avail if per.hours is None
+             else data.renewable_avail[per.hours])
 
     def hourly(symbol: str, ids: list[str]) -> dict[str, np.ndarray]:
         grid = _grid(solution.values, symbol, labels, ids)[pos]
@@ -131,7 +124,7 @@ def expand_solution(fo: FormulationOutput, solution: Solution, system: PowerSyst
     thermal = [g.id for g in system.thermal]
     storage = system.storage_ids
     exp = HourlyExpansion(
-        hours=p, source_labels=[labels[i] for i in pos],
+        hours=p, periods=per,
         thermal_production=hourly("q", thermal),
         commitment={g: np.round(u) for g, u in hourly("u", thermal).items()},
         storage_discharge=hourly("q", storage), storage_charge=hourly("b", storage),
@@ -149,7 +142,7 @@ def expand_solution(fo: FormulationOutput, solution: Solution, system: PowerSyst
     if kind == "rp_tmci":
         checkpoints = fo.meta["checkpoints"]
         wchk = _grid(solution.values, "wchk", [f"k{k}" for k in checkpoints], storage)
-        mapped_inflows = data.inflows[fo.meta["hours"]][pos]
+        mapped_inflows = data.inflows[per.hours][pos]
         for j, s in enumerate(system.storage):
             net = (mapped_inflows[:, j] + s.efficiency * exp.storage_charge[s.id]
                    - exp.storage_discharge[s.id] - exp.storage_spill[s.id])
@@ -211,13 +204,14 @@ def detect_violations(expansion: HourlyExpansion, system: PowerSystem,
 # prices
 # ---------------------------------------------------------------------------
 
-def compute_prices(fo: FormulationOutput, solution: Solution,
+def compute_prices(fo: FormulationOutput, solution: Solution, per: Periods,
                    check_degeneracy: bool = False) -> tuple[dict, bool | None]:
     """Fix integers, relax, and read balance duals as per-hour prices.
 
     Returns ({(period label, node): price}, degenerate).  The dual of a
-    period's balance row is divided by the period's hour weight, so a
-    composite period standing for many hours still yields a per-hour price.
+    period's balance row is divided by the period's hour weight in ``per``,
+    the model's period layout, so a composite period standing for many hours
+    still yields a per-hour price.
     ``degenerate`` is None unless ``check_degeneracy`` is set; then the LP is
     re-solved by an interior-point method and ``degenerate`` says whether
     the two price vectors disagree (the prices are not unique).  Raises
@@ -231,7 +225,7 @@ def compute_prices(fo: FormulationOutput, solution: Solution,
             raise ValueError(f"pricing LP of {fo.kind!r} ({method}) ended with status "
                              f"{lp.status!r}: {lp.message}")
         all_duals.append(lp.duals)
-    weight_of = dict(zip(fo.meta["time_labels"], fo.meta["time_weights"]))
+    weight_of = dict(zip(per.labels, per.weights.tolist()))
     # balance rows are named bal_<label>_<node>; labels hold no "_"
     rows = [row for row in all_duals[0] if row.startswith("bal_")]
     keys = [tuple(row.split("_", 2)[1:]) for row in rows]
@@ -247,15 +241,15 @@ def compute_prices(fo: FormulationOutput, solution: Solution,
 
 def attach_prices(expansion: HourlyExpansion, system: PowerSystem,
                   data: TimeHorizonData, period_prices: dict) -> None:
-    """Map per-period nodal prices onto hours through the source labels.
+    """Map per-period nodal prices onto hours through the period index.
 
     The system price per hour weights nodes by their real demand (equal
     weights when the hour has no demand at all).  Raises KeyError if
-    ``period_prices`` lacks a (label, node) pair some hour needs.
+    ``period_prices`` lacks a (label, node) pair of the model.
     """
-    labels, pos = np.unique(expansion.source_labels, return_inverse=True)
+    per = expansion.periods
     grid = np.array([[period_prices[label, n] for n in system.nodes]
-                     for label in labels.tolist()])[pos]
+                     for label in per.labels])[per.pos]
     system_price = grid.mean(axis=1)
     total = data.demand.sum(axis=1)
     np.divide((grid * data.demand).sum(axis=1), total, out=system_price, where=total > 0)
@@ -339,7 +333,7 @@ def build_case_result(fo: FormulationOutput, solution: Solution, system: PowerSy
     investment = investment_values(fo, solution, system)
     degenerate = None
     if with_prices:
-        period_prices, degenerate = compute_prices(fo, solution,
+        period_prices, degenerate = compute_prices(fo, solution, expansion.periods,
                                                    check_degeneracy=check_degeneracy)
         attach_prices(expansion, system, data, period_prices)
     return CaseResult(

@@ -33,16 +33,20 @@ Constraint name prefixes (the family tag used by the audit tooling):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ..milp import MilpModel, INF, LE, GE, EQ
 from ..system import PowerSystem
+from ..timeseries import HOURS_PER_DAY
+from ..aggregation import StateClustering, RepPeriodClustering
 
 
 @dataclass
 class FormulationOutput:
-    """A built model plus the metadata evaluation needs to interpret it."""
+    """A built model plus the metadata evaluation needs to interpret it:
+    ``kind``, ``invest`` and, for ``rp_tmci``, the ``checkpoints``."""
 
     model: MilpModel
     kind: str
@@ -52,6 +56,55 @@ class FormulationOutput:
     def registry(self) -> tuple[str, ...]:
         """The model's variable names in declaration order."""
         return self.model.var_names
+
+
+class Periods(NamedTuple):
+    """One kind's time layout: the period ``labels`` in declaration order,
+    the real hour each period is (``hours``; None for the states family,
+    whose periods are composite hours) and ``pos``, the period index of
+    every real hour."""
+
+    labels: list[str]
+    hours: np.ndarray | None
+    pos: np.ndarray
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The number of real hours each period stands for."""
+        return np.bincount(self.pos, minlength=len(self.labels))
+
+
+def periods(kind: str, horizon_hours: int, states: StateClustering | None = None,
+            rp: RepPeriodClustering | None = None) -> Periods:
+    """The hour -> period map of ``kind`` over ``horizon_hours`` real hours:
+    every hour for ``hm``; one composite hour per state, by the state
+    assignment, for the states family; for representative days the hours of
+    the medoid days in calendar order, each real hour going to the same hour
+    of day in its cluster's medoid day.  Raises ValueError for an unknown
+    kind, a missing clustering or one that covers another horizon.
+    """
+    if kind == "hm":
+        hours = pos = np.arange(horizon_hours)
+    elif kind in ("ss", "ss_rfm"):
+        if states is None:
+            raise ValueError(f"{kind!r} periods need the state clustering")
+        hours, pos = None, states.assignment
+    elif kind in ("rp", "rp_tmci"):
+        if rp is None:
+            raise ValueError(f"{kind!r} periods need the day clustering")
+        days = np.sort(rp.medoid_days)              # model days in calendar order
+        hours = (days[:, None] * HOURS_PER_DAY + np.arange(HOURS_PER_DAY)).ravel()
+        model_day = np.searchsorted(days, rp.medoid_days)[rp.day_assignment]
+        t = np.arange(rp.horizon_hours)
+        pos = model_day[t // HOURS_PER_DAY] * HOURS_PER_DAY + t % HOURS_PER_DAY
+    else:
+        raise ValueError(f"unknown formulation kind {kind!r}")
+    if len(pos) != horizon_hours:
+        raise ValueError(f"the {kind!r} clustering covers {len(pos)} hours, "
+                         f"not {horizon_hours}")
+    labels = ([f"s{s}" for s in range(states.num_states)] if hours is None
+              else [f"p{h}" for h in hours.tolist()])
+    return Periods(labels, hours, pos)
 
 
 def var_name(symbol: str, label: str, uid: str) -> str:

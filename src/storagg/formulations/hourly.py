@@ -9,33 +9,22 @@ the annualized cost of any storage capacity built.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..milp import MilpModel, GE
 from ..system import PowerSystem
 from ..timeseries import TimeHorizonData
-from .common import (FormulationOutput, var_name, add_investment,
+from .common import (FormulationOutput, periods, var_name, add_investment,
                      add_operating_core, add_hourly_levels, add_hourly_startups)
 
 
 def build_hm(system: PowerSystem, data: TimeHorizonData,
              invest: bool = False) -> FormulationOutput:
-    p = data.horizon_hours
     m = MilpModel("hm")
-    labels = [f"p{t}" for t in range(p)]
-    weights = np.ones(p)
+    per = periods("hm", data.horizon_hours)
+    labels, weights = per.labels, per.weights
     x = add_investment(m, system, invest)
     add_operating_core(m, system, labels, data.demand, data.renewable_avail, weights, x)
     add_hourly_startups(m, system, labels, weights)
     add_hourly_levels(m, system, labels, data.inflows, x)
     for s in system.storage:
         m.add_con(f"fin_{s.id}", [(var_name("w", labels[-1], s.id), 1.0)], GE, s.w_fin)
-    meta = {
-        "kind": "hm",
-        "invest": invest,
-        "time_labels": labels,
-        "time_weights": [1.0] * p,
-        "hours": list(range(p)),
-        "terminal": "hard",
-    }
-    return FormulationOutput(model=m, kind="hm", meta=meta)
+    return FormulationOutput(model=m, kind="hm", meta={"kind": "hm", "invest": invest})

@@ -24,21 +24,14 @@ from ..system import PowerSystem
 from ..timeseries import HOURS_PER_DAY, TimeHorizonData
 from ..aggregation import (RepPeriodClustering, TransitionMatrices,
                            default_checkpoints)
-from .common import (FormulationOutput, var_name, add_investment,
+from .common import (FormulationOutput, periods, var_name, add_investment,
                      add_operating_core, add_hourly_levels, add_hourly_startups)
 
 
 def _rep_day_core(system: PowerSystem, data: TimeHorizonData,
                   rp: RepPeriodClustering, invest: bool, kind: str):
-    day_order = np.argsort(rp.medoid_days)          # model days in calendar order
-    rep_hours: list[int] = []
-    hour_weight: list[float] = []
-    for r in day_order:
-        f = int(rp.medoid_days[r]) * HOURS_PER_DAY
-        rep_hours.extend(range(f, f + HOURS_PER_DAY))
-        hour_weight.extend([float(rp.weights[r])] * HOURS_PER_DAY)
-    labels = [f"p{h}" for h in rep_hours]
-    weights = np.array(hour_weight)
+    per = periods(kind, data.horizon_hours, rp=rp)
+    labels, hours, weights = per.labels, per.hours, per.weights
     # the plain model treats every day as its own fresh chronology; the
     # enhanced one concatenates the days so commitments and levels carry
     # over, with checkpoints and commitment links tying the chain back to
@@ -47,11 +40,11 @@ def _rep_day_core(system: PowerSystem, data: TimeHorizonData,
 
     m = MilpModel(kind)
     x = add_investment(m, system, invest)
-    add_operating_core(m, system, labels, data.demand[rep_hours],
-                       data.renewable_avail[rep_hours], weights, x)
+    add_operating_core(m, system, labels, data.demand[hours],
+                       data.renewable_avail[hours], weights, x)
     add_hourly_startups(m, system, labels, weights, day_starts=day_starts)
-    add_hourly_levels(m, system, labels, data.inflows[rep_hours], x, day_starts=day_starts)
-    return m, x, labels, rep_hours, weights
+    add_hourly_levels(m, system, labels, data.inflows[hours], x, day_starts=day_starts)
+    return m, x, per
 
 
 def _day_edge_labels(rp: RepPeriodClustering, cluster: int) -> tuple[str, str]:
@@ -61,20 +54,12 @@ def _day_edge_labels(rp: RepPeriodClustering, cluster: int) -> tuple[str, str]:
 
 def build_rp(system: PowerSystem, data: TimeHorizonData,
              rp: RepPeriodClustering, invest: bool = False) -> FormulationOutput:
-    m, x, labels, rep_hours, weights = _rep_day_core(system, data, rp, invest, "rp")
+    m, _, _ = _rep_day_core(system, data, rp, invest, "rp")
     for r in range(rp.num_rp):
         _, last = _day_edge_labels(rp, r)
         for s in system.storage:
             m.add_con(f"cyc_r{r}_{s.id}", [(var_name("w", last, s.id), 1.0)], GE, s.w0)
-    meta = {
-        "kind": "rp",
-        "invest": invest,
-        "time_labels": labels,
-        "time_weights": [float(v) for v in weights],
-        "hours": rep_hours,
-        "terminal": "cyclic_day",
-    }
-    return FormulationOutput(model=m, kind="rp", meta=meta)
+    return FormulationOutput(model=m, kind="rp", meta={"kind": "rp", "invest": invest})
 
 
 def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
@@ -90,19 +75,12 @@ def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
     """
     if window % HOURS_PER_DAY != 0:
         raise ValueError(f"checkpoint window {window} must be a multiple of {HOURS_PER_DAY}")
-    m, x, labels, rep_hours, weights = _rep_day_core(system, data, rp, invest, "rp_tmci")
+    m, x, per = _rep_day_core(system, data, rp, invest, "rp_tmci")
 
     # commitment continuity across observed day-cluster transitions
     nrpp = matrices.rp_transitions
-    total = float(nrpp.sum())
-    threshold = theta * total if 0 < theta < 1 else theta
-    linked_pairs = []
-    if np.isfinite(threshold):
-        for a in range(rp.num_rp):
-            for bb in range(rp.num_rp):
-                if nrpp[a, bb] >= threshold and nrpp[a, bb] > 0:
-                    linked_pairs.append((a, bb))
-    for a, bb in linked_pairs:
+    threshold = theta * float(nrpp.sum()) if 0 < theta < 1 else theta
+    for a, bb in np.argwhere((nrpp >= threshold) & (nrpp > 0)).tolist():
         _, last_a = _day_edge_labels(rp, a)
         first_b, _ = _day_edge_labels(rp, bb)
         for g in system.thermal:
@@ -111,9 +89,8 @@ def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
                       EQ, 0.0)
 
     # checkpoint storage levels chained across the real calendar
-    p_total = rp.horizon_hours
-    checkpoints = default_checkpoints(p_total, window)
-    hour_map = rp.hour_map()
+    checkpoints = default_checkpoints(data.horizon_hours, window)
+    inflows = data.inflows[per.hours]               # per period
     for k in checkpoints:
         for s in system.storage:
             has_x = s.id in x
@@ -127,34 +104,22 @@ def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
     prev = 0
     for k in checkpoints:
         k = int(k)
-        for s in system.storage:
+        for j, s in enumerate(system.storage):
             coeffs: dict[str, float] = {var_name("wchk", f"k{k}", s.id): 1.0}
             if prev:
                 coeffs[var_name("wchk", f"k{prev}", s.id)] = -1.0
             rhs = 0.0 if prev else s.w0
-            for p in range(prev, k):
-                rep_h = int(hour_map[p])
-                lbl = f"p{rep_h}"
+            for t in per.pos[prev:k].tolist():
                 for sym, c in (("b", -s.efficiency), ("q", 1.0), ("sp", 1.0)):
-                    name = var_name(sym, lbl, s.id)
+                    name = var_name(sym, per.labels[t], s.id)
                     coeffs[name] = coeffs.get(name, 0.0) + c
-                rhs += float(data.inflows[rep_h, system.storage_ids.index(s.id)])
+                rhs += float(inflows[t, j])
             m.add_con(f"cbal_k{k}_{s.id}", coeffs, EQ, rhs)
         prev = k
     for s in system.storage:
         m.add_con(f"cfin_{s.id}", [(var_name("wchk", f"k{checkpoints[-1]}", s.id), 1.0)],
                   GE, s.w_fin)
 
-    meta = {
-        "kind": "rp_tmci",
-        "invest": invest,
-        "time_labels": labels,
-        "time_weights": [float(v) for v in weights],
-        "hours": rep_hours,
-        "terminal": "final_checkpoint",
-        "checkpoints": [int(k) for k in checkpoints],
-        "window": int(window),
-        "theta": None if np.isinf(theta) else float(theta),
-        "linked_pairs": [[int(a), int(bb)] for a, bb in linked_pairs],
-    }
+    meta = {"kind": "rp_tmci", "invest": invest,
+            "checkpoints": [int(k) for k in checkpoints]}
     return FormulationOutput(model=m, kind="rp_tmci", meta=meta)

@@ -23,7 +23,8 @@ import numpy as np
 from ..milp import MilpModel, LE, GE, EQ
 from ..system import PowerSystem, StorageUnit
 from ..aggregation import StateClustering, TransitionMatrices
-from .common import FormulationOutput, var_name, add_investment, add_operating_core
+from .common import (FormulationOutput, periods, var_name, add_investment,
+                     add_operating_core)
 
 
 def _state_family(system: PowerSystem, states: StateClustering,
@@ -31,8 +32,8 @@ def _state_family(system: PowerSystem, states: StateClustering,
     s_count = states.num_states
     trans = matrices.transitions
     m = MilpModel(kind)
-    labels = [f"s{s}" for s in range(s_count)]
-    weights = states.durations.astype(float)
+    per = periods(kind, states.horizon_hours, states=states)
+    labels, weights = per.labels, per.weights
     x = add_investment(m, system, invest)
     add_operating_core(m, system, labels, states.demand, states.renewable_avail,
                        weights, x)
@@ -82,24 +83,14 @@ def _state_family(system: PowerSystem, states: StateClustering,
         bound_rows("end", s, trans, s.w_fin - s.w0, s.w_max - s.w0)
 
     # checkpoint bounds
-    checkpoints = matrices.checkpoints
-    for ki, k in enumerate(checkpoints):
+    for ki, k in enumerate(matrices.checkpoints):
         for s in system.storage:
             use_window = kind == "ss_rfm" and s.kind == "short_term"
             matrix = matrices.reduced_frequency[ki] if use_window else matrices.frequency[ki]
             bound_rows("win" if use_window else "chk", s, matrix,
                        s.w_min - s.w0, s.w_max - s.w0, suffix=f"_k{k}")
 
-    meta = {
-        "kind": kind,
-        "invest": invest,
-        "time_labels": labels,
-        "time_weights": [float(w) for w in weights],
-        "hours": None,
-        "terminal": "chain_end",
-        "checkpoints": [int(k) for k in checkpoints],
-    }
-    return FormulationOutput(model=m, kind=kind, meta=meta)
+    return FormulationOutput(model=m, kind=kind, meta={"kind": kind, "invest": invest})
 
 
 def build_ss(system: PowerSystem, states: StateClustering,

@@ -746,9 +746,14 @@ def write_registry(model: MilpModel, path, meta: dict | None = None) -> None:
 
 
 def load_registry(path) -> dict:
-    """The metadata stored by ``write_registry``."""
-    with open(path) as fh:
-        return json.load(fh).get("meta", {})
+    """The metadata stored by ``write_registry``; raises ModelError, naming
+    the file, if it is not such a sidecar."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)["meta"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ModelError(f"{path}: not a model sidecar "
+                         f"({type(exc).__name__}: {exc})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ writing everything under one output directory::
 
     agg/artifacts.json            clusterings + checkpoint window
     models/<kind>.npz             model arrays + names (milp.save_model)
-    models/<kind>.registry.json   model name + metadata (time labels, weights, ...)
+    models/<kind>.registry.json   model name + kind, invest (+ rp_tmci checkpoints)
     solutions/<kind>.json         status, objective, gap, wall time, message, audit
     solutions/<kind>.npz          variable names + values (milp.save_solution)
     report/summary.json|csv       benchmark comparison table
@@ -27,17 +27,22 @@ arrays.  A file in that earlier layout is refused as an input error
 The solve stage deliberately re-reads each model through ``load_built_model``
 (``milp.load_model`` on the ``.npz`` plus the metadata sidecar) instead of
 reusing the in-memory models, so every run exercises the interchange path.
-Variables are found by name alone, so the ``.npz`` file plus the metadata are
-the whole model.  MPS is written only by the external-solver adapter, into a
-temporary file of its own.  A solution is stored the same way: a small JSON
-header, which the audit rides along in, beside its values as arrays, and
-``load_solutions`` rebuilds it from the two.
+Variables are found by name alone, so the ``.npz`` file plus the sidecar are
+the whole model for the solver.  Evaluation also needs the period layout, the
+map from real hours to model periods, and derives it
+(``formulations.common.periods``) from ``agg/artifacts.json``; the sidecar
+does not repeat it.  A damaged artifacts file or sidecar is an input error
+(ConfigError) naming the file.  MPS is written only by the external-solver
+adapter, into a temporary file of its own.  A solution is stored the same
+way: a small JSON header, which the audit rides along in, beside its values
+as arrays, and ``load_solutions`` rebuilds it from the two.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -92,7 +97,10 @@ class ScenarioConfig:
     rep_days: int = 6
     seed: int = 0
     kinds: list[str] = field(default_factory=lambda: list(BUILDER_KINDS))
-    window_hours: int | None = None       # checkpoint spacing; None = by storage kind
+    # checkpoint spacing.  None means 24 h for ss/ss_rfm with short-term
+    # storage, else 168 h, and 168 h for rp_tmci whatever the storage; one
+    # default waits on re-pinning bench/reference.json (ROADMAP item 1)
+    window_hours: int | None = None
     theta: float = 1.0                    # commitment-link threshold (rp_tmci)
     invest: bool = False
     gap: float = 0.0
@@ -102,6 +110,29 @@ class ScenarioConfig:
 
     def path(self, name: str) -> Path:
         return (Path(self.base_dir) / name).resolve()
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# scenario knobs checked on load: key -> (test, what the test asks for)
+_KNOBS = {
+    "gap": (lambda v: _number(v) and math.isfinite(v) and v >= 0,
+            "a finite number >= 0"),
+    "time_limit": (lambda v: v is None or (_number(v) and v > 0),
+                   "a positive number or null"),
+    "theta": (lambda v: _number(v) and v >= 0, "a number >= 0"),
+    "invest": (lambda v: isinstance(v, bool), "true or false"),
+    "check_degeneracy": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def check_knobs(values: dict) -> None:
+    """Raise ConfigError for a knob in ``values`` of the wrong type or range."""
+    for key, (ok, what) in _KNOBS.items():
+        if key in values and not ok(values[key]):
+            raise ConfigError(f"{key} must be {what}, got {values[key]!r}")
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -134,6 +165,7 @@ def load_scenario(path) -> ScenarioConfig:
     if window is not None and "rp_tmci" in kinds and window % HOURS_PER_DAY != 0:
         raise ConfigError(f"window_hours {window} must be a multiple of "
                           f"{HOURS_PER_DAY} for rp_tmci")
+    check_knobs(raw)
     raw.setdefault("base_dir", str(path.parent))
     return ScenarioConfig(**raw)
 
@@ -223,7 +255,11 @@ def stage_build(system: PowerSystem, data: TimeHorizonData,
 
 
 def load_built_model(outdir: Path, kind: str) -> FormulationOutput:
-    """Reassemble a formulation from its ``.npz`` file and metadata sidecar."""
+    """Reassemble a formulation from its ``.npz`` file and metadata sidecar.
+
+    Raises ConfigError, naming the file, if either is missing or damaged or
+    the sidecar lacks a key evaluation reads.
+    """
     models_dir = Path(outdir) / "models"
     path = models_dir / f"{kind}.npz"
     side = models_dir / f"{kind}.registry.json"
@@ -232,10 +268,14 @@ def load_built_model(outdir: Path, kind: str) -> FormulationOutput:
         raise ConfigError(f"model files for {kind!r} not found under {models_dir}: {missing}")
     try:
         model = load_model(path)
+        meta = load_registry(side)
     except ModelError as exc:
         raise ConfigError(f"model file: {exc}") from None
-    meta = load_registry(side)
-    return FormulationOutput(model=model, kind=meta.get("kind", kind), meta=meta)
+    required = ("kind", "invest") + (("checkpoints",) if kind == "rp_tmci" else ())
+    missing = [key for key in required if key not in meta]
+    if missing:
+        raise ConfigError(f"model sidecar {side} lacks {missing}")
+    return FormulationOutput(model=model, kind=meta["kind"], meta=meta)
 
 
 # the keys of solutions/<kind>.json that rebuild a Solution; the file also
@@ -412,6 +452,7 @@ def stage_report(system: PowerSystem, cases: dict[str, CaseResult],
 
     for kind, case in cases.items():
         exp = case.expansion
+        source = exp.source_labels
         with open(rep_dir / f"hourly_{kind}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             header = ["hour", "source"]
@@ -426,7 +467,7 @@ def stage_report(system: PowerSystem, cases: dict[str, CaseResult],
                 header.append("price")
             writer.writerow(header)
             for t in range(exp.hours):
-                row: list = [t, exp.source_labels[t]]
+                row: list = [t, source[t]]
                 row += [f"{exp.thermal_production[g][t]:.6g}" for g in exp.thermal_production]
                 row += [int(exp.commitment[g][t]) for g in exp.commitment]
                 for uid in exp.storage_level:
@@ -466,8 +507,8 @@ def run_pipeline(config: ScenarioConfig, outdir, only: list[str] | None = None,
     artifacts = stage_cluster(system, data, config, outdir)
     outputs = stage_build(system, data, artifacts, config, outdir, only=only)
     solutions = stage_solve(config, outdir, only=only, solver=solver, workers=workers)
-    # evaluation prices need the original models (the parsed copies work too,
-    # but the built ones are already in memory)
+    # evaluation prices the built models, already in memory; the copies the
+    # solve stage re-read from disk hold the same arrays
     cases, reports = stage_evaluate(system, data, artifacts, config,
                                     outputs, solutions, with_prices=with_prices)
     stage_report(system, cases, reports, outdir)

@@ -5,7 +5,7 @@ from storagg import (AggregationError, kmeans, kmedoids, cluster_states,
                      cluster_days, build_transition_matrix,
                      build_frequency_matrices, build_reduced_frequency_matrices,
                      default_checkpoints, aggregate, save_artifacts,
-                     load_artifacts, normalize_series)
+                     load_artifacts, normalize_series, periods)
 
 from conftest import make_data
 
@@ -118,7 +118,8 @@ def test_hour_map_points_into_medoid_days():
     rng = np.random.default_rng(6)
     data = make_data(rng.random(6 * 24), storage_ids=[])
     rp = cluster_days(normalize_series(data), 2, seed=3)
-    hmap = rp.hour_map()
+    per = periods("rp", 6 * 24, rp=rp)
+    hmap = per.hours[per.pos]
     assert hmap.shape == (6 * 24,)
     for t, h in enumerate(hmap):
         assert h % 24 == t % 24                       # same hour of day

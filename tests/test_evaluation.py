@@ -4,7 +4,7 @@ import pytest
 from storagg import (build_hm, build_ss, build_rp, build_rp_tmci, solve,
                      expand_solution, detect_violations, compute_prices,
                      attach_prices, count_startups, build_case_result,
-                     compare, aggregate, Solution, ScipySolver)
+                     compare, aggregate, periods, Solution, ScipySolver)
 from storagg.evaluation import HourlyExpansion, investment_values
 
 from conftest import (make_thermal, make_battery, make_system, make_data,
@@ -125,7 +125,7 @@ def test_expand_requires_matching_artifacts(battery_system, sin_data):
 def blank_expansion(levels):
     p = len(next(iter(levels.values())))
     return HourlyExpansion(
-        hours=p, source_labels=[f"p{t}" for t in range(p)],
+        hours=p, periods=periods("hm", p),
         thermal_production={}, commitment={},
         storage_discharge={}, storage_charge={}, storage_spill={},
         storage_level=levels, storage_level_model=levels,
@@ -169,7 +169,7 @@ def test_hm_prices_follow_marginal_unit(two_unit_system):
     data = make_data(demand)
     fo = build_hm(two_unit_system, data)
     sol = solved(fo)
-    prices, degenerate = compute_prices(fo, sol)
+    prices, degenerate = compute_prices(fo, sol, periods("hm", 24))
     assert degenerate is None          # not checked unless asked
     # cheap unit marginal in low hours, dear unit in high hours
     assert prices[("p0", "b1")] == pytest.approx(10.0)
@@ -184,7 +184,7 @@ def test_ss_prices_divided_by_duration():
     matrices = manual_matrices(chain, window=24)
     fo = build_ss(system, states, matrices)
     sol = solved(fo)
-    prices, _ = compute_prices(fo, sol)
+    prices, _ = compute_prices(fo, sol, periods("ss", 5, states=states))
     # the balance dual scales with the state duration; per-hour prices don't
     assert prices[("s0", "b1")] == pytest.approx(25.0)
     assert prices[("s1", "b1")] == pytest.approx(25.0)
@@ -196,7 +196,7 @@ def test_attach_prices_maps_to_hours(two_unit_system):
     fo = build_hm(two_unit_system, data)
     sol = solved(fo)
     exp = expand_solution(fo, sol, two_unit_system, data)
-    prices, _ = compute_prices(fo, sol)
+    prices, _ = compute_prices(fo, sol, exp.periods)
     attach_prices(exp, two_unit_system, data, prices)
     assert exp.prices[0] == pytest.approx(10.0)
     assert exp.prices[23] == pytest.approx(40.0)
@@ -209,7 +209,7 @@ def test_attach_prices_refuses_missing_label(two_unit_system):
     fo = build_hm(two_unit_system, data)
     sol = solved(fo)
     exp = expand_solution(fo, sol, two_unit_system, data)
-    prices, _ = compute_prices(fo, sol)
+    prices, _ = compute_prices(fo, sol, exp.periods)
     del prices[("p5", "b1")]           # a missing price is an error, not 0.0
     with pytest.raises(KeyError, match="p5"):
         attach_prices(exp, two_unit_system, data, prices)
@@ -220,7 +220,7 @@ def test_degeneracy_probe_runs(two_unit_system):
     data = make_data(np.full(24, 0.5))
     fo = build_hm(two_unit_system, data)
     sol = solved(fo)
-    prices, degenerate = compute_prices(fo, sol, check_degeneracy=True)
+    prices, degenerate = compute_prices(fo, sol, periods("hm", 24), check_degeneracy=True)
     assert degenerate in (True, False)
     assert prices[("p0", "b1")] == pytest.approx(10.0)
 
@@ -274,7 +274,7 @@ def test_count_startups_ignores_free_indicators():
     data = make_data(np.full(6, 0.5))
     fo = build_hm(system, data)
     values = dict.fromkeys(fo.model.var_names, 0.0)
-    for label in fo.meta["time_labels"]:
+    for label in periods("hm", 6).labels:
         values[f"u_{label}_g1"] = values[f"y_{label}_g1"] = 1.0
         values[f"q_{label}_g1"] = 0.5
     sol = Solution(status="optimal", objective=0.0, values=values)
@@ -326,9 +326,10 @@ def test_case_result_refuses_unsolved_pricing_lp(battery_system, sin_data, monke
         return Solution(status="error", message="stub")
 
     monkeypatch.setattr(ScipySolver, "solve_lp", simplex_only)
-    assert compute_prices(fo, sol)[1] is None
+    per = periods("hm", 48)
+    assert compute_prices(fo, sol, per)[1] is None
     with pytest.raises(ValueError, match="'hm' \\(highs-ipm\\).*'error'"):
-        compute_prices(fo, sol, check_degeneracy=True)
+        compute_prices(fo, sol, per, check_degeneracy=True)
     monkeypatch.setattr(ScipySolver, "solve_lp", lambda self, model, method="highs":
                         Solution(status="infeasible", message="stub"))
     with pytest.raises(ValueError, match="'hm' \\(highs\\).*'infeasible'"):
@@ -343,7 +344,7 @@ def test_case_result_refuses_missing_startups_and_investment(battery_system, sin
     data = make_data(np.tile(np.concatenate([np.zeros(8), np.ones(8)]), 3))
     fo = build_hm(system, data)
     sol = solved(fo)
-    on = [f"u_{label}_g1" for label in fo.meta["time_labels"]
+    on = [f"u_{label}_g1" for label in periods("hm", 48).labels
           if round(sol.values[f"u_{label}_g1"]) == 1]
     assert len(on) == 24
     case = build_case_result(fo, sol, system, data, with_prices=False)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from storagg import (build_hm, build_ss, build_ss_rfm, build_rp, build_rp_tmci,
-                     solve, constraint_families, audit_constraints)
+                     solve, constraint_families, audit_constraints, periods,
+                     aggregate, emit_scenario_template, load_scenario)
+from storagg.pipeline import stage_ingest, build_formulation
 
 from conftest import (make_thermal, make_battery, make_system, make_data,
                       manual_states, manual_matrices, manual_rp)
@@ -268,6 +270,14 @@ def test_rp_day_cycle_blocks_net_discharge(battery_system):
         assert sol.values[f"w_p{last}_batt"] >= w0 - 1e-8
 
 
+def linked_pairs(fo) -> list[tuple[int, int]]:
+    """The day-cluster pairs (a, b) that ``ulink_r<a>_r<b>_<unit>`` rows tie."""
+    names = [fo.model.constraints[i].name
+             for i in constraint_families(fo.model).get("ulink", [])]
+    return sorted({(int(a[1:]), int(b[1:]))
+                   for a, b in (name.split("_")[1:3] for name in names)})
+
+
 def test_rp_tmci_linking_rows(two_unit_system):
     data = make_data(np.concatenate([np.full(24, 0.5), np.full(24, 1.4),
                                      np.full(24, 0.6)]))
@@ -278,7 +288,7 @@ def test_rp_tmci_linking_rows(two_unit_system):
     fams = constraint_families(fo.model)
     # observed day transitions 0->1 and 1->0, two thermal units each
     assert len(fams["ulink"]) == 2 * 2
-    assert fo.meta["linked_pairs"] == [[0, 1], [1, 0]]
+    assert linked_pairs(fo) == [(0, 1), (1, 0)]
 
 
 def test_rp_tmci_theta_disables_linking(two_unit_system):
@@ -289,7 +299,7 @@ def test_rp_tmci_theta_disables_linking(two_unit_system):
     fo = build_rp_tmci(two_unit_system, data, rp, matrices, window=24,
                        theta=float("inf"))
     assert "ulink" not in constraint_families(fo.model)
-    assert fo.meta["linked_pairs"] == []
+    assert linked_pairs(fo) == []
 
 
 def test_rp_tmci_checkpoint_chain(battery_system):
@@ -303,7 +313,8 @@ def test_rp_tmci_checkpoint_chain(battery_system):
     sol = solve(fo.model)
     assert sol.ok
     batt = battery_system.storage[0]
-    hour_map = rp.hour_map()
+    per = periods("rp_tmci", 48, rp=rp)
+    hour_map = per.hours[per.pos]
     level = batt.w0
     for k in fo.meta["checkpoints"]:
         prev = k - 24
@@ -358,7 +369,65 @@ def test_all_builders_pass_audit(battery_system, sin_data):
 
 
 def test_meta_carries_time_structure(battery_system, sin_data):
+    """The sidecar metadata holds the kind and the invest flag; the time
+    structure comes from ``periods``: 48 hourly labels of weight 1, the
+    end-of-horizon requirement on the last one."""
     fo = build_hm(battery_system, sin_data)
-    assert fo.meta["time_labels"][0] == "p0"
-    assert fo.meta["time_weights"] == [1.0] * 48
-    assert fo.meta["terminal"] == "hard"
+    assert fo.meta == {"kind": "hm", "invest": False}
+    per = periods("hm", 48)
+    assert per.labels[0] == "p0" and per.hours.tolist() == per.pos.tolist()
+    assert per.weights.tolist() == [1] * 48
+    fin = fo.model.constraints[constraint_families(fo.model)["fin"][0]]
+    assert [fo.model.var_names[j] for j in fin.idx] == [f"w_{per.labels[-1]}_batt"]
+
+
+def check_period_layout(fo, system, horizon, states=None, rp=None):
+    """``periods`` against the built model: the weights cover the horizon,
+    each label's weight is the objective coefficient of its ``pns`` variable
+    over the penalty, and representative days map every real hour to the
+    same hour of day in its cluster's medoid day."""
+    per = periods(fo.kind, horizon, states=states, rp=rp)
+    weights = per.weights
+    assert weights.sum() == horizon, fo.kind
+    c = fo.model.to_arrays()[0]
+    col = {name: j for j, name in enumerate(fo.model.var_names)}
+    pns = [f"pns_{label}_{n}" for label in per.labels for n in system.nodes]
+    assert sorted(pns) == sorted(name for name in col if name.startswith("pns_"))
+    penalty = system.config.pns_penalty
+    for label, w in zip(per.labels, weights.tolist()):
+        for n in system.nodes:
+            assert c[col[f"pns_{label}_{n}"]] / penalty == pytest.approx(w, rel=1e-12, abs=0)
+    if fo.kind in ("rp", "rp_tmci"):
+        t = np.arange(horizon)
+        medoid_hour = rp.medoid_days[rp.day_assignment[t // 24]] * 24 + t % 24
+        assert [per.labels[i] for i in per.pos] == [f"p{h}" for h in medoid_hour]
+        assert per.hours[per.pos].tolist() == medoid_hour.tolist()
+
+
+def test_period_layout_oracle_on_template(tmp_path):
+    config = load_scenario(emit_scenario_template(tmp_path, days=14, seed=4))
+    system, data = stage_ingest(config)
+    art = aggregate(data, config.states, config.rep_days, config.seed)
+    for kind in ("hm", "ss", "ss_rfm", "rp", "rp_tmci"):
+        fo = build_formulation(kind, system, data, art, config)
+        check_period_layout(fo, system, data.horizon_hours, states=art.states, rp=art.rp)
+
+
+def test_period_layout_oracle_on_hand_made_clusterings(battery_system):
+    """Medoid days out of calendar order (clusters 1, 0, 2 by day) and a
+    state chain that revisits its states."""
+    chain = [0, 2, 2, 1, 0, 0, 1, 2, 2, 2, 0]
+    states = manual_states(chain, [0.4, 1.6, 1.0])
+    matrices = manual_matrices(chain, window=24)
+    for build in (build_ss, build_ss_rfm):
+        fo = build(battery_system, states, matrices)
+        check_period_layout(fo, battery_system, len(chain), states=states)
+
+    days = [1, 0, 0, 2]
+    rp = manual_rp(days, [2, 0, 3])
+    data = make_data(1.0 + 0.3 * np.sin(np.arange(96) / 5.0), storage_ids=["batt"])
+    check_period_layout(build_rp(battery_system, data, rp), battery_system, 96, rp=rp)
+    fo = build_rp_tmci(battery_system, data, rp,
+                       manual_matrices([0] * 96, window=24, day_assignment=days), window=24)
+    check_period_layout(fo, battery_system, 96, rp=rp)
+    assert periods("rp", 96, rp=rp).labels[::24] == ["p0", "p48", "p72"]

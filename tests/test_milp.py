@@ -194,8 +194,7 @@ def test_mps_large_model_writes_in_one_pass(tmp_path):
 
 
 def test_registry_sidecar_round_trip(tmp_path):
-    meta = {"kind": "toy", "time_labels": ["p0", "p1"], "time_weights": [1.0, 2.0],
-            "hours": None, "invest": False}
+    meta = {"kind": "toy", "invest": False, "checkpoints": [24, 48]}
     path = tmp_path / "toy.registry.json"
     write_registry(toy_model(), path, meta=meta)
     assert load_registry(path) == meta
@@ -357,6 +356,20 @@ def test_stage_build_model_file_bytes_per_element(tmp_path):
     elements = m.num_vars + m.num_cons + m.to_arrays()[4].nnz
     size = (tmp_path / "out" / "models" / "hm.npz").stat().st_size
     assert size / elements < 1.0
+
+
+def test_stage_build_sidecars_stay_small(tmp_path):
+    """The five 28-day template sidecars that stage_build writes stay under
+    2 KB together (305 B measured): the period layout is derived from the
+    clusterings, not stored.  With time labels, weights and hours in every
+    sidecar they took 15,848 B."""
+    config = load_scenario(emit_scenario_template(tmp_path / "scen", days=28, seed=4))
+    system, data = stage_ingest(config)
+    art = stage_cluster(system, data, config, tmp_path / "out")
+    stage_build(system, data, art, config, tmp_path / "out")
+    sides = sorted((tmp_path / "out" / "models").glob("*.registry.json"))
+    assert len(sides) == 5
+    assert sum(side.stat().st_size for side in sides) < 2048
 
 
 def test_reloaded_model_memory_per_element(tmp_path):

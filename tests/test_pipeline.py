@@ -78,13 +78,26 @@ def test_load_scenario_bad_kind(template_dir, tmp_path):
     (dict(window_hours=36), "multiple of 24 for rp_tmci"),
     (dict(window_hours=36, kinds=["hm", "ss"]), None),
     (dict(window_hours=None), None),
+    (dict(gap="abc"), "gap must be a finite number >= 0, got 'abc'"),
+    (dict(gap=-1e-3), "gap must be a finite number"),
+    (dict(gap=float("inf")), "gap must be a finite number"),
+    (dict(gap=True), "gap must be a finite number"),
+    (dict(time_limit=0), "time_limit must be a positive number or null"),
+    (dict(time_limit="60"), "time_limit must be a positive number or null"),
+    (dict(theta="x"), "theta must be a number >= 0"),
+    (dict(theta=-0.5), "theta must be a number >= 0"),
+    (dict(invest="yes"), "invest must be true or false"),
+    (dict(check_degeneracy=1), "check_degeneracy must be true or false"),
+    (dict(gap=0, time_limit=None, theta=float("inf"), invest=True), None),
+    (dict(time_limit=30.5, theta=0.25, check_degeneracy=True), None),
 ])
 def test_load_scenario_checks_counts_and_window(template_dir, tmp_path, change, message):
     doc = json.loads((template_dir / "scenario.json").read_text())
     (tmp_path / "scenario.json").write_text(json.dumps(dict(doc, **change)))
     if message is None:
         config = load_scenario(tmp_path / "scenario.json")
-        assert config.window_hours == change["window_hours"]
+        for key, value in change.items():
+            assert getattr(config, key) == value
     else:
         with pytest.raises(ConfigError, match=message):
             load_scenario(tmp_path / "scenario.json")
@@ -199,7 +212,7 @@ def test_built_model_reloads_from_disk(run_result):
     _, outdir, result = run_result
     fo = load_built_model(outdir, "ss")
     assert fo.kind == "ss"
-    assert fo.meta == result.outputs["ss"].meta
+    assert fo.meta == result.outputs["ss"].meta == {"kind": "ss", "invest": False}
     assert fo.registry == result.outputs["ss"].registry
     sol = load_solutions(outdir, ["ss"])["ss"]
     assert sol.objective == pytest.approx(result.cases["ss"].objective,
@@ -357,20 +370,33 @@ def test_cli_bad_scenario_exits_2(tmp_path):
 
 
 def test_cli_config_errors_exit_2(tmp_path):
-    """Counts the series cannot support and a checkpoint window rp_tmci
-    cannot use are configuration errors: exit 2, a message, no traceback,
-    and no model file written."""
+    """Counts the series cannot support, a checkpoint window rp_tmci cannot
+    use, a knob of the wrong type or range (in the file or as ``--gap``), a
+    damaged clustering artifacts file and one made from another series are
+    configuration errors: exit 2, a message, no traceback, and no model file
+    written."""
     scen = tmp_path / "scen"
     run_cli("template", "-o", str(scen), "--days", "2")
     doc = json.loads((scen / "scenario.json").read_text())
     out = tmp_path / "out"
+    assert run_cli("cluster", str(scen / "scenario.json"), "-o", str(out)).returncode == 0
+    artifacts = out / "agg" / "artifacts.json"
+    artifacts.write_text(artifacts.read_text()[:200])
     for change, command, message in ((dict(rep_days=5), "cluster", "cannot form 5 clusters"),
-                                     (dict(window_hours=36), "build", "multiple of 24")):
+                                     (dict(window_hours=36), "build", "multiple of 24"),
+                                     (dict(gap="abc"), "cluster", "gap must be"),
+                                     (dict(), "build", "artifacts.json is not a clustering")):
         cfg = tmp_path / f"{command}.json"
         cfg.write_text(json.dumps(dict(doc, base_dir=str(scen), **change)))
         proc = run_cli(command, str(cfg), "-o", str(out))
         assert proc.returncode == 2, (command, proc.stderr)
         assert message in proc.stderr and "Traceback" not in proc.stderr
+    proc = run_cli("solve", str(scen / "scenario.json"), "-o", str(out), "--gap", "nan")
+    assert proc.returncode == 2 and "gap must be a finite number" in proc.stderr
+    assert run_cli("cluster", str(scen / "scenario.json"), "-o", str(out)).returncode == 0
+    run_cli("template", "-o", str(tmp_path / "scen3"), "--days", "3")
+    proc = run_cli("build", str(tmp_path / "scen3" / "scenario.json"), "-o", str(out))
+    assert proc.returncode == 2 and "clusters [48] hours, the series has 72" in proc.stderr
     assert not (out / "models").exists()
 
 
@@ -407,7 +433,8 @@ def test_cli_evaluate_of_failed_solution_exits_3(tmp_path):
 
 def test_cli_refuses_files_in_the_parent_layout(tmp_path):
     """A model or solution file written before names were split into digit
-    runs is refused as an input error (exit 2): there is no reader for it."""
+    runs is refused as an input error (exit 2): there is no reader for it.
+    So is a model sidecar that is not JSON or lacks a key."""
     scen = tmp_path / "scen"
     run_cli("template", "-o", str(scen), "--days", "2")
     out, cfg = tmp_path / "out", str(scen / "scenario.json")
@@ -427,6 +454,14 @@ def test_cli_refuses_files_in_the_parent_layout(tmp_path):
     proc = run_cli("solve", cfg, "-o", str(out), "--only", "ss")
     assert proc.returncode == 2, proc.stderr
     assert "ss.npz: not a model file" in proc.stderr
+    run_cli("build", cfg, "-o", str(out), "--only", "ss")
+    side = out / "models" / "ss.registry.json"
+    for damaged, message in (('{"meta": {"kind"', "ss.registry.json: not a model sidecar"),
+                             ('{"meta": {"kind": "ss"}}', "ss.registry.json lacks ['invest']")):
+        side.write_text(damaged)
+        proc = run_cli("solve", cfg, "-o", str(out), "--only", "ss")
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 def scipy_loaded_after(code: str) -> list[str]:
