@@ -32,12 +32,16 @@ art = aggregate(data, num_states=12, num_rp=4, seed=0)
 
 print(f"{P} hours -> {art.states.num_states} states, "
       f"{DAYS} days -> {art.rp.num_rp} representative days")
-print("state durations:", art.states.durations.tolist())
-print("rep day weights:", art.rp.weights.tolist(),
+# a state's duration is the number of hours assigned to it, a representative
+# day's weight the number of days in its cluster
+durations = np.bincount(art.states.assignment, minlength=art.states.num_states)
+weights = np.bincount(art.rp.day_assignment, minlength=art.rp.num_rp)
+print("state durations:", durations.tolist())
+print("rep day weights:", weights.tolist(),
       "medoid days:", art.rp.medoid_days.tolist())
 
 # every hour belongs to exactly one state; durations add back to the horizon
-assert art.states.durations.sum() == P
+assert durations.sum() == P
 
 # ---------------------------------------------------- chronology as counts
 N = art.matrices.transitions

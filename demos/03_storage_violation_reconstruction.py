@@ -14,9 +14,7 @@ import numpy as np
 
 from storagg import (ThermalUnit, StorageUnit, Network, OperatingConfig,
                      PowerSystem, TimeHorizonData, SHORT_TERM,
-                     StateClustering, TransitionMatrices,
-                     build_transition_matrix, build_frequency_matrices,
-                     build_reduced_frequency_matrices, default_checkpoints,
+                     StateClustering, RepPeriodClustering, build_matrices,
                      build_hm, build_ss_rfm, solve, expand_solution,
                      detect_violations)
 
@@ -44,17 +42,13 @@ data = TimeHorizonData(nodes=["hub"], storage_ids=["batt"],
 assignment = np.array([0] * 48 + [1] * 24)
 states = StateClustering(
     num_states=2, assignment=assignment,
-    durations=np.bincount(assignment),
     demand=np.array([[1.0], [3.0]]),
     renewable_avail=np.array([[2.0], [0.0]]),
     inflows=np.zeros((2, 1)))
-cps = default_checkpoints(72, 24)
-freq = build_frequency_matrices(assignment, cps, 2)
-matrices = TransitionMatrices(
-    transitions=build_transition_matrix(assignment, 2),
-    checkpoints=cps, frequency=freq,
-    reduced_frequency=build_reduced_frequency_matrices(freq),
-    rp_transitions=np.array([[2]]), window_hours=24)
+# the windowed model reads no day clustering; one cluster of all three days
+days = RepPeriodClustering(num_rp=1, day_assignment=np.zeros(3, dtype=int),
+                           medoid_days=np.array([0]))
+matrices = build_matrices(states, days, window_hours=24)
 
 # ------------------------------------------------------------ solve + expand
 fo = build_ss_rfm(system, states, matrices)

@@ -16,8 +16,7 @@ from .aggregation import (StateClustering, RepPeriodClustering,
                           TransitionMatrices, AggregationArtifacts,
                           AggregationError, kmeans, kmedoids,
                           cluster_states, cluster_days,
-                          build_transition_matrix, build_frequency_matrices,
-                          build_reduced_frequency_matrices, build_matrices,
+                          window_counts, build_matrices,
                           default_checkpoints, aggregate,
                           save_artifacts, load_artifacts)
 from .milp import (MilpModel, Variable, Constraint, Solution, ModelError,

@@ -10,10 +10,11 @@ Two reductions are supported:
   features (``HOURS_PER_DAY`` x F values per day); each representative is an
   actual day of the horizon, weighted by the number of days in its cluster.
 
-Chronology is retained in counting matrices built from the assignments:
-state-to-state transition counts, cumulative transition counts up to a set of
-checkpoint hours, per-window transition counts between checkpoints, and
-day-cluster transition counts (``build_transition_matrix`` on the days).
+Chronology is retained in counting matrices built from the assignments, all
+from one pair counter (``window_counts``): per-window transition counts
+between checkpoint hours, their running sums up to each checkpoint, the
+state-to-state transition counts (the last running sum), and day-cluster
+transition counts (the day chain as a single window).
 """
 
 from __future__ import annotations
@@ -75,6 +76,35 @@ def _check_k(points: np.ndarray, k: int) -> None:
             f"cannot form {k} clusters: only {distinct} distinct points")
 
 
+def _alternate(points: np.ndarray, k: int, seed: int, start, distance, recenter):
+    """Assign and recenter from farthest-point seeds until the labels repeat,
+    re-seeding when a cluster empties.  ``start`` maps seed indices to
+    centers, ``distance`` centers to the (n, k) costs, ``recenter`` labels to
+    centers.  Returns (labels, centers, trace of the assignment costs)."""
+    _check_k(points, k)
+    n = len(points)
+    rng = np.random.default_rng(seed)
+    for _attempt in range(MAX_RESEEDS + 1):
+        centers = start(_farthest_point_seed(points, k, rng))
+        labels = None
+        trace: list[float] = []
+        for _it in range(MAX_ITER):
+            cost = distance(centers)
+            new_labels = cost.argmin(axis=1)
+            trace.append(float(cost[np.arange(n), new_labels].sum()))
+            if (np.bincount(new_labels, minlength=k) == 0).any():
+                break
+            if labels is not None and np.array_equal(new_labels, labels):
+                return labels, centers, np.array(trace)
+            labels = new_labels
+            centers = recenter(labels)
+        else:
+            return labels, centers, np.array(trace)
+    raise AggregationError(
+        f"clustering kept producing empty clusters after {MAX_RESEEDS} re-seeds "
+        f"(k={k} may exceed the number of distinct points)")
+
+
 def kmeans(points: np.ndarray, k: int, seed: int):
     """Plain Lloyd iterations with farthest-point seeding.
 
@@ -84,33 +114,12 @@ def kmeans(points: np.ndarray, k: int, seed: int):
     the allowed number of re-initializations.
     """
     points = np.asarray(points, dtype=float)
-    _check_k(points, k)
-    n = len(points)
-    rng = np.random.default_rng(seed)
-    for _attempt in range(MAX_RESEEDS + 1):
-        centers = points[_farthest_point_seed(points, k, rng)].copy()
-        labels = None
-        trace: list[float] = []
-        empty = False
-        for _it in range(MAX_ITER):
-            d2 = _pairwise_sq_dists(points, centers)
-            new_labels = d2.argmin(axis=1)
-            trace.append(float(d2[np.arange(n), new_labels].sum()))
-            counts = np.bincount(new_labels, minlength=k)
-            if (counts == 0).any():
-                empty = True
-                break
-            if labels is not None and np.array_equal(new_labels, labels):
-                labels = new_labels
-                break
-            labels = new_labels
-            for j in range(k):
-                centers[j] = points[labels == j].mean(axis=0)
-        if not empty:
-            return labels, centers, np.array(trace)
-    raise AggregationError(
-        f"k-means kept producing empty clusters after {MAX_RESEEDS} re-seeds "
-        f"(k={k} may exceed the number of distinct points)")
+    return _alternate(
+        points, k, seed,
+        start=lambda chosen: points[chosen],
+        distance=lambda centers: _pairwise_sq_dists(points, centers),
+        recenter=lambda labels: np.array(
+            [points[labels == j].mean(axis=0) for j in range(k)]))
 
 
 def kmedoids(points: np.ndarray, k: int, seed: int):
@@ -121,34 +130,16 @@ def kmedoids(points: np.ndarray, k: int, seed: int):
     into ``points``, so every representative is an actual observation.
     """
     points = np.asarray(points, dtype=float)
-    _check_k(points, k)
-    n = len(points)
     dist = _pairwise_sq_dists(points, points)
-    rng = np.random.default_rng(seed)
-    for _attempt in range(MAX_RESEEDS + 1):
-        medoids = np.array(_farthest_point_seed(points, k, rng))
-        labels = None
-        trace: list[float] = []
-        empty = False
-        for _it in range(MAX_ITER):
-            new_labels = dist[:, medoids].argmin(axis=1)
-            trace.append(float(dist[np.arange(n), medoids[new_labels]].sum()))
-            counts = np.bincount(new_labels, minlength=k)
-            if (counts == 0).any():
-                empty = True
-                break
-            if labels is not None and np.array_equal(new_labels, labels):
-                labels = new_labels
-                break
-            labels = new_labels
-            for j in range(k):
-                members = np.flatnonzero(labels == j)
-                within = dist[np.ix_(members, members)].sum(axis=0)
-                medoids[j] = members[int(np.argmin(within))]
-        if not empty:
-            return labels, medoids, np.array(trace)
-    raise AggregationError(
-        f"k-medoids kept producing empty clusters after {MAX_RESEEDS} re-seeds")
+
+    def medoid(members):
+        return members[int(np.argmin(dist[np.ix_(members, members)].sum(axis=0)))]
+
+    return _alternate(
+        points, k, seed, start=np.array,
+        distance=lambda medoids: dist[:, medoids],
+        recenter=lambda labels: np.array(
+            [medoid(np.flatnonzero(labels == j)) for j in range(k)]))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +152,6 @@ class StateClustering:
 
     num_states: int
     assignment: np.ndarray     # (P,) state index per hour
-    durations: np.ndarray      # (S,) hours represented by each state
     demand: np.ndarray         # (S, n_nodes) GW, de-normalized composite hour
     renewable_avail: np.ndarray  # (S, n_nodes) GW
     inflows: np.ndarray        # (S, n_storage) GWh
@@ -178,7 +168,6 @@ class RepPeriodClustering:
     num_rp: int
     day_assignment: np.ndarray   # (D,) cluster index per day
     medoid_days: np.ndarray      # (R,) day index of each representative
-    weights: np.ndarray          # (R,) days represented by each cluster
 
     @property
     def num_days(self) -> int:
@@ -195,7 +184,6 @@ def cluster_states(features: NormalizedFeatures, num_states: int, seed: int) -> 
     return StateClustering(
         num_states=num_states,
         assignment=labels.astype(int),
-        durations=np.bincount(labels, minlength=num_states),
         demand=demand, renewable_avail=renew, inflows=inflows)
 
 
@@ -208,24 +196,12 @@ def cluster_days(features: NormalizedFeatures, num_rp: int, seed: int) -> RepPer
     return RepPeriodClustering(
         num_rp=num_rp,
         day_assignment=labels.astype(int),
-        medoid_days=medoids.astype(int),
-        weights=np.bincount(labels, minlength=num_rp))
+        medoid_days=medoids.astype(int))
 
 
 # ---------------------------------------------------------------------------
 # chronology matrices
 # ---------------------------------------------------------------------------
-
-def build_transition_matrix(assignment: np.ndarray, num_states: int | None = None) -> np.ndarray:
-    """Count consecutive-hour transitions; entry (s, s') is the number of
-    hour pairs (p, p+1) with state s followed by state s'.  Self-transitions
-    included; the total always equals P - 1."""
-    assignment = np.asarray(assignment, dtype=int)
-    s = int(assignment.max()) + 1 if num_states is None else num_states
-    counts = np.zeros((s, s), dtype=int)
-    np.add.at(counts, (assignment[:-1], assignment[1:]), 1)
-    return counts
-
 
 def default_checkpoints(horizon_hours: int, window: int) -> np.ndarray:
     """Checkpoint hours {M, 2M, ...} for window M, with the horizon end
@@ -238,42 +214,27 @@ def default_checkpoints(horizon_hours: int, window: int) -> np.ndarray:
     return np.array(marks, dtype=int)
 
 
-def build_frequency_matrices(assignment: np.ndarray, checkpoints: np.ndarray,
-                             num_states: int | None = None) -> np.ndarray:
-    """Cumulative transition counts: the slice for checkpoint k counts the
-    hour pairs (p, p+1) with p+1 < k, i.e. the transitions contributing to
-    the level reached after k hours.  The slice at the final checkpoint
-    equals the full transition matrix."""
+def window_counts(assignment: np.ndarray, checkpoints, n: int) -> np.ndarray:
+    """Consecutive-pair counts per checkpoint window: entry (i, s, s') counts
+    the pairs (p, p+1) from state s to s' with ``checkpoints[i-1] <= p+1 <
+    checkpoints[i]`` (no lower bound for i = 0).  With the horizon end as
+    the last checkpoint the slices sum to the P - 1 transitions.  Raises
+    AggregationError for checkpoints outside 1..P or out of order and for an
+    assignment index outside 0..n-1."""
     assignment = np.asarray(assignment, dtype=int)
     checkpoints = np.asarray(checkpoints, dtype=int)
-    p = len(assignment)
-    if (checkpoints < 1).any() or (checkpoints > p).any():
+    if (checkpoints < 1).any() or (checkpoints > len(assignment)).any():
         raise AggregationError("checkpoints must lie within the horizon")
-    if not np.array_equal(checkpoints, np.sort(checkpoints)):
+    if (np.diff(checkpoints) < 0).any():
         raise AggregationError("checkpoints must be sorted")
-    s = int(assignment.max()) + 1 if num_states is None else num_states
-    freq = np.zeros((len(checkpoints), s, s), dtype=int)
-    running = np.zeros((s, s), dtype=int)
-    prev = 0
-    for i, k in enumerate(checkpoints):
-        # new pairs (p, p+1) with p+1 in (prev, k), i.e. p in [prev, k-1)
-        if k - 1 > prev:
-            seg_from = assignment[prev:k - 1]
-            seg_to = assignment[prev + 1:k]
-            np.add.at(running, (seg_from, seg_to), 1)
-        freq[i] = running
-        prev = k - 1
-    return freq
-
-
-def build_reduced_frequency_matrices(frequency: np.ndarray) -> np.ndarray:
-    """Per-window transition counts: the difference between consecutive
-    cumulative slices.  Entries are non-negative and the slices sum back to
-    the full transition matrix."""
-    reduced = np.empty_like(frequency)
-    reduced[0] = frequency[0]
-    reduced[1:] = frequency[1:] - frequency[:-1]
-    return reduced
+    if ((assignment < 0) | (assignment >= n)).any():
+        raise AggregationError(f"assignment indices must lie in 0..{n - 1}")
+    # window of each pair by its second hour; pairs past the last checkpoint
+    # land in an extra slice that is dropped
+    window = np.searchsorted(checkpoints, np.arange(1, len(assignment)), side="right")
+    counts = np.bincount((window * n + assignment[:-1]) * n + assignment[1:],
+                         minlength=(len(checkpoints) + 1) * n * n)
+    return counts.reshape(-1, n, n)[:-1]
 
 
 @dataclass(frozen=True)
@@ -288,14 +249,18 @@ class TransitionMatrices:
 
 def build_matrices(states: StateClustering, rp: RepPeriodClustering,
                    window_hours: int) -> TransitionMatrices:
+    """Every chronology matrix, from the pair counts of the two clusterings:
+    the per-window state counts, their running sums, the last of which is
+    the transition matrix, and the day counts over one window."""
     checkpoints = default_checkpoints(states.horizon_hours, window_hours)
-    frequency = build_frequency_matrices(states.assignment, checkpoints, states.num_states)
+    reduced = window_counts(states.assignment, checkpoints, states.num_states)
+    frequency = reduced.cumsum(axis=0)
     return TransitionMatrices(
-        transitions=build_transition_matrix(states.assignment, states.num_states),
+        transitions=frequency[-1],
         checkpoints=checkpoints,
         frequency=frequency,
-        reduced_frequency=build_reduced_frequency_matrices(frequency),
-        rp_transitions=build_transition_matrix(rp.day_assignment, rp.num_rp),
+        reduced_frequency=reduced,
+        rp_transitions=window_counts(rp.day_assignment, [rp.num_days], rp.num_rp)[0],
         window_hours=window_hours)
 
 
@@ -339,7 +304,6 @@ def save_artifacts(art: AggregationArtifacts, path) -> None:
         "states": {
             "num_states": art.states.num_states,
             "assignment": art.states.assignment.tolist(),
-            "durations": art.states.durations.tolist(),
             "demand": art.states.demand.tolist(),
             "renewable_avail": art.states.renewable_avail.tolist(),
             "inflows": art.states.inflows.tolist(),
@@ -348,7 +312,6 @@ def save_artifacts(art: AggregationArtifacts, path) -> None:
             "num_rp": art.rp.num_rp,
             "day_assignment": art.rp.day_assignment.tolist(),
             "medoid_days": art.rp.medoid_days.tolist(),
-            "weights": art.rp.weights.tolist(),
         },
         "window_hours": art.matrices.window_hours,
     }
@@ -362,8 +325,8 @@ def save_artifacts(art: AggregationArtifacts, path) -> None:
 def load_artifacts(path) -> AggregationArtifacts:
     """Read the clusterings back and rebuild the matrices from them.
 
-    Raises AggregationError, naming the file, if it is not JSON or lacks a
-    key.
+    Raises AggregationError, naming the file, if it is not JSON, lacks a
+    key, or holds an index or an array length the clusterings cannot have.
     """
     try:
         with open(path) as fh:
@@ -372,18 +335,25 @@ def load_artifacts(path) -> AggregationArtifacts:
         states = StateClustering(
             num_states=st["num_states"],
             assignment=np.array(st["assignment"], dtype=int),
-            durations=np.array(st["durations"], dtype=int),
             demand=np.array(st["demand"], dtype=float),
             renewable_avail=np.array(st["renewable_avail"], dtype=float),
             inflows=np.array(st["inflows"], dtype=float))
         rp = RepPeriodClustering(
             num_rp=rp_doc["num_rp"],
             day_assignment=np.array(rp_doc["day_assignment"], dtype=int),
-            medoid_days=np.array(rp_doc["medoid_days"], dtype=int),
-            weights=np.array(rp_doc["weights"], dtype=int))
-        seed, window = doc["seed"], doc["window_hours"]
-    except (ValueError, KeyError, TypeError) as exc:
+            medoid_days=np.array(rp_doc["medoid_days"], dtype=int))
+        if any(len(a) != states.num_states
+               for a in (states.demand, states.renewable_avail, states.inflows)):
+            raise ValueError(f"composite hours must have {states.num_states} rows")
+        if len(rp.medoid_days) != rp.num_rp:
+            raise ValueError(f"{rp.num_rp} representatives need as many medoid days")
+        if ((rp.medoid_days < 0) | (rp.medoid_days >= rp.num_days)).any():
+            raise ValueError(f"medoid days must lie in 0..{rp.num_days - 1}")
+        if (rp.day_assignment[rp.medoid_days] != np.arange(rp.num_rp)).any():
+            raise ValueError("each medoid day must lie in its own cluster")
+        matrices = build_matrices(states, rp, doc["window_hours"])
+        seed = doc["seed"]
+    except (ValueError, KeyError, TypeError, AggregationError) as exc:
         raise AggregationError(f"{path} is not a clustering artifacts file "
                                f"({type(exc).__name__}: {exc})") from None
-    return AggregationArtifacts(seed=seed, states=states, rp=rp,
-                                matrices=build_matrices(states, rp, window))
+    return AggregationArtifacts(seed=seed, states=states, rp=rp, matrices=matrices)

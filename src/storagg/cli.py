@@ -95,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> ScenarioConfig:
     config = load_scenario(args.scenario)
     if getattr(args, "seed", None) is not None:
+        check_knobs({"seed": args.seed})
         config.seed = args.seed
     if getattr(args, "gap", None) is not None:
         check_knobs({"gap": args.gap})
@@ -117,11 +118,6 @@ def _artifacts(outdir: Path, hours: int):
         raise ConfigError(f"{path} clusters {sorted(covered)} hours, the series has "
                           f"{hours}; run 'cluster' again")
     return artifacts
-
-
-def _kinds(config: ScenarioConfig, args) -> list[str]:
-    only = getattr(args, "only", None)
-    return [k for k in config.kinds if only is None or k in only]
 
 
 def cmd_ingest(args) -> int:
@@ -171,7 +167,7 @@ def cmd_evaluate(args) -> int:
     config = _load(args)
     system, data = stage_ingest(config)
     artifacts = _artifacts(args.outdir, data.horizon_hours)
-    kinds = _kinds(config, args)
+    kinds = config.selected_kinds(args.only)
     outputs = {k: load_built_model(Path(args.outdir), k) for k in kinds}
     solutions = load_solutions(Path(args.outdir), kinds)
     cases, reports = stage_evaluate(system, data, artifacts, config,

@@ -111,9 +111,17 @@ class ScenarioConfig:
     def path(self, name: str) -> Path:
         return (Path(self.base_dir) / name).resolve()
 
+    def selected_kinds(self, only: list[str] | None) -> list[str]:
+        """The configured kinds, restricted to ``only`` when it is given."""
+        return [k for k in self.kinds if only is None or k in only]
+
 
 def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # scenario knobs checked on load: key -> (test, what the test asks for)
@@ -125,6 +133,7 @@ _KNOBS = {
     "theta": (lambda v: _number(v) and v >= 0, "a number >= 0"),
     "invest": (lambda v: isinstance(v, bool), "true or false"),
     "check_degeneracy": (lambda v: isinstance(v, bool), "true or false"),
+    "seed": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
 }
 
 
@@ -160,7 +169,7 @@ def load_scenario(path) -> ScenarioConfig:
     if window is not None:
         counts["window_hours"] = window
     for key, value in counts.items():
-        if not isinstance(value, int) or value < 1:
+        if not _integer(value) or value < 1:
             raise ConfigError(f"{key} must be a positive integer, got {value!r}")
     if window is not None and "rp_tmci" in kinds and window % HOURS_PER_DAY != 0:
         raise ConfigError(f"window_hours {window} must be a multiple of "
@@ -242,7 +251,7 @@ def build_formulation(kind: str, system: PowerSystem, data: TimeHorizonData,
 def stage_build(system: PowerSystem, data: TimeHorizonData,
                 artifacts: AggregationArtifacts, config: ScenarioConfig,
                 outdir: Path, only: list[str] | None = None) -> dict[str, FormulationOutput]:
-    kinds = [k for k in config.kinds if only is None or k in only]
+    kinds = config.selected_kinds(only)
     models_dir = outdir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, FormulationOutput] = {}
@@ -310,7 +319,7 @@ def stage_solve(config: ScenarioConfig, outdir: Path,
                 only: list[str] | None = None, solver: str | None = None,
                 workers: int = 1) -> dict[str, Solution]:
     """Solve every built model, re-reading it from the interchange files."""
-    kinds = [k for k in config.kinds if only is None or k in only]
+    kinds = config.selected_kinds(only)
     adapter = get_solver(solver)
 
     def run(kind: str) -> tuple[str, Solution, dict]:

@@ -3,9 +3,7 @@ import pytest
 
 from storagg import (ThermalUnit, StorageUnit, Network, OperatingConfig,
                      PowerSystem, TimeHorizonData, SHORT_TERM,
-                     StateClustering, RepPeriodClustering, TransitionMatrices,
-                     build_transition_matrix, build_frequency_matrices,
-                     build_reduced_frequency_matrices, default_checkpoints)
+                     StateClustering, RepPeriodClustering, build_matrices)
 
 
 def make_thermal(uid="g1", bus="b1", marginal=10.0, commit=2.0, start=50.0,
@@ -66,35 +64,22 @@ def manual_states(assignment, demand_per_state, renew_per_state=None,
     inflow = (np.zeros((s, num_storage)) if inflow_per_state is None
               else np.asarray(inflow_per_state, dtype=float).reshape(s, num_storage))
     return StateClustering(
-        num_states=s, assignment=assignment,
-        durations=np.bincount(assignment, minlength=s),
-        demand=demand,
+        num_states=s, assignment=assignment, demand=demand,
         renewable_avail=renew, inflows=inflow)
 
 
 def manual_matrices(assignment, window, day_assignment=(0,)):
-    assignment = np.asarray(assignment, dtype=int)
-    s = int(assignment.max()) + 1
-    checkpoints = default_checkpoints(len(assignment), window)
-    freq = build_frequency_matrices(assignment, checkpoints, s)
-    day_assignment = np.asarray(day_assignment, dtype=int)
-    return TransitionMatrices(
-        transitions=build_transition_matrix(assignment, s),
-        checkpoints=checkpoints,
-        frequency=freq,
-        reduced_frequency=build_reduced_frequency_matrices(freq),
-        rp_transitions=build_transition_matrix(
-            day_assignment, int(day_assignment.max()) + 1),
-        window_hours=window)
+    """The chronology matrices of an hour chain and a day chain; they read
+    neither composite hours nor medoid days, so those are left zero."""
+    s, r = int(np.max(assignment)) + 1, int(np.max(day_assignment)) + 1
+    return build_matrices(manual_states(assignment, np.zeros(s)),
+                          manual_rp(day_assignment, np.zeros(r)), window)
 
 
 def manual_rp(day_assignment, medoid_days):
-    day_assignment = np.asarray(day_assignment, dtype=int)
-    medoid_days = np.asarray(medoid_days, dtype=int)
-    weights = np.bincount(day_assignment, minlength=len(medoid_days))
     return RepPeriodClustering(num_rp=len(medoid_days),
-                               day_assignment=day_assignment,
-                               medoid_days=medoid_days, weights=weights)
+                               day_assignment=np.asarray(day_assignment, dtype=int),
+                               medoid_days=np.asarray(medoid_days, dtype=int))
 
 
 @pytest.fixture

@@ -23,15 +23,14 @@ import pytest
 
 from storagg import (ThermalUnit, StorageUnit, Network, OperatingConfig,
                      PowerSystem, TimeHorizonData, SHORT_TERM, LONG_TERM,
-                     StateClustering, TransitionMatrices,
-                     build_transition_matrix, build_frequency_matrices,
-                     build_reduced_frequency_matrices, default_checkpoints,
-                     aggregate, build_hm, build_ss, build_ss_rfm, build_rp,
+                     StateClustering, default_checkpoints, aggregate, build_hm, build_ss, build_ss_rfm, build_rp,
                      build_rp_tmci, solve, audit_constraints, constraint_families,
                      expand_solution, detect_violations, investment_values,
                      count_startups, build_case_result, compare,
                      load_scenario, emit_scenario_template,
                      stage_ingest, stage_cluster, stage_build)
+
+from conftest import manual_matrices
 
 ARTIFACT_DIR = Path(__file__).parent / "_artifacts"
 
@@ -69,22 +68,25 @@ def test_transition_matrix_counting_identities():
         s = int(rng.integers(2, 11))
         assignment = rng.integers(0, s, size=p)
         window = 24 * int(rng.integers(1, 8))
-        cps = default_checkpoints(p, window)
+        r = int(rng.integers(1, min(days, 8) + 1))
+        day_assignment = rng.integers(0, r, size=days)
+        m = manual_matrices(assignment, window, day_assignment)
+        assert np.array_equal(m.checkpoints, default_checkpoints(p, window))
 
-        n = build_transition_matrix(assignment, s)
+        n = m.transitions
         assert n.sum() == p - 1
+        # each running count against a plain count of the pairs before it
+        for k, f in zip(m.checkpoints, m.frequency):
+            plain = np.zeros_like(n)
+            np.add.at(plain, (assignment[:k - 1], assignment[1:k]), 1)
+            assert np.array_equal(f, plain)
+        assert np.array_equal(m.frequency[-1], n)
 
-        f = build_frequency_matrices(assignment, cps, s)
-        assert np.array_equal(f[-1], n)
-
-        rfm = build_reduced_frequency_matrices(f)
+        rfm = m.reduced_frequency
         assert (rfm >= 0).all()
         assert np.array_equal(rfm.sum(axis=0), n)
 
-        r = int(rng.integers(1, min(days, 8) + 1))
-        day_assignment = rng.integers(0, r, size=days)
-        nrpp = build_transition_matrix(day_assignment, r)
-        assert nrpp.sum() == days - 1
+        assert m.rp_transitions.sum() == days - 1
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -190,7 +192,7 @@ def test_state_model_exact_on_periodic_week():
 
     art = aggregate(data, num_states=24, num_rp=1, seed=0)
     assert art.states.num_states == 24
-    assert (art.states.durations == 7).all()
+    assert (np.bincount(art.states.assignment, minlength=24) == 7).all()
     # every hour-of-day collapses onto a single state
     by_slot = art.states.assignment.reshape(7, 24)
     assert (by_slot == by_slot[0]).all()
@@ -232,7 +234,7 @@ def test_rep_day_model_exact_on_identical_days():
     data = hub_data(demand, storage_ids=["batt"])
 
     art = aggregate(data, num_states=4, num_rp=1, seed=0)
-    assert art.rp.num_rp == 1 and art.rp.weights[0] == 3
+    assert art.rp.num_rp == 1 and art.rp.num_days == 3
 
     fo_hm = build_hm(system, data)
     sol_hm = solve(fo_hm.model, gap=1e-9)
@@ -267,7 +269,7 @@ def test_rep_day_model_exact_with_every_day_representative():
 
     art = aggregate(data, num_states=4, num_rp=4, seed=0)
     assert sorted(art.rp.medoid_days.tolist()) == [0, 1, 2, 3]
-    assert (art.rp.weights == 1).all()
+    assert (np.bincount(art.rp.day_assignment, minlength=4) == 1).all()
 
     fo_hm = build_hm(system, data)
     sol_hm = solve(fo_hm.model)
@@ -302,17 +304,10 @@ def test_windowed_bounds_miss_real_level_excursion():
     assignment = np.array([0] * 48 + [1] * 24)
     states = StateClustering(
         num_states=2, assignment=assignment,
-        durations=np.bincount(assignment),
         demand=np.array([[1.0], [3.0]]),
         renewable_avail=np.array([[2.0], [0.0]]),
         inflows=np.zeros((2, 1)))
-    cps = default_checkpoints(72, 24)
-    freq = build_frequency_matrices(assignment, cps, 2)
-    matrices = TransitionMatrices(
-        transitions=build_transition_matrix(assignment, 2),
-        checkpoints=cps, frequency=freq,
-        reduced_frequency=build_reduced_frequency_matrices(freq),
-        rp_transitions=np.array([[2]]), window_hours=24)
+    matrices = manual_matrices(assignment, window=24, day_assignment=[0, 0, 0])
 
     fo = build_ss_rfm(system, states, matrices)
     sol = solve(fo.model)

@@ -62,6 +62,34 @@ def test_unread_parameter_scan_sees_what_it_should(tmp_path):
         ("m.py", "<lambda>", "f")}
 
 
+def call_sites(name: str, roots) -> set[tuple[str, str]]:
+    """(file, enclosing function or ``<module>``) of every call of ``name``,
+    bare or as an attribute, in the Python files under ``roots``."""
+    found = set()
+
+    def visit(node, path, where):
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            found.add((path, where))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            visit(ast.parse(path.read_text(), filename=str(path)),
+                  path.relative_to(REPO).as_posix(), "<module>")
+    return found
+
+
+def test_one_builder_of_the_chronology_matrices():
+    """The matrices are assembled in ``build_matrices`` only; code and tests
+    that need them call it rather than copying it."""
+    assert call_sites("TransitionMatrices", [SRC, REPO / "tests", REPO / "demos"]) == {
+        ("src/storagg/aggregation.py", "build_matrices")}
+
+
 @pytest.mark.parametrize("demo", sorted((REPO / "demos").glob("*.py")),
                          ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):

@@ -12,6 +12,7 @@ import storagg
 from storagg import (emit_scenario_template, load_scenario, save_scenario,
                      run_pipeline, load_system, load_horizon, validate_system,
                      ConfigError, ScenarioConfig, Solution, write_mps, write_registry)
+from storagg.cli import main as cli_main
 from storagg.pipeline import stage_ingest, stage_cluster, stage_build, \
     stage_solve, load_built_model, save_solutions, load_solutions
 
@@ -90,6 +91,13 @@ def test_load_scenario_bad_kind(template_dir, tmp_path):
     (dict(check_degeneracy=1), "check_degeneracy must be true or false"),
     (dict(gap=0, time_limit=None, theta=float("inf"), invest=True), None),
     (dict(time_limit=30.5, theta=0.25, check_degeneracy=True), None),
+    (dict(states=True), "states must be a positive integer"),
+    (dict(rep_days=True), "rep_days must be a positive integer"),
+    (dict(seed="x"), "seed must be an integer >= 0, got 'x'"),
+    (dict(seed=1.5), "seed must be an integer >= 0"),
+    (dict(seed=-1), "seed must be an integer >= 0"),
+    (dict(seed=True), "seed must be an integer >= 0"),
+    (dict(seed=7), None),
 ])
 def test_load_scenario_checks_counts_and_window(template_dir, tmp_path, change, message):
     doc = json.loads((template_dir / "scenario.json").read_text())
@@ -371,10 +379,10 @@ def test_cli_bad_scenario_exits_2(tmp_path):
 
 def test_cli_config_errors_exit_2(tmp_path):
     """Counts the series cannot support, a checkpoint window rp_tmci cannot
-    use, a knob of the wrong type or range (in the file or as ``--gap``), a
-    damaged clustering artifacts file and one made from another series are
-    configuration errors: exit 2, a message, no traceback, and no model file
-    written."""
+    use, a knob of the wrong type or range (in the file or as ``--gap`` or
+    ``--seed``), a damaged clustering artifacts file and one made from
+    another series are configuration errors: exit 2, a message, no
+    traceback, and no model file written."""
     scen = tmp_path / "scen"
     run_cli("template", "-o", str(scen), "--days", "2")
     doc = json.loads((scen / "scenario.json").read_text())
@@ -393,11 +401,55 @@ def test_cli_config_errors_exit_2(tmp_path):
         assert message in proc.stderr and "Traceback" not in proc.stderr
     proc = run_cli("solve", str(scen / "scenario.json"), "-o", str(out), "--gap", "nan")
     assert proc.returncode == 2 and "gap must be a finite number" in proc.stderr
+    proc = run_cli("cluster", str(scen / "scenario.json"), "-o", str(out), "--seed=-1")
+    assert proc.returncode == 2 and "seed must be an integer >= 0" in proc.stderr
     assert run_cli("cluster", str(scen / "scenario.json"), "-o", str(out)).returncode == 0
     run_cli("template", "-o", str(tmp_path / "scen3"), "--days", "3")
     proc = run_cli("build", str(tmp_path / "scen3" / "scenario.json"), "-o", str(out))
     assert proc.returncode == 2 and "clusters [48] hours, the series has 72" in proc.stderr
     assert not (out / "models").exists()
+
+
+@pytest.fixture(scope="module")
+def clustered_week(tmp_path_factory):
+    """A 7-day template (6 representative days) and its clustering file's text."""
+    scen = tmp_path_factory.mktemp("week")
+    emit_scenario_template(scen, vision=1, days=7, seed=3)
+    assert cli_main(["cluster", str(scen / "scenario.json"),
+                     "-o", str(scen / "out")]) == 0
+    return scen, (scen / "out" / "agg" / "artifacts.json").read_text()
+
+
+@pytest.mark.parametrize("section, key, damage", [
+    ("states", "assignment", lambda a: [-1] + a[1:]),
+    ("states", "assignment", lambda a: a[:-1] + [99]),
+    ("rp", "day_assignment", lambda a: a[:-1] + [-1]),
+    ("rp", "medoid_days", lambda a: [50] + a[1:]),
+    ("rp", "medoid_days", lambda a: [-1] + a[1:]),
+    ("rp", "medoid_days", lambda a: a[:-1]),
+    ("rp", "medoid_days", lambda a: a[:1] + a[:-1]),
+    ("rp", "medoid_days", lambda a: a[1:2] + a[:1] + a[2:]),
+    ("states", "demand", lambda a: a[:-1]),
+    ("states", "inflows", lambda a: a + a[:1]),
+], ids=["state-1", "state99", "day-1", "medoid50", "medoid-1", "medoids-short",
+        "medoid-repeated", "medoids-swapped", "demand-short", "inflows-long"])
+def test_cli_refuses_damaged_artifacts(clustered_week, tmp_path, capsys,
+                                       section, key, damage):
+    """An index outside its clustering, a medoid day outside its own cluster
+    or an array of the wrong length in ``agg/artifacts.json`` is an input
+    error naming the file (exit 2), and no model is built from it."""
+    scen, text = clustered_week
+    doc = json.loads(text)
+    doc[section][key] = damage(doc[section][key])
+    path = tmp_path / "agg" / "artifacts.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli_main(["build", str(scen / "scenario.json"), "-o", str(tmp_path),
+                     "--only", "ss", "--only", "rp_tmci"])
+    assert code == 2
+    assert f"{path} is not a clustering artifacts file" in capsys.readouterr().err
+    assert not (tmp_path / "models").exists()
 
 
 def test_cli_stagewise_matches_run(tmp_path):
