@@ -1,5 +1,9 @@
+import csv
+import dataclasses
+import gzip
 import importlib.util
 import inspect
+import io
 import json
 import subprocess
 import sys
@@ -14,7 +18,7 @@ from storagg import (emit_scenario_template, load_scenario, save_scenario,
                      ConfigError, ScenarioConfig, Solution, write_mps, write_registry)
 from storagg.cli import main as cli_main
 from storagg.pipeline import stage_ingest, stage_cluster, stage_build, \
-    stage_solve, load_built_model, save_solutions, load_solutions
+    stage_solve, stage_report, load_built_model, save_solutions, load_solutions
 
 from test_milp import _parent_layout
 
@@ -211,9 +215,81 @@ def test_summary_csv_has_metric_matrix(run_result):
 
 def test_hourly_csv_rows_cover_horizon(run_result):
     config, outdir, _ = run_result
-    lines = (outdir / "report" / "hourly_hm.csv").read_text().splitlines()
+    with gzip.open(outdir / "report" / "hourly_hm.csv.gz", "rt", newline="") as fh:
+        lines = fh.read().splitlines()
     assert len(lines) == 49    # header + 48 hours
     assert lines[0].split(",")[0] == "hour"
+
+
+def expected_hourly_rows(exp) -> list[list[str]]:
+    """The hourly report of ``exp`` built hour by hour, as csv.reader reads it."""
+    header = ["hour", "source"]
+    header += [f"q_{g}" for g in exp.thermal_production]
+    header += [f"u_{g}" for g in exp.commitment]
+    for uid in exp.storage_level:
+        header += [f"discharge_{uid}", f"charge_{uid}", f"level_{uid}", f"level_model_{uid}"]
+    header += [f"res_use_{n}" for n in exp.renewable_use]
+    header += [f"pns_{n}" for n in exp.pns]
+    header += ["price"] if exp.prices is not None else []
+    rows = [header]
+    for t in range(exp.hours):
+        row = [str(t), exp.periods.labels[exp.periods.pos[t]]]
+        row += [f"{exp.thermal_production[g][t]:.6g}" for g in exp.thermal_production]
+        row += [str(int(round(exp.commitment[g][t]))) for g in exp.commitment]
+        for uid in exp.storage_level:
+            row += [f"{series[uid][t]:.6g}" for series in (
+                exp.storage_discharge, exp.storage_charge,
+                exp.storage_level, exp.storage_level_model)]
+        row += [f"{exp.renewable_use[n][t]:.6g}" for n in exp.renewable_use]
+        row += [f"{exp.pns[n][t]:.6g}" for n in exp.pns]
+        row += [f"{exp.prices[t]:.6g}"] if exp.prices is not None else []
+        rows.append(row)
+    return rows
+
+
+def test_hourly_report_round_trips(run_result, tmp_path):
+    """Every ``hourly_<kind>.csv.gz`` decompresses to one CRLF line per hour
+    plus the header, and reads back cell for cell as the case's expansion:
+    ``.6g`` numbers, period labels, rounded commitments and, when priced,
+    the price."""
+    _, _, result = run_result
+    cases = dict(result.cases)
+    # the fixture runs without prices; give one case a price series
+    exp = cases["rp"].expansion
+    cases["rp"] = dataclasses.replace(cases["rp"], expansion=dataclasses.replace(
+        exp, prices=np.linspace(-1.5, 1e7 / 3, exp.hours)))
+    stage_report(result.system, cases, result.reports, tmp_path)
+    for kind, case in cases.items():
+        text = gzip.decompress((tmp_path / "report" / f"hourly_{kind}.csv.gz").read_bytes())
+        assert text.count(b"\r\n") == text.count(b"\n") == case.expansion.hours + 1
+        rows = list(csv.reader(io.StringIO(text.decode(), newline="")))
+        assert rows == expected_hourly_rows(case.expansion), kind
+
+
+def test_hourly_report_bytes_are_deterministic(run_result, tmp_path):
+    """The gzip header carries no time, name or platform: two reports of the
+    same cases are byte-identical, mtime (bytes 4-7) is zero, no name flag is
+    set and the OS byte is 255 (unknown)."""
+    _, _, result = run_result
+    first, second = tmp_path / "a", tmp_path / "b"
+    stage_report(result.system, result.cases, result.reports, first)
+    stage_report(result.system, result.cases, result.reports, second)
+    for kind in result.cases:
+        blob = (first / "report" / f"hourly_{kind}.csv.gz").read_bytes()
+        assert blob == (second / "report" / f"hourly_{kind}.csv.gz").read_bytes()
+        assert blob[:3] == b"\x1f\x8b\x08" and blob[3] == 0    # deflate, no flags
+        assert blob[4:8] == bytes(4) and blob[9] == 0xff
+
+
+def test_hourly_report_removes_stale_plain_csv(run_result, tmp_path):
+    """A plain ``hourly_<kind>.csv`` an older run left in ``report/`` is
+    removed when the compressed series is written, so no kind keeps two."""
+    _, _, result = run_result
+    (tmp_path / "report").mkdir()
+    (tmp_path / "report" / "hourly_hm.csv").write_text("hour,source\r\n")
+    stage_report(result.system, {"hm": result.cases["hm"]}, {}, tmp_path)
+    assert sorted(p.name for p in (tmp_path / "report").glob("hourly_hm*")) == \
+        ["hourly_hm.csv.gz"]
 
 
 def test_built_model_reloads_from_disk(run_result):
@@ -379,10 +455,10 @@ def test_cli_bad_scenario_exits_2(tmp_path):
 
 def test_cli_config_errors_exit_2(tmp_path):
     """Counts the series cannot support, a checkpoint window rp_tmci cannot
-    use, a knob of the wrong type or range (in the file or as ``--gap`` or
-    ``--seed``), a damaged clustering artifacts file and one made from
-    another series are configuration errors: exit 2, a message, no
-    traceback, and no model file written."""
+    use, a knob of the wrong type or range (in the file, as ``--gap`` or
+    ``--seed``, or as the template's ``--seed``), a damaged clustering
+    artifacts file and one made from another series are configuration
+    errors: exit 2, a message, no traceback, and no model file written."""
     scen = tmp_path / "scen"
     run_cli("template", "-o", str(scen), "--days", "2")
     doc = json.loads((scen / "scenario.json").read_text())
@@ -403,6 +479,9 @@ def test_cli_config_errors_exit_2(tmp_path):
     assert proc.returncode == 2 and "gap must be a finite number" in proc.stderr
     proc = run_cli("cluster", str(scen / "scenario.json"), "-o", str(out), "--seed=-1")
     assert proc.returncode == 2 and "seed must be an integer >= 0" in proc.stderr
+    proc = run_cli("template", "-o", str(tmp_path / "scen2"), "--seed=-1")
+    assert proc.returncode == 2 and "seed must be an integer >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "scen2").exists()
     assert run_cli("cluster", str(scen / "scenario.json"), "-o", str(out)).returncode == 0
     run_cli("template", "-o", str(tmp_path / "scen3"), "--days", "3")
     proc = run_cli("build", str(tmp_path / "scen3" / "scenario.json"), "-o", str(out))
@@ -516,36 +595,39 @@ def test_cli_refuses_files_in_the_parent_layout(tmp_path):
         assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
-def scipy_loaded_after(code: str) -> list[str]:
-    """The ``scipy`` modules a fresh interpreter holds after running ``code``."""
+def lazy_modules_after(code: str) -> list[str]:
+    """The ``scipy`` and ``gzip`` modules a fresh interpreter holds after
+    running ``code``."""
     probe = (f"import json, sys\n{code}\nprint(json.dumps(sorted("
-             "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+             "m for m in sys.modules if m.split('.')[0] in ('scipy', 'gzip'))))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_stages_that_never_solve_leave_scipy_unloaded(tmp_path):
-    """scipy is a solve-time dependency: the package, the CLI and every
-    stage that does not solve, each in a fresh interpreter, load none of it,
-    and the solve stage still finds it when it needs it."""
+    """scipy is a solve-time dependency and gzip a report-time one: the
+    package, the CLI and every stage that neither solves nor writes the
+    hourly report, each in a fresh interpreter, load none of either, and the
+    solve and evaluate stages still find what they need."""
     def cli(*argv):
-        return scipy_loaded_after("from storagg.cli import main\n"
+        return lazy_modules_after("from storagg.cli import main\n"
                                   f"if main({list(argv)!r}):\n    sys.exit('stage failed')")
 
     scen, out = tmp_path / "scen", str(tmp_path / "out")
     cfg = str(scen / "scenario.json")
-    assert scipy_loaded_after("import storagg") == []
-    assert scipy_loaded_after("import storagg.cli") == []
+    assert lazy_modules_after("import storagg") == []
+    assert lazy_modules_after("import storagg.cli") == []
     for argv in (("template", "-o", str(scen), "--days", "2"),
                  ("ingest", cfg),
                  ("cluster", cfg, "-o", out),
                  ("build", cfg, "-o", out, "--only", "ss")):
         assert cli(*argv) == [], argv
-    assert "scipy.optimize" in cli("solve", cfg, "-o", out, "--only", "ss")
+    solve = cli("solve", cfg, "-o", out, "--only", "ss")
+    assert "scipy.optimize" in solve and "gzip" not in solve
     assert load_solutions(Path(out), ["ss"])["ss"].ok
-    proc = run_cli("evaluate", cfg, "-o", out, "--only", "ss", "--no-prices")
-    assert proc.returncode == 0, proc.stderr
+    assert "gzip" in cli("evaluate", cfg, "-o", out, "--only", "ss", "--no-prices")
+    assert (Path(out) / "report" / "hourly_ss.csv.gz").exists()
     assert cli("report", out) == []
 
 
