@@ -43,13 +43,11 @@ import copy
 import ctypes
 import json
 import os
-import subprocess
 import tempfile
 import time
 import zipfile
 from array import array
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -844,6 +842,7 @@ def _highs_call(call, *args, **kwargs):
     thread's cache is flushed when it exits, and ``malloc_trim`` then hands
     the free pages of every arena back.
     """
+    from concurrent.futures import ThreadPoolExecutor   # solve-time only, as scipy is
     with ThreadPoolExecutor(max_workers=1) as pool:
         result = pool.submit(call, *args, **kwargs).result()
     if _MALLOC_TRIM is not None:
@@ -947,6 +946,7 @@ class ExternalSolver:
 
     def solve(self, model: MilpModel, gap: float = 0.0,
               time_limit: float | None = None) -> Solution:
+        import subprocess   # solve-time only: `import storagg` does not load it
         with tempfile.TemporaryDirectory(prefix="storagg_solve_") as tmp:
             mps = Path(tmp) / "model.mps"
             out = Path(tmp) / "solution.txt"

@@ -45,7 +45,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -55,7 +54,8 @@ from .timeseries import (TimeHorizonData, HOURS_PER_DAY, load_horizon, save_hori
                          DataFormatError)
 from .system import (PowerSystem, ThermalUnit, StorageUnit, Network,
                      OperatingConfig, load_system, save_system,
-                     validate_system, SystemFormatError, SHORT_TERM, LONG_TERM)
+                     validate_system, SystemFormatError, SHORT_TERM, LONG_TERM,
+                     _number)
 from .aggregation import (aggregate, save_artifacts, load_artifacts, AggregationArtifacts,
                           AggregationError)
 from .milp import (save_model, load_model, write_registry, load_registry,
@@ -118,10 +118,6 @@ class ScenarioConfig:
         return [k for k in self.kinds if only is None or k in only]
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -155,6 +151,9 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"scenario file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario file {path} is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"scenario file {path}: the top level must be a JSON object, "
+                          f"got {type(raw).__name__}")
     known = {f for f in ScenarioConfig.__dataclass_fields__}
     unknown = set(raw) - known
     if unknown:
@@ -162,7 +161,14 @@ def load_scenario(path) -> ScenarioConfig:
     for key in ("demand", "renewables", "inflows", "system"):
         if key not in raw:
             raise ConfigError(f"scenario is missing required key {key!r}")
+    for key in ("demand", "renewables", "inflows", "system", "base_dir"):
+        if key in raw and not isinstance(raw[key], str):
+            raise ConfigError(f"scenario file {path}: {key} must be a path string, "
+                              f"got {raw[key]!r}")
     kinds = raw.get("kinds", BUILDER_KINDS)
+    if not isinstance(kinds, (list, tuple)) or not all(isinstance(k, str) for k in kinds):
+        raise ConfigError(f"scenario file {path}: kinds must be a list of kind names, "
+                          f"got {kinds!r}")
     bad = [k for k in kinds if k not in BUILDER_KINDS]
     if bad:
         raise ConfigError(f"unknown model kinds {bad}; pick from {list(BUILDER_KINDS)}")
@@ -333,6 +339,7 @@ def stage_solve(config: ScenarioConfig, outdir: Path,
     solutions: dict[str, Solution] = {}
     audits: dict[str, dict] = {}
     if workers > 1 and len(kinds) > 1:
+        from concurrent.futures import ThreadPoolExecutor   # solve-time only, as in milp
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for kind, sol, audit in pool.map(run, kinds):
                 solutions[kind] = sol

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +277,34 @@ def save_system(system: PowerSystem, path) -> None:
         fh.write("\n")
 
 
+def _number(value) -> bool:
+    """An int or float, not a bool and not NaN (JSON files may spell ``NaN``,
+    and every comparison with it is false, so no range check would catch it)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
+
+
+# the JSON value each annotated field type takes: type -> (test, what it asks for)
+_FIELD_TESTS = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list[str]": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+                  "a list of strings"),
+    "float": (_number, "a number"),
+    "float | None": (lambda v: v is None or _number(v), "a number or null"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def _check_types(obj, where: str) -> None:
+    """Raise SystemFormatError for a field of ``obj`` whose JSON value has
+    the wrong type, before any check compares or multiplies it."""
+    for f in fields(obj):
+        test, what = _FIELD_TESTS.get(f.type, (None, None))
+        value = getattr(obj, f.name)
+        if test is not None and not test(value):
+            raise SystemFormatError(f"{where}: {f.name} must be {what}, got {value!r}")
+
+
 def load_system(path) -> PowerSystem:
     path = Path(path)
     if not path.exists():
@@ -286,13 +314,25 @@ def load_system(path) -> PowerSystem:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SystemFormatError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise SystemFormatError(f"{path}: the top level must be a JSON object, "
+                                f"got {type(doc).__name__}")
+    for key in ("circuits", "thermal", "storage"):
+        if not isinstance(doc.get(key, []), list):
+            raise SystemFormatError(f"{path}: {key} must be a list")
+    isf = doc.get("isf")
+    if isf is not None:
+        try:
+            isf = np.array(isf, dtype=float)
+        except (TypeError, ValueError):
+            raise SystemFormatError(f"{path}: isf must be a list of equal-length "
+                                    "rows of numbers") from None
     try:
-        isf = doc.get("isf")
         network = Network(
-            buses=list(doc["buses"]),
+            buses=doc["buses"],
             slack_bus=doc["slack_bus"],
             circuits=[Circuit(**c) for c in doc.get("circuits", [])],
-            isf=np.array(isf, dtype=float) if isf is not None else None,
+            isf=isf,
         )
         system = PowerSystem(
             thermal=[ThermalUnit(**t) for t in doc.get("thermal", [])],
@@ -302,6 +342,12 @@ def load_system(path) -> PowerSystem:
         )
     except (KeyError, TypeError) as exc:
         raise SystemFormatError(f"{path}: malformed system file ({exc})") from None
+    _check_types(network, f"{path}: network")
+    for label, units in (("circuit", network.circuits), ("thermal unit", system.thermal),
+                         ("storage unit", system.storage)):
+        for unit in units:
+            _check_types(unit, f"{path}: {label} {unit.id!r}")
+    _check_types(system.config, f"{path}: config")
     if network.circuits and network.isf is None:
         has_x = all(c.reactance is not None for c in network.circuits)
         if has_x:

@@ -6,13 +6,34 @@ Three CSV files describe one planning horizon:
 * ``renewables.csv``  -- one column per bus, hourly renewable availability in GW
 * ``inflows.csv``     -- one column per storage unit, hourly inflow in GWh
 
-Each file has a header row naming the columns; the hour index is implicit in
-the row order.  All series must cover the same number of hours.
+Each file has a header row naming the columns, each name once; the hour
+index is implicit in the row order.  All series must cover the same number
+of hours.
+
+A data cell holds one number as Python's ``float()`` reads it: optional sign,
+digits with an optional point and exponent (``1``, ``.5``, ``2.5e-3``), ``_``
+between digits and digits of any script included, padded by whitespace and
+optionally quoted as the csv module quotes (``" 1.5 "``).  ``inf`` and
+``nan`` parse but fail validation, as negative values do.  Rows end in LF,
+CRLF or CR; an empty line is skipped but still counts in the row numbers
+that errors give.  Nothing is a comment: ``#`` is an ordinary character, so
+a cell holding one is non-numeric.
+
+The reader parses the data rows of a file in one ``numpy.loadtxt`` pass, and
+cell by cell only where numpy refuses them; that loop gives the located
+error, or reads what only ``float()`` takes.  ``save_horizon`` writes the
+``repr`` of each float with rows ending in CRLF, so a written horizon reads
+back bit for bit.  With the per-cell reader and writer these replace, the
+364-day template (series, system and config) took 0.077 s to write and
+0.032 s to ingest; with these, 0.044 s and 0.014 s (``bench/setup_probe.py``,
+fresh interpreter, shared 2-core VM, medians of 15 runs).
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,35 +112,22 @@ def _read_table(path: Path, expected_columns: list[str] | None) -> tuple[list[st
     if not path.exists():
         raise DataFormatError(f"{path}: file not found")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if expected_columns is not None:
-            missing = [c for c in expected_columns if c not in header]
-            if missing:
-                raise DataFormatError(f"{path}: missing column(s) {missing}")
-        rows = []
-        for i, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: data row {i} has {len(row)} fields, header has {len(header)}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                for j, cell in enumerate(row):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise DataFormatError(
-                            f"{path}: non-numeric value {cell!r} at data row {i}, column {header[j]!r}") from None
-        if not rows:
-            raise DataFormatError(f"{path}: no data rows")
-    matrix = np.array(rows, dtype=float)
+        body = fh.read()
+    header = [h.strip() for h in header]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise DataFormatError(f"{path}: column {name!r} appears more than once in the header")
+    if expected_columns is not None:
+        missing = [c for c in expected_columns if c not in header]
+        if missing:
+            raise DataFormatError(f"{path}: missing column(s) {missing}")
+    matrix = _parse_body(body, len(header))
+    if matrix is None:
+        matrix = _parse_rows(path, header, body)
     for j, name in enumerate(header):
         col = matrix[:, j]
         if not np.isfinite(col).all():
@@ -132,6 +140,59 @@ def _read_table(path: Path, expected_columns: list[str] | None) -> tuple[list[st
         order = [header.index(c) for c in expected_columns]
         return list(expected_columns), matrix[:, order]
     return header, matrix
+
+
+# ASCII separators that numpy's cell parser strips as padding but float()
+# keeps as part of the cell (and so refuses)
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_body(body: str, width: int) -> np.ndarray | None:
+    """The data rows as a float matrix in one numpy pass, or None when numpy
+    refuses them, finds no row, or could read them otherwise than ``float()``.
+
+    Where it returns a matrix, the matrix is bit for bit what ``_parse_rows``
+    returns: numpy converts each cell with the string-to-double routine that
+    ``float()`` uses (``tests/test_timeseries_properties.py`` holds the two
+    paths to the same result on generated tables).
+    """
+    if any(c in body for c in _NUMPY_ONLY_SPACE):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # "input contained no data"
+        try:
+            matrix = np.loadtxt(io.StringIO(body, newline=""), dtype=float, delimiter=",",
+                                comments=None, quotechar='"', ndmin=2)
+        except ValueError:
+            return None
+    if matrix.shape[0] == 0 or matrix.shape[1] != width:
+        return None
+    return matrix
+
+
+def _parse_rows(path: Path, header: list[str], body: str) -> np.ndarray:
+    """The data rows parsed cell by cell, for a body the numpy pass refuses:
+    raises the located error of the first bad row, or reads what only
+    ``float()`` takes."""
+    rows = []
+    for i, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=1):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}: data row {i} has {len(row)} fields, header has {len(header)}")
+        try:
+            rows.append([float(cell) for cell in row])
+        except ValueError:
+            for j, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}: non-numeric value {cell!r} at data row {i}, column {header[j]!r}") from None
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    return np.array(rows, dtype=float)
 
 
 def load_horizon(demand_path, renewables_path, inflows_path,
@@ -161,17 +222,23 @@ def load_horizon(demand_path, renewables_path, inflows_path,
 
 
 def save_horizon(data: TimeHorizonData, directory) -> None:
-    """Write demand.csv / renewables.csv / inflows.csv into ``directory``."""
+    """Write demand.csv / renewables.csv / inflows.csv into ``directory``.
+
+    Each cell is the ``repr`` of its float, so a read gives back the same
+    bits; the rows end in ``"\\r\\n"``, as ``csv.writer`` ends them.  No
+    ``repr`` of a float needs quoting, so the data rows are joined column by
+    column instead of going through the writer.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for fname, cols, arr in (("demand.csv", data.nodes, data.demand),
                              ("renewables.csv", data.nodes, data.renewable_avail),
                              ("inflows.csv", data.storage_ids, data.inflows)):
+        columns = [map(repr, col) for col in arr.T.tolist()]
+        lines = list(map(",".join, zip(*columns))) if columns else [""] * len(arr)
         with open(directory / fname, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for row in arr:
-                writer.writerow([repr(float(v)) for v in row])
+            csv.writer(fh).writerow(cols)
+            fh.write("\r\n".join([*lines, ""]))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import io
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -458,7 +459,9 @@ def test_cli_config_errors_exit_2(tmp_path):
     use, a knob of the wrong type or range (in the file, as ``--gap`` or
     ``--seed``, or as the template's ``--seed``), a damaged clustering
     artifacts file and one made from another series are configuration
-    errors: exit 2, a message, no traceback, and no model file written."""
+    errors: exit 2, a message, no traceback, and no model file written.
+    So are a system or scenario file of the wrong shape and a series header
+    that names a column twice; their messages name the file."""
     scen = tmp_path / "scen"
     run_cli("template", "-o", str(scen), "--days", "2")
     doc = json.loads((scen / "scenario.json").read_text())
@@ -482,6 +485,25 @@ def test_cli_config_errors_exit_2(tmp_path):
     proc = run_cli("template", "-o", str(tmp_path / "scen2"), "--seed=-1")
     assert proc.returncode == 2 and "seed must be an integer >= 0" in proc.stderr
     assert "Traceback" not in proc.stderr and not (tmp_path / "scen2").exists()
+    system = json.loads((scen / "system.json").read_text())
+    thermal = [dict(system["thermal"][0], q_max="5")] + system["thermal"][1:]
+    for name, text, message in (
+            ("system.json", json.dumps([system]), "top level must be a JSON object, got list"),
+            ("system.json", json.dumps(dict(system, isf=[[1.0], [1.0, 2.0]])),
+             "isf must be a list of equal-length rows"),
+            ("system.json", json.dumps(dict(system, thermal=thermal)),
+             "thermal unit 'nuclear': q_max must be a number, got '5'"),
+            ("scenario.json", "[{}]", "top level must be a JSON object, got list"),
+            ("scenario.json", '"x"', "top level must be a JSON object, got str"),
+            ("demand.csv", "hub,hub\r\n1.0,2.0\r\n", "column 'hub' appears more than once")):
+        bad = tmp_path / "bad" / name
+        shutil.copytree(scen, bad.parent, dirs_exist_ok=True)
+        bad.write_text(text)
+        proc = run_cli("ingest", str(bad.parent / "scenario.json"))
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert message in proc.stderr and str(bad) in proc.stderr, (name, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        shutil.rmtree(bad.parent)
     assert run_cli("cluster", str(scen / "scenario.json"), "-o", str(out)).returncode == 0
     run_cli("template", "-o", str(tmp_path / "scen3"), "--days", "3")
     proc = run_cli("build", str(tmp_path / "scen3" / "scenario.json"), "-o", str(out))
@@ -596,20 +618,22 @@ def test_cli_refuses_files_in_the_parent_layout(tmp_path):
 
 
 def lazy_modules_after(code: str) -> list[str]:
-    """The ``scipy`` and ``gzip`` modules a fresh interpreter holds after
-    running ``code``."""
+    """The ``scipy``, ``gzip``, ``subprocess`` and ``concurrent`` modules a
+    fresh interpreter holds after running ``code``."""
     probe = (f"import json, sys\n{code}\nprint(json.dumps(sorted("
-             "m for m in sys.modules if m.split('.')[0] in ('scipy', 'gzip'))))")
+             "m for m in sys.modules if m.split('.')[0] in "
+             "('scipy', 'gzip', 'subprocess', 'concurrent'))))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_stages_that_never_solve_leave_scipy_unloaded(tmp_path):
-    """scipy is a solve-time dependency and gzip a report-time one: the
-    package, the CLI and every stage that neither solves nor writes the
-    hourly report, each in a fresh interpreter, load none of either, and the
-    solve and evaluate stages still find what they need."""
+    """scipy, subprocess and the thread pool are solve-time dependencies and
+    gzip a report-time one: the package, the CLI and every stage that
+    neither solves nor writes the hourly report, each in a fresh
+    interpreter, load none of them, and the solve and evaluate stages still
+    find what they need."""
     def cli(*argv):
         return lazy_modules_after("from storagg.cli import main\n"
                                   f"if main({list(argv)!r}):\n    sys.exit('stage failed')")
@@ -624,7 +648,8 @@ def test_stages_that_never_solve_leave_scipy_unloaded(tmp_path):
                  ("build", cfg, "-o", out, "--only", "ss")):
         assert cli(*argv) == [], argv
     solve = cli("solve", cfg, "-o", out, "--only", "ss")
-    assert "scipy.optimize" in solve and "gzip" not in solve
+    assert "scipy.optimize" in solve and "concurrent.futures" in solve
+    assert "gzip" not in solve
     assert load_solutions(Path(out), ["ss"])["ss"].ok
     assert "gzip" in cli("evaluate", cfg, "-o", out, "--only", "ss", "--no-prices")
     assert (Path(out) / "report" / "hourly_ss.csv.gz").exists()

@@ -155,3 +155,22 @@ def test_load_rejects_invalid_system(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SystemFormatError):
         load_system(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("q_max", "5", "thermal unit 'g': q_max must be a number, got '5'"),
+    ("q_max", float("nan"), "thermal unit 'g': q_max must be a number, got nan"),
+    ("bus", 3, "thermal unit 'g': bus must be a string, got 3"),
+])
+def test_load_rejects_wrongly_typed_field(tmp_path, field, value, message):
+    """A field of the wrong JSON type, or NaN where a number belongs, is a
+    located SystemFormatError before any range check compares it."""
+    unit = {"id": "g", "bus": "a", "fuel_cost": 1.0, "alpha": 10.0, "beta": 1.0,
+            "gamma": 5.0, "om_cost": 0.0, "q_max": 1.0, "q_min": 0.0,
+            "ramp_10min": 1.0, "technology": "t"}
+    doc = {"buses": ["a"], "slack_bus": "a", "circuits": [],
+           "thermal": [dict(unit, **{field: value})], "storage": [], "config": {}}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemFormatError, match=f"{path.name}: {message}"):
+        load_system(path)

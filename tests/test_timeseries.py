@@ -4,6 +4,8 @@ import pytest
 from storagg import (TimeHorizonData, DataFormatError, load_horizon,
                      save_horizon, normalize_series)
 
+from storagg.timeseries import _read_table
+
 from conftest import make_data
 
 
@@ -66,6 +68,18 @@ def test_negative_value_rejected(tmp_path):
     write_csv(tmp_path / "i.csv", ["s"], [[0.0]] * 24)
     with pytest.raises(DataFormatError, match="negative value at data row 8"):
         load_horizon(tmp_path / "d.csv", tmp_path / "r.csv", tmp_path / "i.csv")
+
+
+def test_repeated_column_rejected(tmp_path):
+    """A header naming a column twice is refused, not read from its first
+    copy, whether or not the column is asked for."""
+    (tmp_path / "d.csv").write_text("a,a\n1.0,2.0\n")
+    for nodes in (["a"], None):
+        with pytest.raises(DataFormatError, match=r"d\.csv: column 'a' appears more than once"):
+            _read_table(tmp_path / "d.csv", nodes)
+    (tmp_path / "d.csv").write_text("a, b ,b\n1.0,2.0,3.0\n")
+    with pytest.raises(DataFormatError, match="column 'b' appears more than once"):
+        _read_table(tmp_path / "d.csv", ["a"])
 
 
 def test_ragged_row_rejected(tmp_path):
