@@ -6,8 +6,8 @@ its governing period), rebuilds storage levels, and exposes the series needed
 for error metrics: production, commitment, renewable use and curtailment,
 non-served power, storage levels, and prices.
 
-Values are read by the names the formulation builders compose with
-``var_name``, ``<symbol>_<label>_<id>`` (e.g. ``q_p17_gas``,
+Values are read by the names the builders give their columns,
+``var_name``: ``<symbol>_<label>_<id>`` (e.g. ``q_p17_gas``,
 ``dw_s3_s5_bess``), over the period labels that
 ``formulations.common.periods`` derives from the kind and its clustering,
 the layout the builder used; each real hour points at one label index.  The

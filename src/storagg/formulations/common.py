@@ -7,9 +7,14 @@ They differ only in what a "period" is (an hour, a composite hour, or an hour
 of a representative day), in how startups are linked, and in how storage
 levels are carried through time, which each family adds on top.
 
-Every variable is named ``var_name(symbol, label, id)``, e.g. ``u_p5_gas``;
-that name is the only index a built model keeps, and evaluation reads
-solution values back by it.
+A builder describes one period once, as a stencil of columns (``Col``) and
+rows (``Row``), and ``tile_columns``/``tile_rows`` repeat it over the
+period labels in bulk; what changes from period to period is given per
+label.  Rows address columns by the positions ``tile_columns`` returns.  A
+link to the previous period is that position array shifted by one
+(``shifted``), with no term where ``fresh`` starts a chronology.  Column
+names read ``var_name(symbol, label, id)``, e.g. ``u_p5_gas``, and row
+names ``<prefix>_<label>_<id>``; evaluation reads values back by name.
 
 Constraint name prefixes (the family tag used by the audit tooling):
 
@@ -113,177 +118,215 @@ def var_name(symbol: str, label: str, uid: str) -> str:
     return f"{symbol}_{label}_{uid}"
 
 
+class Col(NamedTuple):
+    """A stencil column; ``lb``, ``ub`` and ``obj`` are given once or per
+    label."""
+    symbol: str
+    id: str | None
+    lb: object = 0.0
+    ub: object = INF
+    obj: object = 0.0
+    integer: bool = False
+
+
+class Row(NamedTuple):
+    """A stencil row.  Each term pairs columns with coefficients, each given
+    once, per label or as a (1 or labels, n) block of n entries per label; a
+    negative column drops its entry.  ``rhs`` is given once or per label."""
+    prefix: str
+    id: str | None
+    terms: list
+    sense: str
+    rhs: object = 0.0
+
+
+_CHUNK = 4096       # columns or row terms per bulk call, which bounds its buffers
+
+
+def _tiles(labels: list[str], stencil: list, width: int):
+    """(slice, count, names) for consecutive runs of about ``_CHUNK // width``
+    labels; the names read ``<key[0]>_<label>_<key[1]>`` for every label and
+    stencil key, label-major, a None id dropping its part."""
+    parts = [(f"{key[0]}_", "" if key[1] is None else f"_{key[1]}") for key in stencil]
+    step = max(1, _CHUNK // max(width, 1))
+    for lo in range(0, len(labels) if stencil else 0, step):
+        run = labels[lo:lo + step]
+        yield (slice(lo, lo + step), len(run),
+               [head + label + tail for label in run for head, tail in parts])
+
+
+def _part(value, part: slice) -> np.ndarray:
+    """A value given once or per label, as a 2-D block over ``part``."""
+    a = np.asarray(value)
+    a = a.reshape(-1, 1) if a.ndim < 2 else a
+    return a if len(a) == 1 else a[part]
+
+
+def _per_label(values: list, part: slice, count: int) -> np.ndarray:
+    """One value per label of ``part`` and per entry of ``values``,
+    label-major."""
+    return np.hstack([np.broadcast_to(_part(v, part), (count, 1)) for v in values]).ravel()
+
+
+def tile_columns(m: MilpModel, labels: list[str], stencil: list[Col]) -> dict:
+    """Add ``stencil``'s columns for every label; returns (symbol, id) ->
+    their positions over the labels."""
+    pos = []
+    for part, count, names in _tiles(labels, stencil, len(stencil)):
+        fields = [_per_label([c[j] for c in stencil], part, count) for j in (2, 3, 4, 5)]
+        pos.append(m.add_vars(names, *fields))
+    pos = np.concatenate(pos or [[]]).reshape(len(labels), len(stencil))
+    return {(c.symbol, c.id): pos[:, k] for k, c in enumerate(stencil)}
+
+
+def tile_rows(m: MilpModel, labels: list[str], stencil: list[Row]) -> None:
+    """Add ``stencil``'s rows for every label, each row's terms in order."""
+    terms = [(i, cols, coef) for i, r in enumerate(stencil) for cols, coef in r.terms]
+    for part, count, names in _tiles(labels, stencil, len(terms)):
+        at = np.arange(count)[:, None] * len(stencil)
+        entries = [np.broadcast_arrays(at + i, _part(cols, part), _part(coef, part))
+                   for i, cols, coef in terms]
+        row, col, val = (np.hstack([e[j] for e in entries]).ravel() if entries else []
+                         for j in range(3))
+        m.add_rows(names, row, col, val, np.tile([r.sense for r in stencil], count),
+                   _per_label([r.rhs for r in stencil], part, count))
+
+
+def shifted(cols: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """Each label's previous column, -1 where ``fresh`` starts a chronology."""
+    return np.where(fresh, -1, np.roll(cols, 1))
+
+
 def add_investment(m: MilpModel, system: PowerSystem, invest: bool) -> dict:
-    """Declare new-capacity variables for investable storage.
+    """Declare new-capacity variables ``x_<id>`` for investable storage.
 
     With ``invest`` false no variable is declared, which pins every candidate
     at zero and turns the capacity couplings below into plain bounds.
-    Returns the storage id -> ``x_<id>`` map of declared variables.
+    Returns the storage id -> column position map of declared variables.
     """
-    x: dict = {}
-    if not invest:
-        return x
-    for s in system.storage:
-        if s.investable:
-            x[s.id] = m.add_var(f"x_{s.id}", lb=0.0, ub=INF, obj=s.inv_cost)
-    return x
+    units = [s for s in system.storage if s.investable] if invest else []
+    x = tile_columns(m, [s.id for s in units], [Col("x", None, obj=[s.inv_cost for s in units])])
+    return {s.id: int(j) for s, j in zip(units, x.get(("x", None), []))}
+
+
+def add_levels(m: MilpModel, system: PowerSystem, labels: list[str], x: dict,
+               symbol: str, lo: str, hi: str) -> dict:
+    """Storage level columns ``<symbol>_<label>_<unit>``; an investable
+    unit's level is bounded by rows ``lo``/``hi`` between its
+    investment-raised floor and ceiling, any other's by its own."""
+    col = tile_columns(m, labels, [
+        Col(symbol, s.id, lb=0.0 if s.id in x else s.w_min, ub=INF if s.id in x else s.w_max)
+        for s in system.storage])
+    tile_rows(m, labels, [
+        Row(prefix, s.id, [(col[symbol, s.id], 1.0), (x[s.id], -epr)], sense, rhs)
+        for s in system.storage if s.id in x
+        for prefix, epr, sense, rhs in ((lo, s.epr_min, GE, s.w_min), (hi, s.epr_max, LE, s.w_max))])
+    return col
+
+
+def add_final(m: MilpModel, system: PowerSystem, prefix: str, last: list) -> None:
+    """Rows ``<prefix>_<unit>``: the level column ``last[k]`` of unit k ends
+    the horizon at or above the unit's requirement."""
+    tile_rows(m, system.storage_ids,
+              [Row(prefix, None, [(last, 1.0)], GE, [s.w_fin for s in system.storage])])
 
 
 def add_operating_core(m: MilpModel, system: PowerSystem, labels: list[str],
                        demand: np.ndarray, vmax: np.ndarray,
-                       weights: np.ndarray, x: dict) -> None:
+                       weights: np.ndarray, x: dict) -> dict:
     """Add the per-period dispatch block for every label.
 
     ``demand`` and ``vmax`` are (T, n_nodes) in period order; ``weights`` is
     the number of real hours each period stands for and scales every running
-    cost.  Variables are named ``var_name(symbol, label, id)`` with symbols
-    ``q``, ``qhat``, ``u``, ``r`` (thermal), ``q``, ``b``, ``sp`` (storage),
-    ``v``, ``pns`` (node) and ``pf`` (circuit).
+    cost.  The columns have symbols ``q``, ``qhat``, ``u``, ``r`` (thermal),
+    ``q``, ``b``, ``sp`` (storage), ``v``, ``pns`` (node) and ``pf``
+    (circuit); returns their positions as ``tile_columns`` does.
     """
-    cfg = system.config
-    net = system.network
-    buses = net.buses
-    nonslack = net.nonslack
-    thermal_at = {n: [g for g in system.thermal if g.bus == n] for n in buses}
-    storage_at = {n: [s for s in system.storage if s.bus == n] for n in buses}
+    cfg, net = system.config, system.network
+    wt = weights.astype(np.float64)
+    stencil = []
+    for g in system.thermal:
+        stencil += [Col("q", g.id, obj=wt * g.marginal_cost), Col("qhat", g.id),
+                    Col("u", g.id, ub=1.0, obj=wt * g.commitment_cost, integer=True),
+                    Col("r", g.id, ub=g.ramp_10min)]
+    for s in system.storage:
+        has_x = s.id in x
+        stencil += [Col("q", s.id, ub=INF if has_x else s.q_max),
+                    Col("b", s.id, ub=INF if has_x else s.b_max),
+                    Col("sp", s.id, obj=wt * cfg.spill_penalty)]
+    for j, n in enumerate(net.buses):
+        stencil += [Col("v", n, ub=np.where(vmax[:, j] > 0.0, vmax[:, j], 0.0)),
+                    Col("pns", n, obj=wt * cfg.pns_penalty)]
+    stencil += [Col("pf", c.id, lb=-c.capacity, ub=c.capacity) for c in net.circuits]
+    col = tile_columns(m, labels, stencil)
 
-    for t, label in enumerate(labels):
-        wt = float(weights[t])
-        # this label's variable names, keyed by unit, node or circuit id
-        q, qhat, u, r, b, sp, v, pns, pf = ({} for _ in range(9))
-        for g in system.thermal:
-            q[g.id] = m.add_var(var_name("q", label, g.id), obj=wt * g.marginal_cost)
-            qhat[g.id] = m.add_var(var_name("qhat", label, g.id))
-            u[g.id] = m.add_var(var_name("u", label, g.id), ub=1.0, integer=True,
-                                obj=wt * g.commitment_cost)
-            r[g.id] = m.add_var(var_name("r", label, g.id), ub=g.ramp_10min)
+    def injection(n: str) -> list:
+        """The terms of what bus ``n`` injects into the network."""
+        terms = [(col["q", g.id], 1.0) for g in system.thermal if g.bus == n]
         for s in system.storage:
-            has_x = s.id in x
-            q[s.id] = m.add_var(var_name("q", label, s.id),
-                                ub=INF if has_x else s.q_max)
-            b[s.id] = m.add_var(var_name("b", label, s.id),
-                                ub=INF if has_x else s.b_max)
-            sp[s.id] = m.add_var(var_name("sp", label, s.id), obj=wt * cfg.spill_penalty)
-        for j, n in enumerate(buses):
-            v[n] = m.add_var(var_name("v", label, n), ub=max(0.0, float(vmax[t, j])))
-            pns[n] = m.add_var(var_name("pns", label, n), obj=wt * cfg.pns_penalty)
-        for c in net.circuits:
-            pf[c.id] = m.add_var(var_name("pf", label, c.id),
-                                 lb=-c.capacity, ub=c.capacity)
+            if s.bus == n:
+                terms += [(col["q", s.id], 1.0), (col["b", s.id], -1.0)]
+        return terms + [(col["v", n], 1.0), (col["pns", n], 1.0)]
 
-        # nodal balance: generation - charging + flows in - flows out + pns = demand
-        for j, n in enumerate(buses):
-            terms: list = [(q[g.id], 1.0) for g in thermal_at[n]]
-            for s in storage_at[n]:
-                terms.append((q[s.id], 1.0))
-                terms.append((b[s.id], -1.0))
-            terms.append((v[n], 1.0))
-            terms.append((pns[n], 1.0))
-            for c in net.circuits:
-                if c.to_bus == n:
-                    terms.append((pf[c.id], 1.0))
-                if c.from_bus == n:
-                    terms.append((pf[c.id], -1.0))
-            m.add_con(f"bal_{label}_{n}", terms, EQ, float(demand[t, j]))
-
-        # circuit flows follow injections through the shift-factor matrix
-        if net.circuits:
-            inj_vars: dict[str, list] = {}
-            for n in nonslack:
-                inj: list = [(q[g.id], 1.0) for g in thermal_at[n]]
-                for s in storage_at[n]:
-                    inj.append((q[s.id], 1.0))
-                    inj.append((b[s.id], -1.0))
-                inj.append((v[n], 1.0))
-                inj.append((pns[n], 1.0))
-                inj_vars[n] = inj
-            for ci, c in enumerate(net.circuits):
-                terms = [(pf[c.id], 1.0)]
-                rhs = 0.0
-                for jj, n in enumerate(nonslack):
-                    factor = float(net.isf[ci, jj])
-                    if factor == 0.0:
-                        continue
-                    for var, sgn in inj_vars[n]:
-                        terms.append((var, -factor * sgn))
-                    rhs -= factor * float(demand[t, buses.index(n)])
-                m.add_con(f"flow_{label}_{c.id}", terms, EQ, rhs)
-
-        for g in system.thermal:
-            m.add_con(f"psplit_{label}_{g.id}",
-                      [(q[g.id], 1.0), (u[g.id], -g.q_min), (qhat[g.id], -1.0)], EQ, 0.0)
-            m.add_con(f"pcap_{label}_{g.id}",
-                      [(qhat[g.id], 1.0), (u[g.id], -(g.q_max - g.q_min))], LE, 0.0)
-            m.add_con(f"rcap_{label}_{g.id}",
-                      [(r[g.id], 1.0), (q[g.id], 1.0), (u[g.id], -g.q_max)], LE, 0.0)
-        if cfg.reserve_fraction > 0.0:
-            m.add_con(f"rreq_{label}",
-                      [(r[g.id], 1.0) for g in system.thermal], GE,
-                      cfg.reserve_fraction * float(demand[t].sum()))
-
-        for s in system.storage:
-            if s.id in x:
-                m.add_con(f"dcap_{label}_{s.id}",
-                          [(q[s.id], 1.0), (x[s.id], -1.0)], LE, s.q_max)
-                m.add_con(f"ccap_{label}_{s.id}",
-                          [(b[s.id], 1.0), (x[s.id], -s.efficiency)], LE, s.b_max)
+    # nodal balance: generation - charging + flows in - flows out + pns = demand
+    rows = []
+    for j, n in enumerate(net.buses):
+        flows = [(col["pf", c.id], sign) for c in net.circuits
+                 for end, sign in ((c.to_bus, 1.0), (c.from_bus, -1.0)) if end == n]
+        rows.append(Row("bal", n, injection(n) + flows, EQ, demand[:, j]))
+    # circuit flows follow injections through the shift-factor matrix
+    for ci, c in enumerate(net.circuits):
+        terms, rhs = [(col["pf", c.id], 1.0)], np.zeros(len(labels))
+        for jj, n in enumerate(net.nonslack):
+            factor = float(net.isf[ci, jj])
+            if factor != 0.0:
+                terms += [(cols, -factor * sign) for cols, sign in injection(n)]
+                rhs = rhs - factor * demand[:, net.buses.index(n)]
+        rows.append(Row("flow", c.id, terms, EQ, rhs))
+    for g in system.thermal:
+        q, qhat, u, r = (col[sym, g.id] for sym in ("q", "qhat", "u", "r"))
+        rows += [Row("psplit", g.id, [(q, 1.0), (u, -g.q_min), (qhat, -1.0)], EQ),
+                 Row("pcap", g.id, [(qhat, 1.0), (u, -(g.q_max - g.q_min))], LE),
+                 Row("rcap", g.id, [(r, 1.0), (q, 1.0), (u, -g.q_max)], LE)]
+    if cfg.reserve_fraction > 0.0:
+        rows.append(Row("rreq", None, [(col["r", g.id], 1.0) for g in system.thermal], GE,
+                        cfg.reserve_fraction * demand.sum(axis=1)))
+    for s in system.storage:
+        if s.id in x:
+            rows += [Row("dcap", s.id, [(col["q", s.id], 1.0), (x[s.id], -1.0)], LE, s.q_max),
+                     Row("ccap", s.id, [(col["b", s.id], 1.0), (x[s.id], -s.efficiency)],
+                         LE, s.b_max)]
+    tile_rows(m, labels, rows)
+    return col
 
 
 def add_hourly_levels(m: MilpModel, system: PowerSystem, labels: list[str],
-                      inflows: np.ndarray, x: dict,
-                      day_starts: set[int] | None = None) -> None:
-    """Chained hourly storage levels ``w_<label>_<unit>`` over consecutive
-    labels.
-
-    Position 0 (and every position in ``day_starts``) anchors at the unit's
-    initial level instead of the previous period, which is how representative
-    days restart their own chronology.
-    """
-    for label in labels:
-        for s in system.storage:
-            has_x = s.id in x
-            w = m.add_var(var_name("w", label, s.id),
-                          lb=0.0 if has_x else s.w_min, ub=INF if has_x else s.w_max)
-            if has_x:
-                m.add_con(f"lvlo_{label}_{s.id}", [(w, 1.0), (x[s.id], -s.epr_min)],
-                          GE, s.w_min)
-                m.add_con(f"lvhi_{label}_{s.id}", [(w, 1.0), (x[s.id], -s.epr_max)],
-                          LE, s.w_max)
-    for t, label in enumerate(labels):
-        fresh = t == 0 or (day_starts is not None and t in day_starts)
-        for k, s in enumerate(system.storage):
-            terms = [(var_name("w", label, s.id), 1.0),
-                     (var_name("q", label, s.id), 1.0),
-                     (var_name("sp", label, s.id), 1.0),
-                     (var_name("b", label, s.id), -s.efficiency)]
-            rhs = float(inflows[t, k])
-            if fresh:
-                rhs += s.w0
-            else:
-                terms.append((var_name("w", labels[t - 1], s.id), -1.0))
-            m.add_con(f"level_{label}_{s.id}", terms, EQ, rhs)
+                      inflows: np.ndarray, x: dict, fresh: np.ndarray, col: dict) -> None:
+    """Hourly storage levels ``w_<label>_<unit>``, added to ``col`` and
+    chained over consecutive labels; a ``fresh`` label anchors at the unit's
+    initial level instead, which is how representative days restart their
+    own chronology."""
+    col.update(add_levels(m, system, labels, x, "w", "lvlo", "lvhi"))
+    tile_rows(m, labels, [
+        Row("level", s.id, [(col["w", s.id], 1.0), (col["q", s.id], 1.0),
+                            (col["sp", s.id], 1.0), (col["b", s.id], -s.efficiency),
+                            (shifted(col["w", s.id], fresh), -1.0)],
+            EQ, np.where(fresh, inflows[:, k] + s.w0, inflows[:, k]))
+        for k, s in enumerate(system.storage)])
 
 
 def add_hourly_startups(m: MilpModel, system: PowerSystem, labels: list[str],
-                        weights: np.ndarray, day_starts: set[int] | None = None) -> None:
-    """Startup indicators ``y_<label>_<unit>`` chained over consecutive labels.
-
-    At position 0 (and at each ``day_starts`` position) the previous
-    commitment is the unit's configured initial state.  The startup cost is
-    weighted like the other running costs of its period.
-    """
-    for t, label in enumerate(labels):
-        wt = float(weights[t])
-        for g in system.thermal:
-            m.add_var(var_name("y", label, g.id), ub=1.0, integer=True,
-                      obj=wt * g.startup_cost)
-    for t, label in enumerate(labels):
-        fresh = t == 0 or (day_starts is not None and t in day_starts)
-        for g in system.thermal:
-            terms = [(var_name("u", label, g.id), 1.0), (var_name("y", label, g.id), -1.0)]
-            if fresh:
-                rhs = float(system.initial_commitment(g.id))
-            else:
-                terms.append((var_name("u", labels[t - 1], g.id), -1.0))
-                rhs = 0.0
-            m.add_con(f"start_{label}_{g.id}", terms, LE, rhs)
+                        weights: np.ndarray, fresh: np.ndarray, col: dict) -> None:
+    """Startup indicators ``y_<label>_<unit>``, added to ``col`` and chained
+    over consecutive labels; at a ``fresh`` label the previous commitment is
+    the unit's configured initial state.  The startup cost is weighted like
+    the other running costs of its period."""
+    wt = weights.astype(np.float64)
+    col.update(tile_columns(m, labels, [
+        Col("y", g.id, ub=1.0, obj=wt * g.startup_cost, integer=True)
+        for g in system.thermal]))
+    tile_rows(m, labels, [
+        Row("start", g.id, [(col["u", g.id], 1.0), (col["y", g.id], -1.0),
+                            (shifted(col["u", g.id], fresh), -1.0)],
+            LE, np.where(fresh, float(system.initial_commitment(g.id)), 0.0))
+        for g in system.thermal])

@@ -9,11 +9,13 @@ the annualized cost of any storage capacity built.
 
 from __future__ import annotations
 
-from ..milp import MilpModel, GE
+import numpy as np
+
+from ..milp import MilpModel
 from ..system import PowerSystem
 from ..timeseries import TimeHorizonData
-from .common import (FormulationOutput, periods, var_name, add_investment,
-                     add_operating_core, add_hourly_levels, add_hourly_startups)
+from .common import (FormulationOutput, periods, add_investment, add_operating_core,
+                     add_hourly_levels, add_hourly_startups, add_final)
 
 
 def build_hm(system: PowerSystem, data: TimeHorizonData,
@@ -21,10 +23,10 @@ def build_hm(system: PowerSystem, data: TimeHorizonData,
     m = MilpModel("hm")
     per = periods("hm", data.horizon_hours)
     labels, weights = per.labels, per.weights
+    fresh = np.arange(len(labels)) == 0
     x = add_investment(m, system, invest)
-    add_operating_core(m, system, labels, data.demand, data.renewable_avail, weights, x)
-    add_hourly_startups(m, system, labels, weights)
-    add_hourly_levels(m, system, labels, data.inflows, x)
-    for s in system.storage:
-        m.add_con(f"fin_{s.id}", [(var_name("w", labels[-1], s.id), 1.0)], GE, s.w_fin)
+    col = add_operating_core(m, system, labels, data.demand, data.renewable_avail, weights, x)
+    add_hourly_startups(m, system, labels, weights, fresh, col)
+    add_hourly_levels(m, system, labels, data.inflows, x, fresh, col)
+    add_final(m, system, "fin", [col["w", s.id][-1] for s in system.storage])
     return FormulationOutput(model=m, kind="hm", meta={"kind": "hm", "invest": invest})

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..milp import MilpModel, INF, LE, GE, EQ
+from ..milp import MilpModel, GE, EQ
 from ..system import PowerSystem
 from ..timeseries import HOURS_PER_DAY, TimeHorizonData
 from ..aggregation import (RepPeriodClustering, TransitionMatrices,
                            default_checkpoints)
-from .common import (FormulationOutput, periods, var_name, add_investment,
-                     add_operating_core, add_hourly_levels, add_hourly_startups)
+from .common import (FormulationOutput, Row, periods, tile_rows, shifted, add_investment,
+                     add_operating_core, add_levels, add_hourly_levels, add_hourly_startups,
+                     add_final)
 
 
 def _rep_day_core(system: PowerSystem, data: TimeHorizonData,
@@ -36,29 +37,31 @@ def _rep_day_core(system: PowerSystem, data: TimeHorizonData,
     # enhanced one concatenates the days so commitments and levels carry
     # over, with checkpoints and commitment links tying the chain back to
     # the real calendar
-    day_starts = set(range(0, len(labels), HOURS_PER_DAY)) if kind == "rp" else None
+    step = HOURS_PER_DAY if kind == "rp" else len(labels)
+    fresh = np.arange(len(labels)) % step == 0
 
     m = MilpModel(kind)
     x = add_investment(m, system, invest)
-    add_operating_core(m, system, labels, data.demand[hours],
-                       data.renewable_avail[hours], weights, x)
-    add_hourly_startups(m, system, labels, weights, day_starts=day_starts)
-    add_hourly_levels(m, system, labels, data.inflows[hours], x, day_starts=day_starts)
-    return m, x, per
+    col = add_operating_core(m, system, labels, data.demand[hours],
+                             data.renewable_avail[hours], weights, x)
+    add_hourly_startups(m, system, labels, weights, fresh, col)
+    add_hourly_levels(m, system, labels, data.inflows[hours], x, fresh, col)
+    return m, x, per, col
 
 
-def _day_edge_labels(rp: RepPeriodClustering, cluster: int) -> tuple[str, str]:
-    first = int(rp.medoid_days[cluster]) * HOURS_PER_DAY
-    return f"p{first}", f"p{first + HOURS_PER_DAY - 1}"
+def _day_first(rp: RepPeriodClustering) -> np.ndarray:
+    """The position of each cluster's first hour among the model periods,
+    whose days run in calendar order."""
+    return np.searchsorted(np.sort(rp.medoid_days), rp.medoid_days) * HOURS_PER_DAY
 
 
 def build_rp(system: PowerSystem, data: TimeHorizonData,
              rp: RepPeriodClustering, invest: bool = False) -> FormulationOutput:
-    m, _, _ = _rep_day_core(system, data, rp, invest, "rp")
-    for r in range(rp.num_rp):
-        _, last = _day_edge_labels(rp, r)
-        for s in system.storage:
-            m.add_con(f"cyc_r{r}_{s.id}", [(var_name("w", last, s.id), 1.0)], GE, s.w0)
+    m, _, _, col = _rep_day_core(system, data, rp, invest, "rp")
+    last = _day_first(rp) + HOURS_PER_DAY - 1
+    tile_rows(m, [f"r{r}" for r in range(rp.num_rp)],
+              [Row("cyc", s.id, [(col["w", s.id][last], 1.0)], GE, s.w0)
+               for s in system.storage])
     return FormulationOutput(model=m, kind="rp", meta={"kind": "rp", "invest": invest})
 
 
@@ -75,50 +78,40 @@ def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
     """
     if window % HOURS_PER_DAY != 0:
         raise ValueError(f"checkpoint window {window} must be a multiple of {HOURS_PER_DAY}")
-    m, x, per = _rep_day_core(system, data, rp, invest, "rp_tmci")
+    m, x, per, col = _rep_day_core(system, data, rp, invest, "rp_tmci")
 
     # commitment continuity across observed day-cluster transitions
     nrpp = matrices.rp_transitions
     threshold = theta * float(nrpp.sum()) if 0 < theta < 1 else theta
-    for a, bb in np.argwhere((nrpp >= threshold) & (nrpp > 0)).tolist():
-        _, last_a = _day_edge_labels(rp, a)
-        first_b, _ = _day_edge_labels(rp, bb)
-        for g in system.thermal:
-            m.add_con(f"ulink_r{a}_r{bb}_{g.id}",
-                      [(var_name("u", last_a, g.id), 1.0), (var_name("u", first_b, g.id), -1.0)],
-                      EQ, 0.0)
+    a, b = np.nonzero((nrpp >= threshold) & (nrpp > 0))
+    first = _day_first(rp)
+    tile_rows(m, [f"r{i}_r{j}" for i, j in zip(a.tolist(), b.tolist())],
+              [Row("ulink", g.id, [(col["u", g.id][first[a] + HOURS_PER_DAY - 1], 1.0),
+                                   (col["u", g.id][first[b]], -1.0)], EQ)
+               for g in system.thermal])
 
-    # checkpoint storage levels chained across the real calendar
+    # checkpoint storage levels chained across the real calendar: row i
+    # gathers the real hours since checkpoint i - 1 (padded to the longest
+    # window with -1, no entry) through their periods
     checkpoints = default_checkpoints(data.horizon_hours, window)
-    inflows = data.inflows[per.hours]               # per period
-    for k in checkpoints:
-        for s in system.storage:
-            has_x = s.id in x
-            wchk = m.add_var(var_name("wchk", f"k{k}", s.id),
-                             lb=0.0 if has_x else s.w_min, ub=INF if has_x else s.w_max)
-            if has_x:
-                m.add_con(f"clo_k{k}_{s.id}", [(wchk, 1.0), (x[s.id], -s.epr_min)],
-                          GE, s.w_min)
-                m.add_con(f"chi_k{k}_{s.id}", [(wchk, 1.0), (x[s.id], -s.epr_max)],
-                          LE, s.w_max)
-    prev = 0
-    for k in checkpoints:
-        k = int(k)
-        for j, s in enumerate(system.storage):
-            coeffs: dict[str, float] = {var_name("wchk", f"k{k}", s.id): 1.0}
-            if prev:
-                coeffs[var_name("wchk", f"k{prev}", s.id)] = -1.0
-            rhs = 0.0 if prev else s.w0
-            for t in per.pos[prev:k].tolist():
-                for sym, c in (("b", -s.efficiency), ("q", 1.0), ("sp", 1.0)):
-                    name = var_name(sym, per.labels[t], s.id)
-                    coeffs[name] = coeffs.get(name, 0.0) + c
-                rhs += float(inflows[t, j])
-            m.add_con(f"cbal_k{k}_{s.id}", coeffs, EQ, rhs)
-        prev = k
-    for s in system.storage:
-        m.add_con(f"cfin_{s.id}", [(var_name("wchk", f"k{checkpoints[-1]}", s.id), 1.0)],
-                  GE, s.w_fin)
+    marks = [f"k{k}" for k in checkpoints.tolist()]
+    starts = np.concatenate(([0], checkpoints[:-1]))
+    hour = starts[:, None] + np.arange((checkpoints - starts).max())
+    inside = hour < checkpoints[:, None]
+    pos = np.where(inside, per.pos[np.minimum(hour, data.horizon_hours - 1)], -1)
+    wchk = add_levels(m, system, marks, x, "wchk", "clo", "chi")
+    rows = []
+    for j, s in enumerate(system.storage):
+        flows = np.stack([np.where(inside, col[sym, s.id][pos], -1) for sym in ("b", "q", "sp")],
+                         axis=2).reshape(len(marks), -1)
+        inflow = np.where(inside, data.inflows[per.hours, j][pos], 0.0)
+        first = np.where(starts == 0, s.w0, 0.0)[:, None]
+        rows.append(Row("cbal", s.id, [
+            (wchk["wchk", s.id], 1.0), (shifted(wchk["wchk", s.id], starts == 0), -1.0),
+            (flows, np.tile([-s.efficiency, 1.0, 1.0], pos.shape[1])[None, :])],
+            EQ, np.cumsum(np.hstack((first, inflow)), axis=1)[:, -1]))   # summed in order
+    tile_rows(m, marks, rows)
+    add_final(m, system, "cfin", [wchk["wchk", s.id][-1] for s in system.storage])
 
     meta = {"kind": "rp_tmci", "invest": invest,
             "checkpoints": [int(k) for k in checkpoints]}

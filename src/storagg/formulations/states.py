@@ -23,72 +23,61 @@ import numpy as np
 from ..milp import MilpModel, LE, GE, EQ
 from ..system import PowerSystem, StorageUnit
 from ..aggregation import StateClustering, TransitionMatrices
-from .common import (FormulationOutput, periods, var_name, add_investment,
-                     add_operating_core)
+from .common import (FormulationOutput, Col, Row, periods, tile_columns, tile_rows,
+                     add_investment, add_operating_core)
 
 
 def _state_family(system: PowerSystem, states: StateClustering,
                   matrices: TransitionMatrices, invest: bool, kind: str) -> FormulationOutput:
-    s_count = states.num_states
     trans = matrices.transitions
     m = MilpModel(kind)
     per = periods(kind, states.horizon_hours, states=states)
-    labels, weights = per.labels, per.weights
     x = add_investment(m, system, invest)
-    add_operating_core(m, system, labels, states.demand, states.renewable_avail,
-                       weights, x)
-
-    pairs = [(a, b) for a in range(s_count) for b in range(s_count) if trans[a, b] > 0]
-    move = {(a, b): f"s{a}_s{b}" for a, b in pairs}   # label of a transition
+    col = add_operating_core(m, system, per.labels, states.demand, states.renewable_avail,
+                             per.weights, x)
+    a, b = np.nonzero(trans > 0)                      # the observed transitions
+    moves = [f"s{i}_s{j}" for i, j in zip(a.tolist(), b.tolist())]
 
     # startups are decided per observed transition and paid per occurrence
-    for a, b in pairs:
-        if a == b:
-            continue
-        for g in system.thermal:
-            y = m.add_var(var_name("y", move[a, b], g.id), ub=1.0, integer=True,
-                          obj=float(trans[a, b]) * g.startup_cost)
-            m.add_con(f"start_{move[a, b]}_{g.id}",
-                      [(var_name("u", labels[b], g.id), 1.0),
-                       (var_name("u", labels[a], g.id), -1.0),
-                       (y, -1.0)], LE, 0.0)
+    step = a != b
+    steps = [mv for mv, st in zip(moves, step.tolist()) if st]
+    count = trans[a, b][step].astype(np.float64)
+    y = tile_columns(m, steps, [Col("y", g.id, ub=1.0, obj=count * g.startup_cost,
+                                    integer=True) for g in system.thermal])
+    tile_rows(m, steps, [
+        Row("start", g.id, [(col["u", g.id][b[step]], 1.0), (col["u", g.id][a[step]], -1.0),
+                            (y["y", g.id], -1.0)], LE)
+        for g in system.thermal])
 
     # storage level shift per transition: mean net injection of both states
+    dw = {}
     for k, s in enumerate(system.storage):
-        for a, b in pairs:
-            dw = m.add_var(var_name("dw", move[a, b], s.id), lb=-np.inf, ub=np.inf)
-            terms = [(dw, 1.0)]
-            for st in (a, b):
-                terms.append((var_name("b", labels[st], s.id), -0.5 * s.efficiency))
-                terms.append((var_name("q", labels[st], s.id), 0.5))
-                terms.append((var_name("sp", labels[st], s.id), 0.5))
-            rhs = 0.5 * float(states.inflows[a, k] + states.inflows[b, k])
-            m.add_con(f"dwdef_{move[a, b]}_{s.id}", terms, EQ, rhs)
+        dw[s.id] = tile_columns(m, moves, [Col("dw", s.id, lb=-np.inf, ub=np.inf)])["dw", s.id]
+        tile_rows(m, moves, [Row("dwdef", s.id, [(dw[s.id], 1.0)] + [
+            (col[sym, s.id][st], c) for st in (a, b)
+            for sym, c in (("b", -0.5 * s.efficiency), ("q", 0.5), ("sp", 0.5))],
+            EQ, 0.5 * (states.inflows[a, k] + states.inflows[b, k]))])
 
-    def bound_rows(tag: str, s: StorageUnit, matrix: np.ndarray, lo_rhs: float, hi_rhs: float,
-                   suffix: str = ""):
-        """One >= and one <= row over the dw variables weighted by a count matrix,
-        named ``<tag>lo<suffix>_<unit>`` and ``<tag>hi<suffix>_<unit>``."""
-        terms_lo = [(var_name("dw", move[a, b], s.id), float(matrix[a, b]))
-                    for a, b in pairs if matrix[a, b] > 0]
-        terms_hi = list(terms_lo)
-        if s.id in x:
-            terms_lo.append((x[s.id], -s.epr_min))
-            terms_hi.append((x[s.id], -s.epr_max))
-        m.add_con(f"{tag}lo{suffix}_{s.id}", terms_lo, GE, lo_rhs)
-        m.add_con(f"{tag}hi{suffix}_{s.id}", terms_hi, LE, hi_rhs)
+    def bounds(s: StorageUnit, tag: str, counts: np.ndarray, lo: float, hi: float,
+               uid: str | None) -> list[Row]:
+        """A >= and a <= row per label, named ``<tag>lo``/``<tag>hi``, over
+        the dw columns weighted by ``counts`` (labels x transitions)."""
+        shift, invested = (dw[s.id][None, :], counts.astype(np.float64)), x.get(s.id, -1)
+        return [Row(f"{tag}lo", uid, [shift, (invested, -s.epr_min)], GE, lo),
+                Row(f"{tag}hi", uid, [shift, (invested, -s.epr_max)], LE, hi)]
 
     # end-of-horizon level: W0 plus every transition shift, counted
     for s in system.storage:
-        bound_rows("end", s, trans, s.w_fin - s.w0, s.w_max - s.w0)
-
+        tile_rows(m, [s.id], bounds(s, "end", trans[a, b][None, :], s.w_fin - s.w0,
+                                    s.w_max - s.w0, None))
     # checkpoint bounds
-    for ki, k in enumerate(matrices.checkpoints):
-        for s in system.storage:
-            use_window = kind == "ss_rfm" and s.kind == "short_term"
-            matrix = matrices.reduced_frequency[ki] if use_window else matrices.frequency[ki]
-            bound_rows("win" if use_window else "chk", s, matrix,
-                       s.w_min - s.w0, s.w_max - s.w0, suffix=f"_k{k}")
+    rows = []
+    for s in system.storage:
+        window = kind == "ss_rfm" and s.kind == "short_term"
+        counts = (matrices.reduced_frequency if window else matrices.frequency)[:, a, b]
+        rows += bounds(s, "win" if window else "chk", counts, s.w_min - s.w0,
+                       s.w_max - s.w0, s.id)
+    tile_rows(m, [f"k{k}" for k in matrices.checkpoints.tolist()], rows)
 
     return FormulationOutput(model=m, kind=kind, meta={"kind": kind, "invest": invest})
 

@@ -16,24 +16,25 @@ rhs).  ``variables`` and ``constraints`` are read-only views that build a
 ``Variable`` or ``Constraint`` tuple on access; ``to_arrays`` copies the
 buffers out.
 
-A variable's name is its only index: builders compose it from a symbol, a
-period label and a unit id, and evaluation reads values back by that name.
-The variable names and the row names are each kept packed: one
-newline-joined UTF-8 blob, the form ``save_model`` writes, so a name costs
-its bytes and a separator, not a Python string.  One name is read through
-an offsets array built on first positional access; bulk readers (solution
-values, duals, the audit, MPS export) decode the whole blob once per call.
-The name-to-position dicts are a cache built on first use (``add_var``,
-``add_con``, ``has_var``, ``var``) and dropped by ``release_index``, which
-the pipeline calls once a model is built; a model loaded only to be solved
-and audited never holds them.  A model file stores each name blob split
-into a template and its digit runs, and the CSR index arrays as first
-differences (see "array files" below); loading rebuilds the same blobs and
-buffers.  The sidecar written next to a model file (``write_registry``)
-carries the model's name and its metadata only, as compact JSON.
+Columns and rows enter a model only through ``add_vars`` and ``add_rows``,
+a block at a time; ``add_var`` and ``add_con`` are their one-entry forms,
+the latter addressing columns by name.  The variable names and the row
+names are each kept packed: one newline-joined UTF-8 blob, the form
+``save_model`` writes, so a name costs its bytes and a separator, not a
+Python string.  One name is read through an offsets array built on first
+positional access; bulk readers (solution values, duals, the audit, MPS
+export) decode the whole blob once per call.  The name-to-position dicts,
+the duplicate check of every addition, are a cache built on first use and
+dropped by ``release_index``, which the pipeline calls once a model is
+built; a model loaded only to be solved and audited never holds them.  A
+model file stores each name blob split into a template and its digit runs,
+and the CSR index arrays as first differences (see "array files" below);
+loading rebuilds the same blobs and buffers.  The sidecar written next to a
+model file (``write_registry``) carries the model's name and its metadata
+only, as compact JSON.
 
 scipy loads at a process's first matrix build (``to_arrays``, the audit,
-``parse_mps``) or solve, not at import, so the stages that never solve do
+``write_mps``) or solve, not at import, so the stages that never solve do
 not pay for it.
 """
 
@@ -116,17 +117,21 @@ class _Names:
     """Distinct names packed as one newline-joined UTF-8 blob.
 
     ``names[j]`` decodes one name through an offsets array, built on first
-    positional access and extended by ``append``; ``tolist`` decodes the
-    whole blob at once.  The name -> position dict is a cache built by
-    ``index`` and dropped by ``release``.
+    positional access; ``tolist`` decodes the whole blob at once.  The name
+    -> position dict is a cache built by ``index`` and dropped by
+    ``release``.  ``extend`` takes its positions from ``ints``, a list a
+    model shares between its two sides, so their dicts hold one int object
+    per position, not two.
     """
 
-    def __init__(self, what: str, blob: bytearray | None = None, count: int = 0):
+    def __init__(self, what: str, blob: bytearray | None = None, count: int = 0,
+                 ints: list[int] | None = None):
         self.what = what
         self.blob = bytearray() if blob is None else blob
         self._count = count
         self._starts: array | None = None    # name j is blob[starts[j]:starts[j + 1] - 1]
         self._index: dict[str, int] | None = None
+        self._ints = [] if ints is None else ints
 
     def __len__(self) -> int:
         return self._count
@@ -153,23 +158,25 @@ class _Names:
 
     def release(self) -> None:
         self._index = None
+        self._ints.clear()
 
-    def append(self, name: str) -> None:
-        """Add ``name`` last.  Raises ModelError if it is taken or holds a
-        newline, the separator of the blob."""
+    def extend(self, names: list[str]) -> None:
+        """Add ``names`` last.  Raises ModelError, adding none of them, if
+        one is taken, repeats or holds a newline, the separator of the blob."""
+        data = _joined(names, self.what)
         index = self.index()
-        if name in index:
-            raise ModelError(f"duplicate {self.what} {name!r}")
-        if "\n" in name:
-            raise ModelError(f"{self.what} name {name!r} contains a newline")
-        data = name.encode("utf-8")
-        if self._count:
+        size = len(index)
+        stop = self._count + len(names)
+        self._ints.extend(range(len(self._ints), stop))
+        index.update(zip(names, self._ints[self._count:stop]))
+        if len(index) != size + len(names):
+            self._index = None                  # rebuilt from the unchanged blob
+            _index(self.tolist() + list(names), self.what)
+        if self._count and names:
             self.blob += b"\n"
         self.blob += data
-        index[name] = self._count
-        self._count += 1
-        if self._starts is not None:
-            self._starts.append(len(self.blob) + 1)
+        self._count += len(names)
+        self._starts = None
 
 
 class MilpModel:
@@ -177,57 +184,106 @@ class MilpModel:
 
     def __init__(self, name: str = "model"):
         self.name = name
+        ints: list[int] = []
         # columns
-        self._var_names = _Names("variable")
+        self._var_names = _Names("variable", ints=ints)
         self._lb, self._ub, self._obj = array("d"), array("d"), array("d")
         self._int = bytearray()
         # CSR rows
-        self._con_names = _Names("constraint")
+        self._con_names = _Names("constraint", ints=ints)
         self._indptr, self._cols = array("q", [0]), array("i")
         self._coefs, self._rhs = array("d"), array("d")
         self._sense = bytearray()
 
     # -- construction -------------------------------------------------------
 
+    def add_vars(self, names: list[str], lb=0.0, ub=INF, obj=0.0,
+                 integer=False) -> np.ndarray:
+        """Add one column per name, last, and return their positions.  The
+        bounds, objective and integer flag are given per column or once for
+        all.  Raises ModelError, adding nothing, if a name is taken, repeats
+        or holds a newline, or a lower bound exceeds its upper bound."""
+        n = len(names)
+        lb, ub, obj = (np.broadcast_to(np.asarray(a, dtype=np.float64), n)
+                       for a in (lb, ub, obj))
+        flags = np.broadcast_to(np.asarray(integer, dtype=np.uint8), n)
+        bad = np.flatnonzero(lb > ub)
+        if len(bad):
+            j = bad[0]
+            raise ModelError(f"variable {names[j]!r}: lb {lb[j]} > ub {ub[j]}")
+        start = self.num_vars
+        self._var_names.extend(names)
+        for buf, values in ((self._lb, lb), (self._ub, ub), (self._obj, obj)):
+            buf.frombytes(values.tobytes())
+        self._int += flags.tobytes()
+        return np.arange(start, start + n, dtype=np.int32)
+
+    def add_rows(self, names: list[str], row, col, val, sense, rhs) -> None:
+        """Add one constraint row per name, last.  Entry k puts ``val[k]``
+        at column ``col[k]`` of row ``row[k]``, a position in ``names``.
+        Within a row the entries keep their order; a zero value or a negative
+        column is dropped, and a repeated column gets the sum of its values,
+        added in order, at its first place.  ``sense`` and ``rhs`` are given
+        per row or once for all.  Raises ModelError, adding nothing, if a
+        name is taken, repeats or holds a newline, a sense is unknown, or a
+        column or row lies beyond the last."""
+        n = len(names)
+        try:
+            code = bytes(_SENSE_CODE[s] for s in np.broadcast_to(sense, n).tolist())
+        except KeyError as exc:
+            raise ModelError(f"unknown sense {exc.args[0]!r}") from None
+        rhs = np.broadcast_to(np.asarray(rhs, dtype=np.float64), n)
+        row, col, val = (np.asarray(a, dtype=t).ravel() for a, t in
+                         ((row, np.int64), (col, np.int64), (val, np.float64)))
+        keep = (val != 0.0) & (col >= 0)
+        row, col, val = row[keep], col[keep], val[keep]
+        bad = (col >= self.num_vars) | (row < 0) | (row >= n)
+        if bad.any():
+            k = int(bad.argmax())
+            raise ModelError(f"constraint entry at row {row[k]}, column {col[k]} lies "
+                             f"outside {n} rows and {self.num_vars} columns")
+        order = np.argsort(row, kind="stable")
+        row, col, val = row[order], col[order], val[order]
+        _, first, group = np.unique(row * max(self.num_vars, 1) + col,
+                                    return_index=True, return_inverse=True)
+        sums = np.zeros(len(first))
+        with np.errstate(over="ignore", invalid="ignore"):     # inf and nan as floats sum
+            np.add.at(sums, group, val)     # each repeat added in entry order
+        first.sort()
+        first = first[sums[group[first]] != 0.0]
+        self._con_names.extend(names)
+        self._cols.frombytes(col[first].astype(np.int32).tobytes())
+        self._coefs.frombytes(sums[group[first]].tobytes())
+        ends = np.cumsum(np.bincount(row[first], minlength=n)) + self._indptr[-1]
+        self._indptr.frombytes(ends.astype(np.int64).tobytes())
+        self._sense += code
+        self._rhs.frombytes(rhs.tobytes())
+
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
                 obj: float = 0.0, integer: bool = False) -> str:
-        if lb > ub:
-            raise ModelError(f"variable {name!r}: lb {lb} > ub {ub}")
-        self._var_names.append(name)
-        self._lb.append(lb)
-        self._ub.append(ub)
-        self._obj.append(obj)
-        self._int.append(1 if integer else 0)
+        self.add_vars([name], lb, ub, obj, integer)
         return name
 
     def add_con(self, name: str, terms, sense: str, rhs: float) -> str:
-        if sense not in _SENSE_CODE:
-            raise ModelError(f"unknown sense {sense!r}")
-        var_index = self._var_names.index()
-        merged: dict[int, float] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
+        """One row over named variables: ``terms`` maps or pairs names with
+        coefficients.  Raises ModelError on a variable that is not in the
+        model and has a non-zero coefficient."""
+        items = list(terms.items() if isinstance(terms, dict) else terms)
+        index = self._var_names.index()
         for var, coef in items:
-            if coef == 0.0:
-                continue
-            try:
-                j = var_index[var]
-            except KeyError:
-                raise ModelError(f"constraint {name!r} references unknown variable {var!r}") from None
-            merged[j] = merged.get(j, 0.0) + float(coef)
-        self._con_names.append(name)
-        kept = [j for j, c in merged.items() if c != 0.0]
-        self._cols.extend(kept)
-        self._coefs.extend(merged[j] for j in kept)
-        self._indptr.append(len(self._cols))
-        self._sense.append(_SENSE_CODE[sense])
-        self._rhs.append(rhs)
+            if coef != 0.0 and var not in index:
+                raise ModelError(f"constraint {name!r} references unknown variable {var!r}")
+        self.add_rows([name], np.zeros(len(items)), [index.get(var, -1) for var, _ in items],
+                      [coef for _, coef in items], sense, rhs)
         return name
 
     def release_index(self) -> None:
-        """Drop the name -> position dicts.  ``add_var``, ``add_con``,
-        ``has_var`` and ``var`` build them again when next called."""
+        """Drop the name -> position dicts, which the next addition builds
+        again, and hand the freed heap pages back (see ``_highs_call``)."""
         self._var_names.release()
         self._con_names.release()
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
 
     # -- introspection ------------------------------------------------------
 
@@ -261,12 +317,6 @@ class MilpModel:
         return Constraint(self._con_names[i], self._cols[a:b].tolist(),
                           self._coefs[a:b].tolist(), _SENSES[self._sense[i]],
                           self._rhs[i])
-
-    def var(self, name: str) -> Variable:
-        return self._variable(self._var_names.index()[name])
-
-    def has_var(self, name: str) -> bool:
-        return name in self._var_names.index()
 
     def _csr(self):
         """The constraint rows as a ``scipy.sparse.csr_array``."""
@@ -649,16 +699,24 @@ def parse_mps(path) -> MilpModel:
 
     Accepts any whitespace-separated layout with ROWS / COLUMNS / RHS /
     BOUNDS sections and integer marker lines, which covers files from the
-    usual solver toolchains as long as they avoid RANGES.  Coefficients are
-    collected as (row, column, value) buffers and become CSR rows at the end;
-    repeated entries are summed and zeros dropped.
+    usual solver toolchains as long as they avoid RANGES.  Rows, columns and
+    (row, column, value) entries are collected and added in one
+    ``add_vars`` and one ``add_rows`` call, which sum repeated entries and
+    drop zeros.
     """
-    model = MilpModel()
-    row_of, col_of = model._con_names.index(), model._var_names.index()
+    name, obj_row, section, in_int = "model", None, None, False
+    row_names, senses, rhs, row_of = [], [], [], {}
+    col_names, lb, ub, obj, integer, col_of = [], [], [], [], [], {}
     rows, cols, vals = array("i"), array("i"), array("d")
-    obj_row = None
-    section = None
-    in_int = False
+
+    def column(var: str) -> int:
+        if var not in col_of:
+            col_of[var] = len(col_names)
+            col_names.append(var)
+            for values, default in ((lb, 0.0), (ub, INF), (obj, 0.0), (integer, False)):
+                values.append(default)
+        return col_of[var]
+
     with open(path) as fh:
         for line in fh:
             tokens = line.split()
@@ -670,7 +728,7 @@ def parse_mps(path) -> MilpModel:
                     "NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA", "OBJSENSE"):
                 section = tokens[0]
                 if section == "NAME":
-                    model.name = tokens[1] if len(tokens) > 1 else "model"
+                    name = tokens[1] if len(tokens) > 1 else "model"
                 if section == "RANGES":
                     raise ModelError(f"{path}: RANGES sections are not supported")
                 continue
@@ -680,22 +738,21 @@ def parse_mps(path) -> MilpModel:
                     if obj_row is None:
                         obj_row = row
                     continue
-                model.add_con(row, (), _SENSES[_MPS_TAGS.index(tag)], 0.0)
+                row_of[row] = len(row_names)
+                row_names.append(row)
+                senses.append(_SENSES[_MPS_TAGS.index(tag)])
+                rhs.append(0.0)
             elif section == "COLUMNS":
                 if len(tokens) >= 3 and tokens[1] == "'MARKER'":
                     in_int = tokens[2] == "'INTORG'"
                     continue
-                j = col_of.get(tokens[0])
-                if j is None:
-                    j = model.num_vars
-                    model.add_var(tokens[0], integer=in_int)
-                elif in_int:
-                    model._int[j] = 1
+                j = column(tokens[0])
+                integer[j] = integer[j] or in_int
                 for k in range(1, len(tokens) - 1, 2):
                     row, val = tokens[k], float(tokens[k + 1])
                     if row == obj_row:
                         # assigned while still zero, so an objective of -0.0 keeps its sign
-                        model._obj[j] = model._obj[j] + val if model._obj[j] else val
+                        obj[j] = obj[j] + val if obj[j] else val
                     else:
                         rows.append(row_of[row])
                         cols.append(j)
@@ -704,33 +761,26 @@ def parse_mps(path) -> MilpModel:
                 for k in range(1, len(tokens) - 1, 2):
                     i = row_of.get(tokens[k])
                     if i is not None:
-                        model._rhs[i] = float(tokens[k + 1])
+                        rhs[i] = float(tokens[k + 1])
             elif section == "BOUNDS":
-                kind, var = tokens[0], tokens[2]
-                j = col_of.get(var)
-                if j is None:
-                    j = model.num_vars
-                    model.add_var(var)
+                kind, j = tokens[0], column(tokens[2])
                 if kind == "BV":
-                    model._int[j], model._lb[j], model._ub[j] = 1, 0.0, 1.0
+                    integer[j], lb[j], ub[j] = True, 0.0, 1.0
                 elif kind == "FX":
-                    model._lb[j] = model._ub[j] = float(tokens[3])
+                    lb[j] = ub[j] = float(tokens[3])
                 elif kind == "LO":
-                    model._lb[j] = float(tokens[3])
+                    lb[j] = float(tokens[3])
                 elif kind == "UP":
-                    model._ub[j] = float(tokens[3])
+                    ub[j] = float(tokens[3])
                 elif kind == "MI":
-                    model._lb[j] = -INF
+                    lb[j] = -INF
                 elif kind == "PL":
-                    model._ub[j] = INF
+                    ub[j] = INF
                 else:
                     raise ModelError(f"{path}: unsupported bound type {kind!r}")
-    import scipy.sparse as sp
-    a = sp.coo_array((vals, (rows, cols)), shape=(model.num_cons, model.num_vars)).tocsr()
-    a.eliminate_zeros()
-    model._indptr = array("q", a.indptr.astype(np.int64).tobytes())
-    model._cols = array("i", a.indices.astype(np.intc).tobytes())
-    model._coefs = array("d", a.data.tobytes())
+    model = MilpModel(name)
+    model.add_vars(col_names, lb, ub, obj, integer)
+    model.add_rows(row_names, rows, cols, vals, senses, rhs)
     return model
 
 

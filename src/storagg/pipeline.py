@@ -235,9 +235,11 @@ def stage_cluster(system: PowerSystem, data: TimeHorizonData,
 
 def build_formulation(kind: str, system: PowerSystem, data: TimeHorizonData,
                       artifacts: AggregationArtifacts, config: ScenarioConfig) -> FormulationOutput:
-    """Build one kind's model.  The model comes back without its name index
-    (``MilpModel.release_index``): from here on it is saved, solved and read
-    by position or in bulk, and a name lookup builds the index again."""
+    """Build one kind's model: its builder tiles one period's stencil over
+    the kind's period labels in bulk (see ``formulations.common``).  The
+    model comes back without its name index (``MilpModel.release_index``):
+    from here on it is saved, solved and read by position or in bulk, and
+    the next addition builds the index again."""
     if kind == "hm":
         fo = build_hm(system, data, invest=config.invest)
     elif kind == "ss":

@@ -116,6 +116,8 @@ def _read_table(path: Path, expected_columns: list[str] | None) -> tuple[list[st
             header = next(csv.reader(fh))
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
+        except csv.Error as exc:              # e.g. a cell beyond the field limit
+            raise DataFormatError(f"{path}: header: {exc}") from None
         body = fh.read()
     header = [h.strip() for h in header]
     for i, name in enumerate(header):
@@ -174,22 +176,25 @@ def _parse_rows(path: Path, header: list[str], body: str) -> np.ndarray:
     """The data rows parsed cell by cell, for a body the numpy pass refuses:
     raises the located error of the first bad row, or reads what only
     ``float()`` takes."""
-    rows = []
-    for i, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=1):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}: data row {i} has {len(row)} fields, header has {len(header)}")
-        try:
-            rows.append([float(cell) for cell in row])
-        except ValueError:
-            for j, cell in enumerate(row):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: non-numeric value {cell!r} at data row {i}, column {header[j]!r}") from None
+    rows, i = [], 0
+    try:
+        for i, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=1):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"{path}: data row {i} has {len(row)} fields, header has {len(header)}")
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError:
+                for j, cell in enumerate(row):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise DataFormatError(f"{path}: non-numeric value {cell!r} at data "
+                                              f"row {i}, column {header[j]!r}") from None
+    except csv.Error as exc:                  # raised reading row i + 1
+        raise DataFormatError(f"{path}: data row {i + 1}: {exc}") from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return np.array(rows, dtype=float)

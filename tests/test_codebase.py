@@ -90,6 +90,20 @@ def test_one_builder_of_the_chronology_matrices():
         ("src/storagg/aggregation.py", "build_matrices")}
 
 
+@pytest.mark.parametrize("name", ["add_var", "add_con", "var_name"])
+def test_builders_add_in_bulk(name):
+    """The builders tile each period's stencil through ``add_vars`` and
+    ``add_rows``; none adds one column or row at a time or composes a name
+    to find a column."""
+    assert call_sites(name, [SRC / "storagg" / "formulations"]) == set()
+
+
+def test_call_site_scan_sees_builders():
+    """The scan of the test above finds the bulk calls it stands beside."""
+    assert ("src/storagg/formulations/common.py", "tile_rows") in \
+        call_sites("add_rows", [SRC / "storagg" / "formulations"])
+
+
 @pytest.mark.parametrize("demo", sorted((REPO / "demos").glob("*.py")),
                          ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):

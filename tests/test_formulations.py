@@ -81,9 +81,9 @@ def test_hm_investment_variables_only_when_asked():
     system = make_system([make_thermal()], [batt])
     data = make_data(np.full(4, 0.5), storage_ids=["batt"])
     plain = build_hm(system, data)
-    assert not plain.model.has_var("x_batt")
+    assert "x_batt" not in plain.model.var_names
     invest = build_hm(system, data, invest=True)
-    assert invest.model.has_var("x_batt")
+    assert "x_batt" in invest.model.var_names
     fams = constraint_families(invest.model)
     # investment couples the power, charge and level limits
     assert {"dcap", "ccap", "lvlo", "lvhi"} <= set(fams)
@@ -124,8 +124,9 @@ def test_ss_startup_pairs_off_diagonal_only(battery_system):
     g = battery_system.thermal[0].id
     s = battery_system.storage[0].id
     pairs = [(a, b) for a in range(states.num_states) for b in range(states.num_states)]
-    y_pairs = {(a, b) for a, b in pairs if fo.model.has_var(f"y_s{a}_s{b}_{g}")}
-    dw_pairs = {(a, b) for a, b in pairs if fo.model.has_var(f"dw_s{a}_s{b}_{s}")}
+    names = set(fo.model.var_names)
+    y_pairs = {(a, b) for a, b in pairs if f"y_s{a}_s{b}_{g}" in names}
+    dw_pairs = {(a, b) for a, b in pairs if f"dw_s{a}_s{b}_{s}" in names}
     assert y_pairs == {(0, 1), (1, 0)}                     # no self pairs
     assert dw_pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}    # all observed pairs
 

@@ -148,7 +148,7 @@ def test_mps_parser_tolerates_layout(tmp_path):
     path = tmp_path / "loose.mps"
     path.write_text(text)
     back = parse_mps(path)
-    assert back.var("x").obj == 5.0
+    assert back.variables[back.var_names.index("x")].obj == 5.0
     assert back.num_cons == 3
 
 
@@ -214,7 +214,7 @@ def test_model_file_round_trip_builds_no_name_index(tmp_path):
     sol = solve(back)
     audit_constraints(back, sol.values)
     assert back._var_names._index is None and back._con_names._index is None
-    assert back.has_var("z") and back.var("z").integer
+    assert back.variables[back.var_names.index("z")].integer
     back.add_con("c4", {"x": 1.0}, LE, 9.0)
     assert back.num_cons == 4
 
@@ -229,7 +229,8 @@ def test_reloaded_duplicate_name_raises_on_first_lookup(tmp_path):
     back = load_model(path)
     assert back.to_arrays()[0].tolist() == [5.0, 3.0, 7.0, 0.0]
     with pytest.raises(ModelError, match="duplicate variable 'x'"):
-        back.has_var("w")
+        back.add_con("c4", {"w": 1.0}, LE, 1.0)
+    assert back.num_cons == 3
 
 
 def _numbered_model():
@@ -542,8 +543,8 @@ def test_fix_and_relax_reprices():
     milp_sol = solve(m)
     assert round(milp_sol.values["u"]) == 1
     relaxed = fix_and_relax(m, milp_sol)
-    assert relaxed.var("u").lb == relaxed.var("u").ub == 1.0
-    assert not relaxed.var("u").integer
+    u = relaxed.variables[relaxed.var_names.index("u")]
+    assert u.lb == u.ub == 1.0 and not u.integer
     lp = ScipySolver().solve_lp(relaxed)
     assert lp.duals["bal"] == pytest.approx(20.0)
 

@@ -143,8 +143,8 @@ def assert_names(m, var_names, con_names):
     assert m.var_names == tuple(var_names)
     assert [c.name for c in m.constraints] == con_names
     assert [m._variable(j).name for j in range(len(var_names))] == var_names
-    for j, name in enumerate(var_names):
-        assert m.has_var(name) and m.var(name) == m._variable(j)
+    assert m._var_names.index() == {name: j for j, name in enumerate(var_names)}
+    assert m._con_names.index() == {name: i for i, name in enumerate(con_names)}
 
 
 def _empty_names():
@@ -348,3 +348,116 @@ def test_solution_file_refusals(tmp_path):
         load_solution(tmp_path / "bad.npz")
     with pytest.raises(ModelError, match="newline"):
         save_solution(Solution("optimal", values={"a": 1.0, "b\nc": 2.0}), path)
+
+
+def merged_rows(num_rows, entries):
+    """The CSR arrays ``add_rows`` builds from (row, column, value) entries,
+    by a plain dict merge per row: zero values and negative columns are
+    skipped, a repeated column adds its value to the running sum at its
+    first place, and a sum of zero is dropped."""
+    merged = [{} for _ in range(num_rows)]
+    for i, j, v in entries:
+        if v != 0.0 and j >= 0:
+            merged[i][j] = merged[i].get(j, 0.0) + v
+    indptr, cols, coefs = [0], [], []
+    for row in merged:
+        kept = [(j, v) for j, v in row.items() if v != 0.0]
+        cols += [j for j, _ in kept]
+        coefs += [v for _, v in kept]
+        indptr.append(len(cols))
+    return indptr, cols, coefs
+
+
+def model_state(m):
+    """Every buffer of ``m`` as bytes, with its names."""
+    buffers = ("_lb", "_ub", "_obj", "_int", "_indptr", "_cols", "_coefs", "_sense", "_rhs")
+    return ([bytes(memoryview(getattr(m, attr)).cast("B")) for attr in buffers],
+            m.var_names, [c.name for c in m.constraints])
+
+
+# values that cancel, sum differently in another order (0.1 + 0.2 + 0.3),
+# overflow to inf and turn nan on summing
+entry_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 0.2, 0.3, -0.6, 1e308, -1e308,
+                                INF, -INF]) | finite
+
+
+@st.composite
+def row_batches(draw):
+    """(model, row count, (row, column, value) entries, senses, rhs): a
+    drawn model and a batch of rows for it whose entries repeat columns,
+    hold zeros and negative columns, and come in any row order."""
+    m = draw(named_models())[0]
+    count = draw(st.integers(0, 4))
+    cells = st.tuples(st.integers(0, max(count - 1, 0)), st.integers(-2, min(m.num_vars, 3) - 1))
+    entries = draw(st.lists(st.tuples(cells, entry_values).map(lambda e: (*e[0], e[1])),
+                            max_size=24 if count else 0))
+    senses = draw(st.lists(st.sampled_from([LE, GE, EQ]), min_size=count, max_size=count))
+    return m, count, entries, senses, draw(st.lists(finite, min_size=count, max_size=count))
+
+
+def _two_columns():
+    m = MilpModel("m")
+    m.add_vars(["x", "y"])
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_batches())
+@example((_two_columns(), 2, [(1, 0, 0.1), (0, 1, 1.0), (1, 0, 0.2), (1, -1, 5.0),
+                              (1, 0, 0.3), (0, 1, -1.0), (1, 1, 0.0), (0, 0, 2.0)],
+          [LE, EQ], [1.0, 2.0]))
+def test_add_rows_matches_dict_merge(batch):
+    """Rows with repeated columns, zero values and negative columns, given
+    in any order, after rows already held: ``add_rows`` appends bit for bit
+    the CSR arrays of a plain per-row dict merge."""
+    m, count, entries, senses, rhs = batch
+    before, old = m.num_cons, model_state(m)[0]
+    m.add_rows([f"new{i}" for i in range(count)], [e[0] for e in entries],
+               [e[1] for e in entries], [e[2] for e in entries], senses, rhs)
+    assert all(new.startswith(buf) for new, buf in zip(model_state(m)[0], old))
+    indptr, cols, coefs = merged_rows(count, entries)
+    base = m._indptr[before]
+    assert m._indptr[before:].tolist() == [base + k for k in indptr]
+    assert m._cols[base:].tolist() == cols
+    assert m._coefs[base:].tobytes() == np.array(coefs, dtype=np.float64).tobytes()
+    assert m._sense[before:] == bytes([LE, GE, EQ].index(s) for s in senses)
+    assert m._rhs[before:].tolist() == rhs
+    assert m.num_cons == before + count
+
+
+@settings(max_examples=100, deadline=None)
+@given(named_models())
+def test_failed_additions_leave_the_model_as_it_was(drawn):
+    """Every refused ``add_vars``/``add_rows`` call adds nothing, leaves
+    each name at its position, and the model takes the next valid
+    addition."""
+    m, var_names, con_names = drawn
+    n = m.num_vars
+    before = model_state(m)
+    taken_var, taken_row = var_names[0], (con_names or ["r0"])[0]
+    if not con_names:
+        m.add_rows(["r0"], [], [], [], LE, 0.0)
+        before = model_state(m)
+    refused = [
+        lambda: m.add_vars(["fresh", taken_var]),                  # taken
+        lambda: m.add_vars(["twice", "twice"]),                    # repeated
+        lambda: m.add_vars(["a\nb"]),                              # newline
+        lambda: m.add_vars(["lo", "hi"], lb=[0.0, 2.0], ub=1.0),   # lb > ub
+        lambda: m.add_rows(["fresh", taken_row], [0], [0], [1.0], LE, 0.0),
+        lambda: m.add_rows(["twice", "twice"], [0], [0], [1.0], LE, 0.0),
+        lambda: m.add_rows(["a\nb"], [0], [0], [1.0], LE, 0.0),
+        lambda: m.add_rows(["fresh"], [0], [0], [1.0], "<", 0.0),     # sense
+        lambda: m.add_rows(["fresh"], [0], [n], [1.0], LE, 0.0),      # column
+        lambda: m.add_rows(["fresh"], [1], [0], [1.0], LE, 0.0),      # row
+    ]
+    for call in refused:
+        with pytest.raises(ModelError):
+            call()
+        assert model_state(m) == before
+        assert m._var_names.index() == {name: j for j, name in enumerate(before[1])}
+        assert m._con_names.index() == {name: i for i, name in enumerate(before[2])}
+    m.add_vars(["fresh", "twice"], ub=[1.0, 2.0])
+    m.add_rows(["fresh", "twice"], [1, 0], [n + 1, n], [3.0, 4.0], [GE, EQ], [1.0, 2.0])
+    assert m.var_names[-2:] == ("fresh", "twice")
+    assert [c.name for c in m.constraints][-2:] == ["fresh", "twice"]
+    assert [m.constraints[-2].idx, m.constraints[-1].idx] == [[n], [n + 1]]

@@ -511,6 +511,25 @@ def test_cli_config_errors_exit_2(tmp_path):
     assert not (out / "models").exists()
 
 
+def test_cli_oversized_csv_cell_exits_2(tmp_path):
+    """A cell longer than the csv module's field limit (131,072 characters),
+    in the header or in a data row, is a located data error: exit 2, the
+    file and the row named, no traceback."""
+    scen = tmp_path / "scen"
+    run_cli("template", "-o", str(scen), "--days", "2")
+    demand = scen / "demand.csv"
+    lines = demand.read_text().splitlines()
+    big = '"' + "x" * 200_000 + '"'
+    for text, where in (("\r\n".join(lines[:3] + [big] + lines[4:]), "data row 3"),
+                        ("\r\n".join([big] + lines[1:]), "header")):
+        demand.write_text(text + "\r\n")
+        proc = run_cli("ingest", str(scen / "scenario.json"))
+        assert proc.returncode == 2, proc.stderr[-500:]
+        assert str(demand) in proc.stderr and where in proc.stderr, proc.stderr[-500:]
+        assert "field larger than field limit" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 @pytest.fixture(scope="module")
 def clustered_week(tmp_path_factory):
     """A 7-day template (6 representative days) and its clustering file's text."""
