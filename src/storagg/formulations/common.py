@@ -38,6 +38,7 @@ Constraint name prefixes (the family tag used by the audit tooling):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -183,12 +184,14 @@ def tile_rows(m: MilpModel, labels: list[str], stencil: list[Row]) -> None:
     """Add ``stencil``'s rows for every label, each row's terms in order."""
     terms = [(i, cols, coef) for i, r in enumerate(stencil) for cols, coef in r.terms]
     for part, count, names in _tiles(labels, stencil, len(terms)):
-        at = np.arange(count)[:, None] * len(stencil)
-        entries = [np.broadcast_arrays(at + i, _part(cols, part), _part(coef, part))
-                   for i, cols, coef in terms]
-        row, col, val = (np.hstack([e[j] for e in entries]).ravel() if entries else []
-                         for j in range(3))
-        m.add_rows(names, row, col, val, np.tile([r.sense for r in stencil], count),
+        blocks = [(i, _part(cols, part), _part(coef, part)) for i, cols, coef in terms]
+        width = [max(c.shape[1], v.shape[1]) for _, c, v in blocks]
+        col, val = np.empty((count, sum(width)), np.int64), np.empty((count, sum(width)))
+        for (_, c, v), w, stop in zip(blocks, width, accumulate(width)):
+            col[:, stop - w:stop], val[:, stop - w:stop] = c, v
+        row = np.arange(count)[:, None] * len(stencil) + np.repeat([b[0] for b in blocks], width)
+        m.add_rows(names, row.ravel(), col.ravel(), val.ravel(),
+                   np.tile([r.sense for r in stencil], count),
                    _per_label([r.rhs for r in stencil], part, count))
 
 

@@ -105,11 +105,11 @@ def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
         flows = np.stack([np.where(inside, col[sym, s.id][pos], -1) for sym in ("b", "q", "sp")],
                          axis=2).reshape(len(marks), -1)
         inflow = np.where(inside, data.inflows[per.hours, j][pos], 0.0)
-        first = np.where(starts == 0, s.w0, 0.0)[:, None]
+        w0 = np.where(starts == 0, s.w0, 0.0)[:, None]
         rows.append(Row("cbal", s.id, [
             (wchk["wchk", s.id], 1.0), (shifted(wchk["wchk", s.id], starts == 0), -1.0),
             (flows, np.tile([-s.efficiency, 1.0, 1.0], pos.shape[1])[None, :])],
-            EQ, np.cumsum(np.hstack((first, inflow)), axis=1)[:, -1]))   # summed in order
+            EQ, np.cumsum(np.hstack((w0, inflow)), axis=1)[:, -1]))   # summed in order
     tile_rows(m, marks, rows)
     add_final(m, system, "cfin", [wchk["wchk", s.id][-1] for s in system.storage])
 

@@ -244,17 +244,20 @@ class MilpModel:
                              f"outside {n} rows and {self.num_vars} columns")
         order = np.argsort(row, kind="stable")
         row, col, val = row[order], col[order], val[order]
-        _, first, group = np.unique(row * max(self.num_vars, 1) + col,
-                                    return_index=True, return_inverse=True)
-        sums = np.zeros(len(first))
-        with np.errstate(over="ignore", invalid="ignore"):     # inf and nan as floats sum
-            np.add.at(sums, group, val)     # each repeat added in entry order
-        first.sort()
-        first = first[sums[group[first]] != 0.0]
+        key = row * max(self.num_vars, 1) + col
+        ordered = np.sort(key)
+        if (ordered[1:] == ordered[:-1]).any():         # a column repeats within a row
+            _, first, group = np.unique(key, return_index=True, return_inverse=True)
+            sums = np.zeros(len(first))
+            with np.errstate(over="ignore", invalid="ignore"):     # inf and nan as floats sum
+                np.add.at(sums, group, val)     # each repeat added in entry order
+            first.sort()
+            first = first[sums[group[first]] != 0.0]
+            row, col, val = row[first], col[first], sums[group[first]]
         self._con_names.extend(names)
-        self._cols.frombytes(col[first].astype(np.int32).tobytes())
-        self._coefs.frombytes(sums[group[first]].tobytes())
-        ends = np.cumsum(np.bincount(row[first], minlength=n)) + self._indptr[-1]
+        self._cols.frombytes(col.astype(np.int32).tobytes())
+        self._coefs.frombytes(val.tobytes())
+        ends = np.searchsorted(row, np.arange(n), side="right") + self._indptr[-1]
         self._indptr.frombytes(ends.astype(np.int64).tobytes())
         self._sense += code
         self._rhs.frombytes(rhs.tobytes())
