@@ -204,9 +204,8 @@ class MilpModel:
         all.  Raises ModelError, adding nothing, if a name is taken, repeats
         or holds a newline, or a lower bound exceeds its upper bound."""
         n = len(names)
-        lb, ub, obj = (np.broadcast_to(np.asarray(a, dtype=np.float64), n)
-                       for a in (lb, ub, obj))
-        flags = np.broadcast_to(np.asarray(integer, dtype=np.uint8), n)
+        lb, ub, obj = (_each(a, n, np.float64) for a in (lb, ub, obj))
+        flags = _each(integer, n, np.uint8)
         bad = np.flatnonzero(lb > ub)
         if len(bad):
             j = bad[0]
@@ -229,10 +228,10 @@ class MilpModel:
         column or row lies beyond the last."""
         n = len(names)
         try:
-            code = bytes(_SENSE_CODE[s] for s in np.broadcast_to(sense, n).tolist())
+            code = bytes(_SENSE_CODE[s] for s in _each(sense, n).tolist())
         except KeyError as exc:
             raise ModelError(f"unknown sense {exc.args[0]!r}") from None
-        rhs = np.broadcast_to(np.asarray(rhs, dtype=np.float64), n)
+        rhs = _each(rhs, n, np.float64)
         row, col, val = (np.asarray(a, dtype=t).ravel() for a, t in
                          ((row, np.int64), (col, np.int64), (val, np.float64)))
         keep = (val != 0.0) & (col >= 0)
@@ -345,6 +344,12 @@ class MilpModel:
         integrality = np.frombuffer(self._int, dtype=np.uint8).astype(np.int64)
         return (np.array(self._obj), integrality, np.array(self._lb),
                 np.array(self._ub), self._csr().tocsc(), cl, cu)
+
+
+def _each(values, n: int, dtype=None) -> np.ndarray:
+    """``values``, given once or one per entry, as an array of ``n``."""
+    a = np.asarray(values, dtype)
+    return a if a.shape == (n,) else np.full(n, a, dtype=a.dtype)
 
 
 def _index(names: list[str], what: str) -> dict[str, int]:
