@@ -131,9 +131,10 @@ class Col(NamedTuple):
 
 
 class Row(NamedTuple):
-    """A stencil row.  Each term pairs columns with coefficients, each given
-    once, per label or as a (1 or labels, n) block of n entries per label; a
-    negative column drops its entry.  ``rhs`` is given once or per label."""
+    """A stencil row.  Each term pairs columns with coefficients of the same
+    width, each given once, per label or as a (1 or labels, n) block of n
+    entries per label; a negative column drops its entry.  ``rhs`` is given
+    once or per label."""
     prefix: str
     id: str | None
     terms: list
@@ -163,10 +164,13 @@ def _part(value, part: slice) -> np.ndarray:
     return a if len(a) == 1 else a[part]
 
 
-def _per_label(values: list, part: slice, count: int) -> np.ndarray:
-    """One value per label of ``part`` and per entry of ``values``,
-    label-major."""
-    return np.hstack([np.broadcast_to(_part(v, part), (count, 1)) for v in values]).ravel()
+def _side_by_side(blocks: list, count: int, dtype) -> np.ndarray:
+    """2-D blocks of 1 or ``count`` rows, laid side by side in a (count,
+    total width) array."""
+    out = np.empty((count, sum(b.shape[1] for b in blocks)), dtype)
+    for b, stop in zip(blocks, accumulate(b.shape[1] for b in blocks)):
+        out[:, stop - b.shape[1]:stop] = b
+    return out
 
 
 def tile_columns(m: MilpModel, labels: list[str], stencil: list[Col]) -> dict:
@@ -174,8 +178,9 @@ def tile_columns(m: MilpModel, labels: list[str], stencil: list[Col]) -> dict:
     their positions over the labels."""
     pos = []
     for part, count, names in _tiles(labels, stencil, len(stencil)):
-        fields = [_per_label([c[j] for c in stencil], part, count) for j in (2, 3, 4, 5)]
-        pos.append(m.add_vars(names, *fields))
+        fields = [_side_by_side([_part(c[j], part) for c in stencil], count, np.float64)
+                  for j in (2, 3, 4, 5)]
+        pos.append(m.add_vars(names, *(f.ravel() for f in fields)))
     pos = np.concatenate(pos or [[]]).reshape(len(labels), len(stencil))
     return {(c.symbol, c.id): pos[:, k] for k, c in enumerate(stencil)}
 
@@ -184,15 +189,13 @@ def tile_rows(m: MilpModel, labels: list[str], stencil: list[Row]) -> None:
     """Add ``stencil``'s rows for every label, each row's terms in order."""
     terms = [(i, cols, coef) for i, r in enumerate(stencil) for cols, coef in r.terms]
     for part, count, names in _tiles(labels, stencil, len(terms)):
-        blocks = [(i, _part(cols, part), _part(coef, part)) for i, cols, coef in terms]
-        width = [max(c.shape[1], v.shape[1]) for _, c, v in blocks]
-        col, val = np.empty((count, sum(width)), np.int64), np.empty((count, sum(width)))
-        for (_, c, v), w, stop in zip(blocks, width, accumulate(width)):
-            col[:, stop - w:stop], val[:, stop - w:stop] = c, v
-        row = np.arange(count)[:, None] * len(stencil) + np.repeat([b[0] for b in blocks], width)
-        m.add_rows(names, row.ravel(), col.ravel(), val.ravel(),
-                   np.tile([r.sense for r in stencil], count),
-                   _per_label([r.rhs for r in stencil], part, count))
+        cols = [_part(t[1], part) for t in terms]
+        col = _side_by_side(cols, count, np.int64)
+        val = _side_by_side([_part(t[2], part) for t in terms], count, np.float64)
+        at = np.repeat([t[0] for t in terms], [c.shape[1] for c in cols])
+        rhs = _side_by_side([_part(r.rhs, part) for r in stencil], count, np.float64)
+        m.add_rows(names, (np.arange(count)[:, None] * len(stencil) + at).ravel(), col.ravel(),
+                   val.ravel(), np.tile([r.sense for r in stencil], count), rhs.ravel())
 
 
 def shifted(cols: np.ndarray, fresh: np.ndarray) -> np.ndarray:

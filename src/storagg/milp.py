@@ -244,11 +244,11 @@ class MilpModel:
         order = np.argsort(row, kind="stable")
         row, col, val = row[order], col[order], val[order]
         key = row * max(self.num_vars, 1) + col
-        ordered = np.sort(key)
-        if (ordered[1:] == ordered[:-1]).any():         # a column repeats within a row
+        sorted_key = np.sort(key)
+        if (sorted_key[1:] == sorted_key[:-1]).any():   # a column repeats within a row
             _, first, group = np.unique(key, return_index=True, return_inverse=True)
             sums = np.zeros(len(first))
-            with np.errstate(over="ignore", invalid="ignore"):     # inf and nan as floats sum
+            with np.errstate(over="ignore", invalid="ignore"):   # to inf or nan, as floats do
                 np.add.at(sums, group, val)     # each repeat added in entry order
             first.sort()
             first = first[sums[group[first]] != 0.0]
