@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .timeseries import HOURS_PER_DAY, NormalizedFeatures, TimeHorizonData, normalize_series
+from .timeseries import (HOURS_PER_DAY, WEEK_HOURS, NormalizedFeatures, TimeHorizonData,
+                         normalize_series)
 
 MAX_ITER = 300       # clustering iteration cap
 MAX_RESEEDS = 5      # re-initializations allowed when a cluster empties
@@ -284,7 +285,7 @@ def aggregate(data: TimeHorizonData, num_states: int, num_rp: int,
     storage (daily cycling must be resolved) and 168 h otherwise.
     """
     if window_hours is None:
-        window_hours = HOURS_PER_DAY if has_short_term_storage else 168
+        window_hours = HOURS_PER_DAY if has_short_term_storage else WEEK_HOURS
     features = normalize_series(data)
     states = cluster_states(features, num_states, seed)
     rp = cluster_days(features, num_rp, seed)

@@ -9,12 +9,17 @@ levels are carried through time, which each family adds on top.
 
 A builder describes one period once, as a stencil of columns (``Col``) and
 rows (``Row``), and ``tile_columns``/``tile_rows`` repeat it over the
-period labels in bulk; what changes from period to period is given per
-label.  Rows address columns by the positions ``tile_columns`` returns.  A
-link to the previous period is that position array shifted by one
-(``shifted``), with no term where ``fresh`` starts a chronology.  Column
-names read ``var_name(symbol, label, id)``, e.g. ``u_p5_gas``, and row
-names ``<prefix>_<label>_<id>``; evaluation reads values back by name.
+period labels in one bulk call per stencil; what changes from period to
+period is given per label.  Rows address columns by the positions
+``tile_columns`` returns.  A link to the previous period is that position
+array shifted by one (``shifted``), with no term where ``fresh`` starts a
+chronology.  Column names read ``var_name(symbol, label, id)``, e.g.
+``u_p5_gas``, and row names ``<prefix>_<label>_<id>``; evaluation reads
+values back by name.  The names are distinct by construction, so no
+addition checks them: bus, unit and circuit ids are distinct identifiers
+(``validate_system``), a symbol or prefix serves one kind of id, and each
+kind's labels have one fixed form.  The model checks them where they
+become keys (see ``milp``).
 
 Constraint name prefixes (the family tag used by the audit tooling):
 
@@ -142,26 +147,17 @@ class Row(NamedTuple):
     rhs: object = 0.0
 
 
-_CHUNK = 4096       # columns or row terms per bulk call, which bounds its buffers
-
-
-def _tiles(labels: list[str], stencil: list, width: int):
-    """(slice, count, names) for consecutive runs of about ``_CHUNK // width``
-    labels; the names read ``<key[0]>_<label>_<key[1]>`` for every label and
-    stencil key, label-major, a None id dropping its part."""
+def _names(labels: list[str], stencil: list) -> list[str]:
+    """``<key[0]>_<label>_<key[1]>`` for every label and stencil key,
+    label-major; a None id drops its part."""
     parts = [(f"{key[0]}_", "" if key[1] is None else f"_{key[1]}") for key in stencil]
-    step = max(1, _CHUNK // max(width, 1))
-    for lo in range(0, len(labels) if stencil else 0, step):
-        run = labels[lo:lo + step]
-        yield (slice(lo, lo + step), len(run),
-               [head + label + tail for label in run for head, tail in parts])
+    return [head + label + tail for label in labels for head, tail in parts]
 
 
-def _part(value, part: slice) -> np.ndarray:
-    """A value given once or per label, as a 2-D block over ``part``."""
+def _block(value) -> np.ndarray:
+    """A value given once or per label, as a 2-D block of 1 or labels rows."""
     a = np.asarray(value)
-    a = a.reshape(-1, 1) if a.ndim < 2 else a
-    return a if len(a) == 1 else a[part]
+    return a.reshape(-1, 1) if a.ndim < 2 else a
 
 
 def _side_by_side(blocks: list, count: int, dtype) -> np.ndarray:
@@ -174,28 +170,28 @@ def _side_by_side(blocks: list, count: int, dtype) -> np.ndarray:
 
 
 def tile_columns(m: MilpModel, labels: list[str], stencil: list[Col]) -> dict:
-    """Add ``stencil``'s columns for every label; returns (symbol, id) ->
-    their positions over the labels."""
-    pos = []
-    for part, count, names in _tiles(labels, stencil, len(stencil)):
-        fields = [_side_by_side([_part(c[j], part) for c in stencil], count, np.float64)
-                  for j in (2, 3, 4, 5)]
-        pos.append(m.add_vars(names, *(f.ravel() for f in fields)))
-    pos = np.concatenate(pos or [[]]).reshape(len(labels), len(stencil))
+    """Add ``stencil``'s columns for every label in one ``add_vars`` call;
+    returns (symbol, id) -> their positions over the labels."""
+    n = len(labels)
+    fields = [_side_by_side([_block(c[j]) for c in stencil], n, np.float64)
+              for j in (2, 3, 4, 5)]
+    pos = m.add_vars(_names(labels, stencil), *(f.ravel() for f in fields))
+    pos = pos.reshape(n, len(stencil))
     return {(c.symbol, c.id): pos[:, k] for k, c in enumerate(stencil)}
 
 
 def tile_rows(m: MilpModel, labels: list[str], stencil: list[Row]) -> None:
-    """Add ``stencil``'s rows for every label, each row's terms in order."""
+    """Add ``stencil``'s rows for every label in one ``add_rows`` call, each
+    row's terms in order."""
+    n = len(labels)
     terms = [(i, cols, coef) for i, r in enumerate(stencil) for cols, coef in r.terms]
-    for part, count, names in _tiles(labels, stencil, len(terms)):
-        cols = [_part(t[1], part) for t in terms]
-        col = _side_by_side(cols, count, np.int64)
-        val = _side_by_side([_part(t[2], part) for t in terms], count, np.float64)
-        at = np.repeat([t[0] for t in terms], [c.shape[1] for c in cols])
-        rhs = _side_by_side([_part(r.rhs, part) for r in stencil], count, np.float64)
-        m.add_rows(names, (np.arange(count)[:, None] * len(stencil) + at).ravel(), col.ravel(),
-                   val.ravel(), np.tile([r.sense for r in stencil], count), rhs.ravel())
+    cols = [_block(t[1]) for t in terms]
+    col = _side_by_side(cols, n, np.int64)
+    val = _side_by_side([_block(t[2]) for t in terms], n, np.float64)
+    at = np.repeat([t[0] for t in terms], [c.shape[1] for c in cols])
+    rhs = _side_by_side([_block(r.rhs) for r in stencil], n, np.float64)
+    m.add_rows(_names(labels, stencil), (np.arange(n)[:, None] * len(stencil) + at).ravel(),
+               col.ravel(), val.ravel(), np.tile([r.sense for r in stencil], n), rhs.ravel())
 
 
 def shifted(cols: np.ndarray, fresh: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..milp import MilpModel, GE, EQ
 from ..system import PowerSystem
-from ..timeseries import HOURS_PER_DAY, TimeHorizonData
+from ..timeseries import HOURS_PER_DAY, WEEK_HOURS, TimeHorizonData
 from ..aggregation import (RepPeriodClustering, TransitionMatrices,
                            default_checkpoints)
 from .common import (FormulationOutput, Row, periods, tile_rows, shifted, add_investment,
@@ -67,7 +67,7 @@ def build_rp(system: PowerSystem, data: TimeHorizonData,
 
 def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
                   rp: RepPeriodClustering, matrices: TransitionMatrices,
-                  window: int = 168, theta: float = 1.0,
+                  window: int = WEEK_HOURS, theta: float = 1.0,
                   invest: bool = False) -> FormulationOutput:
     """Representative days enhanced with day-sequence chronology.
 

@@ -23,15 +23,16 @@ names are each kept packed: one newline-joined UTF-8 blob, the form
 ``save_model`` writes, so a name costs its bytes and a separator, not a
 Python string.  One name is read through an offsets array built on first
 positional access; bulk readers (solution values, duals, the audit, MPS
-export) decode the whole blob once per call.  The name-to-position dicts,
-the duplicate check of every addition, are a cache built on first use and
-dropped by ``release_index``, which the pipeline calls once a model is
-built; a model loaded only to be solved and audited never holds them.  A
-model file stores each name blob split into a template and its digit runs,
-and the CSR index arrays as first differences (see "array files" below);
-loading rebuilds the same blobs and buffers.  The sidecar written next to a
-model file (``write_registry``) carries the model's name and its metadata
-only, as compact JSON.
+export) decode the whole blob once per call.  A model keeps no name ->
+position mapping and an addition does not check that its names are new:
+the builders' names are distinct by construction.  Names are checked to
+be distinct where they become keys: a solve's values and duals, an MPS
+file, a solution file and ``add_con``'s lookup.  A model file stores each
+name blob split into a template and its digit runs, and the CSR index
+arrays as first differences (see "array files" below); loading rebuilds
+the same blobs and buffers.  The sidecar written next to a model file
+(``write_registry``) carries the model's name and its metadata only, as
+compact JSON.
 
 scipy loads at a process's first matrix build (``to_arrays``, the audit,
 ``write_mps``) or solve, not at import, so the stages that never solve do
@@ -114,24 +115,17 @@ class _Records(Sequence):
 
 
 class _Names:
-    """Distinct names packed as one newline-joined UTF-8 blob.
+    """Names packed as one newline-joined UTF-8 blob.
 
     ``names[j]`` decodes one name through an offsets array, built on first
-    positional access; ``tolist`` decodes the whole blob at once.  The name
-    -> position dict is a cache built by ``index`` and dropped by
-    ``release``.  ``extend`` takes its positions from ``ints``, a list a
-    model shares between its two sides, so their dicts hold one int object
-    per position, not two.
+    positional access; ``tolist`` decodes the whole blob at once.
     """
 
-    def __init__(self, what: str, blob: bytearray | None = None, count: int = 0,
-                 ints: list[int] | None = None):
+    def __init__(self, what: str, blob: bytearray | None = None, count: int = 0):
         self.what = what
         self.blob = bytearray() if blob is None else blob
         self._count = count
         self._starts: array | None = None    # name j is blob[starts[j]:starts[j + 1] - 1]
-        self._index: dict[str, int] | None = None
-        self._ints = [] if ints is None else ints
 
     def __len__(self) -> int:
         return self._count
@@ -151,27 +145,10 @@ class _Names:
     def tolist(self) -> list[str]:
         return self.blob.decode("utf-8").split("\n") if self._count else []
 
-    def index(self) -> dict[str, int]:
-        if self._index is None:
-            self._index = _index(self.tolist(), self.what)
-        return self._index
-
-    def release(self) -> None:
-        self._index = None
-        self._ints.clear()
-
     def extend(self, names: list[str]) -> None:
         """Add ``names`` last.  Raises ModelError, adding none of them, if
-        one is taken, repeats or holds a newline, the separator of the blob."""
+        one holds a newline, the separator of the blob."""
         data = _joined(names, self.what)
-        index = self.index()
-        size = len(index)
-        stop = self._count + len(names)
-        self._ints.extend(range(len(self._ints), stop))
-        index.update(zip(names, self._ints[self._count:stop]))
-        if len(index) != size + len(names):
-            self._index = None                  # rebuilt from the unchanged blob
-            _index(self.tolist() + list(names), self.what)
         if self._count and names:
             self.blob += b"\n"
         self.blob += data
@@ -184,13 +161,12 @@ class MilpModel:
 
     def __init__(self, name: str = "model"):
         self.name = name
-        ints: list[int] = []
         # columns
-        self._var_names = _Names("variable", ints=ints)
+        self._var_names = _Names("variable")
         self._lb, self._ub, self._obj = array("d"), array("d"), array("d")
         self._int = bytearray()
         # CSR rows
-        self._con_names = _Names("constraint", ints=ints)
+        self._con_names = _Names("constraint")
         self._indptr, self._cols = array("q", [0]), array("i")
         self._coefs, self._rhs = array("d"), array("d")
         self._sense = bytearray()
@@ -201,8 +177,8 @@ class MilpModel:
                  integer=False) -> np.ndarray:
         """Add one column per name, last, and return their positions.  The
         bounds, objective and integer flag are given per column or once for
-        all.  Raises ModelError, adding nothing, if a name is taken, repeats
-        or holds a newline, or a lower bound exceeds its upper bound."""
+        all.  Raises ModelError, adding nothing, if a name holds a newline or
+        a lower bound exceeds its upper bound; new names are not checked."""
         n = len(names)
         lb, ub, obj = (_each(a, n, np.float64) for a in (lb, ub, obj))
         flags = _each(integer, n, np.uint8)
@@ -224,8 +200,8 @@ class MilpModel:
         column is dropped, and a repeated column gets the sum of its values,
         added in order, at its first place.  ``sense`` and ``rhs`` are given
         per row or once for all.  Raises ModelError, adding nothing, if a
-        name is taken, repeats or holds a newline, a sense is unknown, or a
-        column or row lies beyond the last."""
+        name holds a newline, a sense is unknown, or a column or row lies
+        beyond the last; new names are not checked."""
         n = len(names)
         try:
             code = bytes(_SENSE_CODE[s] for s in _each(sense, n).tolist())
@@ -268,24 +244,17 @@ class MilpModel:
 
     def add_con(self, name: str, terms, sense: str, rhs: float) -> str:
         """One row over named variables: ``terms`` maps or pairs names with
-        coefficients.  Raises ModelError on a variable that is not in the
-        model and has a non-zero coefficient."""
+        coefficients, looked up through a dict built on each call.  Raises
+        ModelError on a variable that is not in the model and has a non-zero
+        coefficient, or if a variable name of the model repeats."""
         items = list(terms.items() if isinstance(terms, dict) else terms)
-        index = self._var_names.index()
+        index = _index(self._var_names.tolist(), "variable")
         for var, coef in items:
             if coef != 0.0 and var not in index:
                 raise ModelError(f"constraint {name!r} references unknown variable {var!r}")
         self.add_rows([name], np.zeros(len(items)), [index.get(var, -1) for var, _ in items],
                       [coef for _, coef in items], sense, rhs)
         return name
-
-    def release_index(self) -> None:
-        """Drop the name -> position dicts, which the next addition builds
-        again, and hand the freed heap pages back (see ``_highs_call``)."""
-        self._var_names.release()
-        self._con_names.release()
-        if _MALLOC_TRIM is not None:
-            _MALLOC_TRIM(0)
 
     # -- introspection ------------------------------------------------------
 
@@ -358,6 +327,14 @@ def _index(names: list[str], what: str) -> dict[str, int]:
         dup = next(name for i, name in enumerate(names) if index[name] != i)
         raise ModelError(f"duplicate {what} {dup!r}")
     return index
+
+
+def _keyed(names: list[str], values: list, what: str) -> dict:
+    """``names`` mapped to ``values``; raises ModelError naming a repeat."""
+    out = dict(zip(names, values))
+    if len(out) != len(names):
+        _index(names, what)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -654,11 +631,15 @@ def write_mps(model: MilpModel, path) -> None:
     explicit objective entry and explicit bounds, so a round trip through
     ``parse_mps`` reproduces the model exactly.  Each column's entries come
     from a CSC transpose of the rows, in row order, read in place through
-    memoryviews rather than copied into whole-matrix Python lists.
+    memoryviews rather than copied into whole-matrix Python lists.  Raises
+    ModelError, writing nothing, if a variable or row name repeats.
     """
+    var_names, con_names = model._var_names.tolist(), model._con_names.tolist()
+    for names, what in ((var_names, "variable"), (con_names, "constraint")):
+        if len(set(names)) != len(names):
+            _index(names, what)
     csc = model._csr().tocsc()
     colptr, rows, coefs = map(memoryview, (csc.indptr, csc.indices, csc.data))
-    var_names, con_names = model._var_names.tolist(), model._con_names.tolist()
     with open(path, "w") as fh:
         fh.write(f"NAME {model.name}\n")
         fh.write("ROWS\n")
@@ -710,7 +691,7 @@ def parse_mps(path) -> MilpModel:
     usual solver toolchains as long as they avoid RANGES.  Rows, columns and
     (row, column, value) entries are collected and added in one
     ``add_vars`` and one ``add_rows`` call, which sum repeated entries and
-    drop zeros.
+    drop zeros.  A ROWS name given twice raises ModelError.
     """
     name, obj_row, section, in_int = "model", None, None, False
     row_names, senses, rhs, row_of = [], [], [], {}
@@ -746,6 +727,8 @@ def parse_mps(path) -> MilpModel:
                     if obj_row is None:
                         obj_row = row
                     continue
+                if row in row_of:
+                    raise ModelError(f"{path}: duplicate constraint {row!r} in ROWS")
                 row_of[row] = len(row_names)
                 row_names.append(row)
                 senses.append(_SENSES[_MPS_TAGS.index(tag)])
@@ -884,8 +867,16 @@ def parse_solution_file(path) -> Solution:
 
 try:
     _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
 except (OSError, AttributeError):   # not glibc: nothing to hand back
     _MALLOC_TRIM = None
+
+
+def trim_heap() -> None:
+    """Hand the free pages of every C heap arena back to the system (glibc's
+    ``malloc_trim``; nothing elsewhere)."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 def _highs_call(call, *args, **kwargs):
@@ -898,13 +889,12 @@ def _highs_call(call, *args, **kwargs):
     resident that the next 364-day ``hm`` build adds to its own peak.  On a
     thread of its own the solver allocates from a separate arena, the
     thread's cache is flushed when it exits, and ``malloc_trim`` then hands
-    the free pages of every arena back.
+    the free pages of every arena back (``trim_heap``).
     """
     from concurrent.futures import ThreadPoolExecutor   # solve-time only, as scipy is
     with ThreadPoolExecutor(max_workers=1) as pool:
         result = pool.submit(call, *args, **kwargs).result()
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
+    trim_heap()
     return result
 
 
@@ -944,7 +934,7 @@ class ScipySolver:
             status = STATUS_ERROR
         values, objective, gap = {}, None, 0.0
         if res.x is not None:
-            values = dict(zip(model._var_names.tolist(), res.x.tolist()))
+            values = _keyed(model._var_names.tolist(), res.x.tolist(), "variable")
             objective = float(res.fun)
             # an incumbent without a proven bound is not optimal: keep inf
             if mip_gap is not None:
@@ -976,12 +966,12 @@ class ScipySolver:
         status = status_map.get(res.status, STATUS_ERROR)
         values, objective, duals = {}, None, None
         if res.x is not None and status == STATUS_OPTIMAL:
-            values = dict(zip(model._var_names.tolist(), res.x.tolist()))
+            values = _keyed(model._var_names.tolist(), res.x.tolist(), "variable")
             objective = float(res.fun)
             marginals = np.empty(model.num_cons)
             marginals[eq] = res.eqlin.marginals
             marginals[~eq] = sign[~eq] * res.ineqlin.marginals
-            duals = dict(zip(model._con_names.tolist(), marginals.tolist()))
+            duals = _keyed(model._con_names.tolist(), marginals.tolist(), "constraint")
         return Solution(status=status, objective=objective, values=values,
                         gap=0.0, wall_seconds=wall, duals=duals, message=str(res.message))
 

@@ -50,8 +50,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .timeseries import (TimeHorizonData, HOURS_PER_DAY, load_horizon, save_horizon,
-                         DataFormatError)
+from .timeseries import (TimeHorizonData, HOURS_PER_DAY, WEEK_HOURS, load_horizon,
+                         save_horizon, DataFormatError)
 from .system import (PowerSystem, ThermalUnit, StorageUnit, Network,
                      OperatingConfig, load_system, save_system,
                      validate_system, SystemFormatError, SHORT_TERM, LONG_TERM,
@@ -60,7 +60,7 @@ from .aggregation import (aggregate, save_artifacts, load_artifacts, Aggregation
                           AggregationError)
 from .milp import (save_model, load_model, write_registry, load_registry,
                    save_solution, load_solution, Solution, get_solver,
-                   SolverError, ModelError, audit_constraints, STATUS_INFEASIBLE)
+                   SolverError, ModelError, audit_constraints, STATUS_INFEASIBLE, trim_heap)
 # not called here: bench/tracing.py wraps these two by name on this module
 from .milp import write_mps, parse_mps  # noqa: F401
 from .formulations import (FormulationOutput, build_hm, build_ss, build_rp,
@@ -236,10 +236,11 @@ def stage_cluster(system: PowerSystem, data: TimeHorizonData,
 def build_formulation(kind: str, system: PowerSystem, data: TimeHorizonData,
                       artifacts: AggregationArtifacts, config: ScenarioConfig) -> FormulationOutput:
     """Build one kind's model: its builder tiles one period's stencil over
-    the kind's period labels in bulk (see ``formulations.common``).  The
-    model comes back without its name index (``MilpModel.release_index``):
-    from here on it is saved, solved and read by position or in bulk, and
-    the next addition builds the index again."""
+    the kind's period labels, one bulk call per stencil (see
+    ``formulations.common``).  The model keeps no name index: its names are
+    distinct by construction and checked where they become keys (see
+    ``milp``).  The build's freed heap pages are handed back
+    (``trim_heap``) before the model is saved or solved."""
     if kind == "hm":
         fo = build_hm(system, data, invest=config.invest)
     elif kind == "ss":
@@ -250,11 +251,11 @@ def build_formulation(kind: str, system: PowerSystem, data: TimeHorizonData,
         fo = build_rp(system, data, artifacts.rp, invest=config.invest)
     elif kind == "rp_tmci":
         fo = build_rp_tmci(system, data, artifacts.rp, artifacts.matrices,
-                           window=config.window_hours or 168,
+                           window=config.window_hours or WEEK_HOURS,
                            theta=config.theta, invest=config.invest)
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
-    fo.model.release_index()
+    trim_heap()
     return fo
 
 

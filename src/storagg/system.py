@@ -18,7 +18,7 @@ import numpy as np
 SHORT_TERM = "short_term"
 LONG_TERM = "long_term"
 
-_ID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")    # \Z: no trailing newline
 
 
 class SystemFormatError(ValueError):
@@ -221,6 +221,8 @@ def validate_system(system: PowerSystem, data=None) -> list[str]:
             issues.append(f"storage {s.id!r}: investment cost must be non-negative")
     seen_circuits = set()
     for c in net.circuits:
+        if not _ID_RE.match(c.id):
+            issues.append(f"circuit id {c.id!r} is not a valid identifier")
         if c.id in seen_circuits:
             issues.append(f"duplicate circuit id {c.id!r}")
         seen_circuits.add(c.id)

@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 HOURS_PER_DAY = 24
+WEEK_HOURS = 7 * HOURS_PER_DAY        # the weekly checkpoint window
 
 
 class DataFormatError(ValueError):

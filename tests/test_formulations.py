@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from storagg import (build_hm, build_ss, build_ss_rfm, build_rp, build_rp_tmci,
                      solve, constraint_families, audit_constraints, periods,
-                     aggregate, emit_scenario_template, load_scenario)
+                     aggregate, emit_scenario_template, load_scenario, BUILDER_KINDS,
+                     Circuit, Network, StorageUnit, LONG_TERM, compute_isf_from_reactances,
+                     validate_system)
 from storagg.pipeline import stage_ingest, build_formulation
 
 from conftest import (make_thermal, make_battery, make_system, make_data,
@@ -432,3 +436,50 @@ def test_period_layout_oracle_on_hand_made_clusterings(battery_system):
                        manual_matrices([0] * 96, window=24, day_assignment=days), window=24)
     check_period_layout(fo, battery_system, 96, rp=rp)
     assert periods("rp", 96, rp=rp).labels[::24] == ["p0", "p48", "p72"]
+
+
+def underscore_network():
+    """Three buses on a triangle of lines whose bus, unit and circuit ids
+    hold underscores, with reserve, an investable battery and a long-term
+    store, over three distinct days."""
+    buses = ("n_1", "n_2", "n_3")
+    circuits = [Circuit("c_1", "n_1", "n_2", 0.8, 0.1), Circuit("c_2", "n_2", "n_3", 0.5, 0.2),
+                Circuit("c_3", "n_3", "n_1", 0.6, 0.15)]
+    isf = compute_isf_from_reactances(Network(list(buses), "n_1", circuits, None))
+    thermal = [make_thermal("gas_1", bus="n_1", marginal=8.0, q_max=2.0, q_min=0.5),
+               make_thermal("gas_2", bus="n_2", marginal=30.0, q_max=1.0, q_min=0.1)]
+    storage = [make_battery("bess_1", bus="n_3", investable=True, inv_cost=40.0,
+                            epr_min=1.0, epr_max=4.0),
+               StorageUnit(id="hydro_1", bus="n_1", kind=LONG_TERM, w0=30.0, w_min=2.0,
+                           w_max=60.0, w_fin=25.0, efficiency=1.0, q_max=0.6,
+                           b_max=0.0, technology="hydro")]
+    system = make_system(thermal, storage, reserve=0.1, buses=buses, slack="n_1",
+                         circuits=circuits, isf=isf, initial_commitment={"gas_1": 1})
+    assert validate_system(system) == []
+    t = np.arange(72)
+    base = 1.0 + 0.4 * np.sin(2 * np.pi * (t - 6) / 24) + 0.2 * (t // 24)
+    data = make_data(np.column_stack([0.3 * base, 0.5 * base, 0.4 * base]),
+                     inflows=np.column_stack([np.zeros(72), 0.05 + 0.01 * (t % 5)]),
+                     nodes=buses, storage_ids=("bess_1", "hydro_1"))
+    return system, data
+
+
+@pytest.mark.parametrize("invest", [False, True], ids=["plain", "invest"])
+def test_builder_names_distinct(tmp_path, invest):
+    """Every kind's variable names are distinct, and so are its row names,
+    on the template and on a network whose ids hold underscores.  No
+    addition checks this: it is the guard for the builders' names."""
+    config = load_scenario(emit_scenario_template(tmp_path, days=7, seed=4))
+    config.invest = invest
+    system, data = stage_ingest(config)
+    art = aggregate(data, config.states, config.rep_days, config.seed,
+                    has_short_term_storage=bool(system.short_term_storage))
+    cases = [(system, data, art, config)]
+    system, data = underscore_network()
+    cases.append((system, data, aggregate(data, 5, 2, seed=1, window_hours=24),
+                  dataclasses.replace(config, window_hours=24)))
+    for system, data, art, config in cases:
+        for kind in BUILDER_KINDS:
+            m = build_formulation(kind, system, data, art, config).model
+            for names in (m.var_names, [c.name for c in m.constraints]):
+                assert len(set(names)) == len(names), kind

@@ -1,9 +1,12 @@
 """Round-trip and audit properties of the model container on random small
 models, and round trips of solution files."""
 
+import copy
+import re
 import struct
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ import scipy.sparse as sp
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from storagg import (MilpModel, ModelError, Solution, write_mps, parse_mps,
+from storagg import (MilpModel, ModelError, ScipySolver, Solution, write_mps, parse_mps,
                      save_model, load_model, save_solution, load_solution,
                      audit_constraints)
 from storagg.milp import INF, LE, GE, EQ, OK_STATUSES, _delta_planes, _pack_names
@@ -143,8 +146,6 @@ def assert_names(m, var_names, con_names):
     assert m.var_names == tuple(var_names)
     assert [c.name for c in m.constraints] == con_names
     assert [m._variable(j).name for j in range(len(var_names))] == var_names
-    assert m._var_names.index() == {name: j for j, name in enumerate(var_names)}
-    assert m._con_names.index() == {name: i for i, name in enumerate(con_names)}
 
 
 def _empty_names():
@@ -160,12 +161,9 @@ def _empty_names():
 @example((MilpModel("empty"), [], []))
 @example(_empty_names())
 def test_packed_names_read_back(drawn):
-    """As built, after ``release_index`` and after a save -> load round trip,
-    the names read back as the lists they were added from, and the model can
-    still be extended and still refuses a name it holds."""
+    """As built and after a save -> load round trip, the names read back as
+    the lists they were added from, and the model can still be extended."""
     m, var_names, con_names = drawn
-    assert_names(m, var_names, con_names)
-    m.release_index()
     assert_names(m, var_names, con_names)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.npz"
@@ -174,15 +172,6 @@ def test_packed_names_read_back(drawn):
     assert_names(back, var_names, con_names)
     fresh = "+" * (max(map(len, var_names + con_names), default=0) + 1)
     for model in (m, back):
-        model.release_index()
-        for name in var_names[:1]:
-            with pytest.raises(ModelError, match="duplicate variable"):
-                model.add_var(name)
-        model.release_index()
-        for name in con_names[:1]:
-            with pytest.raises(ModelError, match="duplicate constraint"):
-                model.add_con(name, {}, LE, 0.0)
-        model.release_index()
         model.add_var(fresh)
         model.add_con(fresh, {fresh: 1.0}, LE, 1.0)
         assert_names(model, var_names + [fresh], con_names + [fresh])
@@ -430,7 +419,8 @@ def test_add_rows_matches_dict_merge(batch):
 def test_failed_additions_leave_the_model_as_it_was(drawn):
     """Every refused ``add_vars``/``add_rows`` call adds nothing, leaves
     each name at its position, and the model takes the next valid
-    addition."""
+    addition.  A name that is taken or repeats is added, and refused,
+    naming it, by the MPS writer and by the values of a solve."""
     m, var_names, con_names = drawn
     n = m.num_vars
     before = model_state(m)
@@ -439,12 +429,8 @@ def test_failed_additions_leave_the_model_as_it_was(drawn):
         m.add_rows(["r0"], [], [], [], LE, 0.0)
         before = model_state(m)
     refused = [
-        lambda: m.add_vars(["fresh", taken_var]),                  # taken
-        lambda: m.add_vars(["twice", "twice"]),                    # repeated
         lambda: m.add_vars(["a\nb"]),                              # newline
         lambda: m.add_vars(["lo", "hi"], lb=[0.0, 2.0], ub=1.0),   # lb > ub
-        lambda: m.add_rows(["fresh", taken_row], [0], [0], [1.0], LE, 0.0),
-        lambda: m.add_rows(["twice", "twice"], [0], [0], [1.0], LE, 0.0),
         lambda: m.add_rows(["a\nb"], [0], [0], [1.0], LE, 0.0),
         lambda: m.add_rows(["fresh"], [0], [0], [1.0], "<", 0.0),     # sense
         lambda: m.add_rows(["fresh"], [0], [n], [1.0], LE, 0.0),      # column
@@ -454,8 +440,26 @@ def test_failed_additions_leave_the_model_as_it_was(drawn):
         with pytest.raises(ModelError):
             call()
         assert model_state(m) == before
-        assert m._var_names.index() == {name: j for j, name in enumerate(before[1])}
-        assert m._con_names.index() == {name: i for i, name in enumerate(before[2])}
+    repeats = [
+        (lambda c: c.add_vars(["fresh", taken_var]), "variable", taken_var),
+        (lambda c: c.add_vars(["twice", "twice"]), "variable", "twice"),
+        (lambda c: c.add_rows(["fresh", taken_row], [0], [0], [1.0], LE, 0.0),
+         "constraint", taken_row),
+        (lambda c: c.add_rows(["twice", "twice"], [0], [0], [1.0], LE, 0.0),
+         "constraint", "twice"),
+    ]
+    for add, what, name in repeats:
+        repeated = copy.deepcopy(m)
+        add(repeated)
+        message = re.escape(f"duplicate {what} {name!r}")
+        with tempfile.TemporaryDirectory() as tmp, pytest.raises(ModelError, match=message):
+            write_mps(repeated, Path(tmp) / "m.mps")
+        if what == "variable":
+            res = SimpleNamespace(status=0, x=np.zeros(repeated.num_vars), fun=0.0,
+                                  mip_gap=0.0, message="")
+            with pytest.raises(ModelError, match=message):
+                ScipySolver._wrap(repeated, res, 0.0)
+    assert model_state(m) == before
     m.add_vars(["fresh", "twice"], ub=[1.0, 2.0])
     m.add_rows(["fresh", "twice"], [1, 0], [n + 1, n], [3.0, 4.0], [GE, EQ], [1.0, 2.0])
     assert m.var_names[-2:] == ("fresh", "twice")

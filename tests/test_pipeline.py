@@ -530,6 +530,31 @@ def test_cli_oversized_csv_cell_exits_2(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_cli_circuit_id_not_an_identifier_exits_2(tmp_path):
+    """A circuit id that is not an identifier is refused at ingest, as bus
+    and unit ids are: exit 2, the system file named, no traceback.  Let
+    through, ``c 1\\nx`` stopped the build with a traceback on the newline
+    in its flow column's name, and an id of one space built a model whose
+    MPS file splits that name in two."""
+    scen = tmp_path / "scen"
+    run_cli("template", "-o", str(scen), "--days", "2")
+    for name in ("demand.csv", "renewables.csv"):
+        lines = (scen / name).read_text().splitlines()
+        rows = [lines[0] + ",far"] + [line + ",0.0" for line in lines[1:]]
+        (scen / name).write_text("\r\n".join(rows) + "\r\n")
+    doc = json.loads((scen / "system.json").read_text())
+    doc["buses"].append("far")
+    line = {"from_bus": "hub", "to_bus": "far", "capacity": 1.0, "reactance": 0.1}
+    for cid in ("c 1\nx", " "):
+        (scen / "system.json").write_text(json.dumps(dict(doc, circuits=[dict(line, id=cid)])))
+        proc = run_cli("ingest", str(scen / "scenario.json"))
+        assert proc.returncode == 2, proc.stderr[-500:]
+        assert f"circuit id {cid!r} is not a valid identifier" in proc.stderr
+        assert str(scen / "system.json") in proc.stderr and "Traceback" not in proc.stderr
+    (scen / "system.json").write_text(json.dumps(dict(doc, circuits=[dict(line, id="c_1")])))
+    assert run_cli("ingest", str(scen / "scenario.json")).returncode == 0
+
+
 @pytest.fixture(scope="module")
 def clustered_week(tmp_path_factory):
     """A 7-day template (6 representative days) and its clustering file's text."""

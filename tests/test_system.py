@@ -86,9 +86,17 @@ def test_validate_unknown_bus():
 
 
 def test_validate_bad_id():
-    g = make_thermal(uid="1bad id")
-    problems = validate_system(make_system([g]))
-    assert any("identifier" in p for p in problems)
+    """Bus, unit and circuit ids are refused with a leading digit, a space
+    or a trailing newline."""
+    for bad in ("1bad id", "g\n"):
+        problems = validate_system(make_system([make_thermal(uid=bad)]))
+        assert any(f"unit id {bad!r} is not a valid identifier" in p for p in problems)
+        problems = validate_system(make_system([make_thermal(bus=bad)], buses=(bad,), slack=bad))
+        assert any(f"bus id {bad!r} is not a valid identifier" in p for p in problems)
+        net = make_system([make_thermal()], buses=("b1", "b2"),
+                          circuits=[Circuit(bad, "b1", "b2", 1.0, 0.1)], isf=np.zeros((1, 1)))
+        problems = validate_system(net)
+        assert problems == [f"circuit id {bad!r} is not a valid identifier"]
 
 
 def test_validate_cross_checks_data():
