@@ -5,7 +5,9 @@ commitment and production split, renewable use, non-served power, storage
 charge/discharge, network flows through shift factors, and spinning reserve.
 They differ only in what a "period" is (an hour, a composite hour, or an hour
 of a representative day), in how startups are linked, and in how storage
-levels are carried through time, which each family adds on top.
+levels are carried through time, which each family adds on top.  The
+hour-based kinds ``hm``, ``rp`` and ``rp_tmci`` share one ``hour_chain`` and
+differ only in its ``step`` and in the rows each adds after it.
 
 A builder describes one period once, as a stencil of columns (``Col``) and
 rows (``Row``), and ``tile_columns``/``tile_rows`` repeat it over the
@@ -50,7 +52,7 @@ import numpy as np
 
 from ..milp import MilpModel, INF, LE, GE, EQ
 from ..system import PowerSystem
-from ..timeseries import HOURS_PER_DAY
+from ..timeseries import HOURS_PER_DAY, TimeHorizonData
 from ..aggregation import StateClustering, RepPeriodClustering
 
 
@@ -332,3 +334,21 @@ def add_hourly_startups(m: MilpModel, system: PowerSystem, labels: list[str],
                             (shifted(col["u", g.id], fresh), -1.0)],
             LE, np.where(fresh, float(system.initial_commitment(g.id)), 0.0))
         for g in system.thermal])
+
+
+def hour_chain(kind: str, system: PowerSystem, data: TimeHorizonData, per: Periods,
+               step: int, invest: bool) -> tuple[MilpModel, dict, dict]:
+    """The model ``kind`` up to its own rows: the investment columns, the
+    operating core over ``per.labels`` reading the series at ``per.hours``,
+    and the startups and hourly storage levels chained over the labels, a
+    fresh chronology starting every ``step`` labels.  Returns the model, the
+    investment map of ``add_investment`` and the column positions."""
+    labels, hours, weights = per.labels, per.hours, per.weights
+    fresh = np.arange(len(labels)) % step == 0
+    m = MilpModel(kind)
+    x = add_investment(m, system, invest)
+    col = add_operating_core(m, system, labels, data.demand[hours],
+                             data.renewable_avail[hours], weights, x)
+    add_hourly_startups(m, system, labels, weights, fresh, col)
+    add_hourly_levels(m, system, labels, data.inflows[hours], x, fresh, col)
+    return m, x, col

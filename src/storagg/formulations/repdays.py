@@ -1,14 +1,17 @@
 """Representative-days family: a few real days stand for the whole horizon.
 
-Each representative day is modeled hour by hour with its own chronology and
-its costs are weighted by the number of days its cluster represents.  In the
-plain variant every day is storage-cyclic: the level at the end of the day
-must not fall below the level the day started from, so no energy can be
-netted across days.  The enhanced variant replaces that with two chronology
-devices derived from the day sequence: commitments are linked across
-day-cluster transitions, and storage is additionally tracked by checkpoint
-variables chained across the real calendar through the day-to-representative
-hour map, with end-of-horizon and box bounds applied at the checkpoints.
+Each representative day is modeled hour by hour and its costs are weighted
+by the number of days its cluster represents.  Both variants are the
+``hour_chain`` of ``hm`` over the hours of the medoid days in calendar order.
+In the plain variant every day is its own fresh chronology and is
+storage-cyclic: the level at the end of the day must not fall below the
+level the day started from, so no energy can be netted across days.  The
+enhanced variant concatenates the days so commitments and levels carry over,
+and ties that chain back to the real calendar with two devices derived from
+the day sequence: commitments are linked across day-cluster transitions, and
+storage is additionally tracked by checkpoint variables chained across the
+real calendar through the day-to-representative hour map, with
+end-of-horizon and box bounds applied at the checkpoints.
 
 Constraint prefixes added here: ``cyc`` day cyclicity, ``ulink`` cross-day
 commitment linking, ``cbal`` checkpoint level chaining, ``clo``/``chi``
@@ -19,46 +22,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..milp import MilpModel, GE, EQ
+from ..milp import GE, EQ
 from ..system import PowerSystem
 from ..timeseries import HOURS_PER_DAY, WEEK_HOURS, TimeHorizonData
 from ..aggregation import (RepPeriodClustering, TransitionMatrices,
                            default_checkpoints)
-from .common import (FormulationOutput, Row, periods, tile_rows, shifted, add_investment,
-                     add_operating_core, add_levels, add_hourly_levels, add_hourly_startups,
-                     add_final)
-
-
-def _rep_day_core(system: PowerSystem, data: TimeHorizonData,
-                  rp: RepPeriodClustering, invest: bool, kind: str):
-    per = periods(kind, data.horizon_hours, rp=rp)
-    labels, hours, weights = per.labels, per.hours, per.weights
-    # the plain model treats every day as its own fresh chronology; the
-    # enhanced one concatenates the days so commitments and levels carry
-    # over, with checkpoints and commitment links tying the chain back to
-    # the real calendar
-    step = HOURS_PER_DAY if kind == "rp" else len(labels)
-    fresh = np.arange(len(labels)) % step == 0
-
-    m = MilpModel(kind)
-    x = add_investment(m, system, invest)
-    col = add_operating_core(m, system, labels, data.demand[hours],
-                             data.renewable_avail[hours], weights, x)
-    add_hourly_startups(m, system, labels, weights, fresh, col)
-    add_hourly_levels(m, system, labels, data.inflows[hours], x, fresh, col)
-    return m, x, per, col
-
-
-def _day_first(rp: RepPeriodClustering) -> np.ndarray:
-    """The position of each cluster's first hour among the model periods,
-    whose days run in calendar order."""
-    return np.searchsorted(np.sort(rp.medoid_days), rp.medoid_days) * HOURS_PER_DAY
+from .common import (FormulationOutput, Row, periods, tile_rows, shifted, hour_chain,
+                     add_levels, add_final)
 
 
 def build_rp(system: PowerSystem, data: TimeHorizonData,
              rp: RepPeriodClustering, invest: bool = False) -> FormulationOutput:
-    m, _, _, col = _rep_day_core(system, data, rp, invest, "rp")
-    last = _day_first(rp) + HOURS_PER_DAY - 1
+    per = periods("rp", data.horizon_hours, rp=rp)
+    m, _, col = hour_chain("rp", system, data, per, HOURS_PER_DAY, invest)
+    last = per.pos[rp.medoid_days * HOURS_PER_DAY] + HOURS_PER_DAY - 1
     tile_rows(m, [f"r{r}" for r in range(rp.num_rp)],
               [Row("cyc", s.id, [(col["w", s.id][last], 1.0)], GE, s.w0)
                for s in system.storage])
@@ -78,13 +55,14 @@ def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
     """
     if window % HOURS_PER_DAY != 0:
         raise ValueError(f"checkpoint window {window} must be a multiple of {HOURS_PER_DAY}")
-    m, x, per, col = _rep_day_core(system, data, rp, invest, "rp_tmci")
+    per = periods("rp_tmci", data.horizon_hours, rp=rp)
+    m, x, col = hour_chain("rp_tmci", system, data, per, len(per.labels), invest)
 
     # commitment continuity across observed day-cluster transitions
     nrpp = matrices.rp_transitions
     threshold = theta * float(nrpp.sum()) if 0 < theta < 1 else theta
     a, b = np.nonzero((nrpp >= threshold) & (nrpp > 0))
-    first = _day_first(rp)
+    first = per.pos[rp.medoid_days * HOURS_PER_DAY]
     tile_rows(m, [f"r{i}_r{j}" for i, j in zip(a.tolist(), b.tolist())],
               [Row("ulink", g.id, [(col["u", g.id][first[a] + HOURS_PER_DAY - 1], 1.0),
                                    (col["u", g.id][first[b]], -1.0)], EQ)

@@ -691,7 +691,8 @@ def parse_mps(path) -> MilpModel:
     usual solver toolchains as long as they avoid RANGES.  Rows, columns and
     (row, column, value) entries are collected and added in one
     ``add_vars`` and one ``add_rows`` call, which sum repeated entries and
-    drop zeros.  A ROWS name given twice raises ModelError.
+    drop zeros.  A ROWS name given twice, or a line it cannot read, raises
+    ModelError naming the file (and the line).
     """
     name, obj_row, section, in_int = "model", None, None, False
     row_names, senses, rhs, row_of = [], [], [], {}
@@ -707,7 +708,7 @@ def parse_mps(path) -> MilpModel:
         return col_of[var]
 
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             tokens = line.split()
             if not tokens or tokens[0].startswith("*"):
                 continue
@@ -721,54 +722,60 @@ def parse_mps(path) -> MilpModel:
                 if section == "RANGES":
                     raise ModelError(f"{path}: RANGES sections are not supported")
                 continue
-            if section == "ROWS":
-                tag, row = tokens[0], tokens[1]
-                if tag == "N":
-                    if obj_row is None:
-                        obj_row = row
-                    continue
-                if row in row_of:
-                    raise ModelError(f"{path}: duplicate constraint {row!r} in ROWS")
-                row_of[row] = len(row_names)
-                row_names.append(row)
-                senses.append(_SENSES[_MPS_TAGS.index(tag)])
-                rhs.append(0.0)
-            elif section == "COLUMNS":
-                if len(tokens) >= 3 and tokens[1] == "'MARKER'":
-                    in_int = tokens[2] == "'INTORG'"
-                    continue
-                j = column(tokens[0])
-                integer[j] = integer[j] or in_int
-                for k in range(1, len(tokens) - 1, 2):
-                    row, val = tokens[k], float(tokens[k + 1])
-                    if row == obj_row:
-                        # assigned while still zero, so an objective of -0.0 keeps its sign
-                        obj[j] = obj[j] + val if obj[j] else val
+            try:
+                if section == "ROWS":
+                    tag, row = tokens[0], tokens[1]
+                    if tag == "N":
+                        if obj_row is None:
+                            obj_row = row
+                        continue
+                    if row in row_of:
+                        raise ModelError(f"{path}: duplicate constraint {row!r} in ROWS")
+                    row_of[row] = len(row_names)
+                    row_names.append(row)
+                    senses.append(_SENSES[_MPS_TAGS.index(tag)])
+                    rhs.append(0.0)
+                elif section == "COLUMNS":
+                    if len(tokens) >= 3 and tokens[1] == "'MARKER'":
+                        in_int = tokens[2] == "'INTORG'"
+                        continue
+                    j = column(tokens[0])
+                    integer[j] = integer[j] or in_int
+                    for k in range(1, len(tokens) - 1, 2):
+                        row, val = tokens[k], float(tokens[k + 1])
+                        if row == obj_row:
+                            # assigned while still zero, so an objective of -0.0 keeps its sign
+                            obj[j] = obj[j] + val if obj[j] else val
+                        else:
+                            rows.append(row_of[row])
+                            cols.append(j)
+                            vals.append(val)
+                elif section == "RHS":
+                    for k in range(1, len(tokens) - 1, 2):
+                        i = row_of.get(tokens[k])
+                        if i is not None:
+                            rhs[i] = float(tokens[k + 1])
+                elif section == "BOUNDS":
+                    kind, j = tokens[0], column(tokens[2])
+                    if kind == "BV":
+                        integer[j], lb[j], ub[j] = True, 0.0, 1.0
+                    elif kind == "FX":
+                        lb[j] = ub[j] = float(tokens[3])
+                    elif kind == "LO":
+                        lb[j] = float(tokens[3])
+                    elif kind == "UP":
+                        ub[j] = float(tokens[3])
+                    elif kind == "MI":
+                        lb[j] = -INF
+                    elif kind == "PL":
+                        ub[j] = INF
                     else:
-                        rows.append(row_of[row])
-                        cols.append(j)
-                        vals.append(val)
-            elif section == "RHS":
-                for k in range(1, len(tokens) - 1, 2):
-                    i = row_of.get(tokens[k])
-                    if i is not None:
-                        rhs[i] = float(tokens[k + 1])
-            elif section == "BOUNDS":
-                kind, j = tokens[0], column(tokens[2])
-                if kind == "BV":
-                    integer[j], lb[j], ub[j] = True, 0.0, 1.0
-                elif kind == "FX":
-                    lb[j] = ub[j] = float(tokens[3])
-                elif kind == "LO":
-                    lb[j] = float(tokens[3])
-                elif kind == "UP":
-                    ub[j] = float(tokens[3])
-                elif kind == "MI":
-                    lb[j] = -INF
-                elif kind == "PL":
-                    ub[j] = INF
-                else:
-                    raise ModelError(f"{path}: unsupported bound type {kind!r}")
+                        raise ModelError(f"{path}: unsupported bound type {kind!r}")
+            except ModelError:
+                raise
+            except (KeyError, IndexError, ValueError) as exc:
+                raise ModelError(f"{path}, line {number}: cannot read {line.strip()!r} "
+                                 f"({type(exc).__name__}: {exc})") from None
     model = MilpModel(name)
     model.add_vars(col_names, lb, ub, obj, integer)
     model.add_rows(row_names, rows, cols, vals, senses, rhs)

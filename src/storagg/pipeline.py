@@ -339,20 +339,14 @@ def stage_solve(config: ScenarioConfig, outdir: Path,
         audit = audit_constraints(fo.model, sol.values) if sol.ok else {}
         return kind, sol, audit
 
-    solutions: dict[str, Solution] = {}
-    audits: dict[str, dict] = {}
     if workers > 1 and len(kinds) > 1:
         from concurrent.futures import ThreadPoolExecutor   # solve-time only, as in milp
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for kind, sol, audit in pool.map(run, kinds):
-                solutions[kind] = sol
-                audits[kind] = audit
+            results = list(pool.map(run, kinds))
     else:
-        for kind in kinds:
-            kind, sol, audit = run(kind)
-            solutions[kind] = sol
-            audits[kind] = audit
-    save_solutions(outdir, solutions, audits)
+        results = [run(kind) for kind in kinds]
+    solutions = {kind: sol for kind, sol, _ in results}
+    save_solutions(outdir, solutions, {kind: audit for kind, _, audit in results})
     infeasible = [k for k, s in solutions.items() if s.status == STATUS_INFEASIBLE]
     if infeasible:
         raise InfeasibleError(f"infeasible models: {infeasible}")

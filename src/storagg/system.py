@@ -177,7 +177,7 @@ def compute_isf_from_reactances(network: Network) -> np.ndarray:
     return (b_series[:, None] * incidence) @ theta_sens
 
 
-def validate_system(system: PowerSystem, data=None) -> list[str]:
+def validate_system(system: PowerSystem) -> list[str]:
     """Return a list of human-readable invariant violations (empty when valid)."""
     issues: list[str] = []
     net = system.network
@@ -250,12 +250,6 @@ def validate_system(system: PowerSystem, data=None) -> list[str]:
             issues.append(f"initial commitment names unknown thermal unit {uid!r}")
         if val not in (0, 1):
             issues.append(f"initial commitment for {uid!r} must be 0 or 1")
-    if data is not None:
-        if list(data.nodes) != list(net.buses):
-            issues.append(f"series columns {data.nodes} do not match buses {net.buses}")
-        if list(data.storage_ids) != [s.id for s in system.storage]:
-            issues.append(f"inflow columns {data.storage_ids} do not match storage units "
-                          f"{[s.id for s in system.storage]}")
     return issues
 
 

@@ -90,6 +90,14 @@ def test_one_builder_of_the_chronology_matrices():
         ("src/storagg/aggregation.py", "build_matrices")}
 
 
+@pytest.mark.parametrize("name", ["add_hourly_startups", "add_hourly_levels"])
+def test_one_builder_of_the_hour_chain(name):
+    """``hm``, ``rp`` and ``rp_tmci`` chain their hours through ``hour_chain``
+    only; a builder that chains hours itself would be a second copy."""
+    assert call_sites(name, [SRC, REPO / "tests", REPO / "demos"]) == {
+        ("src/storagg/formulations/common.py", "hour_chain")}
+
+
 @pytest.mark.parametrize("name", ["add_var", "add_con", "var_name"])
 def test_builders_add_in_bulk(name):
     """The builders tile each period's stencil through ``add_vars`` and

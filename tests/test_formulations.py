@@ -307,6 +307,31 @@ def test_rp_tmci_theta_disables_linking(two_unit_system):
     assert linked_pairs(fo) == []
 
 
+@pytest.mark.parametrize("invest", [False, True], ids=["plain", "invest"])
+def test_rp_tmci_with_every_day_extends_hm(tmp_path, invest):
+    """With every day representative and no commitment links, ``rp_tmci``
+    is the hour chain of ``hm`` plus its checkpoint block: its first
+    ``hm.num_vars`` columns and the rows before ``hm``'s ``fin`` rows are
+    ``hm``'s, bit for bit and name for name."""
+    config = load_scenario(emit_scenario_template(tmp_path, days=7, seed=4))
+    config.invest, config.rep_days, config.theta = invest, 7, float("inf")
+    system, data = stage_ingest(config)
+    art = aggregate(data, config.states, config.rep_days, config.seed,
+                    window_hours=config.window_hours,
+                    has_short_term_storage=bool(system.short_term_storage))
+    hm, tmci = (build_formulation(kind, system, data, art, config).model
+                for kind in ("hm", "rp_tmci"))
+    n, k = hm.num_vars, constraint_families(hm)["fin"][0]
+    assert k == hm.num_cons - len(system.storage) and tmci.num_vars > n
+    assert "ulink" not in constraint_families(tmci)
+    nnz = hm._indptr[k]
+    for attr, stop in (("_lb", n), ("_ub", n), ("_obj", n), ("_int", n), ("_indptr", k + 1),
+                       ("_cols", nnz), ("_coefs", nnz), ("_sense", k), ("_rhs", k)):
+        assert bytes(getattr(tmci, attr)[:stop]) == bytes(getattr(hm, attr)[:stop]), attr
+    assert tmci.var_names[:n] == hm.var_names
+    assert tmci._con_names.tolist()[:k] == hm._con_names.tolist()[:k]
+
+
 def test_rp_tmci_checkpoint_chain(battery_system):
     """Checkpoint variables must chain consistently: each equals the mapped
     accumulation since the previous one."""

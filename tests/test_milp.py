@@ -186,6 +186,36 @@ def test_mps_ranges_rejected(tmp_path):
         parse_mps(path)
 
 
+@pytest.mark.parametrize("text", [
+    "ROWS\n N  OBJ\nCOLUMNS\n    x  c9  1.0\n",
+    "NAME bad\nROWS\n N  OBJ\n Q  c1\n",
+    "ROWS\n N  OBJ\nBOUNDS\n UP BND\n",
+    "ROWS\n N  OBJ\nCOLUMNS\n    x  OBJ  abc\n",
+], ids=["undeclared-row", "unknown-tag", "short-bounds", "non-numeric"])
+def test_mps_malformed_line_names_file_and_line(tmp_path, text):
+    """A line the reader cannot take apart (here always the last one) is a
+    ModelError naming the file, the line number and the line, not a bare
+    KeyError, IndexError or ValueError from inside the reader."""
+    path = tmp_path / "bad.mps"
+    path.write_text(text)
+    lines = text.splitlines()
+    with pytest.raises(ModelError) as info:
+        parse_mps(path)
+    assert type(info.value) is ModelError
+    assert f"{path}, line {len(lines)}: cannot read {lines[-1].strip()!r}" in str(info.value)
+
+
+def test_mps_reader_errors_keep_their_message(tmp_path):
+    """The reader's own refusals are not rewrapped as unreadable lines."""
+    path = tmp_path / "bad.mps"
+    for text, message in (("ROWS\n L  c1\n L  c1\n", "duplicate constraint 'c1' in ROWS"),
+                          ("ROWS\n N  OBJ\nBOUNDS\n XX BND  x\n", "unsupported bound type 'XX'")):
+        path.write_text(text)
+        with pytest.raises(ModelError) as info:
+            parse_mps(path)
+        assert str(info.value) == f"{path}: {message}"
+
+
 def test_mps_large_model_writes_in_one_pass(tmp_path):
     n = 100_000
     m = MilpModel("big")

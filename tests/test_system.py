@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from storagg import (ThermalUnit, StorageUnit, Circuit, Network,
-                     OperatingConfig, PowerSystem, SystemFormatError,
+                     OperatingConfig, PowerSystem, SystemFormatError, DataFormatError,
                      SHORT_TERM, LONG_TERM, compute_isf_from_reactances,
-                     validate_system, load_system, save_system)
+                     validate_system, load_system, save_system, load_horizon, save_horizon)
 
 from conftest import make_thermal, make_battery, make_system, make_data
 
@@ -99,11 +99,15 @@ def test_validate_bad_id():
         assert problems == [f"circuit id {bad!r} is not a valid identifier"]
 
 
-def test_validate_cross_checks_data():
+def test_series_read_by_the_system_ids(tmp_path):
+    """The series are cross-checked against the system where they are read:
+    ``load_horizon`` takes the system's bus and storage ids and refuses a
+    file that lacks one."""
     system = make_system([make_thermal()], [make_battery()])
-    data = make_data(np.ones(24), storage_ids=["other"])
-    problems = validate_system(system, data)
-    assert any("other" in p or "batt" in p for p in problems)
+    save_horizon(make_data(np.ones(24), storage_ids=["other"]), tmp_path)
+    with pytest.raises(DataFormatError, match=r"inflows\.csv: missing column\(s\) \['batt'\]"):
+        load_horizon(*(tmp_path / f"{name}.csv" for name in ("demand", "renewables", "inflows")),
+                     nodes=system.nodes, storage_ids=system.storage_ids)
 
 
 def test_short_and_long_term_split():
