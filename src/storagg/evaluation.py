@@ -6,9 +6,9 @@ its governing period), rebuilds storage levels, and exposes the series needed
 for error metrics: production, commitment, renewable use and curtailment,
 non-served power, storage levels, and prices.
 
-Values are read by the names the builders give their columns,
-``var_name``: ``<symbol>_<label>_<id>`` (e.g. ``q_p17_gas``,
-``dw_s3_s5_bess``), over the period labels that
+Values are read a symbol at a time, as a (labels x ids) block, by the names
+the builders give their columns (``formulations.common.names``, e.g.
+``q_p17_gas``), over the period labels that
 ``formulations.common.periods`` derives from the kind and its clustering,
 the layout the builder used; each real hour points at one label index.  The
 startup counts are the positive steps of the expanded hourly commitment and
@@ -42,7 +42,8 @@ from .milp import Solution, ScipySolver, fix_and_relax, STATUS_OPTIMAL
 from .system import PowerSystem
 from .timeseries import TimeHorizonData
 from .aggregation import StateClustering, RepPeriodClustering, TransitionMatrices
-from .formulations.common import FormulationOutput, Periods, periods, var_name
+from .formulations.common import (FormulationOutput, Periods, periods, move_labels,
+                                  checkpoint_labels, names)
 
 VIOLATION_TOL = 1e-6  # GWh beyond a bound before it counts as a violation
 
@@ -82,21 +83,16 @@ class HourlyExpansion:
         return worst
 
 
-def _value(values: dict[str, float], name: str) -> float:
-    """``values[name]``; a name the solution does not carry is an error,
-    never a zero."""
-    if name not in values:
-        raise ValueError(f"solution has no value for {name!r}")
-    return values[name]
-
-
-def _grid(values: dict[str, float], symbol: str, labels, ids) -> np.ndarray:
-    """(len(labels), len(ids)) array of ``values[var_name(symbol, label, id)]``."""
-    out = np.empty((len(labels), len(ids)))
-    for i, label in enumerate(labels):
-        for j, uid in enumerate(ids):
-            out[i, j] = _value(values, var_name(symbol, label, uid))
-    return out
+def _read(values: dict[str, float], symbol: str, labels: list[str], ids: list) -> np.ndarray:
+    """The (len(labels), len(ids)) block of ``symbol``'s values, looked up by
+    the names ``names`` gives them (a model re-read from its file carries no
+    column layout; the names are the one key).  A name ``values`` does not
+    carry is an error, never a zero."""
+    try:
+        block = [values[name] for name in names(labels, [(symbol, uid) for uid in ids])]
+    except KeyError as exc:
+        raise ValueError(f"solution has no value for {exc.args[0]!r}") from None
+    return np.array(block, dtype=float).reshape(len(labels), len(ids))
 
 
 def expand_solution(fo: FormulationOutput, solution: Solution, system: PowerSystem,
@@ -118,7 +114,7 @@ def expand_solution(fo: FormulationOutput, solution: Solution, system: PowerSyst
              else data.renewable_avail[per.hours])
 
     def hourly(symbol: str, ids: list[str]) -> dict[str, np.ndarray]:
-        grid = _grid(solution.values, symbol, labels, ids)[pos]
+        grid = _read(solution.values, symbol, labels, ids)[pos]
         return {uid: grid[:, j] for j, uid in enumerate(ids)}
 
     thermal = [g.id for g in system.thermal]
@@ -141,7 +137,7 @@ def expand_solution(fo: FormulationOutput, solution: Solution, system: PowerSyst
     # states family, or mapped injections anchored at each checkpoint
     if kind == "rp_tmci":
         checkpoints = fo.meta["checkpoints"]
-        wchk = _grid(solution.values, "wchk", [f"k{k}" for k in checkpoints], storage)
+        wchk = _read(solution.values, "wchk", checkpoint_labels(checkpoints), storage)
         mapped_inflows = data.inflows[per.hours][pos]
         for j, s in enumerate(system.storage):
             net = (mapped_inflows[:, j] + s.efficiency * exp.storage_charge[s.id]
@@ -153,9 +149,8 @@ def expand_solution(fo: FormulationOutput, solution: Solution, system: PowerSyst
                 prev_value, prev_hour = wchk[i, j], k
             exp.storage_level_model[s.id] = level
     elif kind in ("ss", "ss_rfm"):
-        moves = [f"s{a}_s{b}" for a, b in zip(pos[:-1], pos[1:])]
         steps = np.vstack([np.zeros((1, len(storage))),
-                           _grid(solution.values, "dw", moves, storage)])
+                           _read(solution.values, "dw", move_labels(pos[:-1], pos[1:]), storage)])
         for j, s in enumerate(system.storage):
             exp.storage_level_model[s.id] = s.w0 + np.cumsum(steps[:, j])
     else:
@@ -204,52 +199,45 @@ def detect_violations(expansion: HourlyExpansion, system: PowerSystem,
 # prices
 # ---------------------------------------------------------------------------
 
-def compute_prices(fo: FormulationOutput, solution: Solution, per: Periods,
-                   check_degeneracy: bool = False) -> tuple[dict, bool | None]:
+def compute_prices(fo: FormulationOutput, solution: Solution, system: PowerSystem,
+                   per: Periods, check_degeneracy: bool = False) -> tuple[np.ndarray, bool | None]:
     """Fix integers, relax, and read balance duals as per-hour prices.
 
-    Returns ({(period label, node): price}, degenerate).  The dual of a
-    period's balance row is divided by the period's hour weight in ``per``,
-    the model's period layout, so a composite period standing for many hours
-    still yields a per-hour price.
+    Returns (prices, degenerate), prices being the (periods, nodes) grid of
+    the ``bal`` row duals over ``per``, the model's period layout, each
+    divided by its period's hour weight, so a composite period standing for
+    many hours still yields a per-hour price.
     ``degenerate`` is None unless ``check_degeneracy`` is set; then the LP is
     re-solved by an interior-point method and ``degenerate`` says whether
-    the two price vectors disagree (the prices are not unique).  Raises
-    ValueError, naming the kind and the status, if an LP has no optimum.
+    the two price grids disagree (the prices are not unique).  Raises
+    ValueError, naming the kind and the status, if an LP has no optimum, or
+    naming the row if a balance row has no dual.
     """
     relaxed = fix_and_relax(fo.model, solution)
-    all_duals = []
+    grids = []
     for method in ("highs", "highs-ipm") if check_degeneracy else ("highs",):
         lp = ScipySolver().solve_lp(relaxed, method=method)
         if lp.status != STATUS_OPTIMAL or lp.duals is None:
             raise ValueError(f"pricing LP of {fo.kind!r} ({method}) ended with status "
                              f"{lp.status!r}: {lp.message}")
-        all_duals.append(lp.duals)
-    weight_of = dict(zip(per.labels, per.weights.tolist()))
-    # balance rows are named bal_<label>_<node>; labels hold no "_"
-    rows = [row for row in all_duals[0] if row.startswith("bal_")]
-    keys = [tuple(row.split("_", 2)[1:]) for row in rows]
-    weights = np.array([weight_of[label] for label, _ in keys], dtype=float)
-    prices, *alt = [np.array([duals[row] for row in rows]) / weights
-                    for duals in all_duals]
+        grids.append(_read(lp.duals, "bal", per.labels, system.nodes) / per.weights[:, None])
+    prices, *alt = grids
     degenerate = None
     if alt:
         degenerate = bool((np.abs(alt[0] - prices)
                            > 1e-4 * np.maximum(1.0, np.abs(prices))).any())
-    return dict(zip(keys, prices.tolist())), degenerate
+    return prices, degenerate
 
 
 def attach_prices(expansion: HourlyExpansion, system: PowerSystem,
-                  data: TimeHorizonData, period_prices: dict) -> None:
-    """Map per-period nodal prices onto hours through the period index.
+                  data: TimeHorizonData, period_prices: np.ndarray) -> None:
+    """Map the (periods, nodes) grid ``compute_prices`` returns onto hours
+    through the period index.
 
     The system price per hour weights nodes by their real demand (equal
-    weights when the hour has no demand at all).  Raises KeyError if
-    ``period_prices`` lacks a (label, node) pair of the model.
+    weights when the hour has no demand at all).
     """
-    per = expansion.periods
-    grid = np.array([[period_prices[label, n] for n in system.nodes]
-                     for label in per.labels])[per.pos]
+    grid = period_prices[expansion.periods.pos]
     system_price = grid.mean(axis=1)
     total = data.demand.sum(axis=1)
     np.divide((grid * data.demand).sum(axis=1), total, out=system_price, where=total > 0)
@@ -286,8 +274,8 @@ def investment_values(fo: FormulationOutput, solution: Solution,
     """Built capacity ``x_<id>`` per investable storage unit of an invest model."""
     if not fo.meta["invest"]:
         return {}
-    return {s.id: _value(solution.values, f"x_{s.id}")
-            for s in system.storage if s.investable}
+    ids = [s.id for s in system.storage if s.investable]
+    return dict(zip(ids, _read(solution.values, "x", ids, [None])[:, 0].tolist()))
 
 
 @dataclass
@@ -333,7 +321,7 @@ def build_case_result(fo: FormulationOutput, solution: Solution, system: PowerSy
     investment = investment_values(fo, solution, system)
     degenerate = None
     if with_prices:
-        period_prices, degenerate = compute_prices(fo, solution, expansion.periods,
+        period_prices, degenerate = compute_prices(fo, solution, system, expansion.periods,
                                                    check_degeneracy=check_degeneracy)
         attach_prices(expansion, system, data, period_prices)
     return CaseResult(

@@ -15,13 +15,13 @@ period labels in one bulk call per stencil; what changes from period to
 period is given per label.  Rows address columns by the positions
 ``tile_columns`` returns.  A link to the previous period is that position
 array shifted by one (``shifted``), with no term where ``fresh`` starts a
-chronology.  Column names read ``var_name(symbol, label, id)``, e.g.
-``u_p5_gas``, and row names ``<prefix>_<label>_<id>``; evaluation reads
-values back by name.  The names are distinct by construction, so no
-addition checks them: bus, unit and circuit ids are distinct identifiers
-(``validate_system``), a symbol or prefix serves one kind of id, and each
-kind's labels have one fixed form.  The model checks them where they
-become keys (see ``milp``).
+chronology.  Column names read ``<symbol>_<label>_<id>``, e.g. ``u_p5_gas``,
+and row names ``<prefix>_<label>_<id>``, all composed by ``names``, which
+evaluation calls to read values back.  The names are distinct by
+construction, so no addition checks them: bus, unit and circuit ids are
+distinct identifiers (``validate_system``), a symbol or prefix serves one
+kind of id, and each kind's labels have one fixed form.  The model checks
+them where they become keys (see ``milp``).
 
 Constraint name prefixes (the family tag used by the audit tooling):
 
@@ -44,7 +44,7 @@ Constraint name prefixes (the family tag used by the audit tooling):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -58,12 +58,15 @@ from ..aggregation import StateClustering, RepPeriodClustering
 
 @dataclass
 class FormulationOutput:
-    """A built model plus the metadata evaluation needs to interpret it:
-    ``kind``, ``invest`` and, for ``rp_tmci``, the ``checkpoints``."""
+    """A built model plus ``meta``, what evaluation needs to interpret it:
+    the ``kind``, ``invest`` and, for ``rp_tmci``, the ``checkpoints``."""
 
     model: MilpModel
-    kind: str
-    meta: dict = field(default_factory=dict)
+    meta: dict
+
+    @property
+    def kind(self) -> str:
+        return self.meta["kind"]
 
     @property
     def registry(self) -> tuple[str, ...]:
@@ -120,10 +123,14 @@ def periods(kind: str, horizon_hours: int, states: StateClustering | None = None
     return Periods(labels, hours, pos)
 
 
-def var_name(symbol: str, label: str, uid: str) -> str:
-    """The name of variable ``symbol`` for period ``label`` and unit, node or
-    circuit ``uid``, e.g. ``q_p17_gas`` or ``dw_s3_s5_bess``."""
-    return f"{symbol}_{label}_{uid}"
+def move_labels(a: np.ndarray, b: np.ndarray) -> list[str]:
+    """The label ``s<a>_s<b>`` of each move from state ``a`` to state ``b``."""
+    return [f"s{i}_s{j}" for i, j in zip(a.tolist(), b.tolist())]
+
+
+def checkpoint_labels(checkpoints) -> list[str]:
+    """The label ``k<hour>`` of each checkpoint hour."""
+    return [f"k{int(k)}" for k in checkpoints]
 
 
 class Col(NamedTuple):
@@ -149,9 +156,9 @@ class Row(NamedTuple):
     rhs: object = 0.0
 
 
-def _names(labels: list[str], stencil: list) -> list[str]:
-    """``<key[0]>_<label>_<key[1]>`` for every label and stencil key,
-    label-major; a None id drops its part."""
+def names(labels: list[str], stencil: list) -> list[str]:
+    """``<key[0]>_<label>_<key[1]>`` (e.g. ``q_p17_gas``) for every label
+    and stencil key, label-major; a None id drops its part."""
     parts = [(f"{key[0]}_", "" if key[1] is None else f"_{key[1]}") for key in stencil]
     return [head + label + tail for label in labels for head, tail in parts]
 
@@ -177,7 +184,7 @@ def tile_columns(m: MilpModel, labels: list[str], stencil: list[Col]) -> dict:
     n = len(labels)
     fields = [_side_by_side([_block(c[j]) for c in stencil], n, np.float64)
               for j in (2, 3, 4, 5)]
-    pos = m.add_vars(_names(labels, stencil), *(f.ravel() for f in fields))
+    pos = m.add_vars(names(labels, stencil), *(f.ravel() for f in fields))
     pos = pos.reshape(n, len(stencil))
     return {(c.symbol, c.id): pos[:, k] for k, c in enumerate(stencil)}
 
@@ -192,7 +199,7 @@ def tile_rows(m: MilpModel, labels: list[str], stencil: list[Row]) -> None:
     val = _side_by_side([_block(t[2]) for t in terms], n, np.float64)
     at = np.repeat([t[0] for t in terms], [c.shape[1] for c in cols])
     rhs = _side_by_side([_block(r.rhs) for r in stencil], n, np.float64)
-    m.add_rows(_names(labels, stencil), (np.arange(n)[:, None] * len(stencil) + at).ravel(),
+    m.add_rows(names(labels, stencil), (np.arange(n)[:, None] * len(stencil) + at).ravel(),
                col.ravel(), val.ravel(), np.tile([r.sense for r in stencil], n), rhs.ravel())
 
 

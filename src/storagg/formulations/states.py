@@ -23,8 +23,8 @@ import numpy as np
 from ..milp import MilpModel, LE, GE, EQ
 from ..system import PowerSystem, StorageUnit
 from ..aggregation import StateClustering, TransitionMatrices
-from .common import (FormulationOutput, Col, Row, periods, tile_columns, tile_rows,
-                     add_investment, add_operating_core)
+from .common import (FormulationOutput, Col, Row, periods, move_labels, checkpoint_labels,
+                     tile_columns, tile_rows, add_investment, add_operating_core)
 
 
 def _state_family(system: PowerSystem, states: StateClustering,
@@ -36,7 +36,7 @@ def _state_family(system: PowerSystem, states: StateClustering,
     col = add_operating_core(m, system, per.labels, states.demand, states.renewable_avail,
                              per.weights, x)
     a, b = np.nonzero(trans > 0)                      # the observed transitions
-    moves = [f"s{i}_s{j}" for i, j in zip(a.tolist(), b.tolist())]
+    moves = move_labels(a, b)
 
     # startups are decided per observed transition and paid per occurrence
     step = a != b
@@ -77,9 +77,9 @@ def _state_family(system: PowerSystem, states: StateClustering,
         counts = (matrices.reduced_frequency if window else matrices.frequency)[:, a, b]
         rows += bounds(s, "win" if window else "chk", counts, s.w_min - s.w0,
                        s.w_max - s.w0, s.id)
-    tile_rows(m, [f"k{k}" for k in matrices.checkpoints.tolist()], rows)
+    tile_rows(m, checkpoint_labels(matrices.checkpoints), rows)
 
-    return FormulationOutput(model=m, kind=kind, meta={"kind": kind, "invest": invest})
+    return FormulationOutput(model=m, meta={"kind": kind, "invest": invest})
 
 
 def build_ss(system: PowerSystem, states: StateClustering,

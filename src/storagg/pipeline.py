@@ -295,12 +295,18 @@ def load_built_model(outdir: Path, kind: str) -> FormulationOutput:
     missing = [key for key in required if key not in meta]
     if missing:
         raise ConfigError(f"model sidecar {side} lacks {missing}")
-    return FormulationOutput(model=model, kind=meta["kind"], meta=meta)
+    return FormulationOutput(model=model, meta=meta)
 
 
-# the keys of solutions/<kind>.json that rebuild a Solution; the file also
-# carries the constraint audit
-_HEADER = ("status", "objective", "gap", "wall_seconds", "message")
+# the keys of solutions/<kind>.json that rebuild a Solution, each with the test
+# its value must pass and what it asks for; the file also carries the audit
+_HEADER = {
+    "status": (lambda v: isinstance(v, str), "a string"),
+    "objective": (lambda v: v is None or _number(v), "a number or null"),
+    "gap": (_number, "a number"),
+    "wall_seconds": (_number, "a number"),
+    "message": (lambda v: isinstance(v, str), "a string"),
+}
 
 
 def save_solutions(outdir: Path, solutions: dict[str, Solution],
@@ -362,9 +368,10 @@ def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
     """Rebuild each kind's Solution from the files ``save_solutions`` wrote.
 
     Raises ConfigError, naming the file, if a header is missing, is not
-    JSON, lacks a key or still holds its values inline (the format before
-    the ``.npz`` values file; there is no reader for it), or if the values
-    file of an ok solution is missing or damaged.
+    JSON, lacks a key, has a value of the wrong type (naming the key) or
+    still holds its values inline (the format before the ``.npz`` values
+    file; there is no reader for it), or if the values file of an ok
+    solution is missing or damaged.
     """
     out = {}
     sol_dir = Path(outdir) / "solutions"
@@ -383,6 +390,10 @@ def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
         missing = [key for key in _HEADER if key not in doc]
         if missing:
             raise ConfigError(f"solution header {path} lacks {missing}")
+        for key, (ok, what) in _HEADER.items():
+            if not ok(doc[key]):
+                raise ConfigError(f"solution header {path}: {key} must be {what}, "
+                                  f"got {doc[key]!r}")
         sol = Solution(**{key: doc[key] for key in _HEADER})
         values = sol_dir / f"{kind}.npz"
         if values.exists():
@@ -475,28 +486,22 @@ def stage_report(system: PowerSystem, cases: dict[str, CaseResult],
             "prices_degenerate": case.prices_degenerate,
         } for kind, case in cases.items()
     }
+    rows = {kind: dict(rep.rows()) for kind, rep in reports.items()}
     summary["comparisons"] = {
-        kind: dict(rep.rows(), absolute_metrics=rep.absolute_metrics)
+        kind: dict(rows[kind], absolute_metrics=rep.absolute_metrics)
         for kind, rep in reports.items()
     }
     with open(rep_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
 
-    metric_names: list[str] = []
-    for rep in reports.values():
-        for name, _ in rep.rows():
-            if name not in metric_names:
-                metric_names.append(name)
     with open(rep_dir / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric"] + list(reports))
-        for name in metric_names:
-            row = [name]
-            for rep in reports.values():
-                value = dict(rep.rows()).get(name)
-                row.append("" if value is None else f"{value:.6g}")
-            writer.writerow(row)
+        # every metric any report has, in order of first appearance
+        for name in dict.fromkeys(metric for values in rows.values() for metric in values):
+            writer.writerow([name] + [f"{values[name]:.6g}" if name in values else ""
+                                      for values in rows.values()])
 
     import gzip    # here, not at module level: `import storagg` does not load it
 

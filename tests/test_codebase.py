@@ -98,12 +98,22 @@ def test_one_builder_of_the_hour_chain(name):
         ("src/storagg/formulations/common.py", "hour_chain")}
 
 
-@pytest.mark.parametrize("name", ["add_var", "add_con", "var_name"])
+@pytest.mark.parametrize("name", ["add_var", "add_con"])
 def test_builders_add_in_bulk(name):
     """The builders tile each period's stencil through ``add_vars`` and
-    ``add_rows``; none adds one column or row at a time or composes a name
-    to find a column."""
+    ``add_rows``; none adds one column or row at a time."""
     assert call_sites(name, [SRC / "storagg" / "formulations"]) == set()
+
+
+def test_one_composer_of_names():
+    """Column and row names are composed by ``names`` only: where the
+    builders tile a stencil and where evaluation reads a block of values
+    back.  A name spelled anywhere else would be a second copy of the
+    format."""
+    assert call_sites("names", [SRC, REPO / "tests", REPO / "demos"]) == {
+        ("src/storagg/formulations/common.py", "tile_columns"),
+        ("src/storagg/formulations/common.py", "tile_rows"),
+        ("src/storagg/evaluation.py", "_read")}
 
 
 def test_call_site_scan_sees_builders():

@@ -169,11 +169,12 @@ def test_hm_prices_follow_marginal_unit(two_unit_system):
     data = make_data(demand)
     fo = build_hm(two_unit_system, data)
     sol = solved(fo)
-    prices, degenerate = compute_prices(fo, sol, periods("hm", 24))
+    prices, degenerate = compute_prices(fo, sol, two_unit_system, periods("hm", 24))
     assert degenerate is None          # not checked unless asked
     # cheap unit marginal in low hours, dear unit in high hours
-    assert prices[("p0", "b1")] == pytest.approx(10.0)
-    assert prices[("p12", "b1")] == pytest.approx(40.0)
+    assert prices.shape == (24, 1)     # periods p0..p23 x node b1
+    assert prices[0, 0] == pytest.approx(10.0)
+    assert prices[12, 0] == pytest.approx(40.0)
 
 
 def test_ss_prices_divided_by_duration():
@@ -184,10 +185,11 @@ def test_ss_prices_divided_by_duration():
     matrices = manual_matrices(chain, window=24)
     fo = build_ss(system, states, matrices)
     sol = solved(fo)
-    prices, _ = compute_prices(fo, sol, periods("ss", 5, states=states))
+    prices, _ = compute_prices(fo, sol, system, periods("ss", 5, states=states))
     # the balance dual scales with the state duration; per-hour prices don't
-    assert prices[("s0", "b1")] == pytest.approx(25.0)
-    assert prices[("s1", "b1")] == pytest.approx(25.0)
+    assert prices.shape == (2, 1)      # states s0, s1 x node b1
+    assert prices[0, 0] == pytest.approx(25.0)
+    assert prices[1, 0] == pytest.approx(25.0)
 
 
 def test_attach_prices_maps_to_hours(two_unit_system):
@@ -196,23 +198,32 @@ def test_attach_prices_maps_to_hours(two_unit_system):
     fo = build_hm(two_unit_system, data)
     sol = solved(fo)
     exp = expand_solution(fo, sol, two_unit_system, data)
-    prices, _ = compute_prices(fo, sol, exp.periods)
+    prices, _ = compute_prices(fo, sol, two_unit_system, exp.periods)
     attach_prices(exp, two_unit_system, data, prices)
     assert exp.prices[0] == pytest.approx(10.0)
     assert exp.prices[23] == pytest.approx(40.0)
     assert exp.nodal_prices["b1"][0] == pytest.approx(10.0)
 
 
-def test_attach_prices_refuses_missing_label(two_unit_system):
+def test_prices_refuse_missing_balance_dual(two_unit_system, monkeypatch):
+    """A balance row the pricing LP gives no dual for is an error naming
+    the row: a missing price is an error, not 0.0."""
     demand = np.concatenate([np.full(12, 0.8), np.full(12, 1.8)])
     data = make_data(demand)
     fo = build_hm(two_unit_system, data)
     sol = solved(fo)
     exp = expand_solution(fo, sol, two_unit_system, data)
-    prices, _ = compute_prices(fo, sol, exp.periods)
-    del prices[("p5", "b1")]           # a missing price is an error, not 0.0
-    with pytest.raises(KeyError, match="p5"):
-        attach_prices(exp, two_unit_system, data, prices)
+    real = ScipySolver.solve_lp
+
+    def without_p5(self, model, method="highs"):
+        lp = real(self, model, method=method)
+        del lp.duals["bal_p5_b1"]
+        return lp
+
+    monkeypatch.setattr(ScipySolver, "solve_lp", without_p5)
+    with pytest.raises(ValueError, match="bal_p5_b1"):
+        attach_prices(exp, two_unit_system, data,
+                      compute_prices(fo, sol, two_unit_system, exp.periods)[0])
     assert exp.prices is None
 
 
@@ -220,9 +231,10 @@ def test_degeneracy_probe_runs(two_unit_system):
     data = make_data(np.full(24, 0.5))
     fo = build_hm(two_unit_system, data)
     sol = solved(fo)
-    prices, degenerate = compute_prices(fo, sol, periods("hm", 24), check_degeneracy=True)
+    prices, degenerate = compute_prices(fo, sol, two_unit_system, periods("hm", 24),
+                                        check_degeneracy=True)
     assert degenerate in (True, False)
-    assert prices[("p0", "b1")] == pytest.approx(10.0)
+    assert prices[0, 0] == pytest.approx(10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +339,9 @@ def test_case_result_refuses_unsolved_pricing_lp(battery_system, sin_data, monke
 
     monkeypatch.setattr(ScipySolver, "solve_lp", simplex_only)
     per = periods("hm", 48)
-    assert compute_prices(fo, sol, per)[1] is None
+    assert compute_prices(fo, sol, battery_system, per)[1] is None
     with pytest.raises(ValueError, match="'hm' \\(highs-ipm\\).*'error'"):
-        compute_prices(fo, sol, per, check_degeneracy=True)
+        compute_prices(fo, sol, battery_system, per, check_degeneracy=True)
     monkeypatch.setattr(ScipySolver, "solve_lp", lambda self, model, method="highs":
                         Solution(status="infeasible", message="stub"))
     with pytest.raises(ValueError, match="'hm' \\(highs\\).*'infeasible'"):

@@ -348,6 +348,23 @@ def test_load_solutions_refusals(tmp_path):
         load_solutions(tmp_path, ["ss"])
 
 
+def test_load_solutions_refuses_mistyped_header(tmp_path):
+    """A header value of the wrong type is an input error naming the file
+    and the key, not a TypeError in a later stage."""
+    sol_dir = tmp_path / "solutions"
+    save_solutions(tmp_path, {"ss": Solution("optimal", objective=1.0, values={"x": 1.0})},
+                   {"ss": {}})
+    header = json.loads((sol_dir / "ss.json").read_text())
+    for key, bad in (("status", 1), ("objective", "abc"), ("gap", None),
+                     ("wall_seconds", "slow"), ("wall_seconds", True), ("message", None)):
+        (sol_dir / "ss.json").write_text(json.dumps(dict(header, **{key: bad})))
+        with pytest.raises(ConfigError, match=rf"ss\.json: {key} must be") as err:
+            load_solutions(tmp_path, ["ss"])
+        assert err.value.exit_code == 2
+    (sol_dir / "ss.json").write_text(json.dumps(dict(header, objective=None)))
+    assert load_solutions(tmp_path, ["ss"])["ss"].objective is None
+
+
 def test_pipeline_deterministic(template_dir, tmp_path):
     config = load_scenario(template_dir / "scenario.json")
     config.states = 6
@@ -752,7 +769,7 @@ def test_bench_call_shapes_bind():
     m = storagg.MilpModel("m")
     m.add_var("x", integer=True)
     m.add_con("c_0", {"x": 2.0}, "<=", 1.0)
-    fo = storagg.FormulationOutput(model=m, kind="m", meta={})
+    fo = storagg.FormulationOutput(model=m, meta={"kind": "m"})
     assert [(v.name, v.integer) for v in fo.model.variables] == [("x", True)]
     assert [(con.name, con.idx) for con in fo.model.constraints] == [("c_0", [0])]
     assert (m.num_vars, m.num_cons, len(m.to_arrays()), fo.registry) == (1, 1, 7, ("x",))
