@@ -23,10 +23,14 @@ from .aggregation import load_artifacts, AggregationError
 from .formulations import BUILDER_KINDS
 
 
-def _add_common(parser: argparse.ArgumentParser, out_required: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("scenario", help="scenario config JSON")
-    parser.add_argument("-o", "--outdir", required=out_required,
-                        help="run output directory")
+    parser.add_argument("-o", "--outdir", required=True, help="run output directory")
+
+
+def _add_seed(parser: argparse.ArgumentParser) -> None:
+    """Only the stages that cluster take a seed: the others read the saved
+    clustering."""
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed")
 
@@ -58,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster hours and days, save artifacts")
     _add_common(p)
+    _add_seed(p)
 
     p = sub.add_parser("build", help="write model array + metadata files")
     _add_common(p)
@@ -85,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="all stages in sequence")
     _add_common(p)
+    _add_seed(p)
     _add_only(p)
     _add_solve_flags(p)
     p.add_argument("--no-prices", action="store_true",

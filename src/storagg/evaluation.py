@@ -391,38 +391,36 @@ def _error_pct(bench: float, cand: float, metric: str, absolute: list[str]) -> f
     return 100.0 * (bench - cand) / bench
 
 
-def _annual_production_by_tech(case: CaseResult, system: PowerSystem) -> dict[str, float]:
+def _by_tech(units, totals: dict[str, float]) -> dict[str, float]:
+    """Per-unit ``totals`` summed per technology, in unit order."""
     out: dict[str, float] = {}
-    for g in system.thermal:
-        out[g.technology] = out.get(g.technology, 0.0) + \
-            float(case.expansion.thermal_production[g.id].sum())
-    for s in system.storage:
-        out[s.technology] = out.get(s.technology, 0.0) + \
-            float(case.expansion.storage_discharge[s.id].sum())
-    out["renewable"] = float(sum(arr.sum() for arr in case.expansion.renewable_use.values()))
+    for unit in units:
+        out[unit.technology] = out.get(unit.technology, 0.0) + totals[unit.id]
     return out
 
 
-def _startups_by_tech(case: CaseResult, system: PowerSystem) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for g in system.thermal:
-        out[g.technology] = out.get(g.technology, 0.0) + case.startups.get(g.id, 0.0)
-    return out
+def _production(exp: HourlyExpansion, system: PowerSystem) -> dict[str, float]:
+    """Horizon output per technology, all renewable use under ``renewable``."""
+    series = {**exp.thermal_production, **exp.storage_discharge}
+    out = _by_tech([*system.thermal, *system.storage],
+                   {uid: float(q.sum()) for uid, q in series.items()})
+    return dict(out, renewable=float(sum(arr.sum() for arr in exp.renewable_use.values())))
+
+
+def _errors_pct(bench: dict[str, float], cand: dict[str, float], metric: str,
+                absolute: list[str]) -> dict[str, float]:
+    """``_error_pct`` of each key of ``bench``; a key ``cand`` lacks is 0."""
+    return {key: _error_pct(bench[key], cand.get(key, 0.0), f"{metric}[{key}]", absolute)
+            for key in bench}
 
 
 def compare(benchmark: CaseResult, candidate: CaseResult,
             system: PowerSystem) -> EvaluationReport:
     absolute: list[str] = []
-    bench_prod = _annual_production_by_tech(benchmark, system)
-    cand_prod = _annual_production_by_tech(candidate, system)
-    production = {tech: _error_pct(bench_prod[tech], cand_prod.get(tech, 0.0),
-                                   f"production[{tech}]", absolute)
-                  for tech in bench_prod}
-    bench_st = _startups_by_tech(benchmark, system)
-    cand_st = _startups_by_tech(candidate, system)
-    startups = {tech: _error_pct(bench_st[tech], cand_st.get(tech, 0.0),
-                                 f"startups[{tech}]", absolute)
-                for tech in bench_st}
+    production = _errors_pct(_production(benchmark.expansion, system),
+                             _production(candidate.expansion, system), "production", absolute)
+    startups = _errors_pct(_by_tech(system.thermal, benchmark.startups),
+                           _by_tech(system.thermal, candidate.startups), "startups", absolute)
     price_avg = price_max = price_min = price_lw = None
     if benchmark.expansion.prices is not None and candidate.expansion.prices is not None:
         bp, cp = benchmark.expansion.prices, candidate.expansion.prices
@@ -437,11 +435,9 @@ def compare(benchmark: CaseResult, candidate: CaseResult,
     bench_curt = float(sum(arr.sum() for arr in benchmark.expansion.curtailment().values()))
     cand_curt = float(sum(arr.sum() for arr in candidate.expansion.curtailment().values()))
     curtailment = _error_pct(bench_curt, cand_curt, "curtailment", absolute)
-    investment = {}
-    for uid in sorted(set(benchmark.investment) | set(candidate.investment)):
-        investment[uid] = _error_pct(benchmark.investment.get(uid, 0.0),
-                                     candidate.investment.get(uid, 0.0),
-                                     f"investment[{uid}]", absolute)
+    units = sorted(set(benchmark.investment) | set(candidate.investment))
+    investment = _errors_pct({uid: benchmark.investment.get(uid, 0.0) for uid in units},
+                             candidate.investment, "investment", absolute)
     return EvaluationReport(
         objective_error_pct=_error_pct(benchmark.objective, candidate.objective,
                                        "objective", absolute),

@@ -26,11 +26,11 @@ positional access; bulk readers (solution values, duals, the audit, MPS
 export) decode the whole blob once per call.  A model keeps no name ->
 position mapping and an addition does not check that its names are new:
 the builders' names are distinct by construction.  Names are checked to
-be distinct where they become keys: a solve's values and duals, an MPS
-file, a solution file and ``add_con``'s lookup.  A model file stores each
-name blob split into a template and its digit runs, and the CSR index
-arrays as first differences (see "array files" below); loading rebuilds
-the same blobs and buffers.  The sidecar written next to a model file
+be distinct where they become keys, by ``_keyed`` alone: a solve's values
+and duals, an MPS file, a solution file and ``add_con``'s lookup.  A model
+file stores each name blob split into a template and its digit runs, and
+the CSR index arrays as first differences (see "array files" below);
+loading rebuilds the same blobs and buffers.  The sidecar written next to a model file
 (``write_registry``) carries the model's name and its metadata only, as
 compact JSON.
 
@@ -248,7 +248,8 @@ class MilpModel:
         ModelError on a variable that is not in the model and has a non-zero
         coefficient, or if a variable name of the model repeats."""
         items = list(terms.items() if isinstance(terms, dict) else terms)
-        index = _index(self._var_names.tolist(), "variable")
+        names = self._var_names.tolist()
+        index = _keyed(names, range(len(names)), "variable")
         for var, coef in items:
             if coef != 0.0 and var not in index:
                 raise ModelError(f"constraint {name!r} references unknown variable {var!r}")
@@ -321,19 +322,15 @@ def _each(values, n: int, dtype=None) -> np.ndarray:
     return a if a.shape == (n,) else np.full(n, a, dtype=a.dtype)
 
 
-def _index(names: list[str], what: str) -> dict[str, int]:
-    index = {name: i for i, name in enumerate(names)}
-    if len(index) != len(names):      # a repeated name keeps its last position
-        dup = next(name for i, name in enumerate(names) if index[name] != i)
-        raise ModelError(f"duplicate {what} {dup!r}")
-    return index
-
-
-def _keyed(names: list[str], values: list, what: str) -> dict:
-    """``names`` mapped to ``values``; raises ModelError naming a repeat."""
+def _keyed(names: list[str], values, what: str, where=None) -> dict:
+    """``names`` mapped to ``values``; raises ModelError naming the first
+    name that repeats, after ``where`` (a file) when it is given."""
     out = dict(zip(names, values))
     if len(out) != len(names):
-        _index(names, what)
+        last = {name: i for i, name in enumerate(names)}
+        dup = next(name for i, name in enumerate(names) if last[name] != i)
+        prefix = "" if where is None else f"{where}: "
+        raise ModelError(f"{prefix}duplicate {what} {dup!r}")
     return out
 
 
@@ -604,10 +601,7 @@ def load_solution(path) -> dict[str, float]:
     with _reading(path, _SOLUTION, "solution") as read:
         values = read("values")
         names = _unpack_names(path, read, "names", len(values), "variable").tolist()
-    out = dict(zip(names, values.tolist()))
-    if len(out) != len(names):
-        raise ModelError(f"{path}: a variable name repeats")
-    return out
+    return _keyed(names, values.tolist(), "variable", path)
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +630,7 @@ def write_mps(model: MilpModel, path) -> None:
     """
     var_names, con_names = model._var_names.tolist(), model._con_names.tolist()
     for names, what in ((var_names, "variable"), (con_names, "constraint")):
-        if len(set(names)) != len(names):
-            _index(names, what)
+        _keyed(names, names, what)
     csc = model._csr().tocsc()
     colptr, rows, coefs = map(memoryview, (csc.indptr, csc.indices, csc.data))
     with open(path, "w") as fh:
@@ -699,6 +692,12 @@ def parse_mps(path) -> MilpModel:
     col_names, lb, ub, obj, integer, col_of = [], [], [], [], [], {}
     rows, cols, vals = array("i"), array("i"), array("d")
 
+    def index_rows() -> dict[str, int]:
+        try:
+            return _keyed(row_names, range(len(row_names)), "constraint", path)
+        except ModelError as exc:
+            raise ModelError(f"{exc} in ROWS") from None
+
     def column(var: str) -> int:
         if var not in col_of:
             col_of[var] = len(col_names)
@@ -716,6 +715,8 @@ def parse_mps(path) -> MilpModel:
             # disambiguates e.g. an RHS vector itself named "RHS"
             if not line[0].isspace() and tokens[0] in (
                     "NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA", "OBJSENSE"):
+                if section == "ROWS":       # the rows are looked up by name from here on
+                    row_of = index_rows()
                 section = tokens[0]
                 if section == "NAME":
                     name = tokens[1] if len(tokens) > 1 else "model"
@@ -729,9 +730,6 @@ def parse_mps(path) -> MilpModel:
                         if obj_row is None:
                             obj_row = row
                         continue
-                    if row in row_of:
-                        raise ModelError(f"{path}: duplicate constraint {row!r} in ROWS")
-                    row_of[row] = len(row_names)
                     row_names.append(row)
                     senses.append(_SENSES[_MPS_TAGS.index(tag)])
                     rhs.append(0.0)
@@ -776,6 +774,8 @@ def parse_mps(path) -> MilpModel:
             except (KeyError, IndexError, ValueError) as exc:
                 raise ModelError(f"{path}, line {number}: cannot read {line.strip()!r} "
                                  f"({type(exc).__name__}: {exc})") from None
+    if section == "ROWS":
+        index_rows()
     model = MilpModel(name)
     model.add_vars(col_names, lb, ub, obj, integer)
     model.add_rows(row_names, rows, cols, vals, senses, rhs)
@@ -838,30 +838,41 @@ def write_solution_file(sol: Solution, path) -> None:
 def parse_solution_file(path) -> Solution:
     """Read a file in the ``write_solution_file`` format.
 
-    Raises SolverError, naming the file and the line, if a solution with an
-    ok status lacks its ``objective`` or ``gap`` line.
+    Raises SolverError naming the file and also: the line, for a line whose
+    value is missing or not a number; the name, for a ``var`` or ``dual``
+    name given twice; the missing line, if a solution with an ok status
+    lacks its ``objective`` or ``gap`` line.
     """
     sol = Solution(status=STATUS_ERROR)
     seen = set()
+    keyed = {"var": ([], []), "dual": ([], [])}     # names and values, in file order
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             tokens = line.split()
             if not tokens:
                 continue
             key = tokens[0]
             seen.add(key)
-            if key == "status":
-                sol.status = tokens[1]
-            elif key == "objective":
-                sol.objective = float(tokens[1])
-            elif key == "gap":
-                sol.gap = float(tokens[1])
-            elif key == "var":
-                sol.values[tokens[1]] = float(tokens[2])
-            elif key == "dual":
-                if sol.duals is None:
-                    sol.duals = {}
-                sol.duals[tokens[1]] = float(tokens[2])
+            try:
+                if key == "status":
+                    sol.status = tokens[1]
+                elif key == "objective":
+                    sol.objective = float(tokens[1])
+                elif key == "gap":
+                    sol.gap = float(tokens[1])
+                elif key in keyed:
+                    value = float(tokens[2])
+                    keyed[key][0].append(tokens[1])
+                    keyed[key][1].append(value)
+            except (IndexError, ValueError) as exc:
+                raise SolverError(f"{path}, line {number}: cannot read {line.strip()!r} "
+                                  f"({type(exc).__name__}: {exc})") from None
+    try:
+        sol.values = _keyed(*keyed["var"], "variable", path)
+        if "dual" in seen:
+            sol.duals = _keyed(*keyed["dual"], "constraint", path)
+    except ModelError as exc:
+        raise SolverError(str(exc)) from None
     missing = [key for key in ("objective", "gap") if key not in seen]
     if sol.ok and missing:
         raise SolverError(f"{path}: {sol.status} solution lacks its {' and '.join(missing)} line")
@@ -905,10 +916,17 @@ def _highs_call(call, *args, **kwargs):
     return result
 
 
+def _timed_highs_call(call, *args, **kwargs) -> tuple:
+    """(result, wall seconds) of one ``_highs_call``."""
+    start = time.perf_counter()
+    result = _highs_call(call, *args, **kwargs)
+    return result, time.perf_counter() - start
+
+
 class ScipySolver:
     """In-process adapter over scipy's HiGHS bindings.
 
-    Each solve runs through ``_highs_call``, so repeated solves in one
+    Each solve runs through ``_timed_highs_call``, so repeated solves in one
     process keep a steady footprint.
     """
 
@@ -919,11 +937,10 @@ class ScipySolver:
         options = {"mip_rel_gap": float(gap)}
         if time_limit is not None:
             options["time_limit"] = float(time_limit)
-        start = time.perf_counter()
-        res = _highs_call(milp, c=c, integrality=integrality, bounds=Bounds(lb, ub),
-                          constraints=LinearConstraint(a, cl, cu) if model.num_cons else None,
-                          options=options)
-        wall = time.perf_counter() - start
+        res, wall = _timed_highs_call(
+            milp, c=c, integrality=integrality, bounds=Bounds(lb, ub),
+            constraints=LinearConstraint(a, cl, cu) if model.num_cons else None,
+            options=options)
         return self._wrap(model, res, wall)
 
     @staticmethod
@@ -949,8 +966,7 @@ class ScipySolver:
         return Solution(status=status, objective=objective, values=values,
                         gap=gap, wall_seconds=wall, message=str(res.message))
 
-    def solve_lp(self, model: MilpModel, time_limit: float | None = None,
-                 method: str = "highs") -> Solution:
+    def solve_lp(self, model: MilpModel, method: str = "highs") -> Solution:
         """Solve ignoring integrality and return duals as dObjective/dRHS
         of each constraint in its declared orientation."""
         from scipy.optimize import linprog
@@ -962,13 +978,9 @@ class ScipySolver:
         a = a.tocsr()
         a.data *= np.repeat(sign, np.diff(a.indptr))
         rhs = sign * np.where(np.isinf(cu), cl, cu)
-        options = {}
-        if time_limit is not None:
-            options["time_limit"] = float(time_limit)
-        start = time.perf_counter()
-        res = _highs_call(linprog, c, A_ub=a[~eq], b_ub=rhs[~eq], A_eq=a[eq], b_eq=rhs[eq],
-                          bounds=np.column_stack((lb, ub)), method=method, options=options)
-        wall = time.perf_counter() - start
+        res, wall = _timed_highs_call(
+            linprog, c, A_ub=a[~eq], b_ub=rhs[~eq], A_eq=a[eq], b_eq=rhs[eq],
+            bounds=np.column_stack((lb, ub)), method=method, options={})
         status_map = {0: STATUS_OPTIMAL, 2: STATUS_INFEASIBLE, 3: STATUS_UNBOUNDED}
         status = status_map.get(res.status, STATUS_ERROR)
         values, objective, duals = {}, None, None
@@ -989,7 +1001,9 @@ class ExternalSolver:
     The executable is invoked as ``exe model.mps solution.txt GAP TIME_LIMIT``
     and must write the documented ``key value`` solution format.  The path
     comes from the STORAGG_SOLVER_EXE environment variable unless given
-    explicitly.
+    explicitly.  An answer ``parse_solution_file`` refuses, or one with an
+    ok status that lacks a value for a variable of the model, raises
+    SolverError naming the solution file.
     """
 
     def __init__(self, exe: str | None = None):
@@ -1016,6 +1030,11 @@ class ExternalSolver:
                                 message=proc.stderr.strip() or
                                 f"external solver exited with {proc.returncode}")
             sol = parse_solution_file(out)
+            if sol.ok:
+                lacking = [name for name in model._var_names.tolist() if name not in sol.values]
+                if lacking:
+                    raise SolverError(f"{out}: {sol.status} solution has no value for "
+                                      f"variable {lacking[0]!r}")
             sol.wall_seconds = wall
             return sol
 

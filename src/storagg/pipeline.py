@@ -55,7 +55,7 @@ from .timeseries import (TimeHorizonData, HOURS_PER_DAY, WEEK_HOURS, load_horizo
 from .system import (PowerSystem, ThermalUnit, StorageUnit, Network,
                      OperatingConfig, load_system, save_system,
                      validate_system, SystemFormatError, SHORT_TERM, LONG_TERM,
-                     _number)
+                     _number, _check_types)
 from .aggregation import (aggregate, save_artifacts, load_artifacts, AggregationArtifacts,
                           AggregationError)
 from .milp import (save_model, load_model, write_registry, load_registry,
@@ -277,8 +277,8 @@ def stage_build(system: PowerSystem, data: TimeHorizonData,
 def load_built_model(outdir: Path, kind: str) -> FormulationOutput:
     """Reassemble a formulation from its ``.npz`` file and metadata sidecar.
 
-    Raises ConfigError, naming the file, if either is missing or damaged or
-    the sidecar lacks a key evaluation reads.
+    Raises ConfigError, naming the file, if either is missing or damaged,
+    the sidecar lacks a key evaluation reads or names another kind.
     """
     models_dir = Path(outdir) / "models"
     path = models_dir / f"{kind}.npz"
@@ -295,18 +295,14 @@ def load_built_model(outdir: Path, kind: str) -> FormulationOutput:
     missing = [key for key in required if key not in meta]
     if missing:
         raise ConfigError(f"model sidecar {side} lacks {missing}")
+    if meta["kind"] != kind:
+        raise ConfigError(f"model sidecar {side} is for kind {meta['kind']!r}, not {kind!r}")
     return FormulationOutput(model=model, meta=meta)
 
 
-# the keys of solutions/<kind>.json that rebuild a Solution, each with the test
-# its value must pass and what it asks for; the file also carries the audit
-_HEADER = {
-    "status": (lambda v: isinstance(v, str), "a string"),
-    "objective": (lambda v: v is None or _number(v), "a number or null"),
-    "gap": (_number, "a number"),
-    "wall_seconds": (_number, "a number"),
-    "message": (lambda v: isinstance(v, str), "a string"),
-}
+# the keys of solutions/<kind>.json that rebuild a Solution, whose field
+# annotations give the type each value must have; the file also carries the audit
+_HEADER = ("status", "objective", "gap", "wall_seconds", "message")
 
 
 def save_solutions(outdir: Path, solutions: dict[str, Solution],
@@ -390,11 +386,11 @@ def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
         missing = [key for key in _HEADER if key not in doc]
         if missing:
             raise ConfigError(f"solution header {path} lacks {missing}")
-        for key, (ok, what) in _HEADER.items():
-            if not ok(doc[key]):
-                raise ConfigError(f"solution header {path}: {key} must be {what}, "
-                                  f"got {doc[key]!r}")
         sol = Solution(**{key: doc[key] for key in _HEADER})
+        try:
+            _check_types(sol, f"solution header {path}")
+        except SystemFormatError as exc:
+            raise ConfigError(str(exc)) from None
         values = sol_dir / f"{kind}.npz"
         if values.exists():
             try:

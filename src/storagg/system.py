@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -181,22 +181,20 @@ def validate_system(system: PowerSystem) -> list[str]:
     """Return a list of human-readable invariant violations (empty when valid)."""
     issues: list[str] = []
     net = system.network
-    seen_buses = set()
-    for b in net.buses:
-        if not _ID_RE.match(b):
-            issues.append(f"bus id {b!r} is not a valid identifier")
-        if b in seen_buses:
-            issues.append(f"duplicate bus id {b!r}")
-        seen_buses.add(b)
+    units = list(system.thermal) + list(system.storage)
+    for what, ids in (("bus", net.buses), ("unit", [u.id for u in units]),
+                      ("circuit", [c.id for c in net.circuits])):
+        seen = set()
+        for i in ids:
+            if not _ID_RE.match(i):
+                issues.append(f"{what} id {i!r} is not a valid identifier")
+            if i in seen:
+                issues.append(f"duplicate {what} id {i!r}")
+            seen.add(i)
+    seen_buses = set(net.buses)
     if net.slack_bus not in seen_buses:
         issues.append(f"slack bus {net.slack_bus!r} is not declared")
-    seen_units: set[str] = set()
-    for u in list(system.thermal) + list(system.storage):
-        if not _ID_RE.match(u.id):
-            issues.append(f"unit id {u.id!r} is not a valid identifier")
-        if u.id in seen_units:
-            issues.append(f"duplicate unit id {u.id!r}")
-        seen_units.add(u.id)
+    for u in units:
         if u.bus not in seen_buses:
             issues.append(f"unit {u.id!r} sits on unknown bus {u.bus!r}")
     for t in system.thermal:
@@ -219,13 +217,7 @@ def validate_system(system: PowerSystem) -> list[str]:
             issues.append(f"storage {s.id!r}: need epr_min <= epr_max")
         if s.investable and s.inv_cost < 0:
             issues.append(f"storage {s.id!r}: investment cost must be non-negative")
-    seen_circuits = set()
     for c in net.circuits:
-        if not _ID_RE.match(c.id):
-            issues.append(f"circuit id {c.id!r} is not a valid identifier")
-        if c.id in seen_circuits:
-            issues.append(f"duplicate circuit id {c.id!r}")
-        seen_circuits.add(c.id)
         for b in (c.from_bus, c.to_bus):
             if b not in seen_buses:
                 issues.append(f"circuit {c.id!r} references unknown bus {b!r}")
@@ -344,15 +336,10 @@ def load_system(path) -> PowerSystem:
         for unit in units:
             _check_types(unit, f"{path}: {label} {unit.id!r}")
     _check_types(system.config, f"{path}: config")
-    if network.circuits and network.isf is None:
-        has_x = all(c.reactance is not None for c in network.circuits)
-        if has_x:
-            system = PowerSystem(
-                thermal=system.thermal, storage=system.storage,
-                network=Network(buses=network.buses, slack_bus=network.slack_bus,
-                                circuits=network.circuits,
-                                isf=compute_isf_from_reactances(network)),
-                config=system.config)
+    if network.circuits and network.isf is None and all(
+            c.reactance is not None for c in network.circuits):
+        system = replace(system, network=replace(
+            network, isf=compute_isf_from_reactances(network)))
     issues = validate_system(system)
     if issues:
         raise SystemFormatError(f"{path}: " + "; ".join(issues))

@@ -58,20 +58,16 @@ class TimeHorizonData:
     inflows: np.ndarray          # (P, n_storage) GWh
 
     def __post_init__(self):
-        demand = np.asarray(self.demand, dtype=float)
-        renew = np.asarray(self.renewable_avail, dtype=float)
-        inflows = np.asarray(self.inflows, dtype=float)
-        object.__setattr__(self, "demand", demand)
-        object.__setattr__(self, "renewable_avail", renew)
-        object.__setattr__(self, "inflows", inflows)
-        p = demand.shape[0]
-        if demand.shape != (p, len(self.nodes)):
-            raise DataFormatError(f"demand has shape {demand.shape}, expected ({p}, {len(self.nodes)})")
-        if renew.shape != (p, len(self.nodes)):
-            raise DataFormatError(f"renewables cover {renew.shape[0]} hours, demand covers {p}")
-        if inflows.shape != (p, len(self.storage_ids)):
-            raise DataFormatError(
-                f"inflows have shape {inflows.shape}, expected ({p}, {len(self.storage_ids)})")
+        p = np.shape(self.demand)[0]
+        for attr, label, columns in (("demand", "demand", self.nodes),
+                                     ("renewable_avail", "renewables", self.nodes),
+                                     ("inflows", "inflows", self.storage_ids)):
+            arr = np.asarray(getattr(self, attr), dtype=float)
+            object.__setattr__(self, attr, arr)
+            if arr.shape[:1] != (p,):
+                raise DataFormatError(f"{label} cover {arr.shape[0]} hours but demand covers {p}")
+            if arr.shape != (p, len(columns)):
+                raise DataFormatError(f"{label}: shape {arr.shape}, expected ({p}, {len(columns)})")
 
     @property
     def horizon_hours(self) -> int:
@@ -216,11 +212,6 @@ def load_horizon(demand_path, renewables_path, inflows_path,
     if nodes is None and d_cols != r_cols:
         raise DataFormatError(
             f"demand columns {d_cols} do not match renewables columns {r_cols}")
-    p = demand.shape[0]
-    for label, arr in (("renewables", renew), ("inflows", inflows)):
-        if arr.shape[0] != p:
-            raise DataFormatError(
-                f"{label} cover {arr.shape[0]} hours but demand covers {p}")
     data = TimeHorizonData(nodes=d_cols, storage_ids=i_cols,
                            demand=demand, renewable_avail=renew, inflows=inflows)
     data.validate()

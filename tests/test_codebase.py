@@ -62,14 +62,13 @@ def test_unread_parameter_scan_sees_what_it_should(tmp_path):
         ("m.py", "<lambda>", "f")}
 
 
-def call_sites(name: str, roots) -> set[tuple[str, str]]:
-    """(file, enclosing function or ``<module>``) of every call of ``name``,
-    bare or as an attribute, in the Python files under ``roots``."""
+def sites(match, roots) -> set[tuple[str, str]]:
+    """(file, enclosing function or ``<module>``) of every node for which
+    ``match`` holds, in the Python files under ``roots``."""
     found = set()
 
     def visit(node, path, where):
-        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
-                                                   getattr(node.func, "attr", None)):
+        if match(node):
             found.add((path, where))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
@@ -81,6 +80,18 @@ def call_sites(name: str, roots) -> set[tuple[str, str]]:
             visit(ast.parse(path.read_text(), filename=str(path)),
                   path.relative_to(REPO).as_posix(), "<module>")
     return found
+
+
+def call_sites(name: str, roots) -> set[tuple[str, str]]:
+    """``sites`` of every call of ``name``, bare or as an attribute."""
+    return sites(lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)), roots)
+
+
+def read_sites(name: str, roots) -> set[tuple[str, str]]:
+    """``sites`` of every read of the bare ``name``."""
+    return sites(lambda node: isinstance(node, ast.Name) and node.id == name
+                 and isinstance(node.ctx, ast.Load), roots)
 
 
 def test_one_builder_of_the_chronology_matrices():
@@ -120,6 +131,26 @@ def test_call_site_scan_sees_builders():
     """The scan of the test above finds the bulk calls it stands beside."""
     assert ("src/storagg/formulations/common.py", "tile_rows") in \
         call_sites("add_rows", [SRC / "storagg" / "formulations"])
+
+
+def test_one_home_per_rule():
+    """Each of these rules is spelled in one place: HiGHS is reached only
+    through the adapter's timed call; ids are checked as identifiers in
+    ``validate_system``'s one loop over buses, units and circuits; the
+    solution header's types come from the ``Solution`` annotations through
+    the checker the system file uses; a repeated name is refused only by
+    ``_keyed``, the one place names become keys."""
+    roots = [SRC, REPO / "demos"]
+    assert call_sites("_highs_call", roots) == {("src/storagg/milp.py", "_timed_highs_call")}
+    assert read_sites("_ID_RE", roots) == {("src/storagg/system.py", "validate_system")}
+    assert ("src/storagg/pipeline.py", "load_solutions") in call_sites("_check_types", roots)
+
+    def duplicate_error(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ModelError"
+                and any(isinstance(part, ast.Constant) and "duplicate" in str(part.value)
+                        for arg in node.args for part in ast.walk(arg)))
+
+    assert sites(duplicate_error, roots) == {("src/storagg/milp.py", "_keyed")}
 
 
 @pytest.mark.parametrize("demo", sorted((REPO / "demos").glob("*.py")),

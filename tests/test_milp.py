@@ -698,6 +698,39 @@ def test_external_solver_missing_exe():
         ExternalSolver("")
 
 
+ANSWER_STUB = """#!{python}
+import sys
+with open(sys.argv[2], "w") as fh:
+    fh.write({text!r})
+"""
+
+OK_HEADER = "status optimal\nobjective 1.0\ngap 0.0\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("status optimal\nobjective\ngap 0.0\n", "line 2: cannot read 'objective'"),
+    (OK_HEADER + "var x abc\n", "line 4: cannot read 'var x abc'"),
+    ("status\n", "line 1: cannot read 'status'"),
+    (OK_HEADER + "dual c1\n", "line 4: cannot read 'dual c1'"),
+    (OK_HEADER + "var x 1.0\nvar x 2.0\n", "duplicate variable 'x'"),
+    (OK_HEADER + "dual c1 1.0\ndual c1 2.0\n", "duplicate constraint 'c1'"),
+    (OK_HEADER + "var x 1.0\nvar y 0.0\nvar z 1.0\n",
+     "optimal solution has no value for variable 'w'"),
+], ids=["no-objective-value", "non-numeric-var", "no-status-value", "short-dual",
+        "repeated-var", "repeated-dual", "missing-var"])
+def test_external_answer_is_checked_where_it_enters(tmp_path, text, message):
+    """An external solver's answer that cannot be read, repeats a name or,
+    with an ok status, lacks a variable of the model is a SolverError naming
+    the solution file (and the line), not a bare IndexError or ValueError,
+    nor a ModelError from the audit that reads every variable."""
+    stub = tmp_path / "answer.py"
+    stub.write_text(ANSWER_STUB.format(python=sys.executable, text=text))
+    stub.chmod(0o755)
+    with pytest.raises(SolverError) as info:
+        ExternalSolver(str(stub)).solve(toy_model())
+    assert "solution.txt" in str(info.value) and message in str(info.value)
+
+
 def test_external_solver_failure_is_reported(tmp_path):
     stub = tmp_path / "broken.py"
     stub.write_text(f"#!{sys.executable}\nimport sys; sys.exit(9)\n")

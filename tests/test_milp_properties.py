@@ -332,6 +332,9 @@ def test_solution_file_refusals(tmp_path):
         with pytest.raises(ModelError, match="bad.npz"):
             load_solution(tmp_path / "bad.npz")
             pytest.fail(f"{case} was accepted")
+    np.savez(tmp_path / "bad.npz", **dict(arrays, **_pack_names(b"a1\na1", "names")))
+    with pytest.raises(ModelError, match=r"bad\.npz: duplicate variable 'a1'"):
+        load_solution(tmp_path / "bad.npz")
     (tmp_path / "bad.npz").write_bytes(b"not a zip")
     with pytest.raises(ModelError, match="not a solution file"):
         load_solution(tmp_path / "bad.npz")

@@ -17,11 +17,11 @@ import storagg
 from storagg import (emit_scenario_template, load_scenario, save_scenario,
                      run_pipeline, load_system, load_horizon, validate_system,
                      ConfigError, ScenarioConfig, Solution, write_mps, write_registry)
-from storagg.cli import main as cli_main
+from storagg.cli import main as cli_main, build_parser
 from storagg.pipeline import stage_ingest, stage_cluster, stage_build, \
     stage_solve, stage_report, load_built_model, save_solutions, load_solutions
 
-from test_milp import _parent_layout
+from test_milp import ANSWER_STUB, OK_HEADER, _parent_layout
 
 
 @pytest.fixture(scope="module")
@@ -463,6 +463,36 @@ def test_cli_template_and_run(tmp_path):
     assert "objective" in proc.stdout
 
 
+def test_cli_seed_only_where_clustering_happens(capsys):
+    """``--seed`` picks the clustering, so only ``cluster`` and ``run`` take
+    it; ``build``, ``solve`` and ``evaluate`` read the saved clustering and
+    refuse the flag (exit 2) rather than accept and ignore it."""
+    for command in ("build", "solve", "evaluate"):
+        with pytest.raises(SystemExit) as info:
+            cli_main([command, "scenario.json", "-o", "out", "--seed", "3"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    for command in ("cluster", "run"):
+        assert build_parser().parse_args([command, "s.json", "-o", "o", "--seed", "3"]).seed == 3
+
+
+def test_cli_external_answer_without_a_variable_exits_3(run_result, template_dir, tmp_path,
+                                                         capsys):
+    """An ok external answer that lacks a variable of the model is a solve
+    failure (exit 3) naming the solution file, not a traceback (exit 1)."""
+    _, outdir, _ = run_result
+    out = tmp_path / "out"
+    shutil.copytree(outdir, out)
+    stub = tmp_path / "answer.py"
+    stub.write_text(ANSWER_STUB.format(python=sys.executable, text=OK_HEADER))
+    stub.chmod(0o755)
+    capsys.readouterr()
+    assert cli_main(["solve", str(template_dir / "scenario.json"), "-o", str(out),
+                     "--only", "ss", "--solver", f"external:{stub}"]) == 3
+    err = capsys.readouterr().err
+    assert "solution.txt: optimal solution has no value for variable" in err
+
+
 def test_cli_bad_scenario_exits_2(tmp_path):
     bad = tmp_path / "scenario.json"
     bad.write_text(json.dumps({"demand": "missing.csv"}))
@@ -648,7 +678,8 @@ def test_cli_evaluate_of_failed_solution_exits_3(tmp_path):
 def test_cli_refuses_files_in_the_parent_layout(tmp_path):
     """A model or solution file written before names were split into digit
     runs is refused as an input error (exit 2): there is no reader for it.
-    So is a model sidecar that is not JSON or lacks a key."""
+    So is a model sidecar that is not JSON, lacks a key or names another
+    kind than its file name."""
     scen = tmp_path / "scen"
     run_cli("template", "-o", str(scen), "--days", "2")
     out, cfg = tmp_path / "out", str(scen / "scenario.json")
@@ -671,7 +702,9 @@ def test_cli_refuses_files_in_the_parent_layout(tmp_path):
     run_cli("build", cfg, "-o", str(out), "--only", "ss")
     side = out / "models" / "ss.registry.json"
     for damaged, message in (('{"meta": {"kind"', "ss.registry.json: not a model sidecar"),
-                             ('{"meta": {"kind": "ss"}}', "ss.registry.json lacks ['invest']")):
+                             ('{"meta": {"kind": "ss"}}', "ss.registry.json lacks ['invest']"),
+                             ('{"meta": {"kind": "rp", "invest": false}}',
+                              "ss.registry.json is for kind 'rp', not 'ss'")):
         side.write_text(damaged)
         proc = run_cli("solve", cfg, "-o", str(out), "--only", "ss")
         assert proc.returncode == 2, proc.stderr
