@@ -20,13 +20,10 @@ from .aggregation import (StateClustering, RepPeriodClustering,
                           default_checkpoints, aggregate,
                           save_artifacts, load_artifacts)
 from .milp import (MilpModel, Variable, Constraint, Solution, ModelError,
-                   SolverError, ScipySolver, ExternalSolver, get_solver,
-                   solve, fix_and_relax, save_model, load_model,
-                   save_solution, load_solution,
-                   write_mps, parse_mps,
-                   write_registry, load_registry, write_solution_file,
-                   parse_solution_file, audit_constraints,
-                   constraint_families, SOLVER_ENV_VAR)
+                   ScipySolver, solve, fix_and_relax, save_model, load_model,
+                   save_solution, load_solution, write_mps, parse_mps,
+                   write_registry, load_registry, audit_constraints,
+                   constraint_families)
 from .formulations import (FormulationOutput, Periods, periods, build_hm,
                            build_ss, build_rp, build_ss_rfm, build_rp_tmci,
                            BUILDER_KINDS)

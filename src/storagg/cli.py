@@ -3,7 +3,7 @@
 Every stage subcommand takes a scenario config and an output directory and
 leaves its artifacts on disk, so stages can be run one at a time or all at
 once with ``run``.  Exit codes: 0 success, 2 bad configuration or input
-data, 3 solver failure, 4 model infeasible.
+data, 3 a solve that does not end in an ok status, 4 model infeasible.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-from .milp import SolverError
 from .pipeline import (PipelineError, ConfigError, ScenarioConfig,
                        load_scenario, check_knobs, load_built_model,
                        load_solutions, stage_ingest, stage_cluster, stage_build,
@@ -36,8 +35,6 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--solver", default=None,
-                        help="solver spec: scipy (default), external, external:/path")
     parser.add_argument("--gap", type=float, default=None,
                         help="relative MIP gap override")
     parser.add_argument("--workers", type=int, default=1,
@@ -106,6 +103,8 @@ def _load(args) -> ScenarioConfig:
     if getattr(args, "gap", None) is not None:
         check_knobs({"gap": args.gap})
         config.gap = args.gap
+    if getattr(args, "workers", 1) < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {args.workers!r}")
     return config
 
 
@@ -161,8 +160,7 @@ def cmd_build(args) -> int:
 
 def cmd_solve(args) -> int:
     config = _load(args)
-    solutions = stage_solve(config, Path(args.outdir), only=args.only,
-                            solver=args.solver, workers=args.workers)
+    solutions = stage_solve(config, Path(args.outdir), only=args.only, workers=args.workers)
     for kind, sol in solutions.items():
         print(f"{kind}: {sol.status}, objective {sol.objective:.4f}, "
               f"{sol.wall_seconds:.2f}s")
@@ -222,8 +220,7 @@ def cmd_template(args) -> int:
 
 def cmd_run(args) -> int:
     config = _load(args)
-    result = run_pipeline(config, Path(args.outdir), only=args.only,
-                          solver=args.solver, workers=args.workers,
+    result = run_pipeline(config, Path(args.outdir), only=args.only, workers=args.workers,
                           with_prices=not args.no_prices)
     for kind, sol in result.solutions.items():
         print(f"{kind}: {sol.status}, objective {sol.objective:.4f}, "
@@ -254,9 +251,6 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -1,13 +1,13 @@
-"""Solver-agnostic mixed-integer linear model container.
+"""Mixed-integer linear model container and its HiGHS solve.
 
 A model is a list of named variables (bounds, objective coefficient,
 integrality) and named sparse constraints with a sense in {<=, =, >=}; the
 objective is always minimized.  Models are stored between pipeline stages as
 compressed array files (``save_model``/``load_model``), and so are the values
 of their solutions (``save_solution``/``load_solution``).  Models are solved
-in-process through scipy's HiGHS interface, or handed to an external solver
-executable that communicates via an MPS file (``write_mps``; ``parse_mps``
-reads it back) and a plain-text solution file.
+in-process through scipy's HiGHS interface (``ScipySolver``).  A model can
+also be exported as an MPS file (``write_mps``; ``parse_mps`` reads it back),
+a library function that no pipeline stage calls.
 
 Variables are stored as columns (packed names, ``array('d')`` bounds and
 objective, a ``bytearray`` of integer flags) and constraints as CSR rows
@@ -27,7 +27,7 @@ export) decode the whole blob once per call.  A model keeps no name ->
 position mapping and an addition does not check that its names are new:
 the builders' names are distinct by construction.  Names are checked to
 be distinct where they become keys, by ``_keyed`` alone: a solve's values
-and duals, an MPS file, a solution file and ``add_con``'s lookup.  A model
+and duals, an MPS file, a solution values file and ``add_con``'s lookup.  A model
 file stores each name blob split into a template and its digit runs, and
 the CSR index arrays as first differences (see "array files" below);
 loading rebuilds the same blobs and buffers.  The sidecar written next to a model file
@@ -44,15 +44,12 @@ from __future__ import annotations
 import copy
 import ctypes
 import json
-import os
-import tempfile
 import time
 import zipfile
 from array import array
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -71,14 +68,7 @@ STATUS_UNBOUNDED = "unbounded"
 STATUS_ERROR = "error"
 OK_STATUSES = (STATUS_OPTIMAL, STATUS_GAP_LIMIT, STATUS_TIME_LIMIT)
 
-SOLVER_ENV_VAR = "STORAGG_SOLVER_EXE"
-
-
 class ModelError(ValueError):
-    pass
-
-
-class SolverError(RuntimeError):
     pass
 
 
@@ -508,12 +498,13 @@ def _reading(path, spec: dict, what: str):
     """Open an ``.npz`` file and yield ``read(key)``, which reads one of the
     arrays ``spec`` names without unpickling and checks it is 1-D of its
     dtype.  Members are read one at a time, so a loader holds only what it
-    has decoded so far.  A file that lacks a member is not a ``what`` file."""
+    has decoded so far.  A file that is not a zip archive, or lacks a
+    member, is not a ``what`` file."""
     try:
         npz = np.load(path, allow_pickle=False)
         missing = [key for key in spec if key not in npz.files]
-    except (AttributeError, ValueError, zipfile.BadZipFile) as exc:
-        raise ModelError(f"{path}: not a {what} file: {exc}") from None
+    except (AttributeError, ValueError, zipfile.BadZipFile):
+        raise ModelError(f"{path}: not a {what} file: not an .npz archive") from None
     with npz:
         if missing:
             raise ModelError(f"{path}: not a {what} file: it lacks {', '.join(missing)}")
@@ -521,8 +512,8 @@ def _reading(path, spec: dict, what: str):
         def read(key: str) -> np.ndarray:
             try:
                 a = npz[key]
-            except ValueError as exc:          # an object array
-                raise ModelError(f"{path}: not a {what} file: {exc}") from None
+            except ValueError:                 # an object array
+                raise ModelError(f"{path}: not a {what} file: {key} holds objects") from None
             if a.dtype != spec[key] or a.ndim != 1:
                 raise ModelError(f"{path}: {key} is {a.dtype} of shape {a.shape}, "
                                  f"expected 1-D {np.dtype(spec[key])}")
@@ -821,66 +812,8 @@ class Solution:
         return self.status in OK_STATUSES
 
 
-def write_solution_file(sol: Solution, path) -> None:
-    """Plain-text solution interchange: one ``key value`` pair per line."""
-    with open(path, "w") as fh:
-        fh.write(f"status {sol.status}\n")
-        if sol.objective is not None:
-            fh.write(f"objective {_num(sol.objective)}\n")
-        fh.write(f"gap {_num(sol.gap)}\n")
-        for name in sol.values:
-            fh.write(f"var {name} {_num(sol.values[name])}\n")
-        if sol.duals:
-            for name in sol.duals:
-                fh.write(f"dual {name} {_num(sol.duals[name])}\n")
-
-
-def parse_solution_file(path) -> Solution:
-    """Read a file in the ``write_solution_file`` format.
-
-    Raises SolverError naming the file and also: the line, for a line whose
-    value is missing or not a number; the name, for a ``var`` or ``dual``
-    name given twice; the missing line, if a solution with an ok status
-    lacks its ``objective`` or ``gap`` line.
-    """
-    sol = Solution(status=STATUS_ERROR)
-    seen = set()
-    keyed = {"var": ([], []), "dual": ([], [])}     # names and values, in file order
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            key = tokens[0]
-            seen.add(key)
-            try:
-                if key == "status":
-                    sol.status = tokens[1]
-                elif key == "objective":
-                    sol.objective = float(tokens[1])
-                elif key == "gap":
-                    sol.gap = float(tokens[1])
-                elif key in keyed:
-                    value = float(tokens[2])
-                    keyed[key][0].append(tokens[1])
-                    keyed[key][1].append(value)
-            except (IndexError, ValueError) as exc:
-                raise SolverError(f"{path}, line {number}: cannot read {line.strip()!r} "
-                                  f"({type(exc).__name__}: {exc})") from None
-    try:
-        sol.values = _keyed(*keyed["var"], "variable", path)
-        if "dual" in seen:
-            sol.duals = _keyed(*keyed["dual"], "constraint", path)
-    except ModelError as exc:
-        raise SolverError(str(exc)) from None
-    missing = [key for key in ("objective", "gap") if key not in seen]
-    if sol.ok and missing:
-        raise SolverError(f"{path}: {sol.status} solution lacks its {' and '.join(missing)} line")
-    return sol
-
-
 # ---------------------------------------------------------------------------
-# solve adapters
+# solving
 # ---------------------------------------------------------------------------
 
 try:
@@ -995,66 +928,8 @@ class ScipySolver:
                         gap=0.0, wall_seconds=wall, duals=duals, message=str(res.message))
 
 
-class ExternalSolver:
-    """Adapter around a solver executable exchanging MPS and solution files.
-
-    The executable is invoked as ``exe model.mps solution.txt GAP TIME_LIMIT``
-    and must write the documented ``key value`` solution format.  The path
-    comes from the STORAGG_SOLVER_EXE environment variable unless given
-    explicitly.  An answer ``parse_solution_file`` refuses, or one with an
-    ok status that lacks a value for a variable of the model, raises
-    SolverError naming the solution file.
-    """
-
-    def __init__(self, exe: str | None = None):
-        exe = exe or os.environ.get(SOLVER_ENV_VAR)
-        if not exe:
-            raise SolverError(
-                f"external solver requested but {SOLVER_ENV_VAR} is not set")
-        self.exe = exe
-
-    def solve(self, model: MilpModel, gap: float = 0.0,
-              time_limit: float | None = None) -> Solution:
-        import subprocess   # solve-time only: `import storagg` does not load it
-        with tempfile.TemporaryDirectory(prefix="storagg_solve_") as tmp:
-            mps = Path(tmp) / "model.mps"
-            out = Path(tmp) / "solution.txt"
-            write_mps(model, mps)
-            cmd = [self.exe, str(mps), str(out), repr(float(gap)),
-                   repr(float(time_limit)) if time_limit else "0"]
-            start = time.perf_counter()
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            wall = time.perf_counter() - start
-            if proc.returncode != 0 or not out.exists():
-                return Solution(status=STATUS_ERROR, wall_seconds=wall,
-                                message=proc.stderr.strip() or
-                                f"external solver exited with {proc.returncode}")
-            sol = parse_solution_file(out)
-            if sol.ok:
-                lacking = [name for name in model._var_names.tolist() if name not in sol.values]
-                if lacking:
-                    raise SolverError(f"{out}: {sol.status} solution has no value for "
-                                      f"variable {lacking[0]!r}")
-            sol.wall_seconds = wall
-            return sol
-
-
-def get_solver(spec: str | None = None):
-    """Map a solver spec to an adapter: None/"scipy" in-process, "external"
-    (or "external:/path/to/exe") the file-based adapter."""
-    if spec in (None, "", "scipy"):
-        return ScipySolver()
-    if spec == "external":
-        return ExternalSolver()
-    if spec.startswith("external:"):
-        return ExternalSolver(spec.split(":", 1)[1])
-    raise SolverError(f"unknown solver {spec!r}")
-
-
-def solve(model: MilpModel, gap: float = 0.0, time_limit: float | None = None,
-          solver=None) -> Solution:
-    adapter = solver if solver is not None and not isinstance(solver, str) else get_solver(solver)
-    return adapter.solve(model, gap=gap, time_limit=time_limit)
+def solve(model: MilpModel, gap: float = 0.0, time_limit: float | None = None) -> Solution:
+    return ScipySolver().solve(model, gap=gap, time_limit=time_limit)
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,10 @@ the whole model for the solver.  Evaluation also needs the period layout, the
 map from real hours to model periods, and derives it
 (``formulations.common.periods``) from ``agg/artifacts.json``; the sidecar
 does not repeat it.  A damaged artifacts file or sidecar is an input error
-(ConfigError) naming the file.  MPS is written only by the external-solver
-adapter, into a temporary file of its own.  A solution is stored the same
-way: a small JSON header, which the audit rides along in, beside its values
-as arrays, and ``load_solutions`` rebuilds it from the two.
+(ConfigError) naming the file.  A solution is stored the same way: a small
+JSON header, which the audit rides along in, beside its values as arrays,
+and ``load_solutions`` rebuilds it from the two.  No stage writes MPS:
+``milp.write_mps`` is a library export only.
 """
 
 from __future__ import annotations
@@ -56,11 +56,10 @@ from .system import (PowerSystem, ThermalUnit, StorageUnit, Network,
                      OperatingConfig, load_system, save_system,
                      validate_system, SystemFormatError, SHORT_TERM, LONG_TERM,
                      _number, _check_types)
-from .aggregation import (aggregate, save_artifacts, load_artifacts, AggregationArtifacts,
-                          AggregationError)
+from .aggregation import aggregate, save_artifacts, AggregationArtifacts, AggregationError
 from .milp import (save_model, load_model, write_registry, load_registry,
-                   save_solution, load_solution, Solution, get_solver,
-                   SolverError, ModelError, audit_constraints, STATUS_INFEASIBLE, trim_heap)
+                   save_solution, load_solution, Solution, ScipySolver,
+                   ModelError, audit_constraints, STATUS_INFEASIBLE, trim_heap)
 # not called here: bench/tracing.py wraps these two by name on this module
 from .milp import write_mps, parse_mps  # noqa: F401
 from .formulations import (FormulationOutput, build_hm, build_ss, build_rp,
@@ -329,15 +328,18 @@ def save_solutions(outdir: Path, solutions: dict[str, Solution],
 
 
 def stage_solve(config: ScenarioConfig, outdir: Path,
-                only: list[str] | None = None, solver: str | None = None,
-                workers: int = 1) -> dict[str, Solution]:
-    """Solve every built model, re-reading it from the interchange files."""
+                only: list[str] | None = None, workers: int = 1) -> dict[str, Solution]:
+    """Solve every built model, re-reading it from the interchange files.
+    Each selected kind's solution files go first, so a failed stage leaves
+    none of an earlier solve to be evaluated as if current."""
     kinds = config.selected_kinds(only)
-    adapter = get_solver(solver)
+    for kind in kinds:
+        for suffix in (".json", ".npz"):
+            (Path(outdir) / "solutions" / f"{kind}{suffix}").unlink(missing_ok=True)
 
     def run(kind: str) -> tuple[str, Solution, dict]:
         fo = load_built_model(outdir, kind)
-        sol = adapter.solve(fo.model, gap=config.gap, time_limit=config.time_limit)
+        sol = ScipySolver().solve(fo.model, gap=config.gap, time_limit=config.time_limit)
         audit = audit_constraints(fo.model, sol.values) if sol.ok else {}
         return kind, sol, audit
 
@@ -529,8 +531,7 @@ class RunResult:
 
 
 def run_pipeline(config: ScenarioConfig, outdir, only: list[str] | None = None,
-                 solver: str | None = None, workers: int = 1,
-                 with_prices: bool = True) -> RunResult:
+                 workers: int = 1, with_prices: bool = True) -> RunResult:
     """All stages in sequence under ``outdir``; see the module docstring."""
     started = time.perf_counter()
     outdir = Path(outdir)
@@ -538,7 +539,7 @@ def run_pipeline(config: ScenarioConfig, outdir, only: list[str] | None = None,
     system, data = stage_ingest(config)
     artifacts = stage_cluster(system, data, config, outdir)
     outputs = stage_build(system, data, artifacts, config, outdir, only=only)
-    solutions = stage_solve(config, outdir, only=only, solver=solver, workers=workers)
+    solutions = stage_solve(config, outdir, only=only, workers=workers)
     # evaluation prices the built models, already in memory; the copies the
     # solve stage re-read from disk hold the same arrays
     cases, reports = stage_evaluate(system, data, artifacts, config,

@@ -153,6 +153,42 @@ def test_one_home_per_rule():
     assert sites(duplicate_error, roots) == {("src/storagg/milp.py", "_keyed")}
 
 
+def imports_of(*modules: str):
+    """A ``sites`` matcher of an import of any of ``modules`` or their
+    submodules."""
+    def match(node) -> bool:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            return False
+        return any(name.split(".")[0] in modules for name in names)
+    return match
+
+
+def test_no_child_process_and_no_scratch_files():
+    """The package starts no child process and keeps no temporary files: its
+    one solver runs in-process, and what it writes goes under the run
+    directory.  So no module imports ``subprocess`` or ``tempfile``."""
+    assert sites(imports_of("subprocess", "tempfile"), [SRC]) == set()
+    assert ("src/storagg/milp.py", "<module>") in sites(imports_of("zipfile"), [SRC])
+
+
+def test_one_solver():
+    """HiGHS, run in-process, is the one solver: the file-based adapter and
+    its names are gone, and no function takes a ``solver`` to pick another."""
+    import storagg
+    gone = ("ExternalSolver", "get_solver", "SolverError", "SOLVER_ENV_VAR")
+    assert [name for name in gone if hasattr(storagg, name) or hasattr(storagg.milp, name)] == []
+
+    def takes_solver(node) -> bool:
+        return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            arg.arg == "solver" for arg in node.args.args + node.args.kwonlyargs)
+
+    assert sites(takes_solver, [SRC]) == set()
+
+
 @pytest.mark.parametrize("demo", sorted((REPO / "demos").glob("*.py")),
                          ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):

@@ -338,6 +338,10 @@ def test_solution_file_refusals(tmp_path):
     (tmp_path / "bad.npz").write_bytes(b"not a zip")
     with pytest.raises(ModelError, match="not a solution file"):
         load_solution(tmp_path / "bad.npz")
+    (tmp_path / "bad.npz").write_bytes(b"junk")
+    with pytest.raises(ModelError, match=r"not a solution file: not an \.npz archive$") as info:
+        load_solution(tmp_path / "bad.npz")
+    assert "allow_pickle" not in str(info.value)
     with pytest.raises(ModelError, match="newline"):
         save_solution(Solution("optimal", values={"a": 1.0, "b\nc": 2.0}), path)
 

@@ -21,7 +21,7 @@ from storagg.cli import main as cli_main, build_parser
 from storagg.pipeline import stage_ingest, stage_cluster, stage_build, \
     stage_solve, stage_report, load_built_model, save_solutions, load_solutions
 
-from test_milp import ANSWER_STUB, OK_HEADER, _parent_layout
+from test_milp import _parent_layout
 
 
 @pytest.fixture(scope="module")
@@ -439,6 +439,24 @@ def test_parallel_solve_matches_serial(template_dir, tmp_path):
     assert solutions["ss"].ok and solutions["rp"].ok
 
 
+def test_failed_solve_leaves_no_earlier_solution(template_dir, tmp_path, capsys):
+    """A solve stage that fails keeps no earlier solve's files of the kinds
+    it was given: ``evaluate`` then finds no solution (exit 2) instead of
+    reporting the earlier one as if it were current."""
+    cfg, out = str(template_dir / "scenario.json"), str(tmp_path)
+    for args in (["cluster", cfg, "-o", out],
+                 ["build", cfg, "-o", out, "--only", "ss", "--only", "rp"],
+                 ["solve", cfg, "-o", out, "--only", "ss", "--gap", "1e-3"]):
+        assert cli_main(args) == 0, args
+    (tmp_path / "models" / "rp.npz").write_bytes(b"junk")
+    capsys.readouterr()
+    assert cli_main(["solve", cfg, "-o", out, "--only", "ss", "--only", "rp",
+                     "--gap", "1e-2"]) == 2
+    assert "rp.npz: not a model file" in capsys.readouterr().err
+    assert cli_main(["evaluate", cfg, "-o", out, "--only", "ss", "--no-prices"]) == 2
+    assert "no solution on disk for 'ss'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
@@ -466,31 +484,28 @@ def test_cli_template_and_run(tmp_path):
 def test_cli_seed_only_where_clustering_happens(capsys):
     """``--seed`` picks the clustering, so only ``cluster`` and ``run`` take
     it; ``build``, ``solve`` and ``evaluate`` read the saved clustering and
-    refuse the flag (exit 2) rather than accept and ignore it."""
-    for command in ("build", "solve", "evaluate"):
+    refuse the flag (exit 2) rather than accept and ignore it.  There is
+    one solver, so no stage takes ``--solver``."""
+    refused = [(command, "--seed", "3") for command in ("build", "solve", "evaluate")]
+    refused += [(command, "--solver", "scipy") for command in ("solve", "run")]
+    for command, flag, value in refused:
         with pytest.raises(SystemExit) as info:
-            cli_main([command, "scenario.json", "-o", "out", "--seed", "3"])
+            cli_main([command, "scenario.json", "-o", "out", flag, value])
         assert info.value.code == 2
-        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     for command in ("cluster", "run"):
         assert build_parser().parse_args([command, "s.json", "-o", "o", "--seed", "3"]).seed == 3
 
 
-def test_cli_external_answer_without_a_variable_exits_3(run_result, template_dir, tmp_path,
-                                                         capsys):
-    """An ok external answer that lacks a variable of the model is a solve
-    failure (exit 3) naming the solution file, not a traceback (exit 1)."""
-    _, outdir, _ = run_result
-    out = tmp_path / "out"
-    shutil.copytree(outdir, out)
-    stub = tmp_path / "answer.py"
-    stub.write_text(ANSWER_STUB.format(python=sys.executable, text=OK_HEADER))
-    stub.chmod(0o755)
-    capsys.readouterr()
-    assert cli_main(["solve", str(template_dir / "scenario.json"), "-o", str(out),
-                     "--only", "ss", "--solver", f"external:{stub}"]) == 3
-    err = capsys.readouterr().err
-    assert "solution.txt: optimal solution has no value for variable" in err
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_refuses_fewer_than_one_worker(template_dir, tmp_path, capsys, workers):
+    """``--workers`` below 1 is refused (exit 2) before any stage runs, not
+    taken to mean 1."""
+    for command in ("solve", "run"):
+        assert cli_main([command, str(template_dir / "scenario.json"), "-o",
+                         str(tmp_path / "out"), "--workers", workers]) == 2
+        assert f"workers must be an integer >= 1, got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_bad_scenario_exits_2(tmp_path):
