@@ -18,7 +18,6 @@ from .pipeline import (PipelineError, ConfigError, ScenarioConfig,
                        load_solutions, stage_ingest, stage_cluster, stage_build,
                        stage_solve, stage_evaluate, stage_report, run_pipeline,
                        emit_scenario_template)
-from .aggregation import load_artifacts, AggregationError
 from .formulations import BUILDER_KINDS
 
 
@@ -114,6 +113,8 @@ def _artifacts(outdir: Path, hours: int):
     path = Path(outdir) / "agg" / "artifacts.json"
     if not path.exists():
         raise ConfigError(f"no clustering artifacts at {path}; run 'cluster' first")
+    # here, so template, ingest and report load no clustering code
+    from .aggregation import load_artifacts, AggregationError
     try:
         artifacts = load_artifacts(path)
     except AggregationError as exc:

@@ -36,7 +36,10 @@ compact JSON.
 
 scipy loads at a process's first matrix build (``to_arrays``, the audit,
 ``write_mps``) or solve, not at import, so the stages that never solve do
-not pay for it.
+not pay for it.  The package keeps the same rule one level up: ``import
+storagg`` loads only what writing a template and ingesting it run, and this
+module, like the clustering, builder and evaluation modules, loads when a
+stage or a caller first needs it (see ``storagg/__init__.py``).
 """
 
 from __future__ import annotations

@@ -36,6 +36,17 @@ does not repeat it.  A damaged artifacts file or sidecar is an input error
 JSON header, which the audit rides along in, beside its values as arrays,
 and ``load_solutions`` rebuilds it from the two.  No stage writes MPS:
 ``milp.write_mps`` is a library export only.
+
+Set-up (``emit_scenario_template``, ``load_scenario``, ``stage_ingest``)
+runs on ``timeseries`` and ``system`` alone, so this module imports no
+other storagg module but the light ``formulations`` package, for
+``BUILDER_KINDS``.  The names the later stages take from ``aggregation``,
+``milp``, ``formulations`` and ``evaluation`` are listed in ``_DEFERRED``.
+A stage that uses one binds them all into this module (``_bind_deferred``)
+before anything else, which imports those modules on the first call, and
+``__getattr__`` serves them to callers outside (``pipeline.aggregate``).
+The stages look them up in this module's namespace at every call, so a
+wrapper set here, as bench/tracing.py sets them, is what they call.
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, asdict
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -56,16 +68,41 @@ from .system import (PowerSystem, ThermalUnit, StorageUnit, Network,
                      OperatingConfig, load_system, save_system,
                      validate_system, SystemFormatError, SHORT_TERM, LONG_TERM,
                      _number, _check_types)
-from .aggregation import aggregate, save_artifacts, AggregationArtifacts, AggregationError
-from .milp import (save_model, load_model, write_registry, load_registry,
-                   save_solution, load_solution, Solution, ScipySolver,
-                   ModelError, audit_constraints, STATUS_INFEASIBLE, trim_heap)
-# not called here: bench/tracing.py wraps these two by name on this module
-from .milp import write_mps, parse_mps  # noqa: F401
-from .formulations import (FormulationOutput, build_hm, build_ss, build_rp,
-                           build_ss_rfm, build_rp_tmci, BUILDER_KINDS)
-from .evaluation import (CaseResult, EvaluationReport, HourlyExpansion, build_case_result,
-                         compare)
+from .formulations import BUILDER_KINDS
+
+# Names the stages take from the modules that load on first use: name -> module.
+# ``_bind_deferred`` imports them into this namespace, where the stages look
+# them up, and ``__getattr__`` serves them to callers outside.
+_DEFERRED = {
+    **dict.fromkeys(("aggregate", "save_artifacts", "AggregationArtifacts",
+                     "AggregationError"), "aggregation"),
+    **dict.fromkeys(("save_model", "load_model", "write_registry", "load_registry",
+                     "save_solution", "load_solution", "Solution", "ScipySolver",
+                     "ModelError", "audit_constraints", "STATUS_INFEASIBLE", "trim_heap",
+                     # not called here: bench/tracing.py wraps these two by name
+                     "write_mps", "parse_mps"), "milp"),
+    **dict.fromkeys(("FormulationOutput", "build_hm", "build_ss", "build_rp",
+                     "build_ss_rfm", "build_rp_tmci"), "formulations"),
+    **dict.fromkeys(("CaseResult", "EvaluationReport", "HourlyExpansion",
+                     "build_case_result", "compare"), "evaluation"),
+}
+
+
+def _bind_deferred() -> None:
+    """Bind every name of ``_DEFERRED`` here, importing its module on the
+    first call.  A name already bound is kept: bench/tracing.py replaces
+    some of them with wrappers, and the stages must call those."""
+    names = globals()
+    for name, module in _DEFERRED.items():
+        if name not in names:
+            names[name] = getattr(import_module(f"{__package__}.{module}"), name)
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_deferred()
+    return globals()[name]
 
 
 class PipelineError(Exception):
@@ -113,8 +150,17 @@ class ScenarioConfig:
         return (Path(self.base_dir) / name).resolve()
 
     def selected_kinds(self, only: list[str] | None) -> list[str]:
-        """The configured kinds, restricted to ``only`` when it is given."""
-        return [k for k in self.kinds if only is None or k in only]
+        """The configured kinds, restricted to ``only`` when it is given.
+
+        Raises ConfigError if that leaves none: a run of no model would
+        write empty directories and report success.
+        """
+        kinds = [k for k in self.kinds if only is None or k in only]
+        if not kinds:
+            requested = "all" if only is None else list(only)
+            raise ConfigError(f"no model kind selected: requested {requested}, "
+                              f"configured {list(self.kinds)}")
+        return kinds
 
 
 def _integer(value) -> bool:
@@ -171,6 +217,9 @@ def load_scenario(path) -> ScenarioConfig:
     bad = [k for k in kinds if k not in BUILDER_KINDS]
     if bad:
         raise ConfigError(f"unknown model kinds {bad}; pick from {list(BUILDER_KINDS)}")
+    repeated = sorted({k for k in kinds if kinds.count(k) > 1})
+    if repeated:
+        raise ConfigError(f"model kinds {repeated} are listed more than once")
     window = raw.get("window_hours")
     counts = {key: raw[key] for key in ("states", "rep_days") if key in raw}
     if window is not None:
@@ -183,7 +232,9 @@ def load_scenario(path) -> ScenarioConfig:
                           f"{HOURS_PER_DAY} for rp_tmci")
     check_knobs(raw)
     raw.setdefault("base_dir", str(path.parent))
-    return ScenarioConfig(**raw)
+    config = ScenarioConfig(**raw)
+    config.selected_kinds(None)       # refuses an empty kinds list
+    return config
 
 
 def save_scenario(config: ScenarioConfig, path) -> None:
@@ -219,6 +270,7 @@ def stage_cluster(system: PowerSystem, data: TimeHorizonData,
                   config: ScenarioConfig, outdir: Path) -> AggregationArtifacts:
     """Cluster and save ``agg/artifacts.json``; counts the series cannot
     support (e.g. more representative days than days) are a ConfigError."""
+    _bind_deferred()
     try:
         artifacts = aggregate(
             data, num_states=config.states, num_rp=config.rep_days, seed=config.seed,
@@ -240,6 +292,7 @@ def build_formulation(kind: str, system: PowerSystem, data: TimeHorizonData,
     distinct by construction and checked where they become keys (see
     ``milp``).  The build's freed heap pages are handed back
     (``trim_heap``) before the model is saved or solved."""
+    _bind_deferred()
     if kind == "hm":
         fo = build_hm(system, data, invest=config.invest)
     elif kind == "ss":
@@ -261,6 +314,7 @@ def build_formulation(kind: str, system: PowerSystem, data: TimeHorizonData,
 def stage_build(system: PowerSystem, data: TimeHorizonData,
                 artifacts: AggregationArtifacts, config: ScenarioConfig,
                 outdir: Path, only: list[str] | None = None) -> dict[str, FormulationOutput]:
+    _bind_deferred()
     kinds = config.selected_kinds(only)
     models_dir = outdir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
@@ -279,6 +333,7 @@ def load_built_model(outdir: Path, kind: str) -> FormulationOutput:
     Raises ConfigError, naming the file, if either is missing or damaged,
     the sidecar lacks a key evaluation reads or names another kind.
     """
+    _bind_deferred()
     models_dir = Path(outdir) / "models"
     path = models_dir / f"{kind}.npz"
     side = models_dir / f"{kind}.registry.json"
@@ -312,6 +367,7 @@ def save_solutions(outdir: Path, solutions: dict[str, Solution],
     The values file is written for a solution that has values or is ok; any
     other solution leaves none, so no earlier solve's values stay behind.
     """
+    _bind_deferred()
     sol_dir = Path(outdir) / "solutions"
     sol_dir.mkdir(parents=True, exist_ok=True)
     for kind, sol in solutions.items():
@@ -332,6 +388,7 @@ def stage_solve(config: ScenarioConfig, outdir: Path,
     """Solve every built model, re-reading it from the interchange files.
     Each selected kind's solution files go first, so a failed stage leaves
     none of an earlier solve to be evaluated as if current."""
+    _bind_deferred()
     kinds = config.selected_kinds(only)
     for kind in kinds:
         for suffix in (".json", ".npz"):
@@ -371,6 +428,7 @@ def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
     file; there is no reader for it), or if the values file of an ok
     solution is missing or damaged.
     """
+    _bind_deferred()
     out = {}
     sol_dir = Path(outdir) / "solutions"
     for kind in kinds:
@@ -417,6 +475,7 @@ def stage_evaluate(system: PowerSystem, data: TimeHorizonData,
     Raises SolveError if a kind's solution is not ok or its pricing LP has
     no optimum (``build_case_result`` refuses both with a ValueError).
     """
+    _bind_deferred()
     cases: dict[str, CaseResult] = {}
     for kind, fo in outputs.items():
         try:
@@ -534,6 +593,7 @@ def run_pipeline(config: ScenarioConfig, outdir, only: list[str] | None = None,
                  workers: int = 1, with_prices: bool = True) -> RunResult:
     """All stages in sequence under ``outdir``; see the module docstring."""
     started = time.perf_counter()
+    config.selected_kinds(only)       # refuse an empty selection before writing
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     system, data = stage_ingest(config)

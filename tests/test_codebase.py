@@ -175,6 +175,52 @@ def test_no_child_process_and_no_scratch_files():
     assert ("src/storagg/milp.py", "<module>") in sites(imports_of("zipfile"), [SRC])
 
 
+def loads_on_first_use(node) -> bool:
+    """A ``sites`` matcher of an import of scipy or of the clustering,
+    model, solver or evaluation code: ``aggregation``, ``milp``,
+    ``evaluation``, or of ``formulations`` more than ``BUILDER_KINDS``."""
+    if imports_of("scipy")(node):
+        return True
+    if not (isinstance(node, ast.ImportFrom) and node.level):
+        return False
+    names = [alias.name for alias in node.names]
+    if node.module == "formulations":
+        return names != ["BUILDER_KINDS"]
+    targets = names if node.module is None else [node.module]
+    return any(t.split(".")[0] in ("aggregation", "milp", "evaluation")
+               or t.startswith("formulations.") for t in targets)
+
+
+def test_set_up_modules_load_the_rest_on_first_use():
+    """The modules template and ingest run import none of the clustering,
+    model, solver or evaluation code, nor scipy, at module level; they load
+    it where it is first used."""
+    set_up = {f"src/storagg/{name}.py"
+              for name in ("__init__", "pipeline", "timeseries", "system", "cli")}
+    found = {site for site in sites(loads_on_first_use, [SRC]) if site[0] in set_up}
+    assert {site for site in found if site[1] == "<module>"} == set()
+    assert ("src/storagg/cli.py", "_artifacts") in found
+
+
+def test_stages_bind_what_they_use_first():
+    """A ``pipeline`` function that reads a name of a module loaded on first
+    use may be the first such function a process runs, so it binds those
+    names (``_bind_deferred``) before anything else."""
+    from storagg.pipeline import _DEFERRED
+    path = SRC / "storagg" / "pipeline.py"
+    binding = []
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        reads = {n.id for stmt in node.body for n in ast.walk(stmt)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        if reads & _DEFERRED.keys():
+            body = node.body[1:] if ast.get_docstring(node) else node.body
+            assert ast.unparse(body[0]) == "_bind_deferred()", node.name
+            binding.append(node.name)
+    assert {"stage_cluster", "stage_solve", "load_solutions"} <= set(binding)
+
+
 def test_one_solver():
     """HiGHS, run in-process, is the one solver: the file-based adapter and
     its names are gone, and no function takes a ``solver`` to pick another."""

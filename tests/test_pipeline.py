@@ -103,6 +103,8 @@ def test_load_scenario_bad_kind(template_dir, tmp_path):
     (dict(seed=-1), "seed must be an integer >= 0"),
     (dict(seed=True), "seed must be an integer >= 0"),
     (dict(seed=7), None),
+    (dict(kinds=["hm", "ss", "hm"]), r"model kinds \['hm'\] are listed more than once"),
+    (dict(kinds=[]), r"no model kind selected: requested all, configured \[\]"),
 ])
 def test_load_scenario_checks_counts_and_window(template_dir, tmp_path, change, message):
     doc = json.loads((template_dir / "scenario.json").read_text())
@@ -765,6 +767,97 @@ def test_stages_that_never_solve_leave_scipy_unloaded(tmp_path):
     assert cli("report", out) == []
 
 
+def test_empty_selection_is_refused(template_dir, tmp_path, capsys):
+    """``--only`` naming no kind the scenario lists selects nothing: a
+    configuration error (exit 2) naming both lists, before any file is
+    written, not an empty run reported as a success."""
+    doc = json.loads((template_dir / "scenario.json").read_text())
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(dict(doc, kinds=["ss"], base_dir=str(template_dir))))
+    out = tmp_path / "out"
+    for command in ("run", "solve"):
+        assert cli_main([command, str(cfg), "-o", str(out), "--only", "hm"]) == 2
+        assert "requested ['hm'], configured ['ss']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# A fresh interpreter sets up as the benchmark does, records which of the
+# modules that load on first use it holds, then runs every stage from there,
+# evaluating from the files on disk as ``storagg evaluate`` does.
+_SET_UP_THEN_RUN = """
+import json, sys
+from pathlib import Path
+import storagg
+out = Path(sys.argv[1])
+pipeline = storagg.pipeline
+config = pipeline.load_scenario(pipeline.emit_scenario_template(
+    out / "scen", vision=1, days=2, seed=3))
+system, data = pipeline.stage_ingest(config)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m in (
+    "storagg.aggregation", "storagg.milp", "storagg.formulations.common",
+    "storagg.evaluation"))
+config.states, config.rep_days, config.gap = 8, 2, 1e-3
+run = out / "run"
+artifacts = pipeline.stage_cluster(system, data, config, run)
+pipeline.stage_build(system, data, artifacts, config, run)
+pipeline.stage_solve(config, run)
+outputs = {k: pipeline.load_built_model(run, k) for k in config.kinds}
+solutions = pipeline.load_solutions(run, config.kinds)
+cases, reports = pipeline.stage_evaluate(system, data, artifacts, config, outputs,
+                                         solutions, with_prices=False)
+pipeline.stage_report(system, cases, reports, run)
+print(json.dumps(loaded))
+"""
+
+
+def _summary_without_times(path: Path) -> dict:
+    summary = json.loads(path.read_text())
+    for block in summary.values():
+        block.pop("wall_seconds", None)
+    for block in summary["comparisons"].values():
+        block.pop("time_ratio")
+    return summary
+
+
+def test_set_up_loads_only_what_template_and_ingest_run(run_result, tmp_path):
+    """After ``import storagg``, the template and ingest, a fresh interpreter
+    holds no clustering, model, solver or evaluation module and no scipy;
+    the stages then load what they need on first use, and the run reports
+    what an in-process run reports."""
+    proc = subprocess.run([sys.executable, "-c", _SET_UP_THEN_RUN, str(tmp_path)],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    _, outdir, _ = run_result
+    assert _summary_without_times(tmp_path / "run" / "report" / "summary.json") == \
+        _summary_without_times(outdir / "report" / "summary.json")
+
+
+def test_lazy_names_are_the_submodules_objects():
+    """Each name the package exports (PEP 562) is its submodule's object,
+    ``dir()`` and ``import *`` cover them, and an unknown name is an
+    AttributeError naming it; ``pipeline`` and ``formulations`` serve the
+    names they take from modules loaded on first use the same way."""
+    for name, module in storagg._EXPORTS.items():
+        assert getattr(storagg, name) is getattr(importlib.import_module(f"storagg.{module}"),
+                                                 name), name
+    assert set(storagg.__all__) == set(storagg._EXPORTS)
+    assert set(storagg.__all__) <= set(dir(storagg))
+    assert {"milp", "evaluation", "aggregation", "formulations"} <= set(dir(storagg))
+    star: dict = {}
+    exec("from storagg import *", star)
+    assert set(star) - {"__builtins__"} == set(storagg.__all__)
+    formulations = storagg.formulations
+    assert set(formulations.__all__) <= set(dir(formulations))
+    assert formulations.build_rp_tmci is formulations.repdays.build_rp_tmci
+    for name, module in storagg.pipeline._DEFERRED.items():
+        assert getattr(storagg.pipeline, name) is getattr(getattr(storagg, module), name)
+    for owner in (storagg, storagg.pipeline, formulations):
+        with pytest.raises(AttributeError, match=f"{owner.__name__}' has no attribute "
+                                                 "'no_such_name'"):
+            owner.no_such_name
+
+
 def test_bench_tracer_installs_and_unwinds(tmp_path, monkeypatch):
     """bench/tracing.py wraps storagg functions by attribute name: every name
     must exist, a wrapped call must record its span, and ``unwrap_all`` must
@@ -776,6 +869,7 @@ def test_bench_tracer_installs_and_unwinds(tmp_path, monkeypatch):
     spec.loader.exec_module(tracing)
     owners = (storagg.pipeline, storagg.evaluation, storagg.milp.MilpModel,
               storagg.milp.ScipySolver)
+    storagg.pipeline.aggregate    # binds the stage-side names, as any stage's first run does
     before = [dict(vars(owner)) for owner in owners]
     tracer = tracing.Tracer("test")
     tracing.install(tracer, storagg)
