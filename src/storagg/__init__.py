@@ -36,8 +36,7 @@ _EXPORTS = {
                      "write_registry", "load_registry", "audit_constraints",
                      "constraint_families"), "milp"),
     **dict.fromkeys(("FormulationOutput", "Periods", "periods", "build_hm", "build_ss",
-                     "build_rp", "build_ss_rfm", "build_rp_tmci", "BUILDER_KINDS"),
-                    "formulations"),
+                     "build_rp", "build_ss_rfm", "build_rp_tmci"), "formulations"),
     **dict.fromkeys(("HourlyExpansion", "ViolationRecord", "CaseResult",
                      "EvaluationReport", "expand_solution", "detect_violations",
                      "compute_prices", "attach_prices", "count_startups",
@@ -46,7 +45,8 @@ _EXPORTS = {
                      "SolveError", "InfeasibleError", "load_scenario", "save_scenario",
                      "run_pipeline", "emit_scenario_template", "stage_ingest",
                      "stage_cluster", "stage_build", "stage_solve", "stage_evaluate",
-                     "stage_report", "load_built_model", "VISION_CAPACITY_GW"), "pipeline"),
+                     "stage_report", "load_built_model", "VISION_CAPACITY_GW",
+                     "BUILDER_KINDS"), "pipeline"),
 }
 _MODULES = frozenset(_EXPORTS.values())
 

@@ -19,12 +19,12 @@ transition counts (the day chain as a single window).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .system import read_json, write_json
 from .timeseries import (HOURS_PER_DAY, WEEK_HOURS, NormalizedFeatures, TimeHorizonData,
                          normalize_series)
 
@@ -318,20 +318,18 @@ def save_artifacts(art: AggregationArtifacts, path) -> None:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_artifacts(path) -> AggregationArtifacts:
     """Read the clusterings back and rebuild the matrices from them.
 
-    Raises AggregationError, naming the file, if it is not JSON, lacks a
-    key, or holds an index or an array length the clusterings cannot have.
+    Raises AggregationError, naming the file, if it is not a JSON object
+    (``read_json``), lacks a key, or holds an index or an array length the
+    clusterings cannot have.
     """
+    doc = read_json(path, "clustering artifacts file", AggregationError)
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
         st, rp_doc = doc["states"], doc["rp"]
         states = StateClustering(
             num_states=st["num_states"],
@@ -355,6 +353,6 @@ def load_artifacts(path) -> AggregationArtifacts:
         matrices = build_matrices(states, rp, doc["window_hours"])
         seed = doc["seed"]
     except (ValueError, KeyError, TypeError, AggregationError) as exc:
-        raise AggregationError(f"{path} is not a clustering artifacts file "
-                               f"({type(exc).__name__}: {exc})") from None
+        raise AggregationError(f"{path}: not a clustering artifacts file: "
+                               f"{type(exc).__name__}: {exc}") from None
     return AggregationArtifacts(seed=seed, states=states, rp=rp, matrices=matrices)

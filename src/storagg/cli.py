@@ -9,7 +9,6 @@ data, 3 a solve that does not end in an ok status, 4 model infeasible.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -17,8 +16,8 @@ from .pipeline import (PipelineError, ConfigError, ScenarioConfig,
                        load_scenario, check_knobs, load_built_model,
                        load_solutions, stage_ingest, stage_cluster, stage_build,
                        stage_solve, stage_evaluate, stage_report, run_pipeline,
-                       emit_scenario_template)
-from .formulations import BUILDER_KINDS
+                       emit_scenario_template, BUILDER_KINDS)
+from .system import read_json
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -190,8 +189,7 @@ def cmd_report(args) -> int:
     path = Path(args.outdir) / "report" / "summary.json"
     if not path.exists():
         raise ConfigError(f"no summary at {path}; run 'evaluate' first")
-    with open(path) as fh:
-        summary = json.load(fh)
+    summary = read_json(path, "report summary", ConfigError)
     comparisons = summary.pop("comparisons", {})
     for kind, block in summary.items():
         print(f"{kind}: objective {block['objective']:.4f}, "

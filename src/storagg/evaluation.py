@@ -34,7 +34,7 @@ optimum is a ValueError, never a report without prices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -359,23 +359,16 @@ class EvaluationReport:
     absolute_metrics: list[str]
 
     def rows(self) -> list[tuple[str, float]]:
-        """Flat (metric, value) pairs for tabular output."""
-        out = [("objective_error_pct", self.objective_error_pct)]
-        out += [(f"production_error_pct[{k}]", v) for k, v in self.production_error_pct.items()]
-        out += [(f"startup_error_pct[{k}]", v) for k, v in self.startup_error_pct.items()]
-        for label, v in (("price_avg_error_pct", self.price_avg_error_pct),
-                         ("price_max_error_pct", self.price_max_error_pct),
-                         ("price_min_error_pct", self.price_min_error_pct),
-                         ("price_avg_load_weighted_error_pct",
-                          self.price_avg_load_weighted_error_pct)):
-            if v is not None:
-                out.append((label, v))
-        out.append(("curtailment_error_pct", self.curtailment_error_pct))
-        out += [(f"investment_error_pct[{k}]", v) for k, v in self.investment_error_pct.items()]
-        out += [("violation_count", float(self.violation_count)),
-                ("violation_max_gwh", self.violation_max_gwh),
-                ("time_ratio", self.time_ratio),
-                ("level_discrepancy_gwh", self.level_discrepancy_gwh)]
+        """Flat (metric, value) pairs for tabular output, in field order: one
+        ``name[key]`` pair per key of a dict field, none for a field that is
+        None; ``absolute_metrics`` lists names, not values."""
+        out = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, dict):
+                out += [(f"{f.name}[{k}]", v) for k, v in value.items()]
+            elif value is not None and f.name != "absolute_metrics":
+                out.append((f.name, float(value)))
         return out
 
 

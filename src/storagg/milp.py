@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import copy
 import ctypes
-import json
 import time
 import zipfile
 from array import array
@@ -56,6 +55,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+
+from .system import read_json, write_json
 
 INF = float("inf")
 
@@ -779,21 +780,17 @@ def parse_mps(path) -> MilpModel:
 def write_registry(model: MilpModel, path, meta: dict | None = None) -> None:
     """Write the sidecar of a ``.npz`` model file: the model name and its
     metadata, as compact JSON with sorted keys."""
-    doc = {"model": model.name, "meta": meta or {}}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, {"model": model.name, "meta": meta or {}}, compact=True)
 
 
 def load_registry(path) -> dict:
     """The metadata stored by ``write_registry``; raises ModelError, naming
-    the file, if it is not such a sidecar."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)["meta"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ModelError(f"{path}: not a model sidecar "
-                         f"({type(exc).__name__}: {exc})") from None
+    the file, if it is not such a sidecar or its ``meta`` is not an object."""
+    meta = read_json(path, "model sidecar", ModelError).get("meta")
+    if not isinstance(meta, dict):
+        raise ModelError(f"{path}: not a model sidecar: its meta must be a JSON object, "
+                         f"got {type(meta).__name__}")
+    return meta
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,13 @@ and ``load_solutions`` rebuilds it from the two.  No stage writes MPS:
 ``milp.write_mps`` is a library export only.
 
 Set-up (``emit_scenario_template``, ``load_scenario``, ``stage_ingest``)
-runs on ``timeseries`` and ``system`` alone, so this module imports no
-other storagg module but the light ``formulations`` package, for
-``BUILDER_KINDS``.  The names the later stages take from ``aggregation``,
-``milp``, ``formulations`` and ``evaluation`` are listed in ``_DEFERRED``.
-A stage that uses one binds them all into this module (``_bind_deferred``)
-before anything else, which imports those modules on the first call, and
-``__getattr__`` serves them to callers outside (``pipeline.aggregate``).
+runs on ``timeseries`` and ``system`` alone, and no other storagg module
+is imported at the top.  The names the later stages take from
+``aggregation``, ``milp``, ``formulations`` and ``evaluation`` are listed in
+``_DEFERRED``.  A stage that uses one binds them all into this module
+(``_bind_deferred``) before anything else, which imports those modules on
+the first call, and ``__getattr__`` serves them to callers outside
+(``pipeline.aggregate``).
 The stages look them up in this module's namespace at every call, so a
 wrapper set here, as bench/tracing.py sets them, is what they call.
 """
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import time
 from dataclasses import dataclass, field, asdict
@@ -67,8 +66,7 @@ from .timeseries import (TimeHorizonData, HOURS_PER_DAY, WEEK_HOURS, load_horizo
 from .system import (PowerSystem, ThermalUnit, StorageUnit, Network,
                      OperatingConfig, load_system, save_system,
                      validate_system, SystemFormatError, SHORT_TERM, LONG_TERM,
-                     _number, _check_types)
-from .formulations import BUILDER_KINDS
+                     _number, _check_types, read_json, write_json)
 
 # Names the stages take from the modules that load on first use: name -> module.
 # ``_bind_deferred`` imports them into this namespace, where the stages look
@@ -152,14 +150,15 @@ class ScenarioConfig:
     def selected_kinds(self, only: list[str] | None) -> list[str]:
         """The configured kinds, restricted to ``only`` when it is given.
 
-        Raises ConfigError if that leaves none: a run of no model would
-        write empty directories and report success.
+        Raises ConfigError if ``only`` names a kind not configured, or if
+        none is left: a run of no model would report success.
         """
         kinds = [k for k in self.kinds if only is None or k in only]
-        if not kinds:
+        unlisted = [k for k in only or () if k not in self.kinds]
+        if unlisted or not kinds:
             requested = "all" if only is None else list(only)
-            raise ConfigError(f"no model kind selected: requested {requested}, "
-                              f"configured {list(self.kinds)}")
+            what = f"kinds {unlisted} not configured" if unlisted else "no model kind selected"
+            raise ConfigError(f"{what}: requested {requested}, configured {list(self.kinds)}")
         return kinds
 
 
@@ -189,16 +188,7 @@ def check_knobs(values: dict) -> None:
 
 def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"scenario file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario file {path} is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"scenario file {path}: the top level must be a JSON object, "
-                          f"got {type(raw).__name__}")
+    raw = read_json(path, "scenario file", ConfigError)
     known = {f for f in ScenarioConfig.__dataclass_fields__}
     unknown = set(raw) - known
     if unknown:
@@ -240,9 +230,7 @@ def load_scenario(path) -> ScenarioConfig:
 def save_scenario(config: ScenarioConfig, path) -> None:
     doc = asdict(config)
     doc.pop("base_dir")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +241,7 @@ def stage_ingest(config: ScenarioConfig) -> tuple[PowerSystem, TimeHorizonData]:
     """Load and validate the system and the hourly series."""
     try:
         system = load_system(config.path(config.system))
-    except (SystemFormatError, FileNotFoundError) as exc:
+    except SystemFormatError as exc:
         raise ConfigError(f"system file: {exc}")
     try:
         data = load_horizon(config.path(config.demand),
@@ -282,6 +270,10 @@ def stage_cluster(system: PowerSystem, data: TimeHorizonData,
     agg_dir.mkdir(parents=True, exist_ok=True)
     save_artifacts(artifacts, agg_dir / "artifacts.json")
     return artifacts
+
+
+# the model kinds, in a run's default order
+BUILDER_KINDS = ("hm", "ss", "rp", "ss_rfm", "rp_tmci")
 
 
 def build_formulation(kind: str, system: PowerSystem, data: TimeHorizonData,
@@ -373,9 +365,7 @@ def save_solutions(outdir: Path, solutions: dict[str, Solution],
     for kind, sol in solutions.items():
         doc = {key: getattr(sol, key) for key in _HEADER}
         doc["audit"] = audits[kind]
-        with open(sol_dir / f"{kind}.json", "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(sol_dir / f"{kind}.json", doc)
         values = sol_dir / f"{kind}.npz"
         if sol.values or sol.ok:
             save_solution(sol, values)
@@ -423,7 +413,7 @@ def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
     """Rebuild each kind's Solution from the files ``save_solutions`` wrote.
 
     Raises ConfigError, naming the file, if a header is missing, is not
-    JSON, lacks a key, has a value of the wrong type (naming the key) or
+    JSON (``read_json``), lacks a key, has a value of the wrong type or
     still holds its values inline (the format before the ``.npz`` values
     file; there is no reader for it), or if the values file of an ok
     solution is missing or damaged.
@@ -433,13 +423,9 @@ def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
     sol_dir = Path(outdir) / "solutions"
     for kind in kinds:
         path = sol_dir / f"{kind}.json"
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"no solution on disk for {kind!r} (expected {path})") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"solution header {path} is not valid JSON: {exc}") from None
+        if not path.exists():
+            raise ConfigError(f"no solution on disk for {kind!r} (expected {path})")
+        doc = read_json(path, "solution header", ConfigError)
         if "values" in doc:
             raise ConfigError(f"{path} holds its values inline, an old solution "
                               f"format; solve {kind!r} again")
@@ -548,9 +534,7 @@ def stage_report(system: PowerSystem, cases: dict[str, CaseResult],
         kind: dict(rows[kind], absolute_metrics=rep.absolute_metrics)
         for kind, rep in reports.items()
     }
-    with open(rep_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    write_json(rep_dir / "summary.json", summary)
 
     with open(rep_dir / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

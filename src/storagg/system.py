@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, fields, asdict, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -246,8 +245,34 @@ def validate_system(system: PowerSystem) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# JSON system file
+# JSON files: every stage reads and writes them through this pair
 # ---------------------------------------------------------------------------
+
+def write_json(path, doc, compact: bool = False) -> None:
+    """Write ``doc`` with sorted keys and a final newline, indented by two
+    or, ``compact``, with no spaces."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=None if compact else 2,
+                  separators=(",", ":") if compact else None)
+        fh.write("\n")
+
+
+def read_json(path, what: str, error: type[Exception]) -> dict:
+    """The top-level object of a UTF-8 JSON file; raises ``error`` as
+    ``<path>: not a <what>: <reason>`` if there is none."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        reason = "not found"
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        reason = f"not valid JSON ({exc})"
+    else:
+        if isinstance(doc, dict):
+            return doc
+        reason = f"the top level must be a JSON object, got {type(doc).__name__}"
+    raise error(f"{path}: not a {what}: {reason}")
+
 
 def save_system(system: PowerSystem, path) -> None:
     doc = {
@@ -260,9 +285,7 @@ def save_system(system: PowerSystem, path) -> None:
     }
     if system.network.isf is not None:
         doc["isf"] = [[float(v) for v in row] for row in system.network.isf]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def _number(value) -> bool:
@@ -294,17 +317,7 @@ def _check_types(obj, where: str) -> None:
 
 
 def load_system(path) -> PowerSystem:
-    path = Path(path)
-    if not path.exists():
-        raise SystemFormatError(f"{path}: file not found")
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SystemFormatError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise SystemFormatError(f"{path}: the top level must be a JSON object, "
-                                f"got {type(doc).__name__}")
+    doc = read_json(path, "system file", SystemFormatError)
     for key in ("circuits", "thermal", "storage"):
         if not isinstance(doc.get(key, []), list):
             raise SystemFormatError(f"{path}: {key} must be a list")

@@ -175,20 +175,46 @@ def test_no_child_process_and_no_scratch_files():
     assert ("src/storagg/milp.py", "<module>") in sites(imports_of("zipfile"), [SRC])
 
 
+def test_one_reader_and_writer_of_json_files():
+    """Every JSON file goes through ``write_json`` and ``read_json``, so its
+    sorted keys, its final newline and the refusal of a damaged file are
+    spelled once: no other function calls the ``json`` module, no other
+    module imports it, and the stages' six writers and six readers call
+    the pair."""
+    def json_call(node) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and getattr(node.func.value, "id", None) == "json")
+
+    assert sites(json_call, [SRC]) == {("src/storagg/system.py", "read_json"),
+                                       ("src/storagg/system.py", "write_json")}
+    assert sites(imports_of("json"), [SRC]) == {("src/storagg/system.py", "<module>")}
+    assert call_sites("write_json", [SRC]) == {
+        ("src/storagg/system.py", "save_system"),
+        ("src/storagg/pipeline.py", "save_scenario"),
+        ("src/storagg/aggregation.py", "save_artifacts"),
+        ("src/storagg/milp.py", "write_registry"),
+        ("src/storagg/pipeline.py", "save_solutions"),
+        ("src/storagg/pipeline.py", "stage_report")}
+    assert call_sites("read_json", [SRC]) == {
+        ("src/storagg/system.py", "load_system"),
+        ("src/storagg/pipeline.py", "load_scenario"),
+        ("src/storagg/aggregation.py", "load_artifacts"),
+        ("src/storagg/milp.py", "load_registry"),
+        ("src/storagg/pipeline.py", "load_solutions"),
+        ("src/storagg/cli.py", "cmd_report")}
+
+
 def loads_on_first_use(node) -> bool:
     """A ``sites`` matcher of an import of scipy or of the clustering,
-    model, solver or evaluation code: ``aggregation``, ``milp``,
-    ``evaluation``, or of ``formulations`` more than ``BUILDER_KINDS``."""
+    model, builder, solver or evaluation code: ``aggregation``, ``milp``,
+    ``formulations`` or ``evaluation``."""
     if imports_of("scipy")(node):
         return True
     if not (isinstance(node, ast.ImportFrom) and node.level):
         return False
-    names = [alias.name for alias in node.names]
-    if node.module == "formulations":
-        return names != ["BUILDER_KINDS"]
-    targets = names if node.module is None else [node.module]
-    return any(t.split(".")[0] in ("aggregation", "milp", "evaluation")
-               or t.startswith("formulations.") for t in targets)
+    targets = [alias.name for alias in node.names] if node.module is None else [node.module]
+    return any(t.split(".")[0] in ("aggregation", "milp", "formulations", "evaluation")
+               for t in targets)
 
 
 def test_set_up_modules_load_the_rest_on_first_use():

@@ -336,7 +336,7 @@ def test_load_solutions_refusals(tmp_path):
         with pytest.raises(ConfigError, match=rf"ss\.json.*'{key}'"):
             load_solutions(tmp_path, ["ss"])
     (sol_dir / "ss.json").write_text("{")
-    with pytest.raises(ConfigError, match=r"ss\.json is not valid JSON"):
+    with pytest.raises(ConfigError, match=r"ss\.json: not a solution header: not valid JSON"):
         load_solutions(tmp_path, ["ss"])
     (sol_dir / "ss.json").write_text(json.dumps(dict(header, values={"x": 1.0})))
     with pytest.raises(ConfigError, match=r"ss\.json holds its values inline"):
@@ -536,7 +536,7 @@ def test_cli_config_errors_exit_2(tmp_path):
     for change, command, message in ((dict(rep_days=5), "cluster", "cannot form 5 clusters"),
                                      (dict(window_hours=36), "build", "multiple of 24"),
                                      (dict(gap="abc"), "cluster", "gap must be"),
-                                     (dict(), "build", "artifacts.json is not a clustering")):
+                                     (dict(), "build", "artifacts.json: not a clustering")):
         cfg = tmp_path / f"{command}.json"
         cfg.write_text(json.dumps(dict(doc, base_dir=str(scen), **change)))
         proc = run_cli(command, str(cfg), "-o", str(out))
@@ -657,7 +657,7 @@ def test_cli_refuses_damaged_artifacts(clustered_week, tmp_path, capsys,
     code = cli_main(["build", str(scen / "scenario.json"), "-o", str(tmp_path),
                      "--only", "ss", "--only", "rp_tmci"])
     assert code == 2
-    assert f"{path} is not a clustering artifacts file" in capsys.readouterr().err
+    assert f"{path}: not a clustering artifacts file" in capsys.readouterr().err
     assert not (tmp_path / "models").exists()
 
 
@@ -728,6 +728,61 @@ def test_cli_refuses_files_in_the_parent_layout(tmp_path):
         assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.fixture(scope="module")
+def evaluated_ss(tmp_path_factory):
+    """A 2-day template under ``scen`` and its ``ss`` run, through
+    ``evaluate``, under ``out``: one of every JSON file a run reads."""
+    root = tmp_path_factory.mktemp("evaluated")
+    cfg, out = str(root / "scen" / "scenario.json"), str(root / "out")
+    for argv in (["template", "-o", str(root / "scen"), "--days", "2"],
+                 ["cluster", cfg, "-o", out],
+                 ["build", cfg, "-o", out, "--only", "ss"],
+                 ["solve", cfg, "-o", out, "--only", "ss", "--gap", "1e-3"],
+                 ["evaluate", cfg, "-o", out, "--only", "ss", "--no-prices"]):
+        assert cli_main(argv) == 0, argv
+    return root
+
+
+# each JSON file a run reads, with the command that reads it
+_JSON_READERS = [("scen/scenario.json", "ingest"), ("scen/system.json", "ingest"),
+                 ("out/agg/artifacts.json", "build"),
+                 ("out/models/ss.registry.json", "solve"),
+                 ("out/models/ss.registry.json", "evaluate"),
+                 ("out/solutions/ss.json", "evaluate"), ("out/report/summary.json", "report")]
+# damage -> (the file's new bytes, what the message says of them); "meta"
+# damages the sidecar only
+_JSON_DAMAGE = {"not-utf8": (b'{"a": "\xff"}', "not valid JSON"),
+                "not-json": (b'{"a": ', "not valid JSON"),
+                "list": (b"[]", "the top level must be a JSON object, got list"),
+                "number": (b"5", "the top level must be a JSON object, got int"),
+                "null": (b"null", "the top level must be a JSON object, got NoneType"),
+                "meta": (b'{"meta": 5, "model": "ss"}', "its meta must be a JSON object, got int")}
+
+
+@pytest.mark.parametrize("name, command, damage", [
+    (name, command, damage) for name, command in _JSON_READERS for damage in _JSON_DAMAGE
+    if damage != "meta" or name.endswith(".registry.json")])
+def test_cli_refuses_damaged_json(evaluated_ss, tmp_path, capsys, name, command, damage):
+    """Every JSON file a run reads is refused the same way when it is not
+    UTF-8, not JSON, or holds no object at the top level, and a sidecar
+    when its ``meta`` is no object: exit 2 and ``<path>: not a <what>:
+    <reason>``.  The command runs in-process, so an exception escaping it
+    (what a traceback would show) fails the test."""
+    shutil.copytree(evaluated_ss, tmp_path, dirs_exist_ok=True)
+    text, reason = _JSON_DAMAGE[damage]
+    (tmp_path / name).write_bytes(text)
+    cfg, out = str(tmp_path / "scen" / "scenario.json"), str(tmp_path / "out")
+    argv = {"ingest": ["ingest", cfg], "report": ["report", out],
+            "build": ["build", cfg, "-o", out, "--only", "ss"],
+            "solve": ["solve", cfg, "-o", out, "--only", "ss"],
+            "evaluate": ["evaluate", cfg, "-o", out, "--only", "ss", "--no-prices"]}[command]
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / name}: not a " in err and reason in err, err
+    assert "Traceback" not in err
+
+
 def lazy_modules_after(code: str) -> list[str]:
     """The ``scipy``, ``gzip``, ``subprocess`` and ``concurrent`` modules a
     fresh interpreter holds after running ``code``."""
@@ -768,9 +823,10 @@ def test_stages_that_never_solve_leave_scipy_unloaded(tmp_path):
 
 
 def test_empty_selection_is_refused(template_dir, tmp_path, capsys):
-    """``--only`` naming no kind the scenario lists selects nothing: a
-    configuration error (exit 2) naming both lists, before any file is
-    written, not an empty run reported as a success."""
+    """``--only`` naming no kind the scenario lists selects nothing, and
+    one naming a kind it does not list would drop that kind unreported:
+    both are configuration errors (exit 2) naming both lists, before any
+    file is written, not a run reported as a success."""
     doc = json.loads((template_dir / "scenario.json").read_text())
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(dict(doc, kinds=["ss"], base_dir=str(template_dir))))
@@ -778,6 +834,9 @@ def test_empty_selection_is_refused(template_dir, tmp_path, capsys):
     for command in ("run", "solve"):
         assert cli_main([command, str(cfg), "-o", str(out), "--only", "hm"]) == 2
         assert "requested ['hm'], configured ['ss']" in capsys.readouterr().err
+        assert cli_main([command, str(cfg), "-o", str(out), "--only", "hm", "--only", "ss"]) == 2
+        assert ("kinds ['hm'] not configured: requested ['hm', 'ss'], configured ['ss']"
+                in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -836,8 +895,9 @@ def test_set_up_loads_only_what_template_and_ingest_run(run_result, tmp_path):
 def test_lazy_names_are_the_submodules_objects():
     """Each name the package exports (PEP 562) is its submodule's object,
     ``dir()`` and ``import *`` cover them, and an unknown name is an
-    AttributeError naming it; ``pipeline`` and ``formulations`` serve the
-    names they take from modules loaded on first use the same way."""
+    AttributeError naming it; ``pipeline`` serves the names it takes from
+    modules loaded on first use the same way, and ``formulations`` imports
+    its builders."""
     for name, module in storagg._EXPORTS.items():
         assert getattr(storagg, name) is getattr(importlib.import_module(f"storagg.{module}"),
                                                  name), name
