@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .system import read_json, write_json
+from .system import read_json, write_json, _check_types
 from .timeseries import (HOURS_PER_DAY, WEEK_HOURS, NormalizedFeatures, TimeHorizonData,
                          normalize_series)
 
@@ -321,14 +321,25 @@ def save_artifacts(art: AggregationArtifacts, path) -> None:
     write_json(path, doc)
 
 
+@dataclass(frozen=True)
+class _Scalars:
+    """The two numbers of an artifacts file beside its clusterings."""
+
+    seed: int
+    window_hours: int
+
+
 def load_artifacts(path) -> AggregationArtifacts:
     """Read the clusterings back and rebuild the matrices from them.
 
-    Raises AggregationError, naming the file, if it is not a JSON object
-    (``read_json``), lacks a key, or holds an index or an array length the
-    clusterings cannot have.
+    Raises AggregationError as ``<path>: not a clustering artifacts file:
+    <reason>`` if it is not a JSON object (``read_json``), lacks a key,
+    holds a count, the seed or the window of the wrong type
+    (``_check_types``, before anything uses them) or an index or an array
+    length the clusterings cannot have.
     """
     doc = read_json(path, "clustering artifacts file", AggregationError)
+    where = f"{path}: not a clustering artifacts file"
     try:
         st, rp_doc = doc["states"], doc["rp"]
         states = StateClustering(
@@ -341,6 +352,12 @@ def load_artifacts(path) -> AggregationArtifacts:
             num_rp=rp_doc["num_rp"],
             day_assignment=np.array(rp_doc["day_assignment"], dtype=int),
             medoid_days=np.array(rp_doc["medoid_days"], dtype=int))
+        scalars = _Scalars(doc["seed"], doc["window_hours"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise AggregationError(f"{where}: {type(exc).__name__}: {exc}") from None
+    for part in (states, rp, scalars):
+        _check_types(part, where, AggregationError)
+    try:
         if any(len(a) != states.num_states
                for a in (states.demand, states.renewable_avail, states.inflows)):
             raise ValueError(f"composite hours must have {states.num_states} rows")
@@ -350,9 +367,7 @@ def load_artifacts(path) -> AggregationArtifacts:
             raise ValueError(f"medoid days must lie in 0..{rp.num_days - 1}")
         if (rp.day_assignment[rp.medoid_days] != np.arange(rp.num_rp)).any():
             raise ValueError("each medoid day must lie in its own cluster")
-        matrices = build_matrices(states, rp, doc["window_hours"])
-        seed = doc["seed"]
-    except (ValueError, KeyError, TypeError, AggregationError) as exc:
-        raise AggregationError(f"{path}: not a clustering artifacts file: "
-                               f"{type(exc).__name__}: {exc}") from None
-    return AggregationArtifacts(seed=seed, states=states, rp=rp, matrices=matrices)
+        matrices = build_matrices(states, rp, scalars.window_hours)
+    except (ValueError, AggregationError) as exc:
+        raise AggregationError(f"{where}: {type(exc).__name__}: {exc}") from None
+    return AggregationArtifacts(seed=scalars.seed, states=states, rp=rp, matrices=matrices)

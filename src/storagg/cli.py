@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .pipeline import (PipelineError, ConfigError, ScenarioConfig,
-                       load_scenario, check_knobs, load_built_model,
+from .pipeline import (PipelineError, ConfigError, ScenarioConfig, SummaryBlock, Comparison,
+                       load_scenario, load_built_model,
                        load_solutions, stage_ingest, stage_cluster, stage_build,
                        stage_solve, stage_evaluate, stage_report, run_pipeline,
                        emit_scenario_template, BUILDER_KINDS)
-from .system import read_json
+from .system import read_json, _check_types
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -77,11 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="print the comparison summary from disk")
     p.add_argument("outdir", help="run output directory")
 
+    # a flag left out takes emit_scenario_template's default
     p = sub.add_parser("template", help="write a ready-to-run synthetic scenario")
     p.add_argument("-o", "--outdir", required=True)
-    p.add_argument("--vision", type=int, default=1, choices=(1, 2, 3, 4))
-    p.add_argument("--days", type=int, default=28)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--vision", type=int, help="bundled capacity mix")
+    p.add_argument("--days", type=int)
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("run", help="all stages in sequence")
     _add_common(p)
@@ -95,12 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ScenarioConfig:
     config = load_scenario(args.scenario)
-    if getattr(args, "seed", None) is not None:
-        check_knobs({"seed": args.seed})
-        config.seed = args.seed
-    if getattr(args, "gap", None) is not None:
-        check_knobs({"gap": args.gap})
-        config.gap = args.gap
+    overrides = {key: getattr(args, key, None) for key in ("seed", "gap")}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     if getattr(args, "workers", 1) < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {args.workers!r}")
     return config
@@ -172,7 +170,7 @@ def cmd_evaluate(args) -> int:
     system, data = stage_ingest(config)
     artifacts = _artifacts(args.outdir, data.horizon_hours)
     kinds = config.selected_kinds(args.only)
-    outputs = {k: load_built_model(Path(args.outdir), k) for k in kinds}
+    outputs = {k: load_built_model(Path(args.outdir), k, data.horizon_hours) for k in kinds}
     solutions = load_solutions(Path(args.outdir), kinds)
     cases, reports = stage_evaluate(system, data, artifacts, config,
                                     outputs, solutions,
@@ -190,29 +188,36 @@ def cmd_report(args) -> int:
     if not path.exists():
         raise ConfigError(f"no summary at {path}; run 'evaluate' first")
     summary = read_json(path, "report summary", ConfigError)
-    comparisons = summary.pop("comparisons", {})
-    for kind, block in summary.items():
-        print(f"{kind}: objective {block['objective']:.4f}, "
-              f"solve {block['wall_seconds']:.2f}s, "
-              f"violations {block['violations']}")
-    if comparisons:
-        metrics = sorted({m for block in comparisons.values() for m in block
-                          if m != "absolute_metrics"})
-        kinds = list(comparisons)
+    try:      # {**x} refuses an x that is not an object
+        comparisons = {kind: Comparison({m: v for m, v in {**block}.items()
+                                         if m != "absolute_metrics"})
+                       for kind, block in {**summary.pop("comparisons", {})}.items()}
+        blocks = {kind: SummaryBlock(**block) for kind, block in summary.items()}
+    except TypeError as exc:
+        raise ConfigError(f"{path}: not a report summary: {exc}") from None
+    for kind, part in [*blocks.items(), *comparisons.items()]:
+        _check_types(part, f"{path}: {kind}", ConfigError)
+    for kind, block in blocks.items():
+        print(f"{kind}: objective {block.objective:.4f}, "
+              f"solve {block.wall_seconds:.2f}s, "
+              f"violations {block.violations}")
+    metrics = sorted({m for c in comparisons.values() for m in c.metrics})
+    if metrics:
         width = max(len(m) for m in metrics) + 2
-        print("\n" + "metric".ljust(width) + "".join(k.rjust(12) for k in kinds))
+        print("\n" + "metric".ljust(width) + "".join(k.rjust(12) for k in comparisons))
         for m in metrics:
             cells = []
-            for k in kinds:
-                v = comparisons[k].get(m)
+            for c in comparisons.values():
+                v = c.metrics.get(m)
                 cells.append(("" if v is None else f"{v:.3f}").rjust(12))
             print(m.ljust(width) + "".join(cells))
     return 0
 
 
 def cmd_template(args) -> int:
-    scenario = emit_scenario_template(args.outdir, vision=args.vision,
-                                      days=args.days, seed=args.seed)
+    given = {key: getattr(args, key) for key in ("vision", "days", "seed")}
+    scenario = emit_scenario_template(args.outdir, **{k: v for k, v in given.items()
+                                                      if v is not None})
     print(f"scenario -> {scenario}")
     return 0
 

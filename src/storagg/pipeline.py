@@ -66,7 +66,7 @@ from .timeseries import (TimeHorizonData, HOURS_PER_DAY, WEEK_HOURS, load_horizo
 from .system import (PowerSystem, ThermalUnit, StorageUnit, Network,
                      OperatingConfig, load_system, save_system,
                      validate_system, SystemFormatError, SHORT_TERM, LONG_TERM,
-                     _number, _check_types, read_json, write_json)
+                     _check_types, read_json, write_json)
 
 # Names the stages take from the modules that load on first use: name -> module.
 # ``_bind_deferred`` imports them into this namespace, where the stages look
@@ -121,9 +121,22 @@ class InfeasibleError(PipelineError):
     exit_code = 4
 
 
+# the range of each scenario number, tested once its type is: field -> (test, what)
+_RANGES = {
+    "states": (lambda v: v >= 1, "a positive integer"),
+    "rep_days": (lambda v: v >= 1, "a positive integer"),
+    "window_hours": (lambda v: v >= 1, "a positive integer"),
+    "seed": (lambda v: v >= 0, "an integer >= 0"),
+    "gap": (lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"),
+    "time_limit": (lambda v: v > 0, "a positive number"),
+    "theta": (lambda v: v >= 0, "a number >= 0"),
+}
+
+
 @dataclass
 class ScenarioConfig:
-    """Inputs and knobs for one run; paths are relative to the config file."""
+    """Inputs and knobs for one run; paths are relative to the config file.
+    Each way of making one (a file, ``replace``, the template) checks it."""
 
     demand: str
     renewables: str
@@ -144,6 +157,20 @@ class ScenarioConfig:
     check_degeneracy: bool = False
     base_dir: str = "."
 
+    def __post_init__(self) -> None:
+        _check_types(self, "scenario", ConfigError, _RANGES)
+        kinds, window = self.kinds, self.window_hours
+        bad = [k for k in kinds if k not in BUILDER_KINDS]
+        if bad:
+            raise ConfigError(f"unknown model kinds {bad}; pick from {list(BUILDER_KINDS)}")
+        repeated = sorted({k for k in kinds if kinds.count(k) > 1})
+        if repeated:
+            raise ConfigError(f"model kinds {repeated} are listed more than once")
+        if window is not None and "rp_tmci" in kinds and window % HOURS_PER_DAY != 0:
+            raise ConfigError(f"window_hours {window} must be a multiple of "
+                              f"{HOURS_PER_DAY} for rp_tmci")
+        self.selected_kinds(None)       # refuses an empty kinds list
+
     def path(self, name: str) -> Path:
         return (Path(self.base_dir) / name).resolve()
 
@@ -162,69 +189,16 @@ class ScenarioConfig:
         return kinds
 
 
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# scenario knobs checked on load: key -> (test, what the test asks for)
-_KNOBS = {
-    "gap": (lambda v: _number(v) and math.isfinite(v) and v >= 0,
-            "a finite number >= 0"),
-    "time_limit": (lambda v: v is None or (_number(v) and v > 0),
-                   "a positive number or null"),
-    "theta": (lambda v: _number(v) and v >= 0, "a number >= 0"),
-    "invest": (lambda v: isinstance(v, bool), "true or false"),
-    "check_degeneracy": (lambda v: isinstance(v, bool), "true or false"),
-    "seed": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
-}
-
-
-def check_knobs(values: dict) -> None:
-    """Raise ConfigError for a knob in ``values`` of the wrong type or range."""
-    for key, (ok, what) in _KNOBS.items():
-        if key in values and not ok(values[key]):
-            raise ConfigError(f"{key} must be {what}, got {values[key]!r}")
-
-
 def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     raw = read_json(path, "scenario file", ConfigError)
-    known = {f for f in ScenarioConfig.__dataclass_fields__}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-    for key in ("demand", "renewables", "inflows", "system"):
-        if key not in raw:
-            raise ConfigError(f"scenario is missing required key {key!r}")
-    for key in ("demand", "renewables", "inflows", "system", "base_dir"):
-        if key in raw and not isinstance(raw[key], str):
-            raise ConfigError(f"scenario file {path}: {key} must be a path string, "
-                              f"got {raw[key]!r}")
-    kinds = raw.get("kinds", BUILDER_KINDS)
-    if not isinstance(kinds, (list, tuple)) or not all(isinstance(k, str) for k in kinds):
-        raise ConfigError(f"scenario file {path}: kinds must be a list of kind names, "
-                          f"got {kinds!r}")
-    bad = [k for k in kinds if k not in BUILDER_KINDS]
-    if bad:
-        raise ConfigError(f"unknown model kinds {bad}; pick from {list(BUILDER_KINDS)}")
-    repeated = sorted({k for k in kinds if kinds.count(k) > 1})
-    if repeated:
-        raise ConfigError(f"model kinds {repeated} are listed more than once")
-    window = raw.get("window_hours")
-    counts = {key: raw[key] for key in ("states", "rep_days") if key in raw}
-    if window is not None:
-        counts["window_hours"] = window
-    for key, value in counts.items():
-        if not _integer(value) or value < 1:
-            raise ConfigError(f"{key} must be a positive integer, got {value!r}")
-    if window is not None and "rp_tmci" in kinds and window % HOURS_PER_DAY != 0:
-        raise ConfigError(f"window_hours {window} must be a multiple of "
-                          f"{HOURS_PER_DAY} for rp_tmci")
-    check_knobs(raw)
     raw.setdefault("base_dir", str(path.parent))
-    config = ScenarioConfig(**raw)
-    config.selected_kinds(None)       # refuses an empty kinds list
-    return config
+    try:
+        return ScenarioConfig(**raw)
+    except TypeError as exc:      # a key it does not know, or lacks
+        raise ConfigError(f"{path}: not a scenario file: {exc}") from None
+    except ConfigError as exc:    # a value it refuses
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def save_scenario(config: ScenarioConfig, path) -> None:
@@ -319,11 +293,22 @@ def stage_build(system: PowerSystem, data: TimeHorizonData,
     return outputs
 
 
-def load_built_model(outdir: Path, kind: str) -> FormulationOutput:
+@dataclass
+class SidecarMeta:
+    """A model sidecar's ``meta``, as evaluation reads it."""
+
+    kind: str
+    invest: bool
+    checkpoints: list[int] | None = None    # rp_tmci only
+
+
+def load_built_model(outdir: Path, kind: str, hours: int | None = None) -> FormulationOutput:
     """Reassemble a formulation from its ``.npz`` file and metadata sidecar.
 
     Raises ConfigError, naming the file, if either is missing or damaged,
-    the sidecar lacks a key evaluation reads or names another kind.
+    the sidecar lacks a key evaluation reads, holds one of the wrong type,
+    names another kind or, ``hours`` given, has ``rp_tmci`` checkpoints
+    that do not rise strictly to ``hours``, the hours evaluation fills.
     """
     _bind_deferred()
     models_dir = Path(outdir) / "models"
@@ -341,8 +326,15 @@ def load_built_model(outdir: Path, kind: str) -> FormulationOutput:
     missing = [key for key in required if key not in meta]
     if missing:
         raise ConfigError(f"model sidecar {side} lacks {missing}")
+    checked = SidecarMeta(meta["kind"], meta["invest"], meta.get("checkpoints"))
+    _check_types(checked, f"model sidecar {side}", ConfigError)
     if meta["kind"] != kind:
         raise ConfigError(f"model sidecar {side} is for kind {meta['kind']!r}, not {kind!r}")
+    marks = [0] + (checked.checkpoints or [])
+    if hours is not None and kind == "rp_tmci" and (
+            marks[-1] != hours or marks != sorted(set(marks))):
+        raise ConfigError(f"model sidecar {side}: checkpoints must rise strictly to "
+                          f"{hours}, got {checked.checkpoints}")
     return FormulationOutput(model=model, meta=meta)
 
 
@@ -433,10 +425,7 @@ def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
         if missing:
             raise ConfigError(f"solution header {path} lacks {missing}")
         sol = Solution(**{key: doc[key] for key in _HEADER})
-        try:
-            _check_types(sol, f"solution header {path}")
-        except SystemFormatError as exc:
-            raise ConfigError(str(exc)) from None
+        _check_types(sol, f"solution header {path}", ConfigError)
         values = sol_dir / f"{kind}.npz"
         if values.exists():
             try:
@@ -513,21 +502,38 @@ def _hourly_csv(exp: HourlyExpansion) -> str:
     return text.getvalue()
 
 
+@dataclass
+class SummaryBlock:
+    """One kind's block of ``report/summary.json``, written and read back."""
+
+    objective: float
+    wall_seconds: float
+    violations: int
+    violation_max_gwh: float
+    investment: dict[str, float]
+    startups: dict[str, float]
+    prices_degenerate: bool | None
+
+
+@dataclass
+class Comparison:
+    """The metrics of one kind under ``comparisons`` in the summary (its
+    ``EvaluationReport.rows``), which sit beside ``absolute_metrics``."""
+
+    metrics: dict[str, float]
+
+
 def stage_report(system: PowerSystem, cases: dict[str, CaseResult],
                  reports: dict[str, EvaluationReport], outdir: Path) -> Path:
     rep_dir = Path(outdir) / "report"
     rep_dir.mkdir(parents=True, exist_ok=True)
 
     summary = {
-        kind: {
-            "objective": case.objective,
-            "wall_seconds": case.wall_seconds,
-            "violations": case.violation_count,
-            "violation_max_gwh": case.violation_max,
-            "investment": case.investment,
-            "startups": case.startups,
-            "prices_degenerate": case.prices_degenerate,
-        } for kind, case in cases.items()
+        kind: asdict(SummaryBlock(
+            objective=case.objective, wall_seconds=case.wall_seconds,
+            violations=case.violation_count, violation_max_gwh=case.violation_max,
+            investment=case.investment, startups=case.startups,
+            prices_degenerate=case.prices_degenerate)) for kind, case in cases.items()
     }
     rows = {kind: dict(rep.rows()) for kind, rep in reports.items()}
     summary["comparisons"] = {
@@ -671,8 +677,12 @@ def emit_scenario_template(outdir, vision: int = 1, days: int = 28,
         raise ConfigError(f"vision must be one of {sorted(VISION_CAPACITY_GW)}")
     if days < 1:
         raise ConfigError("days must be positive")
-    check_knobs({"seed": seed})
     outdir = Path(outdir)
+    # built first: a seed it refuses leaves no directory behind
+    scenario = ScenarioConfig(
+        demand="demand.csv", renewables="renewables.csv", inflows="inflows.csv",
+        system="system.json", rep_days=min(ScenarioConfig.rep_days, days), seed=seed,
+        base_dir=str(outdir))
     outdir.mkdir(parents=True, exist_ok=True)
     caps = VISION_CAPACITY_GW[vision]
     demand, renewable, inflows = _template_profiles(days, caps, seed)
@@ -716,9 +726,5 @@ def emit_scenario_template(outdir, vision: int = 1, days: int = 28,
 
     save_system(system, outdir / "system.json")
     save_horizon(data, outdir)
-    scenario = ScenarioConfig(
-        demand="demand.csv", renewables="renewables.csv", inflows="inflows.csv",
-        system="system.json", states=32, rep_days=min(6, days), seed=seed,
-        base_dir=str(outdir))
     save_scenario(scenario, outdir / "scenario.json")
     return outdir / "scenario.json"

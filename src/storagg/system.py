@@ -294,26 +294,37 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
 
 
-# the JSON value each annotated field type takes: type -> (test, what it asks for)
+# the JSON value each annotated field type takes, ``T | None`` also null:
+# type -> (test, what it asks for).  ``type(v) is int``: true is no integer
 _FIELD_TESTS = {
     "str": (lambda v: isinstance(v, str), "a string"),
     "list[str]": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
                   "a list of strings"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "list[int]": (lambda v: isinstance(v, list) and all(type(x) is int for x in v),
+                  "a list of integers"),
     "float": (_number, "a number"),
-    "float | None": (lambda v: v is None or _number(v), "a number or null"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "dict": (lambda v: isinstance(v, dict), "an object"),
+    "dict[str, float]": (lambda v: isinstance(v, dict) and all(map(_number, v.values())),
+                         "an object of numbers"),
 }
 
 
-def _check_types(obj, where: str) -> None:
-    """Raise SystemFormatError for a field of ``obj`` whose JSON value has
-    the wrong type, before any check compares or multiplies it."""
+def _check_types(obj, where: str, error: type[Exception], ranges: dict | None = None) -> None:
+    """Raise ``error`` as ``<where>: <field> must be <what>, got <value>``
+    for a field of the dataclass ``obj`` whose JSON value has the wrong type
+    or fails its ``ranges`` test (field -> (test, what type and range))."""
     for f in fields(obj):
-        test, what = _FIELD_TESTS.get(f.type, (None, None))
-        value = getattr(obj, f.name)
-        if test is not None and not test(value):
-            raise SystemFormatError(f"{where}: {f.name} must be {what}, got {value!r}")
+        value, kind = getattr(obj, f.name), f.type.removesuffix(" | None")
+        optional = kind != f.type
+        test, what = _FIELD_TESTS.get(kind, (None, None))
+        in_range, what = (ranges or {}).get(f.name, (None, what))
+        if test is None or optional and value is None:
+            continue
+        if not test(value) or in_range and not in_range(value):
+            raise error(f"{where}: {f.name} must be {what}{' or null' * optional}, "
+                        f"got {value!r}")
 
 
 def load_system(path) -> PowerSystem:
@@ -343,12 +354,12 @@ def load_system(path) -> PowerSystem:
         )
     except (KeyError, TypeError) as exc:
         raise SystemFormatError(f"{path}: malformed system file ({exc})") from None
-    _check_types(network, f"{path}: network")
+    _check_types(network, f"{path}: network", SystemFormatError)
     for label, units in (("circuit", network.circuits), ("thermal unit", system.thermal),
                          ("storage unit", system.storage)):
         for unit in units:
-            _check_types(unit, f"{path}: {label} {unit.id!r}")
-    _check_types(system.config, f"{path}: config")
+            _check_types(unit, f"{path}: {label} {unit.id!r}", SystemFormatError)
+    _check_types(system.config, f"{path}: config", SystemFormatError)
     if network.circuits and network.isf is None and all(
             c.reactance is not None for c in network.circuits):
         system = replace(system, network=replace(

@@ -204,6 +204,28 @@ def test_one_reader_and_writer_of_json_files():
         ("src/storagg/cli.py", "cmd_report")}
 
 
+def test_one_type_checker_of_json_values():
+    """Every value read from a JSON file is type-checked by ``_check_types``
+    against the annotations of the dataclass it fills: the scenario's own
+    knob table and its helpers are gone, and the checker is called by the
+    readers alone (``ScenarioConfig.__post_init__`` for each way a scenario
+    is made)."""
+    gone = ("_KNOBS", "check_knobs", "_integer")
+
+    def defines_or_reads(node) -> bool:
+        name = getattr(node, "id", None) or getattr(node, "name", None)
+        return isinstance(node, (ast.Name, ast.FunctionDef)) and name in gone
+
+    assert sites(defines_or_reads, [SRC, REPO / "tests", REPO / "demos"]) == set()
+    assert call_sites("_check_types", [SRC]) == {
+        ("src/storagg/system.py", "load_system"),
+        ("src/storagg/pipeline.py", "__post_init__"),
+        ("src/storagg/aggregation.py", "load_artifacts"),
+        ("src/storagg/pipeline.py", "load_built_model"),
+        ("src/storagg/pipeline.py", "load_solutions"),
+        ("src/storagg/cli.py", "cmd_report")}
+
+
 def loads_on_first_use(node) -> bool:
     """A ``sites`` matcher of an import of scipy or of the clustering,
     model, builder, solver or evaluation code: ``aggregation``, ``milp``,

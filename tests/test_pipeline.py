@@ -783,6 +783,111 @@ def test_cli_refuses_damaged_json(evaluated_ss, tmp_path, capsys, name, command,
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def evaluated_ss_tmci(tmp_path_factory):
+    """A 2-day template whose checkpoints are 24 h apart (so an ``rp_tmci``
+    sidecar holds ``[24, 48]``) and its ``ss`` and ``rp_tmci`` run, through
+    ``evaluate``."""
+    root = tmp_path_factory.mktemp("evaluated_tmci")
+    cfg, out = str(root / "scen" / "scenario.json"), str(root / "out")
+    assert cli_main(["template", "-o", str(root / "scen"), "--days", "2"]) == 0
+    doc = json.loads(Path(cfg).read_text())
+    Path(cfg).write_text(json.dumps(dict(doc, window_hours=24)))
+    only = ["--only", "ss", "--only", "rp_tmci"]
+    for argv in (["cluster", cfg, "-o", out], ["build", cfg, "-o", out, *only],
+                 ["solve", cfg, "-o", out, *only, "--gap", "1e-3"],
+                 ["evaluate", cfg, "-o", out, *only, "--no-prices"]):
+        assert cli_main(argv) == 0, argv
+    assert json.loads((root / "out/models/rp_tmci.registry.json").read_text())[
+        "meta"]["checkpoints"] == [24, 48]
+    return root
+
+
+def _set(section, key, value):
+    """A change to a JSON document: ``doc[section][key] = value``, or
+    ``doc[key] = value`` with no section."""
+    def change(doc):
+        (doc[section] if section else doc)[key] = value
+        return doc
+    return change
+
+
+# file, command, change to its JSON (or the whole new document), message
+_WRONG_VALUES = {
+    "sidecar-invest": ("out/models/ss.registry.json", "evaluate", _set("meta", "invest", "yes"),
+                       "invest must be true or false, got 'yes'"),
+    "sidecar-checkpoints": ("out/models/rp_tmci.registry.json", "evaluate",
+                            _set("meta", "checkpoints", 5),
+                            "checkpoints must be a list of integers or null, got 5"),
+    "checkpoints-short": ("out/models/rp_tmci.registry.json", "evaluate",
+                          _set("meta", "checkpoints", [24]),
+                          "checkpoints must rise strictly to 48, got [24]"),
+    "checkpoints-unsorted": ("out/models/rp_tmci.registry.json", "evaluate",
+                             _set("meta", "checkpoints", [48, 24]),
+                             "checkpoints must rise strictly to 48, got [48, 24]"),
+    "artifacts-seed": ("out/agg/artifacts.json", "build", _set(None, "seed", "x"),
+                       "seed must be an integer, got 'x'"),
+    "artifacts-window": ("out/agg/artifacts.json", "build", _set(None, "window_hours", True),
+                         "window_hours must be an integer, got True"),
+    "artifacts-states": ("out/agg/artifacts.json", "build", _set("states", "num_states", "2"),
+                         "num_states must be an integer, got '2'"),
+    "summary-block": ("out/report/summary.json", "report", {"ss": 5},
+                      "not a report summary: "),
+    "summary-empty-block": ("out/report/summary.json", "report", {"ss": {}},
+                            "not a report summary: "),
+    "summary-comparisons": ("out/report/summary.json", "report", {"comparisons": 5},
+                            "not a report summary: "),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRONG_VALUES))
+def test_cli_refuses_wrongly_typed_values(evaluated_ss_tmci, tmp_path, capsys, case):
+    """A sidecar, clustering or summary value of the wrong type, a report
+    block or comparison that is no object, and ``rp_tmci`` checkpoints that
+    do not rise strictly to the horizon's end are input errors: exit 2 and
+    the file named.  Let through, a sidecar's ``"invest": "yes"`` ended in
+    exit 3, a ``window_hours`` of true gave 1-hour checkpoints, checkpoints
+    cut short left the later hours' levels unset (exit 0), and the summary
+    shapes crashed ``storagg report``.  The command runs in-process, so an
+    exception escaping it fails the test."""
+    name, command, change, message = _WRONG_VALUES[case]
+    shutil.copytree(evaluated_ss_tmci, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / name
+    doc = change(json.loads(path.read_text())) if callable(change) else change
+    path.write_text(json.dumps(doc))
+    cfg, out = str(tmp_path / "scen" / "scenario.json"), str(tmp_path / "out")
+    kind = "rp_tmci" if "rp_tmci" in name else "ss"
+    argv = {"report": ["report", out],
+            "build": ["build", cfg, "-o", out, "--only", kind],
+            "evaluate": ["evaluate", cfg, "-o", out, "--only", kind, "--no-prices"]}[command]
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err, err
+
+
+def test_report_prints_a_summary_without_metrics(evaluated_ss_tmci, tmp_path, capsys):
+    """A comparison that holds no metric is a summary ``storagg report``
+    prints; it was a ``max()`` of nothing."""
+    shutil.copytree(evaluated_ss_tmci, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "out" / "report" / "summary.json"
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(doc, comparisons={"ss": {"absolute_metrics": []}})))
+    assert cli_main(["report", str(tmp_path / "out")]) == 0
+    assert "rp_tmci: objective" in capsys.readouterr().out
+
+
+def test_template_flags_default_to_the_function(tmp_path, capsys):
+    """``storagg template`` has no defaults of its own: a flag left out
+    takes ``emit_scenario_template``'s, and a vision it does not bundle is
+    that function's ConfigError, before any file is written."""
+    args = build_parser().parse_args(["template", "-o", str(tmp_path)])
+    assert (args.vision, args.days, args.seed) == (None, None, None)
+    assert cli_main(["template", "-o", str(tmp_path / "x"), "--vision", "5"]) == 2
+    assert "vision must be one of [1, 2, 3, 4]" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def lazy_modules_after(code: str) -> list[str]:
     """The ``scipy``, ``gzip``, ``subprocess`` and ``concurrent`` modules a
     fresh interpreter holds after running ``code``."""
