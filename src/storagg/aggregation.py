@@ -19,12 +19,12 @@ transition counts (the day chain as a single window).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .system import read_json, write_json, _check_types
+from .system import from_json, read_json, to_json, write_json
 from .timeseries import (HOURS_PER_DAY, WEEK_HOURS, NormalizedFeatures, TimeHorizonData,
                          normalize_series)
 
@@ -149,13 +149,13 @@ def kmedoids(points: np.ndarray, k: int, seed: int):
 
 @dataclass(frozen=True)
 class StateClustering:
-    """Hours grouped into system states (composite hours)."""
+    """Hours grouped into system states (composite hours, in physical units)."""
 
     num_states: int
-    assignment: np.ndarray     # (P,) state index per hour
-    demand: np.ndarray         # (S, n_nodes) GW, de-normalized composite hour
-    renewable_avail: np.ndarray  # (S, n_nodes) GW
-    inflows: np.ndarray        # (S, n_storage) GWh
+    assignment: np.ndarray = field(metadata={"json": "list[int]"})  # (P,) state per hour
+    demand: np.ndarray = field(metadata={"json": "list[list[float]] >= 0"})  # (S, n_nodes) GW
+    renewable_avail: np.ndarray = field(metadata={"json": "list[list[float]] >= 0"})  # GW
+    inflows: np.ndarray = field(metadata={"json": "list[list[float]] >= 0"})  # (S, n_storage) GWh
 
     @property
     def horizon_hours(self) -> int:
@@ -167,8 +167,8 @@ class RepPeriodClustering:
     """Days grouped into clusters, each represented by an actual member day."""
 
     num_rp: int
-    day_assignment: np.ndarray   # (D,) cluster index per day
-    medoid_days: np.ndarray      # (R,) day index of each representative
+    day_assignment: np.ndarray = field(metadata={"json": "list[int]"})  # (D,) cluster per day
+    medoid_days: np.ndarray = field(metadata={"json": "list[int]"})  # (R,) day of each
 
     @property
     def num_days(self) -> int:
@@ -267,12 +267,28 @@ def build_matrices(states: StateClustering, rp: RepPeriodClustering,
 
 @dataclass(frozen=True)
 class AggregationArtifacts:
-    """Everything the aggregated formulations need, serialized as one file."""
+    """Everything the aggregated formulations need: what its file stores,
+    the clusterings and the window, and the matrices derived from them."""
 
     seed: int
     states: StateClustering
     rp: RepPeriodClustering
-    matrices: TransitionMatrices
+    window_hours: int
+    matrices: TransitionMatrices = field(init=False)
+
+    def __post_init__(self) -> None:
+        """Refuse clusterings that disagree, then derive the matrices."""
+        states, rp = self.states, self.rp
+        if any(len(a) != states.num_states
+               for a in (states.demand, states.renewable_avail, states.inflows)):
+            raise ValueError(f"composite hours must have {states.num_states} rows")
+        if len(rp.medoid_days) != rp.num_rp:
+            raise ValueError(f"{rp.num_rp} representatives need as many medoid days")
+        if ((rp.medoid_days < 0) | (rp.medoid_days >= rp.num_days)).any():
+            raise ValueError(f"medoid days must lie in 0..{rp.num_days - 1}")
+        if (rp.day_assignment[rp.medoid_days] != np.arange(rp.num_rp)).any():
+            raise ValueError("each medoid day must lie in its own cluster")
+        object.__setattr__(self, "matrices", build_matrices(states, rp, self.window_hours))
 
 
 def aggregate(data: TimeHorizonData, num_states: int, num_rp: int,
@@ -289,9 +305,7 @@ def aggregate(data: TimeHorizonData, num_states: int, num_rp: int,
     features = normalize_series(data)
     states = cluster_states(features, num_states, seed)
     rp = cluster_days(features, num_rp, seed)
-    return AggregationArtifacts(
-        seed=seed, states=states, rp=rp,
-        matrices=build_matrices(states, rp, window_hours))
+    return AggregationArtifacts(seed=seed, states=states, rp=rp, window_hours=window_hours)
 
 
 # ---------------------------------------------------------------------------
@@ -300,74 +314,15 @@ def aggregate(data: TimeHorizonData, num_states: int, num_rp: int,
 # ---------------------------------------------------------------------------
 
 def save_artifacts(art: AggregationArtifacts, path) -> None:
-    doc = {
-        "seed": art.seed,
-        "states": {
-            "num_states": art.states.num_states,
-            "assignment": art.states.assignment.tolist(),
-            "demand": art.states.demand.tolist(),
-            "renewable_avail": art.states.renewable_avail.tolist(),
-            "inflows": art.states.inflows.tolist(),
-        },
-        "rp": {
-            "num_rp": art.rp.num_rp,
-            "day_assignment": art.rp.day_assignment.tolist(),
-            "medoid_days": art.rp.medoid_days.tolist(),
-        },
-        "window_hours": art.matrices.window_hours,
-    }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_json(path, doc)
-
-
-@dataclass(frozen=True)
-class _Scalars:
-    """The two numbers of an artifacts file beside its clusterings."""
-
-    seed: int
-    window_hours: int
+    write_json(path, to_json(art))
 
 
 def load_artifacts(path) -> AggregationArtifacts:
-    """Read the clusterings back and rebuild the matrices from them.
-
-    Raises AggregationError as ``<path>: not a clustering artifacts file:
-    <reason>`` if it is not a JSON object (``read_json``), lacks a key,
-    holds a count, the seed or the window of the wrong type
-    (``_check_types``, before anything uses them) or an index or an array
-    length the clusterings cannot have.
-    """
-    doc = read_json(path, "clustering artifacts file", AggregationError)
-    where = f"{path}: not a clustering artifacts file"
-    try:
-        st, rp_doc = doc["states"], doc["rp"]
-        states = StateClustering(
-            num_states=st["num_states"],
-            assignment=np.array(st["assignment"], dtype=int),
-            demand=np.array(st["demand"], dtype=float),
-            renewable_avail=np.array(st["renewable_avail"], dtype=float),
-            inflows=np.array(st["inflows"], dtype=float))
-        rp = RepPeriodClustering(
-            num_rp=rp_doc["num_rp"],
-            day_assignment=np.array(rp_doc["day_assignment"], dtype=int),
-            medoid_days=np.array(rp_doc["medoid_days"], dtype=int))
-        scalars = _Scalars(doc["seed"], doc["window_hours"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise AggregationError(f"{where}: {type(exc).__name__}: {exc}") from None
-    for part in (states, rp, scalars):
-        _check_types(part, where, AggregationError)
-    try:
-        if any(len(a) != states.num_states
-               for a in (states.demand, states.renewable_avail, states.inflows)):
-            raise ValueError(f"composite hours must have {states.num_states} rows")
-        if len(rp.medoid_days) != rp.num_rp:
-            raise ValueError(f"{rp.num_rp} representatives need as many medoid days")
-        if ((rp.medoid_days < 0) | (rp.medoid_days >= rp.num_days)).any():
-            raise ValueError(f"medoid days must lie in 0..{rp.num_days - 1}")
-        if (rp.day_assignment[rp.medoid_days] != np.arange(rp.num_rp)).any():
-            raise ValueError("each medoid day must lie in its own cluster")
-        matrices = build_matrices(states, rp, scalars.window_hours)
-    except (ValueError, AggregationError) as exc:
-        raise AggregationError(f"{where}: {type(exc).__name__}: {exc}") from None
-    return AggregationArtifacts(seed=scalars.seed, states=states, rp=rp, matrices=matrices)
+    """Read the clusterings back and rebuild the matrices from them; raises
+    AggregationError as ``<path>: not a clustering artifacts file: <reason>``
+    if it is no JSON object or no ``AggregationArtifacts`` (``from_json``)."""
+    return from_json(AggregationArtifacts, read_json(path, "clustering artifacts file",
+                                                     AggregationError),
+                     f"{path}: not a clustering artifacts file", AggregationError)

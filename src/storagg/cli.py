@@ -13,12 +13,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .pipeline import (PipelineError, ConfigError, ScenarioConfig, SummaryBlock, Comparison,
+from .pipeline import (PipelineError, ConfigError, ScenarioConfig, Summary,
                        load_scenario, load_built_model,
                        load_solutions, stage_ingest, stage_cluster, stage_build,
                        stage_solve, stage_evaluate, stage_report, run_pipeline,
                        emit_scenario_template, BUILDER_KINDS)
-from .system import read_json, _check_types
+from .system import from_json, read_json
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -187,27 +187,19 @@ def cmd_report(args) -> int:
     path = Path(args.outdir) / "report" / "summary.json"
     if not path.exists():
         raise ConfigError(f"no summary at {path}; run 'evaluate' first")
-    summary = read_json(path, "report summary", ConfigError)
-    try:      # {**x} refuses an x that is not an object
-        comparisons = {kind: Comparison({m: v for m, v in {**block}.items()
-                                         if m != "absolute_metrics"})
-                       for kind, block in {**summary.pop("comparisons", {})}.items()}
-        blocks = {kind: SummaryBlock(**block) for kind, block in summary.items()}
-    except TypeError as exc:
-        raise ConfigError(f"{path}: not a report summary: {exc}") from None
-    for kind, part in [*blocks.items(), *comparisons.items()]:
-        _check_types(part, f"{path}: {kind}", ConfigError)
-    for kind, block in blocks.items():
+    summary = from_json(Summary, read_json(path, "report summary", ConfigError),
+                        f"{path}: not a report summary", ConfigError)
+    for kind, block in summary.blocks.items():
         print(f"{kind}: objective {block.objective:.4f}, "
               f"solve {block.wall_seconds:.2f}s, "
               f"violations {block.violations}")
-    metrics = sorted({m for c in comparisons.values() for m in c.metrics})
+    metrics = sorted({m for c in summary.comparisons.values() for m in c.metrics})
     if metrics:
         width = max(len(m) for m in metrics) + 2
-        print("\n" + "metric".ljust(width) + "".join(k.rjust(12) for k in comparisons))
+        print("\n" + "metric".ljust(width) + "".join(k.rjust(12) for k in summary.comparisons))
         for m in metrics:
             cells = []
-            for c in comparisons.values():
+            for c in summary.comparisons.values():
                 v = c.metrics.get(m)
                 cells.append(("" if v is None else f"{v:.3f}").rjust(12))
             print(m.ljust(width) + "".join(cells))

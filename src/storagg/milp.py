@@ -71,6 +71,7 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_ERROR = "error"
 OK_STATUSES = (STATUS_OPTIMAL, STATUS_GAP_LIMIT, STATUS_TIME_LIMIT)
+STATUSES = OK_STATUSES + (STATUS_INFEASIBLE, STATUS_UNBOUNDED, STATUS_ERROR)
 
 class ModelError(ValueError):
     pass
@@ -783,14 +784,10 @@ def write_registry(model: MilpModel, path, meta: dict | None = None) -> None:
     write_json(path, {"model": model.name, "meta": meta or {}}, compact=True)
 
 
-def load_registry(path) -> dict:
-    """The metadata stored by ``write_registry``; raises ModelError, naming
-    the file, if it is not such a sidecar or its ``meta`` is not an object."""
-    meta = read_json(path, "model sidecar", ModelError).get("meta")
-    if not isinstance(meta, dict):
-        raise ModelError(f"{path}: not a model sidecar: its meta must be a JSON object, "
-                         f"got {type(meta).__name__}")
-    return meta
+def load_registry(path):
+    """The metadata stored by ``write_registry``, unchecked (``load_built_model``
+    checks it); raises ModelError, naming the file, if it is no such sidecar."""
+    return read_json(path, "model sidecar", ModelError).get("meta")
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ from .timeseries import (TimeHorizonData, HOURS_PER_DAY, WEEK_HOURS, load_horizo
 from .system import (PowerSystem, ThermalUnit, StorageUnit, Network,
                      OperatingConfig, load_system, save_system,
                      validate_system, SystemFormatError, SHORT_TERM, LONG_TERM,
-                     _check_types, read_json, write_json)
+                     _check_types, from_json, read_json, write_json)
 
 # Names the stages take from the modules that load on first use: name -> module.
 # ``_bind_deferred`` imports them into this namespace, where the stages look
@@ -75,7 +75,7 @@ _DEFERRED = {
     **dict.fromkeys(("aggregate", "save_artifacts", "AggregationArtifacts",
                      "AggregationError"), "aggregation"),
     **dict.fromkeys(("save_model", "load_model", "write_registry", "load_registry",
-                     "save_solution", "load_solution", "Solution", "ScipySolver",
+                     "save_solution", "load_solution", "Solution", "ScipySolver", "STATUSES",
                      "ModelError", "audit_constraints", "STATUS_INFEASIBLE", "trim_heap",
                      # not called here: bench/tracing.py wraps these two by name
                      "write_mps", "parse_mps"), "milp"),
@@ -158,7 +158,7 @@ class ScenarioConfig:
     base_dir: str = "."
 
     def __post_init__(self) -> None:
-        _check_types(self, "scenario", ConfigError, _RANGES)
+        _check_types(ScenarioConfig, vars(self), "scenario", ConfigError, _RANGES)
         kinds, window = self.kinds, self.window_hours
         bad = [k for k in kinds if k not in BUILDER_KINDS]
         if bad:
@@ -193,12 +193,7 @@ def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     raw = read_json(path, "scenario file", ConfigError)
     raw.setdefault("base_dir", str(path.parent))
-    try:
-        return ScenarioConfig(**raw)
-    except TypeError as exc:      # a key it does not know, or lacks
-        raise ConfigError(f"{path}: not a scenario file: {exc}") from None
-    except ConfigError as exc:    # a value it refuses
-        raise ConfigError(f"{path}: {exc}") from None
+    return from_json(ScenarioConfig, raw, f"{path}: scenario", ConfigError, _RANGES)
 
 
 def save_scenario(config: ScenarioConfig, path) -> None:
@@ -322,25 +317,27 @@ def load_built_model(outdir: Path, kind: str, hours: int | None = None) -> Formu
         meta = load_registry(side)
     except ModelError as exc:
         raise ConfigError(f"model file: {exc}") from None
-    required = ("kind", "invest") + (("checkpoints",) if kind == "rp_tmci" else ())
-    missing = [key for key in required if key not in meta]
-    if missing:
-        raise ConfigError(f"model sidecar {side} lacks {missing}")
-    checked = SidecarMeta(meta["kind"], meta["invest"], meta.get("checkpoints"))
-    _check_types(checked, f"model sidecar {side}", ConfigError)
-    if meta["kind"] != kind:
-        raise ConfigError(f"model sidecar {side} is for kind {meta['kind']!r}, not {kind!r}")
+    checked = from_json(SidecarMeta, meta, f"{side}: not a model sidecar: meta", ConfigError)
+    if checked.kind != kind:
+        raise ConfigError(f"model sidecar {side} is for kind {checked.kind!r}, not {kind!r}")
     marks = [0] + (checked.checkpoints or [])
-    if hours is not None and kind == "rp_tmci" and (
-            marks[-1] != hours or marks != sorted(set(marks))):
+    if kind == "rp_tmci" and (checked.checkpoints is None or hours is not None and (
+            marks[-1] != hours or marks != sorted(set(marks)))):
         raise ConfigError(f"model sidecar {side}: checkpoints must rise strictly to "
-                          f"{hours}, got {checked.checkpoints}")
+                          f"{hours or 'the last hour'}, got {checked.checkpoints}")
     return FormulationOutput(model=model, meta=meta)
 
 
-# the keys of solutions/<kind>.json that rebuild a Solution, whose field
-# annotations give the type each value must have; the file also carries the audit
-_HEADER = ("status", "objective", "gap", "wall_seconds", "message")
+@dataclass
+class SolutionHeader:
+    """``solutions/<kind>.json``: a Solution but its values, and its audit."""
+
+    status: str
+    objective: float | None
+    gap: float
+    wall_seconds: float
+    message: str
+    audit: dict
 
 
 def save_solutions(outdir: Path, solutions: dict[str, Solution],
@@ -355,9 +352,8 @@ def save_solutions(outdir: Path, solutions: dict[str, Solution],
     sol_dir = Path(outdir) / "solutions"
     sol_dir.mkdir(parents=True, exist_ok=True)
     for kind, sol in solutions.items():
-        doc = {key: getattr(sol, key) for key in _HEADER}
-        doc["audit"] = audits[kind]
-        write_json(sol_dir / f"{kind}.json", doc)
+        write_json(sol_dir / f"{kind}.json", asdict(SolutionHeader(
+            sol.status, sol.objective, sol.gap, sol.wall_seconds, sol.message, audits[kind])))
         values = sol_dir / f"{kind}.npz"
         if sol.values or sol.ok:
             save_solution(sol, values)
@@ -405,12 +401,15 @@ def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
     """Rebuild each kind's Solution from the files ``save_solutions`` wrote.
 
     Raises ConfigError, naming the file, if a header is missing, is not
-    JSON (``read_json``), lacks a key, has a value of the wrong type or
-    still holds its values inline (the format before the ``.npz`` values
-    file; there is no reader for it), or if the values file of an ok
-    solution is missing or damaged.
+    JSON (``read_json``), still holds its values inline (the format before
+    the ``.npz`` values file; there is no reader for it), is no
+    ``SolutionHeader`` under the header rules (``from_json``), or if the
+    values file of an ok solution is missing or damaged.
     """
     _bind_deferred()
+    rules = {"status": (lambda v: v in STATUSES, f"one of {list(STATUSES)}"),
+             "gap": (lambda v: v >= 0, "a number >= 0"),
+             "wall_seconds": (lambda v: v >= 0, "a number >= 0")}
     out = {}
     sol_dir = Path(outdir) / "solutions"
     for kind in kinds:
@@ -421,11 +420,12 @@ def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
         if "values" in doc:
             raise ConfigError(f"{path} holds its values inline, an old solution "
                               f"format; solve {kind!r} again")
-        missing = [key for key in _HEADER if key not in doc]
-        if missing:
-            raise ConfigError(f"solution header {path} lacks {missing}")
-        sol = Solution(**{key: doc[key] for key in _HEADER})
-        _check_types(sol, f"solution header {path}", ConfigError)
+        head = from_json(SolutionHeader, doc, f"solution header {path}", ConfigError, rules)
+        sol = Solution(head.status, head.objective, gap=head.gap,
+                       wall_seconds=head.wall_seconds, message=head.message)
+        if sol.ok and sol.objective is None:
+            raise ConfigError(f"solution header {path}: objective must be a number "
+                              f"for status {sol.status!r}, got None")
         values = sol_dir / f"{kind}.npz"
         if values.exists():
             try:
@@ -517,10 +517,18 @@ class SummaryBlock:
 
 @dataclass
 class Comparison:
-    """The metrics of one kind under ``comparisons`` in the summary (its
-    ``EvaluationReport.rows``), which sit beside ``absolute_metrics``."""
+    """One kind's ``EvaluationReport.rows`` in the summary, beside ``absolute_metrics``."""
 
-    metrics: dict[str, float]
+    absolute_metrics: list[str]
+    metrics: dict[str, float] = field(metadata={"other_keys": True})
+
+
+@dataclass
+class Summary:
+    """``report/summary.json``: a block per kind beside the comparisons."""
+
+    blocks: dict[str, SummaryBlock] = field(metadata={"other_keys": True})
+    comparisons: dict[str, Comparison] = field(default_factory=dict)
 
 
 def stage_report(system: PowerSystem, cases: dict[str, CaseResult],

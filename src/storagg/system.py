@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields, asdict, replace
+import reprlib
+import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -99,7 +101,7 @@ class Network:
     buses: list[str]
     slack_bus: str
     circuits: list[Circuit] = field(default_factory=list)
-    isf: np.ndarray | None = None
+    isf: np.ndarray | None = field(default=None, metadata={"json": "list[list[float]]"})
 
     @property
     def nonslack(self) -> list[str]:
@@ -111,14 +113,14 @@ class OperatingConfig:
     reserve_fraction: float = 0.0        # spinning reserve as share of hourly demand
     pns_penalty: float = 1000.0          # k euro per GWh of non-served power
     spill_penalty: float = 0.0           # k euro per GWh spilled from storage
-    initial_commitment: dict = field(default_factory=dict)  # unit id -> 0/1 before hour 1
+    initial_commitment: dict[str, int] = field(default_factory=dict)  # unit -> 0/1 before hour 1
 
 
 @dataclass(frozen=True)
 class PowerSystem:
-    thermal: list[ThermalUnit]
-    storage: list[StorageUnit]
-    network: Network
+    network: Network = field(metadata={"other_keys": True})   # its keys sit at the top level
+    thermal: list[ThermalUnit] = field(default_factory=list)
+    storage: list[StorageUnit] = field(default_factory=list)
     config: OperatingConfig = field(default_factory=OperatingConfig)
 
     @property
@@ -274,17 +276,20 @@ def read_json(path, what: str, error: type[Exception]) -> dict:
     raise error(f"{path}: not a {what}: {reason}")
 
 
+def to_json(value):
+    """``value`` as the JSON ``from_json`` reads back: a record as its init fields."""
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value) if f.init}
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(item) for item in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def save_system(system: PowerSystem, path) -> None:
-    doc = {
-        "buses": system.network.buses,
-        "slack_bus": system.network.slack_bus,
-        "circuits": [asdict(c) for c in system.network.circuits],
-        "thermal": [asdict(t) for t in system.thermal],
-        "storage": [asdict(s) for s in system.storage],
-        "config": asdict(system.config),
-    }
-    if system.network.isf is not None:
-        doc["isf"] = [[float(v) for v in row] for row in system.network.isf]
+    doc = to_json(system)    # the network's keys at the top level, an unset isf left out
+    doc.update((key, value) for key, value in doc.pop("network").items() if value is not None)
     write_json(path, doc)
 
 
@@ -294,10 +299,18 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
 
 
-# the JSON value each annotated field type takes, ``T | None`` also null:
-# type -> (test, what it asks for).  ``type(v) is int``: true is no integer
+def _rows(low: float):
+    """The test of a list of equal-length rows of finite numbers >= ``low``."""
+    return lambda v: isinstance(v, list) and all(
+        isinstance(row, list) and len(row) == len(v[0])
+        and all(_number(x) and low <= x and abs(x) < np.inf for x in row) for row in v)
+
+
+# the JSON value each field type takes, ``T | None`` also null: type -> (test,
+# what it asks for).  ``type(v) is int``: true is no integer
 _FIELD_TESTS = {
     "str": (lambda v: isinstance(v, str), "a string"),
+    "list": (lambda v: isinstance(v, list), "a list"),
     "list[str]": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
                   "a list of strings"),
     "int": (lambda v: type(v) is int, "an integer"),
@@ -306,60 +319,95 @@ _FIELD_TESTS = {
     "float": (_number, "a number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "dict": (lambda v: isinstance(v, dict), "an object"),
+    "dict[str, int]": (lambda v: isinstance(v, dict) and all(type(x) is int for x in v.values()),
+                       "an object of integers"),
     "dict[str, float]": (lambda v: isinstance(v, dict) and all(map(_number, v.values())),
                          "an object of numbers"),
+    "list[list[float]]": (_rows(-np.inf), "a list of equal-length rows of finite numbers"),
+    "list[list[float]] >= 0": (_rows(0), "a list of equal-length rows of finite numbers >= 0"),
 }
 
 
-def _check_types(obj, where: str, error: type[Exception], ranges: dict | None = None) -> None:
-    """Raise ``error`` as ``<where>: <field> must be <what>, got <value>``
-    for a field of the dataclass ``obj`` whose JSON value has the wrong type
-    or fails its ``ranges`` test (field -> (test, what type and range))."""
-    for f in fields(obj):
-        value, kind = getattr(obj, f.name), f.type.removesuffix(" | None")
-        optional = kind != f.type
-        test, what = _FIELD_TESTS.get(kind, (None, None))
-        in_range, what = (ranges or {}).get(f.name, (None, what))
-        if test is None or optional and value is None:
+def _json_type(cls, f):
+    """Field ``f`` of ``cls``: the JSON type it is read as (an ``np.ndarray``
+    names it in its metadata, ``{"json": <type>}``), whether it takes null,
+    and ``(shape, record)`` for a record of its module, ``list[…]`` or ``dict[str, …]``."""
+    kind = f.metadata.get("json", f.type.removesuffix(" | None"))
+    shape, _, name = kind.removesuffix("]").rpartition("[")
+    record = vars(sys.modules[cls.__module__]).get(name.removeprefix("str, "))
+    is_record = is_dataclass(record) and shape in ("", "list", "dict")
+    return kind, f.type.endswith(" | None"), (shape, record) if is_record else None
+
+
+def _check_types(cls, values: dict, where: str, error: type[Exception],
+                 ranges: dict | None = None) -> None:
+    """Raise ``error`` as ``<where>: <field> must be <what>, got <value>`` for
+    a value in ``values`` of the wrong JSON type for the field of ``cls`` it
+    fills (a record's is an object) or outside its ``ranges``: field ->
+    (test, what type and range).  A field type with no test is a TypeError."""
+    for f in fields(cls):
+        kind, optional, record = _json_type(cls, f)
+        test, what = _FIELD_TESTS.get((record[0] or "dict") if record else kind, (None, None))
+        if test is None:
+            raise TypeError(f"{cls.__name__}.{f.name}: no JSON test for {kind!r}")
+        value = values.get(f.name)
+        if f.name not in values or optional and value is None:
             continue
+        in_range, what = (ranges or {}).get(f.name, (None, what))
         if not test(value) or in_range and not in_range(value):
             raise error(f"{where}: {f.name} must be {what}{' or null' * optional}, "
-                        f"got {value!r}")
+                        f"got {reprlib.repr(value)}")
+
+
+def from_json(cls, doc, where: str, error: type[Exception], ranges: dict | None = None):
+    """The dataclass ``cls`` filled from the JSON value ``doc``, the one way
+    from a file to a record.  Raises ``error`` as ``<where>: <reason>``: ``must
+    be an object, got <value>``, ``missing key '<key>'``, ``unknown key
+    '<key>'``, a wrong type or range (``_check_types``, before the constructor
+    sees it) or a refusal of ``__post_init__``.  A field marked ``other_keys``
+    takes the keys no other field names.  Records within are filled here too,
+    as ``<where>: <field>`` or, in a list or object, ``<where>: <record> <key>``."""
+    if not isinstance(doc, dict):
+        raise error(f"{where}: must be an object, got {reprlib.repr(doc)}")
+    init = {f.name: f for f in fields(cls) if f.init}
+    rest = next((name for name, f in init.items() if f.metadata.get("other_keys")), None)
+    if rest:
+        named = {key: value for key, value in doc.items() if key in init and key != rest}
+        doc = {**named, rest: {key: value for key, value in doc.items() if key not in named}}
+    missing = [name for name, f in init.items()
+               if name not in doc and f.default is MISSING and f.default_factory is MISSING]
+    for what, keys in (("missing", missing), ("unknown", sorted(doc.keys() - init.keys()))):
+        if keys:
+            raise error(f"{where}: {what} key {keys[0]!r}")
+    _check_types(cls, doc, where, error, ranges)
+    values = {name: _filled(cls, init[name], value, where, error) for name, value in doc.items()}
+    try:
+        return cls(**values)
+    except (ValueError, error) as exc:      # a rule of the record's __post_init__
+        raise error(f"{where}: {exc}") from None
+
+
+def _filled(cls, f, value, where: str, error: type[Exception]):
+    """Field ``f`` of ``cls`` made from its checked JSON ``value``."""
+    kind, _, record = _json_type(cls, f)
+    if value is None or not (record or "json" in f.metadata):
+        return value
+    if "json" in f.metadata:
+        return np.array(value, dtype=int if kind == "list[int]" else float)
+    shape, record = record
+    if not shape:
+        return from_json(record, value, f"{where}: {f.name}", error)
+    label = re.sub(r"(?<!^)(?=[A-Z])", " ", record.__name__).lower()   # ThermalUnit: thermal unit
+    items = value.items() if shape == "dict" else (
+        (item.get("id", i) if isinstance(item, dict) else i, item) for i, item in enumerate(value))
+    made = [(key, from_json(record, x, f"{where}: {label} {key!r}", error)) for key, x in items]
+    return dict(made) if shape == "dict" else [x for _, x in made]
 
 
 def load_system(path) -> PowerSystem:
-    doc = read_json(path, "system file", SystemFormatError)
-    for key in ("circuits", "thermal", "storage"):
-        if not isinstance(doc.get(key, []), list):
-            raise SystemFormatError(f"{path}: {key} must be a list")
-    isf = doc.get("isf")
-    if isf is not None:
-        try:
-            isf = np.array(isf, dtype=float)
-        except (TypeError, ValueError):
-            raise SystemFormatError(f"{path}: isf must be a list of equal-length "
-                                    "rows of numbers") from None
-    try:
-        network = Network(
-            buses=doc["buses"],
-            slack_bus=doc["slack_bus"],
-            circuits=[Circuit(**c) for c in doc.get("circuits", [])],
-            isf=isf,
-        )
-        system = PowerSystem(
-            thermal=[ThermalUnit(**t) for t in doc.get("thermal", [])],
-            storage=[StorageUnit(**s) for s in doc.get("storage", [])],
-            network=network,
-            config=OperatingConfig(**doc.get("config", {})),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SystemFormatError(f"{path}: malformed system file ({exc})") from None
-    _check_types(network, f"{path}: network", SystemFormatError)
-    for label, units in (("circuit", network.circuits), ("thermal unit", system.thermal),
-                         ("storage unit", system.storage)):
-        for unit in units:
-            _check_types(unit, f"{path}: {label} {unit.id!r}", SystemFormatError)
-    _check_types(system.config, f"{path}: config", SystemFormatError)
+    system = from_json(PowerSystem, read_json(path, "system file", SystemFormatError),
+                       str(path), SystemFormatError)
+    network = system.network
     if network.circuits and network.isf is None and all(
             c.reactance is not None for c in network.circuits):
         system = replace(system, network=replace(

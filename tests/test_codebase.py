@@ -137,13 +137,13 @@ def test_one_home_per_rule():
     """Each of these rules is spelled in one place: HiGHS is reached only
     through the adapter's timed call; ids are checked as identifiers in
     ``validate_system``'s one loop over buses, units and circuits; the
-    solution header's types come from the ``Solution`` annotations through
-    the checker the system file uses; a repeated name is refused only by
+    solution header is read through the door the system file is read
+    through; a repeated name is refused only by
     ``_keyed``, the one place names become keys."""
     roots = [SRC, REPO / "demos"]
     assert call_sites("_highs_call", roots) == {("src/storagg/milp.py", "_timed_highs_call")}
     assert read_sites("_ID_RE", roots) == {("src/storagg/system.py", "validate_system")}
-    assert ("src/storagg/pipeline.py", "load_solutions") in call_sites("_check_types", roots)
+    assert ("src/storagg/pipeline.py", "load_solutions") in call_sites("from_json", roots)
 
     def duplicate_error(node):
         return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ModelError"
@@ -204,26 +204,69 @@ def test_one_reader_and_writer_of_json_files():
         ("src/storagg/cli.py", "cmd_report")}
 
 
+def defines_or_reads(*names: str):
+    """A ``sites`` matcher of a definition or a read of any of ``names``."""
+    def match(node) -> bool:
+        name = getattr(node, "id", None) or getattr(node, "name", None)
+        return isinstance(node, (ast.Name, ast.FunctionDef, ast.ClassDef)) and name in names
+    return match
+
+
 def test_one_type_checker_of_json_values():
     """Every value read from a JSON file is type-checked by ``_check_types``
     against the annotations of the dataclass it fills: the scenario's own
     knob table and its helpers are gone, and the checker is called by the
-    readers alone (``ScenarioConfig.__post_init__`` for each way a scenario
-    is made)."""
-    gone = ("_KNOBS", "check_knobs", "_integer")
-
-    def defines_or_reads(node) -> bool:
-        name = getattr(node, "id", None) or getattr(node, "name", None)
-        return isinstance(node, (ast.Name, ast.FunctionDef)) and name in gone
-
-    assert sites(defines_or_reads, [SRC, REPO / "tests", REPO / "demos"]) == set()
+    door from JSON to a record (``from_json``) and by
+    ``ScenarioConfig.__post_init__``, for each other way a scenario is
+    made."""
+    gone = defines_or_reads("_KNOBS", "check_knobs", "_integer")
+    assert sites(gone, [SRC, REPO / "tests", REPO / "demos"]) == set()
     assert call_sites("_check_types", [SRC]) == {
+        ("src/storagg/system.py", "from_json"),
+        ("src/storagg/pipeline.py", "__post_init__")}
+
+
+def test_one_door_from_json_to_a_record():
+    """The six readers fill their records through ``from_json`` alone, which
+    fills the records nested in one (``_filled``) through itself: no other
+    function builds a dataclass from ``**`` of a dict, and the artifacts'
+    ``_Scalars`` are gone."""
+    assert call_sites("from_json", [SRC]) == {
         ("src/storagg/system.py", "load_system"),
-        ("src/storagg/pipeline.py", "__post_init__"),
+        ("src/storagg/system.py", "_filled"),
+        ("src/storagg/pipeline.py", "load_scenario"),
         ("src/storagg/aggregation.py", "load_artifacts"),
         ("src/storagg/pipeline.py", "load_built_model"),
         ("src/storagg/pipeline.py", "load_solutions"),
         ("src/storagg/cli.py", "cmd_report")}
+    records = {node.name for path in SRC.rglob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef) and any(
+                   "dataclass" in ast.unparse(d) for d in node.decorator_list)}
+
+    def record_from_star(node) -> bool:
+        callee = getattr(node, "func", None)
+        return (isinstance(node, ast.Call) and any(k.arg is None for k in node.keywords)
+                and (getattr(callee, "id", None) or getattr(callee, "attr", None))
+                in records | {"cls"})
+
+    assert sites(record_from_star, [SRC]) == {("src/storagg/system.py", "from_json")}
+    assert sites(defines_or_reads("_Scalars"), [SRC, REPO / "tests"]) == set()
+
+
+def test_field_type_without_a_json_test_is_a_type_error():
+    """A field whose type the checker has no test for stops the reader with
+    a TypeError, present in the document or not: it is never skipped."""
+    from dataclasses import dataclass
+    from storagg.system import from_json
+
+    @dataclass
+    class Odd:          # string annotations, as ``from __future__ import annotations`` makes
+        name: "str"
+        value: "complex" = 0j
+
+    with pytest.raises(TypeError, match=r"Odd\.value: no JSON test for 'complex'"):
+        from_json(Odd, {"name": "x"}, "odd.json", ValueError)
 
 
 def loads_on_first_use(node) -> bool:

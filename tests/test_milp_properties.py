@@ -271,14 +271,15 @@ def test_solution_values_round_trip(vals):
 
 @st.composite
 def solutions(draw):
-    """Any status; an ok one always has values (possibly none), another may."""
+    """Any status; an ok one always has values (possibly none) and a number
+    objective, another may; the gap is >= 0, as ``load_solutions`` asks."""
     status = draw(st.sampled_from(STATUSES))
     vals = draw(st.dictionaries(names, values, max_size=6))
     if status not in OK_STATUSES and draw(st.booleans()):
         vals = {}
     return Solution(status=status, values=vals,
-                    objective=draw(st.none() | values),
-                    gap=draw(st.sampled_from([0.0, 1e-4, INF]) | finite),
+                    objective=draw(values if status in OK_STATUSES else st.none() | values),
+                    gap=draw(st.sampled_from([0.0, 1e-4, INF]) | finite.filter(lambda g: g >= 0)),
                     wall_seconds=draw(st.floats(0.0, 1e4)),
                     message=draw(st.text(max_size=12)))
 

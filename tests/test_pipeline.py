@@ -105,6 +105,37 @@ def test_load_scenario_bad_kind(template_dir, tmp_path):
     (dict(seed=7), None),
     (dict(kinds=["hm", "ss", "hm"]), r"model kinds \['hm'\] are listed more than once"),
     (dict(kinds=[]), r"no model kind selected: requested all, configured \[\]"),
+], ids=[
+    # fixed ids, the names these cases have always had, so that editing an
+    # expected message above renames no test
+    "change0-states must be a positive integer",
+    "change1-rep_days must be a positive integer",
+    "change2-rep_days must be a positive integer",
+    "change3-window_hours must be a positive integer",
+    "change4-multiple of 24 for rp_tmci",
+    "change5-None",
+    "change6-None",
+    "change7-gap must be a finite number >= 0, got 'abc'",
+    "change8-gap must be a finite number",
+    "change9-gap must be a finite number",
+    "change10-gap must be a finite number",
+    "change11-time_limit must be a positive number or null",
+    "change12-time_limit must be a positive number or null",
+    "change13-theta must be a number >= 0",
+    "change14-theta must be a number >= 0",
+    "change15-invest must be true or false",
+    "change16-check_degeneracy must be true or false",
+    "change17-None",
+    "change18-None",
+    "change19-states must be a positive integer",
+    "change20-rep_days must be a positive integer",
+    "change21-seed must be an integer >= 0, got 'x'",
+    "change22-seed must be an integer >= 0",
+    "change23-seed must be an integer >= 0",
+    "change24-seed must be an integer >= 0",
+    "change25-None",
+    r"change26-model kinds \['hm'\] are listed more than once",
+    r"change27-no model kind selected: requested all, configured \[\]",
 ])
 def test_load_scenario_checks_counts_and_window(template_dir, tmp_path, change, message):
     doc = json.loads((template_dir / "scenario.json").read_text())
@@ -363,7 +394,8 @@ def test_load_solutions_refuses_mistyped_header(tmp_path):
         with pytest.raises(ConfigError, match=rf"ss\.json: {key} must be") as err:
             load_solutions(tmp_path, ["ss"])
         assert err.value.exit_code == 2
-    (sol_dir / "ss.json").write_text(json.dumps(dict(header, objective=None)))
+    (sol_dir / "ss.json").write_text(json.dumps(dict(header, status="infeasible",
+                                                     objective=None)))
     assert load_solutions(tmp_path, ["ss"])["ss"].objective is None
 
 
@@ -719,7 +751,8 @@ def test_cli_refuses_files_in_the_parent_layout(tmp_path):
     run_cli("build", cfg, "-o", str(out), "--only", "ss")
     side = out / "models" / "ss.registry.json"
     for damaged, message in (('{"meta": {"kind"', "ss.registry.json: not a model sidecar"),
-                             ('{"meta": {"kind": "ss"}}', "ss.registry.json lacks ['invest']"),
+                             ('{"meta": {"kind": "ss"}}',
+                              "ss.registry.json: not a model sidecar: meta: missing key 'invest'"),
                              ('{"meta": {"kind": "rp", "invest": false}}',
                               "ss.registry.json is for kind 'rp', not 'ss'")):
         side.write_text(damaged)
@@ -756,7 +789,7 @@ _JSON_DAMAGE = {"not-utf8": (b'{"a": "\xff"}', "not valid JSON"),
                 "list": (b"[]", "the top level must be a JSON object, got list"),
                 "number": (b"5", "the top level must be a JSON object, got int"),
                 "null": (b"null", "the top level must be a JSON object, got NoneType"),
-                "meta": (b'{"meta": 5, "model": "ss"}', "its meta must be a JSON object, got int")}
+                "meta": (b'{"meta": 5, "model": "ss"}', "meta: must be an object, got 5")}
 
 
 @pytest.mark.parametrize("name, command, damage", [
@@ -812,6 +845,26 @@ def _set(section, key, value):
     return change
 
 
+def _put(*path):
+    """A change to a JSON document: the item that the keys and list indices
+    ``path[:-1]`` lead to, in turn, set to ``path[-1]``."""
+    *steps, last, value = path
+
+    def change(doc):
+        node = doc
+        for step in steps:
+            node = node[step]
+        node[last] = value
+        return doc
+    return change
+
+
+def _drop_q_max(doc):
+    """A system file whose first thermal unit lacks ``q_max``."""
+    del doc["thermal"][0]["q_max"]
+    return doc
+
+
 # file, command, change to its JSON (or the whole new document), message
 _WRONG_VALUES = {
     "sidecar-invest": ("out/models/ss.registry.json", "evaluate", _set("meta", "invest", "yes"),
@@ -837,19 +890,56 @@ _WRONG_VALUES = {
                             "not a report summary: "),
     "summary-comparisons": ("out/report/summary.json", "report", {"comparisons": 5},
                             "not a report summary: "),
+    "artifacts-assignment-float": ("out/agg/artifacts.json", "build",
+                                   _put("states", "assignment", 0, 2.7),
+                                   "states: assignment must be a list of integers, got [2.7, "),
+    "artifacts-assignment-bool": ("out/agg/artifacts.json", "build",
+                                  _put("states", "assignment", 0, True),
+                                  "states: assignment must be a list of integers, got [True, "),
+    "artifacts-demand-string": ("out/agg/artifacts.json", "build",
+                                _put("states", "demand", 0, 0, "1.5"),
+                                "states: demand must be a list of equal-length rows of finite "
+                                "numbers >= 0, got [['1.5'], "),
+    "artifacts-demand-nan": ("out/agg/artifacts.json", "build",
+                             _put("states", "demand", 0, 0, float("nan")),
+                             "states: demand must be a list of equal-length rows of finite "
+                             "numbers >= 0, got [[nan], "),
+    "artifacts-unknown-key": ("out/agg/artifacts.json", "build", _set(None, "extra", 1),
+                              "not a clustering artifacts file: unknown key 'extra'"),
+    "system-unknown-key": ("scen/system.json", "ingest", _set(None, "extra", 1),
+                           "system.json: network: unknown key 'extra'"),
+    "system-unit-lacks-q_max": ("scen/system.json", "ingest", _drop_q_max,
+                                "system.json: thermal unit 'nuclear': missing key 'q_max'"),
+    "system-commitment-bool": ("scen/system.json", "ingest",
+                               _put("config", "initial_commitment", "nuclear", True),
+                               "config: initial_commitment must be an object of integers, "
+                               "got {'nuclear': True}"),
+    "header-objective-null": ("out/solutions/ss.json", "evaluate", _set(None, "objective", None),
+                              "objective must be a number for status "),
+    "header-status": ("out/solutions/ss.json", "evaluate", _set(None, "status", "bogus"),
+                      "status must be one of ['optimal', 'gap_limit', 'time_limit', "
+                      "'infeasible', 'unbounded', 'error'], got 'bogus'"),
+    "header-gap": ("out/solutions/ss.json", "evaluate", _set(None, "gap", -1),
+                   "gap must be a number >= 0, got -1"),
+    "header-wall-seconds": ("out/solutions/ss.json", "evaluate", _set(None, "wall_seconds", -5),
+                            "wall_seconds must be a number >= 0, got -5"),
 }
 
 
 @pytest.mark.parametrize("case", list(_WRONG_VALUES))
 def test_cli_refuses_wrongly_typed_values(evaluated_ss_tmci, tmp_path, capsys, case):
-    """A sidecar, clustering or summary value of the wrong type, a report
-    block or comparison that is no object, and ``rp_tmci`` checkpoints that
-    do not rise strictly to the horizon's end are input errors: exit 2 and
-    the file named.  Let through, a sidecar's ``"invest": "yes"`` ended in
-    exit 3, a ``window_hours`` of true gave 1-hour checkpoints, checkpoints
-    cut short left the later hours' levels unset (exit 0), and the summary
-    shapes crashed ``storagg report``.  The command runs in-process, so an
-    exception escaping it fails the test."""
+    """A sidecar, clustering, system, solution header or summary value of
+    the wrong type, a key missing or unknown, a report block or comparison
+    that is no object, ``rp_tmci`` checkpoints that do not rise strictly to
+    the horizon's end and a header that breaks the solution rules are input
+    errors: exit 2 and the file named.  Let through, a sidecar's
+    ``"invest": "yes"`` ended in exit 3, a ``window_hours`` of true gave
+    1-hour checkpoints, checkpoints cut short left the later hours' levels
+    unset (exit 0), the summary shapes crashed ``storagg report``, float
+    assignments were truncated, a NaN composite hour was reported as an
+    infeasible model, an initial commitment of true counted as 1 and an ok
+    header without an objective crashed ``evaluate``.  The command runs
+    in-process, so an exception escaping it fails the test."""
     name, command, change, message = _WRONG_VALUES[case]
     shutil.copytree(evaluated_ss_tmci, tmp_path, dirs_exist_ok=True)
     path = tmp_path / name
@@ -857,7 +947,7 @@ def test_cli_refuses_wrongly_typed_values(evaluated_ss_tmci, tmp_path, capsys, c
     path.write_text(json.dumps(doc))
     cfg, out = str(tmp_path / "scen" / "scenario.json"), str(tmp_path / "out")
     kind = "rp_tmci" if "rp_tmci" in name else "ss"
-    argv = {"report": ["report", out],
+    argv = {"report": ["report", out], "ingest": ["ingest", cfg],
             "build": ["build", cfg, "-o", out, "--only", kind],
             "evaluate": ["evaluate", cfg, "-o", out, "--only", kind, "--no-prices"]}[command]
     capsys.readouterr()
