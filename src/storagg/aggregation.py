@@ -316,7 +316,7 @@ def aggregate(data: TimeHorizonData, num_states: int, num_rp: int,
 def save_artifacts(art: AggregationArtifacts, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_json(path, to_json(art))
+    write_json(path, to_json(art), compact=True)
 
 
 def load_artifacts(path) -> AggregationArtifacts:

@@ -115,7 +115,7 @@ def _artifacts(outdir: Path, hours: int):
     try:
         artifacts = load_artifacts(path)
     except AggregationError as exc:
-        raise ConfigError(f"clustering artifacts: {exc}") from None
+        raise ConfigError(str(exc)) from None
     covered = {artifacts.states.horizon_hours, artifacts.rp.horizon_hours}
     if covered != {hours}:
         raise ConfigError(f"{path} clusters {sorted(covered)} hours, the series has "

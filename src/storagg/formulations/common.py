@@ -44,6 +44,7 @@ Constraint name prefixes (the family tag used by the audit tooling):
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -69,7 +70,7 @@ class FormulationOutput:
         return self.meta["kind"]
 
     @property
-    def registry(self) -> tuple[str, ...]:
+    def registry(self) -> Sequence[str]:
         """The model's variable names in declaration order."""
         return self.model.var_names
 

@@ -14,7 +14,7 @@ objective, a ``bytearray`` of integer flags) and constraints as CSR rows
 (packed names, ``indptr``, column indices, coefficients, sense codes,
 rhs).  ``variables`` and ``constraints`` are read-only views that build a
 ``Variable`` or ``Constraint`` tuple on access; ``to_arrays`` copies the
-buffers out.
+buffers out, transposing the matrix from read-only views of them (``_csr``).
 
 Columns and rows enter a model only through ``add_vars`` and ``add_rows``,
 a block at a time; ``add_var`` and ``add_con`` are their one-entry forms,
@@ -23,16 +23,17 @@ names are each kept packed: one newline-joined UTF-8 blob, the form
 ``save_model`` writes, so a name costs its bytes and a separator, not a
 Python string.  One name is read through an offsets array built on first
 positional access; bulk readers (solution values, duals, the audit, MPS
-export) decode the whole blob once per call.  A model keeps no name ->
+export) decode the whole blob once per call; ``var_names`` shares it, so
+comparing two models' names compares bytes.  A model keeps no name ->
 position mapping and an addition does not check that its names are new:
-the builders' names are distinct by construction.  Names are checked to
-be distinct where they become keys, by ``_keyed`` alone: a solve's values
-and duals, an MPS file, a solution values file and ``add_con``'s lookup.  A model
-file stores each name blob split into a template and its digit runs, and
-the CSR index arrays as first differences (see "array files" below);
-loading rebuilds the same blobs and buffers.  The sidecar written next to a model file
-(``write_registry``) carries the model's name and its metadata only, as
-compact JSON.
+the builders' names are distinct by construction.  Names are checked to be
+distinct where they become keys, by ``_keyed`` alone: a solve's values and
+duals, an MPS file, a solution values file and ``add_con``'s lookup.  A
+model file stores each name blob split into a template and its digit runs,
+and the CSR index arrays as first differences (see "array files" below);
+loading rebuilds the same blobs and buffers.  The sidecar written next to a
+model file (``write_registry``) carries the model's name and its metadata
+only, as compact JSON.
 
 scipy loads at a process's first matrix build (``to_arrays``, the audit,
 ``write_mps``) or solve, not at import, so the stages that never solve do
@@ -72,6 +73,9 @@ STATUS_UNBOUNDED = "unbounded"
 STATUS_ERROR = "error"
 OK_STATUSES = (STATUS_OPTIMAL, STATUS_GAP_LIMIT, STATUS_TIME_LIMIT)
 STATUSES = OK_STATUSES + (STATUS_INFEASIBLE, STATUS_UNBOUNDED, STATUS_ERROR)
+# a solution header's rules beside its types, on write and read: field -> (test, what)
+SOLUTION_RULES = {"status": (lambda v: v in STATUSES, f"one of {list(STATUSES)}"),
+                  **dict.fromkeys(("gap", "wall_seconds"), (lambda v: v >= 0, "a number >= 0"))}
 
 class ModelError(ValueError):
     pass
@@ -109,18 +113,19 @@ class _Records(Sequence):
         return map(self._record, range(self._size()))
 
 
-class _Names:
-    """Names packed as one newline-joined UTF-8 blob.
+class _Names(Sequence):
+    """Names packed as one newline-joined UTF-8 blob, read in place.
 
-    ``names[j]`` decodes one name through an offsets array, built on first
-    positional access; ``tolist`` decodes the whole blob at once.
-    """
+    ``names[j]`` decodes one name through offsets built on first use, a slice
+    is a tuple, iterating or ``tolist`` decodes the whole blob.  Two compare
+    as bytes, one equals a tuple of the same names; unhashable."""
 
     def __init__(self, what: str, blob: bytearray | None = None, count: int = 0):
         self.what = what
         self.blob = bytearray() if blob is None else blob
         self._count = count
         self._starts: array | None = None    # name j is blob[starts[j]:starts[j + 1] - 1]
+        self._shared = False                 # another _Names reads this blob too
 
     def __len__(self) -> int:
         return self._count
@@ -133,17 +138,36 @@ class _Names:
             self._starts.frombytes((ends + 1).astype(np.int64).tobytes())
         return self._starts
 
-    def __getitem__(self, j: int) -> str:
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self.tolist()[j])
+        j = range(self._count)[j]
         starts = self._offsets()
         return self.blob[starts[j]:starts[j + 1] - 1].decode("utf-8")
 
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, _Names):
+            return self._count == other._count and self.blob == other.blob
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
     def tolist(self) -> list[str]:
         return self.blob.decode("utf-8").split("\n") if self._count else []
+
+    def snapshot(self) -> _Names:
+        """A copy sharing the blob; the next ``extend`` of either copies it first."""
+        copy = _Names(self.what, self.blob, self._count)
+        self._shared = copy._shared = True
+        return copy
 
     def extend(self, names: list[str]) -> None:
         """Add ``names`` last.  Raises ModelError, adding none of them, if
         one holds a newline, the separator of the blob."""
         data = _joined(names, self.what)
+        if self._shared:
+            self.blob, self._shared = bytearray(self.blob), False
         if self._count and names:
             self.blob += b"\n"
         self.blob += data
@@ -263,9 +287,9 @@ class MilpModel:
         return len(self._con_names)
 
     @property
-    def var_names(self) -> tuple[str, ...]:
-        """Variable names in declaration order."""
-        return tuple(self._var_names.tolist())
+    def var_names(self) -> Sequence[str]:
+        """Variable names in declaration order: a packed copy (``_Names``)."""
+        return self._var_names.snapshot()
 
     @property
     def variables(self) -> Sequence[Variable]:
@@ -286,27 +310,33 @@ class MilpModel:
                           self._rhs[i])
 
     def _csr(self):
-        """The constraint rows as a ``scipy.sparse.csr_array``."""
+        """The rows as a ``csr_array`` over read-only views of the buffers but
+        ``indptr``, an int32 copy, so scipy casts no index to int64.  A buffer
+        exporting a view cannot grow: convert the matrix where it is made."""
         import scipy.sparse as sp
-        return sp.csr_array((np.array(self._coefs), np.array(self._cols),
-                             np.array(self._indptr)),
-                            shape=(self.num_cons, self.num_vars))
+        parts = (np.frombuffer(self._coefs), np.frombuffer(self._cols, dtype=np.int32),
+                 np.array(self._indptr, np.int32 if len(self._coefs) < 2**31 else np.int64))
+        for part in parts:
+            part.flags.writeable = False
+        return sp.csr_array(parts, shape=(self.num_cons, self.num_vars))
 
     def _row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(con_lb, con_ub): each row's rhs, opened to -inf/inf on the side
         its sense leaves free."""
         sense = np.frombuffer(self._sense, dtype=np.uint8)
-        rhs = np.array(self._rhs)
+        rhs = np.frombuffer(self._rhs)
         return (np.where(sense == _SENSE_CODE[LE], -INF, rhs),
                 np.where(sense == _SENSE_CODE[GE], INF, rhs))
 
     def to_arrays(self):
-        """(c, integrality, lb, ub, A, con_lb, con_ub) as scipy-ready arrays.
+        """(c, integrality, lb, ub, A, con_lb, con_ub): float64 arrays but
+        ``integrality``, uint8 as ``scipy.optimize.milp`` casts it, and ``A``,
+        a CSC array of float64 with int32 indices (int64 past 2**31 nonzeros).
 
         Every array is a fresh copy: the caller may change it in place.
         """
         cl, cu = self._row_bounds()
-        integrality = np.frombuffer(self._int, dtype=np.uint8).astype(np.int64)
+        integrality = np.frombuffer(self._int, dtype=np.uint8).copy()
         return (np.array(self._obj), integrality, np.array(self._lb),
                 np.array(self._ub), self._csr().tocsc(), cl, cu)
 
@@ -976,9 +1006,7 @@ def audit_constraints(model: MilpModel, values: dict[str, float]) -> dict[str, d
         x = np.array([values[name] for name in model._var_names.tolist()], dtype=float)
     except KeyError as exc:
         raise ModelError(f"no value for variable {exc.args[0]!r}") from None
-    a = model._csr()
-    a.sort_indices()
-    lhs = a @ x
+    lhs = model._csr().sorted_indices() @ x
     cl, cu = model._row_bounds()
     residual = np.maximum(np.maximum(cl - lhs, lhs - cu), 0.0)
     report: dict[str, dict] = {}

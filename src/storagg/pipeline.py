@@ -75,7 +75,8 @@ _DEFERRED = {
     **dict.fromkeys(("aggregate", "save_artifacts", "AggregationArtifacts",
                      "AggregationError"), "aggregation"),
     **dict.fromkeys(("save_model", "load_model", "write_registry", "load_registry",
-                     "save_solution", "load_solution", "Solution", "ScipySolver", "STATUSES",
+                     "save_solution", "load_solution", "Solution", "ScipySolver",
+                     "OK_STATUSES", "SOLUTION_RULES",
                      "ModelError", "audit_constraints", "STATUS_INFEASIBLE", "trim_heap",
                      # not called here: bench/tracing.py wraps these two by name
                      "write_mps", "parse_mps"), "milp"),
@@ -211,7 +212,7 @@ def stage_ingest(config: ScenarioConfig) -> tuple[PowerSystem, TimeHorizonData]:
     try:
         system = load_system(config.path(config.system))
     except SystemFormatError as exc:
-        raise ConfigError(f"system file: {exc}")
+        raise ConfigError(str(exc)) from None
     try:
         data = load_horizon(config.path(config.demand),
                             config.path(config.renewables),
@@ -316,14 +317,15 @@ def load_built_model(outdir: Path, kind: str, hours: int | None = None) -> Formu
         model = load_model(path)
         meta = load_registry(side)
     except ModelError as exc:
-        raise ConfigError(f"model file: {exc}") from None
-    checked = from_json(SidecarMeta, meta, f"{side}: not a model sidecar: meta", ConfigError)
+        raise ConfigError(str(exc)) from None
+    where = f"{side}: not a model sidecar: meta"
+    checked = from_json(SidecarMeta, meta, where, ConfigError)
     if checked.kind != kind:
-        raise ConfigError(f"model sidecar {side} is for kind {checked.kind!r}, not {kind!r}")
+        raise ConfigError(f"{where}: kind must be {kind!r}, got {checked.kind!r}")
     marks = [0] + (checked.checkpoints or [])
     if kind == "rp_tmci" and (checked.checkpoints is None or hours is not None and (
             marks[-1] != hours or marks != sorted(set(marks)))):
-        raise ConfigError(f"model sidecar {side}: checkpoints must rise strictly to "
+        raise ConfigError(f"{where}: checkpoints must rise strictly to "
                           f"{hours or 'the last hour'}, got {checked.checkpoints}")
     return FormulationOutput(model=model, meta=meta)
 
@@ -339,6 +341,10 @@ class SolutionHeader:
     message: str
     audit: dict
 
+    def __post_init__(self) -> None:
+        if self.status in OK_STATUSES and self.objective is None:
+            raise ValueError(f"objective must be a number for status {self.status!r}, got None")
+
 
 def save_solutions(outdir: Path, solutions: dict[str, Solution],
                    audits: dict[str, dict]) -> None:
@@ -347,18 +353,24 @@ def save_solutions(outdir: Path, solutions: dict[str, Solution],
 
     The values file is written for a solution that has values or is ok; any
     other solution leaves none, so no earlier solve's values stay behind.
+    A header ``load_solutions`` would refuse is a SolveError, before any write.
     """
     _bind_deferred()
+    headers = {kind: {"status": sol.status, "objective": sol.objective, "gap": sol.gap,
+                      "wall_seconds": sol.wall_seconds, "message": sol.message,
+                      "audit": audits[kind]} for kind, sol in solutions.items()}
+    for kind, doc in headers.items():
+        from_json(SolutionHeader, doc, f"solution header of {kind!r}", SolveError,
+                  SOLUTION_RULES)
     sol_dir = Path(outdir) / "solutions"
     sol_dir.mkdir(parents=True, exist_ok=True)
     for kind, sol in solutions.items():
-        write_json(sol_dir / f"{kind}.json", asdict(SolutionHeader(
-            sol.status, sol.objective, sol.gap, sol.wall_seconds, sol.message, audits[kind])))
         values = sol_dir / f"{kind}.npz"
         if sol.values or sol.ok:
             save_solution(sol, values)
         else:
             values.unlink(missing_ok=True)
+        write_json(sol_dir / f"{kind}.json", headers[kind])
 
 
 def stage_solve(config: ScenarioConfig, outdir: Path,
@@ -407,9 +419,6 @@ def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
     values file of an ok solution is missing or damaged.
     """
     _bind_deferred()
-    rules = {"status": (lambda v: v in STATUSES, f"one of {list(STATUSES)}"),
-             "gap": (lambda v: v >= 0, "a number >= 0"),
-             "wall_seconds": (lambda v: v >= 0, "a number >= 0")}
     out = {}
     sol_dir = Path(outdir) / "solutions"
     for kind in kinds:
@@ -420,18 +429,16 @@ def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
         if "values" in doc:
             raise ConfigError(f"{path} holds its values inline, an old solution "
                               f"format; solve {kind!r} again")
-        head = from_json(SolutionHeader, doc, f"solution header {path}", ConfigError, rules)
+        head = from_json(SolutionHeader, doc, f"solution header {path}", ConfigError,
+                         SOLUTION_RULES)
         sol = Solution(head.status, head.objective, gap=head.gap,
                        wall_seconds=head.wall_seconds, message=head.message)
-        if sol.ok and sol.objective is None:
-            raise ConfigError(f"solution header {path}: objective must be a number "
-                              f"for status {sol.status!r}, got None")
         values = sol_dir / f"{kind}.npz"
         if values.exists():
             try:
                 sol.values = load_solution(values)
             except ModelError as exc:
-                raise ConfigError(f"solution values: {exc}") from None
+                raise ConfigError(str(exc)) from None
         elif sol.ok:
             raise ConfigError(f"{sol.status} solution for {kind!r} has no values "
                               f"file (expected {values})")

@@ -410,8 +410,11 @@ def load_system(path) -> PowerSystem:
     network = system.network
     if network.circuits and network.isf is None and all(
             c.reactance is not None for c in network.circuits):
-        system = replace(system, network=replace(
-            network, isf=compute_isf_from_reactances(network)))
+        try:
+            isf = compute_isf_from_reactances(network)
+        except SystemFormatError as exc:
+            raise SystemFormatError(f"{path}: {exc}") from None
+        system = replace(system, network=replace(network, isf=isf))
     issues = validate_system(system)
     if issues:
         raise SystemFormatError(f"{path}: " + "; ".join(issues))

@@ -228,7 +228,8 @@ def test_one_type_checker_of_json_values():
 
 def test_one_door_from_json_to_a_record():
     """The six readers fill their records through ``from_json`` alone, which
-    fills the records nested in one (``_filled``) through itself: no other
+    fills the records nested in one (``_filled``) through itself, and the
+    solution writer checks each header through it before writing: no other
     function builds a dataclass from ``**`` of a dict, and the artifacts'
     ``_Scalars`` are gone."""
     assert call_sites("from_json", [SRC]) == {
@@ -238,6 +239,7 @@ def test_one_door_from_json_to_a_record():
         ("src/storagg/aggregation.py", "load_artifacts"),
         ("src/storagg/pipeline.py", "load_built_model"),
         ("src/storagg/pipeline.py", "load_solutions"),
+        ("src/storagg/pipeline.py", "save_solutions"),
         ("src/storagg/cli.py", "cmd_report")}
     records = {node.name for path in SRC.rglob("*.py")
                for node in ast.walk(ast.parse(path.read_text()))

@@ -449,6 +449,101 @@ def test_reloaded_model_memory_per_element(tmp_path):
     assert peak / elements < 72
 
 
+@pytest.fixture(scope="module")
+def month_hm(tmp_path_factory):
+    """The 28-day template hm as built, as re-read from its file, and the
+    output directory that holds the file."""
+    tmp = tmp_path_factory.mktemp("month_hm")
+    config = load_scenario(emit_scenario_template(tmp / "scen", days=28, seed=4))
+    config.kinds = ["hm"]
+    system, data = stage_ingest(config)
+    art = stage_cluster(system, data, config, tmp / "out")
+    built = stage_build(system, data, art, config, tmp / "out")["hm"].model
+    return built, load_built_model(tmp / "out", "hm").model, tmp / "out"
+
+
+def _traced_peak(call):
+    """(``call()``, its tracemalloc peak in bytes above what was held before)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_name_comparison_reads_the_blobs_in_place(month_hm):
+    """Comparing the names of the 28-day hm with its re-read copy's compares
+    the packed blobs: it allocates less than twice one blob (0.002 times
+    measured).  Decoded into two tuples of str it took 10.4 times."""
+    built, reread, _ = month_hm
+    same, peak = _traced_peak(lambda: built.var_names == reread.var_names)
+    assert same
+    assert peak < 2 * len(reread._var_names.blob)
+
+
+def test_to_arrays_allocates_little_beyond_what_it_returns(month_hm):
+    """``to_arrays`` on the re-read 28-day hm peaks at most 1.1 times the
+    bytes it returns (1.04 measured): the CSC is transposed from views of
+    the model's buffers, with int32 indices, and integrality is uint8.
+    Copying the CSR buffers and casting the indices to int64 peaked at 1.48
+    times a larger result (int64 indices and integrality)."""
+    _, reread, _ = month_hm
+    reread.to_arrays()                   # scipy loads at the first call
+    arrays, peak = _traced_peak(reread.to_arrays)
+    a = arrays[4]
+    assert a.indices.dtype == a.indptr.dtype == np.int32 and a.data.dtype == np.float64
+    assert arrays[1].dtype == np.uint8
+    assert all(x.dtype == np.float64 for x in arrays[:1] + arrays[2:4] + arrays[5:])
+    parts = arrays[:4] + (a.data, a.indices, a.indptr) + arrays[5:]
+    assert peak <= 1.1 * sum(x.nbytes for x in parts)
+
+
+def test_arrays_and_audit_leave_the_model_unchanged_and_growable(month_hm):
+    """Writing into every array ``to_arrays`` returns, then auditing, leaves
+    the model's buffers and names as they were, and no view of them is left
+    behind: an ``array`` that exports one cannot grow (BufferError)."""
+    from test_model_pin import model_digest
+    m = load_model(month_hm[2] / "models" / "hm.npz")
+    digest = model_digest(m)
+    c, integrality, lb, ub, a, cl, cu = m.to_arrays()
+    for x in (c, integrality, lb, ub, a.data, a.indices, a.indptr, cl, cu):
+        x[:] = 1
+    assert audit_constraints(m, dict.fromkeys(m._var_names.tolist(), 0.0))
+    assert model_digest(m) == digest
+    j = m.add_vars(["fresh"], ub=1.0)
+    m.add_rows(["fresh_row"], [0], j, [1.0], LE, 1.0)
+    assert (m.num_vars, m.num_cons) == (month_hm[0].num_vars + 1, month_hm[0].num_cons + 1)
+
+
+def test_var_names_is_a_packed_snapshot(tmp_path):
+    """``var_names`` is a sequence over the packed blob: equal to a tuple of
+    the same names, a slice is a tuple, ``in`` and ``index`` work, it is
+    unhashable, and a later addition leaves it as it was."""
+    m = toy_model()
+    names = m.var_names
+    assert names == ("x", "y", "z", "w") and ("x", "y", "z", "w") == names
+    assert names != ("x", "y", "z") and names != ["x", "y", "z", "w"]
+    assert names[1:3] == ("y", "z") and type(names[1:3]) is tuple
+    assert (names[0], names[-1], list(names), len(names)) == ("x", "w", ["x", "y", "z", "w"], 4)
+    assert "z" in names and "q" not in names and names.index("z") == 2
+    with pytest.raises(IndexError):
+        names[4]
+    with pytest.raises(TypeError):
+        hash(names)
+    save_model(m, tmp_path / "toy.npz")
+    assert load_model(tmp_path / "toy.npz").var_names == names
+    m.add_var("v")
+    assert names == ("x", "y", "z", "w")
+    assert m.var_names == ("x", "y", "z", "w", "v") != names
+    one_empty, none = MilpModel(), MilpModel()
+    one_empty.add_var("")
+    assert one_empty.var_names != none.var_names and one_empty.var_names == ("",)
+
+
 # ---------------------------------------------------------------------------
 # solving
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from storagg import (MilpModel, ModelError, ScipySolver, Solution, write_mps, pa
                      save_model, load_model, save_solution, load_solution,
                      audit_constraints)
 from storagg.milp import INF, LE, GE, EQ, OK_STATUSES, _delta_planes, _pack_names
-from storagg.pipeline import save_solutions, load_solutions
+from storagg.pipeline import SolveError, save_solutions, load_solutions
 
 from test_milp import assert_same_arrays
 
@@ -299,6 +299,39 @@ def test_solution_header_and_values_round_trip(sol):
     assert [repr(getattr(back, key)) for key in header] == \
         [repr(getattr(sol, key)) for key in header]
     assert bits(back.values) == bits(sol.values)
+
+
+@st.composite
+def any_solutions(draw):
+    """Any Solution the type allows: an unknown status, an ok one without an
+    objective, a NaN objective, a negative or NaN gap or wall time, and a
+    value named with a newline among them."""
+    return Solution(status=draw(st.sampled_from(STATUSES + ("bogus",))),
+                    values=draw(st.dictionaries(st.text(max_size=3), finite, max_size=4)),
+                    objective=draw(st.none() | values | st.just(float("nan"))),
+                    gap=draw(st.floats() | st.sampled_from([0.0, INF])),
+                    wall_seconds=draw(st.floats() | st.just(0.0)),
+                    message=draw(st.text(max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_solutions())
+@example(Solution("optimal", values={"x": 1.0}))
+@example(Solution("infeasible", gap=-1.0))
+@example(Solution("bogus"))
+@example(Solution("error", values={"a\nb": 1.0}))
+def test_every_solution_round_trips_or_is_refused_at_write(sol):
+    """``save_solutions`` either writes a Solution that ``load_solutions``
+    gives back equal, or refuses it, naming the kind, before writing any
+    file; it never writes a header the reader refuses."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            save_solutions(Path(tmp), {"k": sol}, {"k": {}})
+        except (SolveError, ModelError) as exc:
+            assert isinstance(exc, ModelError) or "'k'" in str(exc)
+            assert not list(Path(tmp).rglob("k.*"))
+            return
+        assert load_solutions(Path(tmp), ["k"])["k"] == sol
 
 
 def _tampered_solution(arrays):

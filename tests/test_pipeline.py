@@ -348,7 +348,8 @@ def test_failed_solve_leaves_no_values_file(tmp_path):
     """A solution without values writes no values file and removes one an
     earlier solve left, so the header's status is never paired with stale
     values."""
-    save_solutions(tmp_path, {"ss": Solution("optimal", values={"x": 1.0})}, {"ss": {}})
+    save_solutions(tmp_path, {"ss": Solution("optimal", objective=1.0, values={"x": 1.0})},
+                   {"ss": {}})
     save_solutions(tmp_path, {"ss": Solution("infeasible")}, {"ss": {}})
     assert not (tmp_path / "solutions" / "ss.npz").exists()
     assert load_solutions(tmp_path, ["ss"])["ss"].values == {}
@@ -689,7 +690,7 @@ def test_cli_refuses_damaged_artifacts(clustered_week, tmp_path, capsys,
     code = cli_main(["build", str(scen / "scenario.json"), "-o", str(tmp_path),
                      "--only", "ss", "--only", "rp_tmci"])
     assert code == 2
-    assert f"{path}: not a clustering artifacts file" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {path}: not a clustering artifacts file")
     assert not (tmp_path / "models").exists()
 
 
@@ -728,7 +729,8 @@ def test_cli_refuses_files_in_the_parent_layout(tmp_path):
     """A model or solution file written before names were split into digit
     runs is refused as an input error (exit 2): there is no reader for it.
     So is a model sidecar that is not JSON, lacks a key or names another
-    kind than its file name."""
+    kind than its file name.  Each message starts with the file's path,
+    with no prefix of the stage's own."""
     scen = tmp_path / "scen"
     run_cli("template", "-o", str(scen), "--days", "2")
     out, cfg = tmp_path / "out", str(scen / "scenario.json")
@@ -742,19 +744,20 @@ def test_cli_refuses_files_in_the_parent_layout(tmp_path):
                         values=np.zeros(names.count(b"\n") + 1))
     proc = run_cli("evaluate", cfg, "-o", str(out), "--only", "ss", "--no-prices")
     assert proc.returncode == 2, proc.stderr
-    assert "ss.npz: not a solution file" in proc.stderr
+    assert proc.stderr.startswith(f"error: {values}: not a solution file"), proc.stderr
     model = out / "models" / "ss.npz"
     np.savez_compressed(model, **_parent_layout(load_built_model(out, "ss").model))
     proc = run_cli("solve", cfg, "-o", str(out), "--only", "ss")
     assert proc.returncode == 2, proc.stderr
-    assert "ss.npz: not a model file" in proc.stderr
+    assert proc.stderr.startswith(f"error: {model}: not a model file"), proc.stderr
     run_cli("build", cfg, "-o", str(out), "--only", "ss")
     side = out / "models" / "ss.registry.json"
     for damaged, message in (('{"meta": {"kind"', "ss.registry.json: not a model sidecar"),
                              ('{"meta": {"kind": "ss"}}',
                               "ss.registry.json: not a model sidecar: meta: missing key 'invest'"),
                              ('{"meta": {"kind": "rp", "invest": false}}',
-                              "ss.registry.json is for kind 'rp', not 'ss'")):
+                              "ss.registry.json: not a model sidecar: meta: "
+                              "kind must be 'ss', got 'rp'")):
         side.write_text(damaged)
         proc = run_cli("solve", cfg, "-o", str(out), "--only", "ss")
         assert proc.returncode == 2, proc.stderr
@@ -812,7 +815,7 @@ def test_cli_refuses_damaged_json(evaluated_ss, tmp_path, capsys, name, command,
     capsys.readouterr()
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
-    assert f"{tmp_path / name}: not a " in err and reason in err, err
+    assert err.startswith(f"error: {tmp_path / name}: not a ") and reason in err, err
     assert "Traceback" not in err
 
 
@@ -865,6 +868,12 @@ def _drop_q_max(doc):
     return doc
 
 
+def _disconnect(doc):
+    """A system file whose slack bus no circuit reaches."""
+    line = {"id": "c1", "from_bus": "a", "to_bus": "b", "capacity": 1.0, "reactance": 0.1}
+    return dict(doc, buses=doc["buses"] + ["a", "b"], circuits=[line])
+
+
 # file, command, change to its JSON (or the whole new document), message
 _WRONG_VALUES = {
     "sidecar-invest": ("out/models/ss.registry.json", "evaluate", _set("meta", "invest", "yes"),
@@ -874,10 +883,12 @@ _WRONG_VALUES = {
                             "checkpoints must be a list of integers or null, got 5"),
     "checkpoints-short": ("out/models/rp_tmci.registry.json", "evaluate",
                           _set("meta", "checkpoints", [24]),
-                          "checkpoints must rise strictly to 48, got [24]"),
+                          "not a model sidecar: meta: checkpoints must rise strictly to 48, "
+                          "got [24]"),
     "checkpoints-unsorted": ("out/models/rp_tmci.registry.json", "evaluate",
                              _set("meta", "checkpoints", [48, 24]),
-                             "checkpoints must rise strictly to 48, got [48, 24]"),
+                             "not a model sidecar: meta: checkpoints must rise strictly "
+                             "to 48, got [48, 24]"),
     "artifacts-seed": ("out/agg/artifacts.json", "build", _set(None, "seed", "x"),
                        "seed must be an integer, got 'x'"),
     "artifacts-window": ("out/agg/artifacts.json", "build", _set(None, "window_hours", True),
@@ -910,6 +921,8 @@ _WRONG_VALUES = {
                            "system.json: network: unknown key 'extra'"),
     "system-unit-lacks-q_max": ("scen/system.json", "ingest", _drop_q_max,
                                 "system.json: thermal unit 'nuclear': missing key 'q_max'"),
+    "system-disconnected": ("scen/system.json", "ingest", _disconnect,
+                            "system.json: network is disconnected"),
     "system-commitment-bool": ("scen/system.json", "ingest",
                                _put("config", "initial_commitment", "nuclear", True),
                                "config: initial_commitment must be an object of integers, "
@@ -938,7 +951,8 @@ def test_cli_refuses_wrongly_typed_values(evaluated_ss_tmci, tmp_path, capsys, c
     unset (exit 0), the summary shapes crashed ``storagg report``, float
     assignments were truncated, a NaN composite hour was reported as an
     infeasible model, an initial commitment of true counted as 1 and an ok
-    header without an objective crashed ``evaluate``.  The command runs
+    header without an objective crashed ``evaluate``; a network that does
+    not connect was refused without naming its file.  The command runs
     in-process, so an exception escaping it fails the test."""
     name, command, change, message = _WRONG_VALUES[case]
     shutil.copytree(evaluated_ss_tmci, tmp_path, dirs_exist_ok=True)
@@ -1137,6 +1151,30 @@ def test_bench_tracer_installs_and_unwinds(tmp_path, monkeypatch):
         tracer.unwrap_all()
     assert [s.name for s in tracer.spans] == ["milp.write_registry", "milp.load_registry"]
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_bench_checks_pass_on_a_round_trip_and_a_solve(tmp_path, monkeypatch):
+    """bench/checks.py reads the models' arrays and names directly: on a
+    7-day template its round-trip check of ``hm``, built and re-read, and its
+    check of a solved ``ss`` find no problem, so a dtype or type change that
+    the benchmark would count as a failed kind fails here first.  The
+    round-trip check still tells two different models apart."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, checks)
+    spec.loader.exec_module(checks)
+    config = load_scenario(emit_scenario_template(tmp_path / "scen", days=7, seed=4))
+    config.gap = 1e-3
+    system, data = stage_ingest(config)
+    art = stage_cluster(system, data, config, tmp_path)
+    built = stage_build(system, data, art, config, tmp_path, only=["hm", "ss"])
+    reread = load_built_model(tmp_path, "hm")
+    assert checks.check_round_trip(built["hm"], reread, reread.model.to_arrays()) == []
+    assert checks.check_round_trip(built["ss"], reread, reread.model.to_arrays())
+    sol = stage_solve(config, tmp_path, only=["ss"])["ss"]
+    assert checks.check_solved(built["ss"], sol, config.gap,
+                               tmp_path / "solutions" / "ss.json", None) == []
 
 
 def test_bench_call_shapes_bind():
