@@ -290,6 +290,8 @@ class CaseResult:
     investment: dict[str, float]
     violations: list[ViolationRecord] = field(default_factory=list)
     prices_degenerate: bool | None = None    # None unless checked
+    dual_bound: float | None = None          # the solve's, None for an LP
+    nodes: int | None = None
 
     @property
     def violation_count(self) -> int:
@@ -332,7 +334,7 @@ def build_case_result(fo: FormulationOutput, solution: Solution, system: PowerSy
         startups=count_startups(expansion, system),
         investment=investment,
         violations=detect_violations(expansion, system, investment),
-        prices_degenerate=degenerate)
+        prices_degenerate=degenerate, dual_bound=solution.dual_bound, nodes=solution.nodes)
 
 
 # ---------------------------------------------------------------------------

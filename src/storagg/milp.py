@@ -5,9 +5,12 @@ integrality) and named sparse constraints with a sense in {<=, =, >=}; the
 objective is always minimized.  Models are stored between pipeline stages as
 compressed array files (``save_model``/``load_model``), and so are the values
 of their solutions (``save_solution``/``load_solution``).  Models are solved
-in-process through scipy's HiGHS interface (``ScipySolver``).  A model can
-also be exported as an MPS file (``write_mps``; ``parse_mps`` reads it back),
-a library function that no pipeline stage calls.
+in-process by HiGHS, one session per solve (``ScipySolver``, ``_highs_solve``)
+through the bindings scipy ships: the columns and the CSR rows are passed as
+stored, every option is set in that one helper, and the solution keeps
+HiGHS's dual bound and node count.  A model can also be exported as an MPS
+file (``write_mps``; ``parse_mps`` reads it back), a library function that
+no pipeline stage calls.
 
 Variables are stored as columns (packed names, ``array('d')`` bounds and
 objective, a ``bytearray`` of integer flags) and constraints as CSR rows
@@ -37,10 +40,11 @@ only, as compact JSON.
 
 scipy loads at a process's first matrix build (``to_arrays``, the audit,
 ``write_mps``) or solve, not at import, so the stages that never solve do
-not pay for it.  The package keeps the same rule one level up: ``import
-storagg`` loads only what writing a template and ingesting it run, and this
-module, like the clustering, builder and evaluation modules, loads when a
-stage or a caller first needs it (see ``storagg/__init__.py``).
+not pay for it; a solve itself builds no scipy matrix.  The package keeps
+the same rule one level up: ``import storagg`` loads only what writing a
+template and ingesting it run, and this module, like the clustering,
+builder and evaluation modules, loads when a stage or a caller first needs
+it (see ``storagg/__init__.py``).
 """
 
 from __future__ import annotations
@@ -75,7 +79,8 @@ OK_STATUSES = (STATUS_OPTIMAL, STATUS_GAP_LIMIT, STATUS_TIME_LIMIT)
 STATUSES = OK_STATUSES + (STATUS_INFEASIBLE, STATUS_UNBOUNDED, STATUS_ERROR)
 # a solution header's rules beside its types, on write and read: field -> (test, what)
 SOLUTION_RULES = {"status": (lambda v: v in STATUSES, f"one of {list(STATUSES)}"),
-                  **dict.fromkeys(("gap", "wall_seconds"), (lambda v: v >= 0, "a number >= 0"))}
+                  **dict.fromkeys(("gap", "wall_seconds"), (lambda v: v >= 0, "a number >= 0")),
+                  "nodes": (lambda v: v >= 0, "an integer >= 0")}
 
 class ModelError(ValueError):
     pass
@@ -833,6 +838,8 @@ class Solution:
     wall_seconds: float = 0.0
     duals: dict[str, float] | None = None
     message: str = ""
+    dual_bound: float | None = None     # a MIP's, from HiGHS; None for an LP
+    nodes: int | None = None            # branch-and-bound nodes of a MIP
 
     @property
     def ok(self) -> bool:
@@ -876,83 +883,137 @@ def _highs_call(call, *args, **kwargs):
     return result
 
 
-def _timed_highs_call(call, *args, **kwargs) -> tuple:
-    """(result, wall seconds) of one ``_highs_call``."""
+# HiGHS model status -> solution status, as scipy's ``milp`` and ``linprog``
+# mapped them (a model HiGHS refuses to load counts as infeasible there too).
+# An optimum above a gap of 1e-9 is ``gap_limit``; a limit is ``time_limit``
+# only with a feasible incumbent, else ``error``; a status not listed, among
+# them ``kUnboundedOrInfeasible``, is ``error``.
+_MODEL_STATUS = {"kOptimal": STATUS_OPTIMAL, "kTimeLimit": STATUS_TIME_LIMIT,
+                 "kIterationLimit": STATUS_TIME_LIMIT, "kInfeasible": STATUS_INFEASIBLE,
+                 "kModelError": STATUS_INFEASIBLE, "kUnbounded": STATUS_UNBOUNDED}
+# the fields of HiGHS's ``getInfo`` a solution reads
+_INFO = ("objective_function_value", "mip_gap", "mip_dual_bound", "mip_node_count")
+# HiGHS's ``solver`` option for each LP method ``solve_lp`` takes, by scipy's ``linprog`` name
+_LP_METHODS = {"highs": "choose", "highs-ipm": "ipm"}
+
+
+class _Outcome(NamedTuple):
+    """What a session hands back from its thread: the HiGHS model status
+    name and its text, the ``_INFO`` fields of ``getInfo`` (None if the
+    model was refused), the column values if there is a solution to read
+    and, if asked for, the row duals of an LP optimum."""
+    status: str
+    message: str
+    info: dict | None = None
+    x: np.ndarray | None = None
+    row_dual: np.ndarray | None = None
+
+
+def _session(highs, model: MilpModel, mip: bool, duals: bool, options: dict) -> _Outcome:
+    """Pass ``model`` to one HiGHS session of the bindings module ``highs``,
+    with its integrality if ``mip``, set ``options`` and run it.  The rows
+    go in as stored, CSR, from read-only views of the model's buffers
+    (HiGHS copies them).  Raises ModelError if HiGHS refuses an option."""
+    lp = highs.HighsLp()
+    lp.num_col_, lp.num_row_ = model.num_vars, model.num_cons
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = (
+        np.frombuffer(buf) for buf in (model._obj, model._lb, model._ub))
+    lp.row_lower_, lp.row_upper_ = model._row_bounds()
+    matrix = lp.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kRowwise
+    matrix.num_col_, matrix.num_row_ = model.num_vars, model.num_cons
+    matrix.start_ = np.array(model._indptr, np.int32)
+    matrix.index_ = np.frombuffer(model._cols, dtype=np.int32)
+    matrix.value_ = np.frombuffer(model._coefs)
+    if mip:
+        types = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
+        lp.integrality_ = [types[flag] for flag in model._int]
+    session = highs._Highs()
+    for key, value in options.items():
+        if session.setOptionValue(key, value) != highs.HighsStatus.kOk:
+            raise ModelError(f"HiGHS refuses option {key} = {value!r}")
+    refused = session.passModel(lp) == highs.HighsStatus.kError
+    del lp, matrix                        # the session holds its own copy
+    if refused:
+        status = highs.HighsModelStatus.kModelError
+        return _Outcome(status.name, session.modelStatusToString(status))
+    session.run()
+    status, info = session.getModelStatus(), session.getInfo()
+    out = _Outcome(status.name, session.modelStatusToString(status),
+                   {key: getattr(info, key) for key in _INFO})
+    limits = (highs.HighsModelStatus.kTimeLimit, highs.HighsModelStatus.kIterationLimit)
+    if status == highs.HighsModelStatus.kOptimal or (
+            mip and status in limits and info.objective_function_value < highs.kHighsInf):
+        solution = session.getSolution()
+        out = out._replace(x=np.array(solution.col_value),
+                           row_dual=np.array(solution.row_dual) if duals else None)
+    return out
+
+
+def _highs_solve(model: MilpModel, relax: bool, gap: float = 0.0,
+                 time_limit: float | None = None, algorithm: str = "choose") -> Solution:
+    """Solve ``model`` in one HiGHS session (``_session``) on ``_highs_call``'s
+    thread: as a MIP if it has an integer column, or, ``relax``, as an LP
+    ignoring integrality whose duals are dObjective/dRHS of each row in its
+    declared orientation.
+
+    The options are set here and nowhere else.  The root reduced-cost
+    sub-MIP is off: on the 28- and 364-day template models it took memory
+    and time and found no better solution (README, "Solving", has the
+    figures and the one model where it helped).  A MIP solution carries
+    HiGHS's dual bound and node count; an LP's are None.
+    """
+    from scipy.optimize._highspy import _core   # private bindings: see pyproject.toml
+    options = {"output_flag": False, "solver": algorithm, "mip_rel_gap": float(gap),
+               "mip_heuristic_run_root_reduced_cost": False}
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
+    mip = not relax and 1 in model._int
     start = time.perf_counter()
-    result = _highs_call(call, *args, **kwargs)
-    return result, time.perf_counter() - start
+    out = _highs_call(_session, _core, model, mip, relax, options)
+    return _solution(model, mip, out, time.perf_counter() - start)
+
+
+def _solution(model: MilpModel, mip: bool, out: _Outcome, wall: float) -> Solution:
+    """The Solution of a session's outcome, its status through ``_MODEL_STATUS``."""
+    sol = Solution(status=_MODEL_STATUS.get(out.status, STATUS_ERROR),
+                   wall_seconds=wall, message=out.message)
+    if sol.status == STATUS_TIME_LIMIT and out.x is None:
+        sol.status = STATUS_ERROR
+    if mip and out.info is not None:
+        sol.dual_bound, sol.nodes = float(out.info["mip_dual_bound"]), out.info["mip_node_count"]
+    if out.x is not None:
+        sol.values = _keyed(model._var_names.tolist(), out.x.tolist(), "variable")
+        sol.objective = float(out.info["objective_function_value"])
+    if out.x is not None and mip:
+        # an incumbent without a proven bound is not optimal: keep inf
+        gap = out.info["mip_gap"]
+        sol.gap = float(gap) if np.isfinite(gap) else INF
+        if sol.status == STATUS_OPTIMAL and not gap <= 1e-9:
+            sol.status = STATUS_GAP_LIMIT
+    if out.row_dual is not None:
+        sol.duals = _keyed(model._con_names.tolist(), out.row_dual.tolist(), "constraint")
+    return sol
 
 
 class ScipySolver:
-    """In-process adapter over scipy's HiGHS bindings.
+    """In-process adapter over the HiGHS bindings scipy ships.
 
-    Each solve runs through ``_timed_highs_call``, so repeated solves in one
-    process keep a steady footprint.
+    Each solve is one HiGHS session on a thread of its own (``_highs_solve``),
+    so repeated solves in one process keep a steady footprint.
     """
 
     def solve(self, model: MilpModel, gap: float = 0.0,
               time_limit: float | None = None) -> Solution:
-        from scipy.optimize import milp, Bounds, LinearConstraint
-        c, integrality, lb, ub, a, cl, cu = model.to_arrays()
-        options = {"mip_rel_gap": float(gap)}
-        if time_limit is not None:
-            options["time_limit"] = float(time_limit)
-        res, wall = _timed_highs_call(
-            milp, c=c, integrality=integrality, bounds=Bounds(lb, ub),
-            constraints=LinearConstraint(a, cl, cu) if model.num_cons else None,
-            options=options)
-        return self._wrap(model, res, wall)
-
-    @staticmethod
-    def _wrap(model: MilpModel, res, wall: float) -> Solution:
-        mip_gap = getattr(res, "mip_gap", None)
-        if res.status == 0:
-            status = STATUS_OPTIMAL if not mip_gap or mip_gap <= 1e-9 else STATUS_GAP_LIMIT
-        elif res.status == 1:
-            status = STATUS_TIME_LIMIT if res.x is not None else STATUS_ERROR
-        elif res.status == 2:
-            status = STATUS_INFEASIBLE
-        elif res.status == 3:
-            status = STATUS_UNBOUNDED
-        else:
-            status = STATUS_ERROR
-        values, objective, gap = {}, None, 0.0
-        if res.x is not None:
-            values = _keyed(model._var_names.tolist(), res.x.tolist(), "variable")
-            objective = float(res.fun)
-            # an incumbent without a proven bound is not optimal: keep inf
-            if mip_gap is not None:
-                gap = float(mip_gap) if np.isfinite(mip_gap) else INF
-        return Solution(status=status, objective=objective, values=values,
-                        gap=gap, wall_seconds=wall, message=str(res.message))
+        return _highs_solve(model, False, gap, time_limit)
 
     def solve_lp(self, model: MilpModel, method: str = "highs") -> Solution:
         """Solve ignoring integrality and return duals as dObjective/dRHS
-        of each constraint in its declared orientation."""
-        from scipy.optimize import linprog
-        c, _, lb, ub, a, cl, cu = model.to_arrays()
-        eq = cl == cu
-        # HiGHS takes inequalities as <=: negate each >= row in place so the
-        # inequality rows keep their declared order
-        sign = np.where(np.isinf(cu), -1.0, 1.0)
-        a = a.tocsr()
-        a.data *= np.repeat(sign, np.diff(a.indptr))
-        rhs = sign * np.where(np.isinf(cu), cl, cu)
-        res, wall = _timed_highs_call(
-            linprog, c, A_ub=a[~eq], b_ub=rhs[~eq], A_eq=a[eq], b_eq=rhs[eq],
-            bounds=np.column_stack((lb, ub)), method=method, options={})
-        status_map = {0: STATUS_OPTIMAL, 2: STATUS_INFEASIBLE, 3: STATUS_UNBOUNDED}
-        status = status_map.get(res.status, STATUS_ERROR)
-        values, objective, duals = {}, None, None
-        if res.x is not None and status == STATUS_OPTIMAL:
-            values = _keyed(model._var_names.tolist(), res.x.tolist(), "variable")
-            objective = float(res.fun)
-            marginals = np.empty(model.num_cons)
-            marginals[eq] = res.eqlin.marginals
-            marginals[~eq] = sign[~eq] * res.ineqlin.marginals
-            duals = _keyed(model._con_names.tolist(), marginals.tolist(), "constraint")
-        return Solution(status=status, objective=objective, values=values,
-                        gap=0.0, wall_seconds=wall, duals=duals, message=str(res.message))
+        of each constraint in its declared orientation.  ``method`` is
+        ``"highs"`` (HiGHS's choice) or ``"highs-ipm"`` (interior point)."""
+        if method not in _LP_METHODS:
+            raise ValueError(f"unknown LP method {method!r}, expected one of {list(_LP_METHODS)}")
+        return _highs_solve(model, True, algorithm=_LP_METHODS[method])
 
 
 def solve(model: MilpModel, gap: float = 0.0, time_limit: float | None = None) -> Solution:

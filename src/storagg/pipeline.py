@@ -340,6 +340,8 @@ class SolutionHeader:
     wall_seconds: float
     message: str
     audit: dict
+    dual_bound: float | None = None      # absent from files written before it was kept
+    nodes: int | None = None
 
     def __post_init__(self) -> None:
         if self.status in OK_STATUSES and self.objective is None:
@@ -358,6 +360,7 @@ def save_solutions(outdir: Path, solutions: dict[str, Solution],
     _bind_deferred()
     headers = {kind: {"status": sol.status, "objective": sol.objective, "gap": sol.gap,
                       "wall_seconds": sol.wall_seconds, "message": sol.message,
+                      "dual_bound": sol.dual_bound, "nodes": sol.nodes,
                       "audit": audits[kind]} for kind, sol in solutions.items()}
     for kind, doc in headers.items():
         from_json(SolutionHeader, doc, f"solution header of {kind!r}", SolveError,
@@ -432,7 +435,8 @@ def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
         head = from_json(SolutionHeader, doc, f"solution header {path}", ConfigError,
                          SOLUTION_RULES)
         sol = Solution(head.status, head.objective, gap=head.gap,
-                       wall_seconds=head.wall_seconds, message=head.message)
+                       wall_seconds=head.wall_seconds, message=head.message,
+                       dual_bound=head.dual_bound, nodes=head.nodes)
         values = sol_dir / f"{kind}.npz"
         if values.exists():
             try:
@@ -520,6 +524,8 @@ class SummaryBlock:
     investment: dict[str, float]
     startups: dict[str, float]
     prices_degenerate: bool | None
+    dual_bound: float | None = None      # absent from files written before it was kept
+    nodes: int | None = None
 
 
 @dataclass
@@ -548,7 +554,8 @@ def stage_report(system: PowerSystem, cases: dict[str, CaseResult],
             objective=case.objective, wall_seconds=case.wall_seconds,
             violations=case.violation_count, violation_max_gwh=case.violation_max,
             investment=case.investment, startups=case.startups,
-            prices_degenerate=case.prices_degenerate)) for kind, case in cases.items()
+            prices_degenerate=case.prices_degenerate, dual_bound=case.dual_bound,
+            nodes=case.nodes)) for kind, case in cases.items()
     }
     rows = {kind: dict(rep.rows()) for kind, rep in reports.items()}
     summary["comparisons"] = {

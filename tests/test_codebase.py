@@ -135,13 +135,13 @@ def test_call_site_scan_sees_builders():
 
 def test_one_home_per_rule():
     """Each of these rules is spelled in one place: HiGHS is reached only
-    through the adapter's timed call; ids are checked as identifiers in
+    through the adapter's one session helper; ids are checked as identifiers in
     ``validate_system``'s one loop over buses, units and circuits; the
     solution header is read through the door the system file is read
     through; a repeated name is refused only by
     ``_keyed``, the one place names become keys."""
     roots = [SRC, REPO / "demos"]
-    assert call_sites("_highs_call", roots) == {("src/storagg/milp.py", "_timed_highs_call")}
+    assert call_sites("_highs_call", roots) == {("src/storagg/milp.py", "_highs_solve")}
     assert read_sites("_ID_RE", roots) == {("src/storagg/system.py", "validate_system")}
     assert ("src/storagg/pipeline.py", "load_solutions") in call_sites("from_json", roots)
 

@@ -10,6 +10,7 @@ from storagg import (MilpModel, ModelError, Solution, ScipySolver, solve,
                      fix_and_relax, write_mps, parse_mps, write_registry,
                      save_model, load_model, load_registry,
                      audit_constraints, constraint_families, build_hm)
+import storagg.milp as milp_module
 from storagg.milp import INF, LE, GE, EQ, _PLAIN, _delta_planes, _pack_names
 from storagg.pipeline import (emit_scenario_template, load_scenario, stage_ingest,
                               stage_cluster, stage_build, load_built_model)
@@ -586,50 +587,67 @@ def test_solve_unbounded_status():
     assert status in ("unbounded", "error")   # HiGHS may report either
 
 
-def test_wrap_maps_highs_statuses():
-    """HiGHS status 1 (time limit) is ``time_limit`` with an incumbent and
-    ``error`` without one; status 0 above the optimality tolerance is
-    ``gap_limit``.  A solution with values keeps a non-finite gap as inf."""
+def outcome(status, x=None, gap=0.0, objective=12.0):
+    """A session outcome as ``milp._session`` hands it back."""
+    info = {"objective_function_value": objective, "mip_gap": gap,
+            "mip_dual_bound": 11.5, "mip_node_count": 3}
+    return milp_module._Outcome(status, "text", info, x)
+
+
+def test_status_table_maps_highs_statuses():
+    """A time limit is ``time_limit`` with an incumbent and ``error``
+    without one; an optimum above the optimality tolerance is ``gap_limit``;
+    a solution with values keeps a non-finite gap as inf; infeasible and
+    unbounded statuses map as scipy mapped them, a model HiGHS refuses and
+    ``kUnboundedOrInfeasible`` among them.  A MIP carries the dual bound and
+    node count, an LP neither."""
     m = toy_model()
     x = np.array([1.0, 0.0, 1.0, 2.0])
 
-    def wrap(status, x, gap):
-        res = SimpleNamespace(status=status, x=x, fun=12.0, mip_gap=gap, message="")
-        return ScipySolver._wrap(m, res, 0.5)
+    def wrap(status, x=None, gap=0.0, mip=True):
+        return milp_module._solution(m, mip, outcome(status, x, gap), 0.5)
 
-    timed_out = wrap(1, x, 0.02)
+    timed_out = wrap("kTimeLimit", x, 0.02)
     assert (timed_out.status, timed_out.ok, timed_out.gap) == ("time_limit", True, 0.02)
     assert timed_out.values == {"x": 1.0, "y": 0.0, "z": 1.0, "w": 2.0}
-    unbounded_gap = wrap(1, x, float("inf"))     # an incumbent, no proven bound
+    assert (timed_out.dual_bound, timed_out.nodes, timed_out.wall_seconds) == (11.5, 3, 0.5)
+    unbounded_gap = wrap("kTimeLimit", x, INF)   # an incumbent, no proven bound
     assert (unbounded_gap.status, unbounded_gap.ok, unbounded_gap.gap) == \
-        ("time_limit", True, float("inf"))
-    assert wrap(0, x, float("nan")).gap == float("inf")
-    lp = wrap(0, x, None)                         # scipy reports no gap for an LP
-    assert (lp.status, lp.gap) == ("optimal", 0.0)
-    empty = wrap(1, None, float("inf"))
-    assert (empty.status, empty.ok, empty.values, empty.gap) == ("error", False, {}, 0.0)
-    near = wrap(0, x, 5e-4)
-    assert (near.status, near.ok, near.objective) == ("gap_limit", True, 12.0)
+        ("time_limit", True, INF)
+    nan_gap = wrap("kOptimal", x, float("nan"))
+    assert (nan_gap.status, nan_gap.gap) == ("gap_limit", INF)
+    lp = wrap("kOptimal", x, INF, mip=False)     # an LP reports no gap, bound or nodes
+    assert (lp.status, lp.gap, lp.dual_bound, lp.nodes) == ("optimal", 0.0, None, None)
+    for status in ("kTimeLimit", "kIterationLimit"):
+        empty = wrap(status, None, INF)
+        assert (empty.status, empty.ok, empty.values, empty.objective, empty.gap) == \
+            ("error", False, {}, None, 0.0)
+    near = wrap("kOptimal", x, 5e-4)
+    assert (near.status, near.ok, near.objective, near.message) == \
+        ("gap_limit", True, 12.0, "text")
+    assert wrap("kOptimal", x, 1e-9).status == "optimal"
+    for status, ours in (("kInfeasible", "infeasible"), ("kModelError", "infeasible"),
+                         ("kUnbounded", "unbounded"), ("kUnboundedOrInfeasible", "error"),
+                         ("kInterrupt", "error"), ("kNotset", "error")):
+        sol = wrap(status)
+        assert (sol.status, sol.values, sol.objective) == (ours, {}, None), status
+    refused = milp_module._solution(m, True, milp_module._Outcome("kModelError", "text"), 0.5)
+    assert (refused.status, refused.dual_bound, refused.nodes) == ("infeasible", None, None)
 
 
 def test_highs_calls_run_on_a_thread_of_their_own(monkeypatch):
     """Both adapter calls reach HiGHS from a short-lived thread, which has
     exited when the call returns; an error raised there reaches the caller."""
     import threading
-    import scipy.optimize
-    import storagg.milp as milp_module
 
     callers = []
+    real = milp_module._session
 
-    def recording(real):
-        def call(*args, **kwargs):
-            callers.append(threading.get_ident())
-            return real(*args, **kwargs)
-        return call
+    def recording(*args):
+        callers.append(threading.get_ident())
+        return real(*args)
 
-    # the adapter imports both at call time, so the patch goes on scipy.optimize
-    monkeypatch.setattr(scipy.optimize, "milp", recording(scipy.optimize.milp))
-    monkeypatch.setattr(scipy.optimize, "linprog", recording(scipy.optimize.linprog))
+    monkeypatch.setattr(milp_module, "_session", recording)
     threads = threading.active_count()
     m = toy_model()
     assert solve(m).ok
@@ -638,6 +656,139 @@ def test_highs_calls_run_on_a_thread_of_their_own(monkeypatch):
     assert threading.active_count() == threads
     with pytest.raises(ZeroDivisionError):
         milp_module._highs_call(divmod, 1, 0)
+
+
+# what the session reads of scipy's private HiGHS bindings, by owner
+SESSION_NEEDS = {
+    "_core": ("_Highs", "HighsLp", "MatrixFormat", "HighsVarType", "HighsStatus",
+              "HighsModelStatus", "kHighsInf"),
+    "_Highs": ("setOptionValue", "getOptionValue", "passModel", "run", "getModelStatus",
+               "getInfo", "getSolution", "modelStatusToString"),
+    "HighsLp": ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_",
+                "row_lower_", "row_upper_", "a_matrix_", "integrality_"),
+    "MatrixFormat": ("kRowwise",),
+    "HighsVarType": ("kContinuous", "kInteger"),
+    "HighsStatus": ("kOk", "kError"),
+    "HighsModelStatus": ("kOptimal", "kTimeLimit", "kIterationLimit", "kModelError",
+                         *milp_module._MODEL_STATUS),
+    "HighsInfo": milp_module._INFO,
+}
+
+
+def test_highs_binding_has_what_the_session_calls():
+    """The session uses scipy's private HiGHS bindings (pinned to one scipy
+    series in pyproject.toml).  If a scipy release renames or drops a part
+    of them, or HiGHS no longer knows an option the session sets, this test
+    names what is missing."""
+    from scipy.optimize._highspy import _core
+    owners = {"_core": _core, **{name: getattr(_core, name, None) for name in SESSION_NEEDS
+                                 if name != "_core"}}
+    missing = [f"{owner}.{attr}" for owner, attrs in SESSION_NEEDS.items()
+               for attr in attrs if not hasattr(owners[owner], attr)]
+    assert missing == [], f"scipy's HiGHS bindings lack {missing}"
+    session = _core._Highs()
+    options = {"output_flag": False, "solver": "ipm", "mip_rel_gap": 1e-3, "time_limit": 5.0,
+               "mip_heuristic_run_root_reduced_cost": False}
+    refused = [key for key, value in options.items()
+               if session.setOptionValue(key, value) != _core.HighsStatus.kOk]
+    assert refused == [], f"HiGHS refuses the options {refused}"
+
+
+def test_mip_session_turns_the_root_reduced_cost_sub_mip_off(monkeypatch):
+    """Read back from the session a MIP solve ran: the root reduced-cost
+    sub-MIP is off, the output is off and the gap is the one asked for."""
+    from scipy.optimize._highspy import _core
+    sessions, real = [], milp_module._session
+
+    def keeping(highs, *args):
+        def new_session():
+            sessions.append(highs._Highs())
+            return sessions[-1]
+
+        bindings = SimpleNamespace(**{name: getattr(highs, name) for name in SESSION_NEEDS["_core"]})
+        bindings._Highs = new_session
+        return real(bindings, *args)
+
+    monkeypatch.setattr(milp_module, "_session", keeping)
+    assert solve(toy_model(), gap=0.25).ok
+    [session] = sessions
+    ok = _core.HighsStatus.kOk
+    assert session.getOptionValue("mip_heuristic_run_root_reduced_cost") == (ok, False)
+    assert session.getOptionValue("output_flag") == (ok, False)
+    assert session.getOptionValue("mip_rel_gap") == (ok, 0.25)
+
+
+def test_unknown_option_or_lp_method_is_an_error():
+    """An option HiGHS does not know is refused, not ignored; so is an LP
+    method ``solve_lp`` does not map to a HiGHS solver."""
+    from scipy.optimize._highspy import _core
+    with pytest.raises(ModelError, match="HiGHS refuses option no_such_option"):
+        milp_module._session(_core, toy_model(), True, False, {"no_such_option": 1})
+    with pytest.raises(ValueError, match="unknown LP method 'highs-ds'"):
+        ScipySolver().solve_lp(toy_model(), method="highs-ds")
+
+
+TEMPLATE_GAP = 1e-3
+KINDS = ("hm", "ss", "ss_rfm", "rp", "rp_tmci")
+
+
+@pytest.fixture(scope="module")
+def template_models(tmp_path_factory):
+    """Each kind's model of the 7-day template (seed 4), beside its session
+    solve at the benchmark's gap."""
+    from storagg import aggregate
+    from storagg.pipeline import build_formulation
+    config = load_scenario(emit_scenario_template(tmp_path_factory.mktemp("t7"), days=7, seed=4))
+    system, data = stage_ingest(config)
+    art = aggregate(data, config.states, config.rep_days, config.seed,
+                    window_hours=config.window_hours,
+                    has_short_term_storage=bool(system.short_term_storage))
+    models = {kind: build_formulation(kind, system, data, art, config).model for kind in KINDS}
+    return {kind: (m, solve(m, gap=TEMPLATE_GAP)) for kind, m in models.items()}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_session_agrees_with_scipy_milp(template_models, kind):
+    """Oracle: scipy's public ``milp`` on the same arrays.  Both stop within
+    the requested gap of the optimum, so their objectives lie within that
+    gap of each other; the session's point satisfies every row to 1e-6, and
+    its dual bound lies below its objective."""
+    from scipy.optimize import milp, Bounds, LinearConstraint
+    m, sol = template_models[kind]
+    c, integrality, lb, ub, a, cl, cu = m.to_arrays()
+    res = milp(c, integrality=integrality, bounds=Bounds(lb, ub),
+               constraints=LinearConstraint(a, cl, cu), options={"mip_rel_gap": TEMPLATE_GAP})
+    assert sol.status in ("optimal", "gap_limit") and res.status == 0
+    assert abs(sol.objective - res.fun) <= TEMPLATE_GAP * max(abs(sol.objective), abs(res.fun))
+    assert sol.gap <= TEMPLATE_GAP and sol.dual_bound <= sol.objective and sol.nodes >= 0
+    audit = audit_constraints(m, sol.values)
+    assert max(row["max_residual"] for row in audit.values()) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_session_lp_duals_equal_linprog_marginals(template_models, kind):
+    """Oracle: scipy's public ``linprog`` on the pricing LP, its ``>=`` rows
+    negated into ``<=`` rows and its ``=`` rows passed apart, as its
+    interface asks.  Mapped back to each row's declared orientation, its
+    marginals equal the session's row duals within 1e-8."""
+    from scipy.optimize import linprog
+    m, sol = template_models[kind]
+    relaxed = fix_and_relax(m, sol)
+    assert set(relaxed._sense) == {0, 1, 2}           # <=, >= and = rows all occur
+    lp = ScipySolver().solve_lp(relaxed)
+    c, _, lb, ub, a, cl, cu = relaxed.to_arrays()
+    eq, sign = cl == cu, np.where(np.isinf(cu), -1.0, 1.0)
+    a = a.tocsr()
+    a.data *= np.repeat(sign, np.diff(a.indptr))
+    rhs = sign * np.where(np.isinf(cu), cl, cu)
+    res = linprog(c, A_ub=a[~eq], b_ub=rhs[~eq], A_eq=a[eq], b_eq=rhs[eq],
+                  bounds=np.column_stack((lb, ub)), method="highs")
+    marginals = np.empty(relaxed.num_cons)
+    marginals[eq], marginals[~eq] = res.eqlin.marginals, sign[~eq] * res.ineqlin.marginals
+    assert lp.status == "optimal" and res.status == 0
+    assert lp.objective == pytest.approx(res.fun, rel=1e-9)
+    assert list(lp.duals) == relaxed._con_names.tolist()
+    np.testing.assert_allclose(list(lp.duals.values()), marginals, rtol=0, atol=1e-8)
 
 
 def test_lp_duals_merit_order():

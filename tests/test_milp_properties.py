@@ -6,7 +6,6 @@ import re
 import struct
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +14,8 @@ import scipy.sparse as sp
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from storagg import (MilpModel, ModelError, ScipySolver, Solution, write_mps, parse_mps,
+import storagg.milp as milp
+from storagg import (MilpModel, ModelError, Solution, write_mps, parse_mps,
                      save_model, load_model, save_solution, load_solution,
                      audit_constraints)
 from storagg.milp import INF, LE, GE, EQ, OK_STATUSES, _delta_planes, _pack_names
@@ -281,12 +281,15 @@ def solutions(draw):
                     objective=draw(values if status in OK_STATUSES else st.none() | values),
                     gap=draw(st.sampled_from([0.0, 1e-4, INF]) | finite.filter(lambda g: g >= 0)),
                     wall_seconds=draw(st.floats(0.0, 1e4)),
-                    message=draw(st.text(max_size=12)))
+                    message=draw(st.text(max_size=12)),
+                    dual_bound=draw(st.none() | values),
+                    nodes=draw(st.none() | st.integers(0, 2**40)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(solutions())
-@example(Solution("time_limit", objective=3.0, values={"x": 1.0}, gap=INF))
+@example(Solution("time_limit", objective=3.0, values={"x": 1.0}, gap=INF, dual_bound=-INF,
+                  nodes=0))
 @example(Solution("infeasible", message="no point"))
 def test_solution_header_and_values_round_trip(sol):
     """``save_solutions`` -> ``load_solutions`` rebuilds the same Solution:
@@ -295,7 +298,7 @@ def test_solution_header_and_values_round_trip(sol):
     with tempfile.TemporaryDirectory() as tmp:
         save_solutions(Path(tmp), {"k": sol}, {"k": {}})
         back = load_solutions(Path(tmp), ["k"])["k"]
-    header = ("status", "objective", "gap", "wall_seconds", "message")
+    header = ("status", "objective", "gap", "wall_seconds", "message", "dual_bound", "nodes")
     assert [repr(getattr(back, key)) for key in header] == \
         [repr(getattr(sol, key)) for key in header]
     assert bits(back.values) == bits(sol.values)
@@ -304,14 +307,16 @@ def test_solution_header_and_values_round_trip(sol):
 @st.composite
 def any_solutions(draw):
     """Any Solution the type allows: an unknown status, an ok one without an
-    objective, a NaN objective, a negative or NaN gap or wall time, and a
-    value named with a newline among them."""
+    objective, a NaN objective or dual bound, a negative or NaN gap or wall
+    time, a negative node count, and a value named with a newline among them."""
     return Solution(status=draw(st.sampled_from(STATUSES + ("bogus",))),
                     values=draw(st.dictionaries(st.text(max_size=3), finite, max_size=4)),
                     objective=draw(st.none() | values | st.just(float("nan"))),
                     gap=draw(st.floats() | st.sampled_from([0.0, INF])),
                     wall_seconds=draw(st.floats() | st.just(0.0)),
-                    message=draw(st.text(max_size=8)))
+                    message=draw(st.text(max_size=8)),
+                    dual_bound=draw(st.none() | values | st.just(float("nan"))),
+                    nodes=draw(st.none() | st.integers(-2, 5)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -319,6 +324,7 @@ def any_solutions(draw):
 @example(Solution("optimal", values={"x": 1.0}))
 @example(Solution("infeasible", gap=-1.0))
 @example(Solution("bogus"))
+@example(Solution("optimal", objective=1.0, nodes=-1))
 @example(Solution("error", values={"a\nb": 1.0}))
 def test_every_solution_round_trips_or_is_refused_at_write(sol):
     """``save_solutions`` either writes a Solution that ``load_solutions``
@@ -495,11 +501,11 @@ def test_failed_additions_leave_the_model_as_it_was(drawn):
         message = re.escape(f"duplicate {what} {name!r}")
         with tempfile.TemporaryDirectory() as tmp, pytest.raises(ModelError, match=message):
             write_mps(repeated, Path(tmp) / "m.mps")
-        if what == "variable":
-            res = SimpleNamespace(status=0, x=np.zeros(repeated.num_vars), fun=0.0,
-                                  mip_gap=0.0, message="")
-            with pytest.raises(ModelError, match=message):
-                ScipySolver._wrap(repeated, res, 0.0)
+        # an LP optimum's values and duals, as a session hands them back
+        out = milp._Outcome("kOptimal", "", dict.fromkeys(milp._INFO, 0.0),
+                            np.zeros(repeated.num_vars), np.zeros(repeated.num_cons))
+        with pytest.raises(ModelError, match=message):
+            milp._solution(repeated, False, out, 0.0)
     assert model_state(m) == before
     m.add_vars(["fresh", "twice"], ub=[1.0, 2.0])
     m.add_rows(["fresh", "twice"], [1, 0], [n + 1, n], [3.0, 4.0], [GE, EQ], [1.0, 2.0])

@@ -341,7 +341,31 @@ def test_solutions_describe_status(run_result):
     _, outdir, _ = run_result
     doc = json.loads((outdir / "solutions" / "hm.json").read_text())
     assert doc["status"] in ("optimal", "gap_limit")
-    assert set(doc) == {"status", "objective", "gap", "wall_seconds", "message", "audit"}
+    assert set(doc) == {"status", "objective", "gap", "wall_seconds", "message", "audit",
+                        "dual_bound", "nodes"}
+    # a MIP's bound and node count, as HiGHS reports them
+    assert doc["dual_bound"] <= doc["objective"] and type(doc["nodes"]) is int and doc["nodes"] >= 0
+
+
+def test_files_without_bound_and_nodes_still_load(run_result, tmp_path):
+    """A solution header or summary written before the dual bound and the
+    node count were kept lacks both keys; it loads, with both None."""
+    _, outdir, _ = run_result
+    (tmp_path / "solutions").mkdir()
+    for suffix in (".json", ".npz"):
+        shutil.copy(outdir / "solutions" / f"hm{suffix}", tmp_path / "solutions")
+    header = json.loads((tmp_path / "solutions" / "hm.json").read_text())
+    assert header["nodes"] >= 0
+    del header["dual_bound"], header["nodes"]
+    (tmp_path / "solutions" / "hm.json").write_text(json.dumps(header))
+    sol = load_solutions(tmp_path, ["hm"])["hm"]
+    assert (sol.dual_bound, sol.nodes) == (None, None) and sol.ok
+    doc = json.loads((outdir / "report" / "summary.json").read_text())
+    assert all(type(doc[kind]["nodes"]) is int for kind in ("hm", "ss"))
+    for kind in ("hm", "ss"):
+        del doc[kind]["dual_bound"], doc[kind]["nodes"]
+    summary = storagg.system.from_json(storagg.pipeline.Summary, doc, "summary", ConfigError)
+    assert summary.blocks["hm"].dual_bound is None and summary.blocks["ss"].nodes is None
 
 
 def test_failed_solve_leaves_no_values_file(tmp_path):
