@@ -31,7 +31,7 @@ _EXPORTS = {
                      "default_checkpoints", "aggregate", "save_artifacts",
                      "load_artifacts"), "aggregation"),
     **dict.fromkeys(("MilpModel", "Variable", "Constraint", "Solution", "ModelError",
-                     "ScipySolver", "solve", "fix_and_relax", "save_model", "load_model",
+                     "ScipySolver", "solve", "save_model", "load_model",
                      "save_solution", "load_solution", "write_mps", "parse_mps",
                      "write_registry", "load_registry", "audit_constraints",
                      "constraint_families"), "milp"),

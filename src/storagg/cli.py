@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_only(p)
     p.add_argument("--no-prices", action="store_true",
-                   help="skip the fix-and-relax pricing pass")
+                   help="skip the pricing pass")
 
     p = sub.add_parser("report", help="print the comparison summary from disk")
     p.add_argument("outdir", help="run output directory")
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_only(p)
     _add_solve_flags(p)
     p.add_argument("--no-prices", action="store_true",
-                   help="skip the fix-and-relax pricing pass")
+                   help="skip the pricing pass")
     return parser
 
 

@@ -23,10 +23,11 @@ violations.  ``storage_level_model`` follows each method's own accounting
 (transition shifts for the states family, per-day or checkpoint-anchored
 profiles for representative days); the gap between the two is reported.
 
-Prices come from a fix-and-relax pass: integers are pinned at their solved
-values, the relaxation is solved as an LP, and the balance-row duals are
-divided by each period's hour weight to yield per-hour values, which map
-back onto the hours through the same period index.  A pricing LP without an
+Prices come from the solved model itself, solved again as an LP with its
+integer columns fixed at their solved values (``ScipySolver.solve_lp``
+given those values); the balance-row duals are divided by each period's
+hour weight to yield per-hour values, which map back onto the hours
+through the same period index.  A pricing LP without an
 optimum is a ValueError, never a report without prices.
 ``compare`` turns the ``hm`` case and one aggregated case into an
 ``EvaluationReport``; callers key the reports by the aggregated kind.
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .milp import Solution, ScipySolver, fix_and_relax, STATUS_OPTIMAL
+from .milp import Solution, ScipySolver, STATUS_OPTIMAL
 from .system import PowerSystem
 from .timeseries import TimeHorizonData
 from .aggregation import StateClustering, RepPeriodClustering, TransitionMatrices
@@ -201,7 +202,8 @@ def detect_violations(expansion: HourlyExpansion, system: PowerSystem,
 
 def compute_prices(fo: FormulationOutput, solution: Solution, system: PowerSystem,
                    per: Periods, check_degeneracy: bool = False) -> tuple[np.ndarray, bool | None]:
-    """Fix integers, relax, and read balance duals as per-hour prices.
+    """Solve ``fo.model`` as an LP with its integers fixed at their values in
+    ``solution``, and read balance duals as per-hour prices.
 
     Returns (prices, degenerate), prices being the (periods, nodes) grid of
     the ``bal`` row duals over ``per``, the model's period layout, each
@@ -213,10 +215,9 @@ def compute_prices(fo: FormulationOutput, solution: Solution, system: PowerSyste
     ValueError, naming the kind and the status, if an LP has no optimum, or
     naming the row if a balance row has no dual.
     """
-    relaxed = fix_and_relax(fo.model, solution)
     grids = []
     for method in ("highs", "highs-ipm") if check_degeneracy else ("highs",):
-        lp = ScipySolver().solve_lp(relaxed, method=method)
+        lp = ScipySolver().solve_lp(fo.model, method=method, fixed=solution.values)
         if lp.status != STATUS_OPTIMAL or lp.duals is None:
             raise ValueError(f"pricing LP of {fo.kind!r} ({method}) ended with status "
                              f"{lp.status!r}: {lp.message}")

@@ -49,7 +49,6 @@ it (see ``storagg/__init__.py``).
 
 from __future__ import annotations
 
-import copy
 import ctypes
 import time
 import zipfile
@@ -201,15 +200,19 @@ class MilpModel:
                  integer=False) -> np.ndarray:
         """Add one column per name, last, and return their positions.  The
         bounds, objective and integer flag are given per column or once for
-        all.  Raises ModelError, adding nothing, if a name holds a newline or
-        a lower bound exceeds its upper bound; new names are not checked."""
+        all.  Raises ModelError, adding nothing, if a name holds a newline, a
+        bound is NaN, an objective coefficient is not finite or a lower bound
+        exceeds its upper bound; new names are not checked."""
         n = len(names)
         lb, ub, obj = (_each(a, n, np.float64) for a in (lb, ub, obj))
         flags = _each(integer, n, np.uint8)
-        bad = np.flatnonzero(lb > ub)
+        bad = np.flatnonzero(~(lb <= ub))          # a NaN bound among them
         if len(bad):
             j = bad[0]
-            raise ModelError(f"variable {names[j]!r}: lb {lb[j]} > ub {ub[j]}")
+            raise ModelError(f"variable {names[j]!r}: lb {lb[j]} is not <= ub {ub[j]}")
+        j = _first_bad(obj)
+        if j is not None:
+            raise ModelError(f"variable {names[j]!r}: objective coefficient {obj[j]}")
         start = self.num_vars
         self._var_names.extend(names)
         for buf, values in ((self._lb, lb), (self._ub, ub), (self._obj, obj)):
@@ -224,14 +227,18 @@ class MilpModel:
         column is dropped, and a repeated column gets the sum of its values,
         added in order, at its first place.  ``sense`` and ``rhs`` are given
         per row or once for all.  Raises ModelError, adding nothing, if a
-        name holds a newline, a sense is unknown, or a column or row lies
-        beyond the last; new names are not checked."""
+        name holds a newline, a sense is unknown, a column or row lies beyond
+        the last, or a rhs or a summed coefficient is not finite; new names
+        are not checked."""
         n = len(names)
         try:
             code = bytes(_SENSE_CODE[s] for s in _each(sense, n).tolist())
         except KeyError as exc:
             raise ModelError(f"unknown sense {exc.args[0]!r}") from None
         rhs = _each(rhs, n, np.float64)
+        i = _first_bad(rhs)
+        if i is not None:
+            raise ModelError(f"constraint {names[i]!r}: rhs {rhs[i]}")
         row, col, val = (np.asarray(a, dtype=t).ravel() for a, t in
                          ((row, np.int64), (col, np.int64), (val, np.float64)))
         keep = (val != 0.0) & (col >= 0)
@@ -253,6 +260,10 @@ class MilpModel:
             first.sort()
             first = first[sums[group[first]] != 0.0]
             row, col, val = row[first], col[first], sums[group[first]]
+        k = _first_bad(val)
+        if k is not None:
+            raise ModelError(f"constraint {names[row[k]]!r}: coefficient {val[k]} "
+                             f"of variable {self._var_names[col[k]]!r}")
         self._con_names.extend(names)
         self._cols.frombytes(col.astype(np.int32).tobytes())
         self._coefs.frombytes(val.tobytes())
@@ -350,6 +361,18 @@ def _each(values, n: int, dtype=None) -> np.ndarray:
     """``values``, given once or one per entry, as an array of ``n``."""
     a = np.asarray(values, dtype)
     return a if a.shape == (n,) else np.full(n, a, dtype=a.dtype)
+
+
+def _first_bad(values: np.ndarray, nan_only: bool = False) -> int | None:
+    """The position of the first NaN in ``values`` or, unless ``nan_only``,
+    of the first infinity; None if there is none.  One sum clears most
+    arrays without a temporary one; a scan tells an overflow apart."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    if np.isfinite(total) or (nan_only and not np.isnan(total)):
+        return None
+    bad = np.isnan(values) if nan_only else ~np.isfinite(values)
+    return int(bad.argmax()) if bad.any() else None
 
 
 def _keyed(names: list[str], values, what: str, where=None) -> dict:
@@ -567,7 +590,8 @@ def load_model(path) -> MilpModel:
 
     Raises ModelError if an array is missing (a file in an earlier layout
     among them), is not a 1-D array of its dtype (an object array among
-    them), the lengths disagree, ``indptr`` does not rise from 0 to the
+    them), the lengths disagree, a bound is NaN, an objective coefficient,
+    coefficient or rhs is not finite, ``indptr`` does not rise from 0 to the
     number of nonzeros, a column index is out of range, a sense code or
     integer flag is unknown, or the names are damaged: digit-run markers and
     numbers that do not pair up, a width outside 1..18, a number that does
@@ -577,8 +601,13 @@ def load_model(path) -> MilpModel:
     model = MilpModel()
     with _reading(path, _STORED, "model") as read:
         model.name = _decode(path, read("name"), "model")
-        for key, (attr, _) in _PLAIN.items():
-            setattr(model, attr, _buffer(getattr(model, attr), read(key)))
+        for key, (attr, dtype) in _PLAIN.items():
+            values = read(key)
+            k = _first_bad(values, key in ("lb", "ub")) if dtype is np.float64 else None
+            if k is not None:
+                raise ModelError(f"{path}: {key}[{k}] is {values[k]}")
+            setattr(model, attr, _buffer(getattr(model, attr), values))
+        del values
         n, m, nnz = len(model._lb), len(model._sense), len(model._coefs)
         for key, size in (("ub", n), ("obj", n), ("integer", n), ("rhs", m)):
             found = len(getattr(model, _PLAIN[key][0]))
@@ -883,14 +912,13 @@ def _highs_call(call, *args, **kwargs):
     return result
 
 
-# HiGHS model status -> solution status, as scipy's ``milp`` and ``linprog``
-# mapped them (a model HiGHS refuses to load counts as infeasible there too).
-# An optimum above a gap of 1e-9 is ``gap_limit``; a limit is ``time_limit``
-# only with a feasible incumbent, else ``error``; a status not listed, among
-# them ``kUnboundedOrInfeasible``, is ``error``.
+# HiGHS model status -> solution status.  An optimum above a gap of 1e-9 is
+# ``gap_limit``; a limit is ``time_limit`` only with a feasible incumbent,
+# else ``error``; a status not listed, among them ``kUnboundedOrInfeasible``
+# and ``kModelError`` (a model HiGHS refuses to load), is ``error``.
 _MODEL_STATUS = {"kOptimal": STATUS_OPTIMAL, "kTimeLimit": STATUS_TIME_LIMIT,
                  "kIterationLimit": STATUS_TIME_LIMIT, "kInfeasible": STATUS_INFEASIBLE,
-                 "kModelError": STATUS_INFEASIBLE, "kUnbounded": STATUS_UNBOUNDED}
+                 "kUnbounded": STATUS_UNBOUNDED}
 # the fields of HiGHS's ``getInfo`` a solution reads
 _INFO = ("objective_function_value", "mip_gap", "mip_dual_bound", "mip_node_count")
 # HiGHS's ``solver`` option for each LP method ``solve_lp`` takes, by scipy's ``linprog`` name
@@ -909,15 +937,28 @@ class _Outcome(NamedTuple):
     row_dual: np.ndarray | None = None
 
 
-def _session(highs, model: MilpModel, mip: bool, duals: bool, options: dict) -> _Outcome:
+def _session(highs, model: MilpModel, mip: bool, duals: bool, fixed: dict | None,
+             options: dict) -> _Outcome:
     """Pass ``model`` to one HiGHS session of the bindings module ``highs``,
-    with its integrality if ``mip``, set ``options`` and run it.  The rows
-    go in as stored, CSR, from read-only views of the model's buffers
-    (HiGHS copies them).  Raises ModelError if HiGHS refuses an option."""
+    with its integrality if ``mip``, set ``options`` and run it.  The
+    columns and the CSR rows go in as stored, from read-only views of the
+    model's buffers (HiGHS copies them), but for the bounds given ``fixed``,
+    a solution's values: copies, each integer column fixed at its value,
+    rounded.  Raises ModelError if ``fixed`` lacks an integer column's
+    value, or if HiGHS refuses an option."""
     lp = highs.HighsLp()
     lp.num_col_, lp.num_row_ = model.num_vars, model.num_cons
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = (
-        np.frombuffer(buf) for buf in (model._obj, model._lb, model._ub))
+    lower, upper = np.frombuffer(model._lb), np.frombuffer(model._ub)
+    if fixed is not None:
+        lower, upper = lower.copy(), upper.copy()
+        names = model._var_names.tolist()
+        for j in np.flatnonzero(model._int).tolist():
+            if names[j] not in fixed:
+                raise ModelError(f"solution provides no value for integer variable {names[j]!r}")
+            lower[j] = upper[j] = round(fixed[names[j]])
+        del names
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = np.frombuffer(model._obj), lower, upper
+    del lower, upper                      # HiGHS holds its own copies
     lp.row_lower_, lp.row_upper_ = model._row_bounds()
     matrix = lp.a_matrix_
     matrix.format_ = highs.MatrixFormat.kRowwise
@@ -951,11 +992,12 @@ def _session(highs, model: MilpModel, mip: bool, duals: bool, options: dict) -> 
 
 
 def _highs_solve(model: MilpModel, relax: bool, gap: float = 0.0,
-                 time_limit: float | None = None, algorithm: str = "choose") -> Solution:
+                 time_limit: float | None = None, algorithm: str = "choose",
+                 fixed: dict | None = None) -> Solution:
     """Solve ``model`` in one HiGHS session (``_session``) on ``_highs_call``'s
     thread: as a MIP if it has an integer column, or, ``relax``, as an LP
-    ignoring integrality whose duals are dObjective/dRHS of each row in its
-    declared orientation.
+    ignoring integrality (or fixing it at ``fixed``, see ``_session``) whose
+    duals are dObjective/dRHS of each row in its declared orientation.
 
     The options are set here and nowhere else.  The root reduced-cost
     sub-MIP is off: on the 28- and 364-day template models it took memory
@@ -970,7 +1012,7 @@ def _highs_solve(model: MilpModel, relax: bool, gap: float = 0.0,
         options["time_limit"] = float(time_limit)
     mip = not relax and 1 in model._int
     start = time.perf_counter()
-    out = _highs_call(_session, _core, model, mip, relax, options)
+    out = _highs_call(_session, _core, model, mip, relax, fixed, options)
     return _solution(model, mip, out, time.perf_counter() - start)
 
 
@@ -1007,13 +1049,17 @@ class ScipySolver:
               time_limit: float | None = None) -> Solution:
         return _highs_solve(model, False, gap, time_limit)
 
-    def solve_lp(self, model: MilpModel, method: str = "highs") -> Solution:
+    def solve_lp(self, model: MilpModel, method: str = "highs",
+                 fixed: dict[str, float] | None = None) -> Solution:
         """Solve ignoring integrality and return duals as dObjective/dRHS
         of each constraint in its declared orientation.  ``method`` is
-        ``"highs"`` (HiGHS's choice) or ``"highs-ipm"`` (interior point)."""
+        ``"highs"`` (HiGHS's choice) or ``"highs-ipm"`` (interior point).
+        Given ``fixed``, a solution's values, each integer column is fixed
+        at its value, rounded, for this solve only: the pricing LP.  Raises
+        ModelError if ``fixed`` lacks an integer column's value."""
         if method not in _LP_METHODS:
             raise ValueError(f"unknown LP method {method!r}, expected one of {list(_LP_METHODS)}")
-        return _highs_solve(model, True, algorithm=_LP_METHODS[method])
+        return _highs_solve(model, True, algorithm=_LP_METHODS[method], fixed=fixed)
 
 
 def solve(model: MilpModel, gap: float = 0.0, time_limit: float | None = None) -> Solution:
@@ -1021,30 +1067,8 @@ def solve(model: MilpModel, gap: float = 0.0, time_limit: float | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# pricing pass and audits
+# audits
 # ---------------------------------------------------------------------------
-
-def fix_and_relax(model: MilpModel, solution: Solution) -> MilpModel:
-    """Fix every integer variable at its solved value and drop integrality.
-
-    The resulting LP has well-defined duals; solving it reprices the
-    continuous quantities around the chosen commitment.  Raises ModelError if
-    the solution lacks a value for some integer variable.  The relaxed model
-    copies the column arrays and shares names and rows with
-    ``model``: it is for solving, not for extending.
-    """
-    relaxed = copy.copy(model)
-    relaxed.name = model.name + "_fixrelax"
-    relaxed._lb, relaxed._ub = array("d", model._lb), array("d", model._ub)
-    relaxed._obj, relaxed._int = array("d", model._obj), bytearray(len(model._int))
-    names = model._var_names.tolist()
-    for j in np.flatnonzero(model._int).tolist():
-        name = names[j]
-        if name not in solution.values:
-            raise ModelError(f"solution provides no value for integer variable {name!r}")
-        relaxed._lb[j] = relaxed._ub[j] = float(round(solution.values[name]))
-    return relaxed
-
 
 def constraint_families(model: MilpModel) -> dict[str, list[int]]:
     """Group constraint positions by the name prefix before the first '_'."""

@@ -316,10 +316,14 @@ def test_stages_bind_what_they_use_first():
 
 def test_one_solver():
     """HiGHS, run in-process, is the one solver: the file-based adapter and
-    its names are gone, and no function takes a ``solver`` to pick another."""
+    its names are gone, and no function takes a ``solver`` to pick another.
+    Pricing solves the model itself, so the relaxed copy of it is gone too,
+    and ``milp.py`` imports no ``copy``."""
     import storagg
-    gone = ("ExternalSolver", "get_solver", "SolverError", "SOLVER_ENV_VAR")
+    gone = ("ExternalSolver", "get_solver", "SolverError", "SOLVER_ENV_VAR", "fix_and_relax")
     assert [name for name in gone if hasattr(storagg, name) or hasattr(storagg.milp, name)] == []
+    assert [where for path, where in sites(imports_of("copy"), [SRC])
+            if path == "src/storagg/milp.py"] == []
 
     def takes_solver(node) -> bool:
         return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(

@@ -215,8 +215,8 @@ def test_prices_refuse_missing_balance_dual(two_unit_system, monkeypatch):
     exp = expand_solution(fo, sol, two_unit_system, data)
     real = ScipySolver.solve_lp
 
-    def without_p5(self, model, method="highs"):
-        lp = real(self, model, method=method)
+    def without_p5(self, model, method="highs", fixed=None):
+        lp = real(self, model, method=method, fixed=fixed)
         del lp.duals["bal_p5_b1"]
         return lp
 
@@ -332,9 +332,9 @@ def test_case_result_refuses_unsolved_pricing_lp(battery_system, sin_data, monke
     sol = solved(fo)
     real = ScipySolver.solve_lp
 
-    def simplex_only(self, model, method="highs"):
+    def simplex_only(self, model, method="highs", fixed=None):
         if method == "highs":
-            return real(self, model)
+            return real(self, model, fixed=fixed)
         return Solution(status="error", message="stub")
 
     monkeypatch.setattr(ScipySolver, "solve_lp", simplex_only)
@@ -342,7 +342,7 @@ def test_case_result_refuses_unsolved_pricing_lp(battery_system, sin_data, monke
     assert compute_prices(fo, sol, battery_system, per)[1] is None
     with pytest.raises(ValueError, match="'hm' \\(highs-ipm\\).*'error'"):
         compute_prices(fo, sol, battery_system, per, check_degeneracy=True)
-    monkeypatch.setattr(ScipySolver, "solve_lp", lambda self, model, method="highs":
+    monkeypatch.setattr(ScipySolver, "solve_lp", lambda self, model, method="highs", fixed=None:
                         Solution(status="infeasible", message="stub"))
     with pytest.raises(ValueError, match="'hm' \\(highs\\).*'infeasible'"):
         build_case_result(fo, sol, battery_system, sin_data)

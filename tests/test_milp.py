@@ -1,4 +1,5 @@
 import gc
+import re
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -6,14 +7,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from storagg import (MilpModel, ModelError, Solution, ScipySolver, solve,
-                     fix_and_relax, write_mps, parse_mps, write_registry,
+from storagg import (MilpModel, ModelError, Variable, ScipySolver, solve,
+                     write_mps, parse_mps, write_registry,
                      save_model, load_model, load_registry,
                      audit_constraints, constraint_families, build_hm)
 import storagg.milp as milp_module
 from storagg.milp import INF, LE, GE, EQ, _PLAIN, _delta_planes, _pack_names
 from storagg.pipeline import (emit_scenario_template, load_scenario, stage_ingest,
                               stage_cluster, stage_build, load_built_model)
+
+
+def model_state(m):
+    """Every buffer of ``m`` as bytes, with its names."""
+    buffers = ("_lb", "_ub", "_obj", "_int", "_indptr", "_cols", "_coefs", "_sense", "_rhs")
+    return ([bytes(memoryview(getattr(m, attr)).cast("B")) for attr in buffers],
+            m.var_names, [c.name for c in m.constraints])
 
 
 def assert_same_arrays(a, b):
@@ -92,6 +100,40 @@ def test_duplicate_constraint_rejected(tmp_path):
         with pytest.raises(ModelError, match="duplicate constraint 'c1'"):
             call()
     assert not (tmp_path / "m.mps").exists()
+
+
+def test_non_finite_numbers_refused():
+    """A NaN coefficient, objective entry, rhs or bound, or an infinite
+    coefficient, objective entry or rhs, is refused where it enters, naming
+    the entry, and the model stays as it was.  With ``nan*x + y <= 2``, x in
+    {0, 1} and objective -x + y, HiGHS took the model and ended optimal at
+    x = 1, y = 0, where the row's left side is NaN."""
+    nan = float("nan")
+    m = MilpModel()
+    m.add_vars(["x", "y"], ub=[1.0, INF], obj=[-1.0, 1.0], integer=[True, False])
+    before = model_state(m)
+    for call, message in (
+            (lambda: m.add_rows(["c"], [0, 0], [0, 1], [nan, 1.0], LE, 2.0),
+             "constraint 'c': coefficient nan of variable 'x'"),
+            (lambda: m.add_rows(["c"], [0, 0], [1, 0], [1.0, -INF], LE, 2.0),
+             "constraint 'c': coefficient -inf of variable 'x'"),
+            (lambda: m.add_rows(["c"], [0, 0], [1, 1], [1e308, 1e308], LE, 2.0),
+             "constraint 'c': coefficient inf of variable 'y'"),
+            (lambda: m.add_rows(["c", "d"], [0], [0], [1.0], LE, [2.0, nan]),
+             "constraint 'd': rhs nan"),
+            (lambda: m.add_rows(["c"], [0], [0], [1.0], GE, -INF),
+             "constraint 'c': rhs -inf"),
+            (lambda: m.add_vars(["z"], obj=nan), "variable 'z': objective coefficient nan"),
+            (lambda: m.add_vars(["z"], obj=INF), "variable 'z': objective coefficient inf"),
+            (lambda: m.add_vars(["z", "w"], ub=[1.0, nan]),
+             "variable 'w': lb 0.0 is not <= ub nan"),
+            (lambda: m.add_vars(["z"], lb=nan), "variable 'z': lb nan is not <= ub inf")):
+        with pytest.raises(ModelError, match=re.escape(message)):
+            call()
+        assert model_state(m) == before
+    m.add_rows(["c"], [0, 0], [-1, 1], [nan, 1.0], LE, 2.0)     # a dropped entry is not read
+    m.add_vars(["free"], lb=-INF, ub=INF)
+    assert m.constraints[0].idx == [1] and m.variables[2] == Variable("free", -INF, INF)
 
 
 def test_terms_merge_and_drop_zeros():
@@ -297,6 +339,10 @@ def _tampered(arrays):
     yield "negative column", dict(arrays, cols_delta=_delta_planes([-1, 2, 1], "<i4"))
     yield "one column short", dict(arrays, cols_delta=_delta_planes(cols[:2], "<i4"))
     yield "object array", dict(arrays, lb=arrays["lb"].astype(object))
+    nan = float("nan")
+    for key, value in (("lb", nan), ("ub", nan), ("obj", nan), ("obj", INF), ("coefs", nan),
+                       ("coefs", -INF), ("rhs", nan), ("rhs", INF)):
+        yield f"{key} {value}", dict(arrays, **{key: np.append(arrays[key][:-1], value)})
     yield "missing array", {k: v for k, v in arrays.items() if k != "rhs"}
     yield "missing numbers", {k: v for k, v in arrays.items() if k != "var_numbers"}
     yield "one name short", dict(arrays, **_pack_names(b"v7\nv07", "var"))
@@ -598,9 +644,9 @@ def test_status_table_maps_highs_statuses():
     """A time limit is ``time_limit`` with an incumbent and ``error``
     without one; an optimum above the optimality tolerance is ``gap_limit``;
     a solution with values keeps a non-finite gap as inf; infeasible and
-    unbounded statuses map as scipy mapped them, a model HiGHS refuses and
-    ``kUnboundedOrInfeasible`` among them.  A MIP carries the dual bound and
-    node count, an LP neither."""
+    unbounded statuses map as scipy mapped them, ``kUnboundedOrInfeasible``
+    among them, but a model HiGHS refuses is an ``error``, not infeasible.
+    A MIP carries the dual bound and node count, an LP neither."""
     m = toy_model()
     x = np.array([1.0, 0.0, 1.0, 2.0])
 
@@ -626,13 +672,13 @@ def test_status_table_maps_highs_statuses():
     assert (near.status, near.ok, near.objective, near.message) == \
         ("gap_limit", True, 12.0, "text")
     assert wrap("kOptimal", x, 1e-9).status == "optimal"
-    for status, ours in (("kInfeasible", "infeasible"), ("kModelError", "infeasible"),
+    for status, ours in (("kInfeasible", "infeasible"), ("kModelError", "error"),
                          ("kUnbounded", "unbounded"), ("kUnboundedOrInfeasible", "error"),
                          ("kInterrupt", "error"), ("kNotset", "error")):
         sol = wrap(status)
         assert (sol.status, sol.values, sol.objective) == (ours, {}, None), status
     refused = milp_module._solution(m, True, milp_module._Outcome("kModelError", "text"), 0.5)
-    assert (refused.status, refused.dual_bound, refused.nodes) == ("infeasible", None, None)
+    assert (refused.status, refused.dual_bound, refused.nodes) == ("error", None, None)
 
 
 def test_highs_calls_run_on_a_thread_of_their_own(monkeypatch):
@@ -650,8 +696,9 @@ def test_highs_calls_run_on_a_thread_of_their_own(monkeypatch):
     monkeypatch.setattr(milp_module, "_session", recording)
     threads = threading.active_count()
     m = toy_model()
-    assert solve(m).ok
-    assert ScipySolver().solve_lp(m).ok
+    sol = solve(m)
+    assert sol.ok
+    assert ScipySolver().solve_lp(m, fixed=sol.values).ok
     assert len(callers) == 2 and threading.get_ident() not in callers
     assert threading.active_count() == threads
     with pytest.raises(ZeroDivisionError):
@@ -723,7 +770,7 @@ def test_unknown_option_or_lp_method_is_an_error():
     method ``solve_lp`` does not map to a HiGHS solver."""
     from scipy.optimize._highspy import _core
     with pytest.raises(ModelError, match="HiGHS refuses option no_such_option"):
-        milp_module._session(_core, toy_model(), True, False, {"no_such_option": 1})
+        milp_module._session(_core, toy_model(), True, False, None, {"no_such_option": 1})
     with pytest.raises(ValueError, match="unknown LP method 'highs-ds'"):
         ScipySolver().solve_lp(toy_model(), method="highs-ds")
 
@@ -767,27 +814,31 @@ def test_session_agrees_with_scipy_milp(template_models, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_session_lp_duals_equal_linprog_marginals(template_models, kind):
-    """Oracle: scipy's public ``linprog`` on the pricing LP, its ``>=`` rows
-    negated into ``<=`` rows and its ``=`` rows passed apart, as its
-    interface asks.  Mapped back to each row's declared orientation, its
-    marginals equal the session's row duals within 1e-8."""
+    """Oracle: scipy's public ``linprog`` on the pricing LP, the model's
+    arrays with each integer column's bounds pinned at its solved value,
+    its ``>=`` rows negated into ``<=`` rows and its ``=`` rows passed
+    apart, as its interface asks.  Mapped back to each row's declared
+    orientation, its marginals equal the session's row duals within 1e-8."""
     from scipy.optimize import linprog
     m, sol = template_models[kind]
-    relaxed = fix_and_relax(m, sol)
-    assert set(relaxed._sense) == {0, 1, 2}           # <=, >= and = rows all occur
-    lp = ScipySolver().solve_lp(relaxed)
-    c, _, lb, ub, a, cl, cu = relaxed.to_arrays()
+    assert set(m._sense) == {0, 1, 2}                 # <=, >= and = rows all occur
+    lp = ScipySolver().solve_lp(m, fixed=sol.values)
+    c, integrality, lb, ub, a, cl, cu = m.to_arrays()
+    ints = np.flatnonzero(integrality)
+    assert len(ints)
+    names = m.var_names.tolist()
+    lb[ints] = ub[ints] = np.round([sol.values[names[j]] for j in ints])
     eq, sign = cl == cu, np.where(np.isinf(cu), -1.0, 1.0)
     a = a.tocsr()
     a.data *= np.repeat(sign, np.diff(a.indptr))
     rhs = sign * np.where(np.isinf(cu), cl, cu)
     res = linprog(c, A_ub=a[~eq], b_ub=rhs[~eq], A_eq=a[eq], b_eq=rhs[eq],
                   bounds=np.column_stack((lb, ub)), method="highs")
-    marginals = np.empty(relaxed.num_cons)
+    marginals = np.empty(m.num_cons)
     marginals[eq], marginals[~eq] = res.eqlin.marginals, sign[~eq] * res.ineqlin.marginals
     assert lp.status == "optimal" and res.status == 0
     assert lp.objective == pytest.approx(res.fun, rel=1e-9)
-    assert list(lp.duals) == relaxed._con_names.tolist()
+    assert list(lp.duals) == m._con_names.tolist()
     np.testing.assert_allclose(list(lp.duals.values()), marginals, rtol=0, atol=1e-8)
 
 
@@ -829,8 +880,9 @@ def test_lp_duals_ge_row_sign():
     assert list(sol.duals.values()) == pytest.approx(expected)
 
 
-def test_fix_and_relax_reprices():
-    # commitment forced on, dual of the balance equals the dispatch cost
+def test_solve_lp_fixed_reprices():
+    """Commitment forced on, dual of the balance equals the dispatch cost;
+    the integer column is fixed in the LP, not in the model."""
     m = MilpModel()
     m.add_var("u", ub=1.0, obj=3.0, integer=True)
     m.add_var("q", obj=20.0)
@@ -838,10 +890,8 @@ def test_fix_and_relax_reprices():
     m.add_con("bal", {"q": 1.0}, EQ, 2.0)
     milp_sol = solve(m)
     assert round(milp_sol.values["u"]) == 1
-    relaxed = fix_and_relax(m, milp_sol)
-    u = relaxed.variables[relaxed.var_names.index("u")]
-    assert u.lb == u.ub == 1.0 and not u.integer
-    lp = ScipySolver().solve_lp(relaxed)
+    lp = ScipySolver().solve_lp(m, fixed=dict(milp_sol.values, u=0.9999))
+    assert lp.values["u"] == 1.0 and m.variables[0] == Variable("u", 0.0, 1.0, 3.0, True)
     assert lp.duals["bal"] == pytest.approx(20.0)
 
 
@@ -852,19 +902,20 @@ def test_to_arrays_belong_to_the_caller(tmp_path):
     c, integrality, lb, ub, a, cl, cu = m.to_arrays()
     for x in (c, integrality, lb, ub, a.data, cl, cu):
         x[:] = 7
-    sol = solve(m)
-    ScipySolver().solve_lp(m)          # negates the >= row of its arrays
-    ScipySolver().solve_lp(fix_and_relax(m, sol))
+    sol, state = solve(m), model_state(m)
+    ScipySolver().solve_lp(m)
+    ScipySolver().solve_lp(m, fixed=sol.values)
+    assert model_state(m) == state
     assert_same_arrays(before, m.to_arrays())
     write_mps(m, tmp_path / "after.mps")
     assert (tmp_path / "after.mps").read_bytes() == (tmp_path / "before.mps").read_bytes()
 
 
-def test_fix_and_relax_needs_values():
+def test_solve_lp_fixed_needs_values():
     m = MilpModel()
     m.add_var("u", ub=1.0, integer=True)
     with pytest.raises(ModelError, match="u"):
-        fix_and_relax(m, Solution(status="optimal", values={}))
+        ScipySolver().solve_lp(m, fixed={})
 
 
 # ---------------------------------------------------------------------------

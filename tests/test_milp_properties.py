@@ -21,7 +21,7 @@ from storagg import (MilpModel, ModelError, Solution, write_mps, parse_mps,
 from storagg.milp import INF, LE, GE, EQ, OK_STATUSES, _delta_planes, _pack_names
 from storagg.pipeline import SolveError, save_solutions, load_solutions
 
-from test_milp import assert_same_arrays
+from test_milp import assert_same_arrays, model_state
 
 finite = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5, 1e-300, 1.5e300]) | \
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -404,13 +404,6 @@ def merged_rows(num_rows, entries):
     return indptr, cols, coefs
 
 
-def model_state(m):
-    """Every buffer of ``m`` as bytes, with its names."""
-    buffers = ("_lb", "_ub", "_obj", "_int", "_indptr", "_cols", "_coefs", "_sense", "_rhs")
-    return ([bytes(memoryview(getattr(m, attr)).cast("B")) for attr in buffers],
-            m.var_names, [c.name for c in m.constraints])
-
-
 # values that cancel, sum differently in another order (0.1 + 0.2 + 0.3),
 # overflow to inf and turn nan on summing
 entry_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 0.2, 0.3, -0.6, 1e308, -1e308,
@@ -445,13 +438,23 @@ def _two_columns():
 def test_add_rows_matches_dict_merge(batch):
     """Rows with repeated columns, zero values and negative columns, given
     in any order, after rows already held: ``add_rows`` appends bit for bit
-    the CSR arrays of a plain per-row dict merge."""
+    the CSR arrays of a plain per-row dict merge, or, if a merged value is
+    not finite, refuses the batch and leaves the model as it was."""
     m, count, entries, senses, rhs = batch
-    before, old = m.num_cons, model_state(m)[0]
-    m.add_rows([f"new{i}" for i in range(count)], [e[0] for e in entries],
-               [e[1] for e in entries], [e[2] for e in entries], senses, rhs)
-    assert all(new.startswith(buf) for new, buf in zip(model_state(m)[0], old))
+    before, state = m.num_cons, model_state(m)
     indptr, cols, coefs = merged_rows(count, entries)
+
+    def add():
+        m.add_rows([f"new{i}" for i in range(count)], [e[0] for e in entries],
+                   [e[1] for e in entries], [e[2] for e in entries], senses, rhs)
+
+    if not np.isfinite(coefs).all():
+        with pytest.raises(ModelError, match="coefficient"):
+            add()
+        assert model_state(m) == state
+        return
+    add()
+    assert all(new.startswith(buf) for new, buf in zip(model_state(m)[0], state[0]))
     base = m._indptr[before]
     assert m._indptr[before:].tolist() == [base + k for k in indptr]
     assert m._cols[base:].tolist() == cols
@@ -482,6 +485,10 @@ def test_failed_additions_leave_the_model_as_it_was(drawn):
         lambda: m.add_rows(["fresh"], [0], [0], [1.0], "<", 0.0),     # sense
         lambda: m.add_rows(["fresh"], [0], [n], [1.0], LE, 0.0),      # column
         lambda: m.add_rows(["fresh"], [1], [0], [1.0], LE, 0.0),      # row
+        lambda: m.add_rows(["fresh"], [0], [0], [INF], LE, 0.0),      # coefficient
+        lambda: m.add_rows(["fresh"], [0], [0], [1.0], LE, np.nan),   # rhs
+        lambda: m.add_vars(["fresh"], obj=-INF),                      # objective
+        lambda: m.add_vars(["fresh"], ub=np.nan),                     # bound
     ]
     for call in refused:
         with pytest.raises(ModelError):

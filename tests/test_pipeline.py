@@ -16,7 +16,8 @@ import pytest
 import storagg
 from storagg import (emit_scenario_template, load_scenario, save_scenario,
                      run_pipeline, load_system, load_horizon, validate_system,
-                     ConfigError, ScenarioConfig, Solution, write_mps, write_registry)
+                     ConfigError, SolveError, ScenarioConfig, Solution, write_mps,
+                     write_registry, load_model, save_model)
 from storagg.cli import main as cli_main, build_parser
 from storagg.pipeline import stage_ingest, stage_cluster, stage_build, \
     stage_solve, stage_report, load_built_model, save_solutions, load_solutions
@@ -483,6 +484,13 @@ def test_solve_stage_reads_from_disk(template_dir, tmp_path):
     stage_build(system, data, art, config, tmp_path)
     solutions = stage_solve(config, tmp_path, workers=1)
     assert solutions["ss"].ok
+    # a coefficient HiGHS refuses to load: a solver error (exit 3), not infeasible
+    path = tmp_path / "models" / "ss.npz"
+    model = load_model(path)
+    model._coefs[0] = 1e16
+    save_model(model, path)
+    with pytest.raises(SolveError, match="ss: error Model error"):
+        stage_solve(config, tmp_path, workers=1)
 
 
 def test_parallel_solve_matches_serial(template_dir, tmp_path):
