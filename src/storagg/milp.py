@@ -76,10 +76,7 @@ STATUS_UNBOUNDED = "unbounded"
 STATUS_ERROR = "error"
 OK_STATUSES = (STATUS_OPTIMAL, STATUS_GAP_LIMIT, STATUS_TIME_LIMIT)
 STATUSES = OK_STATUSES + (STATUS_INFEASIBLE, STATUS_UNBOUNDED, STATUS_ERROR)
-# a solution header's rules beside its types, on write and read: field -> (test, what)
-SOLUTION_RULES = {"status": (lambda v: v in STATUSES, f"one of {list(STATUSES)}"),
-                  **dict.fromkeys(("gap", "wall_seconds"), (lambda v: v >= 0, "a number >= 0")),
-                  "nodes": (lambda v: v >= 0, "an integer >= 0")}
+
 
 class ModelError(ValueError):
     pass
@@ -590,13 +587,13 @@ def load_model(path) -> MilpModel:
 
     Raises ModelError if an array is missing (a file in an earlier layout
     among them), is not a 1-D array of its dtype (an object array among
-    them), the lengths disagree, a bound is NaN, an objective coefficient,
-    coefficient or rhs is not finite, ``indptr`` does not rise from 0 to the
-    number of nonzeros, a column index is out of range, a sense code or
-    integer flag is unknown, or the names are damaged: digit-run markers and
-    numbers that do not pair up, a width outside 1..18, a number that does
-    not fit its width, text that is not UTF-8 or a name count that differs
-    from the columns or rows.
+    them), the lengths disagree, a bound is NaN or a lower bound exceeds its
+    upper one, an objective coefficient, coefficient or rhs is not finite,
+    ``indptr`` does not rise from 0 to the number of nonzeros, a column
+    index is out of range, a sense code or integer flag is unknown, or the
+    names are damaged: digit-run markers and numbers that do not pair up, a
+    width outside 1..18, a number that does not fit its width, text that is
+    not UTF-8 or a name count that differs from the columns or rows.
     """
     model = MilpModel()
     with _reading(path, _STORED, "model") as read:
@@ -613,6 +610,10 @@ def load_model(path) -> MilpModel:
             found = len(getattr(model, _PLAIN[key][0]))
             if found != size:
                 raise ModelError(f"{path}: {key} holds {found} entries, expected {size}")
+        lb, ub = np.frombuffer(model._lb), np.frombuffer(model._ub)
+        if not (lb <= ub).all():
+            j = int((lb <= ub).argmin())        # the first crossed pair
+            raise ModelError(f"{path}: lb[{j}] {lb[j]} is not <= ub[{j}] {ub[j]}")
         if (np.frombuffer(model._sense, dtype=np.uint8).max(initial=0) >= len(_SENSES)
                 or np.frombuffer(model._int, dtype=np.uint8).max(initial=0) > 1):
             raise ModelError(f"{path}: unknown sense code or integer flag")
@@ -634,17 +635,26 @@ def load_model(path) -> MilpModel:
 _SOLUTION = {**_name_spec("names"), "values": np.float64}
 
 
+def finite_values(values: dict[str, float], where, error: type[Exception] = ModelError):
+    """A solution's ``values`` as a float64 array, in order; raises ``error``
+    as ``<where>: variable <name> has value <value>`` if one is not finite."""
+    array = np.fromiter(values.values(), dtype=np.float64, count=len(values))
+    k = _first_bad(array)
+    if k is not None:
+        raise error(f"{where}: variable {list(values)[k]!r} has value {array[k]}")
+    return array
+
+
 def save_solution(sol: Solution, path) -> None:
     """Write a solution's values to a compressed ``.npz`` file.
 
     The file holds the variable names, packed as a model file packs them,
     and the values as a float64 array in the same order.  Equal values give
-    equal bytes.  Raises ModelError if a name contains a newline.
+    equal bytes.  Raises ModelError, before anything is written, if a value
+    is not finite or a name contains a newline.
     """
-    names = list(sol.values)
-    arrays = {**_pack_names(_joined(names, "variable"), "names"),
-              "values": np.fromiter(sol.values.values(), dtype=np.float64,
-                                    count=len(names))}
+    arrays = {**_pack_names(_joined(list(sol.values), "variable"), "names"),
+              "values": finite_values(sol.values, path)}
     with open(path, "wb") as fh:
         np.savez_compressed(fh, **arrays)
 
@@ -655,13 +665,15 @@ def load_solution(path) -> dict[str, float]:
 
     Raises ModelError if an array is missing (a file in an earlier layout
     among them) or is not a 1-D array of its dtype, the names are damaged
-    (as ``load_model`` checks them), the name and value counts disagree, or
-    a name repeats.
+    (as ``load_model`` checks them), the name and value counts disagree, a
+    name repeats, or a value is not finite.
     """
     with _reading(path, _SOLUTION, "solution") as read:
         values = read("values")
         names = _unpack_names(path, read, "names", len(values), "variable").tolist()
-    return _keyed(names, values.tolist(), "variable", path)
+    out = _keyed(names, values.tolist(), "variable", path)
+    finite_values(out, path)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -869,10 +881,35 @@ class Solution:
     message: str = ""
     dual_bound: float | None = None     # a MIP's, from HiGHS; None for an LP
     nodes: int | None = None            # branch-and-bound nodes of a MIP
+    audit: dict = field(default_factory=dict)   # audit_constraints of an ok solve
 
     @property
     def ok(self) -> bool:
         return self.status in OK_STATUSES
+
+
+# a number's range, tested once its type is (``system._check_types``)
+_AT_LEAST_0 = {"range": (lambda v: v >= 0, "a number >= 0")}
+
+
+@dataclass
+class SolutionHeader:
+    """``solutions/<kind>.json``: a Solution but its values and duals, read
+    and, before it is written, checked through ``system.from_json``."""
+
+    status: str = field(metadata={"range": (lambda v: v in STATUSES, f"one of {list(STATUSES)}")})
+    objective: float | None
+    gap: float = field(metadata=_AT_LEAST_0)
+    wall_seconds: float = field(metadata=_AT_LEAST_0)
+    message: str
+    audit: dict
+    dual_bound: float | None = None      # absent from files written before it was kept
+    nodes: int | None = field(default=None,
+                              metadata={"range": (lambda v: v >= 0, "an integer >= 0")})
+
+    def __post_init__(self) -> None:
+        if self.status in OK_STATUSES and self.objective is None:
+            raise ValueError(f"objective must be a number for status {self.status!r}, got None")
 
 
 # ---------------------------------------------------------------------------
@@ -945,7 +982,7 @@ def _session(highs, model: MilpModel, mip: bool, duals: bool, fixed: dict | None
     model's buffers (HiGHS copies them), but for the bounds given ``fixed``,
     a solution's values: copies, each integer column fixed at its value,
     rounded.  Raises ModelError if ``fixed`` lacks an integer column's
-    value, or if HiGHS refuses an option."""
+    value or holds one that is not finite, or if HiGHS refuses an option."""
     lp = highs.HighsLp()
     lp.num_col_, lp.num_row_ = model.num_vars, model.num_cons
     lower, upper = np.frombuffer(model._lb), np.frombuffer(model._ub)
@@ -953,9 +990,11 @@ def _session(highs, model: MilpModel, mip: bool, duals: bool, fixed: dict | None
         lower, upper = lower.copy(), upper.copy()
         names = model._var_names.tolist()
         for j in np.flatnonzero(model._int).tolist():
-            if names[j] not in fixed:
-                raise ModelError(f"solution provides no value for integer variable {names[j]!r}")
-            lower[j] = upper[j] = round(fixed[names[j]])
+            value = fixed.get(names[j])
+            if value is None or not abs(value) < INF:
+                what = "no value" if value is None else f"value {value}"
+                raise ModelError(f"solution provides {what} for integer variable {names[j]!r}")
+            lower[j] = upper[j] = round(value)
         del names
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = np.frombuffer(model._obj), lower, upper
     del lower, upper                      # HiGHS holds its own copies
@@ -1056,7 +1095,8 @@ class ScipySolver:
         ``"highs"`` (HiGHS's choice) or ``"highs-ipm"`` (interior point).
         Given ``fixed``, a solution's values, each integer column is fixed
         at its value, rounded, for this solve only: the pricing LP.  Raises
-        ModelError if ``fixed`` lacks an integer column's value."""
+        ModelError if ``fixed`` lacks an integer column's value or holds
+        one that is not finite."""
         if method not in _LP_METHODS:
             raise ValueError(f"unknown LP method {method!r}, expected one of {list(_LP_METHODS)}")
         return _highs_solve(model, True, algorithm=_LP_METHODS[method], fixed=fixed)

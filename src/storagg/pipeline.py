@@ -33,9 +33,9 @@ map from real hours to model periods, and derives it
 (``formulations.common.periods``) from ``agg/artifacts.json``; the sidecar
 does not repeat it.  A damaged artifacts file or sidecar is an input error
 (ConfigError) naming the file.  A solution is stored the same way: a small
-JSON header, which the audit rides along in, beside its values as arrays,
-and ``load_solutions`` rebuilds it from the two.  No stage writes MPS:
-``milp.write_mps`` is a library export only.
+JSON header (``milp.SolutionHeader``, the audit among its fields) beside its
+values as arrays, and ``load_solutions`` rebuilds it from the two.  No stage
+writes MPS: ``milp.write_mps`` is a library export only.
 
 Set-up (``emit_scenario_template``, ``load_scenario``, ``stage_ingest``)
 runs on ``timeseries`` and ``system`` alone, and no other storagg module
@@ -55,7 +55,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from importlib import import_module
 from pathlib import Path
 
@@ -75,8 +75,8 @@ _DEFERRED = {
     **dict.fromkeys(("aggregate", "save_artifacts", "AggregationArtifacts",
                      "AggregationError"), "aggregation"),
     **dict.fromkeys(("save_model", "load_model", "write_registry", "load_registry",
-                     "save_solution", "load_solution", "Solution", "ScipySolver",
-                     "OK_STATUSES", "SOLUTION_RULES",
+                     "save_solution", "load_solution", "Solution", "SolutionHeader",
+                     "ScipySolver", "finite_values",
                      "ModelError", "audit_constraints", "STATUS_INFEASIBLE", "trim_heap",
                      # not called here: bench/tracing.py wraps these two by name
                      "write_mps", "parse_mps"), "milp"),
@@ -122,16 +122,8 @@ class InfeasibleError(PipelineError):
     exit_code = 4
 
 
-# the range of each scenario number, tested once its type is: field -> (test, what)
-_RANGES = {
-    "states": (lambda v: v >= 1, "a positive integer"),
-    "rep_days": (lambda v: v >= 1, "a positive integer"),
-    "window_hours": (lambda v: v >= 1, "a positive integer"),
-    "seed": (lambda v: v >= 0, "an integer >= 0"),
-    "gap": (lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"),
-    "time_limit": (lambda v: v > 0, "a positive number"),
-    "theta": (lambda v: v >= 0, "a number >= 0"),
-}
+# a count's range, tested once its type is (``_check_types``)
+_POSITIVE = {"range": (lambda v: v >= 1, "a positive integer")}
 
 
 @dataclass
@@ -143,23 +135,26 @@ class ScenarioConfig:
     renewables: str
     inflows: str
     system: str
-    states: int = 32
-    rep_days: int = 6
-    seed: int = 0
+    states: int = field(default=32, metadata=_POSITIVE)
+    rep_days: int = field(default=6, metadata=_POSITIVE)
+    seed: int = field(default=0, metadata={"range": (lambda v: v >= 0, "an integer >= 0")})
     kinds: list[str] = field(default_factory=lambda: list(BUILDER_KINDS))
     # checkpoint spacing.  None means 24 h for ss/ss_rfm with short-term
     # storage, else 168 h, and 168 h for rp_tmci whatever the storage; one
     # default waits on re-pinning bench/reference.json (ROADMAP item 1)
-    window_hours: int | None = None
-    theta: float = 1.0                    # commitment-link threshold (rp_tmci)
+    window_hours: int | None = field(default=None, metadata=_POSITIVE)
+    theta: float = field(default=1.0,     # commitment-link threshold (rp_tmci)
+                         metadata={"range": (lambda v: v >= 0, "a number >= 0")})
     invest: bool = False
-    gap: float = 0.0
-    time_limit: float | None = None
+    gap: float = field(default=0.0, metadata={"range": (
+        lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")})
+    time_limit: float | None = field(default=None, metadata={"range": (
+        lambda v: v > 0, "a positive number")})
     check_degeneracy: bool = False
     base_dir: str = "."
 
     def __post_init__(self) -> None:
-        _check_types(ScenarioConfig, vars(self), "scenario", ConfigError, _RANGES)
+        _check_types(ScenarioConfig, vars(self), "scenario", ConfigError)
         kinds, window = self.kinds, self.window_hours
         bad = [k for k in kinds if k not in BUILDER_KINDS]
         if bad:
@@ -194,7 +189,7 @@ def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     raw = read_json(path, "scenario file", ConfigError)
     raw.setdefault("base_dir", str(path.parent))
-    return from_json(ScenarioConfig, raw, f"{path}: scenario", ConfigError, _RANGES)
+    return from_json(ScenarioConfig, raw, f"{path}: scenario", ConfigError)
 
 
 def save_scenario(config: ScenarioConfig, path) -> None:
@@ -330,41 +325,22 @@ def load_built_model(outdir: Path, kind: str, hours: int | None = None) -> Formu
     return FormulationOutput(model=model, meta=meta)
 
 
-@dataclass
-class SolutionHeader:
-    """``solutions/<kind>.json``: a Solution but its values, and its audit."""
-
-    status: str
-    objective: float | None
-    gap: float
-    wall_seconds: float
-    message: str
-    audit: dict
-    dual_bound: float | None = None      # absent from files written before it was kept
-    nodes: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.status in OK_STATUSES and self.objective is None:
-            raise ValueError(f"objective must be a number for status {self.status!r}, got None")
-
-
-def save_solutions(outdir: Path, solutions: dict[str, Solution],
-                   audits: dict[str, dict]) -> None:
-    """Write each solution as ``solutions/<kind>.json``, the header plus its
-    audit, and ``solutions/<kind>.npz``, the values (``milp.save_solution``).
+def save_solutions(outdir: Path, solutions: dict[str, Solution]) -> None:
+    """Write each solution as ``solutions/<kind>.json``, its
+    ``milp.SolutionHeader`` fields (the audit among them), and
+    ``solutions/<kind>.npz``, the values (``milp.save_solution``).
 
     The values file is written for a solution that has values or is ok; any
     other solution leaves none, so no earlier solve's values stay behind.
-    A header ``load_solutions`` would refuse is a SolveError, before any write.
+    A header ``load_solutions`` would refuse, or a value that is not finite,
+    is a SolveError, before any write.
     """
     _bind_deferred()
-    headers = {kind: {"status": sol.status, "objective": sol.objective, "gap": sol.gap,
-                      "wall_seconds": sol.wall_seconds, "message": sol.message,
-                      "dual_bound": sol.dual_bound, "nodes": sol.nodes,
-                      "audit": audits[kind]} for kind, sol in solutions.items()}
-    for kind, doc in headers.items():
-        from_json(SolutionHeader, doc, f"solution header of {kind!r}", SolveError,
-                  SOLUTION_RULES)
+    headers = {kind: {f.name: getattr(sol, f.name) for f in fields(SolutionHeader)}
+               for kind, sol in solutions.items()}
+    for kind, sol in solutions.items():
+        from_json(SolutionHeader, headers[kind], f"solution header of {kind!r}", SolveError)
+        finite_values(sol.values, f"solution of {kind!r}", SolveError)
     sol_dir = Path(outdir) / "solutions"
     sol_dir.mkdir(parents=True, exist_ok=True)
     for kind, sol in solutions.items():
@@ -387,20 +363,20 @@ def stage_solve(config: ScenarioConfig, outdir: Path,
         for suffix in (".json", ".npz"):
             (Path(outdir) / "solutions" / f"{kind}{suffix}").unlink(missing_ok=True)
 
-    def run(kind: str) -> tuple[str, Solution, dict]:
+    def run(kind: str) -> Solution:
         fo = load_built_model(outdir, kind)
         sol = ScipySolver().solve(fo.model, gap=config.gap, time_limit=config.time_limit)
-        audit = audit_constraints(fo.model, sol.values) if sol.ok else {}
-        return kind, sol, audit
+        if sol.ok:
+            sol.audit = audit_constraints(fo.model, sol.values)
+        return sol
 
     if workers > 1 and len(kinds) > 1:
         from concurrent.futures import ThreadPoolExecutor   # solve-time only, as in milp
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, kinds))
+            solutions = dict(zip(kinds, pool.map(run, kinds)))
     else:
-        results = [run(kind) for kind in kinds]
-    solutions = {kind: sol for kind, sol, _ in results}
-    save_solutions(outdir, solutions, {kind: audit for kind, _, audit in results})
+        solutions = {kind: run(kind) for kind in kinds}
+    save_solutions(outdir, solutions)
     infeasible = [k for k, s in solutions.items() if s.status == STATUS_INFEASIBLE]
     if infeasible:
         raise InfeasibleError(f"infeasible models: {infeasible}")
@@ -415,11 +391,12 @@ def stage_solve(config: ScenarioConfig, outdir: Path,
 def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
     """Rebuild each kind's Solution from the files ``save_solutions`` wrote.
 
+    Each Solution carries its header's fields, the audit among them.
     Raises ConfigError, naming the file, if a header is missing, is not
     JSON (``read_json``), still holds its values inline (the format before
     the ``.npz`` values file; there is no reader for it), is no
-    ``SolutionHeader`` under the header rules (``from_json``), or if the
-    values file of an ok solution is missing or damaged.
+    ``milp.SolutionHeader`` under the rules of its fields (``from_json``),
+    or if the values file of an ok solution is missing or damaged.
     """
     _bind_deferred()
     out = {}
@@ -432,11 +409,10 @@ def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
         if "values" in doc:
             raise ConfigError(f"{path} holds its values inline, an old solution "
                               f"format; solve {kind!r} again")
-        head = from_json(SolutionHeader, doc, f"solution header {path}", ConfigError,
-                         SOLUTION_RULES)
-        sol = Solution(head.status, head.objective, gap=head.gap,
-                       wall_seconds=head.wall_seconds, message=head.message,
-                       dual_bound=head.dual_bound, nodes=head.nodes)
+        head = from_json(SolutionHeader, doc, f"solution header {path}", ConfigError)
+        sol = Solution(head.status)
+        for f in fields(SolutionHeader):
+            setattr(sol, f.name, getattr(head, f.name))
         values = sol_dir / f"{kind}.npz"
         if values.exists():
             try:

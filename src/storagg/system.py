@@ -339,12 +339,12 @@ def _json_type(cls, f):
     return kind, f.type.endswith(" | None"), (shape, record) if is_record else None
 
 
-def _check_types(cls, values: dict, where: str, error: type[Exception],
-                 ranges: dict | None = None) -> None:
+def _check_types(cls, values: dict, where: str, error: type[Exception]) -> None:
     """Raise ``error`` as ``<where>: <field> must be <what>, got <value>`` for
     a value in ``values`` of the wrong JSON type for the field of ``cls`` it
-    fills (a record's is an object) or outside its ``ranges``: field ->
-    (test, what type and range).  A field type with no test is a TypeError."""
+    fills (a record's is an object) or outside the range the field names in
+    its metadata, ``{"range": (test, what type and range)}``.  A field type
+    with no test is a TypeError."""
     for f in fields(cls):
         kind, optional, record = _json_type(cls, f)
         test, what = _FIELD_TESTS.get((record[0] or "dict") if record else kind, (None, None))
@@ -353,20 +353,21 @@ def _check_types(cls, values: dict, where: str, error: type[Exception],
         value = values.get(f.name)
         if f.name not in values or optional and value is None:
             continue
-        in_range, what = (ranges or {}).get(f.name, (None, what))
+        in_range, what = f.metadata.get("range", (None, what))
         if not test(value) or in_range and not in_range(value):
             raise error(f"{where}: {f.name} must be {what}{' or null' * optional}, "
                         f"got {reprlib.repr(value)}")
 
 
-def from_json(cls, doc, where: str, error: type[Exception], ranges: dict | None = None):
+def from_json(cls, doc, where: str, error: type[Exception]):
     """The dataclass ``cls`` filled from the JSON value ``doc``, the one way
     from a file to a record.  Raises ``error`` as ``<where>: <reason>``: ``must
     be an object, got <value>``, ``missing key '<key>'``, ``unknown key
-    '<key>'``, a wrong type or range (``_check_types``, before the constructor
-    sees it) or a refusal of ``__post_init__``.  A field marked ``other_keys``
-    takes the keys no other field names.  Records within are filled here too,
-    as ``<where>: <field>`` or, in a list or object, ``<where>: <record> <key>``."""
+    '<key>'``, a wrong type or a value outside its field's range
+    (``_check_types``, before the constructor sees it) or a refusal of
+    ``__post_init__``.  A field marked ``other_keys`` takes the keys no other
+    field names.  Records within are filled here too, as ``<where>:
+    <field>`` or, in a list or object, ``<where>: <record> <key>``."""
     if not isinstance(doc, dict):
         raise error(f"{where}: must be an object, got {reprlib.repr(doc)}")
     init = {f.name: f for f in fields(cls) if f.init}
@@ -379,7 +380,7 @@ def from_json(cls, doc, where: str, error: type[Exception], ranges: dict | None 
     for what, keys in (("missing", missing), ("unknown", sorted(doc.keys() - init.keys()))):
         if keys:
             raise error(f"{where}: {what} key {keys[0]!r}")
-    _check_types(cls, doc, where, error, ranges)
+    _check_types(cls, doc, where, error)
     values = {name: _filled(cls, init[name], value, where, error) for name, value in doc.items()}
     try:
         return cls(**values)

@@ -1,6 +1,7 @@
 """Checks over the package sources and the demo scripts as a whole."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -254,6 +255,19 @@ def test_one_door_from_json_to_a_record():
 
     assert sites(record_from_star, [SRC]) == {("src/storagg/system.py", "from_json")}
     assert sites(defines_or_reads("_Scalars"), [SRC, REPO / "tests"]) == set()
+
+
+def test_records_carry_their_own_rules():
+    """A value's range is a rule of the field it fills (its ``"range"``
+    metadata), so the door from JSON takes no rule table, the scenario's and
+    the solution header's tables are gone, and the solution header is
+    declared in ``milp`` beside the Solution it stores."""
+    from storagg.system import _check_types, from_json
+    assert sites(defines_or_reads("_RANGES", "SOLUTION_RULES"), [SRC, REPO / "tests"]) == set()
+    for door in (from_json, _check_types):
+        assert "ranges" not in inspect.signature(door).parameters, door.__name__
+    assert sites(lambda node: isinstance(node, ast.ClassDef) and node.name == "SolutionHeader",
+                 [SRC]) == {("src/storagg/milp.py", "<module>")}
 
 
 def test_field_type_without_a_json_test_is_a_type_error():

@@ -381,6 +381,22 @@ def test_model_file_refusals(tmp_path):
     assert "allow_pickle" not in str(info.value)
 
 
+def test_model_file_refuses_crossed_bounds(tmp_path):
+    """A column whose stored lower bound exceeds its upper one is refused on
+    load, naming the entry, as ``add_vars`` refuses it; it is not left for
+    the solve to report as infeasible."""
+    m = MilpModel()
+    m.add_var("x", 0.0, 1.0, obj=1.0)
+    path = tmp_path / "m.npz"
+    save_model(m, path)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    arrays["lb"] = np.array([2.0])
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ModelError, match=r"m\.npz: lb\[0\] 2\.0 is not <= ub\[0\] 1\.0$"):
+        load_model(path)
+
+
 def _parent_layout(m):
     """``m``'s arrays as model files stored them before names were split
     into digit runs and the CSR index arrays were delta-coded."""

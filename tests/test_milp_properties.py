@@ -2,9 +2,11 @@
 models, and round trips of solution files."""
 
 import copy
+import json
 import re
 import struct
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,8 @@ import storagg.milp as milp
 from storagg import (MilpModel, ModelError, Solution, write_mps, parse_mps,
                      save_model, load_model, save_solution, load_solution,
                      audit_constraints)
-from storagg.milp import INF, LE, GE, EQ, OK_STATUSES, _delta_planes, _pack_names
+from storagg.milp import (INF, LE, GE, EQ, OK_STATUSES, SolutionHeader, _delta_planes,
+                         _pack_names)
 from storagg.pipeline import SolveError, save_solutions, load_solutions
 
 from test_milp import assert_same_arrays, model_state
@@ -204,7 +207,7 @@ def test_digit_run_names_round_trip(drawn, data):
         assert not any(c in template for c in b"123456789")
         assert template.count(b"0") == len(packed["s_widths"])
         assert all(1 <= w <= 18 for w in packed["s_widths"])
-    vals = {name: data.draw(values) if data else float(j)
+    vals = {name: data.draw(finite) if data else float(j)
             for j, name in enumerate(var_names)}
     with tempfile.TemporaryDirectory() as tmp:
         save_model(m, Path(tmp) / "m.npz")
@@ -259,9 +262,9 @@ def bits(values: dict) -> list[tuple[str, bytes]]:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(names, values, max_size=8))
+@given(st.dictionaries(names, finite, max_size=8))
 @example({})
-@example({"x": -0.0, "y": INF, "z": -INF})
+@example({"x": -0.0, "y": 1.5e300, "z": -1e-300})
 def test_solution_values_round_trip(vals):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.npz"
@@ -269,12 +272,39 @@ def test_solution_values_round_trip(vals):
         assert bits(load_solution(path)) == bits(vals)
 
 
+@pytest.mark.parametrize("bad", [INF, -INF, float("nan")])
+def test_non_finite_solution_values_refused(tmp_path, bad):
+    """A value that is not finite is refused, naming the variable, where it
+    would enter: by ``save_solution`` and ``save_solutions`` before any file
+    is written, by ``load_solution`` in a file written by other means, and
+    by ``solve_lp`` when it would fix an integer column."""
+    sol = Solution("optimal", objective=1.0, values={"x": 1.0, "u_1": bad})
+    path = tmp_path / "s.npz"
+    with pytest.raises(ModelError, match=rf"s\.npz: variable 'u_1' has value {bad}$"):
+        save_solution(sol, path)
+    with pytest.raises(SolveError, match=rf"solution of 'k': variable 'u_1' has value {bad}$"):
+        save_solutions(tmp_path, {"ok": Solution("infeasible"), "k": sol})
+    assert not path.exists() and not (tmp_path / "solutions").exists()
+    save_solution(Solution("optimal", values={"x": 1.0, "u_1": 1.0}), path)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    arrays["values"][1] = bad
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ModelError, match=rf"s\.npz: variable 'u_1' has value {bad}$"):
+        load_solution(path)
+    m = MilpModel()
+    m.add_var("u_1", 0.0, 1.0, obj=1.0, integer=True)
+    with pytest.raises(ModelError, match=rf"provides value {bad} for integer variable 'u_1'"):
+        milp.ScipySolver().solve_lp(m, fixed=sol.values)
+
+
 @st.composite
 def solutions(draw):
     """Any status; an ok one always has values (possibly none) and a number
-    objective, another may; the gap is >= 0, as ``load_solutions`` asks."""
+    objective, another may; the gap is >= 0, as ``load_solutions`` asks,
+    and the values are finite."""
     status = draw(st.sampled_from(STATUSES))
-    vals = draw(st.dictionaries(names, values, max_size=6))
+    vals = draw(st.dictionaries(names, finite, max_size=6))
     if status not in OK_STATUSES and draw(st.booleans()):
         vals = {}
     return Solution(status=status, values=vals,
@@ -283,24 +313,30 @@ def solutions(draw):
                     wall_seconds=draw(st.floats(0.0, 1e4)),
                     message=draw(st.text(max_size=12)),
                     dual_bound=draw(st.none() | values),
-                    nodes=draw(st.none() | st.integers(0, 2**40)))
+                    nodes=draw(st.none() | st.integers(0, 2**40)),
+                    audit=draw(st.dictionaries(names, st.fixed_dictionaries({
+                        "checked": st.integers(0, 10**6), "max_residual": finite,
+                        "worst": names}), max_size=3)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(solutions())
 @example(Solution("time_limit", objective=3.0, values={"x": 1.0}, gap=INF, dual_bound=-INF,
-                  nodes=0))
+                  nodes=0, audit={"bal": {"checked": 2, "max_residual": 0.0, "worst": ""}}))
 @example(Solution("infeasible", message="no point"))
 def test_solution_header_and_values_round_trip(sol):
     """``save_solutions`` -> ``load_solutions`` rebuilds the same Solution:
-    header fields exact (-0.0 and an inf gap included), values bit for bit
-    and in order."""
+    header fields exact (-0.0, an inf gap and the audit included), values
+    bit for bit and in order."""
     with tempfile.TemporaryDirectory() as tmp:
-        save_solutions(Path(tmp), {"k": sol}, {"k": {}})
+        save_solutions(Path(tmp), {"k": sol})
         back = load_solutions(Path(tmp), ["k"])["k"]
-    header = ("status", "objective", "gap", "wall_seconds", "message", "dual_bound", "nodes")
-    assert [repr(getattr(back, key)) for key in header] == \
-        [repr(getattr(sol, key)) for key in header]
+    # JSON text with sorted keys tells -0.0 from 0.0 and 1 from 1.0, as repr
+    # does, but not the key order of the audit, which the file sorts
+    header = [f.name for f in fields(SolutionHeader)]
+    assert "audit" in header
+    assert [json.dumps(getattr(back, key), sort_keys=True) for key in header] == \
+        [json.dumps(getattr(sol, key), sort_keys=True) for key in header]
     assert bits(back.values) == bits(sol.values)
 
 
@@ -308,9 +344,11 @@ def test_solution_header_and_values_round_trip(sol):
 def any_solutions(draw):
     """Any Solution the type allows: an unknown status, an ok one without an
     objective, a NaN objective or dual bound, a negative or NaN gap or wall
-    time, a negative node count, and a value named with a newline among them."""
+    time, a negative node count, a value that is not finite and a value
+    named with a newline among them."""
     return Solution(status=draw(st.sampled_from(STATUSES + ("bogus",))),
-                    values=draw(st.dictionaries(st.text(max_size=3), finite, max_size=4)),
+                    values=draw(st.dictionaries(st.text(max_size=3),
+                                                values | st.just(float("nan")), max_size=4)),
                     objective=draw(st.none() | values | st.just(float("nan"))),
                     gap=draw(st.floats() | st.sampled_from([0.0, INF])),
                     wall_seconds=draw(st.floats() | st.just(0.0)),
@@ -326,13 +364,14 @@ def any_solutions(draw):
 @example(Solution("bogus"))
 @example(Solution("optimal", objective=1.0, nodes=-1))
 @example(Solution("error", values={"a\nb": 1.0}))
+@example(Solution("optimal", objective=1.0, values={"x": INF}))
 def test_every_solution_round_trips_or_is_refused_at_write(sol):
     """``save_solutions`` either writes a Solution that ``load_solutions``
     gives back equal, or refuses it, naming the kind, before writing any
     file; it never writes a header the reader refuses."""
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            save_solutions(Path(tmp), {"k": sol}, {"k": {}})
+            save_solutions(Path(tmp), {"k": sol})
         except (SolveError, ModelError) as exc:
             assert isinstance(exc, ModelError) or "'k'" in str(exc)
             assert not list(Path(tmp).rglob("k.*"))

@@ -195,7 +195,8 @@ def test_run_produces_artifact_tree(run_result):
 
 def test_loaded_solutions_equal_solved_ones(run_result):
     """Values re-read from disk equal the in-memory ones: same keys in the
-    same order, bit-identical floats; the header fields equal too."""
+    same order, bit-identical floats; the whole Solution equals too, the
+    audit ``stage_solve`` set on it among its fields."""
     _, outdir, result = run_result
     loaded = load_solutions(outdir, list(result.solutions))
     for kind, sol in result.solutions.items():
@@ -203,8 +204,7 @@ def test_loaded_solutions_equal_solved_ones(run_result):
         assert list(back.values) == list(sol.values)
         assert np.array(list(back.values.values())).tobytes() == \
             np.array(list(sol.values.values())).tobytes()
-        assert (back.status, back.objective, back.gap, back.wall_seconds, back.message) == \
-            (sol.status, sol.objective, sol.gap, sol.wall_seconds, sol.message)
+        assert back == sol and sol.audit
 
 
 def test_run_solves_all_five_kinds(run_result):
@@ -373,9 +373,8 @@ def test_failed_solve_leaves_no_values_file(tmp_path):
     """A solution without values writes no values file and removes one an
     earlier solve left, so the header's status is never paired with stale
     values."""
-    save_solutions(tmp_path, {"ss": Solution("optimal", objective=1.0, values={"x": 1.0})},
-                   {"ss": {}})
-    save_solutions(tmp_path, {"ss": Solution("infeasible")}, {"ss": {}})
+    save_solutions(tmp_path, {"ss": Solution("optimal", objective=1.0, values={"x": 1.0})})
+    save_solutions(tmp_path, {"ss": Solution("infeasible")})
     assert not (tmp_path / "solutions" / "ss.npz").exists()
     assert load_solutions(tmp_path, ["ss"])["ss"].values == {}
 
@@ -385,8 +384,7 @@ def test_load_solutions_refusals(tmp_path):
     values inline, and a missing or damaged values file of an ok solution
     are input errors naming the file; there is no fallback reader."""
     sol_dir = tmp_path / "solutions"
-    save_solutions(tmp_path, {"ss": Solution("optimal", objective=1.0, values={"x": 1.0})},
-                   {"ss": {}})
+    save_solutions(tmp_path, {"ss": Solution("optimal", objective=1.0, values={"x": 1.0})})
     header = json.loads((sol_dir / "ss.json").read_text())
     for key in ("status", "objective", "gap", "wall_seconds", "message"):
         (sol_dir / "ss.json").write_text(json.dumps({k: v for k, v in header.items() if k != key}))
@@ -411,8 +409,7 @@ def test_load_solutions_refuses_mistyped_header(tmp_path):
     """A header value of the wrong type is an input error naming the file
     and the key, not a TypeError in a later stage."""
     sol_dir = tmp_path / "solutions"
-    save_solutions(tmp_path, {"ss": Solution("optimal", objective=1.0, values={"x": 1.0})},
-                   {"ss": {}})
+    save_solutions(tmp_path, {"ss": Solution("optimal", objective=1.0, values={"x": 1.0})})
     header = json.loads((sol_dir / "ss.json").read_text())
     for key, bad in (("status", 1), ("objective", "abc"), ("gap", None),
                      ("wall_seconds", "slow"), ("wall_seconds", True), ("message", None)):
@@ -751,10 +748,31 @@ def test_cli_evaluate_of_failed_solution_exits_3(tmp_path):
     for cmd in (("cluster", cfg, "-o", str(out)),
                 ("build", cfg, "-o", str(out), "--only", "ss")):
         assert run_cli(*cmd).returncode == 0, cmd
-    save_solutions(out, {"ss": Solution("error", message="Time limit reached")}, {"ss": {}})
+    save_solutions(out, {"ss": Solution("error", message="Time limit reached")})
     proc = run_cli("evaluate", cfg, "-o", str(out), "--only", "ss", "--no-prices")
     assert proc.returncode == 3, proc.stderr
     assert "status 'error'" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_cli_evaluate_refuses_non_finite_solution_value(tmp_path, capsys, bad):
+    """A values file holding a commitment value that is not finite is an
+    input error at ``evaluate`` (exit 2) naming the file and the variable,
+    not a traceback or a solver error that names neither."""
+    out, cfg = tmp_path / "out", str(emit_scenario_template(tmp_path / "scen", days=2))
+    assert cli_main(["cluster", cfg, "-o", str(out)]) == 0
+    for cmd in ("build", "solve"):
+        assert cli_main([cmd, cfg, "-o", str(out), "--only", "ss"]) == 0
+    path = out / "solutions" / "ss.npz"
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    names = list(storagg.load_solution(path))
+    k = next(i for i, name in enumerate(names) if name.startswith("u_"))
+    arrays["values"][k] = bad
+    np.savez_compressed(path, **arrays)
+    capsys.readouterr()
+    assert cli_main(["evaluate", cfg, "-o", str(out), "--only", "ss"]) == 2
+    assert f"ss.npz: variable {names[k]!r} has value {bad}" in capsys.readouterr().err
 
 
 def test_cli_refuses_files_in_the_parent_layout(tmp_path):
