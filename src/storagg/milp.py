@@ -40,7 +40,11 @@ only, as compact JSON.
 
 scipy loads at a process's first matrix build (``to_arrays``, the audit,
 ``write_mps``) or solve, not at import, so the stages that never solve do
-not pay for it; a solve itself builds no scipy matrix.  The package keeps
+not pay for it; a solve itself builds no scipy matrix.  A solve loads the
+HiGHS bindings' extension file alone (``_bindings``: 3 modules, about
+0.01 s and 3.6 MB of RSS), not the ``scipy.optimize`` package around it
+(about 250 modules, 0.3 s and 27 MB), and ``scipy.sparse`` loads at the
+audit after it.  The package keeps
 the same rule one level up: ``import storagg`` loads only what writing a
 template and ingesting it run, and this module, like the clustering,
 builder and evaluation modules, loads when a stage or a caller first needs
@@ -50,6 +54,9 @@ it (see ``storagg/__init__.py``).
 from __future__ import annotations
 
 import ctypes
+import os
+import sys
+import threading
 import time
 import zipfile
 from array import array
@@ -635,9 +642,14 @@ def load_model(path) -> MilpModel:
 _SOLUTION = {**_name_spec("names"), "values": np.float64}
 
 
-def finite_values(values: dict[str, float], where, error: type[Exception] = ModelError):
+def checked_values(values: dict[str, float], where, error: type[Exception] = ModelError):
     """A solution's ``values`` as a float64 array, in order; raises ``error``
-    as ``<where>: variable <name> has value <value>`` if one is not finite."""
+    as ``<where>: variable name <name> contains a newline`` if a name does
+    (a values file separates names by newlines), or as ``<where>: variable
+    <name> has value <value>`` if a value is not finite."""
+    bad = next((name for name in values if "\n" in name), None)
+    if bad is not None:
+        raise error(f"{where}: variable name {bad!r} contains a newline")
     array = np.fromiter(values.values(), dtype=np.float64, count=len(values))
     k = _first_bad(array)
     if k is not None:
@@ -653,8 +665,8 @@ def save_solution(sol: Solution, path) -> None:
     equal bytes.  Raises ModelError, before anything is written, if a value
     is not finite or a name contains a newline.
     """
-    arrays = {**_pack_names(_joined(list(sol.values), "variable"), "names"),
-              "values": finite_values(sol.values, path)}
+    values = checked_values(sol.values, path)
+    arrays = {**_pack_names("\n".join(sol.values).encode("utf-8"), "names"), "values": values}
     with open(path, "wb") as fh:
         np.savez_compressed(fh, **arrays)
 
@@ -672,7 +684,7 @@ def load_solution(path) -> dict[str, float]:
         values = read("values")
         names = _unpack_names(path, read, "names", len(values), "variable").tolist()
     out = _keyed(names, values.tolist(), "variable", path)
-    finite_values(out, path)
+    checked_values(out, path)
     return out
 
 
@@ -930,6 +942,44 @@ def trim_heap() -> None:
         _MALLOC_TRIM(0)
 
 
+_BINDINGS = "scipy.optimize._highspy._core"
+_BINDINGS_LOCK = threading.Lock()
+
+
+def _bindings():
+    """The HiGHS bindings scipy ships, the extension module ``_BINDINGS``.
+
+    The first call loads it from its file in scipy's ``optimize/_highspy``
+    directory and registers it under its full name, without running the
+    ``scipy.optimize`` package ``__init__``: that import loads about 250
+    modules a session never calls, about 24 MB that a solving process would
+    carry through its largest solve.  A later ``import scipy.optimize``
+    finds the registered module and uses the same object.  The load is
+    under a lock, as two solve threads may ask at once.  Raises ImportError
+    naming the directory if the extension is not there (see pyproject.toml).
+    """
+    with _BINDINGS_LOCK:
+        module = sys.modules.get(_BINDINGS)
+        if module is not None:
+            return module
+        import importlib.util
+        from importlib.machinery import PathFinder
+
+        import scipy
+        where = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+        spec = PathFinder.find_spec(_BINDINGS, [where])
+        if spec is None:
+            raise ImportError(f"no HiGHS bindings {_BINDINGS} in {where}", name=_BINDINGS)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_BINDINGS] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[_BINDINGS]
+            raise
+        return module
+
+
 def _highs_call(call, *args, **kwargs):
     """Run one HiGHS call on a short-lived thread, then trim the C heap.
 
@@ -1044,14 +1094,13 @@ def _highs_solve(model: MilpModel, relax: bool, gap: float = 0.0,
     figures and the one model where it helped).  A MIP solution carries
     HiGHS's dual bound and node count; an LP's are None.
     """
-    from scipy.optimize._highspy import _core   # private bindings: see pyproject.toml
     options = {"output_flag": False, "solver": algorithm, "mip_rel_gap": float(gap),
                "mip_heuristic_run_root_reduced_cost": False}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     mip = not relax and 1 in model._int
     start = time.perf_counter()
-    out = _highs_call(_session, _core, model, mip, relax, fixed, options)
+    out = _highs_call(_session, _bindings(), model, mip, relax, fixed, options)
     return _solution(model, mip, out, time.perf_counter() - start)
 
 

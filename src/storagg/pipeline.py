@@ -76,7 +76,7 @@ _DEFERRED = {
                      "AggregationError"), "aggregation"),
     **dict.fromkeys(("save_model", "load_model", "write_registry", "load_registry",
                      "save_solution", "load_solution", "Solution", "SolutionHeader",
-                     "ScipySolver", "finite_values",
+                     "ScipySolver", "checked_values",
                      "ModelError", "audit_constraints", "STATUS_INFEASIBLE", "trim_heap",
                      # not called here: bench/tracing.py wraps these two by name
                      "write_mps", "parse_mps"), "milp"),
@@ -332,15 +332,15 @@ def save_solutions(outdir: Path, solutions: dict[str, Solution]) -> None:
 
     The values file is written for a solution that has values or is ok; any
     other solution leaves none, so no earlier solve's values stay behind.
-    A header ``load_solutions`` would refuse, or a value that is not finite,
-    is a SolveError, before any write.
+    A header ``load_solutions`` would refuse, a variable name holding a
+    newline or a value that is not finite is a SolveError, before any write.
     """
     _bind_deferred()
     headers = {kind: {f.name: getattr(sol, f.name) for f in fields(SolutionHeader)}
                for kind, sol in solutions.items()}
     for kind, sol in solutions.items():
         from_json(SolutionHeader, headers[kind], f"solution header of {kind!r}", SolveError)
-        finite_values(sol.values, f"solution of {kind!r}", SolveError)
+        checked_values(sol.values, f"solution of {kind!r}", SolveError)
     sol_dir = Path(outdir) / "solutions"
     sol_dir.mkdir(parents=True, exist_ok=True)
     for kind, sol in solutions.items():

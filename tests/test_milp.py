@@ -1,5 +1,7 @@
 import gc
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -739,11 +741,11 @@ SESSION_NEEDS = {
 
 
 def test_highs_binding_has_what_the_session_calls():
-    """The session uses scipy's private HiGHS bindings (pinned to one scipy
-    series in pyproject.toml).  If a scipy release renames or drops a part
-    of them, or HiGHS no longer knows an option the session sets, this test
-    names what is missing."""
-    from scipy.optimize._highspy import _core
+    """The session uses scipy's private HiGHS bindings, as ``_bindings``
+    loads them (pinned to one scipy series in pyproject.toml).  If a scipy
+    release renames or drops a part of them, or HiGHS no longer knows an
+    option the session sets, this test names what is missing."""
+    _core = milp_module._bindings()
     owners = {"_core": _core, **{name: getattr(_core, name, None) for name in SESSION_NEEDS
                                  if name != "_core"}}
     missing = [f"{owner}.{attr}" for owner, attrs in SESSION_NEEDS.items()
@@ -757,10 +759,94 @@ def test_highs_binding_has_what_the_session_calls():
     assert refused == [], f"HiGHS refuses the options {refused}"
 
 
+def in_fresh_interpreter(code: str) -> None:
+    """Run ``code`` in a new interpreter; it fails the test by raising."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# counts the loads of the bindings from their file, each slowed so that two
+# threads asking at once would both load them without the lock
+_COUNT_LOADS = """
+import importlib.util, sys, threading, time
+import storagg.milp as milp
+loads, real = [], importlib.util.module_from_spec
+def counted(spec):
+    loads.append(spec.name)
+    time.sleep(0.05)
+    return real(spec)
+importlib.util.module_from_spec = counted
+"""
+
+
+def test_bindings_load_without_the_optimize_package():
+    """``_bindings`` loads the extension alone; a later ``scipy.optimize``
+    import reuses that module object, and its public ``milp`` still runs."""
+    in_fresh_interpreter(_COUNT_LOADS + """
+core = milp._bindings()
+assert loads == [milp._BINDINGS] and "scipy.optimize" not in sys.modules
+assert milp._bindings() is core and len(loads) == 1
+from scipy.optimize._highspy import _core
+import scipy.optimize._highspy._core as by_name
+assert _core is core and by_name is core and sys.modules[milp._BINDINGS] is core
+from scipy.optimize import milp as scipy_milp
+assert scipy_milp([1.0], integrality=[1], bounds=(1, 2)).fun == 1.0
+assert len(loads) == 1
+""")
+
+
+def test_bindings_reuse_an_imported_optimize_package():
+    """After ``import scipy.optimize`` the bindings are not loaded again:
+    ``_bindings`` returns the module scipy imported."""
+    in_fresh_interpreter(_COUNT_LOADS + """
+import scipy.optimize
+from scipy.optimize._highspy import _core
+assert milp._bindings() is _core and loads == []
+""")
+
+
+def test_bindings_load_once_for_threads_asking_at_once():
+    """Four threads asking for the bindings at once get one module, loaded once."""
+    in_fresh_interpreter(_COUNT_LOADS + """
+got, start = [], threading.Barrier(4)
+def ask():
+    start.wait()
+    got.append(milp._bindings())
+threads = [threading.Thread(target=ask) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads)
+assert len(got) == 4 and all(m is got[0] for m in got) and loads == [milp._BINDINGS]
+""")
+
+
+def test_bindings_fail_loudly(monkeypatch, tmp_path):
+    """A missing extension is an ImportError naming the directory searched;
+    a load that raises leaves no half-made module registered."""
+    import importlib.machinery
+    import scipy
+    monkeypatch.delitem(sys.modules, milp_module._BINDINGS, raising=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "scipy" / "optimize"))):
+            milp_module._bindings()
+
+    def refuse(loader, module):
+        raise RuntimeError("refused")
+
+    monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "exec_module", refuse)
+    with pytest.raises(RuntimeError, match="refused"):
+        milp_module._bindings()
+    assert milp_module._BINDINGS not in sys.modules
+
+
 def test_mip_session_turns_the_root_reduced_cost_sub_mip_off(monkeypatch):
     """Read back from the session a MIP solve ran: the root reduced-cost
     sub-MIP is off, the output is off and the gap is the one asked for."""
-    from scipy.optimize._highspy import _core
+    _core = milp_module._bindings()
     sessions, real = [], milp_module._session
 
     def keeping(highs, *args):
@@ -784,7 +870,7 @@ def test_mip_session_turns_the_root_reduced_cost_sub_mip_off(monkeypatch):
 def test_unknown_option_or_lp_method_is_an_error():
     """An option HiGHS does not know is refused, not ignored; so is an LP
     method ``solve_lp`` does not map to a HiGHS solver."""
-    from scipy.optimize._highspy import _core
+    _core = milp_module._bindings()
     with pytest.raises(ModelError, match="HiGHS refuses option no_such_option"):
         milp_module._session(_core, toy_model(), True, False, None, {"no_such_option": 1})
     with pytest.raises(ValueError, match="unknown LP method 'highs-ds'"):

@@ -379,6 +379,17 @@ def test_failed_solve_leaves_no_values_file(tmp_path):
     assert load_solutions(tmp_path, ["ss"])["ss"].values == {}
 
 
+def test_save_solutions_refuses_newline_name_before_any_write(tmp_path):
+    """A variable name holding a newline, in the second of two kinds, is a
+    SolveError naming that kind and the name before either kind's files
+    are written."""
+    ok = Solution("optimal", objective=1.0, values={"x": 1.0})
+    bad = Solution("optimal", objective=1.0, values={"a\nb": 1.0})
+    with pytest.raises(SolveError, match=r"solution of 'b': variable name 'a\\nb' contains a newline"):
+        save_solutions(tmp_path, {"a": ok, "b": bad})
+    assert not list(tmp_path.rglob("*.*"))
+
+
 def test_load_solutions_refusals(tmp_path):
     """A missing header key, a header that is not JSON or still holds its
     values inline, and a missing or damaged values file of an ok solution
@@ -1058,7 +1069,8 @@ def test_stages_that_never_solve_leave_scipy_unloaded(tmp_path):
     gzip a report-time one: the package, the CLI and every stage that
     neither solves nor writes the hourly report, each in a fresh
     interpreter, load none of them, and the solve and evaluate stages still
-    find what they need."""
+    find what they need.  A solve, and an evaluation that prices, load the
+    HiGHS bindings but not the ``scipy.optimize`` package."""
     def cli(*argv):
         return lazy_modules_after("from storagg.cli import main\n"
                                   f"if main({list(argv)!r}):\n    sys.exit('stage failed')")
@@ -1073,9 +1085,11 @@ def test_stages_that_never_solve_leave_scipy_unloaded(tmp_path):
                  ("build", cfg, "-o", out, "--only", "ss")):
         assert cli(*argv) == [], argv
     solve = cli("solve", cfg, "-o", out, "--only", "ss")
-    assert "scipy.optimize" in solve and "concurrent.futures" in solve
-    assert "gzip" not in solve
+    assert "scipy.optimize._highspy._core" in solve and "concurrent.futures" in solve
+    assert "scipy.optimize" not in solve and "gzip" not in solve
     assert load_solutions(Path(out), ["ss"])["ss"].ok
+    priced = cli("evaluate", cfg, "-o", out, "--only", "ss")
+    assert "scipy.optimize._highspy._core" in priced and "scipy.optimize" not in priced
     assert "gzip" in cli("evaluate", cfg, "-o", out, "--only", "ss", "--no-prices")
     assert (Path(out) / "report" / "hourly_ss.csv.gz").exists()
     assert cli("report", out) == []
