@@ -35,8 +35,8 @@ _EXPORTS = {
                      "save_solution", "load_solution", "write_mps", "parse_mps",
                      "write_registry", "load_registry", "audit_constraints",
                      "constraint_families"), "milp"),
-    **dict.fromkeys(("FormulationOutput", "Periods", "periods", "build_hm", "build_ss",
-                     "build_rp", "build_ss_rfm", "build_rp_tmci"), "formulations"),
+    **dict.fromkeys(("FormulationOutput", "ModelMeta", "Periods", "periods", "build_hm",
+                     "build_ss", "build_rp", "build_ss_rfm", "build_rp_tmci"), "formulations"),
     **dict.fromkeys(("HourlyExpansion", "ViolationRecord", "CaseResult",
                      "EvaluationReport", "expand_solution", "detect_violations",
                      "compute_prices", "attach_prices", "count_startups",

@@ -137,7 +137,7 @@ def expand_solution(fo: FormulationOutput, solution: Solution, system: PowerSyst
     # method-consistent levels: solved hourly levels, the shift chain of the
     # states family, or mapped injections anchored at each checkpoint
     if kind == "rp_tmci":
-        checkpoints = fo.meta["checkpoints"]
+        checkpoints = fo.meta.checkpoints
         wchk = _read(solution.values, "wchk", checkpoint_labels(checkpoints), storage)
         mapped_inflows = data.inflows[per.hours][pos]
         for j, s in enumerate(system.storage):
@@ -273,7 +273,7 @@ def count_startups(expansion: HourlyExpansion, system: PowerSystem) -> dict[str,
 def investment_values(fo: FormulationOutput, solution: Solution,
                       system: PowerSystem) -> dict[str, float]:
     """Built capacity ``x_<id>`` per investable storage unit of an invest model."""
-    if not fo.meta["invest"]:
+    if not fo.meta.invest:
         return {}
     ids = [s.id for s in system.storage if s.investable]
     return dict(zip(ids, _read(solution.values, "x", ids, [None])[:, 0].tolist()))

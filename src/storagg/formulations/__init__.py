@@ -6,10 +6,10 @@ Importing the package imports every builder, and with them ``milp`` and
 without building anything.
 """
 
-from .common import FormulationOutput, Periods, periods
+from .common import FormulationOutput, ModelMeta, Periods, periods
 from .hourly import build_hm
 from .states import build_ss, build_ss_rfm
 from .repdays import build_rp, build_rp_tmci
 
-__all__ = ["FormulationOutput", "Periods", "periods", "build_hm", "build_ss",
+__all__ = ["FormulationOutput", "ModelMeta", "Periods", "periods", "build_hm", "build_ss",
            "build_ss_rfm", "build_rp", "build_rp_tmci"]

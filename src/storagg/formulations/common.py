@@ -58,16 +58,26 @@ from ..aggregation import StateClustering, RepPeriodClustering
 
 
 @dataclass
+class ModelMeta:
+    """What evaluation needs to interpret a built model, its sidecar's
+    ``meta`` (``milp.write_registry``): the ``kind``, ``invest`` and, for
+    ``rp_tmci``, the ``checkpoints``."""
+
+    kind: str
+    invest: bool
+    checkpoints: list[int] | None = None    # rp_tmci only
+
+
+@dataclass
 class FormulationOutput:
-    """A built model plus ``meta``, what evaluation needs to interpret it:
-    the ``kind``, ``invest`` and, for ``rp_tmci``, the ``checkpoints``."""
+    """A built model plus its ``ModelMeta``."""
 
     model: MilpModel
-    meta: dict
+    meta: ModelMeta
 
     @property
     def kind(self) -> str:
-        return self.meta["kind"]
+        return self.meta.kind
 
     @property
     def registry(self) -> Sequence[str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..system import PowerSystem
 from ..timeseries import TimeHorizonData
-from .common import FormulationOutput, periods, hour_chain, add_final
+from .common import FormulationOutput, ModelMeta, periods, hour_chain, add_final
 
 
 def build_hm(system: PowerSystem, data: TimeHorizonData,
@@ -20,4 +20,4 @@ def build_hm(system: PowerSystem, data: TimeHorizonData,
     per = periods("hm", data.horizon_hours)
     m, _, col = hour_chain("hm", system, data, per, len(per.labels), invest)
     add_final(m, system, "fin", [col["w", s.id][-1] for s in system.storage])
-    return FormulationOutput(model=m, meta={"kind": "hm", "invest": invest})
+    return FormulationOutput(model=m, meta=ModelMeta("hm", invest))

@@ -27,8 +27,8 @@ from ..system import PowerSystem
 from ..timeseries import HOURS_PER_DAY, WEEK_HOURS, TimeHorizonData
 from ..aggregation import (RepPeriodClustering, TransitionMatrices,
                            default_checkpoints)
-from .common import (FormulationOutput, Row, periods, checkpoint_labels, tile_rows, shifted,
-                     hour_chain, add_levels, add_final)
+from .common import (FormulationOutput, ModelMeta, Row, periods, checkpoint_labels, tile_rows,
+                     shifted, hour_chain, add_levels, add_final)
 
 
 def build_rp(system: PowerSystem, data: TimeHorizonData,
@@ -39,7 +39,7 @@ def build_rp(system: PowerSystem, data: TimeHorizonData,
     tile_rows(m, [f"r{r}" for r in range(rp.num_rp)],
               [Row("cyc", s.id, [(col["w", s.id][last], 1.0)], GE, s.w0)
                for s in system.storage])
-    return FormulationOutput(model=m, meta={"kind": "rp", "invest": invest})
+    return FormulationOutput(model=m, meta=ModelMeta("rp", invest))
 
 
 def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
@@ -91,5 +91,4 @@ def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
     tile_rows(m, marks, rows)
     add_final(m, system, "cfin", [wchk["wchk", s.id][-1] for s in system.storage])
 
-    return FormulationOutput(model=m, meta={"kind": "rp_tmci", "invest": invest,
-                                            "checkpoints": [int(k) for k in checkpoints]})
+    return FormulationOutput(model=m, meta=ModelMeta("rp_tmci", invest, checkpoints.tolist()))

@@ -21,10 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..milp import MilpModel, LE, GE, EQ
-from ..system import PowerSystem, StorageUnit
+from ..system import PowerSystem, StorageUnit, SHORT_TERM
 from ..aggregation import StateClustering, TransitionMatrices
-from .common import (FormulationOutput, Col, Row, periods, move_labels, checkpoint_labels,
-                     tile_columns, tile_rows, add_investment, add_operating_core)
+from .common import (FormulationOutput, ModelMeta, Col, Row, periods, move_labels,
+                     checkpoint_labels, tile_columns, tile_rows, add_investment, add_operating_core)
 
 
 def _state_family(system: PowerSystem, states: StateClustering,
@@ -73,13 +73,13 @@ def _state_family(system: PowerSystem, states: StateClustering,
     # checkpoint bounds
     rows = []
     for s in system.storage:
-        window = kind == "ss_rfm" and s.kind == "short_term"
+        window = kind == "ss_rfm" and s.kind == SHORT_TERM
         counts = (matrices.reduced_frequency if window else matrices.frequency)[:, a, b]
         rows += bounds(s, "win" if window else "chk", counts, s.w_min - s.w0,
                        s.w_max - s.w0, s.id)
     tile_rows(m, checkpoint_labels(matrices.checkpoints), rows)
 
-    return FormulationOutput(model=m, meta={"kind": kind, "invest": invest})
+    return FormulationOutput(model=m, meta=ModelMeta(kind, invest))
 
 
 def build_ss(system: PowerSystem, states: StateClustering,

@@ -67,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .system import read_json, write_json
+from .system import read_json, to_json, write_json
 
 INF = float("inf")
 
@@ -866,10 +866,12 @@ def parse_mps(path) -> MilpModel:
     return model
 
 
-def write_registry(model: MilpModel, path, meta: dict | None = None) -> None:
+def write_registry(model: MilpModel, path, meta=None) -> None:
     """Write the sidecar of a ``.npz`` model file: the model name and its
-    metadata, as compact JSON with sorted keys."""
-    write_json(path, {"model": model.name, "meta": meta or {}}, compact=True)
+    metadata (a ``formulations.ModelMeta`` or a dict) without its None
+    fields, as compact JSON with sorted keys."""
+    meta = {key: value for key, value in to_json(meta or {}).items() if value is not None}
+    write_json(path, {"model": model.name, "meta": meta}, compact=True)
 
 
 def load_registry(path):
@@ -882,46 +884,36 @@ def load_registry(path):
 # solutions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Solution:
-    status: str
-    objective: float | None = None
-    values: dict[str, float] = field(default_factory=dict)
-    gap: float = 0.0
-    wall_seconds: float = 0.0
-    duals: dict[str, float] | None = None
-    message: str = ""
-    dual_bound: float | None = None     # a MIP's, from HiGHS; None for an LP
-    nodes: int | None = None            # branch-and-bound nodes of a MIP
-    audit: dict = field(default_factory=dict)   # audit_constraints of an ok solve
-
-    @property
-    def ok(self) -> bool:
-        return self.status in OK_STATUSES
-
-
 # a number's range, tested once its type is (``system._check_types``)
 _AT_LEAST_0 = {"range": (lambda v: v >= 0, "a number >= 0")}
 
 
 @dataclass
-class SolutionHeader:
-    """``solutions/<kind>.json``: a Solution but its values and duals, read
-    and, before it is written, checked through ``system.from_json``."""
+class Solution:
+    """A solve's outcome.  Its init fields are ``solutions/<kind>.json``,
+    read and, before it is written, checked through ``system.from_json``;
+    the values go to a file of their own (``save_solution``) and the duals
+    of a pricing LP are never stored."""
 
     status: str = field(metadata={"range": (lambda v: v in STATUSES, f"one of {list(STATUSES)}")})
     objective: float | None
     gap: float = field(metadata=_AT_LEAST_0)
     wall_seconds: float = field(metadata=_AT_LEAST_0)
     message: str
-    audit: dict
-    dual_bound: float | None = None      # absent from files written before it was kept
-    nodes: int | None = field(default=None,
+    audit: dict                          # audit_constraints of an ok solve, else {}
+    dual_bound: float | None = None      # a MIP's, from HiGHS; None for an LP or an older file
+    nodes: int | None = field(default=None,     # branch-and-bound nodes of a MIP
                               metadata={"range": (lambda v: v >= 0, "an integer >= 0")})
+    values: dict[str, float] = field(init=False, default_factory=dict)
+    duals: dict[str, float] | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.status in OK_STATUSES and self.objective is None:
             raise ValueError(f"objective must be a number for status {self.status!r}, got None")
+
+    @property
+    def ok(self) -> bool:
+        return self.status in OK_STATUSES
 
 
 # ---------------------------------------------------------------------------
@@ -1106,21 +1098,23 @@ def _highs_solve(model: MilpModel, relax: bool, gap: float = 0.0,
 
 def _solution(model: MilpModel, mip: bool, out: _Outcome, wall: float) -> Solution:
     """The Solution of a session's outcome, its status through ``_MODEL_STATUS``."""
-    sol = Solution(status=_MODEL_STATUS.get(out.status, STATUS_ERROR),
-                   wall_seconds=wall, message=out.message)
-    if sol.status == STATUS_TIME_LIMIT and out.x is None:
-        sol.status = STATUS_ERROR
+    status = _MODEL_STATUS.get(out.status, STATUS_ERROR)
+    objective, gap, bound, nodes = None, 0.0, None, None
+    if out.x is None and status == STATUS_TIME_LIMIT:
+        status = STATUS_ERROR
     if mip and out.info is not None:
-        sol.dual_bound, sol.nodes = float(out.info["mip_dual_bound"]), out.info["mip_node_count"]
+        bound, nodes = float(out.info["mip_dual_bound"]), out.info["mip_node_count"]
     if out.x is not None:
-        sol.values = _keyed(model._var_names.tolist(), out.x.tolist(), "variable")
-        sol.objective = float(out.info["objective_function_value"])
+        objective = float(out.info["objective_function_value"])
     if out.x is not None and mip:
         # an incumbent without a proven bound is not optimal: keep inf
-        gap = out.info["mip_gap"]
-        sol.gap = float(gap) if np.isfinite(gap) else INF
-        if sol.status == STATUS_OPTIMAL and not gap <= 1e-9:
-            sol.status = STATUS_GAP_LIMIT
+        gap = float(out.info["mip_gap"]) if np.isfinite(out.info["mip_gap"]) else INF
+        if status == STATUS_OPTIMAL and not gap <= 1e-9:
+            status = STATUS_GAP_LIMIT
+    sol = Solution(status, objective, gap, wall, out.message, audit={}, dual_bound=bound,
+                   nodes=nodes)
+    if out.x is not None:
+        sol.values = _keyed(model._var_names.tolist(), out.x.tolist(), "variable")
     if out.row_dual is not None:
         sol.duals = _keyed(model._con_names.tolist(), out.row_dual.tolist(), "constraint")
     return sol

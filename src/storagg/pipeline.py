@@ -33,8 +33,10 @@ map from real hours to model periods, and derives it
 (``formulations.common.periods``) from ``agg/artifacts.json``; the sidecar
 does not repeat it.  A damaged artifacts file or sidecar is an input error
 (ConfigError) naming the file.  A solution is stored the same way: a small
-JSON header (``milp.SolutionHeader``, the audit among its fields) beside its
-values as arrays, and ``load_solutions`` rebuilds it from the two.  No stage
+JSON header, the ``milp.Solution`` record itself (the audit among its
+fields), beside its values as arrays, and ``load_solutions`` rebuilds it
+from the two.  Building a kind removes its solution files, so an earlier
+model's solution is never evaluated as the new model's.  No stage
 writes MPS: ``milp.write_mps`` is a library export only.
 
 Set-up (``emit_scenario_template``, ``load_scenario``, ``stage_ingest``)
@@ -55,7 +57,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from importlib import import_module
 from pathlib import Path
 
@@ -66,7 +68,7 @@ from .timeseries import (TimeHorizonData, HOURS_PER_DAY, WEEK_HOURS, load_horizo
 from .system import (PowerSystem, ThermalUnit, StorageUnit, Network,
                      OperatingConfig, load_system, save_system,
                      validate_system, SystemFormatError, SHORT_TERM, LONG_TERM,
-                     _check_types, from_json, read_json, write_json)
+                     _check_types, from_json, read_json, to_json, write_json)
 
 # Names the stages take from the modules that load on first use: name -> module.
 # ``_bind_deferred`` imports them into this namespace, where the stages look
@@ -75,12 +77,11 @@ _DEFERRED = {
     **dict.fromkeys(("aggregate", "save_artifacts", "AggregationArtifacts",
                      "AggregationError"), "aggregation"),
     **dict.fromkeys(("save_model", "load_model", "write_registry", "load_registry",
-                     "save_solution", "load_solution", "Solution", "SolutionHeader",
-                     "ScipySolver", "checked_values",
+                     "save_solution", "load_solution", "Solution", "ScipySolver", "checked_values",
                      "ModelError", "audit_constraints", "STATUS_INFEASIBLE", "trim_heap",
                      # not called here: bench/tracing.py wraps these two by name
                      "write_mps", "parse_mps"), "milp"),
-    **dict.fromkeys(("FormulationOutput", "build_hm", "build_ss", "build_rp",
+    **dict.fromkeys(("FormulationOutput", "ModelMeta", "build_hm", "build_ss", "build_rp",
                      "build_ss_rfm", "build_rp_tmci"), "formulations"),
     **dict.fromkeys(("CaseResult", "EvaluationReport", "HourlyExpansion",
                      "build_case_result", "compare"), "evaluation"),
@@ -141,7 +142,7 @@ class ScenarioConfig:
     kinds: list[str] = field(default_factory=lambda: list(BUILDER_KINDS))
     # checkpoint spacing.  None means 24 h for ss/ss_rfm with short-term
     # storage, else 168 h, and 168 h for rp_tmci whatever the storage; one
-    # default waits on re-pinning bench/reference.json (ROADMAP item 1)
+    # default would trade rp_tmci's speed, not its accuracy (ROADMAP item 1c)
     window_hours: int | None = field(default=None, metadata=_POSITIVE)
     theta: float = field(default=1.0,     # commitment-link threshold (rp_tmci)
                          metadata={"range": (lambda v: v >= 0, "a number >= 0")})
@@ -268,6 +269,12 @@ def build_formulation(kind: str, system: PowerSystem, data: TimeHorizonData,
     return fo
 
 
+def _drop_solution(outdir: Path, kind: str) -> None:
+    """Remove ``kind``'s solution files, so none is read as a later model's."""
+    for suffix in (".json", ".npz"):
+        (Path(outdir) / "solutions" / f"{kind}{suffix}").unlink(missing_ok=True)
+
+
 def stage_build(system: PowerSystem, data: TimeHorizonData,
                 artifacts: AggregationArtifacts, config: ScenarioConfig,
                 outdir: Path, only: list[str] | None = None) -> dict[str, FormulationOutput]:
@@ -278,19 +285,11 @@ def stage_build(system: PowerSystem, data: TimeHorizonData,
     outputs: dict[str, FormulationOutput] = {}
     for kind in kinds:
         fo = build_formulation(kind, system, data, artifacts, config)
+        _drop_solution(outdir, kind)
         save_model(fo.model, models_dir / f"{kind}.npz")
         write_registry(fo.model, models_dir / f"{kind}.registry.json", meta=fo.meta)
         outputs[kind] = fo
     return outputs
-
-
-@dataclass
-class SidecarMeta:
-    """A model sidecar's ``meta``, as evaluation reads it."""
-
-    kind: str
-    invest: bool
-    checkpoints: list[int] | None = None    # rp_tmci only
 
 
 def load_built_model(outdir: Path, kind: str, hours: int | None = None) -> FormulationOutput:
@@ -314,20 +313,20 @@ def load_built_model(outdir: Path, kind: str, hours: int | None = None) -> Formu
     except ModelError as exc:
         raise ConfigError(str(exc)) from None
     where = f"{side}: not a model sidecar: meta"
-    checked = from_json(SidecarMeta, meta, where, ConfigError)
-    if checked.kind != kind:
-        raise ConfigError(f"{where}: kind must be {kind!r}, got {checked.kind!r}")
-    marks = [0] + (checked.checkpoints or [])
-    if kind == "rp_tmci" and (checked.checkpoints is None or hours is not None and (
+    meta = from_json(ModelMeta, meta, where, ConfigError)
+    if meta.kind != kind:
+        raise ConfigError(f"{where}: kind must be {kind!r}, got {meta.kind!r}")
+    marks = [0] + (meta.checkpoints or [])
+    if kind == "rp_tmci" and (meta.checkpoints is None or hours is not None and (
             marks[-1] != hours or marks != sorted(set(marks)))):
         raise ConfigError(f"{where}: checkpoints must rise strictly to "
-                          f"{hours or 'the last hour'}, got {checked.checkpoints}")
+                          f"{hours or 'the last hour'}, got {meta.checkpoints}")
     return FormulationOutput(model=model, meta=meta)
 
 
 def save_solutions(outdir: Path, solutions: dict[str, Solution]) -> None:
-    """Write each solution as ``solutions/<kind>.json``, its
-    ``milp.SolutionHeader`` fields (the audit among them), and
+    """Write each solution as ``solutions/<kind>.json``, its record
+    (``to_json``: the init fields, the audit among them), and
     ``solutions/<kind>.npz``, the values (``milp.save_solution``).
 
     The values file is written for a solution that has values or is ok; any
@@ -336,10 +335,9 @@ def save_solutions(outdir: Path, solutions: dict[str, Solution]) -> None:
     newline or a value that is not finite is a SolveError, before any write.
     """
     _bind_deferred()
-    headers = {kind: {f.name: getattr(sol, f.name) for f in fields(SolutionHeader)}
-               for kind, sol in solutions.items()}
+    headers = {kind: to_json(sol) for kind, sol in solutions.items()}
     for kind, sol in solutions.items():
-        from_json(SolutionHeader, headers[kind], f"solution header of {kind!r}", SolveError)
+        from_json(Solution, headers[kind], f"solution header of {kind!r}", SolveError)
         checked_values(sol.values, f"solution of {kind!r}", SolveError)
     sol_dir = Path(outdir) / "solutions"
     sol_dir.mkdir(parents=True, exist_ok=True)
@@ -360,8 +358,7 @@ def stage_solve(config: ScenarioConfig, outdir: Path,
     _bind_deferred()
     kinds = config.selected_kinds(only)
     for kind in kinds:
-        for suffix in (".json", ".npz"):
-            (Path(outdir) / "solutions" / f"{kind}{suffix}").unlink(missing_ok=True)
+        _drop_solution(outdir, kind)
 
     def run(kind: str) -> Solution:
         fo = load_built_model(outdir, kind)
@@ -393,10 +390,10 @@ def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
 
     Each Solution carries its header's fields, the audit among them.
     Raises ConfigError, naming the file, if a header is missing, is not
-    JSON (``read_json``), still holds its values inline (the format before
-    the ``.npz`` values file; there is no reader for it), is no
-    ``milp.SolutionHeader`` under the rules of its fields (``from_json``),
-    or if the values file of an ok solution is missing or damaged.
+    JSON (``read_json``) or is no ``milp.Solution`` under the rules of its
+    fields (``from_json``; a header that holds its values inline, the format
+    before the ``.npz`` values file, has an unknown key), or if the values
+    file of an ok solution is missing or damaged.
     """
     _bind_deferred()
     out = {}
@@ -405,14 +402,8 @@ def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
         path = sol_dir / f"{kind}.json"
         if not path.exists():
             raise ConfigError(f"no solution on disk for {kind!r} (expected {path})")
-        doc = read_json(path, "solution header", ConfigError)
-        if "values" in doc:
-            raise ConfigError(f"{path} holds its values inline, an old solution "
-                              f"format; solve {kind!r} again")
-        head = from_json(SolutionHeader, doc, f"solution header {path}", ConfigError)
-        sol = Solution(head.status)
-        for f in fields(SolutionHeader):
-            setattr(sol, f.name, getattr(head, f.name))
+        sol = from_json(Solution, read_json(path, "solution header", ConfigError),
+                        f"solution header {path}", ConfigError)
         values = sol_dir / f"{kind}.npz"
         if values.exists():
             try:

@@ -3,7 +3,7 @@ import pytest
 
 from storagg import (ThermalUnit, StorageUnit, Network, OperatingConfig,
                      PowerSystem, TimeHorizonData, SHORT_TERM,
-                     StateClustering, RepPeriodClustering, build_matrices)
+                     StateClustering, RepPeriodClustering, build_matrices, Solution)
 
 
 def make_thermal(uid="g1", bus="b1", marginal=10.0, commit=2.0, start=50.0,
@@ -74,6 +74,14 @@ def manual_matrices(assignment, window, day_assignment=(0,)):
     s, r = int(np.max(assignment)) + 1, int(np.max(day_assignment)) + 1
     return build_matrices(manual_states(assignment, np.zeros(s)),
                           manual_rp(day_assignment, np.zeros(r)), window)
+
+
+def make_solution(status, objective=None, values=None, **header):
+    """A Solution with ``values``; header fields not named are empty."""
+    sol = Solution(status, objective, **{"gap": 0.0, "wall_seconds": 0.0, "message": "",
+                                         "audit": {}, **header})
+    sol.values = dict(values or {})
+    return sol
 
 
 def manual_rp(day_assignment, medoid_days):

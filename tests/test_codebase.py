@@ -260,14 +260,19 @@ def test_one_door_from_json_to_a_record():
 def test_records_carry_their_own_rules():
     """A value's range is a rule of the field it fills (its ``"range"``
     metadata), so the door from JSON takes no rule table, the scenario's and
-    the solution header's tables are gone, and the solution header is
-    declared in ``milp`` beside the Solution it stores."""
+    the solution header's tables are gone, and each run file has one record:
+    a solution header is its ``Solution`` and a sidecar's ``meta`` its
+    ``ModelMeta``, with no second description and no dict read by key."""
     from storagg.system import _check_types, from_json
-    assert sites(defines_or_reads("_RANGES", "SOLUTION_RULES"), [SRC, REPO / "tests"]) == set()
+    gone = defines_or_reads("_RANGES", "SOLUTION_RULES", "SolutionHeader", "SidecarMeta")
+    assert sites(gone, [SRC, REPO / "tests"]) == set()
     for door in (from_json, _check_types):
         assert "ranges" not in inspect.signature(door).parameters, door.__name__
-    assert sites(lambda node: isinstance(node, ast.ClassDef) and node.name == "SolutionHeader",
-                 [SRC]) == {("src/storagg/milp.py", "<module>")}
+
+    def meta_by_key(node) -> bool:
+        return isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "meta"
+
+    assert sites(meta_by_key, [SRC]) == set()
 
 
 def test_field_type_without_a_json_test_is_a_type_error():

@@ -4,11 +4,11 @@ import pytest
 from storagg import (build_hm, build_ss, build_rp, build_rp_tmci, solve,
                      expand_solution, detect_violations, compute_prices,
                      attach_prices, count_startups, build_case_result,
-                     compare, aggregate, periods, Solution, ScipySolver)
+                     compare, aggregate, periods, ScipySolver)
 from storagg.evaluation import HourlyExpansion, investment_values
 
 from conftest import (make_thermal, make_battery, make_system, make_data,
-                      manual_states, manual_matrices, manual_rp)
+                      manual_states, manual_matrices, manual_rp, make_solution)
 
 
 def solved(fo):
@@ -289,7 +289,7 @@ def test_count_startups_ignores_free_indicators():
     for label in periods("hm", 6).labels:
         values[f"u_{label}_g1"] = values[f"y_{label}_g1"] = 1.0
         values[f"q_{label}_g1"] = 0.5
-    sol = Solution(status="optimal", objective=0.0, values=values)
+    sol = make_solution("optimal", 0.0, values)
     case = build_case_result(fo, sol, system, data, with_prices=False)
     assert case.startups == {"g1": 0.0}
     # off at the start, the same constant commitment is one start at hour 0
@@ -318,7 +318,7 @@ def test_case_result_refuses_unusable_solution(battery_system, sin_data):
     fo = build_hm(battery_system, sin_data)
     # a stopped solve without an incumbent must not evaluate as all zeros
     with pytest.raises(ValueError, match="'error'"):
-        build_case_result(fo, Solution(status="error"), battery_system, sin_data)
+        build_case_result(fo, make_solution("error"), battery_system, sin_data)
     sol = solved(fo)
     del sol.values["q_p7_gen"]
     with pytest.raises(ValueError, match="q_p7_gen"):
@@ -335,7 +335,7 @@ def test_case_result_refuses_unsolved_pricing_lp(battery_system, sin_data, monke
     def simplex_only(self, model, method="highs", fixed=None):
         if method == "highs":
             return real(self, model, fixed=fixed)
-        return Solution(status="error", message="stub")
+        return make_solution("error", message="stub")
 
     monkeypatch.setattr(ScipySolver, "solve_lp", simplex_only)
     per = periods("hm", 48)
@@ -343,7 +343,7 @@ def test_case_result_refuses_unsolved_pricing_lp(battery_system, sin_data, monke
     with pytest.raises(ValueError, match="'hm' \\(highs-ipm\\).*'error'"):
         compute_prices(fo, sol, battery_system, per, check_degeneracy=True)
     monkeypatch.setattr(ScipySolver, "solve_lp", lambda self, model, method="highs", fixed=None:
-                        Solution(status="infeasible", message="stub"))
+                        make_solution("infeasible", message="stub"))
     with pytest.raises(ValueError, match="'hm' \\(highs\\).*'infeasible'"):
         build_case_result(fo, sol, battery_system, sin_data)
     case = build_case_result(fo, sol, battery_system, sin_data, with_prices=False)

@@ -7,7 +7,7 @@ from storagg import (build_hm, build_ss, build_ss_rfm, build_rp, build_rp_tmci,
                      solve, constraint_families, audit_constraints, periods,
                      aggregate, emit_scenario_template, load_scenario, BUILDER_KINDS,
                      Circuit, Network, StorageUnit, LONG_TERM, compute_isf_from_reactances,
-                     validate_system)
+                     validate_system, ModelMeta)
 from storagg.pipeline import stage_ingest, build_formulation
 
 from conftest import (make_thermal, make_battery, make_system, make_data,
@@ -346,7 +346,7 @@ def test_rp_tmci_checkpoint_chain(battery_system):
     per = periods("rp_tmci", 48, rp=rp)
     hour_map = per.hours[per.pos]
     level = batt.w0
-    for k in fo.meta["checkpoints"]:
+    for k in fo.meta.checkpoints:
         prev = k - 24
         for p in range(prev, k):
             h = hour_map[p]
@@ -403,7 +403,7 @@ def test_meta_carries_time_structure(battery_system, sin_data):
     structure comes from ``periods``: 48 hourly labels of weight 1, the
     end-of-horizon requirement on the last one."""
     fo = build_hm(battery_system, sin_data)
-    assert fo.meta == {"kind": "hm", "invest": False}
+    assert fo.meta == ModelMeta("hm", False)
     per = periods("hm", 48)
     assert per.labels[0] == "p0" and per.hours.tolist() == per.pos.tolist()
     assert per.weights.tolist() == [1] * 48

@@ -20,10 +20,10 @@ import storagg.milp as milp
 from storagg import (MilpModel, ModelError, Solution, write_mps, parse_mps,
                      save_model, load_model, save_solution, load_solution,
                      audit_constraints)
-from storagg.milp import (INF, LE, GE, EQ, OK_STATUSES, SolutionHeader, _delta_planes,
-                         _pack_names)
+from storagg.milp import INF, LE, GE, EQ, OK_STATUSES, _delta_planes, _pack_names
 from storagg.pipeline import SolveError, save_solutions, load_solutions
 
+from conftest import make_solution
 from test_milp import assert_same_arrays, model_state
 
 finite = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5, 1e-300, 1.5e300]) | \
@@ -212,7 +212,7 @@ def test_digit_run_names_round_trip(drawn, data):
     with tempfile.TemporaryDirectory() as tmp:
         save_model(m, Path(tmp) / "m.npz")
         back = load_model(Path(tmp) / "m.npz")
-        save_solution(Solution("optimal", values=vals), Path(tmp) / "s.npz")
+        save_solution(make_solution("optimal", 1.0, vals), Path(tmp) / "s.npz")
         stored = load_solution(Path(tmp) / "s.npz")
     assert back._var_names.blob == m._var_names.blob
     assert back._con_names.blob == m._con_names.blob
@@ -268,7 +268,7 @@ def bits(values: dict) -> list[tuple[str, bytes]]:
 def test_solution_values_round_trip(vals):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.npz"
-        save_solution(Solution("optimal", values=vals), path)
+        save_solution(make_solution("optimal", 1.0, vals), path)
         assert bits(load_solution(path)) == bits(vals)
 
 
@@ -278,14 +278,14 @@ def test_non_finite_solution_values_refused(tmp_path, bad):
     would enter: by ``save_solution`` and ``save_solutions`` before any file
     is written, by ``load_solution`` in a file written by other means, and
     by ``solve_lp`` when it would fix an integer column."""
-    sol = Solution("optimal", objective=1.0, values={"x": 1.0, "u_1": bad})
+    sol = make_solution("optimal", 1.0, {"x": 1.0, "u_1": bad})
     path = tmp_path / "s.npz"
     with pytest.raises(ModelError, match=rf"s\.npz: variable 'u_1' has value {bad}$"):
         save_solution(sol, path)
     with pytest.raises(SolveError, match=rf"solution of 'k': variable 'u_1' has value {bad}$"):
-        save_solutions(tmp_path, {"ok": Solution("infeasible"), "k": sol})
+        save_solutions(tmp_path, {"ok": make_solution("infeasible"), "k": sol})
     assert not path.exists() and not (tmp_path / "solutions").exists()
-    save_solution(Solution("optimal", values={"x": 1.0, "u_1": 1.0}), path)
+    save_solution(make_solution("optimal", 1.0, {"x": 1.0, "u_1": 1.0}), path)
     with np.load(path) as npz:
         arrays = dict(npz)
     arrays["values"][1] = bad
@@ -307,23 +307,23 @@ def solutions(draw):
     vals = draw(st.dictionaries(names, finite, max_size=6))
     if status not in OK_STATUSES and draw(st.booleans()):
         vals = {}
-    return Solution(status=status, values=vals,
-                    objective=draw(values if status in OK_STATUSES else st.none() | values),
-                    gap=draw(st.sampled_from([0.0, 1e-4, INF]) | finite.filter(lambda g: g >= 0)),
-                    wall_seconds=draw(st.floats(0.0, 1e4)),
-                    message=draw(st.text(max_size=12)),
-                    dual_bound=draw(st.none() | values),
-                    nodes=draw(st.none() | st.integers(0, 2**40)),
-                    audit=draw(st.dictionaries(names, st.fixed_dictionaries({
-                        "checked": st.integers(0, 10**6), "max_residual": finite,
-                        "worst": names}), max_size=3)))
+    return make_solution(
+        status, draw(values if status in OK_STATUSES else st.none() | values), vals,
+        gap=draw(st.sampled_from([0.0, 1e-4, INF]) | finite.filter(lambda g: g >= 0)),
+        wall_seconds=draw(st.floats(0.0, 1e4)),
+        message=draw(st.text(max_size=12)),
+        dual_bound=draw(st.none() | values),
+        nodes=draw(st.none() | st.integers(0, 2**40)),
+        audit=draw(st.dictionaries(names, st.fixed_dictionaries({
+            "checked": st.integers(0, 10**6), "max_residual": finite,
+            "worst": names}), max_size=3)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(solutions())
-@example(Solution("time_limit", objective=3.0, values={"x": 1.0}, gap=INF, dual_bound=-INF,
-                  nodes=0, audit={"bal": {"checked": 2, "max_residual": 0.0, "worst": ""}}))
-@example(Solution("infeasible", message="no point"))
+@example(make_solution("time_limit", 3.0, {"x": 1.0}, gap=INF, dual_bound=-INF, nodes=0,
+                       audit={"bal": {"checked": 2, "max_residual": 0.0, "worst": ""}}))
+@example(make_solution("infeasible", message="no point"))
 def test_solution_header_and_values_round_trip(sol):
     """``save_solutions`` -> ``load_solutions`` rebuilds the same Solution:
     header fields exact (-0.0, an inf gap and the audit included), values
@@ -333,8 +333,8 @@ def test_solution_header_and_values_round_trip(sol):
         back = load_solutions(Path(tmp), ["k"])["k"]
     # JSON text with sorted keys tells -0.0 from 0.0 and 1 from 1.0, as repr
     # does, but not the key order of the audit, which the file sorts
-    header = [f.name for f in fields(SolutionHeader)]
-    assert "audit" in header
+    header = [f.name for f in fields(Solution) if f.init]
+    assert "audit" in header and "values" not in header
     assert [json.dumps(getattr(back, key), sort_keys=True) for key in header] == \
         [json.dumps(getattr(sol, key), sort_keys=True) for key in header]
     assert bits(back.values) == bits(sol.values)
@@ -342,29 +342,29 @@ def test_solution_header_and_values_round_trip(sol):
 
 @st.composite
 def any_solutions(draw):
-    """Any Solution the type allows: an unknown status, an ok one without an
-    objective, a NaN objective or dual bound, a negative or NaN gap or wall
-    time, a negative node count, a value that is not finite and a value
-    named with a newline among them."""
-    return Solution(status=draw(st.sampled_from(STATUSES + ("bogus",))),
-                    values=draw(st.dictionaries(st.text(max_size=3),
-                                                values | st.just(float("nan")), max_size=4)),
-                    objective=draw(st.none() | values | st.just(float("nan"))),
-                    gap=draw(st.floats() | st.sampled_from([0.0, INF])),
-                    wall_seconds=draw(st.floats() | st.just(0.0)),
-                    message=draw(st.text(max_size=8)),
-                    dual_bound=draw(st.none() | values | st.just(float("nan"))),
-                    nodes=draw(st.none() | st.integers(-2, 5)))
+    """Any Solution the type allows: an unknown status, a NaN objective or
+    dual bound, a negative or NaN gap or wall time, a negative node count, a
+    value that is not finite and a value named with a newline among them.
+    An ok one without an objective is refused at construction."""
+    status = draw(st.sampled_from(STATUSES + ("bogus",)))
+    objective = values | st.just(float("nan"))
+    return make_solution(
+        status, draw(objective if status in OK_STATUSES else st.none() | objective),
+        draw(st.dictionaries(st.text(max_size=3), values | st.just(float("nan")), max_size=4)),
+        gap=draw(st.floats() | st.sampled_from([0.0, INF])),
+        wall_seconds=draw(st.floats() | st.just(0.0)),
+        message=draw(st.text(max_size=8)),
+        dual_bound=draw(st.none() | values | st.just(float("nan"))),
+        nodes=draw(st.none() | st.integers(-2, 5)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(any_solutions())
-@example(Solution("optimal", values={"x": 1.0}))
-@example(Solution("infeasible", gap=-1.0))
-@example(Solution("bogus"))
-@example(Solution("optimal", objective=1.0, nodes=-1))
-@example(Solution("error", values={"a\nb": 1.0}))
-@example(Solution("optimal", objective=1.0, values={"x": INF}))
+@example(make_solution("infeasible", gap=-1.0))
+@example(make_solution("bogus"))
+@example(make_solution("optimal", 1.0, nodes=-1))
+@example(make_solution("error", values={"a\nb": 1.0}))
+@example(make_solution("optimal", 1.0, {"x": INF}))
 def test_every_solution_round_trips_or_is_refused_at_write(sol):
     """``save_solutions`` either writes a Solution that ``load_solutions``
     gives back equal, or refuses it, naming the kind, before writing any
@@ -403,7 +403,7 @@ def _tampered_solution(arrays):
 
 def test_solution_file_refusals(tmp_path):
     path = tmp_path / "s.npz"
-    save_solution(Solution("optimal", values={"a1": 1.0, "b2": -0.0}), path)
+    save_solution(make_solution("optimal", 1.0, {"a1": 1.0, "b2": -0.0}), path)
     with np.load(path) as npz:
         arrays = dict(npz)
     for case, bad in _tampered_solution(arrays):
@@ -422,7 +422,7 @@ def test_solution_file_refusals(tmp_path):
         load_solution(tmp_path / "bad.npz")
     assert "allow_pickle" not in str(info.value)
     with pytest.raises(ModelError, match="newline"):
-        save_solution(Solution("optimal", values={"a": 1.0, "b\nc": 2.0}), path)
+        save_solution(make_solution("optimal", 1.0, {"a": 1.0, "b\nc": 2.0}), path)
 
 
 def merged_rows(num_rows, entries):

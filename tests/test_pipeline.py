@@ -16,12 +16,13 @@ import pytest
 import storagg
 from storagg import (emit_scenario_template, load_scenario, save_scenario,
                      run_pipeline, load_system, load_horizon, validate_system,
-                     ConfigError, SolveError, ScenarioConfig, Solution, write_mps,
+                     ConfigError, SolveError, ScenarioConfig, ModelMeta, Solution, write_mps,
                      write_registry, load_model, save_model)
 from storagg.cli import main as cli_main, build_parser
 from storagg.pipeline import stage_ingest, stage_cluster, stage_build, \
     stage_solve, stage_report, load_built_model, save_solutions, load_solutions
 
+from conftest import make_solution
 from test_milp import _parent_layout
 
 
@@ -331,11 +332,59 @@ def test_built_model_reloads_from_disk(run_result):
     _, outdir, result = run_result
     fo = load_built_model(outdir, "ss")
     assert fo.kind == "ss"
-    assert fo.meta == result.outputs["ss"].meta == {"kind": "ss", "invest": False}
+    assert fo.meta == result.outputs["ss"].meta == ModelMeta("ss", False)
     assert fo.registry == result.outputs["ss"].registry
     sol = load_solutions(outdir, ["ss"])["ss"]
     assert sol.objective == pytest.approx(result.cases["ss"].objective,
                                           rel=1e-6)
+
+
+def test_run_files_are_their_records(run_result, tmp_path):
+    """Each solution header is its Solution's init fields and each sidecar's
+    ``meta`` its ModelMeta: read through ``from_json`` and written back,
+    every kind's file gives the same JSON, and the sidecar the same bytes.
+    The duals are no header field, so a header holding them is refused."""
+    _, outdir, _ = run_result
+    from_json, to_json = storagg.system.from_json, storagg.system.to_json
+    for kind in storagg.BUILDER_KINDS:
+        header = json.loads((outdir / "solutions" / f"{kind}.json").read_text())
+        assert to_json(from_json(Solution, header, kind, ConfigError)) == header
+        with pytest.raises(ConfigError, match=f"^{kind}: unknown key 'duals'$"):
+            from_json(Solution, header | {"duals": {}}, kind, ConfigError)
+        side = outdir / "models" / f"{kind}.registry.json"
+        meta = from_json(ModelMeta, json.loads(side.read_text())["meta"], kind, ConfigError)
+        assert meta == load_built_model(outdir, kind).meta
+        write_registry(load_model(outdir / "models" / f"{kind}.npz"), tmp_path / "m.json", meta)
+        assert (tmp_path / "m.json").read_bytes() == side.read_bytes()
+
+
+def test_an_ok_solution_needs_an_objective():
+    """A Solution is made with every field its header file requires, and
+    an ok one without an objective is refused when it is made."""
+    with pytest.raises(TypeError):
+        Solution("optimal")
+    with pytest.raises(ValueError, match="objective must be a number for status 'optimal'"):
+        Solution("optimal", None, 0.0, 0.0, "", {})
+
+
+def test_rebuild_drops_the_old_solution(tmp_path):
+    """Building a kind removes its solution files: a 7-day ``ss`` built
+    where a 14-day one was solved has no solution to be evaluated as its
+    own."""
+    out = tmp_path / "out"
+    for days in (14, 7):
+        config = load_scenario(emit_scenario_template(tmp_path / f"scen{days}", days=days,
+                                                      seed=4))
+        config.gap = 1e-3
+        system, data = stage_ingest(config)
+        art = stage_cluster(system, data, config, out)
+        stage_build(system, data, art, config, out, only=["ss"])
+        if days == 14:
+            stage_solve(config, out, only=["ss"])
+            assert load_solutions(out, ["ss"])["ss"].ok
+    assert not list((out / "solutions").iterdir())
+    with pytest.raises(ConfigError, match="no solution on disk for 'ss'"):
+        load_solutions(out, ["ss"])
 
 
 def test_solutions_describe_status(run_result):
@@ -373,8 +422,8 @@ def test_failed_solve_leaves_no_values_file(tmp_path):
     """A solution without values writes no values file and removes one an
     earlier solve left, so the header's status is never paired with stale
     values."""
-    save_solutions(tmp_path, {"ss": Solution("optimal", objective=1.0, values={"x": 1.0})})
-    save_solutions(tmp_path, {"ss": Solution("infeasible")})
+    save_solutions(tmp_path, {"ss": make_solution("optimal", 1.0, {"x": 1.0})})
+    save_solutions(tmp_path, {"ss": make_solution("infeasible")})
     assert not (tmp_path / "solutions" / "ss.npz").exists()
     assert load_solutions(tmp_path, ["ss"])["ss"].values == {}
 
@@ -383,8 +432,8 @@ def test_save_solutions_refuses_newline_name_before_any_write(tmp_path):
     """A variable name holding a newline, in the second of two kinds, is a
     SolveError naming that kind and the name before either kind's files
     are written."""
-    ok = Solution("optimal", objective=1.0, values={"x": 1.0})
-    bad = Solution("optimal", objective=1.0, values={"a\nb": 1.0})
+    ok = make_solution("optimal", 1.0, {"x": 1.0})
+    bad = make_solution("optimal", 1.0, {"a\nb": 1.0})
     with pytest.raises(SolveError, match=r"solution of 'b': variable name 'a\\nb' contains a newline"):
         save_solutions(tmp_path, {"a": ok, "b": bad})
     assert not list(tmp_path.rglob("*.*"))
@@ -392,10 +441,11 @@ def test_save_solutions_refuses_newline_name_before_any_write(tmp_path):
 
 def test_load_solutions_refusals(tmp_path):
     """A missing header key, a header that is not JSON or still holds its
-    values inline, and a missing or damaged values file of an ok solution
-    are input errors naming the file; there is no fallback reader."""
+    values (or any duals) inline, and a missing or damaged values file of an
+    ok solution are input errors naming the file; there is no fallback
+    reader."""
     sol_dir = tmp_path / "solutions"
-    save_solutions(tmp_path, {"ss": Solution("optimal", objective=1.0, values={"x": 1.0})})
+    save_solutions(tmp_path, {"ss": make_solution("optimal", 1.0, {"x": 1.0})})
     header = json.loads((sol_dir / "ss.json").read_text())
     for key in ("status", "objective", "gap", "wall_seconds", "message"):
         (sol_dir / "ss.json").write_text(json.dumps({k: v for k, v in header.items() if k != key}))
@@ -404,9 +454,11 @@ def test_load_solutions_refusals(tmp_path):
     (sol_dir / "ss.json").write_text("{")
     with pytest.raises(ConfigError, match=r"ss\.json: not a solution header: not valid JSON"):
         load_solutions(tmp_path, ["ss"])
-    (sol_dir / "ss.json").write_text(json.dumps(dict(header, values={"x": 1.0})))
-    with pytest.raises(ConfigError, match=r"ss\.json holds its values inline"):
-        load_solutions(tmp_path, ["ss"])
+    for key in ("values", "duals"):
+        (sol_dir / "ss.json").write_text(json.dumps(dict(header, **{key: {"x": 1.0}})))
+        with pytest.raises(ConfigError, match=rf"ss\.json: unknown key '{key}'") as err:
+            load_solutions(tmp_path, ["ss"])
+        assert err.value.exit_code == 2
     (sol_dir / "ss.json").write_text(json.dumps(header))
     (sol_dir / "ss.npz").write_bytes(b"damaged")
     with pytest.raises(ConfigError, match=r"ss\.npz: not a solution file"):
@@ -420,7 +472,7 @@ def test_load_solutions_refuses_mistyped_header(tmp_path):
     """A header value of the wrong type is an input error naming the file
     and the key, not a TypeError in a later stage."""
     sol_dir = tmp_path / "solutions"
-    save_solutions(tmp_path, {"ss": Solution("optimal", objective=1.0, values={"x": 1.0})})
+    save_solutions(tmp_path, {"ss": make_solution("optimal", 1.0, {"x": 1.0})})
     header = json.loads((sol_dir / "ss.json").read_text())
     for key, bad in (("status", 1), ("objective", "abc"), ("gap", None),
                      ("wall_seconds", "slow"), ("wall_seconds", True), ("message", None)):
@@ -759,7 +811,7 @@ def test_cli_evaluate_of_failed_solution_exits_3(tmp_path):
     for cmd in (("cluster", cfg, "-o", str(out)),
                 ("build", cfg, "-o", str(out), "--only", "ss")):
         assert run_cli(*cmd).returncode == 0, cmd
-    save_solutions(out, {"ss": Solution("error", message="Time limit reached")})
+    save_solutions(out, {"ss": make_solution("error", message="Time limit reached")})
     proc = run_cli("evaluate", cfg, "-o", str(out), "--only", "ss", "--no-prices")
     assert proc.returncode == 3, proc.stderr
     assert "status 'error'" in proc.stderr and "Traceback" not in proc.stderr
@@ -1268,10 +1320,10 @@ def test_bench_call_shapes_bind():
     m = storagg.MilpModel("m")
     m.add_var("x", integer=True)
     m.add_con("c_0", {"x": 2.0}, "<=", 1.0)
-    fo = storagg.FormulationOutput(model=m, meta={"kind": "m"})
+    fo = storagg.FormulationOutput(model=m, meta=storagg.ModelMeta("m", False))
     assert [(v.name, v.integer) for v in fo.model.variables] == [("x", True)]
     assert [(con.name, con.idx) for con in fo.model.constraints] == [("c_0", [0])]
     assert (m.num_vars, m.num_cons, len(m.to_arrays()), fo.registry) == (1, 1, 7, ("x",))
-    sol = storagg.Solution(status="optimal")
+    sol = storagg.Solution("optimal", 1.0, 0.0, 0.0, "", {})
     assert (sol.status, sol.gap, sol.objective, sol.message, sol.values) == \
-        ("optimal", 0.0, None, "", {})
+        ("optimal", 0.0, 1.0, "", {})
