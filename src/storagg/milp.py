@@ -20,23 +20,22 @@ rhs).  ``variables`` and ``constraints`` are read-only views that build a
 buffers out, transposing the matrix from read-only views of them (``_csr``).
 
 Columns and rows enter a model only through ``add_vars`` and ``add_rows``,
-a block at a time; ``add_var`` and ``add_con`` are their one-entry forms,
-the latter addressing columns by name.  The variable names and the row
-names are each kept packed: one newline-joined UTF-8 blob, the form
-``save_model`` writes, so a name costs its bytes and a separator, not a
-Python string.  One name is read through an offsets array built on first
-positional access; bulk readers (solution values, duals, the audit, MPS
-export) decode the whole blob once per call; ``var_names`` shares it, so
-comparing two models' names compares bytes.  A model keeps no name ->
-position mapping and an addition does not check that its names are new:
-the builders' names are distinct by construction.  Names are checked to be
-distinct where they become keys, by ``_keyed`` alone: a solve's values and
-duals, an MPS file, a solution values file and ``add_con``'s lookup.  A
-model file stores each name blob split into a template and its digit runs,
-and the CSR index arrays as first differences (see "array files" below);
-loading rebuilds the same blobs and buffers.  The sidecar written next to a
-model file (``write_registry``) carries the model's name and its metadata
-only, as compact JSON.
+a block at a time, a row addressing its columns by the positions
+``add_vars`` returns.  The variable names and the row names are each kept
+packed: one newline-joined UTF-8 blob, the form ``save_model`` writes, so a
+name costs its bytes and a separator, not a Python string.  One name is
+read through an offsets array built on first positional access; bulk
+readers (solution values, duals, the audit, MPS export) decode the whole
+blob once per call; ``var_names`` shares it, so comparing two models' names
+compares bytes.  A model keeps no name -> position mapping and an addition
+does not check that its names are new: the builders' names are distinct by
+construction.  Names are checked to be distinct where they become keys, by
+``_keyed`` alone: a solve's values and duals, an MPS file and a solution
+values file.  A model file stores each name blob split into a template and
+its digit runs, and the CSR index arrays as first differences (see "array
+files" below); loading rebuilds the same blobs and buffers.  The sidecar
+written next to a model file (``write_registry``) carries the model's name
+and its metadata only, as compact JSON.
 
 scipy loads at a process's first matrix build (``to_arrays``, the audit,
 ``write_mps``) or solve, not at import, so the stages that never solve do
@@ -275,26 +274,6 @@ class MilpModel:
         self._indptr.frombytes(ends.astype(np.int64).tobytes())
         self._sense += code
         self._rhs.frombytes(rhs.tobytes())
-
-    def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
-                obj: float = 0.0, integer: bool = False) -> str:
-        self.add_vars([name], lb, ub, obj, integer)
-        return name
-
-    def add_con(self, name: str, terms, sense: str, rhs: float) -> str:
-        """One row over named variables: ``terms`` maps or pairs names with
-        coefficients, looked up through a dict built on each call.  Raises
-        ModelError on a variable that is not in the model and has a non-zero
-        coefficient, or if a variable name of the model repeats."""
-        items = list(terms.items() if isinstance(terms, dict) else terms)
-        names = self._var_names.tolist()
-        index = _keyed(names, range(len(names)), "variable")
-        for var, coef in items:
-            if coef != 0.0 and var not in index:
-                raise ModelError(f"constraint {name!r} references unknown variable {var!r}")
-        self.add_rows([name], np.zeros(len(items)), [index.get(var, -1) for var, _ in items],
-                      [coef for _, coef in items], sense, rhs)
-        return name
 
     # -- introspection ------------------------------------------------------
 
@@ -572,6 +551,8 @@ def _reading(path, spec: dict, what: str):
         missing = [key for key in spec if key not in npz.files]
     except (AttributeError, ValueError, zipfile.BadZipFile):
         raise ModelError(f"{path}: not a {what} file: not an .npz archive") from None
+    except OSError as exc:                     # e.g. a directory
+        raise ModelError(f"{path}: not a {what} file: {exc.strerror or exc}") from None
     with npz:
         if missing:
             raise ModelError(f"{path}: not a {what} file: it lacks {', '.join(missing)}")

@@ -36,8 +36,10 @@ does not repeat it.  A damaged artifacts file or sidecar is an input error
 JSON header, the ``milp.Solution`` record itself (the audit among its
 fields), beside its values as arrays, and ``load_solutions`` rebuilds it
 from the two.  Building a kind removes its solution files, so an earlier
-model's solution is never evaluated as the new model's.  No stage
-writes MPS: ``milp.write_mps`` is a library export only.
+model's solution is never evaluated as the new model's; clustering removes
+every kind's model and solution files, and a report every kind's hourly
+series before it writes its own.  No stage writes MPS: ``milp.write_mps``
+is a library export only.
 
 Set-up (``emit_scenario_template``, ``load_scenario``, ``stage_ingest``)
 runs on ``timeseries`` and ``system`` alone, and no other storagg module
@@ -215,15 +217,16 @@ def stage_ingest(config: ScenarioConfig) -> tuple[PowerSystem, TimeHorizonData]:
                             config.path(config.inflows),
                             nodes=system.nodes,
                             storage_ids=system.storage_ids)
-    except (DataFormatError, FileNotFoundError) as exc:
+    except DataFormatError as exc:
         raise ConfigError(f"time series: {exc}")
     return system, data
 
 
 def stage_cluster(system: PowerSystem, data: TimeHorizonData,
                   config: ScenarioConfig, outdir: Path) -> AggregationArtifacts:
-    """Cluster and save ``agg/artifacts.json``; counts the series cannot
-    support (e.g. more representative days than days) are a ConfigError."""
+    """Cluster and save ``agg/artifacts.json``, removing every kind's model
+    and solution files first; counts the series cannot support (e.g. more
+    representative days than days) are a ConfigError."""
     _bind_deferred()
     try:
         artifacts = aggregate(
@@ -232,6 +235,8 @@ def stage_cluster(system: PowerSystem, data: TimeHorizonData,
             has_short_term_storage=bool(system.short_term_storage))
     except AggregationError as exc:
         raise ConfigError(f"clustering: {exc}") from None
+    for where in ("models", "solutions"):
+        _drop_kind_files(outdir, where, BUILDER_KINDS)
     agg_dir = outdir / "agg"
     agg_dir.mkdir(parents=True, exist_ok=True)
     save_artifacts(artifacts, agg_dir / "artifacts.json")
@@ -269,10 +274,20 @@ def build_formulation(kind: str, system: PowerSystem, data: TimeHorizonData,
     return fo
 
 
-def _drop_solution(outdir: Path, kind: str) -> None:
-    """Remove ``kind``'s solution files, so none is read as a later model's."""
-    for suffix in (".json", ".npz"):
-        (Path(outdir) / "solutions" / f"{kind}{suffix}").unlink(missing_ok=True)
+# each kind's files under a run directory's subdirectories; a plain hourly
+# .csv is an older run's
+_KIND_FILES = {"models": ("{}.npz", "{}.registry.json"), "solutions": ("{}.json", "{}.npz"),
+               "report": ("hourly_{}.csv", "hourly_{}.csv.gz")}
+
+
+def _drop_kind_files(outdir: Path, where: str, kinds) -> None:
+    """Remove ``kinds``' files under ``outdir/where``: none outlives its inputs."""
+    try:
+        for kind in kinds:
+            for pattern in _KIND_FILES[where]:
+                (Path(outdir) / where / pattern.format(kind)).unlink(missing_ok=True)
+    except OSError as exc:                         # e.g. a directory
+        raise ConfigError(f"{exc.filename}: cannot remove: {exc.strerror}") from None
 
 
 def stage_build(system: PowerSystem, data: TimeHorizonData,
@@ -285,7 +300,7 @@ def stage_build(system: PowerSystem, data: TimeHorizonData,
     outputs: dict[str, FormulationOutput] = {}
     for kind in kinds:
         fo = build_formulation(kind, system, data, artifacts, config)
-        _drop_solution(outdir, kind)
+        _drop_kind_files(outdir, "solutions", [kind])
         save_model(fo.model, models_dir / f"{kind}.npz")
         write_registry(fo.model, models_dir / f"{kind}.registry.json", meta=fo.meta)
         outputs[kind] = fo
@@ -357,8 +372,7 @@ def stage_solve(config: ScenarioConfig, outdir: Path,
     none of an earlier solve to be evaluated as if current."""
     _bind_deferred()
     kinds = config.selected_kinds(only)
-    for kind in kinds:
-        _drop_solution(outdir, kind)
+    _drop_kind_files(outdir, "solutions", kinds)
 
     def run(kind: str) -> Solution:
         fo = load_built_model(outdir, kind)
@@ -515,6 +529,7 @@ def stage_report(system: PowerSystem, cases: dict[str, CaseResult],
                  reports: dict[str, EvaluationReport], outdir: Path) -> Path:
     rep_dir = Path(outdir) / "report"
     rep_dir.mkdir(parents=True, exist_ok=True)
+    _drop_kind_files(outdir, "report", BUILDER_KINDS)
 
     summary = {
         kind: asdict(SummaryBlock(
@@ -550,8 +565,6 @@ def stage_report(system: PowerSystem, cases: dict[str, CaseResult],
         with open(path, "wb") as fh, gzip.GzipFile(filename="", mode="wb", fileobj=fh,
                                                    mtime=0, compresslevel=6) as gz:
             gz.write(_hourly_csv(case.expansion).encode())
-        # a plain CSV left by an older run would be a second, stale series
-        (rep_dir / f"hourly_{kind}.csv").unlink(missing_ok=True)
     return rep_dir
 
 

@@ -267,6 +267,8 @@ def read_json(path, what: str, error: type[Exception]) -> dict:
             doc = json.load(fh)
     except FileNotFoundError:
         reason = "not found"
+    except OSError as exc:                 # e.g. a directory
+        reason = exc.strerror or str(exc)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         reason = f"not valid JSON ({exc})"
     else:

@@ -108,14 +108,16 @@ def _read_table(path: Path, expected_columns: list[str] | None) -> tuple[list[st
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"{path}: file not found")
-    with open(path, newline="") as fh:
-        try:
+    try:
+        with open(path, newline="") as fh:
             header = next(csv.reader(fh))
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        except csv.Error as exc:              # e.g. a cell beyond the field limit
-            raise DataFormatError(f"{path}: header: {exc}") from None
-        body = fh.read()
+            body = fh.read()
+    except StopIteration:
+        raise DataFormatError(f"{path}: empty file") from None
+    except csv.Error as exc:                  # e.g. a cell beyond the field limit
+        raise DataFormatError(f"{path}: header: {exc}") from None
+    except OSError as exc:                    # e.g. a directory
+        raise DataFormatError(f"{path}: {exc.strerror or exc}") from None
     header = [h.strip() for h in header]
     for i, name in enumerate(header):
         if name in header[:i]:

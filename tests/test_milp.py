@@ -37,13 +37,11 @@ def assert_same_arrays(a, b):
 
 def toy_model():
     m = MilpModel("toy")
-    m.add_var("x", lb=0.0, ub=10.0, obj=5.0)
-    m.add_var("y", lb=-INF, ub=INF, obj=3.0)
-    m.add_var("z", lb=0.0, ub=1.0, obj=7.0, integer=True)
-    m.add_var("w", lb=2.0, ub=2.0, obj=0.0)
-    m.add_con("c1", {"x": 1.0, "y": 2.0, "z": 1.0}, GE, 4.0)
-    m.add_con("c2", {"x": 1.0, "y": -1.0}, EQ, 1.0)
-    m.add_con("c3", {"z": 1.0, "w": 0.5}, LE, 3.0)
+    x, y, z, w = m.add_vars(["x", "y", "z", "w"], lb=[0.0, -INF, 0.0, 2.0],
+                            ub=[10.0, INF, 1.0, 2.0], obj=[5.0, 3.0, 7.0, 0.0],
+                            integer=[False, False, True, False])
+    m.add_rows(["c1", "c2", "c3"], [0, 0, 0, 1, 1, 2, 2], [x, y, z, x, y, z, w],
+               [1.0, 2.0, 1.0, 1.0, -1.0, 1.0, 0.5], [GE, EQ, LE], [4.0, 1.0, 3.0])
     return m
 
 
@@ -85,7 +83,7 @@ def test_duplicate_variable_rejected(tmp_path):
     """A model takes a repeated variable name in; where names become keys it
     is refused, naming it: the values of a MILP or LP solve, an MPS file."""
     m = toy_model()
-    m.add_var("x", ub=1.0)
+    m.add_vars(["x"], ub=1.0)
     for call in (lambda: ScipySolver().solve(m), lambda: ScipySolver().solve_lp(m),
                  lambda: write_mps(m, tmp_path / "m.mps")):
         with pytest.raises(ModelError, match="duplicate variable 'x'"):
@@ -97,7 +95,7 @@ def test_duplicate_constraint_rejected(tmp_path):
     """A model takes a repeated row name in; where row names become keys it
     is refused, naming it: the duals of an LP solve, an MPS file."""
     m = toy_model()
-    m.add_con("c1", {"x": 1.0}, LE, 9.0)
+    m.add_rows(["c1"], [0], [0], [1.0], LE, 9.0)
     for call in (lambda: ScipySolver().solve_lp(m), lambda: write_mps(m, tmp_path / "m.mps")):
         with pytest.raises(ModelError, match="duplicate constraint 'c1'"):
             call()
@@ -140,9 +138,8 @@ def test_non_finite_numbers_refused():
 
 def test_terms_merge_and_drop_zeros():
     m = MilpModel()
-    m.add_var("x")
-    m.add_var("y")
-    m.add_con("c", [("x", 1.0), ("x", 2.0), ("y", 0.0)], LE, 5.0)
+    x, y = m.add_vars(["x", "y"])
+    m.add_rows(["c"], [0, 0, 0], [x, x, y], [1.0, 2.0, 0.0], LE, 5.0)
     con = m.constraints[0]
     assert len(con.idx) == 1           # y's zero coefficient dropped
     assert con.coef[0] == pytest.approx(3.0)
@@ -302,11 +299,13 @@ def test_model_file_round_trip_builds_no_name_index(tmp_path):
     sol = solve(back)
     audit_constraints(back, sol.values)
     assert back.variables[back.var_names.index("z")].integer
-    back.add_con("c4", {"x": 1.0}, LE, 9.0)
+    back.add_rows(["c4"], [0], [0], [1.0], LE, 9.0)
     assert back.num_cons == 4
 
 
 def test_reloaded_duplicate_name_raises_on_first_lookup(tmp_path):
+    """A model file whose variable names repeat loads, and its arrays read
+    as stored; the first lookup by name, the solve's values, refuses it."""
     path = tmp_path / "dup.npz"
     save_model(toy_model(), path)
     with np.load(path) as npz:
@@ -316,18 +315,15 @@ def test_reloaded_duplicate_name_raises_on_first_lookup(tmp_path):
     back = load_model(path)
     assert back.to_arrays()[0].tolist() == [5.0, 3.0, 7.0, 0.0]
     with pytest.raises(ModelError, match="duplicate variable 'x'"):
-        back.add_con("c4", {"w": 1.0}, LE, 1.0)
-    assert back.num_cons == 3
+        solve(back)
 
 
 def _numbered_model():
     """A model whose variable names hold digit runs: ``v7``, ``v07`` and
     ``v10``."""
     m = MilpModel("numbered")
-    for name in ("v7", "v07", "v10"):
-        m.add_var(name, ub=1.0)
-    m.add_con("r1", {"v7": 1.0, "v10": 1.0}, LE, 1.0)
-    m.add_con("r2", {"v07": 1.0}, GE, 0.0)
+    v7, v07, v10 = m.add_vars(["v7", "v07", "v10"], ub=1.0)
+    m.add_rows(["r1", "r2"], [0, 0, 1], [v7, v10, v07], [1.0, 1.0, 1.0], [LE, GE], [1.0, 0.0])
     return m
 
 
@@ -388,7 +384,7 @@ def test_model_file_refuses_crossed_bounds(tmp_path):
     load, naming the entry, as ``add_vars`` refuses it; it is not left for
     the solve to report as infeasible."""
     m = MilpModel()
-    m.add_var("x", 0.0, 1.0, obj=1.0)
+    m.add_vars(["x"], 0.0, 1.0, obj=1.0)
     path = tmp_path / "m.npz"
     save_model(m, path)
     with np.load(path) as npz:
@@ -423,12 +419,12 @@ def test_model_file_refuses_newline_in_name(tmp_path):
     """A newline separates the names of a model file, so the model refuses
     it when the name is added and stays as it was."""
     m = MilpModel()
-    m.add_var("x")
+    m.add_vars(["x"])
     with pytest.raises(ModelError, match="newline"):
-        m.add_var("bad\nname")
+        m.add_vars(["bad\nname"])
     m = toy_model()
     with pytest.raises(ModelError, match="newline"):
-        m.add_con("row\n2", {"x": 1.0}, LE, 1.0)
+        m.add_rows(["row\n2"], [0], [0], [1.0], LE, 1.0)
     save_model(m, tmp_path / "m.npz")
     back = load_model(tmp_path / "m.npz")
     assert back.var_names == ("x", "y", "z", "w") and back.num_cons == 3
@@ -601,11 +597,11 @@ def test_var_names_is_a_packed_snapshot(tmp_path):
         hash(names)
     save_model(m, tmp_path / "toy.npz")
     assert load_model(tmp_path / "toy.npz").var_names == names
-    m.add_var("v")
+    m.add_vars(["v"])
     assert names == ("x", "y", "z", "w")
     assert m.var_names == ("x", "y", "z", "w", "v") != names
     one_empty, none = MilpModel(), MilpModel()
-    one_empty.add_var("")
+    one_empty.add_vars([""])
     assert one_empty.var_names != none.var_names and one_empty.var_names == ("",)
 
 
@@ -616,10 +612,9 @@ def test_var_names_is_a_packed_snapshot(tmp_path):
 def test_solve_lp_optimum():
     # min 5x + 3y, x + 2y >= 4, x - y = 1 -> x = 2, y = 1
     m = MilpModel()
-    m.add_var("x", obj=5.0)
-    m.add_var("y", obj=3.0)
-    m.add_con("c1", {"x": 1.0, "y": 2.0}, GE, 4.0)
-    m.add_con("c2", {"x": 1.0, "y": -1.0}, EQ, 1.0)
+    x, y = m.add_vars(["x", "y"], obj=[5.0, 3.0])
+    m.add_rows(["c1", "c2"], [0, 0, 1, 1], [x, y, x, y], [1.0, 2.0, 1.0, -1.0], [GE, EQ],
+               [4.0, 1.0])
     sol = solve(m)
     assert sol.ok
     assert sol.objective == pytest.approx(13.0)
@@ -629,9 +624,8 @@ def test_solve_lp_optimum():
 def test_solve_knapsack():
     # max 10a + 6b + 4c st 5a + 4b + 3c <= 9 -> a + b fits exactly, value 16
     m = MilpModel()
-    for name, val in (("a", 10.0), ("b", 6.0), ("c", 4.0)):
-        m.add_var(name, ub=1.0, obj=-val, integer=True)
-    m.add_con("cap", {"a": 5.0, "b": 4.0, "c": 3.0}, LE, 9.0)
+    j = m.add_vars(["a", "b", "c"], ub=1.0, obj=[-10.0, -6.0, -4.0], integer=True)
+    m.add_rows(["cap"], [0, 0, 0], j, [5.0, 4.0, 3.0], LE, 9.0)
     sol = solve(m)
     assert sol.objective == pytest.approx(-16.0)
     assert round(sol.values["a"]) == 1 and round(sol.values["b"]) == 1
@@ -639,14 +633,14 @@ def test_solve_knapsack():
 
 def test_solve_infeasible_status():
     m = MilpModel()
-    m.add_var("x", ub=1.0)
-    m.add_con("c", {"x": 1.0}, GE, 2.0)
+    x = m.add_vars(["x"], ub=1.0)
+    m.add_rows(["c"], [0], x, [1.0], GE, 2.0)
     assert solve(m).status == "infeasible"
 
 
 def test_solve_unbounded_status():
     m = MilpModel()
-    m.add_var("x", lb=-INF, ub=INF, obj=1.0)
+    m.add_vars(["x"], lb=-INF, ub=INF, obj=1.0)
     status = solve(m).status
     assert status in ("unbounded", "error")   # HiGHS may report either
 
@@ -948,9 +942,8 @@ def test_lp_duals_merit_order():
     """Two supply blocks, one demand row: the balance dual is the marginal
     block's cost, in objective-per-unit-of-rhs terms."""
     m = MilpModel()
-    m.add_var("q1", ub=6.0, obj=5.0)
-    m.add_var("q2", ub=10.0, obj=8.0)
-    m.add_con("bal", {"q1": 1.0, "q2": 1.0}, EQ, 10.0)
+    q = m.add_vars(["q1", "q2"], ub=[6.0, 10.0], obj=[5.0, 8.0])
+    m.add_rows(["bal"], [0, 0], q, [1.0, 1.0], EQ, 10.0)
     sol = ScipySolver().solve_lp(m)
     assert sol.objective == pytest.approx(62.0)
     assert sol.duals["bal"] == pytest.approx(8.0)
@@ -959,22 +952,19 @@ def test_lp_duals_merit_order():
 def test_lp_duals_ge_row_sign():
     # min 5x st x >= 2: raising the rhs raises the objective by 5
     m = MilpModel()
-    m.add_var("x", obj=5.0)
-    m.add_con("floor", {"x": 1.0}, GE, 2.0)
+    x = m.add_vars(["x"], obj=5.0)
+    m.add_rows(["floor"], [0], x, [1.0], GE, 2.0)
     sol = ScipySolver().solve_lp(m)
     assert sol.duals["floor"] == pytest.approx(5.0)
 
     # <=, >= and = rows interleaved: each dual keeps its row's sign and name.
     # Optimum x=4, y=2, z=w=1 is nondegenerate, so the duals are unique.
     m = MilpModel()
-    for name, cost in (("x", 1.0), ("y", 2.0), ("z", 3.0), ("w", 1.0)):
-        m.add_var(name, obj=cost)
-    m.add_con("cap", {"x": 1.0}, LE, 4.0)
-    m.add_con("need", {"x": 1.0, "y": 1.0}, GE, 6.0)
-    m.add_con("fix", {"z": 1.0}, EQ, 1.0)
-    m.add_con("ycap", {"y": 1.0}, LE, 10.0)
-    m.add_con("floor", {"y": 1.0, "z": 1.0}, GE, 2.0)
-    m.add_con("link", {"w": 1.0, "z": -1.0}, EQ, 0.0)
+    x, y, z, w = m.add_vars(["x", "y", "z", "w"], obj=[1.0, 2.0, 3.0, 1.0])
+    m.add_rows(["cap", "need", "fix", "ycap", "floor", "link"],
+               [0, 1, 1, 2, 3, 4, 4, 5, 5], [x, x, y, z, y, y, z, w, z],
+               [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0],
+               [LE, GE, EQ, LE, GE, EQ], [4.0, 6.0, 1.0, 10.0, 2.0, 0.0])
     sol = ScipySolver().solve_lp(m)
     assert sol.objective == pytest.approx(12.0)
     assert list(sol.duals) == ["cap", "need", "fix", "ycap", "floor", "link"]
@@ -986,10 +976,8 @@ def test_solve_lp_fixed_reprices():
     """Commitment forced on, dual of the balance equals the dispatch cost;
     the integer column is fixed in the LP, not in the model."""
     m = MilpModel()
-    m.add_var("u", ub=1.0, obj=3.0, integer=True)
-    m.add_var("q", obj=20.0)
-    m.add_con("cap", {"q": 1.0, "u": -5.0}, LE, 0.0)
-    m.add_con("bal", {"q": 1.0}, EQ, 2.0)
+    u, q = m.add_vars(["u", "q"], ub=[1.0, INF], obj=[3.0, 20.0], integer=[True, False])
+    m.add_rows(["cap", "bal"], [0, 0, 1], [q, u, q], [1.0, -5.0, 1.0], [LE, EQ], [0.0, 2.0])
     milp_sol = solve(m)
     assert round(milp_sol.values["u"]) == 1
     lp = ScipySolver().solve_lp(m, fixed=dict(milp_sol.values, u=0.9999))
@@ -1015,7 +1003,7 @@ def test_to_arrays_belong_to_the_caller(tmp_path):
 
 def test_solve_lp_fixed_needs_values():
     m = MilpModel()
-    m.add_var("u", ub=1.0, integer=True)
+    m.add_vars(["u"], ub=1.0, integer=True)
     with pytest.raises(ModelError, match="u"):
         ScipySolver().solve_lp(m, fixed={})
 
@@ -1026,10 +1014,9 @@ def test_solve_lp_fixed_needs_values():
 
 def test_constraint_families_grouping():
     m = MilpModel()
-    m.add_var("x")
-    m.add_con("bal_p0_n", {"x": 1.0}, EQ, 1.0)
-    m.add_con("bal_p1_n", {"x": 1.0}, EQ, 1.0)
-    m.add_con("pcap_p0_g", {"x": 1.0}, LE, 2.0)
+    m.add_vars(["x"])
+    m.add_rows(["bal_p0_n", "bal_p1_n", "pcap_p0_g"], [0, 1, 2], [0, 0, 0], [1.0] * 3,
+               [EQ, EQ, LE], [1.0, 1.0, 2.0])
     fams = constraint_families(m)
     assert sorted(fams) == ["bal", "pcap"]
     assert len(fams["bal"]) == 2
@@ -1064,8 +1051,8 @@ def test_audit_residuals_by_sense():
 
 def test_audit_flags_violations():
     m = MilpModel()
-    m.add_var("x")
-    m.add_con("cap_0", {"x": 1.0}, LE, 1.0)
+    m.add_vars(["x"])
+    m.add_rows(["cap_0"], [0], [0], [1.0], LE, 1.0)
     report = audit_constraints(m, {"x": 3.0})
     assert report["cap"]["max_residual"] == pytest.approx(2.0)
     assert report["cap"]["worst"] == "cap_0"
@@ -1075,9 +1062,8 @@ def test_audit_checks_every_row():
     """One violated row among 300 is found wherever it sits; a sample of 100
     rows per family drawn with seed 0 skips row 4."""
     m = MilpModel()
-    for i in range(300):
-        m.add_var(f"x{i}")
-        m.add_con(f"cap_{i}", {f"x{i}": 1.0}, LE, 1.0)
+    x = m.add_vars([f"x{i}" for i in range(300)])
+    m.add_rows([f"cap_{i}" for i in range(300)], np.arange(300), x, np.ones(300), LE, 1.0)
     values = {f"x{i}": 1.0 for i in range(300)}
     values["x4"] = 1.5
     report = audit_constraints(m, values)
@@ -1089,9 +1075,8 @@ def test_audit_sums_rows_in_column_order(tmp_path):
     and to 1 in column order; the audit gives the column-order residual for
     the model as built, as loaded from .npz and as parsed from MPS."""
     m = MilpModel()
-    for name in ("a", "b", "c"):
-        m.add_var(name, lb=-INF)
-    m.add_con("row_0", {"c": 1.0, "a": 1e16, "b": -1e16}, EQ, 1.0)
+    a, b, c = m.add_vars(["a", "b", "c"], lb=-INF)
+    m.add_rows(["row_0"], [0, 0, 0], [c, a, b], [1.0, 1e16, -1e16], EQ, 1.0)
     assert m.constraints[0].idx == [2, 0, 1]
     save_model(m, tmp_path / "m.npz")
     write_mps(m, tmp_path / "m.mps")

@@ -57,17 +57,24 @@ def named_models(draw, unicode_names=False, text=None):
         var_names = draw(st.lists(text, min_size=n, max_size=n, unique=True))
         con_names = draw(st.lists(text, min_size=rows, max_size=rows, unique=True))
         name = draw(st.text(st.characters(codec="utf-8"), max_size=8))
-    m = MilpModel(name)
-    for var in var_names:
+    columns = []                       # (lb, ub, obj, integer) per variable
+    for _ in var_names:
         lb = draw(st.sampled_from([0.0, -INF]) | finite)
         ub = draw(st.sampled_from([1.0, INF, lb]) | finite)
         if ub < lb:
             lb, ub = ub, lb
-        m.add_var(var, lb=lb, ub=ub, obj=draw(finite), integer=draw(st.booleans()))
-    for con in con_names:
+        columns.append((lb, ub, draw(finite), draw(st.booleans())))
+    row, col, val, senses, rhs = [], [], [], [], []
+    for i in range(rows):
         terms = draw(st.lists(st.tuples(st.integers(0, n - 1), finite), max_size=6))
-        m.add_con(con, [(var_names[j], c) for j, c in terms],
-                  draw(st.sampled_from([LE, GE, EQ])), draw(finite))
+        row += [i] * len(terms)
+        col += [j for j, _ in terms]
+        val += [c for _, c in terms]
+        senses.append(draw(st.sampled_from([LE, GE, EQ])))
+        rhs.append(draw(finite))
+    m = MilpModel(name)
+    m.add_vars(var_names, *zip(*columns))
+    m.add_rows(con_names, row, col, val, senses, rhs)
     return m, var_names, con_names
 
 
@@ -120,9 +127,8 @@ def assert_identical_arrays(a, b):
 
 def _negative_zero_objective():
     m = MilpModel("negzero")
-    m.add_var("x", obj=-0.0)
-    m.add_var("y", lb=-0.0, ub=-0.0, obj=1.0)
-    m.add_con("c", {"x": 1.0, "y": -2.0}, GE, -0.0)
+    x, y = m.add_vars(["x", "y"], lb=[0.0, -0.0], ub=[INF, -0.0], obj=[-0.0, 1.0])
+    m.add_rows(["c"], [0, 0], [x, y], [1.0, -2.0], GE, -0.0)
     return m
 
 
@@ -153,9 +159,8 @@ def assert_names(m, var_names, con_names):
 
 def _empty_names():
     m = MilpModel("")
-    for name in ("", "\r", "é"):
-        m.add_var(name)
-    m.add_con("", {"": 1.0}, LE, 1.0)
+    m.add_vars(["", "\r", "é"])
+    m.add_rows([""], [0], [0], [1.0], LE, 1.0)
     return m, ["", "\r", "é"], [""]
 
 
@@ -175,8 +180,8 @@ def test_packed_names_read_back(drawn):
     assert_names(back, var_names, con_names)
     fresh = "+" * (max(map(len, var_names + con_names), default=0) + 1)
     for model in (m, back):
-        model.add_var(fresh)
-        model.add_con(fresh, {fresh: 1.0}, LE, 1.0)
+        j = model.add_vars([fresh])
+        model.add_rows([fresh], [0], j, [1.0], LE, 1.0)
         assert_names(model, var_names + [fresh], con_names + [fresh])
 
 
@@ -184,10 +189,8 @@ def _digit_names():
     names = ["", "0", "007", "1" * 30, "9" * 18, "9" * 19, "\u0663\u0664", "q_p0_0x",
              "a\u0663007b00\U0001d7d8", "12\u00e934"]
     m = MilpModel("m0")
-    for name in names:
-        m.add_var(name)
-    for name in names[:3]:
-        m.add_con(name, {name: 1.0}, LE, 1.0)
+    m.add_vars(names)
+    m.add_rows(names[:3], range(3), range(3), [1.0] * 3, LE, 1.0)
     return m, names, names[:3]
 
 
@@ -293,7 +296,7 @@ def test_non_finite_solution_values_refused(tmp_path, bad):
     with pytest.raises(ModelError, match=rf"s\.npz: variable 'u_1' has value {bad}$"):
         load_solution(path)
     m = MilpModel()
-    m.add_var("u_1", 0.0, 1.0, obj=1.0, integer=True)
+    m.add_vars(["u_1"], 0.0, 1.0, obj=1.0, integer=True)
     with pytest.raises(ModelError, match=rf"provides value {bad} for integer variable 'u_1'"):
         milp.ScipySolver().solve_lp(m, fixed=sol.values)
 

@@ -328,6 +328,17 @@ def test_hourly_report_removes_stale_plain_csv(run_result, tmp_path):
         ["hourly_hm.csv.gz"]
 
 
+def test_report_keeps_only_the_series_it_writes(run_result, tmp_path):
+    """A report removes every kind's hourly series before it writes its
+    own, so a report of ``ss`` alone, after one of every kind, holds the
+    ``ss`` series beside its summary and nothing else."""
+    _, _, result = run_result
+    stage_report(result.system, result.cases, result.reports, tmp_path)
+    stage_report(result.system, {"ss": result.cases["ss"]}, {}, tmp_path)
+    assert sorted(p.name for p in (tmp_path / "report").iterdir()) == \
+        ["hourly_ss.csv.gz", "summary.csv", "summary.json"]
+
+
 def test_built_model_reloads_from_disk(run_result):
     _, outdir, result = run_result
     fo = load_built_model(outdir, "ss")
@@ -368,23 +379,42 @@ def test_an_ok_solution_needs_an_objective():
 
 
 def test_rebuild_drops_the_old_solution(tmp_path):
-    """Building a kind removes its solution files: a 7-day ``ss`` built
-    where a 14-day one was solved has no solution to be evaluated as its
-    own."""
+    """Building a kind removes its solution files: an ``ss`` built again
+    where one was solved, with no clustering in between, has no solution
+    to be evaluated as its own."""
     out = tmp_path / "out"
-    for days in (14, 7):
-        config = load_scenario(emit_scenario_template(tmp_path / f"scen{days}", days=days,
-                                                      seed=4))
-        config.gap = 1e-3
-        system, data = stage_ingest(config)
-        art = stage_cluster(system, data, config, out)
-        stage_build(system, data, art, config, out, only=["ss"])
-        if days == 14:
-            stage_solve(config, out, only=["ss"])
-            assert load_solutions(out, ["ss"])["ss"].ok
+    config = load_scenario(emit_scenario_template(tmp_path / "scen", days=14, seed=4))
+    config.gap = 1e-3
+    system, data = stage_ingest(config)
+    art = stage_cluster(system, data, config, out)
+    stage_build(system, data, art, config, out, only=["ss"])
+    stage_solve(config, out, only=["ss"])
+    assert load_solutions(out, ["ss"])["ss"].ok
+    stage_build(system, data, art, config, out, only=["ss"])
     assert not list((out / "solutions").iterdir())
     with pytest.raises(ConfigError, match="no solution on disk for 'ss'"):
         load_solutions(out, ["ss"])
+
+
+def test_recluster_drops_every_kinds_model_and_solution(tmp_path, capsys):
+    """Clustering removes every kind's model and solution files, which were
+    built from the inputs clustered before: after an ``ss`` built and solved
+    on a 14-day series, a 7-day series clustered into the same directory
+    leaves ``evaluate`` no model to report as the new series' (exit 2)."""
+    out = tmp_path / "out"
+    for days in (14, 7):
+        scenario = emit_scenario_template(tmp_path / f"scen{days}", days=days, seed=5)
+        config = load_scenario(scenario)
+        config.gap = 1e-3
+        system, data = stage_ingest(config)
+        art = stage_cluster(system, data, config, out)
+        if days == 14:
+            stage_build(system, data, art, config, out, only=["ss"])
+            stage_solve(config, out, only=["ss"])
+    assert not list((out / "models").iterdir()) and not list((out / "solutions").iterdir())
+    assert cli_main(["evaluate", str(scenario), "-o", str(out), "--only", "ss",
+                     "--no-prices"]) == 2
+    assert "model files for 'ss' not found" in capsys.readouterr().err
 
 
 def test_solutions_describe_status(run_result):
@@ -523,7 +553,7 @@ def test_old_mps_directory_is_refused(tmp_path):
     models = tmp_path / "models"
     models.mkdir()
     m = storagg.MilpModel("ss")
-    m.add_var("x")
+    m.add_vars(["x"])
     write_mps(m, models / "ss.mps")
     write_registry(m, models / "ss.registry.json", meta={"kind": "ss"})
     with pytest.raises(ConfigError, match=r"ss\.npz"):
@@ -698,6 +728,32 @@ def test_cli_config_errors_exit_2(tmp_path):
     proc = run_cli("build", str(tmp_path / "scen3" / "scenario.json"), "-o", str(out))
     assert proc.returncode == 2 and "clusters [48] hours, the series has 72" in proc.stderr
     assert not (out / "models").exists()
+
+
+def test_directory_in_place_of_a_file_exits_2(tmp_path, capsys):
+    """A directory where the scenario, the system file, a series or a model
+    file should be is an input error naming its path: exit 2, no
+    traceback.  So is one ``cluster`` cannot remove as an old model file."""
+    scen = tmp_path / "scen"
+    emit_scenario_template(scen, days=2)
+    assert cli_main(["ingest", str(scen)]) == 2
+    assert f"{scen}: not a scenario file: Is a directory" in capsys.readouterr().err
+    for name, message in (("system.json", "not a system file: Is a directory"),
+                          ("demand.csv", "Is a directory")):
+        bad = tmp_path / "bad"
+        shutil.copytree(scen, bad)
+        (bad / name).unlink()
+        (bad / name).mkdir()
+        assert cli_main(["ingest", str(bad / "scenario.json")]) == 2, name
+        assert f"{bad / name}: {message}" in capsys.readouterr().err
+        shutil.rmtree(bad)
+    with pytest.raises(storagg.ModelError) as info:
+        load_model(tmp_path)
+    assert str(info.value).startswith(f"{tmp_path}: not a model file: ")
+    (tmp_path / "out" / "models" / "ss.npz").mkdir(parents=True)
+    assert cli_main(["cluster", str(scen / "scenario.json"), "-o", str(tmp_path / "out")]) == 2
+    assert f"{tmp_path / 'out' / 'models' / 'ss.npz'}: cannot remove: Is a directory" in \
+        capsys.readouterr().err
 
 
 def test_cli_oversized_csv_cell_exits_2(tmp_path):
@@ -1318,8 +1374,8 @@ def test_bench_call_shapes_bind():
         (0.0, False, {"hm", "ss", "ss_rfm", "rp", "rp_tmci"})
 
     m = storagg.MilpModel("m")
-    m.add_var("x", integer=True)
-    m.add_con("c_0", {"x": 2.0}, "<=", 1.0)
+    x = m.add_vars(["x"], integer=True)
+    m.add_rows(["c_0"], [0], x, [2.0], "<=", 1.0)
     fo = storagg.FormulationOutput(model=m, meta=storagg.ModelMeta("m", False))
     assert [(v.name, v.integer) for v in fo.model.variables] == [("x", True)]
     assert [(con.name, con.idx) for con in fo.model.constraints] == [("c_0", [0])]
