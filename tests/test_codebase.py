@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from storagg import MilpModel
+
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
@@ -110,8 +112,17 @@ def test_one_builder_of_the_hour_chain(name):
         ("src/storagg/formulations/common.py", "hour_chain")}
 
 
-@pytest.mark.parametrize("name", ["add_vars", "add_rows"])
+@pytest.mark.parametrize("name", ["add_var", "add_con"])
 def test_builders_add_in_bulk(name):
+    """The builders tile each period's stencil through ``add_vars`` and
+    ``add_rows``; the one-entry forms are gone from the model, and nothing
+    in the package, the demos or the tests calls them."""
+    assert not hasattr(MilpModel, name)
+    assert call_sites(name, [SRC, REPO / "tests", REPO / "demos"]) == set()
+
+
+@pytest.mark.parametrize("name", ["add_vars", "add_rows"])
+def test_one_way_into_a_model(name):
     """Columns and rows enter a model one way: the builders tile each
     period's stencil through ``add_vars``/``add_rows`` in ``tile_columns``/
     ``tile_rows``, and ``parse_mps`` reads a file through the same pair.  No
@@ -131,6 +142,12 @@ def test_one_composer_of_names():
         ("src/storagg/formulations/common.py", "tile_columns"),
         ("src/storagg/formulations/common.py", "tile_rows"),
         ("src/storagg/evaluation.py", "_read")}
+
+
+def test_call_site_scan_sees_builders():
+    """The scan of the tests above finds the bulk calls they stand beside."""
+    assert ("src/storagg/formulations/common.py", "tile_rows") in \
+        call_sites("add_rows", [SRC / "storagg" / "formulations"])
 
 
 def test_one_home_per_rule():
