@@ -171,7 +171,7 @@ def cmd_evaluate(args) -> int:
     artifacts = _artifacts(args.outdir, data.horizon_hours)
     kinds = config.selected_kinds(args.only)
     outputs = {k: load_built_model(Path(args.outdir), k, data.horizon_hours) for k in kinds}
-    solutions = load_solutions(Path(args.outdir), kinds)
+    solutions = load_solutions(Path(args.outdir), {k: fo.model for k, fo in outputs.items()})
     cases, reports = stage_evaluate(system, data, artifacts, config,
                                     outputs, solutions,
                                     with_prices=not args.no_prices)

@@ -1,20 +1,18 @@
 """Hour-by-hour evaluation of aggregated solutions against the benchmark.
 
 An aggregated solution only carries values per modeled period.  Expansion
-maps those values back onto every real hour of the horizon (each hour copies
-its governing period), rebuilds storage levels, and exposes the series needed
-for error metrics: production, commitment, renewable use and curtailment,
-non-served power, storage levels, and prices.
+copies them onto every real hour of the horizon, rebuilds storage levels,
+and exposes the series the error metrics read: production, commitment,
+renewable use and curtailment, non-served power, storage levels, prices.
 
-Values are read a symbol at a time, as a (labels x ids) block, by the names
-the builders give their columns (``formulations.common.names``, e.g.
-``q_p17_gas``), over the period labels that
-``formulations.common.periods`` derives from the kind and its clustering,
-the layout the builder used; each real hour points at one label index.  The
-startup counts are the positive steps of the expanded hourly commitment and
-the investment values read ``x_<id>``.  A solution that is not usable, or
-lacks a value any of them reads, is refused with ValueError rather than read
-as zeros.
+Values are read a symbol at a time, a (labels x ids) block of the
+solution's ``x`` at the positions the model's layout records
+(``formulations.common.positions``), over the period labels of
+``formulations.common.periods``; each real hour points at one label index,
+and the states family's level shifts are read per move (``state_moves``).
+Startups are the positive steps of the expanded hourly commitment.  A
+solution that is not usable, or holds another count of values than the
+model has columns, is refused with ValueError rather than read as zeros.
 
 Two storage-level series are kept.  ``storage_level`` accumulates the real
 hourly inflows with the expanded charge/discharge decisions, so it shows what
@@ -24,11 +22,10 @@ violations.  ``storage_level_model`` follows each method's own accounting
 profiles for representative days); the gap between the two is reported.
 
 Prices come from the solved model itself, solved again as an LP with its
-integer columns fixed at their solved values (``ScipySolver.solve_lp``
-given those values); the balance-row duals are divided by each period's
-hour weight to yield per-hour values, which map back onto the hours
-through the same period index.  A pricing LP without an
-optimum is a ValueError, never a report without prices.
+integer columns fixed at their solved values (``ScipySolver.solve_lp``);
+the duals of the layout's ``bal`` rows, divided by each period's hour
+weight, map back onto the hours through the same period index.  A pricing
+LP without an optimum is a ValueError, never a report without prices.
 ``compare`` turns the ``hm`` case and one aggregated case into an
 ``EvaluationReport``; callers key the reports by the aggregated kind.
 """
@@ -39,12 +36,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .milp import Solution, ScipySolver, STATUS_OPTIMAL
+from .milp import Solution, ScipySolver, STATUS_OPTIMAL, column_values
 from .system import PowerSystem
 from .timeseries import TimeHorizonData
 from .aggregation import StateClustering, RepPeriodClustering, TransitionMatrices
-from .formulations.common import (FormulationOutput, Periods, periods, move_labels,
-                                  checkpoint_labels, names)
+from .formulations.common import (FormulationOutput, Periods, periods, positions,
+                                  state_moves)
 
 VIOLATION_TOL = 1e-6  # GWh beyond a bound before it counts as a violation
 
@@ -84,18 +81,6 @@ class HourlyExpansion:
         return worst
 
 
-def _read(values: dict[str, float], symbol: str, labels: list[str], ids: list) -> np.ndarray:
-    """The (len(labels), len(ids)) block of ``symbol``'s values, looked up by
-    the names ``names`` gives them (a model re-read from its file carries no
-    column layout; the names are the one key).  A name ``values`` does not
-    carry is an error, never a zero."""
-    try:
-        block = [values[name] for name in names(labels, [(symbol, uid) for uid in ids])]
-    except KeyError as exc:
-        raise ValueError(f"solution has no value for {exc.args[0]!r}") from None
-    return np.array(block, dtype=float).reshape(len(labels), len(ids))
-
-
 def expand_solution(fo: FormulationOutput, solution: Solution, system: PowerSystem,
                     data: TimeHorizonData, states: StateClustering | None = None,
                     rp: RepPeriodClustering | None = None) -> HourlyExpansion:
@@ -106,7 +91,7 @@ def expand_solution(fo: FormulationOutput, solution: Solution, system: PowerSyst
     same hour of the medoid day for representative days.  Each hourly series
     is then a per-label grid indexed by ``pos``.
     """
-    kind = fo.kind
+    kind, x, columns = fo.kind, column_values(fo.model, solution.x), fo.meta.columns
     p = data.horizon_hours
     per = periods(kind, p, states=states, rp=rp)
     labels, pos = per.labels, per.pos
@@ -115,7 +100,7 @@ def expand_solution(fo: FormulationOutput, solution: Solution, system: PowerSyst
              else data.renewable_avail[per.hours])
 
     def hourly(symbol: str, ids: list[str]) -> dict[str, np.ndarray]:
-        grid = _read(solution.values, symbol, labels, ids)[pos]
+        grid = x[positions(columns, symbol, ids, len(labels))][pos]
         return {uid: grid[:, j] for j, uid in enumerate(ids)}
 
     thermal = [g.id for g in system.thermal]
@@ -138,7 +123,7 @@ def expand_solution(fo: FormulationOutput, solution: Solution, system: PowerSyst
     # states family, or mapped injections anchored at each checkpoint
     if kind == "rp_tmci":
         checkpoints = fo.meta.checkpoints
-        wchk = _read(solution.values, "wchk", checkpoint_labels(checkpoints), storage)
+        wchk = x[positions(columns, "wchk", storage, len(checkpoints))]
         mapped_inflows = data.inflows[per.hours][pos]
         for j, s in enumerate(system.storage):
             net = (mapped_inflows[:, j] + s.efficiency * exp.storage_charge[s.id]
@@ -150,8 +135,9 @@ def expand_solution(fo: FormulationOutput, solution: Solution, system: PowerSyst
                 prev_value, prev_hour = wchk[i, j], k
             exp.storage_level_model[s.id] = level
     elif kind in ("ss", "ss_rfm"):
+        a, _, move = state_moves(pos, states.num_states)
         steps = np.vstack([np.zeros((1, len(storage))),
-                           _read(solution.values, "dw", move_labels(pos[:-1], pos[1:]), storage)])
+                           x[positions(columns, "dw", storage, len(a))][move]])
         for j, s in enumerate(system.storage):
             exp.storage_level_model[s.id] = s.w0 + np.cumsum(steps[:, j])
     else:
@@ -205,23 +191,21 @@ def compute_prices(fo: FormulationOutput, solution: Solution, system: PowerSyste
     """Solve ``fo.model`` as an LP with its integers fixed at their values in
     ``solution``, and read balance duals as per-hour prices.
 
-    Returns (prices, degenerate), prices being the (periods, nodes) grid of
-    the ``bal`` row duals over ``per``, the model's period layout, each
-    divided by its period's hour weight, so a composite period standing for
-    many hours still yields a per-hour price.
-    ``degenerate`` is None unless ``check_degeneracy`` is set; then the LP is
-    re-solved by an interior-point method and ``degenerate`` says whether
-    the two price grids disagree (the prices are not unique).  Raises
-    ValueError, naming the kind and the status, if an LP has no optimum, or
-    naming the row if a balance row has no dual.
+    Returns (prices, degenerate): the (periods, nodes) grid of the ``bal``
+    row duals over ``per``, each divided by its period's hour weight, and,
+    with ``check_degeneracy``, whether an interior-point re-solve gives
+    other prices (None without it).  Raises ValueError, naming the kind and
+    the status, if an LP has no optimum, or naming the block if the layout
+    records no balance rows over ``per``.
     """
     grids = []
+    bal = positions(fo.meta.rows, "bal", system.nodes, len(per.labels))
     for method in ("highs", "highs-ipm") if check_degeneracy else ("highs",):
-        lp = ScipySolver().solve_lp(fo.model, method=method, fixed=solution.values)
-        if lp.status != STATUS_OPTIMAL or lp.duals is None:
+        lp = ScipySolver().solve_lp(fo.model, method=method, fixed=solution.x)
+        if lp.status != STATUS_OPTIMAL or lp.row_dual is None:
             raise ValueError(f"pricing LP of {fo.kind!r} ({method}) ended with status "
                              f"{lp.status!r}: {lp.message}")
-        grids.append(_read(lp.duals, "bal", per.labels, system.nodes) / per.weights[:, None])
+        grids.append(lp.row_dual[bal] / per.weights[:, None])
     prices, *alt = grids
     degenerate = None
     if alt:
@@ -272,11 +256,13 @@ def count_startups(expansion: HourlyExpansion, system: PowerSystem) -> dict[str,
 
 def investment_values(fo: FormulationOutput, solution: Solution,
                       system: PowerSystem) -> dict[str, float]:
-    """Built capacity ``x_<id>`` per investable storage unit of an invest model."""
+    """Built capacity ``x_<id>`` per investable storage unit of an invest
+    model, read from its ``x`` block, labelled by unit."""
     if not fo.meta.invest:
         return {}
     ids = [s.id for s in system.storage if s.investable]
-    return dict(zip(ids, _read(solution.values, "x", ids, [None])[:, 0].tolist()))
+    x = column_values(fo.model, solution.x)[positions(fo.meta.columns, "x", [None], len(ids))]
+    return dict(zip(ids, x[:, 0].tolist()))
 
 
 @dataclass
@@ -312,10 +298,10 @@ def build_case_result(fo: FormulationOutput, solution: Solution, system: PowerSy
     """Expand, price, and screen one solved formulation.
 
     Raises ValueError for a solution without a usable point (any status but
-    optimal, gap- or time-limited), one missing a value the expansion reads,
-    or a pricing LP without an optimum.  ``matrices`` is accepted for the
-    callers that still pass it; no step reads it since the startups are
-    counted from the expansion.
+    optimal, gap- or time-limited), one that holds another count of values
+    than the model has columns, or a pricing LP without an optimum.
+    ``matrices`` is accepted for the callers that still pass it; no step
+    reads it since the startups are counted from the expansion.
     """
     if not solution.ok:
         raise ValueError(f"{fo.kind!r} solution has status {solution.status!r}, "

@@ -13,15 +13,16 @@ A builder describes one period once, as a stencil of columns (``Col``) and
 rows (``Row``), and ``tile_columns``/``tile_rows`` repeat it over the
 period labels in one bulk call per stencil; what changes from period to
 period is given per label.  Rows address columns by the positions
-``tile_columns`` returns.  A link to the previous period is that position
+``tile_columns`` returns; a link to the previous period is that position
 array shifted by one (``shifted``), with no term where ``fresh`` starts a
-chronology.  Column names read ``<symbol>_<label>_<id>``, e.g. ``u_p5_gas``,
-and row names ``<prefix>_<label>_<id>``, all composed by ``names``, which
-evaluation calls to read values back.  The names are distinct by
-construction, so no addition checks them: bus, unit and circuit ids are
-distinct identifiers (``validate_system``), a symbol or prefix serves one
-kind of id, and each kind's labels have one fixed form.  The model checks
-them where they become keys (see ``milp``).
+chronology.  Names read ``<symbol>_<label>_<id>``, e.g. ``u_p5_gas``, all
+composed by ``names``, distinct by construction: ids are distinct
+identifiers (``validate_system``), a symbol serves one kind of id, and each
+kind's labels have one form.  Tiled label-major, one (symbol, id) block's
+entries lie a stencil's width apart: the tilers record each stencil's first
+position, label count and block keys in ``ModelMeta.columns``/``rows``, and
+evaluation reads a solution at the ``positions`` they give, composing no
+name.
 
 Constraint name prefixes (the family tag used by the audit tooling):
 
@@ -45,7 +46,7 @@ Constraint name prefixes (the family tag used by the audit tooling):
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -57,15 +58,24 @@ from ..timeseries import HOURS_PER_DAY, TimeHorizonData
 from ..aggregation import StateClustering, RepPeriodClustering
 
 
+# a layout: one [first position, label count, key, ...] per tiled stencil
+_TILED = {"range": (lambda v: all(
+    isinstance(t, list) and len(t) >= 2 and all(type(i) is int and i >= 0 for i in t[:2])
+    and all(isinstance(key, str) for key in t[2:]) for t in v),
+    "a list of [first position, label count, key, ...] lists")}
+
+
 @dataclass
 class ModelMeta:
     """What evaluation needs to interpret a built model, its sidecar's
-    ``meta`` (``milp.write_registry``): the ``kind``, ``invest`` and, for
-    ``rp_tmci``, the ``checkpoints``."""
+    ``meta`` (``milp.write_registry``): the ``kind``, ``invest``, for
+    ``rp_tmci`` the ``checkpoints``, and the tiled blocks' layout."""
 
     kind: str
     invest: bool
     checkpoints: list[int] | None = None    # rp_tmci only
+    columns: list = field(default_factory=list, metadata=_TILED)
+    rows: list = field(default_factory=list, metadata=_TILED)
 
 
 @dataclass
@@ -134,9 +144,11 @@ def periods(kind: str, horizon_hours: int, states: StateClustering | None = None
     return Periods(labels, hours, pos)
 
 
-def move_labels(a: np.ndarray, b: np.ndarray) -> list[str]:
-    """The label ``s<a>_s<b>`` of each move from state ``a`` to state ``b``."""
-    return [f"s{i}_s{j}" for i, j in zip(a.tolist(), b.tolist())]
+def state_moves(assignment: np.ndarray, num_states: int) -> tuple[np.ndarray, ...]:
+    """(a, b, move): the moves a -> b between consecutive hours' states, in
+    the order the states builder tiles them, and each hour's move index."""
+    key, move = np.unique(assignment[:-1] * num_states + assignment[1:], return_inverse=True)
+    return key // num_states, key % num_states, move
 
 
 def checkpoint_labels(checkpoints) -> list[str]:
@@ -189,20 +201,45 @@ def _side_by_side(blocks: list, count: int, dtype) -> np.ndarray:
     return out
 
 
-def tile_columns(m: MilpModel, labels: list[str], stencil: list[Col]) -> dict:
-    """Add ``stencil``'s columns for every label in one ``add_vars`` call;
-    returns (symbol, id) -> their positions over the labels."""
+def _key(symbol: str, uid: str | None) -> str:
+    """A block's key, ``<symbol>_<id>`` (``<symbol>`` for a None id); the
+    keys are distinct by construction, as the names are."""
+    return symbol if uid is None else f"{symbol}_{uid}"
+
+
+def positions(layout: list, symbol: str, ids: list, count: int) -> np.ndarray:
+    """The (count, len(ids)) positions of ``symbol``'s block of each id in
+    ``layout``: the k-th key of a stencil tiled from ``first`` starts at
+    ``first + k``, its entries the stencil's width apart.  ValueError if a
+    block is not recorded or holds another count."""
+    blocks = {key: (first + k, len(keys), n) for first, n, *keys in layout
+              for k, key in enumerate(keys)}
+    grid = np.empty((count, len(ids)), dtype=np.int64)
+    for j, key in enumerate(_key(symbol, uid) for uid in ids):
+        start, stride, found = blocks.get(key, (0, 0, None))
+        if found != count:
+            raise ValueError(f"block {key!r} of the model holds {found or 'no'} entries, "
+                             f"expected {count}")
+        grid[:, j] = start + stride * np.arange(count)
+    return grid
+
+
+def tile_columns(fo: FormulationOutput, labels: list[str], stencil: list[Col]) -> dict:
+    """Add ``stencil``'s columns for every label in one ``add_vars`` call
+    and record their blocks in ``fo.meta.columns``; returns (symbol, id) ->
+    their positions over the labels."""
     n = len(labels)
     fields = [_side_by_side([_block(c[j]) for c in stencil], n, np.float64)
               for j in (2, 3, 4, 5)]
-    pos = m.add_vars(names(labels, stencil), *(f.ravel() for f in fields))
+    fo.meta.columns.append([fo.model.num_vars, n, *(_key(*c[:2]) for c in stencil)])
+    pos = fo.model.add_vars(names(labels, stencil), *(f.ravel() for f in fields))
     pos = pos.reshape(n, len(stencil))
     return {(c.symbol, c.id): pos[:, k] for k, c in enumerate(stencil)}
 
 
-def tile_rows(m: MilpModel, labels: list[str], stencil: list[Row]) -> None:
+def tile_rows(fo: FormulationOutput, labels: list[str], stencil: list[Row]) -> None:
     """Add ``stencil``'s rows for every label in one ``add_rows`` call, each
-    row's terms in order."""
+    row's terms in order, and record their blocks in ``fo.meta.rows``."""
     n = len(labels)
     terms = [(i, cols, coef) for i, r in enumerate(stencil) for cols, coef in r.terms]
     cols = [_block(t[1]) for t in terms]
@@ -210,6 +247,8 @@ def tile_rows(m: MilpModel, labels: list[str], stencil: list[Row]) -> None:
     val = _side_by_side([_block(t[2]) for t in terms], n, np.float64)
     at = np.repeat([t[0] for t in terms], [c.shape[1] for c in cols])
     rhs = _side_by_side([_block(r.rhs) for r in stencil], n, np.float64)
+    m = fo.model
+    fo.meta.rows.append([m.num_cons, n, *(_key(*r[:2]) for r in stencil)])
     m.add_rows(names(labels, stencil), (np.arange(n)[:, None] * len(stencil) + at).ravel(),
                col.ravel(), val.ravel(), np.tile([r.sense for r in stencil], n), rhs.ravel())
 
@@ -219,7 +258,7 @@ def shifted(cols: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     return np.where(fresh, -1, np.roll(cols, 1))
 
 
-def add_investment(m: MilpModel, system: PowerSystem, invest: bool) -> dict:
+def add_investment(fo: FormulationOutput, system: PowerSystem, invest: bool) -> dict:
     """Declare new-capacity variables ``x_<id>`` for investable storage.
 
     With ``invest`` false no variable is declared, which pins every candidate
@@ -227,33 +266,33 @@ def add_investment(m: MilpModel, system: PowerSystem, invest: bool) -> dict:
     Returns the storage id -> column position map of declared variables.
     """
     units = [s for s in system.storage if s.investable] if invest else []
-    x = tile_columns(m, [s.id for s in units], [Col("x", None, obj=[s.inv_cost for s in units])])
+    x = tile_columns(fo, [s.id for s in units], [Col("x", None, obj=[s.inv_cost for s in units])])
     return {s.id: int(j) for s, j in zip(units, x.get(("x", None), []))}
 
 
-def add_levels(m: MilpModel, system: PowerSystem, labels: list[str], x: dict,
+def add_levels(fo: FormulationOutput, system: PowerSystem, labels: list[str], x: dict,
                symbol: str, lo: str, hi: str) -> dict:
     """Storage level columns ``<symbol>_<label>_<unit>``; an investable
     unit's level is bounded by rows ``lo``/``hi`` between its
     investment-raised floor and ceiling, any other's by its own."""
-    col = tile_columns(m, labels, [
+    col = tile_columns(fo, labels, [
         Col(symbol, s.id, lb=0.0 if s.id in x else s.w_min, ub=INF if s.id in x else s.w_max)
         for s in system.storage])
-    tile_rows(m, labels, [
+    tile_rows(fo, labels, [
         Row(prefix, s.id, [(col[symbol, s.id], 1.0), (x[s.id], -epr)], sense, rhs)
         for s in system.storage if s.id in x
         for prefix, epr, sense, rhs in ((lo, s.epr_min, GE, s.w_min), (hi, s.epr_max, LE, s.w_max))])
     return col
 
 
-def add_final(m: MilpModel, system: PowerSystem, prefix: str, last: list) -> None:
+def add_final(fo: FormulationOutput, system: PowerSystem, prefix: str, last: list) -> None:
     """Rows ``<prefix>_<unit>``: the level column ``last[k]`` of unit k ends
     the horizon at or above the unit's requirement."""
-    tile_rows(m, system.storage_ids,
+    tile_rows(fo, system.storage_ids,
               [Row(prefix, None, [(last, 1.0)], GE, [s.w_fin for s in system.storage])])
 
 
-def add_operating_core(m: MilpModel, system: PowerSystem, labels: list[str],
+def add_operating_core(fo: FormulationOutput, system: PowerSystem, labels: list[str],
                        demand: np.ndarray, vmax: np.ndarray,
                        weights: np.ndarray, x: dict) -> dict:
     """Add the per-period dispatch block for every label.
@@ -280,7 +319,7 @@ def add_operating_core(m: MilpModel, system: PowerSystem, labels: list[str],
         stencil += [Col("v", n, ub=np.where(vmax[:, j] > 0.0, vmax[:, j], 0.0)),
                     Col("pns", n, obj=wt * cfg.pns_penalty)]
     stencil += [Col("pf", c.id, lb=-c.capacity, ub=c.capacity) for c in net.circuits]
-    col = tile_columns(m, labels, stencil)
+    col = tile_columns(fo, labels, stencil)
 
     def injection(n: str) -> list:
         """The terms of what bus ``n`` injects into the network."""
@@ -318,18 +357,18 @@ def add_operating_core(m: MilpModel, system: PowerSystem, labels: list[str],
             rows += [Row("dcap", s.id, [(col["q", s.id], 1.0), (x[s.id], -1.0)], LE, s.q_max),
                      Row("ccap", s.id, [(col["b", s.id], 1.0), (x[s.id], -s.efficiency)],
                          LE, s.b_max)]
-    tile_rows(m, labels, rows)
+    tile_rows(fo, labels, rows)
     return col
 
 
-def add_hourly_levels(m: MilpModel, system: PowerSystem, labels: list[str],
+def add_hourly_levels(fo: FormulationOutput, system: PowerSystem, labels: list[str],
                       inflows: np.ndarray, x: dict, fresh: np.ndarray, col: dict) -> None:
     """Hourly storage levels ``w_<label>_<unit>``, added to ``col`` and
     chained over consecutive labels; a ``fresh`` label anchors at the unit's
     initial level instead, which is how representative days restart their
     own chronology."""
-    col.update(add_levels(m, system, labels, x, "w", "lvlo", "lvhi"))
-    tile_rows(m, labels, [
+    col.update(add_levels(fo, system, labels, x, "w", "lvlo", "lvhi"))
+    tile_rows(fo, labels, [
         Row("level", s.id, [(col["w", s.id], 1.0), (col["q", s.id], 1.0),
                             (col["sp", s.id], 1.0), (col["b", s.id], -s.efficiency),
                             (shifted(col["w", s.id], fresh), -1.0)],
@@ -337,17 +376,17 @@ def add_hourly_levels(m: MilpModel, system: PowerSystem, labels: list[str],
         for k, s in enumerate(system.storage)])
 
 
-def add_hourly_startups(m: MilpModel, system: PowerSystem, labels: list[str],
+def add_hourly_startups(fo: FormulationOutput, system: PowerSystem, labels: list[str],
                         weights: np.ndarray, fresh: np.ndarray, col: dict) -> None:
     """Startup indicators ``y_<label>_<unit>``, added to ``col`` and chained
     over consecutive labels; at a ``fresh`` label the previous commitment is
     the unit's configured initial state.  The startup cost is weighted like
     the other running costs of its period."""
     wt = weights.astype(np.float64)
-    col.update(tile_columns(m, labels, [
+    col.update(tile_columns(fo, labels, [
         Col("y", g.id, ub=1.0, obj=wt * g.startup_cost, integer=True)
         for g in system.thermal]))
-    tile_rows(m, labels, [
+    tile_rows(fo, labels, [
         Row("start", g.id, [(col["u", g.id], 1.0), (col["y", g.id], -1.0),
                             (shifted(col["u", g.id], fresh), -1.0)],
             LE, np.where(fresh, float(system.initial_commitment(g.id)), 0.0))
@@ -355,18 +394,19 @@ def add_hourly_startups(m: MilpModel, system: PowerSystem, labels: list[str],
 
 
 def hour_chain(kind: str, system: PowerSystem, data: TimeHorizonData, per: Periods,
-               step: int, invest: bool) -> tuple[MilpModel, dict, dict]:
+               step: int, invest: bool) -> tuple[FormulationOutput, dict, dict]:
     """The model ``kind`` up to its own rows: the investment columns, the
     operating core over ``per.labels`` reading the series at ``per.hours``,
     and the startups and hourly storage levels chained over the labels, a
-    fresh chronology starting every ``step`` labels.  Returns the model, the
-    investment map of ``add_investment`` and the column positions."""
+    fresh chronology starting every ``step`` labels.  Returns the model with
+    its metadata, the investment map of ``add_investment`` and the column
+    positions."""
     labels, hours, weights = per.labels, per.hours, per.weights
     fresh = np.arange(len(labels)) % step == 0
-    m = MilpModel(kind)
-    x = add_investment(m, system, invest)
-    col = add_operating_core(m, system, labels, data.demand[hours],
+    fo = FormulationOutput(MilpModel(kind), ModelMeta(kind, invest))
+    x = add_investment(fo, system, invest)
+    col = add_operating_core(fo, system, labels, data.demand[hours],
                              data.renewable_avail[hours], weights, x)
-    add_hourly_startups(m, system, labels, weights, fresh, col)
-    add_hourly_levels(m, system, labels, data.inflows[hours], x, fresh, col)
-    return m, x, col
+    add_hourly_startups(fo, system, labels, weights, fresh, col)
+    add_hourly_levels(fo, system, labels, data.inflows[hours], x, fresh, col)
+    return fo, x, col

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from ..system import PowerSystem
 from ..timeseries import TimeHorizonData
-from .common import FormulationOutput, ModelMeta, periods, hour_chain, add_final
+from .common import FormulationOutput, periods, hour_chain, add_final
 
 
 def build_hm(system: PowerSystem, data: TimeHorizonData,
              invest: bool = False) -> FormulationOutput:
     per = periods("hm", data.horizon_hours)
-    m, _, col = hour_chain("hm", system, data, per, len(per.labels), invest)
-    add_final(m, system, "fin", [col["w", s.id][-1] for s in system.storage])
-    return FormulationOutput(model=m, meta=ModelMeta("hm", invest))
+    fo, _, col = hour_chain("hm", system, data, per, len(per.labels), invest)
+    add_final(fo, system, "fin", [col["w", s.id][-1] for s in system.storage])
+    return fo

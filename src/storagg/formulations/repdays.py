@@ -27,19 +27,19 @@ from ..system import PowerSystem
 from ..timeseries import HOURS_PER_DAY, WEEK_HOURS, TimeHorizonData
 from ..aggregation import (RepPeriodClustering, TransitionMatrices,
                            default_checkpoints)
-from .common import (FormulationOutput, ModelMeta, Row, periods, checkpoint_labels, tile_rows,
+from .common import (FormulationOutput, Row, periods, checkpoint_labels, tile_rows,
                      shifted, hour_chain, add_levels, add_final)
 
 
 def build_rp(system: PowerSystem, data: TimeHorizonData,
              rp: RepPeriodClustering, invest: bool = False) -> FormulationOutput:
     per = periods("rp", data.horizon_hours, rp=rp)
-    m, _, col = hour_chain("rp", system, data, per, HOURS_PER_DAY, invest)
+    fo, _, col = hour_chain("rp", system, data, per, HOURS_PER_DAY, invest)
     last = per.pos[rp.medoid_days * HOURS_PER_DAY] + HOURS_PER_DAY - 1
-    tile_rows(m, [f"r{r}" for r in range(rp.num_rp)],
+    tile_rows(fo, [f"r{r}" for r in range(rp.num_rp)],
               [Row("cyc", s.id, [(col["w", s.id][last], 1.0)], GE, s.w0)
                for s in system.storage])
-    return FormulationOutput(model=m, meta=ModelMeta("rp", invest))
+    return fo
 
 
 def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
@@ -56,14 +56,14 @@ def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
     if window % HOURS_PER_DAY != 0:
         raise ValueError(f"checkpoint window {window} must be a multiple of {HOURS_PER_DAY}")
     per = periods("rp_tmci", data.horizon_hours, rp=rp)
-    m, x, col = hour_chain("rp_tmci", system, data, per, len(per.labels), invest)
+    fo, x, col = hour_chain("rp_tmci", system, data, per, len(per.labels), invest)
 
     # commitment continuity across observed day-cluster transitions
     nrpp = matrices.rp_transitions
     threshold = theta * float(nrpp.sum()) if 0 < theta < 1 else theta
     a, b = np.nonzero((nrpp >= threshold) & (nrpp > 0))
     first = per.pos[rp.medoid_days * HOURS_PER_DAY]
-    tile_rows(m, [f"r{i}_r{j}" for i, j in zip(a.tolist(), b.tolist())],
+    tile_rows(fo, [f"r{i}_r{j}" for i, j in zip(a.tolist(), b.tolist())],
               [Row("ulink", g.id, [(col["u", g.id][first[a] + HOURS_PER_DAY - 1], 1.0),
                                    (col["u", g.id][first[b]], -1.0)], EQ)
                for g in system.thermal])
@@ -77,7 +77,7 @@ def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
     hour = starts[:, None] + np.arange((checkpoints - starts).max())
     inside = hour < checkpoints[:, None]
     pos = np.where(inside, per.pos[np.minimum(hour, data.horizon_hours - 1)], -1)
-    wchk = add_levels(m, system, marks, x, "wchk", "clo", "chi")
+    wchk = add_levels(fo, system, marks, x, "wchk", "clo", "chi")
     rows = []
     for j, s in enumerate(system.storage):
         flows = np.stack([np.where(inside, col[sym, s.id][pos], -1) for sym in ("b", "q", "sp")],
@@ -88,7 +88,7 @@ def build_rp_tmci(system: PowerSystem, data: TimeHorizonData,
             (wchk["wchk", s.id], 1.0), (shifted(wchk["wchk", s.id], starts == 0), -1.0),
             (flows, np.tile([-s.efficiency, 1.0, 1.0], pos.shape[1])[None, :])],
             EQ, np.cumsum(np.hstack((w0, inflow)), axis=1)[:, -1]))   # summed in order
-    tile_rows(m, marks, rows)
-    add_final(m, system, "cfin", [wchk["wchk", s.id][-1] for s in system.storage])
-
-    return FormulationOutput(model=m, meta=ModelMeta("rp_tmci", invest, checkpoints.tolist()))
+    tile_rows(fo, marks, rows)
+    add_final(fo, system, "cfin", [wchk["wchk", s.id][-1] for s in system.storage])
+    fo.meta.checkpoints = checkpoints.tolist()
+    return fo

@@ -2,66 +2,48 @@
 
 A model is a list of named variables (bounds, objective coefficient,
 integrality) and named sparse constraints with a sense in {<=, =, >=}; the
-objective is always minimized.  Models are stored between pipeline stages as
-compressed array files (``save_model``/``load_model``), and so are the values
-of their solutions (``save_solution``/``load_solution``).  Models are solved
-in-process by HiGHS, one session per solve (``ScipySolver``, ``_highs_solve``)
-through the bindings scipy ships: the columns and the CSR rows are passed as
-stored, every option is set in that one helper, and the solution keeps
-HiGHS's dual bound and node count.  A model can also be exported as an MPS
-file (``write_mps``; ``parse_mps`` reads it back), a library function that
-no pipeline stage calls.
+objective is always minimized.  Variables are stored as columns (packed
+names, ``array('d')`` bounds and objective, a ``bytearray`` of integer
+flags) and constraints as CSR rows (packed names, ``indptr``, column
+indices, coefficients, sense codes, rhs).  They enter only through
+``add_vars`` and ``add_rows``, a row addressing its columns by the positions
+``add_vars`` returns.  Each side's names are one newline-joined UTF-8 blob,
+read in place (``_Names``).  A model keeps no name -> position mapping and
+does not check that new names are new: the builders' names are distinct by
+construction.  A solution is read by position (``Solution.x``,
+``row_dual``): names become keys, checked distinct by ``_keyed`` alone, only
+in an MPS file and in the ``Solution.values``/``duals`` views.
 
-Variables are stored as columns (packed names, ``array('d')`` bounds and
-objective, a ``bytearray`` of integer flags) and constraints as CSR rows
-(packed names, ``indptr``, column indices, coefficients, sense codes,
-rhs).  ``variables`` and ``constraints`` are read-only views that build a
-``Variable`` or ``Constraint`` tuple on access; ``to_arrays`` copies the
-buffers out, transposing the matrix from read-only views of them (``_csr``).
+Models travel between stages as compressed array files (``save_model``,
+``load_model``; see "array files" below) beside a JSON sidecar of their
+metadata (``write_registry``), and a solution's values as an array beside
+the SHA-256 of its model's variable names (``save_solution``,
+``load_solution``).  MPS (``write_mps``/``parse_mps``) is a library export
+that no stage calls.  Each solve is one in-process HiGHS session
+(``ScipySolver``, ``_highs_solve``), every option set in that one helper.
 
-Columns and rows enter a model only through ``add_vars`` and ``add_rows``,
-a block at a time, a row addressing its columns by the positions
-``add_vars`` returns.  The variable names and the row names are each kept
-packed: one newline-joined UTF-8 blob, the form ``save_model`` writes, so a
-name costs its bytes and a separator, not a Python string.  One name is
-read through an offsets array built on first positional access; bulk
-readers (solution values, duals, the audit, MPS export) decode the whole
-blob once per call; ``var_names`` shares it, so comparing two models' names
-compares bytes.  A model keeps no name -> position mapping and an addition
-does not check that its names are new: the builders' names are distinct by
-construction.  Names are checked to be distinct where they become keys, by
-``_keyed`` alone: a solve's values and duals, an MPS file and a solution
-values file.  A model file stores each name blob split into a template and
-its digit runs, and the CSR index arrays as first differences (see "array
-files" below); loading rebuilds the same blobs and buffers.  The sidecar
-written next to a model file (``write_registry``) carries the model's name
-and its metadata only, as compact JSON.
-
-scipy loads at a process's first matrix build (``to_arrays``, the audit,
-``write_mps``) or solve, not at import, so the stages that never solve do
-not pay for it; a solve itself builds no scipy matrix.  A solve loads the
-HiGHS bindings' extension file alone (``_bindings``: 3 modules, about
-0.01 s and 3.6 MB of RSS), not the ``scipy.optimize`` package around it
-(about 250 modules, 0.3 s and 27 MB), and ``scipy.sparse`` loads at the
-audit after it.  The package keeps
-the same rule one level up: ``import storagg`` loads only what writing a
-template and ingesting it run, and this module, like the clustering,
-builder and evaluation modules, loads when a stage or a caller first needs
-it (see ``storagg/__init__.py``).
+scipy loads at a process's first matrix build (``to_arrays``, the audit) or
+solve, not at import; a solve loads the HiGHS bindings' extension file alone
+(``_bindings``: about 0.01 s and 3.6 MB of RSS), not the ``scipy.optimize``
+package (about 0.3 s and 27 MB).  This module loads when a stage or a
+caller first needs it (see ``storagg/__init__.py``).
 """
 
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
 import sys
 import threading
 import time
 import zipfile
 from array import array
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -358,15 +340,14 @@ def _first_bad(values: np.ndarray, nan_only: bool = False) -> int | None:
     return int(bad.argmax()) if bad.any() else None
 
 
-def _keyed(names: list[str], values, what: str, where=None) -> dict:
+def _keyed(names: list[str], values, what: str) -> dict:
     """``names`` mapped to ``values``; raises ModelError naming the first
-    name that repeats, after ``where`` (a file) when it is given."""
+    name that repeats."""
     out = dict(zip(names, values))
     if len(out) != len(names):
         last = {name: i for i, name in enumerate(names)}
         dup = next(name for i, name in enumerate(names) if last[name] != i)
-        prefix = "" if where is None else f"{where}: "
-        raise ModelError(f"{prefix}duplicate {what} {dup!r}")
+        raise ModelError(f"duplicate {what} {dup!r}")
     return out
 
 
@@ -402,14 +383,9 @@ _PLAIN = {"lb": ("_lb", np.float64), "ub": ("_ub", np.float64),
 _DELTA = {"indptr": ("_indptr", "<i8"), "cols": ("_cols", "<i4")}
 
 
-def _name_spec(*sides: str) -> dict:
-    """The arrays (all uint8) that store the name blobs of ``sides``."""
-    return {f"{side}_{part}": np.uint8 for side in sides
-            for part in ("template", "numbers", "widths")}
-
-
 # every stored array and its dtype
-_STORED = {"name": np.uint8, **_name_spec("var", "con"),
+_STORED = {"name": np.uint8, **{f"{side}_{part}": np.uint8 for side in ("var", "con")
+                                for part in ("template", "numbers", "widths")},
            **{key: dtype for key, (_, dtype) in _PLAIN.items()},
            **{f"{key}_delta": np.uint8 for key in _DELTA}}
 
@@ -620,53 +596,56 @@ def load_model(path) -> MilpModel:
 
 
 # the arrays of a solution's values file and their dtypes
-_SOLUTION = {**_name_spec("names"), "values": np.float64}
+_SOLUTION = {"x": np.float64, "names_sha256": np.uint8}
 
 
-def checked_values(values: dict[str, float], where, error: type[Exception] = ModelError):
-    """A solution's ``values`` as a float64 array, in order; raises ``error``
-    as ``<where>: variable name <name> contains a newline`` if a name does
-    (a values file separates names by newlines), or as ``<where>: variable
-    <name> has value <value>`` if a value is not finite."""
-    bad = next((name for name in values if "\n" in name), None)
-    if bad is not None:
-        raise error(f"{where}: variable name {bad!r} contains a newline")
-    array = np.fromiter(values.values(), dtype=np.float64, count=len(values))
-    k = _first_bad(array)
+def _digest(names: _Names) -> bytes:
+    return hashlib.sha256(names.blob).digest()
+
+
+def checked_values(x, names: Sequence[str], where, error: type[Exception] = ModelError):
+    """``x``, values in ``names``' order, as float64; raises ``error`` as
+    ``<where>: variable <name> has value <value>`` if one is not finite."""
+    x = np.asarray(x, dtype=np.float64)
+    k = _first_bad(x)
     if k is not None:
-        raise error(f"{where}: variable {list(values)[k]!r} has value {array[k]}")
-    return array
+        raise error(f"{where}: variable {names[k]!r} has value {x[k]}")
+    return x
+
+
+def column_values(model: MilpModel, x) -> np.ndarray:
+    """``x``, a solution's values, as float64 in ``model``'s column order;
+    raises ModelError unless it holds one value per column."""
+    x = np.asarray(() if x is None else x, dtype=np.float64)
+    if x.shape != (model.num_vars,):
+        raise ModelError(f"solution holds {x.size} values for {model.num_vars} variables")
+    return x
 
 
 def save_solution(sol: Solution, path) -> None:
-    """Write a solution's values to a compressed ``.npz`` file.
-
-    The file holds the variable names, packed as a model file packs them,
-    and the values as a float64 array in the same order.  Equal values give
-    equal bytes.  Raises ModelError, before anything is written, if a value
-    is not finite or a name contains a newline.
-    """
-    values = checked_values(sol.values, path)
-    arrays = {**_pack_names("\n".join(sol.values).encode("utf-8"), "names"), "values": values}
+    """Write a solution's ``x`` and the SHA-256 of its model's packed
+    variable names to a compressed ``.npz`` file; equal values give equal
+    bytes.  Raises ModelError, writing nothing, if a value is not finite."""
+    x = checked_values(sol.x, sol.var_names, path)
     with open(path, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
+        np.savez_compressed(fh, x=x, names_sha256=np.frombuffer(_digest(sol.var_names), np.uint8))
 
 
-def load_solution(path) -> dict[str, float]:
-    """The values written by ``save_solution``, in their stored order;
-    nothing is unpickled.
-
-    Raises ModelError if an array is missing (a file in an earlier layout
-    among them) or is not a 1-D array of its dtype, the names are damaged
-    (as ``load_model`` checks them), the name and value counts disagree, a
-    name repeats, or a value is not finite.
-    """
+def load_solution(path, model: MilpModel) -> np.ndarray:
+    """The ``x`` that ``save_solution`` wrote for ``model``; nothing is
+    unpickled.  Raises ModelError if an array is missing (a file in an
+    earlier layout among them) or is not 1-D of its dtype, if the file was
+    written for other variable names (naming both digests) or holds another
+    count of values, or if a value is not finite."""
     with _reading(path, _SOLUTION, "solution") as read:
-        values = read("values")
-        names = _unpack_names(path, read, "names", len(values), "variable").tolist()
-    out = _keyed(names, values.tolist(), "variable", path)
-    checked_values(out, path)
-    return out
+        x, digest = read("x"), read("names_sha256").tobytes()
+    want = _digest(model._var_names)
+    if digest != want:
+        raise ModelError(f"{path}: values for variable names of SHA-256 {digest.hex()}, "
+                         f"model {model.name!r} has {want.hex()}")
+    if len(x) != model.num_vars:
+        raise ModelError(f"{path}: {len(x)} values for the {model.num_vars} variables")
+    return checked_values(x, model._var_names, path)
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +677,7 @@ def write_mps(model: MilpModel, path) -> None:
         _keyed(names, names, what)
     csc = model._csr().tocsc()
     colptr, rows, coefs = map(memoryview, (csc.indptr, csc.indices, csc.data))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"NAME {model.name}\n")
         fh.write("ROWS\n")
         fh.write(f" N  {_OBJ_ROW}\n")
@@ -759,9 +738,9 @@ def parse_mps(path) -> MilpModel:
 
     def index_rows() -> dict[str, int]:
         try:
-            return _keyed(row_names, range(len(row_names)), "constraint", path)
+            return _keyed(row_names, range(len(row_names)), "constraint")
         except ModelError as exc:
-            raise ModelError(f"{exc} in ROWS") from None
+            raise ModelError(f"{path}: {exc} in ROWS") from None
 
     def column(var: str) -> int:
         if var not in col_of:
@@ -771,7 +750,7 @@ def parse_mps(path) -> MilpModel:
                 values.append(default)
         return col_of[var]
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             tokens = line.split()
             if not tokens or tokens[0].startswith("*"):
@@ -872,9 +851,10 @@ _AT_LEAST_0 = {"range": (lambda v: v >= 0, "a number >= 0")}
 @dataclass
 class Solution:
     """A solve's outcome.  Its init fields are ``solutions/<kind>.json``,
-    read and, before it is written, checked through ``system.from_json``;
-    the values go to a file of their own (``save_solution``) and the duals
-    of a pricing LP are never stored."""
+    read and, before it is written, checked through ``system.from_json``.
+    ``x`` and an LP's ``row_dual`` are in the model's column and row order
+    (``set_values``), None without a point; the values go to a file of their
+    own (``save_solution``), the duals are never stored."""
 
     status: str = field(metadata={"range": (lambda v: v in STATUSES, f"one of {list(STATUSES)}")})
     objective: float | None
@@ -885,12 +865,28 @@ class Solution:
     dual_bound: float | None = None      # a MIP's, from HiGHS; None for an LP or an older file
     nodes: int | None = field(default=None,     # branch-and-bound nodes of a MIP
                               metadata={"range": (lambda v: v >= 0, "an integer >= 0")})
-    values: dict[str, float] = field(init=False, default_factory=dict)
-    duals: dict[str, float] | None = field(init=False, default=None)
+    x = row_dual = var_names = con_names = None     # not fields: set by set_values
 
     def __post_init__(self) -> None:
         if self.status in OK_STATUSES and self.objective is None:
             raise ValueError(f"objective must be a number for status {self.status!r}, got None")
+
+    def set_values(self, model: MilpModel, x: np.ndarray, row_dual=None) -> None:
+        """Take ``x`` and an LP's ``row_dual`` in ``model``'s column and row order."""
+        self.x, self.row_dual = x, row_dual
+        self.var_names, self.con_names = model.var_names, model._con_names.snapshot()
+
+    @cached_property
+    def values(self) -> Mapping[str, float]:
+        """Read-only values by variable name, built on first access."""
+        x = [] if self.x is None else self.x.tolist()
+        return MappingProxyType(_keyed(self.var_names or [], x, "variable"))
+
+    @cached_property
+    def duals(self) -> Mapping[str, float] | None:
+        """Read-only LP duals by constraint name, built on first access."""
+        if self.row_dual is not None:
+            return MappingProxyType(_keyed(self.con_names, self.row_dual.tolist(), "constraint"))
 
     @property
     def ok(self) -> bool:
@@ -997,28 +993,27 @@ class _Outcome(NamedTuple):
     row_dual: np.ndarray | None = None
 
 
-def _session(highs, model: MilpModel, mip: bool, duals: bool, fixed: dict | None,
+def _session(highs, model: MilpModel, mip: bool, duals: bool, fixed: np.ndarray | None,
              options: dict) -> _Outcome:
     """Pass ``model`` to one HiGHS session of the bindings module ``highs``,
     with its integrality if ``mip``, set ``options`` and run it.  The
-    columns and the CSR rows go in as stored, from read-only views of the
-    model's buffers (HiGHS copies them), but for the bounds given ``fixed``,
-    a solution's values: copies, each integer column fixed at its value,
-    rounded.  Raises ModelError if ``fixed`` lacks an integer column's
-    value or holds one that is not finite, or if HiGHS refuses an option."""
+    columns and the CSR rows go in as read-only views of the model's buffers
+    (HiGHS copies them), but for the bounds given ``fixed``, values in column
+    order: copies, each integer column fixed at its value, rounded.  Raises
+    ModelError for another count of values, an integer column's value that
+    is not finite, or an option HiGHS refuses."""
     lp = highs.HighsLp()
     lp.num_col_, lp.num_row_ = model.num_vars, model.num_cons
     lower, upper = np.frombuffer(model._lb), np.frombuffer(model._ub)
     if fixed is not None:
+        fixed = column_values(model, fixed)
+        ints = np.flatnonzero(np.frombuffer(model._int, dtype=np.uint8))
+        k = _first_bad(fixed[ints])
+        if k is not None:
+            raise ModelError(f"solution provides value {fixed[ints[k]]} for integer "
+                             f"variable {model._var_names[ints[k]]!r}")
         lower, upper = lower.copy(), upper.copy()
-        names = model._var_names.tolist()
-        for j in np.flatnonzero(model._int).tolist():
-            value = fixed.get(names[j])
-            if value is None or not abs(value) < INF:
-                what = "no value" if value is None else f"value {value}"
-                raise ModelError(f"solution provides {what} for integer variable {names[j]!r}")
-            lower[j] = upper[j] = round(value)
-        del names
+        lower[ints] = upper[ints] = np.round(fixed[ints]) + 0.0    # + 0.0: no -0.0 bound
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = np.frombuffer(model._obj), lower, upper
     del lower, upper                      # HiGHS holds its own copies
     lp.row_lower_, lp.row_upper_ = model._row_bounds()
@@ -1055,17 +1050,14 @@ def _session(highs, model: MilpModel, mip: bool, duals: bool, fixed: dict | None
 
 def _highs_solve(model: MilpModel, relax: bool, gap: float = 0.0,
                  time_limit: float | None = None, algorithm: str = "choose",
-                 fixed: dict | None = None) -> Solution:
+                 fixed: np.ndarray | None = None) -> Solution:
     """Solve ``model`` in one HiGHS session (``_session``) on ``_highs_call``'s
     thread: as a MIP if it has an integer column, or, ``relax``, as an LP
-    ignoring integrality (or fixing it at ``fixed``, see ``_session``) whose
-    duals are dObjective/dRHS of each row in its declared orientation.
-
+    ignoring integrality (or fixing it at ``fixed``) with its row duals.
     The options are set here and nowhere else.  The root reduced-cost
-    sub-MIP is off: on the 28- and 364-day template models it took memory
-    and time and found no better solution (README, "Solving", has the
-    figures and the one model where it helped).  A MIP solution carries
-    HiGHS's dual bound and node count; an LP's are None.
+    sub-MIP is off: on the template models it took memory and time and found
+    no better solution (README, "Solving").  A MIP solution carries HiGHS's
+    dual bound and node count; an LP's are None.
     """
     options = {"output_flag": False, "solver": algorithm, "mip_rel_gap": float(gap),
                "mip_heuristic_run_root_reduced_cost": False}
@@ -1095,9 +1087,7 @@ def _solution(model: MilpModel, mip: bool, out: _Outcome, wall: float) -> Soluti
     sol = Solution(status, objective, gap, wall, out.message, audit={}, dual_bound=bound,
                    nodes=nodes)
     if out.x is not None:
-        sol.values = _keyed(model._var_names.tolist(), out.x.tolist(), "variable")
-    if out.row_dual is not None:
-        sol.duals = _keyed(model._con_names.tolist(), out.row_dual.tolist(), "constraint")
+        sol.set_values(model, out.x, out.row_dual)
     return sol
 
 
@@ -1113,14 +1103,12 @@ class ScipySolver:
         return _highs_solve(model, False, gap, time_limit)
 
     def solve_lp(self, model: MilpModel, method: str = "highs",
-                 fixed: dict[str, float] | None = None) -> Solution:
-        """Solve ignoring integrality and return duals as dObjective/dRHS
-        of each constraint in its declared orientation.  ``method`` is
-        ``"highs"`` (HiGHS's choice) or ``"highs-ipm"`` (interior point).
-        Given ``fixed``, a solution's values, each integer column is fixed
-        at its value, rounded, for this solve only: the pricing LP.  Raises
-        ModelError if ``fixed`` lacks an integer column's value or holds
-        one that is not finite."""
+                 fixed: np.ndarray | None = None) -> Solution:
+        """Solve ignoring integrality, with ``"highs"`` (HiGHS's choice) or
+        ``"highs-ipm"`` (interior point); the row duals are dObjective/dRHS
+        in each row's declared orientation.  Given ``fixed``, a solution's
+        ``x``, each integer column is fixed at its value, rounded, for this
+        solve only (see ``_session``): the pricing LP."""
         if method not in _LP_METHODS:
             raise ValueError(f"unknown LP method {method!r}, expected one of {list(_LP_METHODS)}")
         return _highs_solve(model, True, algorithm=_LP_METHODS[method], fixed=fixed)
@@ -1142,20 +1130,14 @@ def constraint_families(model: MilpModel) -> dict[str, list[int]]:
     return fams
 
 
-def audit_constraints(model: MilpModel, values: dict[str, float]) -> dict[str, dict]:
-    """Evaluate every constraint row at a solution with one sparse product
-    and report, per family, the rows checked and the worst residual (with
-    the name of its row, or "" when every row holds exactly).  Each row is
-    summed in column order, so a model gives the same residuals however its
-    rows were stored: as built, loaded from ``.npz`` or parsed from MPS.
-
-    Raises ModelError if ``values`` lacks a variable of the model.
-    """
-    try:
-        x = np.array([values[name] for name in model._var_names.tolist()], dtype=float)
-    except KeyError as exc:
-        raise ModelError(f"no value for variable {exc.args[0]!r}") from None
-    lhs = model._csr().sorted_indices() @ x
+def audit_constraints(model: MilpModel, x: np.ndarray) -> dict[str, dict]:
+    """Evaluate every constraint row at a solution's values ``x`` with one
+    sparse product and report, per family, the rows checked and the worst
+    residual (with the name of its row, or "" when every row holds exactly).
+    Each row is summed in column order, so a model gives the same residuals
+    however its rows were stored.  Raises ModelError if ``x`` holds another
+    count of values than the model has columns."""
+    lhs = model._csr().sorted_indices() @ column_values(model, x)
     cl, cu = model._row_bounds()
     residual = np.maximum(np.maximum(cl - lhs, lhs - cu), 0.0)
     report: dict[str, dict] = {}

@@ -9,48 +9,29 @@ writing everything under one output directory::
 
     agg/artifacts.json            clusterings + checkpoint window
     models/<kind>.npz             model arrays + names (milp.save_model)
-    models/<kind>.registry.json   model name + kind, invest (+ rp_tmci checkpoints)
+    models/<kind>.registry.json   model name + kind, invest, block layout (+ checkpoints)
     solutions/<kind>.json         status, objective, gap, wall time, message, audit
-    solutions/<kind>.npz          variable names + values (milp.save_solution)
+    solutions/<kind>.npz          values + SHA-256 of the names (milp.save_solution)
     report/summary.json|csv       benchmark comparison table
     report/hourly_<kind>.csv.gz   expanded hourly series, gzip-compressed CSV
 
-Both ``.npz`` files store each name list as a template with its ASCII digit
-runs pulled out into numbers and widths, and a model file stores its CSR
-index arrays as first differences, byte plane by byte plane: a name such as
-``q_p8735_nuclear`` differs from its neighbours only in its number, and each
-period's rows repeat the last period's column pattern.  The 364-day ``hm``
-file takes 0.37 MB this way against 2.50 MB with whole names and plain index
-arrays.  A file in that earlier layout is refused as an input error
-(ConfigError), not read.
-
-The solve stage deliberately re-reads each model through ``load_built_model``
-(``milp.load_model`` on the ``.npz`` plus the metadata sidecar) instead of
+The solve stage re-reads each model through ``load_built_model`` instead of
 reusing the in-memory models, so every run exercises the interchange path.
-Variables are found by name alone, so the ``.npz`` file plus the sidecar are
-the whole model for the solver.  Evaluation also needs the period layout, the
-map from real hours to model periods, and derives it
-(``formulations.common.periods``) from ``agg/artifacts.json``; the sidecar
-does not repeat it.  A damaged artifacts file or sidecar is an input error
-(ConfigError) naming the file.  A solution is stored the same way: a small
-JSON header, the ``milp.Solution`` record itself (the audit among its
-fields), beside its values as arrays, and ``load_solutions`` rebuilds it
-from the two.  Building a kind removes its solution files, so an earlier
-model's solution is never evaluated as the new model's; clustering removes
-every kind's model and solution files, and a report every kind's hourly
-series before it writes its own.  No stage writes MPS: ``milp.write_mps``
-is a library export only.
+Evaluation reads a solution by position, at the blocks the sidecar records,
+and derives the map from real hours to model periods from
+``agg/artifacts.json``.  A file in an earlier layout, or a damaged one, is
+an input error (ConfigError) naming the file.  No file outlives its inputs:
+building a kind removes its solution files, clustering every kind's model
+and solution files and the report, and a report every hourly series.
 
 Set-up (``emit_scenario_template``, ``load_scenario``, ``stage_ingest``)
-runs on ``timeseries`` and ``system`` alone, and no other storagg module
-is imported at the top.  The names the later stages take from
-``aggregation``, ``milp``, ``formulations`` and ``evaluation`` are listed in
-``_DEFERRED``.  A stage that uses one binds them all into this module
-(``_bind_deferred``) before anything else, which imports those modules on
-the first call, and ``__getattr__`` serves them to callers outside
-(``pipeline.aggregate``).
-The stages look them up in this module's namespace at every call, so a
-wrapper set here, as bench/tracing.py sets them, is what they call.
+runs on ``timeseries`` and ``system`` alone.  The names the later stages
+take from ``aggregation``, ``milp``, ``formulations`` and ``evaluation``
+are listed in ``_DEFERRED``; a stage that uses one first binds them all
+here (``_bind_deferred``), importing those modules on the first call, and
+``__getattr__`` serves them to callers outside.  The stages look them up
+in this namespace at every call, so a wrapper set here, as
+bench/tracing.py sets them, is what they call.
 """
 
 from __future__ import annotations
@@ -225,8 +206,8 @@ def stage_ingest(config: ScenarioConfig) -> tuple[PowerSystem, TimeHorizonData]:
 def stage_cluster(system: PowerSystem, data: TimeHorizonData,
                   config: ScenarioConfig, outdir: Path) -> AggregationArtifacts:
     """Cluster and save ``agg/artifacts.json``, removing every kind's model
-    and solution files first; counts the series cannot support (e.g. more
-    representative days than days) are a ConfigError."""
+    and solution files and the report first; counts the series cannot
+    support (e.g. more representative days than days) are a ConfigError."""
     _bind_deferred()
     try:
         artifacts = aggregate(
@@ -235,7 +216,7 @@ def stage_cluster(system: PowerSystem, data: TimeHorizonData,
             has_short_term_storage=bool(system.short_term_storage))
     except AggregationError as exc:
         raise ConfigError(f"clustering: {exc}") from None
-    for where in ("models", "solutions"):
+    for where in _KIND_FILES:
         _drop_kind_files(outdir, where, BUILDER_KINDS)
     agg_dir = outdir / "agg"
     agg_dir.mkdir(parents=True, exist_ok=True)
@@ -274,18 +255,18 @@ def build_formulation(kind: str, system: PowerSystem, data: TimeHorizonData,
     return fo
 
 
-# each kind's files under a run directory's subdirectories; a plain hourly
-# .csv is an older run's
+# each kind's files under a run directory's subdirectories (a plain hourly
+# .csv is an older run's); the report is dropped whole, its summary with it
 _KIND_FILES = {"models": ("{}.npz", "{}.registry.json"), "solutions": ("{}.json", "{}.npz"),
-               "report": ("hourly_{}.csv", "hourly_{}.csv.gz")}
+               "report": ("hourly_{}.csv", "hourly_{}.csv.gz", "summary.json", "summary.csv")}
 
 
 def _drop_kind_files(outdir: Path, where: str, kinds) -> None:
     """Remove ``kinds``' files under ``outdir/where``: none outlives its inputs."""
+    names = {pattern.format(kind) for kind in kinds for pattern in _KIND_FILES[where]}
     try:
-        for kind in kinds:
-            for pattern in _KIND_FILES[where]:
-                (Path(outdir) / where / pattern.format(kind)).unlink(missing_ok=True)
+        for name in names:
+            (Path(outdir) / where / name).unlink(missing_ok=True)
     except OSError as exc:                         # e.g. a directory
         raise ConfigError(f"{exc.filename}: cannot remove: {exc.strerror}") from None
 
@@ -312,8 +293,8 @@ def load_built_model(outdir: Path, kind: str, hours: int | None = None) -> Formu
 
     Raises ConfigError, naming the file, if either is missing or damaged,
     the sidecar lacks a key evaluation reads, holds one of the wrong type,
-    names another kind or, ``hours`` given, has ``rp_tmci`` checkpoints
-    that do not rise strictly to ``hours``, the hours evaluation fills.
+    names another kind, has no block layout within the model or, ``hours``
+    given, has ``rp_tmci`` checkpoints that do not rise strictly to it.
     """
     _bind_deferred()
     models_dir = Path(outdir) / "models"
@@ -331,6 +312,11 @@ def load_built_model(outdir: Path, kind: str, hours: int | None = None) -> Formu
     meta = from_json(ModelMeta, meta, where, ConfigError)
     if meta.kind != kind:
         raise ConfigError(f"{where}: kind must be {kind!r}, got {meta.kind!r}")
+    for what, layout, size in (("columns", meta.columns, model.num_vars),
+                               ("rows", meta.rows, model.num_cons)):
+        if not layout or any(first + n * len(keys) > size for first, n, *keys in layout):
+            raise ConfigError(f"{where}: no block layout of the {what} within the model's "
+                              f"{size}; run 'storagg build' again")
     marks = [0] + (meta.checkpoints or [])
     if kind == "rp_tmci" and (meta.checkpoints is None or hours is not None and (
             marks[-1] != hours or marks != sorted(set(marks)))):
@@ -341,24 +327,24 @@ def load_built_model(outdir: Path, kind: str, hours: int | None = None) -> Formu
 
 def save_solutions(outdir: Path, solutions: dict[str, Solution]) -> None:
     """Write each solution as ``solutions/<kind>.json``, its record
-    (``to_json``: the init fields, the audit among them), and
-    ``solutions/<kind>.npz``, the values (``milp.save_solution``).
-
-    The values file is written for a solution that has values or is ok; any
-    other solution leaves none, so no earlier solve's values stay behind.
-    A header ``load_solutions`` would refuse, a variable name holding a
-    newline or a value that is not finite is a SolveError, before any write.
-    """
+    (``to_json``: the init fields, the audit among them), and, if it has
+    values, ``solutions/<kind>.npz`` (``milp.save_solution``), removing an
+    earlier one otherwise.  A header ``load_solutions`` would refuse, an ok
+    solution without values or a value that is not finite is a SolveError,
+    before any write."""
     _bind_deferred()
     headers = {kind: to_json(sol) for kind, sol in solutions.items()}
     for kind, sol in solutions.items():
         from_json(Solution, headers[kind], f"solution header of {kind!r}", SolveError)
-        checked_values(sol.values, f"solution of {kind!r}", SolveError)
+        if sol.x is not None:
+            checked_values(sol.x, sol.var_names, f"solution of {kind!r}", SolveError)
+        elif sol.ok:
+            raise SolveError(f"solution of {kind!r}: {sol.status} without values")
     sol_dir = Path(outdir) / "solutions"
     sol_dir.mkdir(parents=True, exist_ok=True)
     for kind, sol in solutions.items():
         values = sol_dir / f"{kind}.npz"
-        if sol.values or sol.ok:
+        if sol.x is not None:
             save_solution(sol, values)
         else:
             values.unlink(missing_ok=True)
@@ -378,7 +364,7 @@ def stage_solve(config: ScenarioConfig, outdir: Path,
         fo = load_built_model(outdir, kind)
         sol = ScipySolver().solve(fo.model, gap=config.gap, time_limit=config.time_limit)
         if sol.ok:
-            sol.audit = audit_constraints(fo.model, sol.values)
+            sol.audit = audit_constraints(fo.model, sol.x)
         return sol
 
     if workers > 1 and len(kinds) > 1:
@@ -399,20 +385,21 @@ def stage_solve(config: ScenarioConfig, outdir: Path,
     return solutions
 
 
-def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
-    """Rebuild each kind's Solution from the files ``save_solutions`` wrote.
+def load_solutions(outdir: Path, models: dict[str, MilpModel]) -> dict[str, Solution]:
+    """Rebuild each kind's Solution from the files ``save_solutions``
+    wrote, its values read against the kind's model in ``models``.
 
     Each Solution carries its header's fields, the audit among them.
     Raises ConfigError, naming the file, if a header is missing, is not
     JSON (``read_json``) or is no ``milp.Solution`` under the rules of its
-    fields (``from_json``; a header that holds its values inline, the format
-    before the ``.npz`` values file, has an unknown key), or if the values
-    file of an ok solution is missing or damaged.
-    """
+    fields (``from_json``; a header that holds its values inline has an
+    unknown key), or if the values file of an ok solution is missing or
+    refused by ``milp.load_solution`` (written for another model, among
+    others)."""
     _bind_deferred()
     out = {}
     sol_dir = Path(outdir) / "solutions"
-    for kind in kinds:
+    for kind, model in models.items():
         path = sol_dir / f"{kind}.json"
         if not path.exists():
             raise ConfigError(f"no solution on disk for {kind!r} (expected {path})")
@@ -421,7 +408,7 @@ def load_solutions(outdir: Path, kinds: list[str]) -> dict[str, Solution]:
         values = sol_dir / f"{kind}.npz"
         if values.exists():
             try:
-                sol.values = load_solution(values)
+                sol.set_values(model, load_solution(values, model))
             except ModelError as exc:
                 raise ConfigError(str(exc)) from None
         elif sol.ok:
@@ -546,7 +533,7 @@ def stage_report(system: PowerSystem, cases: dict[str, CaseResult],
     }
     write_json(rep_dir / "summary.json", summary)
 
-    with open(rep_dir / "summary.csv", "w", newline="") as fh:
+    with open(rep_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric"] + list(reports))
         # every metric any report has, in order of first appearance

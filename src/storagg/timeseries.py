@@ -109,11 +109,13 @@ def _read_table(path: Path, expected_columns: list[str] | None) -> tuple[list[st
     if not path.exists():
         raise DataFormatError(f"{path}: file not found")
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh))
             body = fh.read()
     except StopIteration:
         raise DataFormatError(f"{path}: empty file") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
     except csv.Error as exc:                  # e.g. a cell beyond the field limit
         raise DataFormatError(f"{path}: header: {exc}") from None
     except OSError as exc:                    # e.g. a directory
@@ -235,7 +237,7 @@ def save_horizon(data: TimeHorizonData, directory) -> None:
                              ("inflows.csv", data.storage_ids, data.inflows)):
         columns = [map(repr, col) for col in arr.T.tolist()]
         lines = list(map(",".join, zip(*columns))) if columns else [""] * len(arr)
-        with open(directory / fname, "w", newline="") as fh:
+        with open(directory / fname, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(cols)
             fh.write("\r\n".join([*lines, ""]))
 

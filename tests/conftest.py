@@ -3,7 +3,7 @@ import pytest
 
 from storagg import (ThermalUnit, StorageUnit, Network, OperatingConfig,
                      PowerSystem, TimeHorizonData, SHORT_TERM,
-                     StateClustering, RepPeriodClustering, build_matrices, Solution)
+                     StateClustering, RepPeriodClustering, build_matrices, Solution, MilpModel)
 
 
 def make_thermal(uid="g1", bus="b1", marginal=10.0, commit=2.0, start=50.0,
@@ -76,11 +76,35 @@ def manual_matrices(assignment, window, day_assignment=(0,)):
                           manual_rp(day_assignment, np.zeros(r)), window)
 
 
+def names_model(names) -> MilpModel:
+    """A model of one column per name and no rows."""
+    m = MilpModel()
+    m.add_vars(list(names))
+    return m
+
+
+def layout_blocks(layout) -> dict:
+    """key -> positions of each block a ``ModelMeta`` layout records; no key
+    is recorded twice."""
+    out = {key: first + k + len(keys) * np.arange(n)
+           for first, n, *keys in layout for k, key in enumerate(keys)}
+    assert len(out) == sum(len(tiled) - 2 for tiled in layout), "a key recorded twice"
+    return out
+
+
+def without_block(layout, key) -> list:
+    """``layout`` with ``key``'s block recorded under another key."""
+    return [[f"{k}~" if k == key else k for k in tiled] for tiled in layout]
+
+
 def make_solution(status, objective=None, values=None, **header):
-    """A Solution with ``values``; header fields not named are empty."""
+    """A Solution with ``values``, a name -> value mapping, as the values of
+    ``names_model(values)``; without them it has none.  Header fields not
+    named are empty."""
     sol = Solution(status, objective, **{"gap": 0.0, "wall_seconds": 0.0, "message": "",
                                          "audit": {}, **header})
-    sol.values = dict(values or {})
+    if values is not None:
+        sol.set_values(names_model(values), np.array(list(values.values()), dtype=float))
     return sol
 
 

@@ -542,7 +542,7 @@ def test_pipeline_artifacts_bit_reproducible(tmp_path):
 
 def test_solved_models_pass_constraint_audit(trend):
     for name, (fo, sol) in trend.solved.items():
-        families = audit_constraints(fo.model, sol.values)
+        families = audit_constraints(fo.model, sol.x)
         assert "bal" in families, name
         for family, positions in constraint_families(fo.model).items():
             info = families[family]

@@ -134,14 +134,38 @@ def test_one_way_into_a_model(name):
 
 
 def test_one_composer_of_names():
-    """Column and row names are composed by ``names`` only: where the
-    builders tile a stencil and where evaluation reads a block of values
-    back.  A name spelled anywhere else would be a second copy of the
-    format."""
+    """Column and row names are composed by ``names`` only, where the
+    builders tile a stencil: evaluation reads values and duals back by the
+    positions the tilers record, not by name.  A name spelled anywhere else
+    would be a second copy of the format."""
     assert call_sites("names", [SRC, REPO / "tests", REPO / "demos"]) == {
         ("src/storagg/formulations/common.py", "tile_columns"),
-        ("src/storagg/formulations/common.py", "tile_rows"),
-        ("src/storagg/evaluation.py", "_read")}
+        ("src/storagg/formulations/common.py", "tile_rows")}
+
+
+def test_names_become_keys_only_in_mps_and_the_solution_views():
+    """A name -> value mapping is built only by ``_keyed``, and it is called
+    by the MPS pair (``write_mps`` and ``parse_mps``'s ``index_rows``) and
+    by the name views of a Solution (``values``, ``duals``), which callers
+    outside the package read; nothing in the package reads a Solution's
+    ``values`` or ``duals``.  A solution path keys no dict by variable
+    name."""
+    roots = [SRC, REPO / "demos"]
+    assert call_sites("_keyed", roots) == {
+        ("src/storagg/milp.py", "write_mps"), ("src/storagg/milp.py", "index_rows"),
+        ("src/storagg/milp.py", "values"), ("src/storagg/milp.py", "duals")}
+
+    def calls(tree) -> set:
+        return {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+    found = set()
+    for path in sorted((SRC / "storagg").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        called = calls(tree)
+        found |= {(path.name, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("values", "duals")
+                  and id(node) not in called}
+    assert found == set()
 
 
 def test_call_site_scan_sees_builders():

@@ -11,7 +11,7 @@ from storagg import (build_hm, build_ss, build_ss_rfm, build_rp, build_rp_tmci,
 from storagg.pipeline import stage_ingest, build_formulation
 
 from conftest import (make_thermal, make_battery, make_system, make_data,
-                      manual_states, manual_matrices, manual_rp)
+                      manual_states, manual_matrices, manual_rp, layout_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +393,19 @@ def test_all_builders_pass_audit(battery_system, sin_data):
     for fo in outputs:
         sol = solve(fo.model)
         assert sol.ok, fo.kind
-        report = audit_constraints(fo.model, sol.values)
+        report = audit_constraints(fo.model, sol.x)
         for fam, stats in report.items():
             assert stats["max_residual"] <= 1e-6, (fo.kind, fam, stats)
 
 
 def test_meta_carries_time_structure(battery_system, sin_data):
-    """The sidecar metadata holds the kind and the invest flag; the time
-    structure comes from ``periods``: 48 hourly labels of weight 1, the
-    end-of-horizon requirement on the last one."""
+    """The sidecar metadata holds the kind, the invest flag and the block
+    layout, no time structure: that comes from ``periods``, 48 hourly labels
+    of weight 1, the end-of-horizon requirement on the last one."""
     fo = build_hm(battery_system, sin_data)
-    assert fo.meta == ModelMeta("hm", False)
+    assert fo.meta == ModelMeta("hm", False, columns=fo.meta.columns, rows=fo.meta.rows)
+    assert layout_blocks(fo.meta.columns)["w_batt"].size == 48
+    assert layout_blocks(fo.meta.rows)["bal_b1"].size == 48
     per = periods("hm", 48)
     assert per.labels[0] == "p0" and per.hours.tolist() == per.pos.tolist()
     assert per.weights.tolist() == [1] * 48

@@ -22,8 +22,9 @@ from storagg.cli import main as cli_main, build_parser
 from storagg.pipeline import stage_ingest, stage_cluster, stage_build, \
     stage_solve, stage_report, load_built_model, save_solutions, load_solutions
 
-from conftest import make_solution
+from conftest import make_solution, names_model, layout_blocks
 from test_milp import _parent_layout
+from storagg.milp import _pack_names
 
 
 @pytest.fixture(scope="module")
@@ -195,16 +196,17 @@ def test_run_produces_artifact_tree(run_result):
 
 
 def test_loaded_solutions_equal_solved_ones(run_result):
-    """Values re-read from disk equal the in-memory ones: same keys in the
-    same order, bit-identical floats; the whole Solution equals too, the
-    audit ``stage_solve`` set on it among its fields."""
+    """Values re-read from disk, against the re-read models, equal the
+    in-memory ones: bit-identical floats in column order, named alike; the
+    whole Solution equals too, the audit ``stage_solve`` set on it among
+    its fields."""
     _, outdir, result = run_result
-    loaded = load_solutions(outdir, list(result.solutions))
+    loaded = load_solutions(outdir, {k: load_built_model(outdir, k).model
+                                     for k in result.solutions})
     for kind, sol in result.solutions.items():
         back = loaded[kind]
         assert list(back.values) == list(sol.values)
-        assert np.array(list(back.values.values())).tobytes() == \
-            np.array(list(sol.values.values())).tobytes()
+        assert back.x.tobytes() == sol.x.tobytes()
         assert back == sol and sol.audit
 
 
@@ -343,9 +345,10 @@ def test_built_model_reloads_from_disk(run_result):
     _, outdir, result = run_result
     fo = load_built_model(outdir, "ss")
     assert fo.kind == "ss"
-    assert fo.meta == result.outputs["ss"].meta == ModelMeta("ss", False)
+    assert fo.meta == result.outputs["ss"].meta
+    assert (fo.meta.kind, fo.meta.invest, fo.meta.checkpoints) == ("ss", False, None)
     assert fo.registry == result.outputs["ss"].registry
-    sol = load_solutions(outdir, ["ss"])["ss"]
+    sol = load_solutions(outdir, {"ss": fo.model})["ss"]
     assert sol.objective == pytest.approx(result.cases["ss"].objective,
                                           rel=1e-6)
 
@@ -389,11 +392,11 @@ def test_rebuild_drops_the_old_solution(tmp_path):
     art = stage_cluster(system, data, config, out)
     stage_build(system, data, art, config, out, only=["ss"])
     stage_solve(config, out, only=["ss"])
-    assert load_solutions(out, ["ss"])["ss"].ok
+    assert load_solutions(out, {"ss": load_built_model(out, "ss").model})["ss"].ok
     stage_build(system, data, art, config, out, only=["ss"])
     assert not list((out / "solutions").iterdir())
     with pytest.raises(ConfigError, match="no solution on disk for 'ss'"):
-        load_solutions(out, ["ss"])
+        load_solutions(out, {"ss": load_built_model(out, "ss").model})
 
 
 def test_recluster_drops_every_kinds_model_and_solution(tmp_path, capsys):
@@ -417,6 +420,126 @@ def test_recluster_drops_every_kinds_model_and_solution(tmp_path, capsys):
     assert "model files for 'ss' not found" in capsys.readouterr().err
 
 
+def test_recluster_drops_the_report(tmp_path, capsys):
+    """Clustering removes the report as well: the summary and every kind's
+    hourly series a run before it left are gone, so ``storagg report`` then
+    finds no summary (exit 2) instead of printing the old run's."""
+    out, cfg = tmp_path / "out", str(emit_scenario_template(tmp_path / "scen", days=2))
+    report = out / "report"
+    report.mkdir(parents=True)
+    (report / "summary.json").write_text(json.dumps({"comparisons": {}}))
+    for name in ("summary.csv", "hourly_ss.csv.gz", "hourly_hm.csv"):
+        (report / name).write_text("an earlier run's")
+    assert cli_main(["report", str(out)]) == 0
+    assert cli_main(["cluster", cfg, "-o", str(out)]) == 0
+    assert list(report.iterdir()) == []
+    capsys.readouterr()
+    assert cli_main(["report", str(out)]) == 2
+    assert "no summary" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def week_run(tmp_path_factory):
+    """(scenario path, run directory, clusterings) of the 7-day template
+    (seed 4), every kind built and solved at gap 1e-3."""
+    root = tmp_path_factory.mktemp("week")
+    scenario = emit_scenario_template(root / "scen", days=7, seed=4)
+    config = load_scenario(scenario)
+    config.gap = 1e-3
+    system, data = stage_ingest(config)
+    art = stage_cluster(system, data, config, root / "out")
+    stage_build(system, data, art, config, root / "out")
+    stage_solve(config, root / "out")
+    return scenario, root / "out", art
+
+
+# the symbols of the columns and rows tiled over a kind's model periods
+_PERIOD_BLOCKS = {"q", "u", "b", "sp", "v", "pns", "bal"}
+
+
+@pytest.mark.parametrize("kind", storagg.BUILDER_KINDS)
+def test_layout_reads_by_position_as_by_name(week_run, kind):
+    """Each block the sidecar layout records reads, by position, the values
+    (and the pricing LP's duals) that the names of its entries read through
+    the Solution's views.  Each entry is named ``<symbol>_<label>_<id>``
+    after its block's key, the blocks cover every column and row once, and
+    the operating blocks run over the kind's period labels."""
+    _, out, art = week_run
+    fo = load_built_model(out, kind)
+    sol = load_solutions(out, {kind: fo.model})[kind]
+    lp = storagg.ScipySolver().solve_lp(fo.model, fixed=sol.x)
+    labels = storagg.periods(kind, 7 * 24, states=art.states, rp=art.rp).labels
+    model = fo.model
+    for layout, array, view, names in (
+            (fo.meta.columns, sol.x, sol.values, model.var_names.tolist()),
+            (fo.meta.rows, lp.row_dual, lp.duals, model._con_names.tolist())):
+        covered = np.zeros(len(names), dtype=int)
+        for key, at in layout_blocks(layout).items():
+            covered[at] += 1
+            symbol, _, uid = key.partition("_")
+            head, tail = f"{symbol}_", f"_{uid}" if uid else ""
+            block = [names[j][len(head):len(names[j]) - len(tail)] for j in at]
+            by_name = [view[head + label + tail] for label in block]
+            assert [head + label + tail for label in block] == [names[j] for j in at], key
+            assert np.array(by_name).tobytes() == array[at].tobytes(), key
+            if symbol in _PERIOD_BLOCKS:
+                assert block == labels, key
+        assert covered.tolist() == [1] * len(names)
+
+
+def test_layout_covers_each_column_and_row_once_with_investment(tmp_path):
+    """With investment on, which adds the ``x`` columns and their capacity
+    and level rows, the blocks the builders record still cover every column
+    and row of every kind once, each entry named after its block's key: no
+    two blocks share a key."""
+    config = load_scenario(emit_scenario_template(tmp_path, days=7, seed=4))
+    config.invest = True
+    system, data = stage_ingest(config)
+    art = storagg.aggregate(data, config.states, config.rep_days, config.seed,
+                            has_short_term_storage=True)
+    for kind in storagg.BUILDER_KINDS:
+        fo = storagg.pipeline.build_formulation(kind, system, data, art, config)
+        assert layout_blocks(fo.meta.columns)["x"].size == 1, kind   # the battery's capacity
+        for layout, names in ((fo.meta.columns, fo.model.var_names.tolist()),
+                              (fo.meta.rows, fo.model._con_names.tolist())):
+            covered = np.zeros(len(names), dtype=int)
+            for key, at in layout_blocks(layout).items():
+                covered[at] += 1
+                symbol, _, uid = key.partition("_")
+                assert all(names[j].startswith(f"{symbol}_") and names[j].endswith(
+                    f"_{uid}" if uid else "") for j in at), (kind, key)
+            assert covered.tolist() == [1] * len(names), kind
+
+
+def test_values_file_of_another_model_is_refused(week_run, tmp_path, capsys):
+    """A values file is read only against the model it was solved over:
+    ``ss``'s values against ``rp``'s model are refused naming both digests,
+    and ``ss``'s values one short naming both counts, each an input error
+    (exit 2) naming the file, at ``load_solutions`` and at ``evaluate``."""
+    import hashlib
+    scenario, out, _ = week_run
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    models = {kind: load_built_model(run, kind).model for kind in ("ss", "rp")}
+    digest = {kind: hashlib.sha256(m.var_names.blob).hexdigest() for kind, m in models.items()}
+    shutil.copy(run / "solutions" / "ss.npz", run / "solutions" / "rp.npz")
+    with pytest.raises(ConfigError, match=rf"rp\.npz: values for variable names of SHA-256 "
+                                          rf"{digest['ss']}, model 'rp' has {digest['rp']}$"):
+        load_solutions(run, {"rp": models["rp"]})
+    path = run / "solutions" / "ss.npz"
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    np.savez_compressed(path, **dict(arrays, x=arrays["x"][:-1]))
+    n = models["ss"].num_vars
+    with pytest.raises(ConfigError, match=rf"ss\.npz: {n - 1} values for the {n} variables"):
+        load_solutions(run, {"ss": models["ss"]})
+    capsys.readouterr()
+    for kind in ("rp", "ss"):
+        assert cli_main(["evaluate", str(scenario), "-o", str(run), "--only", kind,
+                         "--no-prices"]) == 2
+        assert f"solutions/{kind}.npz: " in capsys.readouterr().err
+
+
 def test_solutions_describe_status(run_result):
     _, outdir, _ = run_result
     doc = json.loads((outdir / "solutions" / "hm.json").read_text())
@@ -438,7 +561,7 @@ def test_files_without_bound_and_nodes_still_load(run_result, tmp_path):
     assert header["nodes"] >= 0
     del header["dual_bound"], header["nodes"]
     (tmp_path / "solutions" / "hm.json").write_text(json.dumps(header))
-    sol = load_solutions(tmp_path, ["hm"])["hm"]
+    sol = load_solutions(tmp_path, {"hm": load_built_model(outdir, "hm").model})["hm"]
     assert (sol.dual_bound, sol.nodes) == (None, None) and sol.ok
     doc = json.loads((outdir / "report" / "summary.json").read_text())
     assert all(type(doc[kind]["nodes"]) is int for kind in ("hm", "ss"))
@@ -455,17 +578,17 @@ def test_failed_solve_leaves_no_values_file(tmp_path):
     save_solutions(tmp_path, {"ss": make_solution("optimal", 1.0, {"x": 1.0})})
     save_solutions(tmp_path, {"ss": make_solution("infeasible")})
     assert not (tmp_path / "solutions" / "ss.npz").exists()
-    assert load_solutions(tmp_path, ["ss"])["ss"].values == {}
+    sol = load_solutions(tmp_path, {"ss": names_model(["x"])})["ss"]
+    assert (sol.x, sol.values) == (None, {})
 
 
-def test_save_solutions_refuses_newline_name_before_any_write(tmp_path):
-    """A variable name holding a newline, in the second of two kinds, is a
-    SolveError naming that kind and the name before either kind's files
-    are written."""
+def test_save_solutions_refuses_ok_solution_without_values_before_any_write(tmp_path):
+    """An ok solution without values, in the second of two kinds, is a
+    SolveError naming that kind before either kind's files are written:
+    ``load_solutions`` would refuse its header without a values file."""
     ok = make_solution("optimal", 1.0, {"x": 1.0})
-    bad = make_solution("optimal", 1.0, {"a\nb": 1.0})
-    with pytest.raises(SolveError, match=r"solution of 'b': variable name 'a\\nb' contains a newline"):
-        save_solutions(tmp_path, {"a": ok, "b": bad})
+    with pytest.raises(SolveError, match=r"solution of 'b': optimal without values"):
+        save_solutions(tmp_path, {"a": ok, "b": make_solution("optimal", 1.0)})
     assert not list(tmp_path.rglob("*.*"))
 
 
@@ -474,45 +597,45 @@ def test_load_solutions_refusals(tmp_path):
     values (or any duals) inline, and a missing or damaged values file of an
     ok solution are input errors naming the file; there is no fallback
     reader."""
-    sol_dir = tmp_path / "solutions"
+    sol_dir, models = tmp_path / "solutions", {"ss": names_model(["x"])}
     save_solutions(tmp_path, {"ss": make_solution("optimal", 1.0, {"x": 1.0})})
     header = json.loads((sol_dir / "ss.json").read_text())
     for key in ("status", "objective", "gap", "wall_seconds", "message"):
         (sol_dir / "ss.json").write_text(json.dumps({k: v for k, v in header.items() if k != key}))
         with pytest.raises(ConfigError, match=rf"ss\.json.*'{key}'"):
-            load_solutions(tmp_path, ["ss"])
+            load_solutions(tmp_path, models)
     (sol_dir / "ss.json").write_text("{")
     with pytest.raises(ConfigError, match=r"ss\.json: not a solution header: not valid JSON"):
-        load_solutions(tmp_path, ["ss"])
+        load_solutions(tmp_path, models)
     for key in ("values", "duals"):
         (sol_dir / "ss.json").write_text(json.dumps(dict(header, **{key: {"x": 1.0}})))
         with pytest.raises(ConfigError, match=rf"ss\.json: unknown key '{key}'") as err:
-            load_solutions(tmp_path, ["ss"])
+            load_solutions(tmp_path, models)
         assert err.value.exit_code == 2
     (sol_dir / "ss.json").write_text(json.dumps(header))
     (sol_dir / "ss.npz").write_bytes(b"damaged")
     with pytest.raises(ConfigError, match=r"ss\.npz: not a solution file"):
-        load_solutions(tmp_path, ["ss"])
+        load_solutions(tmp_path, models)
     (sol_dir / "ss.npz").unlink()
     with pytest.raises(ConfigError, match=r"ss\.npz"):
-        load_solutions(tmp_path, ["ss"])
+        load_solutions(tmp_path, models)
 
 
 def test_load_solutions_refuses_mistyped_header(tmp_path):
     """A header value of the wrong type is an input error naming the file
     and the key, not a TypeError in a later stage."""
-    sol_dir = tmp_path / "solutions"
+    sol_dir, models = tmp_path / "solutions", {"ss": names_model(["x"])}
     save_solutions(tmp_path, {"ss": make_solution("optimal", 1.0, {"x": 1.0})})
     header = json.loads((sol_dir / "ss.json").read_text())
     for key, bad in (("status", 1), ("objective", "abc"), ("gap", None),
                      ("wall_seconds", "slow"), ("wall_seconds", True), ("message", None)):
         (sol_dir / "ss.json").write_text(json.dumps(dict(header, **{key: bad})))
         with pytest.raises(ConfigError, match=rf"ss\.json: {key} must be") as err:
-            load_solutions(tmp_path, ["ss"])
+            load_solutions(tmp_path, models)
         assert err.value.exit_code == 2
     (sol_dir / "ss.json").write_text(json.dumps(dict(header, status="infeasible",
                                                      objective=None)))
-    assert load_solutions(tmp_path, ["ss"])["ss"].objective is None
+    assert load_solutions(tmp_path, models)["ss"].objective is None
 
 
 def test_pipeline_deterministic(template_dir, tmp_path):
@@ -885,9 +1008,9 @@ def test_cli_evaluate_refuses_non_finite_solution_value(tmp_path, capsys, bad):
     path = out / "solutions" / "ss.npz"
     with np.load(path) as npz:
         arrays = dict(npz)
-    names = list(storagg.load_solution(path))
+    names = load_built_model(out, "ss").model.var_names.tolist()
     k = next(i for i, name in enumerate(names) if name.startswith("u_"))
-    arrays["values"][k] = bad
+    arrays["x"][k] = bad
     np.savez_compressed(path, **arrays)
     capsys.readouterr()
     assert cli_main(["evaluate", cfg, "-o", str(out), "--only", "ss"]) == 2
@@ -908,12 +1031,13 @@ def test_cli_refuses_files_in_the_parent_layout(tmp_path):
                 ("solve", cfg, "-o", str(out), "--only", "ss", "--gap", "1e-3")):
         assert run_cli(*cmd).returncode == 0, cmd
     values = out / "solutions" / "ss.npz"
-    names = "\n".join(load_solutions(out, ["ss"])["ss"].values).encode()
-    np.savez_compressed(values, names=np.frombuffer(names, dtype=np.uint8),
-                        values=np.zeros(names.count(b"\n") + 1))
-    proc = run_cli("evaluate", cfg, "-o", str(out), "--only", "ss", "--no-prices")
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith(f"error: {values}: not a solution file"), proc.stderr
+    names = load_built_model(out, "ss").model.var_names
+    for layout in ({"names": np.frombuffer(names.blob, dtype=np.uint8)},
+                   _pack_names(names.blob, "names")):    # names in digit runs, beside values
+        np.savez_compressed(values, **layout, values=np.zeros(len(names)))
+        proc = run_cli("evaluate", cfg, "-o", str(out), "--only", "ss", "--no-prices")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: {values}: not a solution file"), proc.stderr
     model = out / "models" / "ss.npz"
     np.savez_compressed(model, **_parent_layout(load_built_model(out, "ss").model))
     proc = run_cli("solve", cfg, "-o", str(out), "--only", "ss")
@@ -926,7 +1050,10 @@ def test_cli_refuses_files_in_the_parent_layout(tmp_path):
                               "ss.registry.json: not a model sidecar: meta: missing key 'invest'"),
                              ('{"meta": {"kind": "rp", "invest": false}}',
                               "ss.registry.json: not a model sidecar: meta: "
-                              "kind must be 'ss', got 'rp'")):
+                              "kind must be 'ss', got 'rp'"),
+                             ('{"meta": {"kind": "ss", "invest": false}}',     # no layout
+                              "ss.registry.json: not a model sidecar: meta: no block "
+                              "layout of the columns within the model's")):
         side.write_text(damaged)
         proc = run_cli("solve", cfg, "-o", str(out), "--only", "ss")
         assert proc.returncode == 2, proc.stderr
@@ -1195,7 +1322,7 @@ def test_stages_that_never_solve_leave_scipy_unloaded(tmp_path):
     solve = cli("solve", cfg, "-o", out, "--only", "ss")
     assert "scipy.optimize._highspy._core" in solve and "concurrent.futures" in solve
     assert "scipy.optimize" not in solve and "gzip" not in solve
-    assert load_solutions(Path(out), ["ss"])["ss"].ok
+    assert load_solutions(Path(out), {"ss": load_built_model(Path(out), "ss").model})["ss"].ok
     priced = cli("evaluate", cfg, "-o", out, "--only", "ss")
     assert "scipy.optimize._highspy._core" in priced and "scipy.optimize" not in priced
     assert "gzip" in cli("evaluate", cfg, "-o", out, "--only", "ss", "--no-prices")
@@ -1242,7 +1369,7 @@ artifacts = pipeline.stage_cluster(system, data, config, run)
 pipeline.stage_build(system, data, artifacts, config, run)
 pipeline.stage_solve(config, run)
 outputs = {k: pipeline.load_built_model(run, k) for k in config.kinds}
-solutions = pipeline.load_solutions(run, config.kinds)
+solutions = pipeline.load_solutions(run, {k: fo.model for k, fo in outputs.items()})
 cases, reports = pipeline.stage_evaluate(system, data, artifacts, config, outputs,
                                          solutions, with_prices=False)
 pipeline.stage_report(system, cases, reports, run)

@@ -82,6 +82,25 @@ def test_repeated_column_rejected(tmp_path):
         _read_table(tmp_path / "d.csv", ["a"])
 
 
+def test_series_that_is_not_utf8_is_located(tmp_path, capsys):
+    """A series file is read as UTF-8 whatever the locale: a 0xff byte in
+    its header is a DataFormatError naming the file, and at ``ingest`` an
+    input error (exit 2), not a UnicodeDecodeError traceback."""
+    from storagg import emit_scenario_template
+    from storagg.cli import main
+    (tmp_path / "d.csv").write_bytes(b"\xffa\n1.0\n")
+    write_csv(tmp_path / "r.csv", ["a"], [[0.0]])
+    write_csv(tmp_path / "i.csv", ["s"], [[0.0]])
+    with pytest.raises(DataFormatError, match=r"d\.csv: not UTF-8 text: .* byte 0xff"):
+        load_horizon(tmp_path / "d.csv", tmp_path / "r.csv", tmp_path / "i.csv")
+    scenario = emit_scenario_template(tmp_path / "scen", days=1)
+    demand = tmp_path / "scen" / "demand.csv"
+    demand.write_bytes(b"\xff" + demand.read_bytes())
+    assert main(["ingest", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert f"{demand}: not UTF-8 text" in err and "Traceback" not in err
+
+
 def test_ragged_row_rejected(tmp_path):
     (tmp_path / "d.csv").write_text("a,b\n1.0,2.0\n1.0\n")
     write_csv(tmp_path / "r.csv", ["a", "b"], [[0.0, 0.0]] * 2)
